@@ -13,6 +13,11 @@ Matrix entries are uniform on [-1, 1] and are a pure function of
 produced on demand, so the responder's t costs O(nnz(v) * cols) work and no
 party ever needs the full matrix in memory (though materializing is allowed
 as a speedup for moderate n).
+
+``mask`` and ``matvec`` also take a block of k vectors at once: u as an
+(n, k) array and r as a (cols, k) array give the k masked vectors as the
+columns of Z = U + A R, and a streamed matrix generates each row once for
+all k columns.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ def clear_matrix_cache() -> None:
     _materialized.cache_clear()
 
 
+def _check_mask_shape(r: np.ndarray, cols: int) -> None:
+    if r.ndim not in (1, 2) or r.shape[0] != cols:
+        raise DimensionError(f"mask shape {r.shape} != ({cols},) or ({cols}, k)")
+
+
 class SharedRandomMatrix:
     """Handle to the deterministic masking matrix for one seed and size."""
 
@@ -114,13 +124,13 @@ class SharedRandomMatrix:
         return np.vstack([self.row_block(int(i), int(i) + 1) for i in indices])
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
-        """A @ r without requiring the whole matrix at once."""
-        if r.shape != (self.cols,):
-            raise DimensionError(f"mask length {r.shape} != ({self.cols},)")
+        """A @ r for r of shape (cols,) or (cols, k), without requiring the
+        whole matrix at once."""
+        _check_mask_shape(r, self.cols)
         full = self._full()
         if full is not None:
             return full @ r
-        out = np.empty(self.rows)
+        out = np.empty((self.rows,) + r.shape[1:])
         chunk = max(1, 4_000_000 // self.cols)
         for start in range(0, self.rows, chunk):
             stop = min(start + chunk, self.rows)
@@ -154,8 +164,7 @@ class DenseMaskingMatrix:
         return self.array[indices]
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
-        if r.shape != (self.cols,):
-            raise DimensionError(f"mask length {r.shape} != ({self.cols},)")
+        _check_mask_shape(r, self.cols)
         return self.array @ r
 
     def transpose_apply(self, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -173,7 +182,8 @@ def generate_shared_matrix(seed: int, n: int) -> SharedRandomMatrix:
 
 @dataclass(frozen=True)
 class SecretMask:
-    """Private column vector r; never serialized, fresh per query."""
+    """Private column vector r, or k of them as the columns of a (cols, k)
+    block; never serialized, fresh per query."""
 
     values: np.ndarray
 
@@ -206,8 +216,13 @@ class OpCounter:
 
 
 def mask(u: np.ndarray, matrix, r: SecretMask) -> MaskedVector:
-    if u.shape != (matrix.rows,):
-        raise DimensionError(f"vector length {u.shape} != ({matrix.rows},)")
+    """z = u + A r; with u of shape (rows, k) and r of shape (cols, k),
+    column j of the result masks column j of u."""
+    if u.shape != (matrix.rows,) + r.values.shape[1:]:
+        raise DimensionError(
+            f"vector shape {u.shape} does not match {matrix.rows} rows "
+            f"and mask shape {r.values.shape}"
+        )
     return MaskedVector(values=u + matrix.matvec(r.values))
 
 

@@ -18,6 +18,15 @@ mask per query and step; the same masked vector serves all of Bob's
 documents for that query.  Survivor ids necessarily reveal to Bob which of
 his documents passed the filter; LF and HF additionally reveal the chosen
 dimension indexes of each query.
+
+Both rounds are computed with array operations.  Bob packs his corpus once
+into CSR arrays and answers a filter query with one projection of the whole
+corpus.  In the full round, t_j = A^T v_j does not depend on the query, so
+Bob computes it the first time document j survives and reuses it for the
+rest of the session; only s_j = z . v_j is computed per query.  Alice masks
+the full-width vectors of all her queries with one pass over A (A R, R
+stacking the per-query masks), made the first time a query reaches the full
+round, and recovers and bounds all pairs of a query at once.
 """
 
 from __future__ import annotations
@@ -31,18 +40,12 @@ import numpy as np
 
 from ..corpus import Corpus
 from ..errors import ProtocolError, RangeError, SessionError, SsddError
-from ..masking import (
-    OpCounter,
-    SecretMask,
-    SharedRandomMatrix,
-    mask,
-    recover,
-    respond,
-)
+from ..masking import OpCounter, SecretMask, SharedRandomMatrix, mask
 from ..selection import (
     SelectionMethod,
     aggregate_whole_vector,
     local_document_frequency,
+    packed_document_frequency,
     select_gf,
     select_hf,
     select_lf,
@@ -147,27 +150,24 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class FilterEvaluation:
-    """Outcome of the cheap step for one pair."""
+    """Outcome of the cheap step for one pair, or elementwise for many."""
 
-    delta: float
-    upper_bound: float
-    passed: bool
+    delta: float | np.ndarray
+    upper_bound: float | np.ndarray
+    passed: bool | np.ndarray
 
 
-def evaluate_filter(
-    delta_fs: float, norm_u2: float, norm_v2: float, epsilon: float
-) -> FilterEvaluation:
+def evaluate_filter(delta_fs, norm_u2, norm_v2, epsilon: float) -> FilterEvaluation:
     """Bound the cosine from the f-dimensional pieces.
 
     The projected squared distance ``norm_u2 - 2*delta_fs + norm_v2`` never
     exceeds the full squared distance, so ``1 - distance/2`` bounds the true
     cosine from above for unit vectors; a pair whose bound misses the
     tolerance cannot be similar.  The distance is clamped at zero against
-    rounding.
+    rounding.  Scalars give one pair's outcome; arrays (broadcast against
+    each other) give every pair's outcome elementwise.
     """
-    distance2 = norm_u2 - 2.0 * delta_fs + norm_v2
-    if distance2 < 0.0:
-        distance2 = 0.0
+    distance2 = np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0)
     upper = 1.0 - distance2 / 2.0
     return FilterEvaluation(
         delta=distance2, upper_bound=upper, passed=upper >= epsilon
@@ -248,21 +248,21 @@ def _mask_rng(config: SessionConfig, query_id: int, step: int) -> np.random.Gene
     return np.random.default_rng(seq)
 
 
-def _sparse_from_feature(values: np.ndarray) -> DocumentVector:
-    nz = np.flatnonzero(values)
-    return DocumentVector(
-        dims=int(values.size),
-        indices=nz.astype(np.int64),
-        weights=values[nz],
-        degenerate=nz.size == 0,
-    )
-
-
 class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
-    One instance serves one session.  ``metrics.scalar_mult_count`` tallies
-    the multiplications spent in product responses.
+    One instance serves one session.  The corpus is packed once into CSR
+    arrays: document j's term indices and weights are
+    ``indices[indptr[j]:indptr[j + 1]]`` and the same slice of ``weights``.
+    A filter query is answered from the projection P (m x f) of the packed
+    corpus onto its index set: s = P z, t = P A_fs and the squared row
+    norms; under RP and GF the index set is fixed, so P, t and the norms
+    are computed once per session.
+
+    ``metrics.scalar_mult_count`` tallies the multiplications of the
+    paper's cost model: nnz * (1 + cols) per document response, plus nnz
+    for its projected norm in the filter round, whether or not t was
+    computed earlier in the session.
     """
 
     def __init__(self, vectors: list[DocumentVector], dims: int | None = None):
@@ -272,14 +272,27 @@ class BobResponder:
                 raise RangeError("target documents disagree on dimensionality")
         elif dims is None:
             raise RangeError("an empty responder needs an explicit dims")
-        self.vectors = vectors
         self.dims = dims
+        self.doc_count = len(vectors)
+        self._indptr = np.zeros(self.doc_count + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((v.nnz for v in vectors), np.int64, self.doc_count),
+            out=self._indptr[1:],
+        )
+        self._indices = np.concatenate(
+            [v.indices for v in vectors] + [np.empty(0, np.int64)]
+        )
+        self._weights = np.concatenate(
+            [v.weights for v in vectors] + [np.empty(0)]
+        )
         self.config: SessionConfig | None = None
         self.metrics = SessionMetrics()
         self._matrix: SharedRandomMatrix | None = None
         self._fs_matrix: SharedRandomMatrix | None = None
         self._whole: np.ndarray | None = None
         self._session_set: FeatureIndexSet | None = None
+        self._session_filter: tuple | None = None
+        self._t_memo: dict[int, np.ndarray] = {}
         self._ops = OpCounter()
 
     @property
@@ -333,7 +346,7 @@ class BobResponder:
             self._fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
             if config.method is SelectionMethod.RP:
                 self._session_set = select_rp(config.rp_seed, config.n, config.f)
-        return HelloAck(bob_doc_count=len(self.vectors))
+        return HelloAck(bob_doc_count=self.doc_count)
 
     def _on_df(self, msg: DfVector) -> DfVector:
         config = self.config
@@ -341,13 +354,30 @@ class BobResponder:
             raise ProtocolError(f"df exchange unexpected for {config.method.name}")
         if len(msg.counts) != self.dims:
             raise ProtocolError("df vector has the wrong width")
-        mine = local_document_frequency(Corpus(self.dims, None, self.vectors))
+        mine = packed_document_frequency(self._indices, self.dims)
         self._whole = aggregate_whole_vector(mine, msg.counts)
         if config.method is SelectionMethod.GF:
             self._session_set = select_gf(self._whole, config.f)
         return DfVector(counts=mine)
 
-    def _query_set(self, msg: FilterQuery) -> FeatureIndexSet:
+    def _project(self, index_set: FeatureIndexSet) -> tuple:
+        """Filter-round pieces of every document for one index set.
+
+        Returns the projection P (m x f), t = P A_fs, the squared row norms
+        of P, and its nonzero count.
+        """
+        column = np.full(self.dims, -1, dtype=np.int64)
+        column[index_set.indexes] = np.arange(index_set.f)
+        entry_column = column[self._indices]
+        hits = np.flatnonzero(entry_column >= 0)
+        docs = np.searchsorted(self._indptr, hits, side="right") - 1
+        projected = np.zeros((self.doc_count, index_set.f))
+        projected[docs, entry_column[hits]] = self._weights[hits]
+        t = projected @ self._fs_matrix.row_block(0, index_set.f)
+        norm_v2 = np.einsum("ij,ij->i", projected, projected)
+        return projected, t, norm_v2, int(np.count_nonzero(projected))
+
+    def _filter_pieces(self, msg: FilterQuery) -> tuple:
         config = self.config
         if msg.indexes.size:
             if msg.indexes.size != config.f:
@@ -355,14 +385,20 @@ class BobResponder:
                     f"query carries {msg.indexes.size} indexes, expected {config.f}"
                 )
             try:
-                return FeatureIndexSet(dims=config.n, indexes=msg.indexes)
+                index_set = FeatureIndexSet(dims=config.n, indexes=msg.indexes)
             except RangeError as exc:
                 raise ProtocolError(f"bad index set: {exc}") from exc
-        if self._session_set is not None:
-            return self._session_set
-        raise ProtocolError(
-            f"{config.method.name} needs explicit indexes or a prior df exchange"
-        )
+            return self._project(index_set)
+        if self._session_set is None:
+            raise ProtocolError(
+                f"{config.method.name} needs explicit indexes or a prior df exchange"
+            )
+        if self._session_filter is None:
+            self._session_filter = self._project(self._session_set)
+            # every later reply of the session shares these arrays
+            for piece in self._session_filter[:3]:
+                piece.flags.writeable = False
+        return self._session_filter
 
     def _on_filter_query(self, msg: FilterQuery) -> FilterReply:
         config = self.config
@@ -370,49 +406,47 @@ class BobResponder:
             raise ProtocolError("filter step under BASE")
         if msg.z.size != config.f:
             raise ProtocolError(f"masked width {msg.z.size}, expected {config.f}")
-        index_set = self._query_set(msg)
-        masked = _MaskedView(msg.z)
-        m = len(self.vectors)
-        s = np.empty(m)
-        norm_v2 = np.empty(m)
-        t = np.empty((m, self._fs_matrix.cols))
-        for i, vec in enumerate(self.vectors):
-            projected = _sparse_from_feature(project(vec, index_set).values)
-            reply = respond(
-                masked, projected, self._fs_matrix, include_norm=True, ops=self._ops
+        projected, t, norm_v2, nnz = self._filter_pieces(msg)
+        self._ops.mults += nnz * (2 + self._fs_matrix.cols)
+        return FilterReply(
+            query_id=msg.query_id, s=projected @ msg.z, norm_v2=norm_v2, t=t
+        )
+
+    def _transposed(self, doc: int) -> np.ndarray:
+        """t_j = A^T v_j, computed once per session."""
+        t = self._t_memo.get(doc)
+        if t is None:
+            lo, hi = self._indptr[doc], self._indptr[doc + 1]
+            t = self._matrix.transpose_apply(
+                self._indices[lo:hi], self._weights[lo:hi]
             )
-            s[i] = reply.s
-            norm_v2[i] = reply.norm_v2
-            t[i] = reply.t
-        return FilterReply(query_id=msg.query_id, s=s, norm_v2=norm_v2, t=t)
+            self._t_memo[doc] = t
+        return t
 
     def _on_full_query(self, msg: FullQuery) -> FullReply:
         config = self.config
         if msg.z.size != config.n:
             raise ProtocolError(f"masked width {msg.z.size}, expected {config.n}")
         ids = msg.survivor_ids
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.vectors)):
+        if ids.size and (ids.min() < 0 or ids.max() >= self.doc_count):
             raise ProtocolError("survivor id outside the corpus")
-        masked = _MaskedView(msg.z)
-        k = ids.size
-        s = np.empty(k)
-        t = np.empty((k, self._matrix.cols))
-        for i, doc_id in enumerate(ids):
-            reply = respond(
-                masked, self.vectors[int(doc_id)], self._matrix, ops=self._ops
-            )
-            s[i] = reply.s
-            t[i] = reply.t
+        # s_j = z . v_j as one segmented sum over the survivors' packed entries
+        starts = self._indptr[ids]
+        counts = self._indptr[ids + 1] - starts
+        owner = np.repeat(np.arange(ids.size), counts)
+        entries = np.arange(owner.size) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        s = np.bincount(
+            owner,
+            weights=msg.z[self._indices[entries]] * self._weights[entries],
+            minlength=ids.size,
+        )
+        t = np.empty((ids.size, self._matrix.cols))
+        for i, doc in enumerate(ids.tolist()):
+            t[i] = self._transposed(doc)
+        self._ops.mults += owner.size * (1 + self._matrix.cols)
         return FullReply(query_id=msg.query_id, doc_ids=ids.copy(), s=s, t=t)
-
-
-class _MaskedView:
-    """Adapter giving respond() the masked-vector shape without a copy."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
 
 
 class AliceSession:
@@ -444,6 +478,9 @@ class AliceSession:
         )
         self._whole: np.ndarray | None = None
         self._session_set: FeatureIndexSet | None = None
+        # full-round masked vectors and secret masks, one column per query
+        self._full_z: np.ndarray | None = None
+        self._full_r: np.ndarray | None = None
         if config.method.per_query:
             logger.warning(
                 "method %s sends each query's chosen dimension indexes to the "
@@ -495,9 +532,8 @@ class AliceSession:
             return select_hf(query.to_dense(), self._whole, self.config.f), True
         return self._session_set, False
 
-    def _filter_step(
-        self, query_id: int, query: DocumentVector
-    ) -> tuple[list[int], dict[int, FilterEvaluation]]:
+    def _filter_step(self, query_id: int, query: DocumentVector) -> np.ndarray:
+        """Ids of the targets whose filter bound reaches the tolerance."""
         index_set, explicit = self._query_index_set(query)
         u_fs = project(query, index_set)
         r = SecretMask.draw(self._fs_matrix.cols, _mask_rng(self.config, query_id, 1))
@@ -517,63 +553,66 @@ class AliceSession:
                 f"filter reply covers {len(reply.s)} documents, "
                 f"expected {self.target_count}"
             )
-        survivors: list[int] = []
-        evaluations: dict[int, FilterEvaluation] = {}
-        for target in range(self.target_count):
-            delta_fs = reply.s[target] - float(r.values @ reply.t[target])
-            ev = evaluate_filter(
-                delta_fs, u_fs.squared_norm, float(reply.norm_v2[target]),
-                self.config.epsilon,
-            )
-            evaluations[target] = ev
-            if ev.passed:
-                survivors.append(target)
-        return survivors, evaluations
+        ev = evaluate_filter(
+            reply.s - reply.t @ r.values,
+            u_fs.squared_norm,
+            reply.norm_v2,
+            self.config.epsilon,
+        )
+        return np.flatnonzero(ev.passed)
 
-    def _full_step(
-        self, query_id: int, query: DocumentVector, survivors: list[int]
-    ) -> dict[int, float]:
-        r = SecretMask.draw(self._matrix.cols, _mask_rng(self.config, query_id, 2))
-        z = mask(query.to_dense(), self._matrix, r)
-        self._send(
-            FullQuery(
-                query_id=query_id,
-                survivor_ids=np.asarray(survivors, dtype=np.int64),
-                z=z.values,
+    def _full_round_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masked full-width vectors and secret masks of all queries.
+
+        Column q belongs to query q, whose mask is drawn from its own
+        generator; A R for all queries takes one pass over A.
+        """
+        if self._full_z is None:
+            cols = self._matrix.cols
+            r = np.column_stack(
+                [
+                    SecretMask.draw(cols, _mask_rng(self.config, q, 2)).values
+                    for q in range(len(self.queries))
+                ]
             )
+            u = np.column_stack([q.to_dense() for q in self.queries])
+            self._full_z = mask(u, self._matrix, SecretMask(values=r)).values
+            self._full_r = r
+        return self._full_z, self._full_r
+
+    def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:
+        """Exact cosines of the query with each survivor, in survivor order."""
+        z, r = self._full_round_masks()
+        self._send(
+            FullQuery(query_id=query_id, survivor_ids=survivors, z=z[:, query_id])
         )
         reply = self._recv()
         if not isinstance(reply, FullReply) or reply.query_id != query_id:
             raise ProtocolError("full reply does not match the query")
-        if not np.array_equal(reply.doc_ids, np.asarray(survivors, dtype=np.int64)):
+        if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
-        return {
-            target: recover_entry
-            for target, recover_entry in zip(
-                survivors,
-                (reply.s - reply.t @ r.values).tolist(),
-            )
-        }
+        return reply.s - reply.t @ r[:, query_id]
 
     def run_query(self, query_id: int, query: DocumentVector) -> None:
+        """Decide every pair of ``query``, which is ``self.queries[query_id]``."""
         if self.target_count == 0:
             return
         started = time.perf_counter()
         epsilon = self.config.epsilon
         if self.config.method.uses_filter:
-            survivors, _ = self._filter_step(query_id, query)
-            self.metrics.pairs_total += self.target_count
-            self.metrics.pairs_filtered += self.target_count - len(survivors)
+            survivors = self._filter_step(query_id, query)
         else:
-            survivors = list(range(self.target_count))
-            self.metrics.pairs_total += self.target_count
+            survivors = np.arange(self.target_count)
+        self.metrics.pairs_total += self.target_count
+        self.metrics.pairs_filtered += self.target_count - survivors.size
         cosines: dict[int, float] = {}
-        if survivors:
-            cosines = self._full_step(query_id, query, survivors)
-            self.metrics.full_products += len(survivors)
-        survivor_set = set(survivors)
+        if survivors.size:
+            recovered = self._full_step(query_id, survivors)
+            cosines = dict(zip(survivors.tolist(), recovered.tolist()))
+            self.metrics.full_products += survivors.size
         for target in range(self.target_count):
-            if target not in survivor_set:
+            cosine = cosines.get(target)
+            if cosine is None:
                 self.decisions.append(
                     SimilarityDecision(
                         query_id=query_id,
@@ -584,7 +623,6 @@ class AliceSession:
                     )
                 )
                 continue
-            cosine = cosines[target]
             if query.degenerate:
                 cosine, similar = 0.0, False
             else:

@@ -61,6 +61,29 @@ class TestSharedRandomMatrix:
         streamed = SharedRandomMatrix(13, 57, materialize_limit=0)
         r = np.random.default_rng(1).uniform(-1, 1, cached.cols)
         np.testing.assert_allclose(cached.matvec(r), streamed.matvec(r), atol=1e-12)
+        block = np.random.default_rng(2).uniform(-1, 1, (cached.cols, 4))
+        by_column = np.column_stack([cached.matvec(c) for c in block.T])
+        np.testing.assert_allclose(cached.matvec(block), by_column, atol=1e-12)
+        np.testing.assert_allclose(streamed.matvec(block), by_column, atol=1e-12)
+
+    def test_streamed_block_generates_each_row_once(self, monkeypatch):
+        streamed = SharedRandomMatrix(13, 57, materialize_limit=0)
+        generated = []
+        row_block = streamed.row_block
+
+        def counting(start, stop):
+            generated.append(stop - start)
+            return row_block(start, stop)
+
+        monkeypatch.setattr(streamed, "row_block", counting)
+        streamed.matvec(np.ones((streamed.cols, 5)))
+        assert sum(generated) == streamed.rows
+
+    def test_matvec_rejects_bad_mask_shapes(self):
+        for matrix in (SharedRandomMatrix(3, 8), DenseMaskingMatrix(np.ones((8, 4)))):
+            for shape in ((5,), (5, 2), (4, 2, 1), ()):
+                with pytest.raises(DimensionError):
+                    matrix.matvec(np.zeros(shape))
 
     def test_out_of_range_entry(self):
         m = SharedRandomMatrix(5, 4)
@@ -81,6 +104,12 @@ class TestHandExample:
     def test_mask(self):
         z = mask(self.u, self.matrix, self.r)
         np.testing.assert_allclose(z.values, [2.6, 2.8], atol=1e-15)
+
+    def test_mask_block_masks_each_column(self):
+        u = np.column_stack([self.u, [1.0, 0.0]])
+        r = SecretMask(values=np.array([[2.0, -1.0]]))
+        z = mask(u, self.matrix, r)
+        np.testing.assert_allclose(z.values, [[2.6, 0.0], [2.8, -1.0]], atol=1e-15)
 
     def test_respond_and_recover(self):
         z = mask(self.u, self.matrix, self.r)
@@ -152,6 +181,10 @@ class TestCostAccounting:
             mask(np.zeros(5), matrix, SecretMask(values=np.zeros(matrix.cols)))
         with pytest.raises(DimensionError):
             mask(np.zeros(4), matrix, SecretMask(values=np.zeros(3)))
+        with pytest.raises(DimensionError):
+            mask(np.zeros((4, 3)), matrix, SecretMask(values=np.zeros((matrix.cols, 2))))
+        with pytest.raises(DimensionError):
+            mask(np.zeros(4), matrix, SecretMask(values=np.zeros((matrix.cols, 1))))
 
     def test_respond_dimension_mismatch(self):
         matrix = generate_shared_matrix(1, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssdd.corpus import Corpus, RawDocument
+from ssdd.corpus import Corpus, RawDocument, build_document_vector
 from ssdd.errors import DimensionError, RangeError
 from ssdd.selection import (
     SelectionMethod,
@@ -84,6 +84,19 @@ class TestDocumentFrequency:
     def test_reference_example(self):
         corpus = Corpus(2, [RawDocument(0, {0: 3, 1: 1}), RawDocument(1, {0: 2})])
         np.testing.assert_array_equal(local_document_frequency(corpus), [2, 1])
+
+    def test_matches_per_document_loop(self):
+        corpus = synth_corpus(n_docs=50, dims=300, seed=21, mean_terms=25)
+        corpus.vectors.append(build_document_vector({}, 300))
+        expected = np.zeros(300, dtype=np.int64)
+        for vec in corpus.vectors:
+            expected[vec.indices] += 1
+        df = local_document_frequency(corpus)
+        assert df.dtype == np.int64
+        np.testing.assert_array_equal(df, expected)
+        np.testing.assert_array_equal(
+            local_document_frequency(Corpus(300, None, [])), np.zeros(300)
+        )
 
     def test_aggregate_equals_union_oracle(self):
         """Summed per-party counts equal the whole-corpus count, any split."""

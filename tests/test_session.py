@@ -6,8 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from ssdd.corpus import build_document_vector, split_queries
+from ssdd import masking
+from ssdd.corpus import Corpus, build_document_vector, split_queries
 from ssdd.errors import ProtocolError, RangeError
+from ssdd.masking import MaskedVector, SharedRandomMatrix, respond
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
     Bye,
@@ -29,10 +31,16 @@ from ssdd.protocol.session import (
     secure_df_exchange,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
-from ssdd.selection import SelectionMethod
-from ssdd.vectors import FeatureIndexSet
+from ssdd.selection import (
+    SelectionMethod,
+    local_document_frequency,
+    select_gf,
+    select_hf,
+    select_rp,
+)
+from ssdd.vectors import DocumentVector, FeatureIndexSet, project
 
-from conftest import random_unit_dense
+from conftest import random_document, random_unit_dense
 
 
 def config_for(method, n=500, f=50, epsilon=0.8):
@@ -121,6 +129,21 @@ class TestEvaluateFilter:
                 float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs), 0.8
             )
             assert ev.upper_bound >= float(u @ v) - 1e-9
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        delta = rng.uniform(-0.2, 1.0, 300)
+        norm_v2 = rng.uniform(0.0, 1.0, 300)
+        delta[:10] = 1.5  # negative distances, clamped
+        norm_u2, epsilon = 0.7, 0.6
+        ev = evaluate_filter(delta, norm_u2, norm_v2, epsilon)
+        assert ev.passed.shape == (300,)
+        assert ev.passed.any() and not ev.passed.all()
+        for i in range(300):
+            one = evaluate_filter(float(delta[i]), norm_u2, float(norm_v2[i]), epsilon)
+            assert ev.delta[i] == one.delta
+            assert ev.upper_bound[i] == one.upper_bound
+            assert ev.passed[i] == one.passed
 
 
 class TestSessionMetrics:
@@ -486,3 +509,179 @@ class TestDisclosureWarnings:
         config = SessionConfig(n=10, epsilon=0.8)
         with pytest.raises(RangeError):
             AliceSession(config, [doc], transport=None)
+
+
+N_EQ, F_EQ = 60, 6
+
+
+def _equivalence_corpus(index_set: np.ndarray) -> list[DocumentVector]:
+    """Random documents, one with no term in ``index_set``, one empty."""
+    rng = np.random.default_rng(41)
+    docs = [random_document(rng, N_EQ, int(rng.integers(1, 15))) for _ in range(10)]
+    outside = np.setdiff1d(np.arange(N_EQ), index_set)[:4]
+    docs.append(build_document_vector({int(i): 2 for i in outside}, N_EQ))
+    docs.append(build_document_vector({}, N_EQ))
+    return docs
+
+
+class TestResponderMatchesRespond:
+    """Bob's array answers equal the per-document respond() reference."""
+
+    def config(self, method):
+        return SessionConfig(
+            n=N_EQ, epsilon=0.5, method=method, f=F_EQ if method.uses_filter else 0,
+            matrix_seed=21, fs_matrix_seed=22, rp_seed=23,
+        )
+
+    def assert_filter_reply(self, reply, docs, index_set, config, z):
+        fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+        assert reply.s.shape == (len(docs),)
+        assert reply.t.shape == (len(docs), fs_matrix.cols)
+        for j, doc in enumerate(docs):
+            values = project(doc, index_set).values
+            nz = np.flatnonzero(values)
+            sparse = DocumentVector(dims=index_set.f, indices=nz, weights=values[nz])
+            want = respond(MaskedVector(z), sparse, fs_matrix, include_norm=True)
+            assert reply.s[j] == pytest.approx(want.s, abs=1e-12)
+            assert reply.norm_v2[j] == pytest.approx(want.norm_v2, abs=1e-12)
+            np.testing.assert_allclose(reply.t[j], want.t, rtol=0, atol=1e-12)
+
+    def assert_full_reply(self, reply, docs, ids, config, z):
+        matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        np.testing.assert_array_equal(reply.doc_ids, ids)
+        assert reply.t.shape == (len(ids), matrix.cols)
+        for i, doc_id in enumerate(ids):
+            want = respond(MaskedVector(z), docs[doc_id], matrix)
+            assert reply.s[i] == pytest.approx(want.s, abs=1e-12)
+            np.testing.assert_allclose(reply.t[i], want.t, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method",
+        [SelectionMethod.RP, SelectionMethod.GF, SelectionMethod.LF, SelectionMethod.HF],
+        ids=lambda m: m.name,
+    )
+    def test_filter_replies(self, method):
+        config = self.config(method)
+        if method is SelectionMethod.RP:
+            index_set = select_rp(config.rp_seed, N_EQ, F_EQ)
+        else:
+            index_set = FeatureIndexSet(N_EQ, np.arange(F_EQ))
+        docs = _equivalence_corpus(index_set.indexes)
+        responder = BobResponder(docs, dims=N_EQ)
+        responder.handle(config.hello())
+        if method.needs_whole_vector:
+            alice_counts = np.zeros(N_EQ, dtype=np.int64)
+            alice_counts[:F_EQ] = 1000  # makes the GF set the first F_EQ dims
+            reply = responder.handle(DfVector(counts=alice_counts))
+            mine = local_document_frequency(Corpus(N_EQ, None, docs))
+            np.testing.assert_array_equal(reply.counts, mine)
+            if method is SelectionMethod.GF:
+                chosen = select_gf(alice_counts + mine, F_EQ).indexes
+                np.testing.assert_array_equal(chosen, index_set.indexes)
+        wire = index_set.indexes if method.per_query else np.empty(0, np.int64)
+        rng = np.random.default_rng(5)
+        for query_id in range(3):
+            z = rng.uniform(-3, 3, F_EQ)
+            reply = responder.handle(FilterQuery(query_id=query_id, indexes=wire, z=z))
+            self.assert_filter_reply(reply, docs, index_set, config, z)
+
+    def test_full_replies_compute_each_transpose_once(self, monkeypatch):
+        config = self.config(SelectionMethod.BASE)
+        docs = _equivalence_corpus(np.arange(F_EQ))
+        responder = BobResponder(docs, dims=N_EQ)
+        responder.handle(config.hello())
+        calls = []
+        transpose_apply = SharedRandomMatrix.transpose_apply
+
+        def counting(matrix, indices, weights):
+            calls.append(indices.size)
+            return transpose_apply(matrix, indices, weights)
+
+        monkeypatch.setattr(SharedRandomMatrix, "transpose_apply", counting)
+        rng = np.random.default_rng(6)
+        survivor_sets = ([0, 3, 10, 11], [3, 4], [], [11, 0, 3, 4])
+        computed = 0
+        for query_id, ids in enumerate(survivor_sets):
+            ids = np.array(ids, dtype=np.int64)
+            z = rng.uniform(-3, 3, N_EQ)
+            calls.clear()
+            reply = responder.handle(FullQuery(query_id=query_id, survivor_ids=ids, z=z))
+            computed += len(calls)
+            self.assert_full_reply(reply, docs, ids, config, z)
+        assert computed == len({0, 3, 4, 10, 11})
+
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.RP, SelectionMethod.LF], ids=lambda m: m.name
+    )
+    def test_empty_corpus(self, method):
+        config = self.config(method)
+        responder = BobResponder([], dims=N_EQ)
+        assert responder.handle(config.hello()).bob_doc_count == 0
+        indexes = np.arange(F_EQ) if method.per_query else np.empty(0, np.int64)
+        reply = responder.handle(
+            FilterQuery(query_id=0, indexes=indexes, z=np.ones(F_EQ))
+        )
+        assert reply.s.shape == (0,) and reply.norm_v2.shape == (0,)
+        assert reply.t.shape == (0, (F_EQ + 1) // 2)
+        reply = responder.handle(
+            FullQuery(query_id=0, survivor_ids=np.empty(0, np.int64), z=np.ones(N_EQ))
+        )
+        assert reply.s.shape == (0,) and reply.t.shape == (0, (N_EQ + 1) // 2)
+        assert responder.scalar_mult_count == 0
+
+
+class TestMultiplicationCount:
+    """The count is the paper's cost model: nnz * (1 + cols) per document
+    response, plus nnz per projected norm in the filter round."""
+
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.BASE, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_count_follows_the_cost_model(self, small_corpus, method):
+        query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        targets = [small_corpus.vectors[i] for i in target_ids]
+        config = config_for(method)
+        report = run_detection_locally(queries, config, targets)
+        cols, fs_cols = (config.n + 1) // 2, (config.f + 1) // 2
+        expected = sum(
+            targets[d.target_id].nnz * (1 + cols)
+            for d in report.decisions
+            if not d.filtered
+        )
+        if method.uses_filter:
+            assert 0 < report.metrics.pairs_filtered < report.metrics.pairs_total
+            whole = local_document_frequency(
+                Corpus(config.n, None, queries)
+            ) + local_document_frequency(Corpus(config.n, None, targets))
+            for query in queries:
+                index_set = select_hf(query.to_dense(), whole, config.f)
+                for target in targets:
+                    nnz = int(np.count_nonzero(project(target, index_set).values))
+                    expected += nnz * (2 + fs_cols)
+        assert type(report.metrics.scalar_mult_count) is int
+        assert report.metrics.scalar_mult_count == expected
+
+
+class TestStreamedMatrixSession:
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.BASE, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_streamed_session_matches_materialized(self, small_corpus, method, monkeypatch):
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=7)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        targets = [small_corpus.vectors[i] for i in target_ids[:30]]
+        config = config_for(method)
+        cached = run_detection_locally(queries, config, targets)
+        monkeypatch.setattr(masking, "MATERIALIZE_LIMIT_ENTRIES", 0)
+        assert SharedRandomMatrix(config.matrix_seed, config.n)._full() is None
+        streamed = run_detection_locally(queries, config, targets)
+        oracle = oracle_detect(queries, targets, config.epsilon)
+        assert compare_results(streamed, oracle).ok
+        assert streamed.similar_pairs() == cached.similar_pairs()
+        for a, b in zip(streamed.decisions, cached.decisions):
+            assert a.filtered == b.filtered
+            if not a.filtered:
+                assert a.cosine == pytest.approx(b.cosine, abs=1e-9)
+        for name in ("bytes_sent_alice", "bytes_sent_bob", "scalar_mult_count"):
+            assert getattr(streamed.metrics, name) == getattr(cached.metrics, name)

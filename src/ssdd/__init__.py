@@ -52,9 +52,7 @@ from .protocol.session import (
     SessionMetrics,
     SimilarityDecision,
     evaluate_filter,
-    run_base_pair,
     run_detection,
-    run_fs_pair,
     run_local_detection,
     secure_df_exchange,
 )

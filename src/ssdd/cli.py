@@ -129,10 +129,7 @@ def cmd_serve(args) -> int:
     print(f"serving {len(corpus)} documents on {server.host}:{server.port}")
     try:
         if args.once:
-            while not server.responders:
-                time.sleep(0.05)
-            for worker in list(server._workers):
-                worker.join()
+            server.wait()
         else:
             while True:
                 time.sleep(0.5)

@@ -23,15 +23,18 @@ Tag   Message      Body layout
                    {doc_id u32, s f64, t f64[ceil(n/2)]}
 0xFF  Bye          (empty)
 
-Reply entries follow the responder's document-id order.  Decoding recovers
-the f64 array widths from the body length, so a frame is self-describing;
-any inconsistency raises FrameError, an unknown tag raises ProtocolError.
+``_SPECS`` holds this table.  Reply entries follow the responder's
+document-id order; decoding recovers the trailing f64 width from the body
+length.  Encoding raises FrameError for what the layout cannot carry (an
+integer outside its field, mismatched shapes, a frame over MAX_FRAME_SIZE),
+decoding for any inconsistency; an unknown tag raises ProtocolError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,25 +73,27 @@ MSG_BYE = 0xFF
 HEADER_SIZE = 4
 MAX_FRAME_SIZE = 1 << 30
 
-_HELLO_FMT = struct.Struct("<HIIBdQQQ")
+
+def _same(a, b) -> bool:
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    empty = a.size == b.size == 0
+    return empty or (a.shape == b.shape and np.array_equal(a, b, equal_nan=True))
 
 
-def _u32s(a) -> bytes:
-    return np.ascontiguousarray(a, dtype="<u4").tobytes()
+class _Message:
+    """Field-wise equality: arrays match by shape and value, NaN matching
+    NaN, and any two empty arrays match."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
-def _f64s(a) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
-def _eq_arrays(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.size == 0 and b.size == 0:
-        return True
-    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-
-
-@dataclass(frozen=True)
-class Hello:
+@dataclass(frozen=True, eq=False)
+class Hello(_Message):
     version: int
     n: int
     f: int
@@ -99,283 +104,157 @@ class Hello:
     rp_seed: int
 
 
-@dataclass(frozen=True)
-class HelloAck:
+@dataclass(frozen=True, eq=False)
+class HelloAck(_Message):
     bob_doc_count: int
 
 
 @dataclass(eq=False)
-class DfVector:
+class DfVector(_Message):
     counts: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, DfVector) and _eq_arrays(self.counts, other.counts)
 
 
 @dataclass(eq=False)
-class FilterQuery:
+class FilterQuery(_Message):
     query_id: int
     indexes: np.ndarray  # empty when the responder derives the set itself
     z: np.ndarray
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FilterQuery)
-            and self.query_id == other.query_id
-            and _eq_arrays(self.indexes, other.indexes)
-            and _eq_arrays(self.z, other.z)
-        )
-
 
 @dataclass(eq=False)
-class FilterReply:
+class FilterReply(_Message):
     query_id: int
     s: np.ndarray  # (m,)
     norm_v2: np.ndarray  # (m,)
     t: np.ndarray  # (m, ceil(f/2))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FilterReply)
-            and self.query_id == other.query_id
-            and _eq_arrays(self.s, other.s)
-            and _eq_arrays(self.norm_v2, other.norm_v2)
-            and _eq_arrays(self.t, other.t)
-        )
-
 
 @dataclass(eq=False)
-class FullQuery:
+class FullQuery(_Message):
     query_id: int
     survivor_ids: np.ndarray
     z: np.ndarray
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FullQuery)
-            and self.query_id == other.query_id
-            and _eq_arrays(self.survivor_ids, other.survivor_ids)
-            and _eq_arrays(self.z, other.z)
-        )
-
 
 @dataclass(eq=False)
-class FullReply:
+class FullReply(_Message):
     query_id: int
     doc_ids: np.ndarray  # (k,)
     s: np.ndarray  # (k,)
     t: np.ndarray  # (k, ceil(n/2))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FullReply)
-            and self.query_id == other.query_id
-            and _eq_arrays(self.doc_ids, other.doc_ids)
-            and _eq_arrays(self.s, other.s)
-            and _eq_arrays(self.t, other.t)
-        )
 
-
-@dataclass(frozen=True)
-class Bye:
+@dataclass(frozen=True, eq=False)
+class Bye(_Message):
     pass
 
 
-ProtocolMessage = (
-    Hello | HelloAck | DfVector | FilterQuery | FilterReply | FullQuery | FullReply | Bye
-)
-
-
-def encode_message(msg: ProtocolMessage) -> bytes:
-    """Full frame (length prefix included) for one message."""
-    if isinstance(msg, Hello):
-        body = _HELLO_FMT.pack(
-            msg.version,
-            msg.n,
-            msg.f,
-            msg.method,
-            msg.epsilon,
-            msg.matrix_seed,
-            msg.fs_matrix_seed,
-            msg.rp_seed,
-        )
-        tag = MSG_HELLO
-    elif isinstance(msg, HelloAck):
-        body = struct.pack("<I", msg.bob_doc_count)
-        tag = MSG_HELLO_ACK
-    elif isinstance(msg, DfVector):
-        body = struct.pack("<I", len(msg.counts)) + _u32s(msg.counts)
-        tag = MSG_DF_VECTOR
-    elif isinstance(msg, FilterQuery):
-        body = (
-            struct.pack("<II", msg.query_id, len(msg.indexes))
-            + _u32s(msg.indexes)
-            + _f64s(msg.z)
-        )
-        tag = MSG_FILTER_QUERY
-    elif isinstance(msg, FilterReply):
-        m = len(msg.s)
-        parts = [struct.pack("<II", msg.query_id, m)]
-        for i in range(m):
-            parts.append(struct.pack("<dd", msg.s[i], msg.norm_v2[i]))
-            parts.append(_f64s(msg.t[i]))
-        body = b"".join(parts)
-        tag = MSG_FILTER_REPLY
-    elif isinstance(msg, FullQuery):
-        body = (
-            struct.pack("<II", msg.query_id, len(msg.survivor_ids))
-            + _u32s(msg.survivor_ids)
-            + _f64s(msg.z)
-        )
-        tag = MSG_FULL_QUERY
-    elif isinstance(msg, FullReply):
-        k = len(msg.doc_ids)
-        parts = [struct.pack("<II", msg.query_id, k)]
-        for i in range(k):
-            parts.append(struct.pack("<Id", msg.doc_ids[i], msg.s[i]))
-            parts.append(_f64s(msg.t[i]))
-        body = b"".join(parts)
-        tag = MSG_FULL_REPLY
-    elif isinstance(msg, Bye):
-        body = b""
-        tag = MSG_BYE
-    else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    payload_len = 1 + len(body)
-    if payload_len > MAX_FRAME_SIZE:
-        raise FrameError(f"frame of {payload_len} bytes exceeds the limit")
-    return struct.pack("<I", payload_len) + bytes([tag]) + body
-
-
-def _need(body: bytes, size: int, what: str) -> None:
-    if len(body) < size:
-        raise FrameError(f"{what}: body of {len(body)} bytes is too short")
-
-
-def _decode_hello(body: bytes) -> Hello:
-    if len(body) != _HELLO_FMT.size:
-        raise FrameError(f"hello body must be {_HELLO_FMT.size} bytes, got {len(body)}")
-    version, n, f, method, epsilon, mseed, fseed, rseed = _HELLO_FMT.unpack(body)
-    return Hello(version, n, f, method, epsilon, mseed, fseed, rseed)
-
-
-def _decode_df(body: bytes) -> DfVector:
-    _need(body, 4, "df vector")
-    (n,) = struct.unpack_from("<I", body)
-    if len(body) != 4 + 4 * n:
-        raise FrameError(f"df vector: expected {4 + 4 * n} body bytes, got {len(body)}")
-    counts = np.frombuffer(body, dtype="<u4", count=n, offset=4).astype(np.int64)
-    return DfVector(counts=counts)
-
-
-def _decode_filter_query(body: bytes) -> FilterQuery:
-    _need(body, 8, "filter query")
-    query_id, index_count = struct.unpack_from("<II", body)
-    off = 8 + 4 * index_count
-    rest = len(body) - off
-    if rest < 0 or rest % 8:
-        raise FrameError("filter query: index block and z block do not fit")
-    indexes = np.frombuffer(body, dtype="<u4", count=index_count, offset=8).astype(
-        np.int64
-    )
-    z = np.frombuffer(body, dtype="<f8", count=rest // 8, offset=off)
-    return FilterQuery(query_id=query_id, indexes=indexes, z=z.copy())
-
-
-def _decode_filter_reply(body: bytes) -> FilterReply:
-    _need(body, 8, "filter reply")
-    query_id, m = struct.unpack_from("<II", body)
-    rest = len(body) - 8
-    if m == 0:
-        if rest:
-            raise FrameError("filter reply: entries present despite m=0")
-        empty = np.empty(0)
-        return FilterReply(query_id, empty, empty, np.empty((0, 0)))
-    if rest % m:
-        raise FrameError("filter reply: body does not divide into m entries")
-    entry = rest // m
-    if entry < 16 or (entry - 16) % 8:
-        raise FrameError("filter reply: entry size is not 16 + 8*cols")
-    cols = (entry - 16) // 8
-    flat = np.frombuffer(body, dtype="<f8", offset=8).reshape(m, 2 + cols)
-    return FilterReply(
-        query_id=query_id,
-        s=flat[:, 0].copy(),
-        norm_v2=flat[:, 1].copy(),
-        t=flat[:, 2:].copy(),
+def _fits(a: np.ndarray, dtype: str) -> bool:
+    """Whether every value of ``a`` is representable as ``dtype``."""
+    return dtype != "<u4" or a.size == 0 or (
+        a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF
     )
 
 
-def _decode_full_query(body: bytes) -> FullQuery:
-    _need(body, 8, "full query")
-    query_id, count = struct.unpack_from("<II", body)
-    off = 8 + 4 * count
-    rest = len(body) - off
-    if rest < 0 or rest % 8:
-        raise FrameError("full query: survivor block and z block do not fit")
-    ids = np.frombuffer(body, dtype="<u4", count=count, offset=8).astype(np.int64)
-    z = np.frombuffer(body, dtype="<f8", count=rest // 8, offset=off)
-    return FullQuery(query_id=query_id, survivor_ids=ids, z=z.copy())
+class _Spec:
+    """Wire layout of one message type.
+
+    ``head`` packs the class's scalar fields in declaration order, then a
+    u32 count when a tail follows.  The tail is one numpy structured array
+    of the (field, dtype) pairs: one element holding count values and, if
+    listed, an array filling the rest of the body; or, with ``entries``,
+    count packed entries ending in a row that fills the rest.
+    """
+
+    def __init__(self, tag, cls, head, tail=(), entries=False):
+        self.tag, self.cls, self.tail, self.entries = tag, cls, tail, entries
+        self.names = [f.name for f in fields(cls) if f.name not in dict(self.tail)]
+        self.head = struct.Struct(head + "I" * bool(self.tail))
+
+    def layout(self, count: int, width: int) -> tuple[list, tuple, int]:
+        """Tail fields and shape, and the payload size, known before a dtype."""
+        if self.entries:
+            shapes, shape = [()] * (len(self.tail) - 1) + [(width,)], (count,)
+        else:
+            shapes, shape = [(count,), (width,)][: len(self.tail)], ()
+        items = [(f, dt, s) for (f, dt), s in zip(self.tail, shapes)]
+        row = sum(np.dtype(dt).itemsize * math.prod(s) for _, dt, s in items)
+        return items, shape, 1 + self.head.size + row * math.prod(shape)
 
 
-def _decode_full_reply(body: bytes) -> FullReply:
-    _need(body, 8, "full reply")
-    query_id, k = struct.unpack_from("<II", body)
-    rest = len(body) - 8
-    if k == 0:
-        if rest:
-            raise FrameError("full reply: entries present despite k=0")
-        return FullReply(
-            query_id, np.empty(0, np.int64), np.empty(0), np.empty((0, 0))
-        )
-    if rest % k:
-        raise FrameError("full reply: body does not divide into k entries")
-    entry = rest // k
-    if entry < 12 or (entry - 12) % 8:
-        raise FrameError("full reply: entry size is not 12 + 8*cols")
-    cols = (entry - 12) // 8
-    doc_ids = np.empty(k, dtype=np.int64)
-    s = np.empty(k)
-    t = np.empty((k, cols))
-    off = 8
-    for i in range(k):
-        doc_ids[i], s[i] = struct.unpack_from("<Id", body, off)
-        t[i] = np.frombuffer(body, dtype="<f8", count=cols, offset=off + 12)
-        off += entry
-    return FullReply(query_id=query_id, doc_ids=doc_ids, s=s, t=t)
-
-
-_DECODERS = {
-    MSG_HELLO: _decode_hello,
-    MSG_HELLO_ACK: lambda b: HelloAck(*struct.unpack("<I", b))
-    if len(b) == 4
-    else _raise_frame("hello ack body must be 4 bytes"),
-    MSG_DF_VECTOR: _decode_df,
-    MSG_FILTER_QUERY: _decode_filter_query,
-    MSG_FILTER_REPLY: _decode_filter_reply,
-    MSG_FULL_QUERY: _decode_full_query,
-    MSG_FULL_REPLY: _decode_full_reply,
-    MSG_BYE: lambda b: Bye() if not b else _raise_frame("bye carries no body"),
+_SPECS = {
+    spec.tag: spec
+    for spec in (
+        _Spec(MSG_HELLO, Hello, "<HIIBdQQQ"),
+        _Spec(MSG_HELLO_ACK, HelloAck, "<I"),
+        _Spec(MSG_DF_VECTOR, DfVector, "<", [("counts", "<u4")]),
+        _Spec(MSG_FILTER_QUERY, FilterQuery, "<I", [("indexes", "<u4"), ("z", "<f8")]),
+        _Spec(MSG_FILTER_REPLY, FilterReply, "<I",
+              [("s", "<f8"), ("norm_v2", "<f8"), ("t", "<f8")], entries=True),
+        _Spec(MSG_FULL_QUERY, FullQuery, "<I", [("survivor_ids", "<u4"), ("z", "<f8")]),
+        _Spec(MSG_FULL_REPLY, FullReply, "<I",
+              [("doc_ids", "<u4"), ("s", "<f8"), ("t", "<f8")], entries=True),
+        _Spec(MSG_BYE, Bye, "<"),
+    )
 }
+_SPEC_OF = {spec.cls: spec for spec in _SPECS.values()}
 
 
-def _raise_frame(message: str):
-    raise FrameError(message)
+def encode_message(msg: _Message) -> bytes:
+    """Full frame (length prefix included) for one message."""
+    spec = _SPEC_OF.get(type(msg))
+    if spec is None:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    name = spec.cls.__name__
+    values = [np.asarray(getattr(msg, field)) for field, _ in spec.tail]
+    count = values[0].shape[0] if values and values[0].ndim else 0
+    width = values[-1].shape[-1] if values and values[-1].ndim else 0
+    items, shape, size = spec.layout(count, width)
+    if size > MAX_FRAME_SIZE:
+        raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
+    try:
+        head = struct.pack("<IB", size, spec.tag) + spec.head.pack(
+            *(getattr(msg, field) for field in spec.names), *([count] if values else [])
+        )
+    except struct.error as exc:
+        raise FrameError(f"{name} header cannot carry its fields: {exc}") from None
+    tail = np.empty(shape, np.dtype(items))
+    for value, (field, dt, _) in zip(values, items):
+        if value.shape != tail[field].shape or not _fits(value, dt):
+            want = f"{dt} of shape {tail[field].shape}"
+            raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
+        tail[field] = value
+    return b"".join((head, tail))
 
 
-def decode_message(frame: bytes) -> ProtocolMessage:
+def decode_message(frame: bytes) -> _Message:
     """Decode one full frame (length prefix included)."""
     if len(frame) < HEADER_SIZE + 1:
         raise FrameError(f"frame of {len(frame)} bytes is too short")
-    (declared,) = struct.unpack_from("<I", frame)
+    declared, tag = struct.unpack_from("<IB", frame)
     if declared > MAX_FRAME_SIZE:
         raise FrameError(f"declared payload of {declared} bytes exceeds the limit")
     if declared != len(frame) - HEADER_SIZE:
         raise FrameError(
             f"declared payload {declared} != actual {len(frame) - HEADER_SIZE}"
         )
-    tag = frame[HEADER_SIZE]
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
+    spec = _SPECS.get(tag)
+    if spec is None:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
-    return decoder(frame[HEADER_SIZE + 1 :])
+    name = spec.cls.__name__
+    body = memoryview(frame)[HEADER_SIZE + 1 :]
+    if len(body) < spec.head.size:
+        raise FrameError(f"{name}: body of {len(body)} bytes is too short")
+    scalars = list(spec.head.unpack_from(body))
+    count = scalars.pop() if spec.tail else 0
+    # the payload takes base + width * step bytes; solve for the width
+    base = spec.layout(count, 0)[2]
+    step = spec.layout(count, 1)[2] - base
+    width, odd = divmod(declared - base, step) if step else (0, declared - base)
+    if width < 0 or odd:
+        raise FrameError(f"{name}: {declared} payload bytes do not fit count {count}")
+    items, shape, _ = spec.layout(count, width)
+    tail = np.ndarray(shape, np.dtype(items), buffer=body, offset=spec.head.size)
+    arrays = {f: tail[f].astype(np.int64 if dt == "<u4" else np.float64)
+              for f, dt, _ in items}
+    return spec.cls(**dict(zip(spec.names, scalars)), **arrays)

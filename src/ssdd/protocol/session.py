@@ -34,17 +34,15 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import Corpus
 from ..errors import ProtocolError, RangeError, SessionError, SsddError
 from ..masking import OpCounter, SecretMask, SharedRandomMatrix, mask
 from ..selection import (
     SelectionMethod,
     aggregate_whole_vector,
-    local_document_frequency,
     packed_document_frequency,
     select_gf,
     select_hf,
@@ -79,8 +77,6 @@ __all__ = [
     "secure_df_exchange",
     "run_detection",
     "run_local_detection",
-    "run_base_pair",
-    "run_fs_pair",
 ]
 
 logger = logging.getLogger(__name__)
@@ -458,7 +454,6 @@ class AliceSession:
         queries: list[DocumentVector],
         transport,
         query_labels: list[int] | None = None,
-        index_override: FeatureIndexSet | None = None,
     ):
         if any(q.dims != config.n for q in queries):
             raise RangeError("query documents disagree with the session dims")
@@ -466,7 +461,6 @@ class AliceSession:
         self.queries = queries
         self.transport = transport
         self.query_labels = list(range(len(queries))) if query_labels is None else query_labels
-        self.index_override = index_override
         self.metrics = SessionMetrics()
         self.decisions: list[SimilarityDecision] = []
         self.target_count = 0
@@ -488,15 +482,22 @@ class AliceSession:
                 config.method.name,
             )
 
-    def _send(self, msg) -> None:
-        frame = encode_message(msg)
+    # The session is also a metered transport, so the frames of helpers
+    # such as secure_df_exchange count in the byte totals.
+    def send_frame(self, frame: bytes) -> None:
         self.metrics.bytes_sent_alice += len(frame)
         self.transport.send_frame(frame)
 
-    def _recv(self):
+    def recv_frame(self) -> bytes:
         frame = self.transport.recv_frame()
         self.metrics.bytes_sent_bob += len(frame)
-        return decode_message(frame)
+        return frame
+
+    def _send(self, msg) -> None:
+        self.send_frame(encode_message(msg))
+
+    def _recv(self):
+        return decode_message(self.recv_frame())
 
     def handshake(self) -> None:
         self._send(self.config.hello())
@@ -506,14 +507,9 @@ class AliceSession:
         self.target_count = ack.bob_doc_count
         method = self.config.method
         if method.needs_whole_vector:
-            mine = local_document_frequency(
-                Corpus(self.config.n, None, list(self.queries))
-            )
-            self._send(DfVector(counts=mine))
-            theirs = self._recv()
-            if not isinstance(theirs, DfVector):
-                raise ProtocolError(f"expected DfVector, got {type(theirs).__name__}")
-            self._whole = aggregate_whole_vector(mine, theirs.counts)
+            indices = [q.indices for q in self.queries] + [np.empty(0, np.int64)]
+            mine = packed_document_frequency(np.concatenate(indices), self.config.n)
+            self._whole = secure_df_exchange(self, mine)
         if method is SelectionMethod.RP:
             self._session_set = select_rp(
                 self.config.rp_seed, self.config.n, self.config.f
@@ -523,8 +519,6 @@ class AliceSession:
 
     def _query_index_set(self, query: DocumentVector) -> tuple[FeatureIndexSet, bool]:
         """The index set for this query and whether it travels on the wire."""
-        if self.index_override is not None:
-            return self.index_override, True
         method = self.config.method
         if method is SelectionMethod.LF:
             return select_lf(query.to_dense(), self.config.f), True
@@ -699,43 +693,3 @@ def run_local_detection(
         server.join(timeout=5.0)
     return report
 
-
-def run_base_pair(
-    alice_doc: DocumentVector, bob_doc: DocumentVector, config: SessionConfig
-) -> SimilarityDecision:
-    """Decide one pair with the full-width protocol only."""
-    if config.method.uses_filter:
-        config = replace(config, method=SelectionMethod.BASE, f=0)
-    report = run_local_detection([alice_doc], config, [bob_doc])
-    if report.aborted or not report.decisions:
-        raise SessionError("pair session did not complete")
-    return report.decisions[0]
-
-
-def run_fs_pair(
-    alice_doc: DocumentVector,
-    bob_doc: DocumentVector,
-    index_set: FeatureIndexSet | None,
-    config: SessionConfig,
-) -> SimilarityDecision:
-    """Decide one pair with filter-then-refine.
-
-    An explicit ``index_set`` is sent on the wire regardless of method;
-    otherwise the session derives it per the configured method.
-    """
-    if not config.method.uses_filter:
-        raise RangeError("run_fs_pair needs a filtering method")
-    alice_end, bob_end = make_local_pair()
-    responder = BobResponder([bob_doc], dims=config.n)
-    server = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
-    server.start()
-    session = AliceSession(config, [alice_doc], alice_end, index_override=index_set)
-    try:
-        report = session.run()
-    finally:
-        alice_end.close()
-        server.join(timeout=5.0)
-    if report.aborted or not report.decisions:
-        raise SessionError("pair session did not complete")
-    report.metrics.scalar_mult_count = responder.scalar_mult_count
-    return report.decisions[0]

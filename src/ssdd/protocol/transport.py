@@ -6,6 +6,7 @@ identical bytes either way.
 
 from __future__ import annotations
 
+import logging
 import queue
 import socket
 import struct
@@ -21,6 +22,8 @@ __all__ = [
     "connect_tcp",
     "TcpServer",
 ]
+
+logger = logging.getLogger(__name__)
 
 _CLOSED = None  # queue sentinel
 
@@ -119,7 +122,8 @@ class TcpServer:
 
     ``responder_factory`` builds a fresh object with a ``serve(transport)``
     method for every connection; finished responders stay in ``responders``
-    so callers can read their counters.
+    so callers can read their counters.  A session that raises is logged
+    with its traceback and does not stop the accept loop.
     """
 
     def __init__(self, responder_factory, host: str = "127.0.0.1", port: int = 0):
@@ -131,41 +135,51 @@ class TcpServer:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
+        self._accepted = threading.Event()
 
-    def _handle(self, conn: socket.socket) -> None:
+    def _handle(self, conn: socket.socket, peer) -> None:
         transport = TcpTransport(conn)
-        responder = self._factory()
-        self.responders.append(responder)
         try:
+            responder = self._factory()
+            self.responders.append(responder)
             responder.serve(transport)
         except Exception:
-            pass  # a broken session must not kill the accept loop
+            logger.exception("session from %s:%s failed", *peer[:2])
         finally:
             transport.close()
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn, peer = self._listener.accept()
             except socket.timeout:
                 continue
             except OSError:
                 break
             conn.settimeout(60.0)
-            worker = threading.Thread(target=self._handle, args=(conn,), daemon=True)
+            worker = threading.Thread(
+                target=self._handle, args=(conn, peer), daemon=True
+            )
+            self._workers = [w for w in self._workers if w.is_alive()] + [worker]
             worker.start()
-            self._workers.append(worker)
+            self._accepted.set()
 
     def start(self) -> "TcpServer":
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
         return self
 
+    def wait(self) -> None:
+        """Block until a session has been accepted and none is running."""
+        self._accepted.wait()
+        for worker in list(self._workers):
+            worker.join()
+
     def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        for worker in self._workers:
+        for worker in list(self._workers):
             worker.join(timeout=5.0)
         self._listener.close()
 

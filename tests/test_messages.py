@@ -1,14 +1,18 @@
 """Wire-format round trips, frozen layouts, and corrupted-frame rejection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssdd.errors import FrameError, ProtocolError
+from ssdd.errors import FrameError, ProtocolError, SsddError
 from ssdd.protocol.messages import (
     MSG_BYE,
+    MSG_FILTER_QUERY,
     MSG_FILTER_REPLY,
+    MSG_FULL_QUERY,
+    MSG_FULL_REPLY,
     MSG_HELLO,
     Bye,
     DfVector,
@@ -96,6 +100,28 @@ class TestRoundTrip:
         assert decode_message(encode_message(reply)) == reply
 
 
+    def test_nan_round_trips(self):
+        t = np.array([[np.nan, 1.0], [2.0, np.nan]])
+        filter_reply = FilterReply(
+            query_id=1, s=np.array([np.nan, 0.5]), norm_v2=np.array([0.1, 0.2]), t=t
+        )
+        full_reply = FullReply(
+            query_id=2, doc_ids=np.array([0, 3], dtype=np.int64), s=np.zeros(2), t=t
+        )
+        for reply in (filter_reply, full_reply):
+            again = decode_message(encode_message(reply))
+            assert again == reply
+            assert np.isnan(again.t[0, 0]) and again.t[0, 1] == 1.0
+
+    def test_empty_full_reply_round_trips(self):
+        reply = FullReply(
+            query_id=8, doc_ids=np.empty(0, np.int64), s=np.empty(0), t=np.empty((0, 4))
+        )
+        again = decode_message(encode_message(reply))
+        assert again == reply
+        assert again.doc_ids.size == 0 and again.t.size == 0
+
+
 class TestFrozenLayouts:
     def test_hello_layout(self):
         msg = Hello(
@@ -130,6 +156,53 @@ class TestFrozenLayouts:
 
     def test_bye_layout(self):
         assert encode_message(Bye()) == struct.pack("<I", 1) + bytes([MSG_BYE])
+
+    def test_filter_query_layout_with_indexes(self):
+        msg = FilterQuery(
+            query_id=4, indexes=np.array([9, 2], dtype=np.int64), z=np.array([0.5, -2.0])
+        )
+        body = struct.pack("<IIII", 4, 2, 9, 2) + struct.pack("<dd", 0.5, -2.0)
+        assert encode_message(msg) == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
+        )
+
+    def test_filter_query_layout_without_indexes(self):
+        msg = FilterQuery(
+            query_id=7, indexes=np.empty(0, np.int64), z=np.array([1.0, 0.25, 3.0])
+        )
+        body = struct.pack("<II", 7, 0) + struct.pack("<ddd", 1.0, 0.25, 3.0)
+        assert encode_message(msg) == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
+        )
+
+    def test_full_query_layout(self):
+        msg = FullQuery(
+            query_id=3,
+            survivor_ids=np.array([0, 5, 6], dtype=np.int64),
+            z=np.array([1.5, -0.5]),
+        )
+        body = struct.pack("<IIIII", 3, 3, 0, 5, 6) + struct.pack("<dd", 1.5, -0.5)
+        assert encode_message(msg) == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_QUERY]) + body
+        )
+
+    def test_full_reply_layout(self):
+        msg = FullReply(
+            query_id=9,
+            doc_ids=np.array([4, 11], dtype=np.int64),
+            s=np.array([0.75, -1.25]),
+            t=np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 0.5]]),
+        )
+        body = (
+            struct.pack("<II", 9, 2)
+            + struct.pack("<Id", 4, 0.75)
+            + struct.pack("<ddd", 1.0, 2.0, 3.0)
+            + struct.pack("<Id", 11, -1.25)
+            + struct.pack("<ddd", -4.0, 0.0, 0.5)
+        )
+        assert encode_message(msg) == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
+        )
 
     def test_full_reply_entry_size(self):
         """For 4-dimensional vectors each entry is 4 + 8 + ceil(4/2)*8 bytes."""
@@ -208,3 +281,94 @@ class TestRejection:
             decode_message(b"")
         with pytest.raises(FrameError):
             decode_message(struct.pack("<I", 0))
+
+
+class TestUnrepresentableValues:
+    """Encoding refuses what the layout cannot carry, with FrameError."""
+
+    def test_negative_survivor_id(self):
+        msg = FullQuery(query_id=0, survivor_ids=np.array([3, -1]), z=np.zeros(2))
+        with pytest.raises(FrameError, match="survivor_ids"):
+            encode_message(msg)
+
+    def test_df_count_past_u32(self):
+        with pytest.raises(FrameError, match="counts"):
+            encode_message(DfVector(counts=np.array([1, 2**32 + 7])))
+
+    def test_index_past_u32_and_non_integer_indexes(self):
+        for indexes in (np.array([2**32]), np.array([1.0, 2.0])):
+            msg = FilterQuery(query_id=0, indexes=indexes, z=np.zeros(2))
+            with pytest.raises(FrameError, match="indexes"):
+                encode_message(msg)
+
+    def test_negative_reply_doc_id(self):
+        msg = FullReply(
+            query_id=0, doc_ids=np.array([-1]), s=np.zeros(1), t=np.zeros((1, 2))
+        )
+        with pytest.raises(FrameError, match="doc_ids"):
+            encode_message(msg)
+
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            FilterQuery(query_id=-1, indexes=np.empty(0, np.int64), z=np.zeros(2)),
+            FullReply(
+                query_id=2**32, doc_ids=np.empty(0, np.int64), s=np.empty(0),
+                t=np.empty((0, 1)),
+            ),
+            HelloAck(bob_doc_count=-3),
+            Hello(1, 2**32, 1, 0, 0.5, 0, 0, 0),
+            Hello(1, 4, 1, 256, 0.5, 0, 0, 0),
+            Hello(1, 4, 1, 0, 0.5, 2**64, 0, 0),
+        ],
+        ids=["query_id=-1", "query_id=2**32", "doc_count=-3", "n=2**32",
+             "method=256", "seed=2**64"],
+    )
+    def test_header_field_out_of_range(self, msg):
+        with pytest.raises(FrameError, match="header"):
+            encode_message(msg)
+
+    def test_reply_arrays_of_mismatched_length(self):
+        bad = [
+            FilterReply(query_id=0, s=np.zeros(2), norm_v2=np.zeros(3), t=np.zeros((2, 4))),
+            FilterReply(query_id=0, s=np.zeros(2), norm_v2=np.zeros(2), t=np.zeros((3, 4))),
+            FilterReply(query_id=0, s=np.zeros(2), norm_v2=np.zeros(2), t=np.zeros(2)),
+            FullReply(query_id=0, doc_ids=np.arange(2), s=np.zeros(1), t=np.zeros((2, 1))),
+        ]
+        for msg in bad:
+            with pytest.raises(FrameError, match="shape"):
+                encode_message(msg)
+
+    def test_two_dimensional_query_vector(self):
+        msg = FullQuery(query_id=0, survivor_ids=np.arange(2), z=np.zeros((2, 2)))
+        with pytest.raises(FrameError, match="shape"):
+            encode_message(msg)
+
+    def test_oversized_frames_rejected_before_allocating(self):
+        """Broadcast views stand for over-limit payloads without memory."""
+        k, cols = 1 << 10, 1 << 17  # k * cols * 8 bytes = 1 GiB of t alone
+        reply = FullReply(
+            query_id=0,
+            doc_ids=np.broadcast_to(np.int64(0), (k,)),
+            s=np.broadcast_to(0.0, (k,)),
+            t=np.broadcast_to(0.0, (k, cols)),
+        )
+        query = FullQuery(
+            query_id=0,
+            survivor_ids=np.empty(0, np.int64),
+            z=np.broadcast_to(0.0, (1 << 27,)),
+        )
+        tracemalloc.start()
+        try:
+            for msg in (reply, query):
+                with pytest.raises(FrameError, match="exceeds the limit"):
+                    encode_message(msg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_errors_are_package_errors(self):
+        """Sessions abort cleanly on SsddError; a bare struct.error would escape."""
+        with pytest.raises(SsddError):
+            encode_message(HelloAck(bob_doc_count=2**40))

@@ -9,7 +9,7 @@ import pytest
 from ssdd import masking
 from ssdd.corpus import Corpus, build_document_vector, split_queries
 from ssdd.errors import ProtocolError, RangeError
-from ssdd.masking import MaskedVector, SharedRandomMatrix, respond
+from ssdd.masking import MaskedVector, SecretMask, SharedRandomMatrix, mask, respond
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
     Bye,
@@ -24,9 +24,7 @@ from ssdd.protocol.session import (
     SessionConfig,
     SessionMetrics,
     evaluate_filter,
-    run_base_pair,
     run_detection,
-    run_fs_pair,
     run_local_detection,
     secure_df_exchange,
 )
@@ -158,10 +156,46 @@ class TestSessionMetrics:
         assert SessionMetrics(pairs_total=100, pairs_filtered=30).filter_ratio == 0.3
 
 
+def decide_pair(u, v, config):
+    """The one decision of a single-query, single-target local session."""
+    report = run_local_detection([u], config, [v])
+    assert not report.aborted and len(report.decisions) == 1
+    return report.decisions[0]
+
+
+def pair_with_explicit_indexes(u, v, indexes, config):
+    """Alice's two rounds for one pair, sending ``indexes`` with the filter
+    query whatever the method, answered by ``BobResponder.handle``.
+
+    Returns the filter outcome and the recovered full-width cosine.
+    """
+    responder = BobResponder([v], dims=config.n)
+    responder.handle(config.hello())
+    index_set = FeatureIndexSet(config.n, np.asarray(indexes))
+    rng = np.random.default_rng(7)
+    fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+    u_fs = project(u, index_set)
+    r = SecretMask.draw(fs_matrix.cols, rng)
+    z = mask(u_fs.values, fs_matrix, r)
+    reply = responder.handle(
+        FilterQuery(query_id=0, indexes=index_set.indexes, z=z.values)
+    )
+    outcome = evaluate_filter(
+        reply.s - reply.t @ r.values, u_fs.squared_norm, reply.norm_v2, config.epsilon
+    )
+    matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+    r = SecretMask.draw(matrix.cols, rng)
+    z = mask(u.to_dense(), matrix, r)
+    reply = responder.handle(
+        FullQuery(query_id=0, survivor_ids=np.array([0]), z=z.values)
+    )
+    return outcome, float(reply.s[0] - reply.t[0] @ r.values)
+
+
 class TestBasePair:
     def test_identical_documents_are_similar(self):
         doc = build_document_vector({0: 2, 3: 1}, 6)
-        decision = run_base_pair(doc, doc, SessionConfig(n=6, epsilon=0.8))
+        decision = decide_pair(doc, doc, SessionConfig(n=6, epsilon=0.8))
         assert decision.similar
         assert not decision.filtered
         assert decision.cosine == pytest.approx(1.0, abs=1e-12)
@@ -169,64 +203,64 @@ class TestBasePair:
     def test_orthogonal_documents_are_not(self):
         u = build_document_vector({0: 1}, 4)
         v = build_document_vector({1: 1}, 4)
-        decision = run_base_pair(u, v, SessionConfig(n=4, epsilon=0.8))
+        decision = decide_pair(u, v, SessionConfig(n=4, epsilon=0.8))
         assert not decision.similar
         assert abs(decision.cosine) < 1e-9
 
     def test_empty_query_scores_zero(self):
         u = build_document_vector({}, 4)
         v = build_document_vector({1: 1}, 4)
-        decision = run_base_pair(u, v, SessionConfig(n=4, epsilon=0.0))
+        decision = decide_pair(u, v, SessionConfig(n=4, epsilon=0.0))
         assert not decision.similar
         assert decision.cosine == 0.0
 
     def test_empty_target_scores_zero(self):
         u = build_document_vector({0: 1}, 4)
         v = build_document_vector({}, 4)
-        decision = run_base_pair(u, v, SessionConfig(n=4, epsilon=0.8))
+        decision = decide_pair(u, v, SessionConfig(n=4, epsilon=0.8))
         assert not decision.similar
         assert abs(decision.cosine) < 1e-12
 
     def test_filter_method_is_forced_down(self):
+        """An identical pair survives the RP filter and decides as under BASE."""
         doc = build_document_vector({0: 1, 1: 1}, 6)
         config = SessionConfig(n=6, epsilon=0.8, method=SelectionMethod.RP, f=2)
-        decision = run_base_pair(doc, doc, config)
-        assert decision.similar and not decision.filtered
+        filtered = decide_pair(doc, doc, config)
+        base = decide_pair(doc, doc, SessionConfig(n=6, epsilon=0.8))
+        assert filtered.similar and not filtered.filtered
+        assert base.similar and not base.filtered
+        assert filtered.cosine == pytest.approx(base.cosine, abs=1e-12)
 
 
 class TestFsPair:
     def test_dissimilar_pair_is_filtered(self):
         u = build_document_vector({0: 1}, 6)
         v = build_document_vector({5: 1}, 6)
-        index_set = FeatureIndexSet(6, np.array([0, 1]))
-        config = SessionConfig(
-            n=6, epsilon=0.6, method=SelectionMethod.RP, f=2
-        )
-        decision = run_fs_pair(u, v, index_set, config)
-        assert decision.filtered
-        assert not decision.similar
-        assert decision.cosine is None
+        config = SessionConfig(n=6, epsilon=0.6, method=SelectionMethod.RP, f=2)
+        outcome, cosine = pair_with_explicit_indexes(u, v, [0, 1], config)
+        assert not outcome.passed
+        assert abs(cosine) < 1e-9
 
     def test_similar_pair_survives_and_scores(self):
         doc = build_document_vector({0: 1, 1: 1}, 6)
-        index_set = FeatureIndexSet(6, np.array([0, 1]))
         config = SessionConfig(n=6, epsilon=0.8, method=SelectionMethod.RP, f=2)
-        decision = run_fs_pair(doc, doc, index_set, config)
-        assert not decision.filtered
-        assert decision.similar
-        assert decision.cosine == pytest.approx(1.0, abs=1e-12)
+        outcome, cosine = pair_with_explicit_indexes(doc, doc, [0, 1], config)
+        assert outcome.passed
+        assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_index_set_defaults_to_the_method(self):
         u = build_document_vector({0: 3, 1: 1, 2: 2}, 4)
         config = SessionConfig(n=4, epsilon=0.5, method=SelectionMethod.LF, f=2)
-        decision = run_fs_pair(u, u, None, config)
+        decision = decide_pair(u, u, config)
         assert decision.similar
         assert decision.cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_base(self):
-        doc = build_document_vector({0: 1}, 4)
-        with pytest.raises(RangeError):
-            run_fs_pair(doc, doc, None, SessionConfig(n=4, epsilon=0.5))
+        responder = BobResponder([build_document_vector({0: 1}, 4)], dims=4)
+        responder.handle(SessionConfig(n=4, epsilon=0.5).hello())
+        query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.zeros(1))
+        with pytest.raises(ProtocolError, match="BASE"):
+            responder.handle(query)
 
 
 class TestSecureDfExchange:
@@ -345,6 +379,38 @@ class TestTraffic:
         assert lf.metrics.bytes_sent_bob > base.metrics.bytes_sent_bob
 
 
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.GF, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_every_frame_counts_in_the_byte_totals(self, method):
+        """The df exchange frames count too: totals equal the bytes moved."""
+        alice_end, bob_end = make_local_pair(timeout=5.0)
+        moved = {"sent": 0, "received": 0}
+        send, recv = alice_end.send_frame, alice_end.recv_frame
+
+        def counted_send(frame):
+            moved["sent"] += len(frame)
+            send(frame)
+
+        def counted_recv():
+            frame = recv()
+            moved["received"] += len(frame)
+            return frame
+
+        alice_end.send_frame, alice_end.recv_frame = counted_send, counted_recv
+        responder = BobResponder([self.u, self.far], dims=400)
+        worker = threading.Thread(target=responder.serve, args=(bob_end,))
+        worker.start()
+        config = config_for(method, n=400, f=20)
+        report = run_detection([self.u], config, alice_end)
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert not report.aborted
+        df_frame = 4 + 1 + 4 + 4 * 400
+        assert report.metrics.bytes_sent_alice == moved["sent"] > df_frame
+        assert report.metrics.bytes_sent_bob == moved["received"] > df_frame
+
+
 class TestTcpAgreement:
     def test_tcp_and_local_runs_agree(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=5, seed=9)
@@ -365,6 +431,51 @@ class TestTcpAgreement:
         assert over_tcp.metrics.bytes_sent_bob == local.metrics.bytes_sent_bob
         assert len(server.responders) == 1
         assert server.responders[0].scalar_mult_count == local.metrics.scalar_mult_count
+
+
+def wait_for_sessions(server: TcpServer) -> None:
+    waiter = threading.Thread(target=server.wait, daemon=True)
+    waiter.start()
+    waiter.join(timeout=10.0)
+    assert not waiter.is_alive(), "sessions did not end"
+
+
+class TestTcpServer:
+    def test_failed_session_is_logged_and_the_next_is_served(self, caplog):
+        doc = build_document_vector({0: 1, 1: 1}, 6)
+        config = SessionConfig(n=6, epsilon=0.8)
+
+        class Exploding:
+            def serve(self, transport):
+                raise RuntimeError("responder exploded")
+
+        made = []
+
+        def factory():
+            made.append(Exploding() if not made else BobResponder([doc], dims=6))
+            return made[-1]
+
+        with caplog.at_level(logging.ERROR, logger="ssdd.protocol.transport"):
+            with TcpServer(factory) as server:
+                first = connect_tcp(server.host, server.port, timeout=5.0)
+                try:
+                    wait_for_sessions(server)
+                    assert run_detection([doc], config, first).aborted
+                finally:
+                    first.close()
+                second = connect_tcp(server.host, server.port, timeout=5.0)
+                try:
+                    report = run_detection([doc], config, second)
+                finally:
+                    second.close()
+                wait_for_sessions(server)
+                # the first worker finished before the second was accepted
+                assert len(server._workers) == 1
+        assert "responder exploded" in caplog.text
+        assert "Traceback" in caplog.text
+        assert not report.aborted
+        assert report.decisions[0].similar
+        assert len(made) == 2
 
 
 class TestAbort:

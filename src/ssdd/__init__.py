@@ -37,7 +37,6 @@ from .masking import (
     ProductReply,
     SecretMask,
     SharedRandomMatrix,
-    generate_shared_matrix,
     mask,
     recover,
     respond,

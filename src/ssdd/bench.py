@@ -79,7 +79,7 @@ def row_from_report(report: DetectionReport) -> BenchRow:
         bytes_sent_alice=m.bytes_sent_alice,
         bytes_sent_bob=m.bytes_sent_bob,
         wall_ms=m.wall_time * 1000.0,
-        similar_pairs=len(report.similar_pairs()),
+        similar_pairs=int(report.similar.sum()),
     )
 
 

@@ -152,7 +152,7 @@ def _print_summary(report, queries: int) -> None:
         f"method={report.config.method.name.lower()} f={report.config.f} "
         f"tolerance={report.config.epsilon} pairs={m.pairs_total} "
         f"filtered={m.pairs_filtered} ratio={m.filter_ratio:.4f} "
-        f"full={m.full_products} similar={len(report.similar_pairs())} "
+        f"full={m.full_products} similar={report.similar.sum()} "
         f"wall_ms={m.wall_time * 1000.0:.1f} per_query_ms={mean_ms:.1f}"
     )
 

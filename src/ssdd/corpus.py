@@ -193,7 +193,7 @@ def parse_bag_of_words(lines: Iterable[str]) -> Corpus:
         if not 1 <= word_id <= n_words:
             raise RangeError(f"wordID {word_id} outside [1, {n_words}]", lineno)
         if count <= 0:
-            raise ValueError(f"line {lineno}: count must be positive, got {count}")
+            raise ParseError(f"count must be positive, got {count}", lineno)
         doc_counts = counts[doc_id - 1]
         if word_id - 1 in doc_counts:
             raise DuplicateEntryError(doc_id, word_id, lineno)

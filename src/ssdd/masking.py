@@ -38,7 +38,6 @@ __all__ = [
     "MaskedVector",
     "ProductReply",
     "OpCounter",
-    "generate_shared_matrix",
     "mask",
     "respond",
     "recover",
@@ -80,7 +79,7 @@ def _check_mask_shape(r: np.ndarray, cols: int) -> None:
 class SharedRandomMatrix:
     """Handle to the deterministic masking matrix for one seed and size."""
 
-    def __init__(self, seed: int, rows: int, materialize_limit: int | None = None):
+    def __init__(self, seed: int, rows: int):
         if rows < 1:
             raise RangeError("matrix needs at least one row")
         if not 0 <= seed < 2**64:
@@ -88,25 +87,16 @@ class SharedRandomMatrix:
         self.seed = seed
         self.rows = rows
         self.cols = (rows + 1) // 2
-        limit = MATERIALIZE_LIMIT_ENTRIES if materialize_limit is None else materialize_limit
-        self._can_materialize = rows * self.cols <= limit
+        self._can_materialize = rows * self.cols <= MATERIALIZE_LIMIT_ENTRIES
 
     def _full(self) -> np.ndarray | None:
         if self._can_materialize:
             return _materialized(self.seed, self.rows, self.cols)
         return None
 
-    def entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise RangeError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        k = i * self.cols + j
-        return float(_raw_span(self.seed, k, k + 1)[0])
-
     def row_block(self, start: int, stop: int) -> np.ndarray:
         if not 0 <= start <= stop <= self.rows:
             raise RangeError(f"row block [{start}, {stop}) outside {self.rows} rows")
-        if start == stop:
-            return np.empty((0, self.cols))
         full = self._full()
         if full is not None:
             return full[start:stop]
@@ -145,7 +135,8 @@ class SharedRandomMatrix:
 
 
 class DenseMaskingMatrix:
-    """Explicit matrix with the same access surface, for small fixed cases."""
+    """Explicit matrix with the surface that masking and responding use,
+    for small fixed cases."""
 
     def __init__(self, array: np.ndarray):
         arr = np.asarray(array, dtype=np.float64)
@@ -153,15 +144,6 @@ class DenseMaskingMatrix:
             raise RangeError("matrix must be 2-D with at least one row")
         self.array = arr
         self.rows, self.cols = arr.shape
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.array[i, j])
-
-    def row_block(self, start: int, stop: int) -> np.ndarray:
-        return self.array[start:stop]
-
-    def rows_for(self, indices: np.ndarray) -> np.ndarray:
-        return self.array[indices]
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
         _check_mask_shape(r, self.cols)
@@ -171,13 +153,6 @@ class DenseMaskingMatrix:
         if len(indices) == 0:
             return np.zeros(self.cols)
         return weights @ self.array[indices]
-
-
-def generate_shared_matrix(seed: int, n: int) -> SharedRandomMatrix:
-    """Masking matrix for vectors of length n (n >= 1)."""
-    if n < 1:
-        raise RangeError(f"vector length must be positive, got {n}")
-    return SharedRandomMatrix(seed, n)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class ResultDiff:
 
 
 def compare_results(report: DetectionReport, oracle: OracleResult) -> ResultDiff:
-    reported = {(d.query_id, d.target_id) for d in report.decisions if d.similar}
+    reported = set(report.similar_pairs())
     return ResultDiff(
         missing=frozenset(oracle.pairs - reported),
         extra=frozenset(reported - oracle.pairs),

@@ -26,7 +26,9 @@ Bob computes it the first time document j survives and reuses it for the
 rest of the session; only s_j = z . v_j is computed per query.  Alice masks
 the full-width vectors of all her queries with one pass over A (A R, R
 stacking the per-query masks), made the first time a query reaches the full
-round, and recovers and bounds all pairs of a query at once.
+round, and recovers and bounds all pairs of a query at once.  A session's
+outcome is two queries x targets arrays: the recovered cosines (NaN for a
+pair the filter dismissed) and the similar mask.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from math import isnan
 
 import numpy as np
 
@@ -213,15 +216,37 @@ class SessionMetrics:
 
 @dataclass
 class DetectionReport:
+    """Outcome of a session as queries x targets arrays.
+
+    ``cosines`` holds each pair's recovered cosine, NaN where the filter
+    dismissed the pair or its query was never reached; ``similar`` is the
+    verdict.  The first ``decided`` queries were decided; an aborted session
+    keeps the rows it finished.
+    """
+
     config: SessionConfig
     query_labels: list[int]
     target_count: int
-    decisions: list[SimilarityDecision] = field(default_factory=list)
+    cosines: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    similar: np.ndarray = field(default_factory=lambda: np.empty((0, 0), bool))
+    decided: int = 0
     metrics: SessionMetrics = field(default_factory=SessionMetrics)
     aborted: bool = False
 
+    @property
+    def decisions(self) -> list[SimilarityDecision]:
+        """One decision per pair of the decided queries, query-major."""
+        cosines = self.cosines[: self.decided].tolist()
+        similar = self.similar[: self.decided].tolist()
+        return [
+            SimilarityDecision(q, t, s, None if isnan(c) else c, isnan(c))
+            for q, (row, verdicts) in enumerate(zip(cosines, similar))
+            for t, (c, s) in enumerate(zip(row, verdicts))
+        ]
+
     def similar_pairs(self) -> list[tuple[int, int]]:
-        return [(d.query_id, d.target_id) for d in self.decisions if d.similar]
+        """(query, target) of every similar pair, query-major."""
+        return [(q, t) for q, t in np.argwhere(self.similar).tolist()]
 
 
 def secure_df_exchange(transport, local_counts: np.ndarray) -> np.ndarray:
@@ -462,8 +487,11 @@ class AliceSession:
         self.transport = transport
         self.query_labels = list(range(len(queries))) if query_labels is None else query_labels
         self.metrics = SessionMetrics()
-        self.decisions: list[SimilarityDecision] = []
         self.target_count = 0
+        # row q belongs to query q; sized once the handshake names the targets
+        self.cosines = np.empty((len(queries), 0))
+        self.similar = np.empty((len(queries), 0), dtype=bool)
+        self.decided = 0
         self._matrix = SharedRandomMatrix(config.matrix_seed, config.n)
         self._fs_matrix = (
             SharedRandomMatrix(config.fs_matrix_seed, config.f)
@@ -504,7 +532,6 @@ class AliceSession:
         ack = self._recv()
         if not isinstance(ack, HelloAck):
             raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
-        self.target_count = ack.bob_doc_count
         method = self.config.method
         if method.needs_whole_vector:
             indices = [q.indices for q in self.queries] + [np.empty(0, np.int64)]
@@ -516,6 +543,10 @@ class AliceSession:
             )
         elif method is SelectionMethod.GF:
             self._session_set = select_gf(self._whole, self.config.f)
+        self.target_count = ack.bob_doc_count
+        shape = (len(self.queries), self.target_count)
+        self.cosines = np.full(shape, np.nan)
+        self.similar = np.zeros(shape, dtype=bool)
 
     def _query_index_set(self, query: DocumentVector) -> tuple[FeatureIndexSet, bool]:
         """The index set for this query and whether it travels on the wire."""
@@ -547,11 +578,12 @@ class AliceSession:
                 f"filter reply covers {len(reply.s)} documents, "
                 f"expected {self.target_count}"
             )
+        # a NaN or infinite s or t entry makes its pair's product non-finite
+        delta = reply.s - reply.t @ r.values
+        if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
+            raise ProtocolError("filter reply carries a non-finite value")
         ev = evaluate_filter(
-            reply.s - reply.t @ r.values,
-            u_fs.squared_norm,
-            reply.norm_v2,
-            self.config.epsilon,
+            delta, u_fs.squared_norm, reply.norm_v2, self.config.epsilon
         )
         return np.flatnonzero(ev.passed)
 
@@ -585,71 +617,58 @@ class AliceSession:
             raise ProtocolError("full reply does not match the query")
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
-        return reply.s - reply.t @ r[:, query_id]
+        recovered = reply.s - reply.t @ r[:, query_id]
+        if not np.isfinite(recovered).all():
+            raise ProtocolError("full reply carries a non-finite value")
+        return recovered
 
     def run_query(self, query_id: int, query: DocumentVector) -> None:
-        """Decide every pair of ``query``, which is ``self.queries[query_id]``."""
+        """Decide every pair of ``query``, which is ``self.queries[query_id]``,
+        into row ``query_id`` of the cosine and similar arrays.
+
+        Survivors get their recovered cosine, or 0 and never similar for a
+        degenerate query; filtered pairs keep NaN.
+        """
         if self.target_count == 0:
             return
         started = time.perf_counter()
-        epsilon = self.config.epsilon
         if self.config.method.uses_filter:
             survivors = self._filter_step(query_id, query)
         else:
             survivors = np.arange(self.target_count)
         self.metrics.pairs_total += self.target_count
         self.metrics.pairs_filtered += self.target_count - survivors.size
-        cosines: dict[int, float] = {}
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
-            cosines = dict(zip(survivors.tolist(), recovered.tolist()))
             self.metrics.full_products += survivors.size
-        for target in range(self.target_count):
-            cosine = cosines.get(target)
-            if cosine is None:
-                self.decisions.append(
-                    SimilarityDecision(
-                        query_id=query_id,
-                        target_id=target,
-                        similar=False,
-                        cosine=None,
-                        filtered=True,
-                    )
-                )
-                continue
             if query.degenerate:
-                cosine, similar = 0.0, False
+                self.cosines[query_id, survivors] = 0.0
             else:
-                similar = cosine >= epsilon
-            self.decisions.append(
-                SimilarityDecision(
-                    query_id=query_id,
-                    target_id=target,
-                    similar=similar,
-                    cosine=cosine,
-                    filtered=False,
-                )
-            )
+                self.cosines[query_id, survivors] = recovered
+                self.similar[query_id, survivors] = recovered >= self.config.epsilon
         self.metrics.wall_time += time.perf_counter() - started
 
     def run(self) -> DetectionReport:
-        report = DetectionReport(
-            config=self.config,
-            query_labels=self.query_labels,
-            target_count=0,
-        )
+        aborted = False
         try:
             self.handshake()
-            report.target_count = self.target_count
             for query_id, query in enumerate(self.queries):
                 self.run_query(query_id, query)
+                self.decided = query_id + 1
             self._send(Bye())
         except (SsddError, OSError) as exc:
             logger.warning("session aborted: %s", exc)
-            report.aborted = True
-        report.decisions = self.decisions
-        report.metrics = self.metrics
-        return report
+            aborted = True
+        return DetectionReport(
+            config=self.config,
+            query_labels=self.query_labels,
+            target_count=self.target_count,
+            cosines=self.cosines,
+            similar=self.similar,
+            decided=self.decided,
+            metrics=self.metrics,
+            aborted=aborted,
+        )
 
 
 def run_detection(

@@ -23,8 +23,8 @@ from ssdd.corpus import (
 from ssdd.errors import FrameError, ProtocolError
 from ssdd.masking import (
     SecretMask,
+    SharedRandomMatrix,
     clear_matrix_cache,
-    generate_shared_matrix,
     mask,
     recover,
     respond,
@@ -93,7 +93,7 @@ def test_01_masked_products_are_exact():
     rng = np.random.default_rng(401)
     worst = 0.0
     for n, trials in ((3, 400), (100, 400), (5000, 200)):
-        matrix = generate_shared_matrix(900 + n, n)
+        matrix = SharedRandomMatrix(900 + n, n)
         for _ in range(trials):
             nnz_cap = min(n, 40)
             u = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))

@@ -75,10 +75,12 @@ class TestParseBagOfWords:
             parse_bag_of_words(io.StringIO("2\n4\n2\n1 2 5\n1 2 7\n"))
 
     def test_non_positive_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as zero:
             parse_bag_of_words(io.StringIO("1\n4\n1\n1 2 0\n"))
-        with pytest.raises(ValueError):
-            parse_bag_of_words(io.StringIO("1\n4\n1\n1 2 -3\n"))
+        assert zero.value.line == 4
+        with pytest.raises(ParseError) as negative:
+            parse_bag_of_words(io.StringIO("1\n4\n2\n1 1 3\n\n1 2 -3\n"))
+        assert negative.value.line == 6
 
     def test_missing_entries(self):
         with pytest.raises(ParseError):

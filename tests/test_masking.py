@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from ssdd import masking
 from ssdd.errors import DimensionError, RangeError
 from ssdd.masking import (
     DenseMaskingMatrix,
     OpCounter,
     SecretMask,
     SharedRandomMatrix,
-    generate_shared_matrix,
     mask,
     recover,
     respond,
@@ -19,15 +19,22 @@ from ssdd.vectors import DocumentVector
 from conftest import random_document
 
 
+def streamed_matrix(seed: int, rows: int) -> SharedRandomMatrix:
+    """A matrix that generates its rows on demand, as above the size limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(masking, "MATERIALIZE_LIMIT_ENTRIES", 0)
+        return SharedRandomMatrix(seed, rows)
+
+
 class TestSharedRandomMatrix:
     def test_shape_uses_half_width(self):
-        assert generate_shared_matrix(1, 10).cols == 5
-        assert generate_shared_matrix(1, 11).cols == 6
-        assert generate_shared_matrix(1, 1).cols == 1
+        assert SharedRandomMatrix(1, 10).cols == 5
+        assert SharedRandomMatrix(1, 11).cols == 6
+        assert SharedRandomMatrix(1, 1).cols == 1
 
     def test_zero_length_rejected(self):
         with pytest.raises(RangeError):
-            generate_shared_matrix(1, 0)
+            SharedRandomMatrix(1, 0)
 
     def test_entries_uniform_range_and_seed_determinism(self):
         a = SharedRandomMatrix(99, 40)
@@ -39,26 +46,33 @@ class TestSharedRandomMatrix:
         assert not np.array_equal(block, c.row_block(0, 40))
 
     def test_entry_matches_blocks_and_streaming(self):
-        """entry(i,j) is one pure function however the matrix is accessed."""
+        """Entry (i, j) is one pure function however the matrix is accessed."""
         cached = SharedRandomMatrix(7, 30)
-        streamed = SharedRandomMatrix(7, 30, materialize_limit=0)
+        streamed = streamed_matrix(7, 30)
+        assert cached._full() is not None and streamed._full() is None
         rng = np.random.default_rng(0)
         for _ in range(60):
             i = int(rng.integers(0, 30))
             j = int(rng.integers(0, cached.cols))
-            value = cached.entry(i, j)
-            assert value == streamed.entry(i, j)
-            assert value == cached.row_block(i, i + 1)[0, j]
+            value = cached.row_block(i, i + 1)[0, j]
             assert value == streamed.row_block(i, i + 1)[0, j]
+            assert value == cached.rows_for(np.array([i]))[0, j]
+            assert value == streamed.rows_for(np.array([i]))[0, j]
         np.testing.assert_array_equal(
             cached.row_block(0, 30), streamed.row_block(0, 30)
         )
+        np.testing.assert_array_equal(
+            cached.row_block(4, 17), streamed.row_block(4, 17)
+        )
+        for i in (0, 4, 5, 30):
+            assert cached.row_block(i, i).shape == (0, cached.cols)
+            assert streamed.row_block(i, i).shape == (0, cached.cols)
         idx = np.array([3, 11, 29])
         np.testing.assert_array_equal(cached.rows_for(idx), streamed.rows_for(idx))
 
     def test_matvec_streaming_equals_materialized(self):
         cached = SharedRandomMatrix(13, 57)
-        streamed = SharedRandomMatrix(13, 57, materialize_limit=0)
+        streamed = streamed_matrix(13, 57)
         r = np.random.default_rng(1).uniform(-1, 1, cached.cols)
         np.testing.assert_allclose(cached.matvec(r), streamed.matvec(r), atol=1e-12)
         block = np.random.default_rng(2).uniform(-1, 1, (cached.cols, 4))
@@ -67,7 +81,7 @@ class TestSharedRandomMatrix:
         np.testing.assert_allclose(streamed.matvec(block), by_column, atol=1e-12)
 
     def test_streamed_block_generates_each_row_once(self, monkeypatch):
-        streamed = SharedRandomMatrix(13, 57, materialize_limit=0)
+        streamed = streamed_matrix(13, 57)
         generated = []
         row_block = streamed.row_block
 
@@ -86,11 +100,10 @@ class TestSharedRandomMatrix:
                     matrix.matvec(np.zeros(shape))
 
     def test_out_of_range_entry(self):
-        m = SharedRandomMatrix(5, 4)
-        with pytest.raises(RangeError):
-            m.entry(4, 0)
-        with pytest.raises(RangeError):
-            m.entry(0, 2)
+        for m in (SharedRandomMatrix(5, 4), streamed_matrix(5, 4)):
+            for start, stop in ((4, 5), (0, 5), (-1, 1), (3, 2)):
+                with pytest.raises(RangeError):
+                    m.row_block(start, stop)
 
 
 class TestHandExample:
@@ -124,7 +137,7 @@ class TestExactRecovery:
     def test_random_trials_match_plain_dot(self):
         """1000 trials: recovered product equals the plain dot product."""
         rng = np.random.default_rng(23)
-        matrix = generate_shared_matrix(555, 120)
+        matrix = SharedRandomMatrix(555, 120)
         for _ in range(1000):
             u = random_document(rng, 120, int(rng.integers(1, 60)))
             v = random_document(rng, 120, int(rng.integers(1, 60)))
@@ -135,7 +148,7 @@ class TestExactRecovery:
             assert abs(delta - expected) <= 1e-9 * (1.0 + abs(expected))
 
     def test_zero_document_recovers_zero(self):
-        matrix = generate_shared_matrix(2, 8)
+        matrix = SharedRandomMatrix(2, 8)
         rng = np.random.default_rng(2)
         r = SecretMask.draw(matrix.cols, rng)
         u = random_document(rng, 8, 4)
@@ -150,7 +163,7 @@ class TestExactRecovery:
         assert recover(reply, r) == 0.0
 
     def test_norm_travels_when_requested(self):
-        matrix = generate_shared_matrix(3, 6)
+        matrix = SharedRandomMatrix(3, 6)
         rng = np.random.default_rng(3)
         v = random_document(rng, 6, 3)
         z = mask(np.zeros(6), matrix, SecretMask.draw(matrix.cols, rng))
@@ -163,7 +176,7 @@ class TestCostAccounting:
     def test_cost_tracks_nonzeros_not_dims(self):
         """Responding for a sparse document costs nnz * (1 + cols) products."""
         n = 400
-        matrix = generate_shared_matrix(31, n)
+        matrix = SharedRandomMatrix(31, n)
         rng = np.random.default_rng(4)
         z = mask(np.zeros(n), matrix, SecretMask.draw(matrix.cols, rng))
         for nnz in (1, 7, 50):
@@ -176,7 +189,7 @@ class TestCostAccounting:
             assert ops.mults == nnz * (2 + matrix.cols)
 
     def test_mask_dimension_mismatch(self):
-        matrix = generate_shared_matrix(1, 4)
+        matrix = SharedRandomMatrix(1, 4)
         with pytest.raises(DimensionError):
             mask(np.zeros(5), matrix, SecretMask(values=np.zeros(matrix.cols)))
         with pytest.raises(DimensionError):
@@ -187,7 +200,7 @@ class TestCostAccounting:
             mask(np.zeros(4), matrix, SecretMask(values=np.zeros((matrix.cols, 1))))
 
     def test_respond_dimension_mismatch(self):
-        matrix = generate_shared_matrix(1, 4)
+        matrix = SharedRandomMatrix(1, 4)
         rng = np.random.default_rng(5)
         z = mask(np.zeros(4), matrix, SecretMask.draw(matrix.cols, rng))
         v = random_document(rng, 6, 2)

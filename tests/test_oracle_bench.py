@@ -3,6 +3,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from ssdd.bench import REPORT_COLUMNS, row_from_report, run_bench, write_report_csv
@@ -44,11 +45,14 @@ class TestOracle:
 
     def test_compare_results_reports_both_directions(self):
         config = SessionConfig(n=2, epsilon=0.9)
-        report = DetectionReport(config=config, query_labels=[0], target_count=2)
-        report.decisions = [
-            SimilarityDecision(0, 0, similar=True, cosine=1.0, filtered=False),
-            SimilarityDecision(0, 1, similar=False, cosine=0.0, filtered=False),
-        ]
+        report = DetectionReport(
+            config=config,
+            query_labels=[0],
+            target_count=2,
+            cosines=np.array([[1.0, 0.0]]),
+            similar=np.array([[True, False]]),
+            decided=1,
+        )
         alice = [build_document_vector({0: 1}, 2)]
         bob = [build_document_vector({1: 1}, 2), build_document_vector({0: 1}, 2)]
         diff = compare_results(report, oracle_detect(alice, bob, 0.9))
@@ -61,8 +65,15 @@ class TestOracle:
         bob = [build_document_vector({0: 2}, 2)]
         oracle = oracle_detect(alice, bob, 0.9)
         config = SessionConfig(n=2, epsilon=0.9)
-        report = DetectionReport(config=config, query_labels=[0], target_count=1)
-        report.decisions = [
+        report = DetectionReport(
+            config=config,
+            query_labels=[0],
+            target_count=1,
+            cosines=np.array([[1.0]]),
+            similar=np.array([[True]]),
+            decided=1,
+        )
+        assert report.decisions == [
             SimilarityDecision(0, 0, similar=True, cosine=1.0, filtered=False)
         ]
         assert compare_results(report, oracle).ok

@@ -1,5 +1,6 @@
 """Protocol engine behavior: filtering, sessions, transports, metrics."""
 
+import dataclasses
 import logging
 import threading
 
@@ -15,12 +16,15 @@ from ssdd.protocol.messages import (
     Bye,
     DfVector,
     FilterQuery,
+    FilterReply,
     FullQuery,
+    FullReply,
     encode_message,
 )
 from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
+    DetectionReport,
     SessionConfig,
     SessionMetrics,
     evaluate_filter,
@@ -796,3 +800,136 @@ class TestStreamedMatrixSession:
                 assert a.cosine == pytest.approx(b.cosine, abs=1e-9)
         for name in ("bytes_sent_alice", "bytes_sent_bob", "scalar_mult_count"):
             assert getattr(streamed.metrics, name) == getattr(cached.metrics, name)
+
+
+class PoisonedBob(BobResponder):
+    """An honest responder that then writes ``value`` into the last entry of
+    ``piece`` in its reply of type ``kind`` to query ``query_id``."""
+
+    def __init__(self, vectors, dims, kind, piece, value, query_id=0):
+        super().__init__(vectors, dims=dims)
+        self.poison = (kind, piece, value, query_id)
+
+    def handle(self, msg):
+        reply = super().handle(msg)
+        kind, piece, value, query_id = self.poison
+        if isinstance(reply, kind) and reply.query_id == query_id:
+            poisoned = getattr(reply, piece).copy()
+            poisoned.flat[-1] = value
+            reply = dataclasses.replace(reply, **{piece: poisoned})
+        return reply
+
+
+def run_against(responder, queries, config):
+    alice_end, bob_end = make_local_pair(timeout=5.0)
+    worker = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
+    worker.start()
+    try:
+        report = run_detection(queries, config, alice_end)
+    finally:
+        alice_end.close()
+        worker.join(timeout=5.0)
+    return report
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestNonFiniteReplies:
+    """Alice aborts on a NaN or infinite number from Bob instead of deciding
+    the pair with it."""
+
+    def setup_method(self):
+        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+
+    @NON_FINITE
+    @pytest.mark.parametrize("piece", ["s", "t", "norm_v2"])
+    def test_filter_reply(self, piece, value):
+        config = config_for(SelectionMethod.RP, n=40, f=8)
+        bob = PoisonedBob(self.docs, 40, FilterReply, piece, value)
+        report = run_against(bob, self.docs[:2], config)
+        assert report.aborted
+        assert report.decided == 0 and report.decisions == []
+
+    @NON_FINITE
+    @pytest.mark.parametrize("piece", ["s", "t"])
+    def test_full_reply(self, piece, value):
+        config = config_for(SelectionMethod.BASE, n=40)
+        bob = PoisonedBob(self.docs, 40, FullReply, piece, value)
+        report = run_against(bob, self.docs[:2], config)
+        assert report.aborted
+        assert report.decided == 0 and report.decisions == []
+
+
+class TestReportArrays:
+    def test_abort_keeps_the_finished_rows(self):
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        config = config_for(SelectionMethod.BASE, n=40)
+        bob = PoisonedBob(docs, 40, FullReply, "s", np.nan, query_id=1)
+        report = run_against(bob, docs[:3], config)
+        assert report.aborted
+        assert report.decided == 1
+        assert report.cosines.shape == report.similar.shape == (3, 6)
+        assert [(d.query_id, d.target_id) for d in report.decisions] == [
+            (0, t) for t in range(6)
+        ]
+        assert not any(d.filtered for d in report.decisions)
+        assert report.decisions[0].similar and report.decisions[0].cosine > 0.99
+        # rows past the abort stay undecided
+        assert np.isnan(report.cosines[1:]).all()
+        assert not report.similar[1:].any()
+        assert report.similar_pairs() == [(0, 0)]
+
+    def test_filtered_is_nan_is_no_cosine(self, small_corpus):
+        query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        queries.append(build_document_vector({}, small_corpus.dims))
+        targets = [small_corpus.vectors[i] for i in target_ids]
+        report = run_detection_locally(queries, config_for(SelectionMethod.HF), targets)
+        assert report.decided == len(queries)
+        decisions = report.decisions
+        filtered = np.array([d.filtered for d in decisions])
+        no_cosine = np.array([d.cosine is None for d in decisions])
+        nan = np.isnan(report.cosines).ravel()
+        assert 0 < filtered.sum() < filtered.size
+        np.testing.assert_array_equal(filtered, nan)
+        np.testing.assert_array_equal(no_cosine, nan)
+        np.testing.assert_array_equal(
+            [d.similar for d in decisions], report.similar.ravel()
+        )
+        assert not (report.similar & np.isnan(report.cosines)).any()
+        assert report.metrics.pairs_filtered == filtered.sum()
+        # the degenerate query's survivors score 0 and are never similar
+        last = report.cosines[-1]
+        assert (last[~np.isnan(last)] == 0.0).all()
+        assert not report.similar[-1].any()
+
+    def test_similar_pairs_are_query_major(self):
+        similar = np.array(
+            [[False, True, True], [True, False, False], [False, False, True]]
+        )
+        report = DetectionReport(
+            config=SessionConfig(n=4, epsilon=0.5),
+            query_labels=[0, 1, 2],
+            target_count=3,
+            cosines=np.where(similar, 0.9, 0.1),
+            similar=similar,
+            decided=3,
+        )
+        assert report.similar_pairs() == [(0, 1), (0, 2), (1, 0), (2, 2)]
+        assert report.similar_pairs() == [
+            (d.query_id, d.target_id) for d in report.decisions if d.similar
+        ]
+
+    def test_session_similar_pairs_are_query_major(self, small_corpus):
+        query_ids, target_ids = split_queries(small_corpus, k=10, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        targets = [small_corpus.vectors[i] for i in target_ids]
+        report = run_detection_locally(queries, config_for(SelectionMethod.BASE), targets)
+        pairs = report.similar_pairs()
+        assert len({q for q, _ in pairs}) > 1
+        assert pairs == sorted(pairs)
+        assert pairs == [(d.query_id, d.target_id) for d in report.decisions if d.similar]
+        assert all(type(q) is int and type(t) is int for q, t in pairs)

@@ -31,11 +31,6 @@ from .errors import (
     SsddError,
 )
 from .masking import (
-    DenseMaskingMatrix,
-    MaskedVector,
-    OpCounter,
-    ProductReply,
-    SecretMask,
     SharedRandomMatrix,
     mask,
     recover,
@@ -67,10 +62,8 @@ from .selection import (
 from .vectors import (
     DocumentVector,
     FeatureIndexSet,
-    FeatureVector,
     dot,
     project,
-    squared_distance,
     top_f,
     zscore,
 )

@@ -139,7 +139,7 @@ def cmd_serve(args) -> int:
         server.stop()
         for i, responder in enumerate(server.responders):
             print(
-                f"session {i}: {responder.metrics.scalar_mult_count} "
+                f"session {i}: {responder.scalar_mult_count} "
                 "response multiplications"
             )
     return 0

@@ -6,7 +6,12 @@ querying side hides its vector u behind a private column vector r:
     z = u + A r            (sent)
     s = z . v              (returned)
     t = A^T v              (returned)
-    delta = s - r . t      (recovered; equals u . v exactly)
+    delta = s - r . t      (recovered)
+
+In exact arithmetic delta equals u . v, since z . v = u . v + r . (A^T v).
+In floating point it carries rounding error, so a pair whose cosine lies
+within that error of a tolerance (an identical pair at tolerance 1, say)
+can be decided either way.
 
 Matrix entries are uniform on [-1, 1] and are a pure function of
 (seed, i, j), generated with a block-addressable counter RNG.  Rows can be
@@ -22,7 +27,6 @@ all k columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,11 +37,6 @@ from .vectors import DocumentVector
 
 __all__ = [
     "SharedRandomMatrix",
-    "DenseMaskingMatrix",
-    "SecretMask",
-    "MaskedVector",
-    "ProductReply",
-    "OpCounter",
     "mask",
     "respond",
     "recover",
@@ -69,11 +68,6 @@ def _materialized(seed: int, rows: int, cols: int) -> np.ndarray:
 
 def clear_matrix_cache() -> None:
     _materialized.cache_clear()
-
-
-def _check_mask_shape(r: np.ndarray, cols: int) -> None:
-    if r.ndim not in (1, 2) or r.shape[0] != cols:
-        raise DimensionError(f"mask shape {r.shape} != ({cols},) or ({cols}, k)")
 
 
 class SharedRandomMatrix:
@@ -116,7 +110,10 @@ class SharedRandomMatrix:
     def matvec(self, r: np.ndarray) -> np.ndarray:
         """A @ r for r of shape (cols,) or (cols, k), without requiring the
         whole matrix at once."""
-        _check_mask_shape(r, self.cols)
+        if r.ndim not in (1, 2) or r.shape[0] != self.cols:
+            raise DimensionError(
+                f"mask shape {r.shape} != ({self.cols},) or ({self.cols}, k)"
+            )
         full = self._full()
         if full is not None:
             return full @ r
@@ -134,99 +131,29 @@ class SharedRandomMatrix:
         return weights @ self.rows_for(indices)
 
 
-class DenseMaskingMatrix:
-    """Explicit matrix with the surface that masking and responding use,
-    for small fixed cases."""
-
-    def __init__(self, array: np.ndarray):
-        arr = np.asarray(array, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise RangeError("matrix must be 2-D with at least one row")
-        self.array = arr
-        self.rows, self.cols = arr.shape
-
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        _check_mask_shape(r, self.cols)
-        return self.array @ r
-
-    def transpose_apply(self, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if len(indices) == 0:
-            return np.zeros(self.cols)
-        return weights @ self.array[indices]
-
-
-@dataclass(frozen=True)
-class SecretMask:
-    """Private column vector r, or k of them as the columns of a (cols, k)
-    block; never serialized, fresh per query."""
-
-    values: np.ndarray
-
-    @staticmethod
-    def draw(cols: int, rng: np.random.Generator) -> "SecretMask":
-        return SecretMask(values=rng.uniform(-1.0, 1.0, size=cols))
-
-
-@dataclass(frozen=True)
-class MaskedVector:
-    """z = u + A r, safe to put on the wire."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProductReply:
-    """Responder's answer for one document: s = z.v and t = A^T v."""
-
-    s: float
-    t: np.ndarray
-    norm_v2: float | None = None
-
-
-@dataclass
-class OpCounter:
-    """Tallies the real multiplications spent in respond()."""
-
-    mults: int = 0
-
-
-def mask(u: np.ndarray, matrix, r: SecretMask) -> MaskedVector:
+def mask(u: np.ndarray, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray:
     """z = u + A r; with u of shape (rows, k) and r of shape (cols, k),
     column j of the result masks column j of u."""
-    if u.shape != (matrix.rows,) + r.values.shape[1:]:
+    if u.shape != (matrix.rows,) + r.shape[1:]:
         raise DimensionError(
             f"vector shape {u.shape} does not match {matrix.rows} rows "
-            f"and mask shape {r.values.shape}"
+            f"and mask shape {r.shape}"
         )
-    return MaskedVector(values=u + matrix.matvec(r.values))
+    return u + matrix.matvec(r)
 
 
 def respond(
-    z: MaskedVector,
-    v: DocumentVector,
-    matrix,
-    include_norm: bool = False,
-    ops: OpCounter | None = None,
-) -> ProductReply:
-    """Answer a masked query for one document, iterating v's nonzeros only."""
-    if z.values.shape != (matrix.rows,):
-        raise DimensionError(
-            f"masked length {z.values.shape} != ({matrix.rows},)"
-        )
+    z: np.ndarray, v: DocumentVector, matrix: SharedRandomMatrix
+) -> tuple[float, np.ndarray]:
+    """(s, t) = (z . v, A^T v) for one document, iterating v's nonzeros only."""
+    if z.shape != (matrix.rows,):
+        raise DimensionError(f"masked length {z.shape} != ({matrix.rows},)")
     if v.dims != matrix.rows:
         raise DimensionError(f"document dims {v.dims} != {matrix.rows}")
-    s = float(z.values[v.indices] @ v.weights)
-    t = matrix.transpose_apply(v.indices, v.weights)
-    norm_v2 = None
-    if include_norm:
-        norm_v2 = float(v.weights @ v.weights)
-    if ops is not None:
-        ops.mults += v.nnz * (1 + matrix.cols)
-        if include_norm:
-            ops.mults += v.nnz
-    return ProductReply(s=s, t=t, norm_v2=norm_v2)
+    return float(z[v.indices] @ v.weights), matrix.transpose_apply(v.indices, v.weights)
 
 
-def recover(reply: ProductReply, r: SecretMask) -> float:
-    """delta = s - r.t, the exact scalar product of the hidden vectors."""
-    return float(reply.s - r.values @ reply.t)
+def recover(s: float | np.ndarray, t: np.ndarray, r: np.ndarray) -> float | np.ndarray:
+    """delta = s - t . r, the scalar product of the hidden vectors; with t of
+    shape (k, cols) and s of shape (k,), the k products at once."""
+    return s - t @ r

@@ -42,7 +42,7 @@ from math import isnan
 import numpy as np
 
 from ..errors import ProtocolError, RangeError, SessionError, SsddError
-from ..masking import OpCounter, SecretMask, SharedRandomMatrix, mask
+from ..masking import SharedRandomMatrix, mask, recover
 from ..selection import (
     SelectionMethod,
     aggregate_whole_vector,
@@ -198,15 +198,6 @@ class SessionMetrics:
     wall_time: float = 0.0
     scalar_mult_count: int = 0
 
-    def merge(self, other: "SessionMetrics") -> None:
-        self.pairs_total += other.pairs_total
-        self.pairs_filtered += other.pairs_filtered
-        self.full_products += other.full_products
-        self.bytes_sent_alice += other.bytes_sent_alice
-        self.bytes_sent_bob += other.bytes_sent_bob
-        self.wall_time += other.wall_time
-        self.scalar_mult_count += other.scalar_mult_count
-
     @property
     def filter_ratio(self) -> float:
         if self.pairs_total == 0:
@@ -262,11 +253,14 @@ def secure_df_exchange(transport, local_counts: np.ndarray) -> np.ndarray:
     return aggregate_whole_vector(local_counts, msg.counts)
 
 
-def _mask_rng(config: SessionConfig, query_id: int, step: int) -> np.random.Generator:
+def _secret_mask(
+    config: SessionConfig, query_id: int, step: int, cols: int
+) -> np.ndarray:
+    """Alice's private mask r for one query and step (1 filter, 2 full)."""
     seq = np.random.SeedSequence(
         entropy=[config.matrix_seed, config.fs_matrix_seed, query_id, step]
     )
-    return np.random.default_rng(seq)
+    return np.random.default_rng(seq).uniform(-1.0, 1.0, size=cols)
 
 
 class BobResponder:
@@ -280,7 +274,7 @@ class BobResponder:
     norms; under RP and GF the index set is fixed, so P, t and the norms
     are computed once per session.
 
-    ``metrics.scalar_mult_count`` tallies the multiplications of the
+    ``scalar_mult_count`` tallies the multiplications of the
     paper's cost model: nnz * (1 + cols) per document response, plus nnz
     for its projected norm in the filter round, whether or not t was
     computed earlier in the session.
@@ -307,18 +301,13 @@ class BobResponder:
             [v.weights for v in vectors] + [np.empty(0)]
         )
         self.config: SessionConfig | None = None
-        self.metrics = SessionMetrics()
+        self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
         self._fs_matrix: SharedRandomMatrix | None = None
         self._whole: np.ndarray | None = None
         self._session_set: FeatureIndexSet | None = None
         self._session_filter: tuple | None = None
         self._t_memo: dict[int, np.ndarray] = {}
-        self._ops = OpCounter()
-
-    @property
-    def scalar_mult_count(self) -> int:
-        return self._ops.mults
 
     def serve(self, transport) -> None:
         """Answer frames until Bye or transport loss."""
@@ -335,7 +324,6 @@ class BobResponder:
                 if reply is not None:
                     transport.send_frame(encode_message(reply))
         finally:
-            self.metrics.scalar_mult_count = self._ops.mults
             transport.close()
 
     def handle(self, msg):
@@ -373,6 +361,8 @@ class BobResponder:
         config = self.config
         if not config.method.needs_whole_vector:
             raise ProtocolError(f"df exchange unexpected for {config.method.name}")
+        if self._whole is not None:
+            raise ProtocolError("duplicate df exchange")
         if len(msg.counts) != self.dims:
             raise ProtocolError("df vector has the wrong width")
         mine = packed_document_frequency(self._indices, self.dims)
@@ -428,7 +418,7 @@ class BobResponder:
         if msg.z.size != config.f:
             raise ProtocolError(f"masked width {msg.z.size}, expected {config.f}")
         projected, t, norm_v2, nnz = self._filter_pieces(msg)
-        self._ops.mults += nnz * (2 + self._fs_matrix.cols)
+        self.scalar_mult_count += nnz * (2 + self._fs_matrix.cols)
         return FilterReply(
             query_id=msg.query_id, s=projected @ msg.z, norm_v2=norm_v2, t=t
         )
@@ -466,7 +456,7 @@ class BobResponder:
         t = np.empty((ids.size, self._matrix.cols))
         for i, doc in enumerate(ids.tolist()):
             t[i] = self._transposed(doc)
-        self._ops.mults += owner.size * (1 + self._matrix.cols)
+        self.scalar_mult_count += owner.size * (1 + self._matrix.cols)
         return FullReply(query_id=msg.query_id, doc_ids=ids.copy(), s=s, t=t)
 
 
@@ -561,13 +551,13 @@ class AliceSession:
         """Ids of the targets whose filter bound reaches the tolerance."""
         index_set, explicit = self._query_index_set(query)
         u_fs = project(query, index_set)
-        r = SecretMask.draw(self._fs_matrix.cols, _mask_rng(self.config, query_id, 1))
-        z = mask(u_fs.values, self._fs_matrix, r)
+        cols = self._fs_matrix.cols
+        r = _secret_mask(self.config, query_id, 1, cols)
         self._send(
             FilterQuery(
                 query_id=query_id,
                 indexes=index_set.indexes if explicit else np.empty(0, np.int64),
-                z=z.values,
+                z=mask(u_fs, self._fs_matrix, r),
             )
         )
         reply = self._recv()
@@ -578,13 +568,15 @@ class AliceSession:
                 f"filter reply covers {len(reply.s)} documents, "
                 f"expected {self.target_count}"
             )
+        if reply.t.shape[1:] != (cols,):
+            raise ProtocolError(
+                f"filter reply t has shape {reply.t.shape}, expected width {cols}"
+            )
         # a NaN or infinite s or t entry makes its pair's product non-finite
-        delta = reply.s - reply.t @ r.values
+        delta = recover(reply.s, reply.t, r)
         if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
             raise ProtocolError("filter reply carries a non-finite value")
-        ev = evaluate_filter(
-            delta, u_fs.squared_norm, reply.norm_v2, self.config.epsilon
-        )
+        ev = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2, self.config.epsilon)
         return np.flatnonzero(ev.passed)
 
     def _full_round_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -596,18 +588,15 @@ class AliceSession:
         if self._full_z is None:
             cols = self._matrix.cols
             r = np.column_stack(
-                [
-                    SecretMask.draw(cols, _mask_rng(self.config, q, 2)).values
-                    for q in range(len(self.queries))
-                ]
+                [_secret_mask(self.config, q, 2, cols) for q in range(len(self.queries))]
             )
             u = np.column_stack([q.to_dense() for q in self.queries])
-            self._full_z = mask(u, self._matrix, SecretMask(values=r)).values
+            self._full_z = mask(u, self._matrix, r)
             self._full_r = r
         return self._full_z, self._full_r
 
     def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:
-        """Exact cosines of the query with each survivor, in survivor order."""
+        """Recovered cosines of the query with each survivor, in survivor order."""
         z, r = self._full_round_masks()
         self._send(
             FullQuery(query_id=query_id, survivor_ids=survivors, z=z[:, query_id])
@@ -617,7 +606,11 @@ class AliceSession:
             raise ProtocolError("full reply does not match the query")
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
-        recovered = reply.s - reply.t @ r[:, query_id]
+        if reply.t.shape[1:] != (r.shape[0],):
+            raise ProtocolError(
+                f"full reply t has shape {reply.t.shape}, expected width {r.shape[0]}"
+            )
+        recovered = recover(reply.s, reply.t, r[:, query_id])
         if not np.isfinite(recovered).all():
             raise ProtocolError("full reply carries a non-finite value")
         return recovered

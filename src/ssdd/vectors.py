@@ -1,13 +1,13 @@
 """Sparse document vectors and the small dense kernels built on them.
 
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
-indices + positive weights).  Feature vectors are dense projections onto a
-small ordered index set.  Everything is float64.
+indices + positive weights).  ``project`` restricts one to a small ordered
+index set as a dense array.  Everything is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +15,9 @@ from .errors import DimensionError, RangeError
 
 __all__ = [
     "DocumentVector",
-    "FeatureVector",
     "FeatureIndexSet",
     "dot",
     "project",
-    "squared_distance",
     "zscore",
     "top_f",
 ]
@@ -83,24 +81,6 @@ class FeatureIndexSet:
         return int(self.indexes.size)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Dense projection of a document onto a feature index set."""
-
-    values: np.ndarray
-    squared_norm: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if self.squared_norm is None:
-            object.__setattr__(self, "squared_norm", float(vals @ vals))
-
-    @property
-    def f(self) -> int:
-        return int(self.values.size)
-
-
 def dot(u: DocumentVector, v: DocumentVector) -> float:
     """Exact sparse dot product via merge-join on the index arrays."""
     if u.dims != v.dims:
@@ -111,7 +91,7 @@ def dot(u: DocumentVector, v: DocumentVector) -> float:
     return float(u.weights[iu] @ v.weights[iv])
 
 
-def project(u: DocumentVector, s: FeatureIndexSet) -> FeatureVector:
+def project(u: DocumentVector, s: FeatureIndexSet) -> np.ndarray:
     """Dense restriction of `u` to the indexes in `s` (absent dims are 0)."""
     if s.dims != u.dims:
         raise DimensionError(f"dims mismatch: {u.dims} != {s.dims}")
@@ -121,15 +101,7 @@ def project(u: DocumentVector, s: FeatureIndexSet) -> FeatureVector:
         hit = u.indices[pos_c] == s.indexes
     else:
         hit = np.zeros(s.f, dtype=bool)
-    values = np.where(hit, u.weights[pos_c] if u.nnz else 0.0, 0.0)
-    return FeatureVector(values=values)
-
-
-def squared_distance(a: FeatureVector, b: FeatureVector) -> float:
-    if a.f != b.f:
-        raise DimensionError(f"feature length mismatch: {a.f} != {b.f}")
-    d = a.values - b.values
-    return float(d @ d)
+    return np.where(hit, u.weights[pos_c] if u.nnz else 0.0, 0.0)
 
 
 def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -22,7 +22,6 @@ from ssdd.corpus import (
 )
 from ssdd.errors import FrameError, ProtocolError
 from ssdd.masking import (
-    SecretMask,
     SharedRandomMatrix,
     clear_matrix_cache,
     mask,
@@ -98,9 +97,9 @@ def test_01_masked_products_are_exact():
             nnz_cap = min(n, 40)
             u = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
             v = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
-            r = SecretMask.draw(matrix.cols, rng)
+            r = rng.uniform(-1.0, 1.0, matrix.cols)
             z = mask(u.to_dense(), matrix, r)
-            got = recover(respond(z, v, matrix), r)
+            got = recover(*respond(z, v, matrix), r)
             want = dot(u, v)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     elapsed = time.perf_counter() - started

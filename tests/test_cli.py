@@ -242,4 +242,6 @@ class TestRemote:
         assert report.metrics.pairs_total == 3 * len(corpus)
         out = capsys.readouterr().out
         assert f"serving {len(corpus)} documents" in out
-        assert "session 0:" in out
+        # BASE: every query gets a full response from every document
+        mults = 3 * sum(v.nnz for v in corpus.vectors) * (1 + (corpus.dims + 1) // 2)
+        assert f"session 0: {mults} response multiplications" in out

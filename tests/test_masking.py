@@ -5,15 +5,10 @@ import pytest
 
 from ssdd import masking
 from ssdd.errors import DimensionError, RangeError
-from ssdd.masking import (
-    DenseMaskingMatrix,
-    OpCounter,
-    SecretMask,
-    SharedRandomMatrix,
-    mask,
-    recover,
-    respond,
-)
+from ssdd.masking import SharedRandomMatrix, mask, recover, respond
+from ssdd.protocol.messages import FilterQuery, FullQuery
+from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
+from ssdd.selection import SelectionMethod
 from ssdd.vectors import DocumentVector
 
 from conftest import random_document
@@ -94,7 +89,8 @@ class TestSharedRandomMatrix:
         assert sum(generated) == streamed.rows
 
     def test_matvec_rejects_bad_mask_shapes(self):
-        for matrix in (SharedRandomMatrix(3, 8), DenseMaskingMatrix(np.ones((8, 4)))):
+        for matrix in (SharedRandomMatrix(3, 8), streamed_matrix(3, 8)):
+            assert matrix.cols == 4
             for shape in ((5,), (5, 2), (4, 2, 1), ()):
                 with pytest.raises(DimensionError):
                     matrix.matvec(np.zeros(shape))
@@ -107,30 +103,37 @@ class TestSharedRandomMatrix:
 
 
 class TestHandExample:
-    """Worked 2-dimensional case with an explicit one-column matrix."""
+    """Worked 2-dimensional case on a one-column matrix (a0, a1)."""
 
     def setup_method(self):
-        self.matrix = DenseMaskingMatrix(np.array([[1.0], [1.0]]))
-        self.r = SecretMask(values=np.array([2.0]))
+        self.matrix = SharedRandomMatrix(17, 2)
+        assert self.matrix.cols == 1
+        self.a0, self.a1 = self.matrix.row_block(0, 2)[:, 0]
+        self.r = np.array([2.0])
         self.u = np.array([0.6, 0.8])
 
     def test_mask(self):
         z = mask(self.u, self.matrix, self.r)
-        np.testing.assert_allclose(z.values, [2.6, 2.8], atol=1e-15)
+        np.testing.assert_allclose(
+            z, [0.6 + 2.0 * self.a0, 0.8 + 2.0 * self.a1], atol=1e-15
+        )
 
     def test_mask_block_masks_each_column(self):
         u = np.column_stack([self.u, [1.0, 0.0]])
-        r = SecretMask(values=np.array([[2.0, -1.0]]))
-        z = mask(u, self.matrix, r)
-        np.testing.assert_allclose(z.values, [[2.6, 0.0], [2.8, -1.0]], atol=1e-15)
+        z = mask(u, self.matrix, np.array([[2.0, -1.0]]))
+        np.testing.assert_allclose(
+            z,
+            [[0.6 + 2.0 * self.a0, 1.0 - self.a0], [0.8 + 2.0 * self.a1, -self.a1]],
+            atol=1e-15,
+        )
 
     def test_respond_and_recover(self):
         z = mask(self.u, self.matrix, self.r)
         v = DocumentVector(dims=2, indices=np.array([0]), weights=np.array([1.0]))
-        reply = respond(z, v, self.matrix)
-        assert reply.s == pytest.approx(2.6)
-        np.testing.assert_allclose(reply.t, [1.0])
-        assert recover(reply, self.r) == pytest.approx(0.6, abs=1e-12)
+        s, t = respond(z, v, self.matrix)
+        assert s == pytest.approx(0.6 + 2.0 * self.a0, abs=1e-15)
+        np.testing.assert_allclose(t, [self.a0], atol=1e-15)
+        assert recover(s, t, self.r) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestExactRecovery:
@@ -141,16 +144,16 @@ class TestExactRecovery:
         for _ in range(1000):
             u = random_document(rng, 120, int(rng.integers(1, 60)))
             v = random_document(rng, 120, int(rng.integers(1, 60)))
-            r = SecretMask.draw(matrix.cols, rng)
+            r = rng.uniform(-1.0, 1.0, matrix.cols)
             z = mask(u.to_dense(), matrix, r)
-            delta = recover(respond(z, v, matrix), r)
+            delta = recover(*respond(z, v, matrix), r)
             expected = float(u.to_dense() @ v.to_dense())
             assert abs(delta - expected) <= 1e-9 * (1.0 + abs(expected))
 
     def test_zero_document_recovers_zero(self):
         matrix = SharedRandomMatrix(2, 8)
         rng = np.random.default_rng(2)
-        r = SecretMask.draw(matrix.cols, rng)
+        r = rng.uniform(-1.0, 1.0, matrix.cols)
         u = random_document(rng, 8, 4)
         z = mask(u.to_dense(), matrix, r)
         empty = DocumentVector(
@@ -159,58 +162,86 @@ class TestExactRecovery:
             weights=np.empty(0),
             degenerate=True,
         )
-        reply = respond(z, empty, matrix)
-        assert recover(reply, r) == 0.0
+        s, t = respond(z, empty, matrix)
+        assert (s, t.tolist()) == (0.0, [0.0] * matrix.cols)
+        assert recover(s, t, r) == 0.0
 
     def test_norm_travels_when_requested(self):
-        matrix = SharedRandomMatrix(3, 6)
+        """The filter round's reply carries each projected squared norm; the
+        full round's carries none."""
         rng = np.random.default_rng(3)
         v = random_document(rng, 6, 3)
-        z = mask(np.zeros(6), matrix, SecretMask.draw(matrix.cols, rng))
-        reply = respond(z, v, matrix, include_norm=True)
-        assert reply.norm_v2 == pytest.approx(float(v.weights @ v.weights))
-        assert respond(z, v, matrix).norm_v2 is None
+        config = SessionConfig(n=6, epsilon=0.5, method=SelectionMethod.LF, f=3)
+        bob = BobResponder([v], dims=6)
+        bob.handle(config.hello())
+        reply = bob.handle(FilterQuery(query_id=0, indexes=v.indices, z=np.ones(3)))
+        assert reply.norm_v2.tolist() == pytest.approx([float(v.weights @ v.weights)])
+        full = FullQuery(query_id=0, survivor_ids=np.array([0]), z=np.ones(6))
+        assert not hasattr(bob.handle(full), "norm_v2")
+
+    def test_block_recovery_matches_per_document(self):
+        """k replies recover at once as s - T r, row j equal to document j's."""
+        matrix = SharedRandomMatrix(6, 40)
+        rng = np.random.default_rng(6)
+        r = rng.uniform(-1.0, 1.0, matrix.cols)
+        z = mask(random_document(rng, 40, 9).to_dense(), matrix, r)
+        replies = [respond(z, random_document(rng, 40, 5), matrix) for _ in range(4)]
+        s = np.array([s for s, _ in replies])
+        t = np.array([t for _, t in replies])
+        one_by_one = [recover(s_j, t_j, r) for s_j, t_j in replies]
+        np.testing.assert_allclose(recover(s, t, r), one_by_one, rtol=0, atol=1e-15)
 
 
 class TestCostAccounting:
     def test_cost_tracks_nonzeros_not_dims(self):
-        """Responding for a sparse document costs nnz * (1 + cols) products."""
+        """Responding for a sparse document costs nnz * (1 + cols) products,
+        plus nnz for its projected norm in the filter round."""
         n = 400
-        matrix = SharedRandomMatrix(31, n)
         rng = np.random.default_rng(4)
-        z = mask(np.zeros(n), matrix, SecretMask.draw(matrix.cols, rng))
         for nnz in (1, 7, 50):
             v = random_document(rng, n, nnz)
-            ops = OpCounter()
-            respond(z, v, matrix, ops=ops)
-            assert ops.mults == nnz * (1 + matrix.cols)
-            ops = OpCounter()
-            respond(z, v, matrix, include_norm=True, ops=ops)
-            assert ops.mults == nnz * (2 + matrix.cols)
+            config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.LF, f=nnz)
+            bob = BobResponder([v], dims=n)
+            bob.handle(config.hello())
+            bob.handle(FilterQuery(query_id=0, indexes=v.indices, z=np.zeros(nnz)))
+            fs_cost = nnz * (2 + (nnz + 1) // 2)
+            assert bob.scalar_mult_count == fs_cost
+            bob.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=np.zeros(n)))
+            assert bob.scalar_mult_count == fs_cost + nnz * (1 + (n + 1) // 2)
 
     def test_mask_dimension_mismatch(self):
         matrix = SharedRandomMatrix(1, 4)
         with pytest.raises(DimensionError):
-            mask(np.zeros(5), matrix, SecretMask(values=np.zeros(matrix.cols)))
+            mask(np.zeros(5), matrix, np.zeros(matrix.cols))
         with pytest.raises(DimensionError):
-            mask(np.zeros(4), matrix, SecretMask(values=np.zeros(3)))
+            mask(np.zeros(4), matrix, np.zeros(3))
         with pytest.raises(DimensionError):
-            mask(np.zeros((4, 3)), matrix, SecretMask(values=np.zeros((matrix.cols, 2))))
+            mask(np.zeros((4, 3)), matrix, np.zeros((matrix.cols, 2)))
         with pytest.raises(DimensionError):
-            mask(np.zeros(4), matrix, SecretMask(values=np.zeros((matrix.cols, 1))))
+            mask(np.zeros(4), matrix, np.zeros((matrix.cols, 1)))
 
     def test_respond_dimension_mismatch(self):
         matrix = SharedRandomMatrix(1, 4)
         rng = np.random.default_rng(5)
-        z = mask(np.zeros(4), matrix, SecretMask.draw(matrix.cols, rng))
+        z = mask(np.zeros(4), matrix, rng.uniform(-1.0, 1.0, matrix.cols))
         v = random_document(rng, 6, 2)
         with pytest.raises(DimensionError):
             respond(z, v, matrix)
+        with pytest.raises(DimensionError):
+            respond(np.zeros(5), random_document(rng, 4, 2), matrix)
 
 
 class TestSecretMask:
     def test_draw_is_deterministic_per_generator_state(self):
-        a = SecretMask.draw(10, np.random.default_rng(77))
-        b = SecretMask.draw(10, np.random.default_rng(77))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert np.all(np.abs(a.values) <= 1.0)
+        """Alice's mask r is a pure function of (matrix seed, fs matrix seed,
+        query id, step): uniform(-1, 1) from a generator seeded with them."""
+        config = SessionConfig(n=20, epsilon=0.5, matrix_seed=5, fs_matrix_seed=6)
+        a = _secret_mask(config, 3, 1, 10)
+        np.testing.assert_array_equal(a, _secret_mask(config, 3, 1, 10))
+        seq = np.random.SeedSequence([5, 6, 3, 1])
+        np.testing.assert_array_equal(
+            a, np.random.default_rng(seq).uniform(-1.0, 1.0, 10)
+        )
+        assert a.shape == (10,) and np.all(np.abs(a) <= 1.0)
+        for other in (_secret_mask(config, 3, 2, 10), _secret_mask(config, 4, 1, 10)):
+            assert not np.array_equal(a, other)

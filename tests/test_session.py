@@ -10,7 +10,7 @@ import pytest
 from ssdd import masking
 from ssdd.corpus import Corpus, build_document_vector, split_queries
 from ssdd.errors import ProtocolError, RangeError
-from ssdd.masking import MaskedVector, SecretMask, SharedRandomMatrix, mask, respond
+from ssdd.masking import SharedRandomMatrix, mask, recover, respond
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
     Bye,
@@ -149,12 +149,6 @@ class TestEvaluateFilter:
 
 
 class TestSessionMetrics:
-    def test_merge_sums_fields(self):
-        a = SessionMetrics(10, 4, 6, 100, 200, 0.5, 1000)
-        b = SessionMetrics(5, 1, 4, 10, 20, 0.25, 500)
-        a.merge(b)
-        assert a == SessionMetrics(15, 5, 10, 110, 220, 0.75, 1500)
-
     def test_filter_ratio(self):
         assert SessionMetrics().filter_ratio == 0.0
         assert SessionMetrics(pairs_total=100, pairs_filtered=30).filter_ratio == 0.3
@@ -179,21 +173,18 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     rng = np.random.default_rng(7)
     fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
     u_fs = project(u, index_set)
-    r = SecretMask.draw(fs_matrix.cols, rng)
-    z = mask(u_fs.values, fs_matrix, r)
+    r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
-        FilterQuery(query_id=0, indexes=index_set.indexes, z=z.values)
+        FilterQuery(query_id=0, indexes=index_set.indexes, z=mask(u_fs, fs_matrix, r))
     )
     outcome = evaluate_filter(
-        reply.s - reply.t @ r.values, u_fs.squared_norm, reply.norm_v2, config.epsilon
+        recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2, config.epsilon
     )
     matrix = SharedRandomMatrix(config.matrix_seed, config.n)
-    r = SecretMask.draw(matrix.cols, rng)
+    r = rng.uniform(-1.0, 1.0, matrix.cols)
     z = mask(u.to_dense(), matrix, r)
-    reply = responder.handle(
-        FullQuery(query_id=0, survivor_ids=np.array([0]), z=z.values)
-    )
-    return outcome, float(reply.s[0] - reply.t[0] @ r.values)
+    reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
+    return outcome, float(recover(reply.s, reply.t, r)[0])
 
 
 class TestBasePair:
@@ -538,6 +529,17 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="duplicate"):
             responder.handle(config.hello())
 
+    def test_duplicate_df_exchange(self):
+        """A second df vector would change the GF set under a cached filter."""
+        responder, config = self.make(method=SelectionMethod.GF, n=6, f=2, docs=4)
+        responder.handle(config.hello())
+        responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
+        query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.ones(2))
+        first = responder.handle(query)
+        with pytest.raises(ProtocolError, match="duplicate df exchange"):
+            responder.handle(DfVector(np.array([0, 0, 0, 0, 9, 9])))
+        assert responder.handle(query) == first
+
     def test_df_exchange_needs_a_whole_vector_method(self):
         responder, config = self.make(method=SelectionMethod.RP)
         responder.handle(config.hello())
@@ -653,22 +655,22 @@ class TestResponderMatchesRespond:
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
         for j, doc in enumerate(docs):
-            values = project(doc, index_set).values
+            values = project(doc, index_set)
             nz = np.flatnonzero(values)
             sparse = DocumentVector(dims=index_set.f, indices=nz, weights=values[nz])
-            want = respond(MaskedVector(z), sparse, fs_matrix, include_norm=True)
-            assert reply.s[j] == pytest.approx(want.s, abs=1e-12)
-            assert reply.norm_v2[j] == pytest.approx(want.norm_v2, abs=1e-12)
-            np.testing.assert_allclose(reply.t[j], want.t, rtol=0, atol=1e-12)
+            s, t = respond(z, sparse, fs_matrix)
+            assert reply.s[j] == pytest.approx(s, abs=1e-12)
+            assert reply.norm_v2[j] == pytest.approx(values @ values, abs=1e-12)
+            np.testing.assert_allclose(reply.t[j], t, rtol=0, atol=1e-12)
 
     def assert_full_reply(self, reply, docs, ids, config, z):
         matrix = SharedRandomMatrix(config.matrix_seed, config.n)
         np.testing.assert_array_equal(reply.doc_ids, ids)
         assert reply.t.shape == (len(ids), matrix.cols)
         for i, doc_id in enumerate(ids):
-            want = respond(MaskedVector(z), docs[doc_id], matrix)
-            assert reply.s[i] == pytest.approx(want.s, abs=1e-12)
-            np.testing.assert_allclose(reply.t[i], want.t, rtol=0, atol=1e-12)
+            s, t = respond(z, docs[doc_id], matrix)
+            assert reply.s[i] == pytest.approx(s, abs=1e-12)
+            np.testing.assert_allclose(reply.t[i], t, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "method",
@@ -772,7 +774,7 @@ class TestMultiplicationCount:
             for query in queries:
                 index_set = select_hf(query.to_dense(), whole, config.f)
                 for target in targets:
-                    nnz = int(np.count_nonzero(project(target, index_set).values))
+                    nnz = int(np.count_nonzero(project(target, index_set)))
                     expected += nnz * (2 + fs_cols)
         assert type(report.metrics.scalar_mult_count) is int
         assert report.metrics.scalar_mult_count == expected
@@ -933,3 +935,112 @@ class TestReportArrays:
         assert pairs == sorted(pairs)
         assert pairs == [(d.query_id, d.target_id) for d in report.decisions if d.similar]
         assert all(type(q) is int and type(t) is int for q, t in pairs)
+
+
+class ReshapedBob(BobResponder):
+    """An honest responder that then replaces ``t`` in each reply of type
+    ``kind`` by ``reshape(t)``."""
+
+    def __init__(self, vectors, dims, kind, reshape):
+        super().__init__(vectors, dims=dims)
+        self.kind, self.reshape = kind, reshape
+
+    def handle(self, msg):
+        reply = super().handle(msg)
+        if isinstance(reply, self.kind):
+            reply = dataclasses.replace(reply, t=self.reshape(reply.t))
+        return reply
+
+
+WRONG_WIDTH = pytest.mark.parametrize(
+    "reshape",
+    [lambda t: np.hstack([t, t]), lambda t: t[:, :-1]],
+    ids=["too-wide", "too-narrow"],
+)
+
+
+class TestWrongWidthReplies:
+    """A reply whose t is not ceil(f/2) or ceil(n/2) wide aborts the session."""
+
+    def setup_method(self):
+        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+
+    @WRONG_WIDTH
+    def test_filter_reply(self, reshape):
+        config = config_for(SelectionMethod.RP, n=40, f=8)
+        report = run_against(
+            ReshapedBob(self.docs, 40, FilterReply, reshape), self.docs[:2], config
+        )
+        assert report.aborted
+        assert report.decided == 0
+
+    @WRONG_WIDTH
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.BASE, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_full_reply(self, reshape, method):
+        config = config_for(method, n=40, f=8, epsilon=0.1)
+        report = run_against(
+            ReshapedBob(self.docs, 40, FullReply, reshape), self.docs[:2], config
+        )
+        assert report.aborted
+        assert report.decided == 0
+
+
+class RecordingBob(BobResponder):
+    """An honest responder that keeps every message it handles."""
+
+    def __init__(self, vectors, dims):
+        super().__init__(vectors, dims=dims)
+        self.received = []
+
+    def handle(self, msg):
+        self.received.append(msg)
+        return super().handle(msg)
+
+
+def expected_mask(config, query_id, step, cols):
+    """The secret mask of one query and step (1 filter, 2 full)."""
+    seq = np.random.SeedSequence(
+        [config.matrix_seed, config.fs_matrix_seed, query_id, step]
+    )
+    return np.random.default_rng(seq).uniform(-1, 1, cols)
+
+
+class TestMaskDerivation:
+    """Alice's masked vectors are z = u + A r, with r drawn from a generator
+    seeded by (matrix seed, fs matrix seed, query id, step)."""
+
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.BASE, SelectionMethod.RP], ids=lambda m: m.name
+    )
+    def test_sent_vectors_are_u_plus_a_r(self, small_corpus, method):
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        # each query's own document among the targets, so every query
+        # reaches the full round
+        targets = queries + [small_corpus.vectors[i] for i in target_ids[:20]]
+        config = config_for(method)
+        bob = RecordingBob(targets, config.n)
+        report = run_against(bob, queries, config)
+        assert not report.aborted and report.decided == len(queries)
+        matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        a = matrix.row_block(0, matrix.rows)
+        full = [m for m in bob.received if isinstance(m, FullQuery)]
+        assert [m.query_id for m in full] == list(range(len(queries)))
+        for msg in full:
+            r = expected_mask(config, msg.query_id, 2, matrix.cols)
+            u = queries[msg.query_id].to_dense()
+            np.testing.assert_allclose(msg.z, u + a @ r, rtol=0, atol=1e-12)
+        filters = [m for m in bob.received if isinstance(m, FilterQuery)]
+        if method is SelectionMethod.BASE:
+            assert filters == []
+            return
+        assert [m.query_id for m in filters] == list(range(len(queries)))
+        fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+        a_fs = fs_matrix.row_block(0, fs_matrix.rows)
+        index_set = select_rp(config.rp_seed, config.n, config.f)
+        for msg in filters:
+            r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
+            u_fs = project(queries[msg.query_id], index_set)
+            np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)

@@ -8,10 +8,8 @@ from ssdd.errors import DimensionError, RangeError
 from ssdd.vectors import (
     DocumentVector,
     FeatureIndexSet,
-    FeatureVector,
     dot,
     project,
-    squared_distance,
     top_f,
     zscore,
 )
@@ -75,8 +73,8 @@ class TestProject:
         u = build_document_vector({0: 3, 1: 4}, dims=4)
         s = FeatureIndexSet(dims=4, indexes=np.array([0, 2]))
         fv = project(u, s)
-        np.testing.assert_allclose(fv.values, [0.6, 0.0], atol=1e-15)
-        assert fv.squared_norm == pytest.approx(0.36)
+        np.testing.assert_allclose(fv, [0.6, 0.0], atol=1e-15)
+        assert fv @ fv == pytest.approx(0.36)
 
     def test_monotone_projection_bound(self):
         """Projected squared distance never exceeds the full one."""
@@ -87,7 +85,8 @@ class TestProject:
             v = random_document(rng, n, int(rng.integers(1, n)))
             f = int(rng.integers(1, n + 1))
             s = FeatureIndexSet(dims=n, indexes=np.sort(rng.choice(n, f, replace=False)))
-            d_fs = squared_distance(project(u, s), project(v, s))
+            d = project(u, s) - project(v, s)
+            d_fs = d @ d
             full = float(np.sum((u.to_dense() - v.to_dense()) ** 2))
             assert d_fs <= full + 1e-12
 
@@ -95,21 +94,6 @@ class TestProject:
         u = build_document_vector({0: 1}, dims=3)
         with pytest.raises(DimensionError):
             project(u, FeatureIndexSet(dims=4, indexes=np.array([0])))
-
-
-class TestSquaredDistance:
-    def test_hand_example(self):
-        a = FeatureVector(values=np.array([0.70711, 0.70711]))
-        b = FeatureVector(values=np.array([0.70711, 0.0]))
-        assert squared_distance(a, b) == pytest.approx(0.70711**2, abs=1e-12)
-        assert squared_distance(a, b) == pytest.approx(0.5, abs=1e-4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            squared_distance(
-                FeatureVector(values=np.array([1.0])),
-                FeatureVector(values=np.array([1.0, 2.0])),
-            )
 
 
 class TestCosineDistanceIdentity:

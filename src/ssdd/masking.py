@@ -45,6 +45,8 @@ __all__ = [
 
 # Entries above this count are never materialized; rows stream on demand.
 MATERIALIZE_LIMIT_ENTRIES = 40_000_000
+# A streamed matrix generates at most about this many entries at a time.
+STREAM_CHUNK_ENTRIES = 4_000_000
 
 
 def _to_unit(raw: np.ndarray) -> np.ndarray:
@@ -103,9 +105,10 @@ class SharedRandomMatrix:
         full = self._full()
         if full is not None:
             return full[indices]
-        if len(indices) == 0:
-            return np.empty((0, self.cols))
-        return np.vstack([self.row_block(int(i), int(i) + 1) for i in indices])
+        out = np.empty((len(indices), self.cols))
+        for k, i in enumerate(indices):
+            out[k : k + 1] = self.row_block(int(i), int(i) + 1)
+        return out
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
         """A @ r for r of shape (cols,) or (cols, k), without requiring the
@@ -118,7 +121,7 @@ class SharedRandomMatrix:
         if full is not None:
             return full @ r
         out = np.empty((self.rows,) + r.shape[1:])
-        chunk = max(1, 4_000_000 // self.cols)
+        chunk = max(1, STREAM_CHUNK_ENTRIES // self.cols)
         for start in range(0, self.rows, chunk):
             stop = min(start + chunk, self.rows)
             out[start:stop] = self.row_block(start, stop) @ r
@@ -129,6 +132,35 @@ class SharedRandomMatrix:
         if len(indices) == 0:
             return np.zeros(self.cols)
         return weights @ self.rows_for(indices)
+
+    def transpose_apply_packed(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Row i is A^T v_i for sparse v_i whose nonzeros are entries
+        ``indptr[i]:indptr[i + 1]`` of ``indices`` and ``weights``.
+
+        A materialized matrix gathers each vector's rows.  A streamed one
+        generates each distinct row of the batch once, in chunks that keep
+        both the rows and the dense weights applied to them within
+        STREAM_CHUNK_ENTRIES entries.
+        """
+        k = len(indptr) - 1
+        t = np.zeros((k, self.cols))
+        if self._full() is not None:
+            for i in range(k):
+                lo, hi = indptr[i], indptr[i + 1]
+                t[i] = self.transpose_apply(indices[lo:hi], weights[lo:hi])
+            return t
+        rows, column = np.unique(indices, return_inverse=True)
+        owner = np.repeat(np.arange(k), np.diff(indptr))
+        chunk = max(1, STREAM_CHUNK_ENTRIES // max(self.cols, k))
+        for start in range(0, rows.size, chunk):
+            block = self.rows_for(rows[start : start + chunk])
+            hit = (column >= start) & (column < start + chunk)
+            w = np.zeros((k, block.shape[0]))
+            w[owner[hit], column[hit] - start] = weights[hit]
+            t += w @ block
+        return t
 
 
 def mask(u: np.ndarray, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import DimensionError
 from .protocol.session import DetectionReport
-from .vectors import DocumentVector, dot
+from .vectors import DocumentVector
 
 __all__ = ["OracleResult", "ResultDiff", "oracle_detect", "compare_results"]
 
@@ -29,18 +32,33 @@ def oracle_detect(
     bob_docs: list[DocumentVector],
     epsilon: float,
 ) -> OracleResult:
-    pairs = set()
-    cosines: dict[tuple[int, int], float] = {}
-    for qi, u in enumerate(alice_docs):
-        for ti, v in enumerate(bob_docs):
-            if u.degenerate or v.degenerate:
-                cosines[(qi, ti)] = 0.0
-                continue
-            cosine = dot(u, v)
-            cosines[(qi, ti)] = cosine
-            if cosine >= epsilon:
-                pairs.add((qi, ti))
-    return OracleResult(epsilon=epsilon, pairs=frozenset(pairs), cosines=cosines)
+    q, m = len(alice_docs), len(bob_docs)
+    dims = {d.dims for d in alice_docs + bob_docs}
+    if len(dims) > 1:
+        raise DimensionError(f"documents disagree on dims: {sorted(dims)}")
+    queries = np.zeros((q, dims.pop() if dims else 0))
+    for i, u in enumerate(alice_docs):
+        queries[i, u.indices] = u.weights
+    indices = np.concatenate([v.indices for v in bob_docs] + [np.empty(0, np.int64)])
+    weights = np.concatenate([v.weights for v in bob_docs] + [np.empty(0)])
+    owner = np.repeat(np.arange(m), np.array([v.nnz for v in bob_docs], np.int64))
+    # one segmented sum: every query against every packed target entry
+    cosines = np.bincount(
+        (np.arange(q)[:, None] * m + owner).ravel(),
+        weights=(queries[:, indices] * weights).ravel(),
+        minlength=q * m,
+    ).reshape(q, m)
+    degenerate = np.array([d.degenerate for d in alice_docs + bob_docs], bool)
+    live = ~degenerate[:q, None] & ~degenerate[q:]
+    cosines[~live] = 0.0
+    pairs = frozenset(map(tuple, np.argwhere(live & (cosines >= epsilon)).tolist()))
+    return OracleResult(
+        epsilon=epsilon,
+        pairs=pairs,
+        cosines={
+            (qi, ti): c for qi, row in enumerate(cosines.tolist()) for ti, c in enumerate(row)
+        },
+    )
 
 
 @dataclass(frozen=True)

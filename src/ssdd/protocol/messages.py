@@ -19,15 +19,23 @@ Tag   Message      Body layout
                    {s f64, norm_v2 f64, t f64[ceil(f/2)]}
 0x20  FullQuery    query_id u32, survivor_count u32,
                    survivor_ids u32[survivor_count], z f64[n]
-0x21  FullReply    query_id u32, k u32, then k entries of
-                   {doc_id u32, s f64, t f64[ceil(n/2)]}
+0x22  FullReply    query_id u32, k u32, k_new u32, then k entries of
+                   {doc_id u32, s f64}, then t f64[k_new][ceil(n/2)]
 0xFF  Bye          (empty)
 
-``_SPECS`` holds this table.  Reply entries follow the responder's
-document-id order; decoding recovers the trailing f64 width from the body
-length.  Encoding raises FrameError for what the layout cannot carry (an
-integer outside its field, mismatched shapes, a frame over MAX_FRAME_SIZE),
-decoding for any inconsistency; an unknown tag raises ProtocolError.
+``_SPECS`` holds this table.  Reply entries follow the order of the
+documents they answer for; decoding recovers the trailing f64 width from
+the body length, and every width on this wire is at least 1.  Encoding
+raises FrameError for what the layout cannot carry (an integer outside its
+field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
+inconsistency; an unknown tag raises ProtocolError.
+
+This is protocol version 2.  A FullReply carries s = z . v_j for every
+survivor j, but t_j = A^T v_j only for the k_new survivors whose t the
+responder has not yet sent in this session, in survivor order: t_j does
+not depend on the query, so the querying side keeps what it received.
+Version 1 sent every survivor's t with every reply (tag 0x21, now
+unknown); the values disclosed are the same, each t_j just crosses once.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ MSG_DF_VECTOR = 0x03
 MSG_FILTER_QUERY = 0x10
 MSG_FILTER_REPLY = 0x11
 MSG_FULL_QUERY = 0x20
-MSG_FULL_REPLY = 0x21
+MSG_FULL_REPLY = 0x22
 MSG_BYE = 0xFF
 
 HEADER_SIZE = 4
@@ -141,7 +149,7 @@ class FullReply(_Message):
     query_id: int
     doc_ids: np.ndarray  # (k,)
     s: np.ndarray  # (k,)
-    t: np.ndarray  # (k, ceil(n/2))
+    t: np.ndarray  # (k_new, ceil(n/2)): the survivors whose t is new
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,27 +167,46 @@ def _fits(a: np.ndarray, dtype: str) -> bool:
 class _Spec:
     """Wire layout of one message type.
 
-    ``head`` packs the class's scalar fields in declaration order, then a
-    u32 count when a tail follows.  The tail is one numpy structured array
-    of the (field, dtype) pairs: one element holding count values and, if
-    listed, an array filling the rest of the body; or, with ``entries``,
-    count packed entries ending in a row that fills the rest.
+    ``head`` packs the class's scalar fields in declaration order, then one
+    u32 per count that the tail names, in order of first use.  The tail is
+    one numpy structured element made of groups ``(axes, fields)``: an
+    array whose records hold the listed fields side by side.  Axes are
+    space-separated names of those counts and of "w", the trailing width,
+    which a field may also carry as its own last axis.
     """
 
-    def __init__(self, tag, cls, head, tail=(), entries=False):
-        self.tag, self.cls, self.tail, self.entries = tag, cls, tail, entries
-        self.names = [f.name for f in fields(cls) if f.name not in dict(self.tail)]
-        self.head = struct.Struct(head + "I" * bool(self.tail))
+    def __init__(self, tag, cls, head, tail=()):
+        self.tag, self.cls = tag, cls
+        self.tail = [
+            (axes.split(), [(field, dt, inner) for field, dt, *inner in group])
+            for axes, group in tail
+        ]
+        self.fields = [field for _, group in self.tail for field, _, _ in group]
+        self.names = [f.name for f in fields(cls) if f.name not in self.fields]
+        self.counts = list(
+            dict.fromkeys(a for axes, _ in self.tail for a in axes if a != "w")
+        )
+        self.head = struct.Struct(head + "I" * len(self.counts))
 
-    def layout(self, count: int, width: int) -> tuple[list, tuple, int]:
-        """Tail fields and shape, and the payload size, known before a dtype."""
-        if self.entries:
-            shapes, shape = [()] * (len(self.tail) - 1) + [(width,)], (count,)
-        else:
-            shapes, shape = [(count,), (width,)][: len(self.tail)], ()
-        items = [(f, dt, s) for (f, dt), s in zip(self.tail, shapes)]
-        row = sum(np.dtype(dt).itemsize * math.prod(s) for _, dt, s in items)
-        return items, shape, 1 + self.head.size + row * math.prod(shape)
+    def size(self, sizes: dict) -> int:
+        """Payload bytes (tag, head and tail) for the given axis extents."""
+        return 1 + self.head.size + sum(
+            math.prod(sizes[a] for a in axes)
+            * sum(
+                np.dtype(dt).itemsize * math.prod(sizes[a] for a in inner)
+                for _, dt, inner in group
+            )
+            for axes, group in self.tail
+        )
+
+    def dtype(self, sizes: dict) -> np.dtype:
+        """The tail as one structured element, group g in field str(g)."""
+        return np.dtype([
+            (str(g), [(field, dt, tuple(sizes[a] for a in inner))
+                      for field, dt, inner in group],
+             tuple(sizes[a] for a in axes))
+            for g, (axes, group) in enumerate(self.tail)
+        ])
 
 
 _SPECS = {
@@ -187,13 +214,15 @@ _SPECS = {
     for spec in (
         _Spec(MSG_HELLO, Hello, "<HIIBdQQQ"),
         _Spec(MSG_HELLO_ACK, HelloAck, "<I"),
-        _Spec(MSG_DF_VECTOR, DfVector, "<", [("counts", "<u4")]),
-        _Spec(MSG_FILTER_QUERY, FilterQuery, "<I", [("indexes", "<u4"), ("z", "<f8")]),
+        _Spec(MSG_DF_VECTOR, DfVector, "<", [("n", [("counts", "<u4")])]),
+        _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",
+              [("c", [("indexes", "<u4")]), ("w", [("z", "<f8")])]),
         _Spec(MSG_FILTER_REPLY, FilterReply, "<I",
-              [("s", "<f8"), ("norm_v2", "<f8"), ("t", "<f8")], entries=True),
-        _Spec(MSG_FULL_QUERY, FullQuery, "<I", [("survivor_ids", "<u4"), ("z", "<f8")]),
+              [("m", [("s", "<f8"), ("norm_v2", "<f8"), ("t", "<f8", "w")])]),
+        _Spec(MSG_FULL_QUERY, FullQuery, "<I",
+              [("k", [("survivor_ids", "<u4")]), ("w", [("z", "<f8")])]),
         _Spec(MSG_FULL_REPLY, FullReply, "<I",
-              [("doc_ids", "<u4"), ("s", "<f8"), ("t", "<f8")], entries=True),
+              [("k", [("doc_ids", "<u4"), ("s", "<f8")]), ("k_new w", [("t", "<f8")])]),
         _Spec(MSG_BYE, Bye, "<"),
     )
 }
@@ -206,24 +235,32 @@ def encode_message(msg: _Message) -> bytes:
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
     name = spec.cls.__name__
-    values = [np.asarray(getattr(msg, field)) for field, _ in spec.tail]
-    count = values[0].shape[0] if values and values[0].ndim else 0
-    width = values[-1].shape[-1] if values and values[-1].ndim else 0
-    items, shape, size = spec.layout(count, width)
+    values = {field: np.asarray(getattr(msg, field)) for field in spec.fields}
+    # each axis takes its extent from the first array that has it
+    sizes = {}
+    for axes, group in spec.tail:
+        for field, _, inner in group:
+            for axis, extent in zip(axes + inner, values[field].shape):
+                sizes.setdefault(axis, extent)
+    sizes = {axis: sizes.get(axis, 0) for axis in spec.counts + ["w"]}
+    size = spec.size(sizes)
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
     try:
         head = struct.pack("<IB", size, spec.tag) + spec.head.pack(
-            *(getattr(msg, field) for field in spec.names), *([count] if values else [])
+            *(getattr(msg, field) for field in spec.names),
+            *(sizes[count] for count in spec.counts),
         )
     except struct.error as exc:
         raise FrameError(f"{name} header cannot carry its fields: {exc}") from None
-    tail = np.empty(shape, np.dtype(items))
-    for value, (field, dt, _) in zip(values, items):
-        if value.shape != tail[field].shape or not _fits(value, dt):
-            want = f"{dt} of shape {tail[field].shape}"
-            raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
-        tail[field] = value
+    tail = np.empty((), spec.dtype(sizes))
+    for g, (_, group) in enumerate(spec.tail):
+        for field, dt, _ in group:
+            part, value = tail[str(g)][field], values[field]
+            if value.shape != part.shape or not _fits(value, dt):
+                want = f"{dt} of shape {part.shape}"
+                raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
+            part[...] = value
     return b"".join((head, tail))
 
 
@@ -245,16 +282,19 @@ def decode_message(frame: bytes) -> _Message:
     body = memoryview(frame)[HEADER_SIZE + 1 :]
     if len(body) < spec.head.size:
         raise FrameError(f"{name}: body of {len(body)} bytes is too short")
-    scalars = list(spec.head.unpack_from(body))
-    count = scalars.pop() if spec.tail else 0
+    scalars = spec.head.unpack_from(body)
+    sizes = dict(zip(spec.counts, scalars[len(spec.names) :]))
     # the payload takes base + width * step bytes; solve for the width
-    base = spec.layout(count, 0)[2]
-    step = spec.layout(count, 1)[2] - base
+    base = spec.size({**sizes, "w": 0})
+    step = spec.size({**sizes, "w": 1}) - base
     width, odd = divmod(declared - base, step) if step else (0, declared - base)
-    if width < 0 or odd:
-        raise FrameError(f"{name}: {declared} payload bytes do not fit count {count}")
-    items, shape, _ = spec.layout(count, width)
-    tail = np.ndarray(shape, np.dtype(items), buffer=body, offset=spec.head.size)
-    arrays = {f: tail[f].astype(np.int64 if dt == "<u4" else np.float64)
-              for f, dt, _ in items}
+    if width < 0 or odd or (step and not width):
+        raise FrameError(f"{name}: {declared} payload bytes do not fit counts {sizes}")
+    sizes["w"] = width
+    tail = np.ndarray((), spec.dtype(sizes), buffer=body, offset=spec.head.size)
+    arrays = {
+        field: tail[str(g)][field].astype(np.int64 if dt == "<u4" else np.float64)
+        for g, (_, group) in enumerate(spec.tail)
+        for field, dt, _ in group
+    }
     return spec.cls(**dict(zip(spec.names, scalars)), **arrays)

@@ -10,23 +10,28 @@ counts), each query runs filter-then-refine:
    projected squared norm.  Alice recovers each f-dimensional product and
    keeps only documents whose similarity upper bound reaches the tolerance.
 2. Survivor ids go back with the full-width masked query; Bob answers with
-   full product pieces; the recovered products are exact cosines (documents
-   are unit vectors) and decide similarity.
+   s = z . v_j for every survivor and t_j = A^T v_j for the survivors whose
+   t he has not sent before in this session; the recovered products are
+   exact cosines (documents are unit vectors) and decide similarity.
 
 BASE skips step 1 and treats every document as a survivor.  One fresh secret
 mask per query and step; the same masked vector serves all of Bob's
 documents for that query.  Survivor ids necessarily reveal to Bob which of
 his documents passed the filter; LF and HF additionally reveal the chosen
-dimension indexes of each query.
+dimension indexes of each query.  Sending t_j once per session rather
+than with every reply (protocol version 2) discloses nothing new: t_j does
+not depend on the query, and version 1 sent the same values on every query
+that j survived.
 
 Both rounds are computed with array operations.  Bob packs his corpus once
 into CSR arrays and answers a filter query with one projection of the whole
-corpus.  In the full round, t_j = A^T v_j does not depend on the query, so
-Bob computes it the first time document j survives and reuses it for the
-rest of the session; only s_j = z . v_j is computed per query.  Alice masks
-the full-width vectors of all her queries with one pass over A (A R, R
-stacking the per-query masks), made the first time a query reaches the full
-round, and recovers and bounds all pairs of a query at once.  A session's
+corpus.  In the full round Bob keeps one flag per document for "t sent",
+computes t_j only the first time document j survives, and s_j = z . v_j
+per query.  Alice masks the full-width vectors of all her queries with one
+pass over A (A R, R stacking the per-query masks), made the first time a
+query reaches the full round.  For each t_j that arrives she keeps only
+t_j R, one float per query, and recovers pair (q, j) as s_j - (t_j R)_q;
+she bounds and recovers all pairs of a query at once.  A session's
 outcome is two queries x targets arrays: the recovered cosines (NaN for a
 pair the filter dismissed) and the similar mask.
 """
@@ -84,7 +89,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,13 @@ class BobResponder:
     norms; under RP and GF the index set is fixed, so P, t and the norms
     are computed once per session.
 
+    In the full round, t_j = A^T v_j is computed and sent the first time
+    document j survives; ``_sent`` marks those documents.
+
     ``scalar_mult_count`` tallies the multiplications of the
     paper's cost model: nnz * (1 + cols) per document response, plus nnz
     for its projected norm in the filter round, whether or not t was
-    computed earlier in the session.
+    computed and sent earlier in the session.
     """
 
     def __init__(self, vectors: list[DocumentVector], dims: int | None = None):
@@ -307,7 +315,7 @@ class BobResponder:
         self._whole: np.ndarray | None = None
         self._session_set: FeatureIndexSet | None = None
         self._session_filter: tuple | None = None
-        self._t_memo: dict[int, np.ndarray] = {}
+        self._sent = np.zeros(self.doc_count, dtype=bool)
 
     def serve(self, transport) -> None:
         """Answer frames until Bye or transport loss."""
@@ -423,17 +431,6 @@ class BobResponder:
             query_id=msg.query_id, s=projected @ msg.z, norm_v2=norm_v2, t=t
         )
 
-    def _transposed(self, doc: int) -> np.ndarray:
-        """t_j = A^T v_j, computed once per session."""
-        t = self._t_memo.get(doc)
-        if t is None:
-            lo, hi = self._indptr[doc], self._indptr[doc + 1]
-            t = self._matrix.transpose_apply(
-                self._indices[lo:hi], self._weights[lo:hi]
-            )
-            self._t_memo[doc] = t
-        return t
-
     def _on_full_query(self, msg: FullQuery) -> FullReply:
         config = self.config
         if msg.z.size != config.n:
@@ -441,6 +438,8 @@ class BobResponder:
         ids = msg.survivor_ids
         if ids.size and (ids.min() < 0 or ids.max() >= self.doc_count):
             raise ProtocolError("survivor id outside the corpus")
+        if np.unique(ids).size != ids.size:
+            raise ProtocolError("duplicate survivor id")
         # s_j = z . v_j as one segmented sum over the survivors' packed entries
         starts = self._indptr[ids]
         counts = self._indptr[ids + 1] - starts
@@ -453,9 +452,14 @@ class BobResponder:
             weights=msg.z[self._indices[entries]] * self._weights[entries],
             minlength=ids.size,
         )
-        t = np.empty((ids.size, self._matrix.cols))
-        for i, doc in enumerate(ids.tolist()):
-            t[i] = self._transposed(doc)
+        new = ~self._sent[ids]
+        self._sent[ids] = True
+        fresh = new[owner]
+        t = self._matrix.transpose_apply_packed(
+            np.concatenate(([0], np.cumsum(counts[new]))),
+            self._indices[entries[fresh]],
+            self._weights[entries[fresh]],
+        )
         self.scalar_mult_count += owner.size * (1 + self._matrix.cols)
         return FullReply(query_id=msg.query_id, doc_ids=ids.copy(), s=s, t=t)
 
@@ -493,6 +497,9 @@ class AliceSession:
         # full-round masked vectors and secret masks, one column per query
         self._full_z: np.ndarray | None = None
         self._full_r: np.ndarray | None = None
+        # row j holds t_j R once t_j has arrived (known[j])
+        self._tr = np.empty((0, len(queries)))
+        self._known = np.zeros(0, dtype=bool)
         if config.method.per_query:
             logger.warning(
                 "method %s sends each query's chosen dimension indexes to the "
@@ -537,6 +544,8 @@ class AliceSession:
         shape = (len(self.queries), self.target_count)
         self.cosines = np.full(shape, np.nan)
         self.similar = np.zeros(shape, dtype=bool)
+        self._tr = np.empty((self.target_count, len(self.queries)))
+        self._known = np.zeros(self.target_count, dtype=bool)
 
     def _query_index_set(self, query: DocumentVector) -> tuple[FeatureIndexSet, bool]:
         """The index set for this query and whether it travels on the wire."""
@@ -606,11 +615,21 @@ class AliceSession:
             raise ProtocolError("full reply does not match the query")
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
-        if reply.t.shape[1:] != (r.shape[0],):
+        new = survivors[~self._known[survivors]]
+        if len(reply.t) != new.size:
             raise ProtocolError(
-                f"full reply t has shape {reply.t.shape}, expected width {r.shape[0]}"
+                f"full reply carries {len(reply.t)} t rows for {new.size} new survivors"
             )
-        recovered = recover(reply.s, reply.t, r[:, query_id])
+        if new.size:
+            if reply.t.shape[1:] != (r.shape[0],):
+                raise ProtocolError(
+                    f"full reply t has shape {reply.t.shape}, "
+                    f"expected width {r.shape[0]}"
+                )
+            self._tr[new] = reply.t @ r
+            self._known[new] = True
+        # a NaN or infinite s or new t entry makes its pair's product non-finite
+        recovered = reply.s - self._tr[survivors, query_id]
         if not np.isfinite(recovered).all():
             raise ProtocolError("full reply carries a non-finite value")
         return recovered

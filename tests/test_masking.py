@@ -9,6 +9,7 @@ from ssdd.masking import SharedRandomMatrix, mask, recover, respond
 from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
+from ssdd.corpus import build_document_vector
 from ssdd.vectors import DocumentVector
 
 from conftest import random_document
@@ -87,6 +88,34 @@ class TestSharedRandomMatrix:
         monkeypatch.setattr(streamed, "row_block", counting)
         streamed.matvec(np.ones((streamed.cols, 5)))
         assert sum(generated) == streamed.rows
+
+    def test_transpose_apply_packed_matches_per_vector(self, monkeypatch):
+        """Row i of the batch is A^T v_i; a streamed matrix generates each
+        distinct row once, one chunk at a time."""
+        rng = np.random.default_rng(3)
+        docs = [random_document(rng, 57, int(rng.integers(1, 12))) for _ in range(6)]
+        docs.insert(2, build_document_vector({}, 57))
+        indptr = np.concatenate(([0], np.cumsum([d.nnz for d in docs])))
+        indices = np.concatenate([d.indices for d in docs])
+        weights = np.concatenate([d.weights for d in docs])
+        cached, streamed = SharedRandomMatrix(13, 57), streamed_matrix(13, 57)
+        expected = [cached.transpose_apply(d.indices, d.weights) for d in docs]
+        monkeypatch.setattr(masking, "STREAM_CHUNK_ENTRIES", 3 * cached.cols)
+        generated = []
+        rows_for = streamed.rows_for
+
+        def counting(rows):
+            generated.append(rows.tolist())
+            return rows_for(rows)
+
+        monkeypatch.setattr(streamed, "rows_for", counting)
+        for matrix in (cached, streamed):
+            t = matrix.transpose_apply_packed(indptr, indices, weights)
+            np.testing.assert_allclose(t, expected, rtol=0, atol=1e-12)
+            none = matrix.transpose_apply_packed(np.zeros(1, np.int64), indices[:0], weights[:0])
+            assert none.shape == (0, cached.cols)
+        assert all(len(rows) <= 3 for rows in generated)
+        assert sum(generated, []) == np.unique(indices).tolist()
 
     def test_matvec_rejects_bad_mask_shapes(self):
         for matrix in (SharedRandomMatrix(3, 8), streamed_matrix(3, 8)):

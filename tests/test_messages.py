@@ -73,12 +73,13 @@ def random_message(rng: np.random.Generator):
         )
     if kind == 6:
         k = int(rng.integers(0, 15))
+        k_new = int(rng.integers(0, k + 1))
         cols = int(rng.integers(1, 40))
         return FullReply(
             query_id=int(rng.integers(0, 1000)),
             doc_ids=np.sort(rng.choice(100, k, replace=False)).astype(np.int64),
             s=rng.standard_normal(k),
-            t=rng.standard_normal((k, cols)),
+            t=rng.standard_normal((k_new, cols)),
         )
     return Bye()
 
@@ -187,34 +188,57 @@ class TestFrozenLayouts:
         )
 
     def test_full_reply_layout(self):
+        """Header, {doc_id, s} per survivor, then the new survivors' t rows."""
         msg = FullReply(
             query_id=9,
-            doc_ids=np.array([4, 11], dtype=np.int64),
-            s=np.array([0.75, -1.25]),
+            doc_ids=np.array([4, 11, 12], dtype=np.int64),
+            s=np.array([0.75, -1.25, 2.0]),
             t=np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 0.5]]),
         )
         body = (
-            struct.pack("<II", 9, 2)
+            struct.pack("<III", 9, 3, 2)
             + struct.pack("<Id", 4, 0.75)
-            + struct.pack("<ddd", 1.0, 2.0, 3.0)
             + struct.pack("<Id", 11, -1.25)
+            + struct.pack("<Id", 12, 2.0)
+            + struct.pack("<ddd", 1.0, 2.0, 3.0)
             + struct.pack("<ddd", -4.0, 0.0, 0.5)
         )
-        assert encode_message(msg) == (
+        assert MSG_FULL_REPLY == 0x22
+        frame = encode_message(msg)
+        assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
         )
+        assert decode_message(frame) == msg
+
+    def test_full_reply_layout_without_t(self):
+        """Every survivor's t already crossed: k_new is 0 and no t follows."""
+        msg = FullReply(
+            query_id=2,
+            doc_ids=np.array([0, 7], dtype=np.int64),
+            s=np.array([0.5, -0.5]),
+            t=np.empty((0, 3)),
+        )
+        body = struct.pack("<III", 2, 2, 0) + struct.pack("<IdId", 0, 0.5, 7, -0.5)
+        frame = encode_message(msg)
+        assert frame == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
+        )
+        again = decode_message(frame)
+        assert again == msg and again.t.shape[0] == 0
+        np.testing.assert_array_equal(again.doc_ids, [0, 7])
 
     def test_full_reply_entry_size(self):
-        """For 4-dimensional vectors each entry is 4 + 8 + ceil(4/2)*8 bytes."""
-        k, cols = 3, 2
+        """For 4-dimensional vectors each survivor takes 4 + 8 bytes and each
+        new t row ceil(4/2)*8 bytes."""
+        k, k_new, cols = 3, 2, 2
         msg = FullReply(
             query_id=9,
             doc_ids=np.arange(k, dtype=np.int64),
             s=np.zeros(k),
-            t=np.zeros((k, cols)),
+            t=np.zeros((k_new, cols)),
         )
         frame = encode_message(msg)
-        body_len = 8 + k * (4 + 8 + cols * 8)
+        body_len = 12 + k * (4 + 8) + k_new * cols * 8
         assert len(frame) == 4 + 1 + body_len
         assert struct.unpack_from("<I", frame)[0] == 1 + body_len
 
@@ -276,6 +300,39 @@ class TestRejection:
         with pytest.raises(FrameError):
             decode_message(frame)
 
+    def test_version_1_full_reply_tag_is_unknown(self):
+        """Tag 0x21 carried a t with every survivor; version 2 has no such
+        message."""
+        body = struct.pack("<II", 9, 1) + struct.pack("<Idd", 4, 0.75, 1.0)
+        frame = struct.pack("<I", 1 + len(body)) + bytes([0x21]) + body
+        with pytest.raises(ProtocolError, match="0x21"):
+            decode_message(frame)
+
+    @pytest.mark.parametrize(
+        "t_values", [0, 9], ids=["no-rows", "three-rows-of-three"]
+    )
+    def test_full_reply_t_rows_disagree_with_header(self, t_values):
+        """The header announces two t rows; the body holds none, or nine
+        values that two equal rows cannot hold."""
+        body = (
+            struct.pack("<III", 1, 2, 2)
+            + struct.pack("<IdId", 0, 0.5, 1, 0.25)
+            + struct.pack(f"<{t_values}d", *range(t_values))
+        )
+        frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
+        with pytest.raises(FrameError):
+            decode_message(frame)
+
+    def test_full_reply_t_width_mismatch(self):
+        """A t block one value short of two rows of equal width."""
+        msg = FullReply(
+            query_id=1, doc_ids=np.array([0, 1]), s=np.zeros(2), t=np.ones((2, 3))
+        )
+        frame = bytearray(encode_message(msg)[:-8])
+        frame[0:4] = struct.pack("<I", len(frame) - 4)
+        with pytest.raises(FrameError):
+            decode_message(bytes(frame))
+
     def test_empty_frame(self):
         with pytest.raises(FrameError):
             decode_message(b"")
@@ -334,6 +391,7 @@ class TestUnrepresentableValues:
             FilterReply(query_id=0, s=np.zeros(2), norm_v2=np.zeros(2), t=np.zeros((3, 4))),
             FilterReply(query_id=0, s=np.zeros(2), norm_v2=np.zeros(2), t=np.zeros(2)),
             FullReply(query_id=0, doc_ids=np.arange(2), s=np.zeros(1), t=np.zeros((2, 1))),
+            FullReply(query_id=0, doc_ids=np.arange(2), s=np.zeros(2), t=np.zeros(2)),
         ]
         for msg in bad:
             with pytest.raises(FrameError, match="shape"):

@@ -8,7 +8,7 @@ import pytest
 
 from ssdd.bench import REPORT_COLUMNS, row_from_report, run_bench, write_report_csv
 from ssdd.corpus import build_document_vector, split_queries
-from ssdd.errors import RangeError
+from ssdd.errors import DimensionError, RangeError
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.session import (
     DetectionReport,
@@ -17,6 +17,7 @@ from ssdd.protocol.session import (
     run_local_detection,
 )
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import dot
 
 from conftest import synth_corpus
 
@@ -35,6 +36,29 @@ class TestOracle:
         result = oracle_detect(alice, bob, 0.0)
         assert result.pairs == frozenset()
         assert result.cosines[(0, 0)] == 0.0
+
+    def test_matches_per_pair_dot_reference(self):
+        """The array oracle equals one dot per pair within 1e-15; away from
+        the tolerance it finds the same pairs."""
+        corpus = synth_corpus(n_docs=80, dims=700, seed=9, mean_terms=60)
+        alice = corpus.vectors[:12] + [build_document_vector({}, 700)]
+        bob = corpus.vectors[4:] + [build_document_vector({}, 700)]
+        epsilon = 0.2
+        reference = {}
+        for qi, u in enumerate(alice):
+            for ti, v in enumerate(bob):
+                degenerate = u.degenerate or v.degenerate
+                reference[(qi, ti)] = 0.0 if degenerate else dot(u, v)
+        result = oracle_detect(alice, bob, epsilon)
+        assert result.cosines.keys() == reference.keys()
+        gap = max(abs(result.cosines[p] - c) for p, c in reference.items())
+        assert gap <= 1e-15
+        clear = {p for p, c in reference.items() if abs(c - epsilon) > 1e-12}
+        expected = {p for p in clear if reference[p] >= epsilon}
+        assert result.pairs & clear == expected
+        assert 8 < len(expected) < len(clear) / 2
+        with pytest.raises(DimensionError):
+            oracle_detect(alice, [build_document_vector({0: 1}, 701)], epsilon)
 
     def test_tolerance_is_inclusive(self):
         u = build_document_vector({0: 1, 1: 1}, 2)

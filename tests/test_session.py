@@ -73,8 +73,10 @@ class TestSessionConfig:
             SessionConfig(n=4, epsilon=0.8, method=SelectionMethod.RP, f=5)
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, matrix_seed=-1)
-        with pytest.raises(RangeError):
-            SessionConfig(n=4, epsilon=0.8, protocol_version=2)
+        for version in (1, 3):
+            with pytest.raises(RangeError):
+                SessionConfig(n=4, epsilon=0.8, protocol_version=version)
+        assert SessionConfig(n=4, epsilon=0.8, protocol_version=2).protocol_version == 2
 
     def test_base_needs_no_budget(self):
         config = SessionConfig(n=4, epsilon=0.5)
@@ -85,6 +87,17 @@ class TestSessionConfig:
         bad = type(hello)(**{**hello.__dict__, "method": 9})
         with pytest.raises(ProtocolError):
             SessionConfig.from_hello(bad)
+
+    def test_version_1_hello_is_refused(self):
+        """A version-1 peer expects every t with every reply; the responder
+        refuses it at the handshake."""
+        hello = dataclasses.replace(config_for(SelectionMethod.BASE).hello(), version=1)
+        with pytest.raises(ProtocolError, match="version"):
+            SessionConfig.from_hello(hello)
+        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        with pytest.raises(ProtocolError, match="version"):
+            responder.handle(hello)
+        assert responder.config is None
 
     def test_from_hello_rejects_bad_version(self):
         hello = config_for(SelectionMethod.RP).hello()
@@ -585,6 +598,15 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="BASE"):
             responder.handle(query)
 
+    def test_duplicate_survivor_id(self):
+        responder, config = self.make(docs=2)
+        responder.handle(config.hello())
+        query = FullQuery(
+            query_id=0, survivor_ids=np.array([1, 1], dtype=np.int64), z=np.zeros(6)
+        )
+        with pytest.raises(ProtocolError, match="duplicate survivor"):
+            responder.handle(query)
+
     def test_survivor_id_out_of_range(self):
         responder, config = self.make(docs=2)
         responder.handle(config.hello())
@@ -663,14 +685,20 @@ class TestResponderMatchesRespond:
             assert reply.norm_v2[j] == pytest.approx(values @ values, abs=1e-12)
             np.testing.assert_allclose(reply.t[j], t, rtol=0, atol=1e-12)
 
-    def assert_full_reply(self, reply, docs, ids, config, z):
+    def assert_full_reply(self, reply, docs, ids, config, z, sent):
+        """s for every survivor; t, in survivor order, only for the survivors
+        not in ``sent``, which then joins it."""
         matrix = SharedRandomMatrix(config.matrix_seed, config.n)
         np.testing.assert_array_equal(reply.doc_ids, ids)
-        assert reply.t.shape == (len(ids), matrix.cols)
+        new = [doc_id for doc_id in ids if doc_id not in sent]
+        assert reply.t.shape == (len(new), matrix.cols)
         for i, doc_id in enumerate(ids):
-            s, t = respond(z, docs[doc_id], matrix)
+            s, _ = respond(z, docs[doc_id], matrix)
             assert reply.s[i] == pytest.approx(s, abs=1e-12)
-            np.testing.assert_allclose(reply.t[i], t, rtol=0, atol=1e-12)
+        for row, doc_id in enumerate(new):
+            _, t = respond(z, docs[doc_id], matrix)
+            np.testing.assert_allclose(reply.t[row], t, rtol=0, atol=1e-12)
+        sent.update(new)
 
     @pytest.mark.parametrize(
         "method",
@@ -702,30 +730,68 @@ class TestResponderMatchesRespond:
             reply = responder.handle(FilterQuery(query_id=query_id, indexes=wire, z=z))
             self.assert_filter_reply(reply, docs, index_set, config, z)
 
-    def test_full_replies_compute_each_transpose_once(self, monkeypatch):
+    def full_replies(self, monkeypatch):
+        """Four full queries with repeating survivors; returns the t rows Bob
+        computed and the documents whose t he sent."""
         config = self.config(SelectionMethod.BASE)
         docs = _equivalence_corpus(np.arange(F_EQ))
         responder = BobResponder(docs, dims=N_EQ)
         responder.handle(config.hello())
-        calls = []
-        transpose_apply = SharedRandomMatrix.transpose_apply
+        computed = []
+        transpose_apply_packed = SharedRandomMatrix.transpose_apply_packed
 
-        def counting(matrix, indices, weights):
-            calls.append(indices.size)
-            return transpose_apply(matrix, indices, weights)
+        def counting(matrix, indptr, indices, weights):
+            t = transpose_apply_packed(matrix, indptr, indices, weights)
+            computed.extend(t)
+            return t
 
-        monkeypatch.setattr(SharedRandomMatrix, "transpose_apply", counting)
+        monkeypatch.setattr(SharedRandomMatrix, "transpose_apply_packed", counting)
         rng = np.random.default_rng(6)
         survivor_sets = ([0, 3, 10, 11], [3, 4], [], [11, 0, 3, 4])
-        computed = 0
+        sent = set()
         for query_id, ids in enumerate(survivor_sets):
             ids = np.array(ids, dtype=np.int64)
             z = rng.uniform(-3, 3, N_EQ)
-            calls.clear()
             reply = responder.handle(FullQuery(query_id=query_id, survivor_ids=ids, z=z))
-            computed += len(calls)
-            self.assert_full_reply(reply, docs, ids, config, z)
-        assert computed == len({0, 3, 4, 10, 11})
+            self.assert_full_reply(reply, docs, ids, config, z, sent)
+        return computed, sent
+
+    def test_full_replies_compute_each_transpose_once(self, monkeypatch):
+        """Each distinct survivor's t is computed, and sent, exactly once."""
+        computed, sent = self.full_replies(monkeypatch)
+        assert sent == {0, 3, 4, 10, 11}
+        assert len(computed) == len(sent)
+
+    def test_streamed_full_replies_generate_each_row_once(self, monkeypatch):
+        """Without a materialized A, a batch of new t rows generates each
+        distinct row of A it needs once."""
+        monkeypatch.setattr(masking, "MATERIALIZE_LIMIT_ENTRIES", 0)
+        rows, handling = [], []
+        rows_for, handle = SharedRandomMatrix.rows_for, BobResponder.handle
+
+        def counting(matrix, indices):
+            if handling:  # Bob's rows, not those of the respond() reference
+                rows.extend(np.asarray(indices).tolist())
+            return rows_for(matrix, indices)
+
+        def bob_handle(responder, msg):
+            handling.append(msg)
+            try:
+                return handle(responder, msg)
+            finally:
+                handling.pop()
+
+        monkeypatch.setattr(SharedRandomMatrix, "rows_for", counting)
+        monkeypatch.setattr(BobResponder, "handle", bob_handle)
+        computed, sent = self.full_replies(monkeypatch)
+        assert len(computed) == len(sent) == 5
+        docs = _equivalence_corpus(np.arange(F_EQ))
+        batches = ([0, 3, 10, 11], [4])
+        expected = [
+            np.unique(np.concatenate([docs[d].indices for d in batch])).tolist()
+            for batch in batches
+        ]
+        assert rows == expected[0] + expected[1]
 
     @pytest.mark.parametrize(
         "method", [SelectionMethod.RP, SelectionMethod.LF], ids=lambda m: m.name
@@ -939,15 +1005,15 @@ class TestReportArrays:
 
 class ReshapedBob(BobResponder):
     """An honest responder that then replaces ``t`` in each reply of type
-    ``kind`` by ``reshape(t)``."""
+    ``kind``, or only in its reply to ``query_id``, by ``reshape(t)``."""
 
-    def __init__(self, vectors, dims, kind, reshape):
+    def __init__(self, vectors, dims, kind, reshape, query_id=None):
         super().__init__(vectors, dims=dims)
-        self.kind, self.reshape = kind, reshape
+        self.kind, self.reshape, self.query_id = kind, reshape, query_id
 
     def handle(self, msg):
         reply = super().handle(msg)
-        if isinstance(reply, self.kind):
+        if isinstance(reply, self.kind) and self.query_id in (None, reply.query_id):
             reply = dataclasses.replace(reply, t=self.reshape(reply.t))
         return reply
 
@@ -988,15 +1054,108 @@ class TestWrongWidthReplies:
 
 
 class RecordingBob(BobResponder):
-    """An honest responder that keeps every message it handles."""
+    """An honest responder that keeps every message it handles and every
+    reply it gives."""
 
     def __init__(self, vectors, dims):
         super().__init__(vectors, dims=dims)
         self.received = []
+        self.replies = []
 
     def handle(self, msg):
         self.received.append(msg)
+        self.replies.append(super().handle(msg))
+        return self.replies[-1]
+
+
+class ForgetfulBob(BobResponder):
+    """Forgets which t it sent, so every full reply carries every survivor's
+    t, as in protocol version 1."""
+
+    def handle(self, msg):
+        self._sent[:] = False
         return super().handle(msg)
+
+
+class TestTransposeOncePerSession:
+    """Each t_j = A^T v_j crosses the wire once per session; Alice aborts,
+    keeping the rows she finished, on a reply that resends a t she holds,
+    omits a new one, or carries a non-finite one."""
+
+    def setup_method(self):
+        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        # under LF, query 0 and 2 survive with target 0 only, query 1 with
+        # target 4 only: query 1 brings a new t, query 2 none
+        self.queries = [self.docs[0], self.docs[4], self.docs[0]]
+        self.lf = config_for(SelectionMethod.LF, n=40, f=8)
+
+    def test_lf_survivors(self):
+        bob = RecordingBob(self.docs, 40)
+        report = run_against(bob, self.queries, self.lf)
+        assert not report.aborted and report.decided == 3
+        full = [m for m in bob.replies if isinstance(m, FullReply)]
+        assert [m.doc_ids.tolist() for m in full] == [[0], [4], [0]]
+        assert [len(m.t) for m in full] == [1, 1, 0]
+        assert report.similar_pairs() == [(0, 0), (1, 4), (2, 0)]
+
+    def assert_aborted_after(self, report, decided):
+        assert report.aborted
+        assert report.decided == decided
+        assert report.similar_pairs() == [(0, 0), (1, 4)][:decided]
+        assert np.isnan(report.cosines[decided:]).all()
+
+    def test_resent_t(self):
+        config = config_for(SelectionMethod.BASE, n=40)
+        report = run_against(ForgetfulBob(self.docs, 40), self.docs[:2], config)
+        assert report.aborted and report.decided == 1
+        assert report.similar_pairs() == [(0, 0)]
+        report = run_against(ForgetfulBob(self.docs, 40), self.queries, self.lf)
+        self.assert_aborted_after(report, 2)
+
+    def test_omitted_t(self):
+        bob = ReshapedBob(self.docs, 40, FullReply, lambda t: t[:0], query_id=1)
+        self.assert_aborted_after(run_against(bob, self.queries, self.lf), 1)
+
+    @NON_FINITE
+    def test_non_finite_t_on_first_sight(self, value):
+        bob = PoisonedBob(self.docs, 40, FullReply, "t", value, query_id=1)
+        self.assert_aborted_after(run_against(bob, self.queries, self.lf), 1)
+
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.LF, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_repeating_survivors_get_each_t_once(self, small_corpus, method):
+        query_ids, target_ids = split_queries(small_corpus, k=5, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids] * 2
+        targets = [small_corpus.vectors[i] for i in target_ids]
+        config = config_for(method, epsilon=0.3)
+        bob = RecordingBob(targets, config.n)
+        report = run_against(bob, queries, config)
+        assert not report.aborted and report.decided == len(queries)
+        assert compare_results(report, oracle_detect(queries, targets, 0.3)).ok
+        seen = set()
+        survivors = 0
+        for reply in (m for m in bob.replies if isinstance(m, FullReply)):
+            ids = reply.doc_ids.tolist()
+            new = [j for j in ids if j not in seen]
+            assert reply.t.shape == (len(new), (config.n + 1) // 2)
+            seen.update(ids)
+            survivors += len(ids)
+        assert survivors > len(seen) > 0
+
+    def test_base_traffic_formula(self, small_corpus):
+        """HelloAck, then per query a header and {doc_id, s} per target, plus
+        one t per target per session."""
+        query_ids, target_ids = split_queries(small_corpus, k=3, seed=5)
+        queries = [small_corpus.vectors[i] for i in query_ids]
+        targets = [small_corpus.vectors[i] for i in target_ids[:7]]
+        config = config_for(SelectionMethod.BASE)
+        report = run_detection_locally(queries, config, targets)
+        q, m, cols = len(queries), len(targets), (config.n + 1) // 2
+        hello_ack = 4 + 1 + 4
+        reply_head = 4 + 1 + 12
+        expected = hello_ack + q * (reply_head + m * (4 + 8)) + m * cols * 8
+        assert report.metrics.bytes_sent_bob == expected
 
 
 def expected_mask(config, query_id, step, cols):

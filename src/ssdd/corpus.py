@@ -135,14 +135,13 @@ class Corpus:
 def build_document_vector(counts: dict[int, int], dims: int) -> DocumentVector:
     """Unit L2-normalized weight vector from raw term counts.
 
-    An empty count map yields the zero vector with the degenerate flag set.
+    An empty count map yields the zero vector, which is degenerate.
     """
     if not counts:
         return DocumentVector(
             dims=dims,
             indices=np.empty(0, dtype=np.int64),
             weights=np.empty(0, dtype=np.float64),
-            degenerate=True,
         )
     indices = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
@@ -299,7 +298,6 @@ def load_cache(path: str | Path) -> Corpus:
                 dims=dims,
                 indices=indices.astype(np.int64),
                 weights=weights.astype(np.float64),
-                degenerate=nnz == 0,
             )
         )
     if off != len(data):

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DimensionError, RangeError
-from .vectors import DocumentVector
+from .vectors import DocumentVector, PackedDocs
 
 __all__ = [
     "SharedRandomMatrix",
@@ -127,38 +127,27 @@ class SharedRandomMatrix:
             out[start:stop] = self.row_block(start, stop) @ r
         return out
 
-    def transpose_apply(self, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """A^T v for sparse v, touching only the rows where v is nonzero."""
-        if len(indices) == 0:
-            return np.zeros(self.cols)
-        return weights @ self.rows_for(indices)
-
-    def transpose_apply_packed(
-        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
-    ) -> np.ndarray:
-        """Row i is A^T v_i for sparse v_i whose nonzeros are entries
-        ``indptr[i]:indptr[i + 1]`` of ``indices`` and ``weights``.
+    def transpose_apply_packed(self, docs: PackedDocs) -> np.ndarray:
+        """Row i is A^T v_i for document i of ``docs``.
 
         A materialized matrix gathers each vector's rows.  A streamed one
         generates each distinct row of the batch once, in chunks that keep
         both the rows and the dense weights applied to them within
         STREAM_CHUNK_ENTRIES entries.
         """
-        k = len(indptr) - 1
+        k = len(docs)
         t = np.zeros((k, self.cols))
         if self._full() is not None:
-            for i in range(k):
-                lo, hi = indptr[i], indptr[i + 1]
-                t[i] = self.transpose_apply(indices[lo:hi], weights[lo:hi])
+            for i, (indices, weights) in enumerate(docs):
+                t[i] = weights @ self.rows_for(indices)
             return t
-        rows, column = np.unique(indices, return_inverse=True)
-        owner = np.repeat(np.arange(k), np.diff(indptr))
+        rows, column = np.unique(docs.indices, return_inverse=True)
         chunk = max(1, STREAM_CHUNK_ENTRIES // max(self.cols, k))
         for start in range(0, rows.size, chunk):
             block = self.rows_for(rows[start : start + chunk])
             hit = (column >= start) & (column < start + chunk)
             w = np.zeros((k, block.shape[0]))
-            w[owner[hit], column[hit] - start] = weights[hit]
+            w[docs.owner[hit], column[hit] - start] = docs.weights[hit]
             t += w @ block
         return t
 
@@ -182,7 +171,7 @@ def respond(
         raise DimensionError(f"masked length {z.shape} != ({matrix.rows},)")
     if v.dims != matrix.rows:
         raise DimensionError(f"document dims {v.dims} != {matrix.rows}")
-    return float(z[v.indices] @ v.weights), matrix.transpose_apply(v.indices, v.weights)
+    return float(z[v.indices] @ v.weights), v.weights @ matrix.rows_for(v.indices)
 
 
 def recover(s: float | np.ndarray, t: np.ndarray, r: np.ndarray) -> float | np.ndarray:

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
 from .protocol.session import DetectionReport
-from .vectors import DocumentVector
+from .vectors import DocumentVector, pack
 
 __all__ = ["OracleResult", "ResultDiff", "oracle_detect", "compare_results"]
 
@@ -32,25 +31,11 @@ def oracle_detect(
     bob_docs: list[DocumentVector],
     epsilon: float,
 ) -> OracleResult:
-    q, m = len(alice_docs), len(bob_docs)
-    dims = {d.dims for d in alice_docs + bob_docs}
-    if len(dims) > 1:
-        raise DimensionError(f"documents disagree on dims: {sorted(dims)}")
-    queries = np.zeros((q, dims.pop() if dims else 0))
-    for i, u in enumerate(alice_docs):
-        queries[i, u.indices] = u.weights
-    indices = np.concatenate([v.indices for v in bob_docs] + [np.empty(0, np.int64)])
-    weights = np.concatenate([v.weights for v in bob_docs] + [np.empty(0)])
-    owner = np.repeat(np.arange(m), np.array([v.nnz for v in bob_docs], np.int64))
-    # one segmented sum: every query against every packed target entry
-    cosines = np.bincount(
-        (np.arange(q)[:, None] * m + owner).ravel(),
-        weights=(queries[:, indices] * weights).ravel(),
-        minlength=q * m,
-    ).reshape(q, m)
-    degenerate = np.array([d.degenerate for d in alice_docs + bob_docs], bool)
-    live = ~degenerate[:q, None] & ~degenerate[q:]
-    cosines[~live] = 0.0
+    dims = next((d.dims for d in alice_docs + bob_docs), 0)
+    queries, targets = pack(alice_docs, dims), pack(bob_docs, dims)
+    # a degenerate document has no entries, so its products are exactly 0
+    cosines = targets.dot(queries.dense())
+    live = (queries.nnz > 0)[:, None] & (targets.nnz > 0)
     pairs = frozenset(map(tuple, np.argwhere(live & (cosines >= epsilon)).tolist()))
     return OracleResult(
         epsilon=epsilon,

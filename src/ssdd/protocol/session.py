@@ -24,7 +24,7 @@ not depend on the query, and version 1 sent the same values on every query
 that j survived.
 
 Both rounds are computed with array operations.  Bob packs his corpus once
-into CSR arrays and answers a filter query with one projection of the whole
+(``PackedDocs``) and answers a filter query with one projection of the whole
 corpus.  In the full round Bob keeps one flag per document for "t sent",
 computes t_j only the first time document j survives, and s_j = z . v_j
 per query.  Alice masks the full-width vectors of all her queries with one
@@ -51,13 +51,12 @@ from ..masking import SharedRandomMatrix, mask, recover
 from ..selection import (
     SelectionMethod,
     aggregate_whole_vector,
-    packed_document_frequency,
     select_gf,
     select_hf,
     select_lf,
     select_rp,
 )
-from ..vectors import DocumentVector, FeatureIndexSet, project
+from ..vectors import DocumentVector, FeatureIndexSet, pack, project
 from .messages import (
     Bye,
     DfVector,
@@ -271,13 +270,10 @@ def _secret_mask(
 class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
-    One instance serves one session.  The corpus is packed once into CSR
-    arrays: document j's term indices and weights are
-    ``indices[indptr[j]:indptr[j + 1]]`` and the same slice of ``weights``.
-    A filter query is answered from the projection P (m x f) of the packed
-    corpus onto its index set: s = P z, t = P A_fs and the squared row
-    norms; under RP and GF the index set is fixed, so P, t and the norms
-    are computed once per session.
+    One instance serves one session.  A filter query is answered from the
+    projection P (m x f) of the packed corpus onto its index set: s = P z,
+    t = P A_fs and the squared row norms; under RP and GF the index set is
+    fixed, so P, t and the norms are computed once per session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.
@@ -297,17 +293,7 @@ class BobResponder:
             raise RangeError("an empty responder needs an explicit dims")
         self.dims = dims
         self.doc_count = len(vectors)
-        self._indptr = np.zeros(self.doc_count + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((v.nnz for v in vectors), np.int64, self.doc_count),
-            out=self._indptr[1:],
-        )
-        self._indices = np.concatenate(
-            [v.indices for v in vectors] + [np.empty(0, np.int64)]
-        )
-        self._weights = np.concatenate(
-            [v.weights for v in vectors] + [np.empty(0)]
-        )
+        self._docs = pack(vectors, dims)
         self.config: SessionConfig | None = None
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
@@ -373,7 +359,7 @@ class BobResponder:
             raise ProtocolError("duplicate df exchange")
         if len(msg.counts) != self.dims:
             raise ProtocolError("df vector has the wrong width")
-        mine = packed_document_frequency(self._indices, self.dims)
+        mine = self._docs.document_frequency()
         self._whole = aggregate_whole_vector(mine, msg.counts)
         if config.method is SelectionMethod.GF:
             self._session_set = select_gf(self._whole, config.f)
@@ -385,13 +371,7 @@ class BobResponder:
         Returns the projection P (m x f), t = P A_fs, the squared row norms
         of P, and its nonzero count.
         """
-        column = np.full(self.dims, -1, dtype=np.int64)
-        column[index_set.indexes] = np.arange(index_set.f)
-        entry_column = column[self._indices]
-        hits = np.flatnonzero(entry_column >= 0)
-        docs = np.searchsorted(self._indptr, hits, side="right") - 1
-        projected = np.zeros((self.doc_count, index_set.f))
-        projected[docs, entry_column[hits]] = self._weights[hits]
+        projected = project(self._docs, index_set)
         t = projected @ self._fs_matrix.row_block(0, index_set.f)
         norm_v2 = np.einsum("ij,ij->i", projected, projected)
         return projected, t, norm_v2, int(np.count_nonzero(projected))
@@ -440,27 +420,11 @@ class BobResponder:
             raise ProtocolError("survivor id outside the corpus")
         if np.unique(ids).size != ids.size:
             raise ProtocolError("duplicate survivor id")
-        # s_j = z . v_j as one segmented sum over the survivors' packed entries
-        starts = self._indptr[ids]
-        counts = self._indptr[ids + 1] - starts
-        owner = np.repeat(np.arange(ids.size), counts)
-        entries = np.arange(owner.size) + np.repeat(
-            starts - (np.cumsum(counts) - counts), counts
-        )
-        s = np.bincount(
-            owner,
-            weights=msg.z[self._indices[entries]] * self._weights[entries],
-            minlength=ids.size,
-        )
-        new = ~self._sent[ids]
+        survivors = self._docs.take(ids)
+        t = self._matrix.transpose_apply_packed(self._docs.take(ids[~self._sent[ids]]))
         self._sent[ids] = True
-        fresh = new[owner]
-        t = self._matrix.transpose_apply_packed(
-            np.concatenate(([0], np.cumsum(counts[new]))),
-            self._indices[entries[fresh]],
-            self._weights[entries[fresh]],
-        )
-        self.scalar_mult_count += owner.size * (1 + self._matrix.cols)
+        s = survivors.dot(msg.z)
+        self.scalar_mult_count += survivors.indices.size * (1 + self._matrix.cols)
         return FullReply(query_id=msg.query_id, doc_ids=ids.copy(), s=s, t=t)
 
 
@@ -478,6 +442,7 @@ class AliceSession:
             raise RangeError("query documents disagree with the session dims")
         self.config = config
         self.queries = queries
+        self._queries = pack(queries, config.n)
         self.transport = transport
         self.query_labels = list(range(len(queries))) if query_labels is None else query_labels
         self.metrics = SessionMetrics()
@@ -531,9 +496,7 @@ class AliceSession:
             raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
         method = self.config.method
         if method.needs_whole_vector:
-            indices = [q.indices for q in self.queries] + [np.empty(0, np.int64)]
-            mine = packed_document_frequency(np.concatenate(indices), self.config.n)
-            self._whole = secure_df_exchange(self, mine)
+            self._whole = secure_df_exchange(self, self._queries.document_frequency())
         if method is SelectionMethod.RP:
             self._session_set = select_rp(
                 self.config.rp_seed, self.config.n, self.config.f
@@ -559,7 +522,7 @@ class AliceSession:
     def _filter_step(self, query_id: int, query: DocumentVector) -> np.ndarray:
         """Ids of the targets whose filter bound reaches the tolerance."""
         index_set, explicit = self._query_index_set(query)
-        u_fs = project(query, index_set)
+        u_fs = project(self._queries.take([query_id]), index_set)[0]
         cols = self._fs_matrix.cols
         r = _secret_mask(self.config, query_id, 1, cols)
         self._send(
@@ -599,8 +562,7 @@ class AliceSession:
             r = np.column_stack(
                 [_secret_mask(self.config, q, 2, cols) for q in range(len(self.queries))]
             )
-            u = np.column_stack([q.to_dense() for q in self.queries])
-            self._full_z = mask(u, self._matrix, r)
+            self._full_z = mask(self._queries.dense().T, self._matrix, r)
             self._full_r = r
         return self._full_z, self._full_r
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DimensionError, RangeError
-from .vectors import FeatureIndexSet, top_f, zscore
+from .vectors import FeatureIndexSet, pack, top_f, zscore
 
 __all__ = [
     "SelectionMethod",
@@ -34,7 +34,6 @@ __all__ = [
     "select_gf",
     "select_hf",
     "local_document_frequency",
-    "packed_document_frequency",
     "aggregate_whole_vector",
 ]
 
@@ -108,19 +107,7 @@ def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> FeatureIndexSet
 
 def local_document_frequency(corpus: Corpus) -> np.ndarray:
     """Per-dimension count of documents containing the term (int64, dense)."""
-    indices = np.concatenate(
-        [vec.indices for vec in corpus.vectors] + [np.empty(0, np.int64)]
-    )
-    return packed_document_frequency(indices, corpus.dims)
-
-
-def packed_document_frequency(indices: np.ndarray, dims: int) -> np.ndarray:
-    """Document frequencies from a corpus's concatenated term indices.
-
-    A document lists each of its terms once, so counting index occurrences
-    counts the documents that contain each term.
-    """
-    return np.bincount(indices, minlength=dims).astype(np.int64, copy=False)
+    return pack(corpus.vectors, corpus.dims).document_frequency()
 
 
 def aggregate_whole_vector(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:

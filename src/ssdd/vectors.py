@@ -1,8 +1,10 @@
-"""Sparse document vectors and the small dense kernels built on them.
+"""Sparse document vectors and the packed kernels built on them.
 
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
-indices + positive weights).  ``project`` restricts one to a small ordered
-index set as a dense array.  Everything is float64.
+indices + positive weights).  ``pack`` lays a list of them out as one
+``PackedDocs`` in CSR form, the only layout the protocol, the oracle and the
+masking matrix compute on; ``project`` restricts packed documents to a
+small ordered index set as a dense array.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .errors import DimensionError, RangeError
 __all__ = [
     "DocumentVector",
     "FeatureIndexSet",
+    "PackedDocs",
     "dot",
+    "pack",
     "project",
     "zscore",
     "top_f",
@@ -28,14 +32,12 @@ class DocumentVector:
     """Unit-normalized sparse vector over a fixed dimensionality.
 
     `indices` is strictly increasing, `weights` holds the matching nonzero
-    values.  `degenerate` marks the all-zero vector (an empty document), which
-    cannot be normalized and is never similar to anything.
+    values.
     """
 
     dims: int
     indices: np.ndarray
     weights: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -52,6 +54,11 @@ class DocumentVector:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether this is an empty document's zero vector, never similar to anything."""
+        return self.nnz == 0
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dims, dtype=np.float64)
@@ -81,6 +88,91 @@ class FeatureIndexSet:
         return int(self.indexes.size)
 
 
+@dataclass(frozen=True)
+class PackedDocs:
+    """m documents in CSR layout: document i's term indices and weights are
+    ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``;
+    iterating yields each document's (indices, weights)."""
+
+    dims: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __iter__(self):
+        for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
+            yield self.indices[lo:hi], self.weights[lo:hi]
+
+    @property
+    def nnz(self) -> np.ndarray:
+        """Nonzero count of each document."""
+        return np.diff(self.indptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The document each packed entry belongs to."""
+        return np.repeat(np.arange(len(self)), self.nnz)
+
+    def take(self, ids) -> "PackedDocs":
+        """The documents ``ids`` (integers), in that order."""
+        counts = self.nnz[ids]
+        indptr = np.cumsum(np.concatenate(([0], counts)))
+        entries = np.arange(indptr[-1]) + np.repeat(self.indptr[ids] - indptr[:-1], counts)
+        return PackedDocs(self.dims, indptr, self.indices[entries], self.weights[entries])
+
+    def dot(self, z: np.ndarray) -> np.ndarray:
+        """z . v_i for every document i, as (m,) for z of shape (dims,) and
+        (k, m) for z of shape (k, dims); a segmented sum in packed-entry order."""
+        rows = np.atleast_2d(z)
+        m = len(self)
+        sums = np.bincount(
+            (np.arange(rows.shape[0])[:, None] * m + self.owner).ravel(),
+            weights=(rows[:, self.indices] * self.weights).ravel(),
+            minlength=rows.shape[0] * m,
+        )
+        return sums.reshape(z.shape[:-1] + (m,))
+
+    def document_frequency(self) -> np.ndarray:
+        """Per-dimension count of documents containing the term (int64); a
+        document lists each term once, so this counts index occurrences."""
+        return np.bincount(self.indices, minlength=self.dims).astype(np.int64, copy=False)
+
+    def dense(self) -> np.ndarray:
+        """The documents as the rows of an (m, dims) array."""
+        out = np.zeros((len(self), self.dims))
+        out[self.owner, self.indices] = self.weights
+        return out
+
+
+def pack(vectors: list[DocumentVector], dims: int) -> PackedDocs:
+    """The documents, in order, as one PackedDocs over ``dims`` dimensions."""
+    if any(v.dims != dims for v in vectors):
+        raise DimensionError(f"documents disagree with dims={dims}")
+    return PackedDocs(
+        dims,
+        np.cumsum([0] + [v.nnz for v in vectors], dtype=np.int64),
+        np.concatenate([v.indices for v in vectors] + [np.empty(0, np.int64)]),
+        np.concatenate([v.weights for v in vectors] + [np.empty(0)]),
+    )
+
+
+def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
+    """Dense restriction of every document to the indexes in `s`, as an
+    (m, f) array; absent dims are 0."""
+    if s.dims != docs.dims:
+        raise DimensionError(f"dims mismatch: {docs.dims} != {s.dims}")
+    column = np.full(docs.dims, -1, dtype=np.int64)
+    column[s.indexes] = np.arange(s.f)
+    entry_column = column[docs.indices]
+    hits = np.flatnonzero(entry_column >= 0)
+    out = np.zeros((len(docs), s.f))
+    out[docs.owner[hits], entry_column[hits]] = docs.weights[hits]
+    return out
+
+
 def dot(u: DocumentVector, v: DocumentVector) -> float:
     """Exact sparse dot product via merge-join on the index arrays."""
     if u.dims != v.dims:
@@ -89,19 +181,6 @@ def dot(u: DocumentVector, v: DocumentVector) -> float:
         u.indices, v.indices, assume_unique=True, return_indices=True
     )
     return float(u.weights[iu] @ v.weights[iv])
-
-
-def project(u: DocumentVector, s: FeatureIndexSet) -> np.ndarray:
-    """Dense restriction of `u` to the indexes in `s` (absent dims are 0)."""
-    if s.dims != u.dims:
-        raise DimensionError(f"dims mismatch: {u.dims} != {s.dims}")
-    pos = np.searchsorted(u.indices, s.indexes)
-    pos_c = np.minimum(pos, max(u.nnz - 1, 0))
-    if u.nnz:
-        hit = u.indices[pos_c] == s.indexes
-    else:
-        hit = np.zeros(s.f, dtype=bool)
-    return np.where(hit, u.weights[pos_c] if u.nnz else 0.0, 0.0)
 
 
 def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:

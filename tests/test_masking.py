@@ -10,7 +10,7 @@ from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
 from ssdd.corpus import build_document_vector
-from ssdd.vectors import DocumentVector
+from ssdd.vectors import DocumentVector, pack
 
 from conftest import random_document
 
@@ -95,11 +95,10 @@ class TestSharedRandomMatrix:
         rng = np.random.default_rng(3)
         docs = [random_document(rng, 57, int(rng.integers(1, 12))) for _ in range(6)]
         docs.insert(2, build_document_vector({}, 57))
-        indptr = np.concatenate(([0], np.cumsum([d.nnz for d in docs])))
-        indices = np.concatenate([d.indices for d in docs])
-        weights = np.concatenate([d.weights for d in docs])
+        packed = pack(docs, 57)
+        indices = packed.indices
         cached, streamed = SharedRandomMatrix(13, 57), streamed_matrix(13, 57)
-        expected = [cached.transpose_apply(d.indices, d.weights) for d in docs]
+        expected = [respond(np.zeros(57), d, cached)[1] for d in docs]
         monkeypatch.setattr(masking, "STREAM_CHUNK_ENTRIES", 3 * cached.cols)
         generated = []
         rows_for = streamed.rows_for
@@ -110,9 +109,9 @@ class TestSharedRandomMatrix:
 
         monkeypatch.setattr(streamed, "rows_for", counting)
         for matrix in (cached, streamed):
-            t = matrix.transpose_apply_packed(indptr, indices, weights)
+            t = matrix.transpose_apply_packed(packed)
             np.testing.assert_allclose(t, expected, rtol=0, atol=1e-12)
-            none = matrix.transpose_apply_packed(np.zeros(1, np.int64), indices[:0], weights[:0])
+            none = matrix.transpose_apply_packed(pack([], 57))
             assert none.shape == (0, cached.cols)
         assert all(len(rows) <= 3 for rows in generated)
         assert sum(generated, []) == np.unique(indices).tolist()
@@ -189,7 +188,6 @@ class TestExactRecovery:
             dims=8,
             indices=np.empty(0, np.int64),
             weights=np.empty(0),
-            degenerate=True,
         )
         s, t = respond(z, empty, matrix)
         assert (s, t.tolist()) == (0.0, [0.0] * matrix.cols)

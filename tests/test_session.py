@@ -40,7 +40,7 @@ from ssdd.selection import (
     select_hf,
     select_rp,
 )
-from ssdd.vectors import DocumentVector, FeatureIndexSet, project
+from ssdd.vectors import DocumentVector, FeatureIndexSet
 
 from conftest import random_document, random_unit_dense
 
@@ -185,7 +185,7 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     index_set = FeatureIndexSet(config.n, np.asarray(indexes))
     rng = np.random.default_rng(7)
     fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
-    u_fs = project(u, index_set)
+    u_fs = u.to_dense()[index_set.indexes]
     r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
         FilterQuery(query_id=0, indexes=index_set.indexes, z=mask(u_fs, fs_matrix, r))
@@ -677,7 +677,7 @@ class TestResponderMatchesRespond:
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
         for j, doc in enumerate(docs):
-            values = project(doc, index_set)
+            values = doc.to_dense()[index_set.indexes]
             nz = np.flatnonzero(values)
             sparse = DocumentVector(dims=index_set.f, indices=nz, weights=values[nz])
             s, t = respond(z, sparse, fs_matrix)
@@ -740,8 +740,8 @@ class TestResponderMatchesRespond:
         computed = []
         transpose_apply_packed = SharedRandomMatrix.transpose_apply_packed
 
-        def counting(matrix, indptr, indices, weights):
-            t = transpose_apply_packed(matrix, indptr, indices, weights)
+        def counting(matrix, docs):
+            t = transpose_apply_packed(matrix, docs)
             computed.extend(t)
             return t
 
@@ -840,7 +840,7 @@ class TestMultiplicationCount:
             for query in queries:
                 index_set = select_hf(query.to_dense(), whole, config.f)
                 for target in targets:
-                    nnz = int(np.count_nonzero(project(target, index_set)))
+                    nnz = int(np.count_nonzero(target.to_dense()[index_set.indexes]))
                     expected += nnz * (2 + fs_cols)
         assert type(report.metrics.scalar_mult_count) is int
         assert report.metrics.scalar_mult_count == expected
@@ -1201,5 +1201,5 @@ class TestMaskDerivation:
         index_set = select_rp(config.rp_seed, config.n, config.f)
         for msg in filters:
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
-            u_fs = project(queries[msg.query_id], index_set)
+            u_fs = queries[msg.query_id].to_dense()[index_set.indexes]
             np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)

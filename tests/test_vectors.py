@@ -9,6 +9,7 @@ from ssdd.vectors import (
     DocumentVector,
     FeatureIndexSet,
     dot,
+    pack,
     project,
     top_f,
     zscore,
@@ -72,7 +73,7 @@ class TestProject:
     def test_projection_picks_present_and_absent_dims(self):
         u = build_document_vector({0: 3, 1: 4}, dims=4)
         s = FeatureIndexSet(dims=4, indexes=np.array([0, 2]))
-        fv = project(u, s)
+        (fv,) = project(pack([u], 4), s)
         np.testing.assert_allclose(fv, [0.6, 0.0], atol=1e-15)
         assert fv @ fv == pytest.approx(0.36)
 
@@ -85,15 +86,69 @@ class TestProject:
             v = random_document(rng, n, int(rng.integers(1, n)))
             f = int(rng.integers(1, n + 1))
             s = FeatureIndexSet(dims=n, indexes=np.sort(rng.choice(n, f, replace=False)))
-            d = project(u, s) - project(v, s)
+            pu, pv = project(pack([u, v], n), s)
+            d = pu - pv
             d_fs = d @ d
             full = float(np.sum((u.to_dense() - v.to_dense()) ** 2))
             assert d_fs <= full + 1e-12
 
+    def test_rows_are_dense_columns(self):
+        rng = np.random.default_rng(4)
+        docs = [random_document(rng, 40, int(rng.integers(1, 30))) for _ in range(6)]
+        docs.append(build_document_vector({}, 40))
+        s = FeatureIndexSet(dims=40, indexes=np.sort(rng.choice(40, 9, replace=False)))
+        dense = np.array([d.to_dense() for d in docs])
+        np.testing.assert_array_equal(project(pack(docs, 40), s), dense[:, s.indexes])
+
     def test_dims_mismatch(self):
         u = build_document_vector({0: 1}, dims=3)
         with pytest.raises(DimensionError):
-            project(u, FeatureIndexSet(dims=4, indexes=np.array([0])))
+            project(pack([u], 3), FeatureIndexSet(dims=4, indexes=np.array([0])))
+
+
+class TestPackedDocs:
+    """The packed layout against each document's own dense vector."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(19)
+        self.docs = [random_document(rng, 50, int(rng.integers(1, 20))) for _ in range(8)]
+        self.docs.insert(3, build_document_vector({}, 50))
+        self.packed = pack(self.docs, 50)
+        self.dense = np.array([d.to_dense() for d in self.docs])
+
+    def test_layout_dense_and_iteration(self):
+        assert len(self.packed) == 9
+        np.testing.assert_array_equal(self.packed.nnz, [d.nnz for d in self.docs])
+        np.testing.assert_array_equal(self.packed.dense(), self.dense)
+        for (indices, weights), doc in zip(self.packed, self.docs, strict=True):
+            np.testing.assert_array_equal(indices, doc.indices)
+            np.testing.assert_array_equal(weights, doc.weights)
+        empty = pack([], 50)
+        assert len(empty) == 0 and list(empty) == [] and empty.dense().shape == (0, 50)
+
+    def test_take_keeps_the_given_order(self):
+        ids = np.array([7, 3, 0, 8])
+        np.testing.assert_array_equal(self.packed.take(ids).dense(), self.dense[ids])
+        assert len(self.packed.take(ids[:0])) == 0
+
+    def test_dot_matches_dense_and_rows_are_one_sum(self):
+        """A block of k vectors gives, row by row, the same bits as k calls."""
+        z = np.random.default_rng(20).uniform(-1.0, 1.0, (3, 50))
+        block = self.packed.dot(z)
+        assert block.shape == (3, 9)
+        np.testing.assert_allclose(block, z @ self.dense.T, rtol=0, atol=1e-14)
+        for row, one in zip(block, z):
+            assert self.packed.dot(one).tobytes() == row.tobytes()
+        assert block[:, 3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_document_frequency(self):
+        df = self.packed.document_frequency()
+        assert df.dtype == np.int64
+        np.testing.assert_array_equal(df, np.count_nonzero(self.dense, axis=0))
+
+    def test_dims_mismatch(self):
+        with pytest.raises(DimensionError):
+            pack(self.docs, 51)
 
 
 class TestCosineDistanceIdentity:

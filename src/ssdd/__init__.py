@@ -62,7 +62,9 @@ from .selection import (
 from .vectors import (
     DocumentVector,
     FeatureIndexSet,
+    PackedDocs,
     dot,
+    pack,
     project,
     top_f,
     zscore,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,21 +187,29 @@ class _Spec:
         self.counts = list(
             dict.fromkeys(a for axes, _ in self.tail for a in axes if a != "w")
         )
+        self.axes = self.counts + ["w"]
         self.head = struct.Struct(head + "I" * len(self.counts))
+        # each field holds one item of its dtype per element of its axes
+        self.items = [
+            (np.dtype(dt).itemsize, axes + inner)
+            for axes, group in self.tail
+            for _, dt, inner in group
+        ]
 
     def size(self, sizes: dict) -> int:
         """Payload bytes (tag, head and tail) for the given axis extents."""
         return 1 + self.head.size + sum(
-            math.prod(sizes[a] for a in axes)
-            * sum(
-                np.dtype(dt).itemsize * math.prod(sizes[a] for a in inner)
-                for _, dt, inner in group
-            )
-            for axes, group in self.tail
+            itemsize * math.prod(sizes[a] for a in axes) for itemsize, axes in self.items
         )
 
     def dtype(self, sizes: dict) -> np.dtype:
         """The tail as one structured element, group g in field str(g)."""
+        return self._dtype(tuple(sizes[a] for a in self.axes))
+
+    # bounded: FullQuery and FullReply extents change from query to query
+    @lru_cache(maxsize=128)
+    def _dtype(self, extents: tuple) -> np.dtype:
+        sizes = dict(zip(self.axes, extents))
         return np.dtype([
             (str(g), [(field, dt, tuple(sizes[a] for a in inner))
                       for field, dt, inner in group],
@@ -242,7 +251,7 @@ def encode_message(msg: _Message) -> bytes:
         for field, _, inner in group:
             for axis, extent in zip(axes + inner, values[field].shape):
                 sizes.setdefault(axis, extent)
-    sizes = {axis: sizes.get(axis, 0) for axis in spec.counts + ["w"]}
+    sizes = {axis: sizes.get(axis, 0) for axis in spec.axes}
     size = spec.size(sizes)
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")

@@ -155,7 +155,7 @@ class SessionConfig:
 class FilterEvaluation:
     """Outcome of the cheap step for one pair, or elementwise for many."""
 
-    delta: float | np.ndarray
+    distance2: float | np.ndarray
     upper_bound: float | np.ndarray
     passed: bool | np.ndarray
 
@@ -173,7 +173,7 @@ def evaluate_filter(delta_fs, norm_u2, norm_v2, epsilon: float) -> FilterEvaluat
     distance2 = np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0)
     upper = 1.0 - distance2 / 2.0
     return FilterEvaluation(
-        delta=distance2, upper_bound=upper, passed=upper >= epsilon
+        distance2=distance2, upper_bound=upper, passed=upper >= epsilon
     )
 
 
@@ -182,7 +182,7 @@ class SimilarityDecision:
     """Verdict for one (query, target) pair.
 
     A filtered pair carries no cosine.  Pairs with a degenerate (all-zero)
-    query are never similar and report cosine 0.
+    query or target are never similar and report cosine 0.
     """
 
     query_id: int
@@ -270,10 +270,11 @@ def _secret_mask(
 class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
-    One instance serves one session.  A filter query is answered from the
-    projection P (m x f) of the packed corpus onto its index set: s = P z,
-    t = P A_fs and the squared row norms; under RP and GF the index set is
-    fixed, so P, t and the norms are computed once per session.
+    One instance serves one session and drops its arrays when ``serve``
+    returns.  A filter query is answered from the projection P (m x f) of
+    the packed corpus onto its index set: s = P z, t = P A_fs and the
+    squared row norms; under RP and GF the index set is fixed, so P, t and
+    the norms are computed once per session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.
@@ -304,7 +305,8 @@ class BobResponder:
         self._sent = np.zeros(self.doc_count, dtype=bool)
 
     def serve(self, transport) -> None:
-        """Answer frames until Bye or transport loss."""
+        """Answer frames until Bye or transport loss, then drop the corpus
+        and every per-session array; ``scalar_mult_count`` stays."""
         try:
             while True:
                 try:
@@ -319,6 +321,8 @@ class BobResponder:
                     transport.send_frame(encode_message(reply))
         finally:
             transport.close()
+            self._docs = self._whole = self._sent = None
+            self._session_set = self._session_filter = None
 
     def handle(self, msg):
         if isinstance(msg, Hello):
@@ -462,9 +466,11 @@ class AliceSession:
         # full-round masked vectors and secret masks, one column per query
         self._full_z: np.ndarray | None = None
         self._full_r: np.ndarray | None = None
-        # row j holds t_j R once t_j has arrived (known[j])
+        # row j holds t_j R once t_j has arrived (known[j]); empty[j] marks
+        # a t_j that arrived all-zero
         self._tr = np.empty((0, len(queries)))
         self._known = np.zeros(0, dtype=bool)
+        self._empty = np.zeros(0, dtype=bool)
         if config.method.per_query:
             logger.warning(
                 "method %s sends each query's chosen dimension indexes to the "
@@ -509,6 +515,7 @@ class AliceSession:
         self.similar = np.zeros(shape, dtype=bool)
         self._tr = np.empty((self.target_count, len(self.queries)))
         self._known = np.zeros(self.target_count, dtype=bool)
+        self._empty = np.zeros(self.target_count, dtype=bool)
 
     def _query_index_set(self, query: DocumentVector) -> tuple[FeatureIndexSet, bool]:
         """The index set for this query and whether it travels on the wire."""
@@ -590,6 +597,9 @@ class AliceSession:
                 )
             self._tr[new] = reply.t @ r
             self._known[new] = True
+            # A^T v_j is exactly zero for an empty document, and for a
+            # nonzero v_j only with probability 0
+            self._empty[new] = ~reply.t.any(axis=1)
         # a NaN or infinite s or new t entry makes its pair's product non-finite
         recovered = reply.s - self._tr[survivors, query_id]
         if not np.isfinite(recovered).all():
@@ -601,7 +611,8 @@ class AliceSession:
         into row ``query_id`` of the cosine and similar arrays.
 
         Survivors get their recovered cosine, or 0 and never similar for a
-        degenerate query; filtered pairs keep NaN.
+        degenerate query; a target whose t_j arrived all-zero is empty and
+        never similar either.  Filtered pairs keep NaN.
         """
         if self.target_count == 0:
             return
@@ -619,7 +630,9 @@ class AliceSession:
                 self.cosines[query_id, survivors] = 0.0
             else:
                 self.cosines[query_id, survivors] = recovered
-                self.similar[query_id, survivors] = recovered >= self.config.epsilon
+                self.similar[query_id, survivors] = (
+                    recovered >= self.config.epsilon
+                ) & ~self._empty[survivors]
         self.metrics.wall_time += time.perf_counter() - started
 
     def run(self) -> DetectionReport:

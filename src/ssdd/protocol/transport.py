@@ -122,7 +122,8 @@ class TcpServer:
 
     ``responder_factory`` builds a fresh object with a ``serve(transport)``
     method for every connection; finished responders stay in ``responders``
-    so callers can read their counters.  A session that raises is logged
+    so callers can read their counters (a BobResponder keeps no arrays once
+    its session ends).  A session that raises is logged
     with its traceback and does not stop the accept loop.
     """
 

@@ -1,10 +1,9 @@
 """Sparse document vectors and the packed kernels built on them.
 
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
-indices + positive weights).  ``pack`` lays a list of them out as one
-``PackedDocs`` in CSR form, the only layout the protocol, the oracle and the
-masking matrix compute on; ``project`` restricts packed documents to a
-small ordered index set as a dense array.  Everything is float64.
+indices + positive weights).  ``pack`` lays documents out as one CSR
+``PackedDocs``, the one layout that the protocol, the oracle and the masking
+matrix compute on.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ class PackedDocs:
         return sums.reshape(z.shape[:-1] + (m,))
 
     def document_frequency(self) -> np.ndarray:
-        """Per-dimension count of documents containing the term (int64); a
-        document lists each term once, so this counts index occurrences."""
+        """Per-dimension count of the documents that contain the term (int64)."""
         return np.bincount(self.indices, minlength=self.dims).astype(np.int64, copy=False)
 
     def dense(self) -> np.ndarray:
@@ -168,8 +166,9 @@ def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     column[s.indexes] = np.arange(s.f)
     entry_column = column[docs.indices]
     hits = np.flatnonzero(entry_column >= 0)
+    doc = np.searchsorted(docs.indptr, hits, side="right") - 1
     out = np.zeros((len(docs), s.f))
-    out[docs.owner[hits], entry_column[hits]] = docs.weights[hits]
+    out[doc, entry_column[hits]] = docs.weights[hits]
     return out
 
 

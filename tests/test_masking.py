@@ -41,6 +41,33 @@ class TestSharedRandomMatrix:
         c = SharedRandomMatrix(100, 40)
         assert not np.array_equal(block, c.row_block(0, 40))
 
+    # (seed, rows, row, column) -> entry, pinned when the generator was
+    # Philox words mapped by (raw >> 11) * 2**-53 to [0, 1), then 2u - 1.
+    # Row starts of the 30-row matrix (15 columns) fall at every offset
+    # within a 4-word Philox block.
+    PINNED = {
+        (7, 30, 0, 0): "0x1.7d00d2e0a7a7ep-1",
+        (7, 30, 1, 3): "0x1.7759876c77570p-2",
+        (7, 30, 2, 14): "0x1.19905e743206cp-2",
+        (7, 30, 3, 7): "0x1.071cc83d4d334p-1",
+        (7, 30, 4, 1): "0x1.49c02af9c2268p-2",
+        (7, 30, 29, 14): "-0x1.35a473e8cea90p-1",
+        (2**64 - 1, 9, 0, 4): "-0x1.32de31fb49f44p-2",
+        (2**64 - 1, 9, 1, 0): "0x1.0d3330924ae3ep-1",
+        (2**64 - 1, 9, 8, 2): "-0x1.e0a8685ca291ep-1",
+    }
+
+    def test_pinned_entries(self):
+        """Fixed entries of A, read materialized and streamed, from block
+        starts aligned and not aligned to a Philox block."""
+        for (seed, rows, i, j), text in self.PINNED.items():
+            expected = float.fromhex(text)
+            for matrix in (SharedRandomMatrix(seed, rows), streamed_matrix(seed, rows)):
+                assert matrix.row_block(i, i + 1)[0, j] == expected
+                assert matrix.row_block(0, i + 1)[i, j] == expected
+                assert matrix.row_block(max(i - 1, 0), rows)[min(i, 1), j] == expected
+                assert matrix.rows_for(np.array([i]))[0, j] == expected
+
     def test_entry_matches_blocks_and_streaming(self):
         """Entry (i, j) is one pure function however the matrix is accessed."""
         cached = SharedRandomMatrix(7, 30)

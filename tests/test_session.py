@@ -109,7 +109,7 @@ class TestSessionConfig:
 class TestEvaluateFilter:
     def test_reference_values(self):
         ev = evaluate_filter(0.5, 1.0, 0.5, 0.8)
-        assert ev.delta == pytest.approx(0.5, abs=1e-12)
+        assert ev.distance2 == pytest.approx(0.5, abs=1e-12)
         assert ev.upper_bound == pytest.approx(0.75, abs=1e-12)
         assert not ev.passed
 
@@ -125,7 +125,7 @@ class TestEvaluateFilter:
 
     def test_negative_distance_clamps_to_perfect_bound(self):
         ev = evaluate_filter(1.2, 1.0, 1.0, 0.5)
-        assert ev.delta == 0.0
+        assert ev.distance2 == 0.0
         assert ev.upper_bound == 1.0
         assert ev.passed
 
@@ -156,7 +156,7 @@ class TestEvaluateFilter:
         assert ev.passed.any() and not ev.passed.all()
         for i in range(300):
             one = evaluate_filter(float(delta[i]), norm_u2, float(norm_v2[i]), epsilon)
-            assert ev.delta[i] == one.delta
+            assert ev.distance2[i] == one.distance2
             assert ev.upper_bound[i] == one.upper_bound
             assert ev.passed[i] == one.passed
 
@@ -439,6 +439,37 @@ class TestTcpAgreement:
         assert over_tcp.metrics.bytes_sent_bob == local.metrics.bytes_sent_bob
         assert len(server.responders) == 1
         assert server.responders[0].scalar_mult_count == local.metrics.scalar_mult_count
+
+
+def holds_array(value) -> bool:
+    """Whether ``value`` is, or directly holds, a numpy array."""
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(holds_array(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return any(holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return False
+
+
+class TestFinishedResponders:
+    def test_server_keeps_counters_not_arrays(self, small_corpus):
+        """A TcpServer keeps each finished responder for its multiplication
+        count; the packed corpus and the session's arrays are dropped."""
+        queries, targets = small_corpus.vectors[:3], small_corpus.vectors[3:]
+        config = config_for(SelectionMethod.GF, f=40, epsilon=0.3)
+        with TcpServer(lambda: BobResponder(targets, dims=config.n)) as server:
+            for _ in range(2):
+                transport = connect_tcp(server.host, server.port)
+                try:
+                    report = run_detection(queries, config, transport)
+                finally:
+                    transport.close()
+                assert not report.aborted
+        assert len(server.responders) == 2
+        for responder in server.responders:
+            assert responder.scalar_mult_count > 0
+            assert [k for k, v in vars(responder).items() if holds_array(v)] == []
 
 
 def wait_for_sessions(server: TcpServer) -> None:
@@ -929,6 +960,24 @@ class TestNonFiniteReplies:
         report = run_against(bob, self.docs[:2], config)
         assert report.aborted
         assert report.decided == 0 and report.decisions == []
+
+
+class TestEmptyTargets:
+    """An empty target is never similar, as in the oracle: at tolerance 0
+    its recovered cosine 0 reaches the tolerance, but its t_j arrived
+    all-zero, and Alice remembers that on later queries, which do not
+    resend t_j."""
+
+    @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
+    def test_empty_target_at_zero_tolerance(self, method):
+        query = build_document_vector({0: 1, 1: 1}, 10)
+        targets = [build_document_vector({}, 10), build_document_vector({0: 1}, 10)]
+        config = config_for(method, n=10, f=2, epsilon=0.0)
+        report = run_local_detection([query, query], config, targets)
+        assert not report.aborted and report.decided == 2
+        assert compare_results(report, oracle_detect([query] * 2, targets, 0.0)).ok
+        assert report.similar_pairs() == [(0, 1), (1, 1)]
+        assert report.cosines[:, 0].tolist() == [0.0, 0.0]
 
 
 class TestReportArrays:

@@ -132,7 +132,8 @@ class PackedDocs:
             weights=(rows[:, self.indices] * self.weights).ravel(),
             minlength=rows.shape[0] * m,
         )
-        return sums.reshape(z.shape[:-1] + (m,))
+        # bincount returns integers when it has no entries to sum
+        return sums.astype(np.float64, copy=False).reshape(z.shape[:-1] + (m,))
 
     def document_frequency(self) -> np.ndarray:
         """Per-dimension count of the documents that contain the term (int64)."""

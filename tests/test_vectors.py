@@ -140,6 +140,8 @@ class TestPackedDocs:
         for row, one in zip(block, z):
             assert self.packed.dot(one).tobytes() == row.tobytes()
         assert block[:, 3].tolist() == [0.0, 0.0, 0.0]
+        empty = pack([build_document_vector({}, 50)] * 2, 50)
+        assert empty.dot(z).dtype == empty.dot(z[0]).dtype == np.float64
 
     def test_document_frequency(self):
         df = self.packed.document_frequency()

@@ -14,10 +14,15 @@ within that error of a tolerance (an identical pair at tolerance 1, say)
 can be decided either way.
 
 Matrix entries are uniform on [-1, 1] and are a pure function of
-(seed, i, j), generated with a block-addressable counter RNG.  Rows can be
-produced on demand, so the responder's t costs O(nnz(v) * cols) work and no
-party ever needs the full matrix in memory (though materializing is allowed
-as a speedup for moderate n).
+(seed, i, j), generated with a block-addressable counter RNG: entry k of
+the row-major matrix is 2u - 1, where u is ``Generator.random``'s k-th
+draw on the Philox stream keyed by the seed, (word_k >> 11) * 2**-53.
+These are the same bits that converting ``Philox.random_raw`` words by
+hand gives, but they are built in the array returned, with no full-size
+temporaries.  Rows can be produced on demand, so the responder's t costs
+O(nnz(v) * cols) work and no party ever needs the full matrix in memory
+(though materializing is allowed as a speedup for moderate n; the
+materialized matrix is cached, shared and read-only).
 
 ``mask`` and ``matvec`` also take a block of k vectors at once: u as an
 (n, k) array and r as a (cols, k) array give the k masked vectors as the
@@ -49,23 +54,24 @@ MATERIALIZE_LIMIT_ENTRIES = 40_000_000
 STREAM_CHUNK_ENTRIES = 4_000_000
 
 
-def _to_unit(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to float64 uniform on [-1, 1)."""
-    u01 = (raw >> np.uint64(11)) * (2.0**-53)
-    return 2.0 * u01 - 1.0
-
-
 def _raw_span(seed: int, k0: int, k1: int) -> np.ndarray:
-    """Entries for flat positions [k0, k1) of the matrix stream."""
+    """Entries for flat positions [k0, k1) of the matrix stream, built in
+    the buffer returned."""
     b0 = k0 // 4
-    nblocks = (k1 - 1) // 4 - b0 + 1
-    raw = Philox(key=seed, counter=[b0, 0, 0, 0]).random_raw(nblocks * 4)
-    return _to_unit(raw[k0 - b0 * 4 : k0 - b0 * 4 + (k1 - k0)])
+    bits = Philox(key=seed, counter=[b0, 0, 0, 0])
+    bits.random_raw(k0 - b0 * 4)  # skip to k0 within its 4-word block
+    out = np.random.Generator(bits).random(k1 - k0)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 @lru_cache(maxsize=3)
 def _materialized(seed: int, rows: int, cols: int) -> np.ndarray:
-    return _raw_span(seed, 0, rows * cols).reshape(rows, cols)
+    # read-only: every session in the process shares this array
+    full = _raw_span(seed, 0, rows * cols).reshape(rows, cols)
+    full.flags.writeable = False
+    return full
 
 
 def clear_matrix_cache() -> None:

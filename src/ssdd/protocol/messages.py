@@ -238,8 +238,9 @@ _SPECS = {
 _SPEC_OF = {spec.cls: spec for spec in _SPECS.values()}
 
 
-def encode_message(msg: _Message) -> bytes:
-    """Full frame (length prefix included) for one message."""
+def encode_message(msg: _Message) -> bytearray:
+    """Full frame (length prefix included) for one message, written into
+    one new buffer."""
     spec = _SPEC_OF.get(type(msg))
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
@@ -255,14 +256,20 @@ def encode_message(msg: _Message) -> bytes:
     size = spec.size(sizes)
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
+    frame = bytearray(HEADER_SIZE + size)
+    struct.pack_into("<IB", frame, 0, size, spec.tag)
     try:
-        head = struct.pack("<IB", size, spec.tag) + spec.head.pack(
+        spec.head.pack_into(
+            frame,
+            HEADER_SIZE + 1,
             *(getattr(msg, field) for field in spec.names),
             *(sizes[count] for count in spec.counts),
         )
     except struct.error as exc:
         raise FrameError(f"{name} header cannot carry its fields: {exc}") from None
-    tail = np.empty((), spec.dtype(sizes))
+    tail = np.ndarray(
+        (), spec.dtype(sizes), buffer=frame, offset=HEADER_SIZE + 1 + spec.head.size
+    )
     for g, (_, group) in enumerate(spec.tail):
         for field, dt, _ in group:
             part, value = tail[str(g)][field], values[field]
@@ -270,7 +277,7 @@ def encode_message(msg: _Message) -> bytes:
                 want = f"{dt} of shape {part.shape}"
                 raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
             part[...] = value
-    return b"".join((head, tail))
+    return frame
 
 
 def decode_message(frame: bytes) -> _Message:

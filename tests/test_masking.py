@@ -1,5 +1,7 @@
 """Masked scalar product: exactness, determinism, and cost accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,32 @@ class TestSharedRandomMatrix:
             for start, stop in ((4, 5), (0, 5), (-1, 1), (3, 2)):
                 with pytest.raises(RangeError):
                     m.row_block(start, stop)
+
+    def test_materialized_matrix_is_read_only(self):
+        """Every session in the process shares the materialized A."""
+        block = SharedRandomMatrix(5, 40).row_block(2, 6)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            block *= 2.0
+
+    def test_generation_peaks_at_the_entries_it_returns(self):
+        """Materializing A, or streaming a block of it, allocates little
+        beyond the entries themselves."""
+        cases = (
+            (SharedRandomMatrix(3, 1001), 1, 1001),  # one row materializes all
+            (streamed_matrix(3, 1001), 700, 700),
+        )
+        for matrix, stop, generated in cases:
+            size = generated * matrix.cols * 8
+            masking.clear_matrix_cache()
+            tracemalloc.start()
+            try:
+                matrix.row_block(0, stop)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * size, peak / size
 
 
 class TestHandExample:

@@ -122,6 +122,31 @@ class TestRoundTrip:
         assert again == reply
         assert again.doc_ids.size == 0 and again.t.size == 0
 
+    def test_decoded_message_does_not_alias_its_frame(self):
+        reply = FilterReply(
+            query_id=4,
+            s=np.array([0.5, -1.0]),
+            norm_v2=np.array([1.0, 2.0]),
+            t=np.arange(6.0).reshape(2, 3),
+        )
+        frame = encode_message(reply)
+        again = decode_message(frame)
+        frame[5:] = bytes(len(frame) - 5)
+        assert again == reply
+
+    def test_encoding_allocates_one_frame(self):
+        rng = np.random.default_rng(51)
+        reply = FilterReply(
+            query_id=1, s=rng.random(500), norm_v2=rng.random(500), t=rng.random((500, 35))
+        )
+        tracemalloc.start()
+        try:
+            frame = encode_message(reply)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(frame), peak / len(frame)
+
 
 class TestFrozenLayouts:
     def test_hello_layout(self):

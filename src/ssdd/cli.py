@@ -137,7 +137,8 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.stop()
-        for i, responder in enumerate(server.responders):
+        first = server.sessions - len(server.responders)
+        for i, responder in enumerate(server.responders, start=first):
             print(
                 f"session {i}: {responder.scalar_mult_count} "
                 "response multiplications"

@@ -14,18 +14,21 @@ counts), each query runs filter-then-refine:
    t he has not sent before in this session; the recovered products are
    exact cosines (documents are unit vectors) and decide similarity.
 
-BASE skips step 1 and treats every document as a survivor.  One fresh secret
-mask per query and step; the same masked vector serves all of Bob's
-documents for that query.  Survivor ids necessarily reveal to Bob which of
-his documents passed the filter; LF and HF additionally reveal the chosen
-dimension indexes of each query.  Sending t_j once per session rather
-than with every reply (protocol version 2) discloses nothing new: t_j does
-not depend on the query, and version 1 sent the same values on every query
-that j survived.
+BASE skips step 1 and treats every document as a survivor.  One fresh mask
+per query and step; the same masked vector serves all of Bob's documents
+for that query.  The mask is not secret as built: it is seeded from values
+that all cross the wire, so Bob can regenerate it and unmask the query.
+Survivor ids necessarily reveal to Bob which of his documents passed the
+filter; LF and HF additionally reveal the chosen dimension indexes of each
+query.  Sending t_j once per session rather than with every reply
+(protocol version 2) discloses nothing new: t_j does not depend on the
+query, and version 1 sent the same values on every query that j survived.
 
 Both rounds are computed with array operations.  Bob packs his corpus once
 (``PackedDocs``) and answers a filter query with one projection of the whole
-corpus.  In the full round Bob keeps one flag per document for "t sent",
+corpus, read from its term-major view: built on the session's first filter
+query, it lets each projection touch only the entries on the f chosen
+dimensions.  In the full round Bob keeps one flag per document for "t sent",
 computes t_j only the first time document j survives, and s_j = z . v_j
 per query.  Alice masks the full-width vectors of all her queries with one
 pass over A (A R, R stacking the per-query masks), made the first time a
@@ -260,7 +263,11 @@ def secure_df_exchange(transport, local_counts: np.ndarray) -> np.ndarray:
 def _secret_mask(
     config: SessionConfig, query_id: int, step: int, cols: int
 ) -> np.ndarray:
-    """Alice's private mask r for one query and step (1 filter, 2 full)."""
+    """Alice's mask r for one query and step (1 filter, 2 full).
+
+    Every value it is seeded from crosses the wire (the seeds in Hello, the
+    query id in each query), so Bob can regenerate r and read u = z - A r.
+    """
     seq = np.random.SeedSequence(
         entropy=[config.matrix_seed, config.fs_matrix_seed, query_id, step]
     )
@@ -273,8 +280,11 @@ class BobResponder:
     One instance serves one session and drops its arrays when ``serve``
     returns.  A filter query is answered from the projection P (m x f) of
     the packed corpus onto its index set: s = P z, t = P A_fs and the
-    squared row norms; under RP and GF the index set is fixed, so P, t and
-    the norms are computed once per session.
+    squared row norms.  P is read from the corpus's term-major view, built
+    on the first filter query, so it costs the entries on the f chosen
+    dimensions, not a scan of the corpus.  Under LF and HF each query
+    brings its own index set and its own P; under RP and GF the index set
+    is fixed, so P, t and the norms are computed once per session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.

@@ -11,6 +11,7 @@ import queue
 import socket
 import struct
 import threading
+from collections import deque
 
 from ..errors import FrameError, SessionError
 from .messages import HEADER_SIZE, MAX_FRAME_SIZE
@@ -26,6 +27,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CLOSED = None  # queue sentinel
+
+# A TcpServer keeps this many of its most recent responders.
+KEPT_RESPONDERS = 64
 
 
 class LocalTransport:
@@ -121,10 +125,12 @@ class TcpServer:
     """Accept loop that runs one responder per incoming connection.
 
     ``responder_factory`` builds a fresh object with a ``serve(transport)``
-    method for every connection; finished responders stay in ``responders``
-    so callers can read their counters (a BobResponder keeps no arrays once
-    its session ends).  A session that raises is logged
-    with its traceback and does not stop the accept loop.
+    method for every connection.  ``responders`` holds the most recent
+    KEPT_RESPONDERS of them, oldest first, so callers can read their
+    counters (a BobResponder keeps no arrays once its session ends);
+    ``sessions`` counts every responder built, so the first one kept is
+    session ``sessions - len(responders)``.  A session that raises is
+    logged with its traceback and does not stop the accept loop.
     """
 
     def __init__(self, responder_factory, host: str = "127.0.0.1", port: int = 0):
@@ -132,7 +138,9 @@ class TcpServer:
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
-        self.responders: list = []
+        self.responders: deque = deque(maxlen=KEPT_RESPONDERS)
+        self.sessions = 0
+        self._count_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
@@ -142,7 +150,9 @@ class TcpServer:
         transport = TcpTransport(conn)
         try:
             responder = self._factory()
-            self.responders.append(responder)
+            with self._count_lock:
+                self.responders.append(responder)
+                self.sessions += 1
             responder.serve(transport)
         except Exception:
             logger.exception("session from %s:%s failed", *peer[:2])

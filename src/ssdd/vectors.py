@@ -3,12 +3,14 @@
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
 indices + positive weights).  ``pack`` lays documents out as one CSR
 ``PackedDocs``, the one layout that the protocol, the oracle and the masking
-matrix compute on.  Everything is float64.
+matrix compute on; ``project`` reads a term-major (CSC) view of it that is
+built on first use.  Everything is float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +93,10 @@ class FeatureIndexSet:
 class PackedDocs:
     """m documents in CSR layout: document i's term indices and weights are
     ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``;
-    iterating yields each document's (indices, weights)."""
+    iterating yields each document's (indices, weights).
+
+    The same entries in term-major (CSC) order are built on the first
+    ``project`` and kept with the documents."""
 
     dims: int
     indptr: np.ndarray
@@ -145,6 +150,18 @@ class PackedDocs:
         out[self.owner, self.indices] = self.weights
         return out
 
+    @cached_property
+    def _by_term(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(termptr, owner, weights): term d's entries are
+        ``termptr[d]:termptr[d + 1]`` of ``owner`` (the document of each
+        entry) and ``weights``, in document order within a term."""
+        # a stable sort on keys of at most 16 bits is a radix sort
+        keys = self.indices.astype(np.min_scalar_type(max(self.dims - 1, 0)))
+        order = np.argsort(keys, kind="stable")
+        termptr = np.zeros(self.dims + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.dims), out=termptr[1:])
+        return termptr, self.owner.take(order), self.weights.take(order)
+
 
 def pack(vectors: list[DocumentVector], dims: int) -> PackedDocs:
     """The documents, in order, as one PackedDocs over ``dims`` dimensions."""
@@ -160,16 +177,21 @@ def pack(vectors: list[DocumentVector], dims: int) -> PackedDocs:
 
 def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     """Dense restriction of every document to the indexes in `s`, as an
-    (m, f) array; absent dims are 0."""
+    (m, f) array; absent dims are 0.  Reads only the entries on those
+    indexes, through the term-major view."""
     if s.dims != docs.dims:
         raise DimensionError(f"dims mismatch: {docs.dims} != {s.dims}")
-    column = np.full(docs.dims, -1, dtype=np.int64)
-    column[s.indexes] = np.arange(s.f)
-    entry_column = column[docs.indices]
-    hits = np.flatnonzero(entry_column >= 0)
-    doc = np.searchsorted(docs.indptr, hits, side="right") - 1
+    termptr, owner, weights = docs._by_term
+    first = termptr[s.indexes]
+    counts = termptr[s.indexes + 1] - first
+    # the view's entries on term s.indexes[j] are first[j], ..., first[j] + counts[j] - 1
+    entries = np.repeat(first - np.cumsum(counts) + counts, counts)
+    entries += np.arange(entries.size)
+    flat = owner.take(entries)
+    flat *= s.f
+    flat += np.repeat(np.arange(s.f), counts)
     out = np.zeros((len(docs), s.f))
-    out[doc, entry_column[hits]] = docs.weights[hits]
+    out.reshape(-1)[flat] = weights.take(entries)
     return out
 
 
@@ -199,10 +221,18 @@ def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def top_f(values: np.ndarray, f: int) -> FeatureIndexSet:
-    """Indexes of the `f` largest values; ties go to the lower index."""
+    """Indexes of the `f` largest values; ties go to the lower index.
+
+    Takes every value above the f-th largest, then the lowest indexes
+    holding the f-th largest itself; no full sort.  Values must not be NaN.
+    """
     x = np.asarray(values, dtype=np.float64)
     if not 1 <= f <= x.size:
         raise RangeError(f"f={f} outside [1, {x.size}]")
-    order = np.argsort(-x, kind="stable")
-    chosen = np.sort(order[:f])
+    # the f-th smallest of -x: selecting at the low end stays fast when
+    # most values tie (the zero counts of one document, say)
+    kth = -np.partition(-x, f - 1)[f - 1]
+    above = np.flatnonzero(x > kth)
+    ties = np.flatnonzero(x == kth)[: f - above.size]
+    chosen = np.sort(np.concatenate((above, ties)))
     return FeatureIndexSet(dims=int(x.size), indexes=chosen)

@@ -1,0 +1,82 @@
+"""What the messages disclose: pins of leaks in the protocol as built.
+
+Each test plays one semi-honest party and recovers the other party's data
+from the frames it received, using only public code and the values on the
+wire.  A change that closes a leak turns its test around.
+"""
+
+import threading
+
+import numpy as np
+
+from ssdd.masking import SharedRandomMatrix
+from ssdd.protocol.messages import FullQuery, Hello, decode_message
+from ssdd.protocol.session import BobResponder, SessionConfig, run_detection
+from ssdd.protocol.transport import make_local_pair
+
+from conftest import random_document
+
+
+class Eavesdropper:
+    """A transport end that keeps every frame it receives."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.frames = []
+
+    def recv_frame(self) -> bytes:
+        frame = self.transport.recv_frame()
+        self.frames.append(frame)
+        return frame
+
+    def send_frame(self, frame: bytes) -> None:
+        self.transport.send_frame(frame)
+
+    def close(self) -> None:
+        self.transport.close()
+
+
+def bob_view(queries, targets, config):
+    """Run a session against an honest Bob; return the messages he received."""
+    alice_end, bob_end = make_local_pair(timeout=5.0)
+    bob_end = Eavesdropper(bob_end)
+    bob = BobResponder(targets, dims=config.n)
+    worker = threading.Thread(target=bob.serve, args=(bob_end,), daemon=True)
+    worker.start()
+    try:
+        report = run_detection(queries, config, alice_end)
+    finally:
+        alice_end.close()
+        worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert not report.aborted
+    return [decode_message(frame) for frame in bob_end.frames]
+
+
+class TestFullQueryMask:
+    def test_bob_regenerates_r_and_reads_every_query(self):
+        """The full-round mask r is seeded from matrix_seed, fs_matrix_seed,
+        query_id and the step, and all of them cross the wire: Bob
+        regenerates r and reads u = z - A r to rounding error."""
+        rng = np.random.default_rng(41)
+        n = 300
+        queries = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(3)]
+        targets = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(4)]
+        config = SessionConfig(n=n, epsilon=0.8, matrix_seed=77, fs_matrix_seed=78)
+        received = bob_view(queries, targets, config)
+
+        hello = received[0]
+        assert isinstance(hello, Hello)
+        matrix = SharedRandomMatrix(hello.matrix_seed, hello.n)
+        a = matrix.row_block(0, matrix.rows)
+        full = [m for m in received if isinstance(m, FullQuery)]
+        assert [m.query_id for m in full] == [0, 1, 2]
+        for msg in full:
+            seq = np.random.SeedSequence(
+                [hello.matrix_seed, hello.fs_matrix_seed, msg.query_id, 2]
+            )
+            r = np.random.default_rng(seq).uniform(-1.0, 1.0, matrix.cols)
+            u = msg.z - a @ r
+            query = queries[msg.query_id]
+            np.testing.assert_allclose(u, query.to_dense(), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.flatnonzero(np.abs(u) > 1e-9), query.indices)

@@ -32,6 +32,7 @@ from ssdd.protocol.session import (
     run_local_detection,
     secure_df_exchange,
 )
+from ssdd.protocol import transport as transport_module
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
 from ssdd.selection import (
     SelectionMethod,
@@ -442,13 +443,14 @@ class TestTcpAgreement:
 
 
 def holds_array(value) -> bool:
-    """Whether ``value`` is, or directly holds, a numpy array."""
+    """Whether ``value`` is, or directly holds, a numpy array; a dataclass
+    is searched through all its attributes, cached ones included."""
     if isinstance(value, np.ndarray):
         return True
     if isinstance(value, (tuple, list)):
         return any(holds_array(v) for v in value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return any(holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+        return any(holds_array(v) for v in vars(value).values())
     return False
 
 
@@ -469,6 +471,32 @@ class TestFinishedResponders:
         assert len(server.responders) == 2
         for responder in server.responders:
             assert responder.scalar_mult_count > 0
+            assert [k for k, v in vars(responder).items() if holds_array(v)] == []
+
+    def test_server_keeps_only_the_latest_responders(self, small_corpus, monkeypatch):
+        queries, targets = small_corpus.vectors[:2], small_corpus.vectors[2:]
+        config = config_for(SelectionMethod.HF, f=40, epsilon=0.3)
+        monkeypatch.setattr(transport_module, "KEPT_RESPONDERS", 2)
+        made = []
+
+        def factory():
+            made.append(BobResponder(targets, dims=config.n))
+            return made[-1]
+
+        with TcpServer(factory) as server:
+            for _ in range(3):
+                transport = connect_tcp(server.host, server.port)
+                try:
+                    report = run_detection(queries, config, transport)
+                finally:
+                    transport.close()
+                assert not report.aborted
+                assert server.responders[-1] is made[-1]
+            wait_for_sessions(server)
+        assert server.sessions == 3
+        assert list(server.responders) == made[1:]
+        assert server.responders[0] is made[1]
+        for responder in server.responders:
             assert [k for k, v in vars(responder).items() if holds_array(v)] == []
 
 

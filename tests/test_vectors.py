@@ -5,6 +5,9 @@ import pytest
 
 from ssdd.corpus import build_document_vector
 from ssdd.errors import DimensionError, RangeError
+from ssdd.protocol.messages import DfVector, FilterQuery
+from ssdd.protocol.session import BobResponder, SessionConfig
+from ssdd.selection import SelectionMethod
 from ssdd.vectors import (
     DocumentVector,
     FeatureIndexSet,
@@ -99,6 +102,62 @@ class TestProject:
         s = FeatureIndexSet(dims=40, indexes=np.sort(rng.choice(40, 9, replace=False)))
         dense = np.array([d.to_dense() for d in docs])
         np.testing.assert_array_equal(project(pack(docs, 40), s), dense[:, s.indexes])
+
+    def test_absent_terms_and_the_edge_dims(self):
+        """Index sets naming terms no document has, and dims 0 and n - 1,
+        with empty documents first, between and last."""
+        rng = np.random.default_rng(5)
+        n = 60
+        # terms 10..49 only, so the dims around them stay absent
+        docs = [
+            build_document_vector(
+                {int(i): int(rng.integers(1, 9)) for i in rng.choice(40, 12) + 10}, n
+            )
+            for _ in range(7)
+        ]
+        docs.insert(0, build_document_vector({0: 2, n - 1: 3}, n))
+        for at in (0, 4, len(docs) + 1):
+            docs.insert(at, build_document_vector({}, n))
+        packed = pack(docs, n)
+        dense = np.array([d.to_dense() for d in docs])
+        absent = np.flatnonzero(~dense.any(axis=0))
+        assert absent.size > 0
+        for indexes in (
+            [0, n - 1],
+            absent[:5],
+            np.union1d([0, n - 1], absent),
+            np.arange(n),
+            np.sort(rng.choice(n, 13, replace=False)),
+        ):
+            s = FeatureIndexSet(dims=n, indexes=np.asarray(indexes))
+            np.testing.assert_array_equal(project(packed, s), dense[:, s.indexes])
+
+    def test_no_documents(self):
+        s = FeatureIndexSet(dims=30, indexes=np.array([0, 7, 29]))
+        assert project(pack([], 30), s).shape == (0, 3)
+        empties = [build_document_vector({}, 30)] * 2
+        np.testing.assert_array_equal(project(pack(empties, 30), s), np.zeros((2, 3)))
+
+    def test_term_major_view_is_built_once(self):
+        """Bob's projections for several HF queries share one view of his
+        corpus, built on the first filter query."""
+        rng = np.random.default_rng(8)
+        n, f = 200, 20
+        docs = [random_document(rng, n, int(rng.integers(1, 40))) for _ in range(30)]
+        responder = BobResponder(docs, dims=n)
+        config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f)
+        responder.handle(config.hello())
+        responder.handle(DfVector(counts=np.ones(n, dtype=np.int64)))
+        assert "_by_term" not in vars(responder._docs)
+        dense = np.array([d.to_dense() for d in docs])
+        views = []
+        for query_id in range(4):
+            indexes = np.sort(rng.choice(n, f, replace=False))
+            z = rng.standard_normal(f)
+            reply = responder.handle(FilterQuery(query_id=query_id, indexes=indexes, z=z))
+            views.append(vars(responder._docs)["_by_term"])
+            np.testing.assert_allclose(reply.s, dense[:, indexes] @ z, rtol=1e-12, atol=1e-12)
+        assert all(view is views[0] for view in views)
 
     def test_dims_mismatch(self):
         u = build_document_vector({0: 1}, dims=3)
@@ -206,6 +265,28 @@ class TestTopF:
             a = top_f(x, f).indexes
             b = top_f(3.7 * x, f).indexes
             np.testing.assert_array_equal(a, b)
+
+    def test_heavy_ties_match_the_stable_sort(self):
+        """Against a stable argsort of -x on inputs where most values tie:
+        small counts, mostly zeros, and a few levels of z-scores."""
+
+        def reference(x, f):
+            return np.sort(np.argsort(-x, kind="stable")[:f])
+
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            n = int(rng.integers(1, 300))
+            kind = rng.integers(3)
+            if kind == 0:
+                x = rng.poisson(rng.uniform(0.05, 3.0), n).astype(np.float64)
+            elif kind == 1:
+                x = np.zeros(n)
+                hot = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+                x[hot] = rng.integers(1, 4, hot.size)
+            else:
+                x = np.abs(rng.integers(-3, 4, n) / 7.0 - rng.integers(-2, 3, n) / 3.0)
+            f = int(rng.integers(1, n + 1))
+            np.testing.assert_array_equal(top_f(x, f).indexes, reference(x, f))
 
     def test_f_out_of_range(self):
         with pytest.raises(RangeError):

@@ -53,7 +53,6 @@ from .protocol.session import (
 from .selection import (
     SelectionMethod,
     aggregate_whole_vector,
-    local_document_frequency,
     select_gf,
     select_hf,
     select_lf,

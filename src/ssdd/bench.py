@@ -121,9 +121,7 @@ def run_bench(
                     fs_matrix_seed=seed + 1,
                     rp_seed=seed + 2,
                 )
-                report = run_local_detection(
-                    query_vecs, config, target_vecs, query_labels=query_ids
-                )
+                report = run_local_detection(query_vecs, config, target_vecs)
                 rows.append(row_from_report(report))
     return rows
 

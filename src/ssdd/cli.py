@@ -180,14 +180,12 @@ def cmd_detect(args) -> int:
 
     if args.local_bob:
         target_vecs = [corpus.vectors[i] for i in target_ids]
-        report = run_local_detection(
-            query_vecs, config, target_vecs, query_labels=query_ids
-        )
+        report = run_local_detection(query_vecs, config, target_vecs)
     else:
         host, port = args.connect
         transport = connect_tcp(host, port)
         try:
-            report = run_detection(query_vecs, config, transport, query_labels=query_ids)
+            report = run_detection(query_vecs, config, transport)
         finally:
             transport.close()
 

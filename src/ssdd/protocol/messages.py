@@ -30,10 +30,13 @@ raises FrameError for what the layout cannot carry (an integer outside its
 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
 inconsistency; an unknown tag raises ProtocolError.
 
-This is protocol version 2.  A FullReply carries s = z . v_j for every
-survivor j, but t_j = A^T v_j only for the k_new survivors whose t the
-responder has not yet sent in this session, in survivor order: t_j does
-not depend on the query, so the querying side keeps what it received.
+This is protocol version 3.  A FilterQuery always names its f dimension
+indexes (index_count = f), whatever the selection method: the querying
+side alone selects them.  Version 2 left them out under RP and GF, whose
+sets the responder derived itself.  A FullReply carries s = z . v_j for
+every survivor j, but t_j = A^T v_j only for the k_new survivors whose t
+the responder has not yet sent in this session, in survivor order: t_j
+does not depend on the query, so the querying side keeps what it received.
 Version 1 sent every survivor's t with every reply (tag 0x21, now
 unknown); the values disclosed are the same, each t_j just crosses once.
 """
@@ -126,7 +129,7 @@ class DfVector(_Message):
 @dataclass(eq=False)
 class FilterQuery(_Message):
     query_id: int
-    indexes: np.ndarray  # empty when the responder derives the set itself
+    indexes: np.ndarray  # the f chosen dimensions, strictly increasing
     z: np.ndarray
 
 

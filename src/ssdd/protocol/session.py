@@ -5,10 +5,11 @@ The querying side (Alice) holds the query documents; the responding side
 document-frequency exchange when the selection method needs corpus-wide
 counts), each query runs filter-then-refine:
 
-1. Alice masks the query's projection onto f chosen dimensions and sends it.
-   Bob answers for every document with the masked product pieces and the
-   projected squared norm.  Alice recovers each f-dimensional product and
-   keeps only documents whose similarity upper bound reaches the tolerance.
+1. Alice chooses f dimensions, masks the query's projection onto them and
+   sends it with their indexes.  Bob answers for every document with the
+   masked product pieces and the projected squared norm.  Alice recovers
+   each f-dimensional product and keeps only documents whose similarity
+   upper bound reaches the tolerance.
 2. Survivor ids go back with the full-width masked query; Bob answers with
    s = z . v_j for every survivor and t_j = A^T v_j for the survivors whose
    t he has not sent before in this session; the recovered products are
@@ -24,19 +25,26 @@ query.  Sending t_j once per session rather than with every reply
 (protocol version 2) discloses nothing new: t_j does not depend on the
 query, and version 1 sent the same values on every query that j survived.
 
+Alice alone selects the f dimensions, for every method, and each filter
+query names them (protocol version 3); Bob answers the set he is given.
+For RP and GF that discloses nothing new either: Bob could compute those
+sets from the Hello seeds and the df exchange.
+
 Both rounds are computed with array operations.  Bob packs his corpus once
 (``PackedDocs``) and answers a filter query with one projection of the whole
 corpus, read from its term-major view: built on the session's first filter
 query, it lets each projection touch only the entries on the f chosen
 dimensions.  In the full round Bob keeps one flag per document for "t sent",
 computes t_j only the first time document j survives, and s_j = z . v_j
-per query.  Alice masks the full-width vectors of all her queries with one
-pass over A (A R, R stacking the per-query masks), made the first time a
-query reaches the full round.  For each t_j that arrives she keeps only
-t_j R, one float per query, and recovers pair (q, j) as s_j - (t_j R)_q;
-she bounds and recovers all pairs of a query at once.  A session's
-outcome is two queries x targets arrays: the recovered cosines (NaN for a
-pair the filter dismissed) and the similar mask.
+per query.  Alice holds her queries as one dense block, from which she
+selects, projects and counts document frequencies, and masks the
+full-width vectors of all her queries with one pass over A (A R, R
+stacking the per-query masks), made the first time a query reaches the
+full round.  For each t_j that arrives she keeps only t_j R, one float
+per query, and recovers pair (q, j) as s_j - (t_j R)_q; she bounds and
+recovers all pairs of a query at once.  A session's outcome is two
+queries x targets arrays: the recovered cosines (NaN for a pair the filter
+dismissed) and the similar mask.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,6 @@ class SessionConfig:
     matrix_seed: int = 0
     fs_matrix_seed: int = 1
     rp_seed: int = 2
-    protocol_version: int = PROTOCOL_VERSION
 
     def __post_init__(self):
         if self.n < 1:
@@ -118,12 +125,10 @@ class SessionConfig:
             value = getattr(self, name)
             if not 0 <= value < 2**64:
                 raise RangeError(f"{name} must fit in 64 bits")
-        if self.protocol_version != PROTOCOL_VERSION:
-            raise RangeError(f"unsupported protocol version {self.protocol_version}")
 
     def hello(self) -> Hello:
         return Hello(
-            version=self.protocol_version,
+            version=PROTOCOL_VERSION,
             n=self.n,
             f=self.f,
             method=int(self.method),
@@ -135,6 +140,8 @@ class SessionConfig:
 
     @classmethod
     def from_hello(cls, msg: Hello) -> "SessionConfig":
+        if msg.version != PROTOCOL_VERSION:
+            raise ProtocolError(f"unsupported protocol version {msg.version}")
         try:
             method = SelectionMethod(msg.method)
         except ValueError:
@@ -148,7 +155,6 @@ class SessionConfig:
                 matrix_seed=msg.matrix_seed,
                 fs_matrix_seed=msg.fs_matrix_seed,
                 rp_seed=msg.rp_seed,
-                protocol_version=msg.version,
             )
         except RangeError as exc:
             raise ProtocolError(f"bad handshake: {exc}") from exc
@@ -223,7 +229,6 @@ class DetectionReport:
     """
 
     config: SessionConfig
-    query_labels: list[int]
     target_count: int
     cosines: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     similar: np.ndarray = field(default_factory=lambda: np.empty((0, 0), bool))
@@ -278,13 +283,14 @@ class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
     One instance serves one session and drops its arrays when ``serve``
-    returns.  A filter query is answered from the projection P (m x f) of
-    the packed corpus onto its index set: s = P z, t = P A_fs and the
-    squared row norms.  P is read from the corpus's term-major view, built
-    on the first filter query, so it costs the entries on the f chosen
-    dimensions, not a scan of the corpus.  Under LF and HF each query
-    brings its own index set and its own P; under RP and GF the index set
-    is fixed, so P, t and the norms are computed once per session.
+    returns.  A filter query names its index set, whatever the method, and
+    is answered from the projection P (m x f) of the packed corpus onto
+    that set: s = P z, t = P A_fs and the squared row norms.  P is read
+    from the corpus's term-major view, built on the first filter query, so
+    it costs the entries on the f chosen dimensions, not a scan of the
+    corpus.  P, t and the norms of the last set are kept, read-only, and
+    reused while queries name the same set: under RP and GF, whose set is
+    fixed, they are computed once per session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.
@@ -309,8 +315,8 @@ class BobResponder:
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
         self._fs_matrix: SharedRandomMatrix | None = None
-        self._whole: np.ndarray | None = None
-        self._session_set: FeatureIndexSet | None = None
+        self._df_exchanged = False
+        # (indexes, P, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
 
@@ -331,8 +337,7 @@ class BobResponder:
                     transport.send_frame(encode_message(reply))
         finally:
             transport.close()
-            self._docs = self._whole = self._sent = None
-            self._session_set = self._session_filter = None
+            self._docs = self._sent = self._session_filter = None
 
     def handle(self, msg):
         if isinstance(msg, Hello):
@@ -361,23 +366,19 @@ class BobResponder:
         self._matrix = SharedRandomMatrix(config.matrix_seed, config.n)
         if config.method.uses_filter:
             self._fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
-            if config.method is SelectionMethod.RP:
-                self._session_set = select_rp(config.rp_seed, config.n, config.f)
         return HelloAck(bob_doc_count=self.doc_count)
 
     def _on_df(self, msg: DfVector) -> DfVector:
-        config = self.config
-        if not config.method.needs_whole_vector:
-            raise ProtocolError(f"df exchange unexpected for {config.method.name}")
-        if self._whole is not None:
+        """Bob's document counts, once per session, for Alice to select with."""
+        method = self.config.method
+        if not method.needs_whole_vector:
+            raise ProtocolError(f"df exchange unexpected for {method.name}")
+        if self._df_exchanged:
             raise ProtocolError("duplicate df exchange")
         if len(msg.counts) != self.dims:
             raise ProtocolError("df vector has the wrong width")
-        mine = self._docs.document_frequency()
-        self._whole = aggregate_whole_vector(mine, msg.counts)
-        if config.method is SelectionMethod.GF:
-            self._session_set = select_gf(self._whole, config.f)
-        return DfVector(counts=mine)
+        self._df_exchanged = True
+        return DfVector(counts=self._docs.document_frequency())
 
     def _project(self, index_set: FeatureIndexSet) -> tuple:
         """Filter-round pieces of every document for one index set.
@@ -391,27 +392,27 @@ class BobResponder:
         return projected, t, norm_v2, int(np.count_nonzero(projected))
 
     def _filter_pieces(self, msg: FilterQuery) -> tuple:
+        """``_project`` of the query's index set, reused from the last query
+        when it names the same set."""
         config = self.config
-        if msg.indexes.size:
-            if msg.indexes.size != config.f:
-                raise ProtocolError(
-                    f"query carries {msg.indexes.size} indexes, expected {config.f}"
-                )
-            try:
-                index_set = FeatureIndexSet(dims=config.n, indexes=msg.indexes)
-            except RangeError as exc:
-                raise ProtocolError(f"bad index set: {exc}") from exc
-            return self._project(index_set)
-        if self._session_set is None:
+        if msg.indexes.size != config.f:
             raise ProtocolError(
-                f"{config.method.name} needs explicit indexes or a prior df exchange"
+                f"query carries {msg.indexes.size} indexes, expected {config.f}"
             )
-        if self._session_filter is None:
-            self._session_filter = self._project(self._session_set)
-            # every later reply of the session shares these arrays
-            for piece in self._session_filter[:3]:
-                piece.flags.writeable = False
-        return self._session_filter
+        memo = self._session_filter
+        if memo is not None and np.array_equal(memo[0], msg.indexes):
+            return memo[1:]
+        try:
+            index_set = FeatureIndexSet(dims=config.n, indexes=msg.indexes)
+        except RangeError as exc:
+            raise ProtocolError(f"bad index set: {exc}") from exc
+        self._session_filter = None  # the old pieces go before the new are built
+        pieces = self._project(index_set)
+        # later replies for the same set share these arrays
+        for piece in pieces[:3]:
+            piece.flags.writeable = False
+        self._session_filter = (index_set.indexes.copy(), *pieces)
+        return pieces
 
     def _on_filter_query(self, msg: FilterQuery) -> FilterReply:
         config = self.config
@@ -445,20 +446,14 @@ class BobResponder:
 class AliceSession:
     """Query side of a session; drives the transport and scores pairs."""
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        queries: list[DocumentVector],
-        transport,
-        query_labels: list[int] | None = None,
-    ):
+    def __init__(self, config: SessionConfig, queries: list[DocumentVector], transport):
         if any(q.dims != config.n for q in queries):
             raise RangeError("query documents disagree with the session dims")
         self.config = config
         self.queries = queries
-        self._queries = pack(queries, config.n)
+        # row q is query q
+        self._dense = pack(queries, config.n).dense()
         self.transport = transport
-        self.query_labels = list(range(len(queries))) if query_labels is None else query_labels
         self.metrics = SessionMetrics()
         self.target_count = 0
         # row q belongs to query q; sized once the handshake names the targets
@@ -512,7 +507,8 @@ class AliceSession:
             raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
         method = self.config.method
         if method.needs_whole_vector:
-            self._whole = secure_df_exchange(self, self._queries.document_frequency())
+            counts = np.count_nonzero(self._dense, axis=0)
+            self._whole = secure_df_exchange(self, counts)
         if method is SelectionMethod.RP:
             self._session_set = select_rp(
                 self.config.rp_seed, self.config.n, self.config.f
@@ -527,25 +523,26 @@ class AliceSession:
         self._known = np.zeros(self.target_count, dtype=bool)
         self._empty = np.zeros(self.target_count, dtype=bool)
 
-    def _query_index_set(self, query: DocumentVector) -> tuple[FeatureIndexSet, bool]:
-        """The index set for this query and whether it travels on the wire."""
+    def _query_index_set(self, query_id: int) -> FeatureIndexSet:
+        """The index set of query ``query_id``."""
         method = self.config.method
+        row = self._dense[query_id]
         if method is SelectionMethod.LF:
-            return select_lf(query.to_dense(), self.config.f), True
+            return select_lf(row, self.config.f)
         if method is SelectionMethod.HF:
-            return select_hf(query.to_dense(), self._whole, self.config.f), True
-        return self._session_set, False
+            return select_hf(row, self._whole, self.config.f)
+        return self._session_set
 
-    def _filter_step(self, query_id: int, query: DocumentVector) -> np.ndarray:
+    def _filter_step(self, query_id: int) -> np.ndarray:
         """Ids of the targets whose filter bound reaches the tolerance."""
-        index_set, explicit = self._query_index_set(query)
-        u_fs = project(self._queries.take([query_id]), index_set)[0]
+        index_set = self._query_index_set(query_id)
+        u_fs = self._dense[query_id, index_set.indexes]
         cols = self._fs_matrix.cols
         r = _secret_mask(self.config, query_id, 1, cols)
         self._send(
             FilterQuery(
                 query_id=query_id,
-                indexes=index_set.indexes if explicit else np.empty(0, np.int64),
+                indexes=index_set.indexes,
                 z=mask(u_fs, self._fs_matrix, r),
             )
         )
@@ -579,7 +576,7 @@ class AliceSession:
             r = np.column_stack(
                 [_secret_mask(self.config, q, 2, cols) for q in range(len(self.queries))]
             )
-            self._full_z = mask(self._queries.dense().T, self._matrix, r)
+            self._full_z = mask(self._dense.T, self._matrix, r)
             self._full_r = r
         return self._full_z, self._full_r
 
@@ -628,7 +625,7 @@ class AliceSession:
             return
         started = time.perf_counter()
         if self.config.method.uses_filter:
-            survivors = self._filter_step(query_id, query)
+            survivors = self._filter_step(query_id)
         else:
             survivors = np.arange(self.target_count)
         self.metrics.pairs_total += self.target_count
@@ -658,7 +655,6 @@ class AliceSession:
             aborted = True
         return DetectionReport(
             config=self.config,
-            query_labels=self.query_labels,
             target_count=self.target_count,
             cosines=self.cosines,
             similar=self.similar,
@@ -672,7 +668,6 @@ def run_detection(
     queries: list[DocumentVector],
     config: SessionConfig,
     transport,
-    query_labels: list[int] | None = None,
     responder: BobResponder | None = None,
 ) -> DetectionReport:
     """Drive a full session over an already-connected transport.
@@ -681,7 +676,7 @@ def run_detection(
     server), its multiplication counter lands in the report; a remote
     responder keeps its own count.
     """
-    session = AliceSession(config, queries, transport, query_labels)
+    session = AliceSession(config, queries, transport)
     report = session.run()
     if responder is not None:
         report.metrics.scalar_mult_count = responder.scalar_mult_count
@@ -692,7 +687,6 @@ def run_local_detection(
     queries: list[DocumentVector],
     config: SessionConfig,
     bob_vectors: list[DocumentVector],
-    query_labels: list[int] | None = None,
     timeout: float = 60.0,
 ) -> DetectionReport:
     """Run both parties in this process over the queue transport."""
@@ -701,9 +695,7 @@ def run_local_detection(
     server = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
     server.start()
     try:
-        report = run_detection(
-            queries, config, alice_end, query_labels, responder=responder
-        )
+        report = run_detection(queries, config, alice_end, responder=responder)
     finally:
         alice_end.close()
         server.join(timeout=5.0)

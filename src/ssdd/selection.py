@@ -2,14 +2,16 @@
 
 Four strategies pick f of the n dimensions:
 
-- RP: seeded random pick, fixed for a session, known to both parties.
+- RP: seeded random pick, fixed for a session.
 - LF: top-f raw term counts of the querying side's current document.
 - GF: top-f of the aggregated document-frequency vector over both corpora.
 - HF: z-score the current document against the aggregated whole vector and
   take the f largest absolute differences.
 
-LF and HF depend on the query document, so the chosen indexes travel with
-each query (a documented disclosure).  GF and HF need the aggregated
+The querying side alone selects, and every filter query carries the chosen
+indexes.  LF and HF depend on the query document, so their indexes disclose
+what each query is about (a documented disclosure); the responder could
+compute the RP and GF sets itself.  GF and HF need the aggregated
 document-frequency vector first; each side counts locally and the two count
 vectors are exchanged once per session and summed.
 
@@ -23,9 +25,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .corpus import Corpus
 from .errors import DimensionError, RangeError
-from .vectors import FeatureIndexSet, pack, top_f, zscore
+from .vectors import FeatureIndexSet, top_f, zscore
 
 __all__ = [
     "SelectionMethod",
@@ -33,7 +34,6 @@ __all__ = [
     "select_lf",
     "select_gf",
     "select_hf",
-    "local_document_frequency",
     "aggregate_whole_vector",
 ]
 
@@ -103,11 +103,6 @@ def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> FeatureIndexSet
     cur_z, _ = zscore(cur)
     agg_z, _ = zscore(agg)
     return top_f(np.abs(cur_z - agg_z), f)
-
-
-def local_document_frequency(corpus: Corpus) -> np.ndarray:
-    """Per-dimension count of documents containing the term (int64, dense)."""
-    return pack(corpus.vectors, corpus.dims).document_frequency()
 
 
 def aggregate_whole_vector(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:

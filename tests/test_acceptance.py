@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ssdd.corpus import (
-    Corpus,
     build_document_vector,
     parse_bag_of_words,
     split_queries,
@@ -39,8 +38,8 @@ from ssdd.protocol.session import (
     secure_df_exchange,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
-from ssdd.selection import SelectionMethod, local_document_frequency
-from ssdd.vectors import dot
+from ssdd.selection import SelectionMethod
+from ssdd.vectors import dot, pack
 
 from conftest import (
     data_file,
@@ -180,14 +179,14 @@ def test_03_methods_match_plaintext_decisions(eval_corpus):
 def test_04_df_exchange_matches_union(small_corpus):
     started = time.perf_counter()
     rng = np.random.default_rng(404)
-    expected = local_document_frequency(small_corpus)
+    expected = pack(small_corpus.vectors, small_corpus.dims).document_frequency()
     for _ in range(100):
         ids = rng.permutation(len(small_corpus))
         cut = int(rng.integers(1, len(small_corpus)))
         half_a = [small_corpus.vectors[i] for i in ids[:cut]]
         half_b = [small_corpus.vectors[i] for i in ids[cut:]]
-        df_a = local_document_frequency(Corpus(small_corpus.dims, None, half_a))
-        df_b = local_document_frequency(Corpus(small_corpus.dims, None, half_b))
+        df_a = pack(half_a, small_corpus.dims).document_frequency()
+        df_b = pack(half_b, small_corpus.dims).document_frequency()
         a_end, b_end = make_local_pair(timeout=5.0)
         seen = {}
         worker = threading.Thread(

@@ -71,7 +71,6 @@ class TestOracle:
         config = SessionConfig(n=2, epsilon=0.9)
         report = DetectionReport(
             config=config,
-            query_labels=[0],
             target_count=2,
             cosines=np.array([[1.0, 0.0]]),
             similar=np.array([[True, False]]),
@@ -91,7 +90,6 @@ class TestOracle:
         config = SessionConfig(n=2, epsilon=0.9)
         report = DetectionReport(
             config=config,
-            query_labels=[0],
             target_count=1,
             cosines=np.array([[1.0]]),
             similar=np.array([[True]]),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssdd import masking
-from ssdd.corpus import Corpus, build_document_vector, split_queries
+from ssdd.corpus import build_document_vector, split_queries
 from ssdd.errors import ProtocolError, RangeError
 from ssdd.masking import SharedRandomMatrix, mask, recover, respond
 from ssdd.oracle import compare_results, oracle_detect
@@ -21,7 +21,9 @@ from ssdd.protocol.messages import (
     FullReply,
     encode_message,
 )
+from ssdd.protocol import session as session_module
 from ssdd.protocol.session import (
+    PROTOCOL_VERSION,
     AliceSession,
     BobResponder,
     DetectionReport,
@@ -36,12 +38,11 @@ from ssdd.protocol import transport as transport_module
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
 from ssdd.selection import (
     SelectionMethod,
-    local_document_frequency,
     select_gf,
     select_hf,
     select_rp,
 )
-from ssdd.vectors import DocumentVector, FeatureIndexSet
+from ssdd.vectors import DocumentVector, FeatureIndexSet, pack, project
 
 from conftest import random_document, random_unit_dense
 
@@ -74,10 +75,12 @@ class TestSessionConfig:
             SessionConfig(n=4, epsilon=0.8, method=SelectionMethod.RP, f=5)
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, matrix_seed=-1)
-        for version in (1, 3):
-            with pytest.raises(RangeError):
-                SessionConfig(n=4, epsilon=0.8, protocol_version=version)
-        assert SessionConfig(n=4, epsilon=0.8, protocol_version=2).protocol_version == 2
+        hello = SessionConfig(n=4, epsilon=0.8).hello()
+        assert hello.version == PROTOCOL_VERSION == 3
+        for version in (1, 2, 4):
+            with pytest.raises(ProtocolError, match="version"):
+                SessionConfig.from_hello(dataclasses.replace(hello, version=version))
+        assert SessionConfig.from_hello(hello) == SessionConfig(n=4, epsilon=0.8)
 
     def test_base_needs_no_budget(self):
         config = SessionConfig(n=4, epsilon=0.5)
@@ -100,9 +103,18 @@ class TestSessionConfig:
             responder.handle(hello)
         assert responder.config is None
 
+    def test_version_2_hello_is_refused(self):
+        """A version-2 peer leaves the RP and GF index sets off its filter
+        queries; the responder refuses it at the handshake."""
+        hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=2)
+        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        with pytest.raises(ProtocolError, match="version"):
+            responder.handle(hello)
+        assert responder.config is None
+
     def test_from_hello_rejects_bad_version(self):
         hello = config_for(SelectionMethod.RP).hello()
-        bad = type(hello)(**{**hello.__dict__, "version": 3})
+        bad = type(hello)(**{**hello.__dict__, "version": PROTOCOL_VERSION + 1})
         with pytest.raises(ProtocolError):
             SessionConfig.from_hello(bad)
 
@@ -499,6 +511,30 @@ class TestFinishedResponders:
         for responder in server.responders:
             assert [k for k, v in vars(responder).items() if holds_array(v)] == []
 
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.RP, SelectionMethod.HF], ids=lambda m: m.name
+    )
+    def test_filter_memo_is_dropped(self, small_corpus, method):
+        """Bob keeps the last index set's pieces while the session runs and
+        drops them with the corpus when ``serve`` returns."""
+        queries, targets = small_corpus.vectors[:3], small_corpus.vectors[3:]
+        config = config_for(method, f=40, epsilon=0.3)
+        memo_held = []
+
+        class WatchedBob(BobResponder):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if isinstance(msg, FilterQuery):
+                    memo_held.append(self._session_filter is not None)
+                return reply
+
+        bob = WatchedBob(targets, dims=config.n)
+        report = run_against(bob, queries, config)
+        assert not report.aborted and report.decided == 3
+        assert memo_held == [True, True, True]
+        assert bob._session_filter is None
+        assert [k for k, v in vars(bob).items() if holds_array(v)] == []
+
 
 def wait_for_sessions(server: TcpServer) -> None:
     waiter = threading.Thread(target=server.wait, daemon=True)
@@ -602,14 +638,18 @@ class TestResponderValidation:
             responder.handle(config.hello())
 
     def test_duplicate_df_exchange(self):
-        """A second df vector would change the GF set under a cached filter."""
+        """The counts cross once per session: a second df vector is refused,
+        and the first exchange and the replies built on it stand."""
         responder, config = self.make(method=SelectionMethod.GF, n=6, f=2, docs=4)
         responder.handle(config.hello())
-        responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
-        query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.ones(2))
+        counts = responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
+        np.testing.assert_array_equal(counts.counts, [1, 2, 2, 2, 1, 0])
+        query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.ones(2))
         first = responder.handle(query)
         with pytest.raises(ProtocolError, match="duplicate df exchange"):
             responder.handle(DfVector(np.array([0, 0, 0, 0, 9, 9])))
+        with pytest.raises(ProtocolError, match="duplicate df exchange"):
+            responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
         assert responder.handle(query) == first
 
     def test_df_exchange_needs_a_whole_vector_method(self):
@@ -618,11 +658,20 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="df exchange"):
             responder.handle(DfVector(np.zeros(6, dtype=np.int64)))
 
-    def test_lf_without_indexes(self):
-        responder, config = self.make(method=SelectionMethod.LF)
+    @pytest.mark.parametrize(
+        "method",
+        [SelectionMethod.RP, SelectionMethod.LF, SelectionMethod.GF, SelectionMethod.HF],
+        ids=lambda m: m.name,
+    )
+    def test_lf_without_indexes(self, method):
+        """Every filter query names its f indexes, whatever the method;
+        the responder derives no set of its own."""
+        responder, config = self.make(method=method)
         responder.handle(config.hello())
+        if method.needs_whole_vector:
+            responder.handle(DfVector(np.zeros(6, dtype=np.int64)))
         query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(2))
-        with pytest.raises(ProtocolError, match="explicit indexes"):
+        with pytest.raises(ProtocolError, match="0 indexes, expected 2"):
             responder.handle(query)
 
     def test_wrong_index_count(self):
@@ -765,6 +814,55 @@ class TestResponderMatchesRespond:
         ids=lambda m: m.name,
     )
     def test_filter_replies(self, method):
+        self.check_filter_replies(method)
+
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.RP, SelectionMethod.GF], ids=lambda m: m.name
+    )
+    def test_responder_selects_nothing(self, method, monkeypatch):
+        """Bob answers the RP and GF sets he is given without deriving them:
+        every selection function he could reach raises."""
+
+        def refuse(*args):
+            raise AssertionError("the responder selected an index set")
+
+        for name in ("select_rp", "select_lf", "select_gf", "select_hf"):
+            monkeypatch.setattr(session_module, name, refuse)
+        self.check_filter_replies(method)
+
+    def test_repeated_set_is_projected_once(self, monkeypatch):
+        """Bob projects once while queries name the same set and again when
+        the set changes; the count and the replies are as if he kept
+        nothing."""
+        config = self.config(SelectionMethod.RP)
+        first, second = np.arange(F_EQ), np.arange(1, F_EQ + 1)
+        sets = [first, first, first, second, second, first]
+        docs = _equivalence_corpus(first)
+        projected = []
+
+        def counting(packed, index_set):
+            projected.append(index_set.indexes.tolist())
+            return project(packed, index_set)
+
+        monkeypatch.setattr(session_module, "project", counting)
+        responder = BobResponder(docs, dims=N_EQ)
+        responder.handle(config.hello())
+        rng = np.random.default_rng(8)
+        expected_count = 0
+        for query_id, indexes in enumerate(sets):
+            z = rng.uniform(-3, 3, F_EQ)
+            # a fresh array each time, as decoding gives
+            reply = responder.handle(
+                FilterQuery(query_id=query_id, indexes=indexes.copy(), z=z)
+            )
+            index_set = FeatureIndexSet(N_EQ, indexes)
+            self.assert_filter_reply(reply, docs, index_set, config, z)
+            nnz = sum(int(np.count_nonzero(d.to_dense()[indexes])) for d in docs)
+            expected_count += nnz * (2 + (F_EQ + 1) // 2)
+        assert projected == [first.tolist(), second.tolist(), first.tolist()]
+        assert responder.scalar_mult_count == expected_count
+
+    def check_filter_replies(self, method):
         config = self.config(method)
         if method is SelectionMethod.RP:
             index_set = select_rp(config.rp_seed, N_EQ, F_EQ)
@@ -777,16 +875,17 @@ class TestResponderMatchesRespond:
             alice_counts = np.zeros(N_EQ, dtype=np.int64)
             alice_counts[:F_EQ] = 1000  # makes the GF set the first F_EQ dims
             reply = responder.handle(DfVector(counts=alice_counts))
-            mine = local_document_frequency(Corpus(N_EQ, None, docs))
+            mine = pack(docs, N_EQ).document_frequency()
             np.testing.assert_array_equal(reply.counts, mine)
             if method is SelectionMethod.GF:
                 chosen = select_gf(alice_counts + mine, F_EQ).indexes
                 np.testing.assert_array_equal(chosen, index_set.indexes)
-        wire = index_set.indexes if method.per_query else np.empty(0, np.int64)
         rng = np.random.default_rng(5)
         for query_id in range(3):
             z = rng.uniform(-3, 3, F_EQ)
-            reply = responder.handle(FilterQuery(query_id=query_id, indexes=wire, z=z))
+            reply = responder.handle(
+                FilterQuery(query_id=query_id, indexes=index_set.indexes, z=z)
+            )
             self.assert_filter_reply(reply, docs, index_set, config, z)
 
     def full_replies(self, monkeypatch):
@@ -859,9 +958,8 @@ class TestResponderMatchesRespond:
         config = self.config(method)
         responder = BobResponder([], dims=N_EQ)
         assert responder.handle(config.hello()).bob_doc_count == 0
-        indexes = np.arange(F_EQ) if method.per_query else np.empty(0, np.int64)
         reply = responder.handle(
-            FilterQuery(query_id=0, indexes=indexes, z=np.ones(F_EQ))
+            FilterQuery(query_id=0, indexes=np.arange(F_EQ), z=np.ones(F_EQ))
         )
         assert reply.s.shape == (0,) and reply.norm_v2.shape == (0,)
         assert reply.t.shape == (0, (F_EQ + 1) // 2)
@@ -893,9 +991,7 @@ class TestMultiplicationCount:
         )
         if method.uses_filter:
             assert 0 < report.metrics.pairs_filtered < report.metrics.pairs_total
-            whole = local_document_frequency(
-                Corpus(config.n, None, queries)
-            ) + local_document_frequency(Corpus(config.n, None, targets))
+            whole = pack(queries + targets, config.n).document_frequency()
             for query in queries:
                 index_set = select_hf(query.to_dense(), whole, config.f)
                 for target in targets:
@@ -1057,7 +1153,6 @@ class TestReportArrays:
         )
         report = DetectionReport(
             config=SessionConfig(n=4, epsilon=0.5),
-            query_labels=[0, 1, 2],
             target_count=3,
             cosines=np.where(similar, 0.9, 0.1),
             similar=similar,
@@ -1277,6 +1372,7 @@ class TestMaskDerivation:
         a_fs = fs_matrix.row_block(0, fs_matrix.rows)
         index_set = select_rp(config.rp_seed, config.n, config.f)
         for msg in filters:
+            np.testing.assert_array_equal(msg.indexes, index_set.indexes)
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
             u_fs = queries[msg.query_id].to_dense()[index_set.indexes]
             np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)

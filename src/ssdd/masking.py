@@ -13,16 +13,17 @@ In floating point it carries rounding error, so a pair whose cosine lies
 within that error of a tolerance (an identical pair at tolerance 1, say)
 can be decided either way.
 
-Matrix entries are uniform on [-1, 1] and are a pure function of
-(seed, i, j), generated with a block-addressable counter RNG: entry k of
-the row-major matrix is 2u - 1, where u is ``Generator.random``'s k-th
-draw on the Philox stream keyed by the seed, (word_k >> 11) * 2**-53.
-These are the same bits that converting ``Philox.random_raw`` words by
-hand gives, but they are built in the array returned, with no full-size
-temporaries.  Rows can be produced on demand, so the responder's t costs
+Matrix entries are +1 or -1 ("binary coins", Achlioptas 2003): any A makes
+the recovery exact, and a sign costs one random bit.  They are a pure
+function of (seed, i, j), generated with a block-addressable counter RNG:
+entry k of the row-major matrix is +1 when bit k of the Philox stream keyed
+by the seed is set and -1 when it is clear, bit k being bit k % 64 (least
+significant first) of the stream's word k // 64.  Rows can be produced on
+demand from the words that cover them, so the responder's t costs
 O(nnz(v) * cols) work and no party ever needs the full matrix in memory
 (though materializing is allowed as a speedup for moderate n; the
-materialized matrix is cached, shared and read-only).
+materialized matrix is cached as read-only int8, one byte per entry, and
+shared).  Products cast the int8 entries to float64 a few rows at a time.
 
 ``mask`` and ``matvec`` also take a block of k vectors at once: u as an
 (n, k) array and r as a (cols, k) array give the k masked vectors as the
@@ -52,18 +53,21 @@ __all__ = [
 MATERIALIZE_LIMIT_ENTRIES = 40_000_000
 # A streamed matrix generates at most about this many entries at a time.
 STREAM_CHUNK_ENTRIES = 4_000_000
+# Products cast this many int8 rows at a time into one float64 buffer, small
+# enough to stay in cache between the cast and the multiplication.
+CAST_ROWS = 16
 
 
 def _raw_span(seed: int, k0: int, k1: int) -> np.ndarray:
-    """Entries for flat positions [k0, k1) of the matrix stream, built in
-    the buffer returned."""
-    b0 = k0 // 4
-    bits = Philox(key=seed, counter=[b0, 0, 0, 0])
-    bits.random_raw(k0 - b0 * 4)  # skip to k0 within its 4-word block
-    out = np.random.Generator(bits).random(k1 - k0)
-    out *= 2.0
-    out -= 1.0
-    return out
+    """Entries for flat positions [k0, k1) of the matrix stream, as int8."""
+    w0, w1 = k0 // 64, -(-k1 // 64)  # the words holding bits k0, ..., k1 - 1
+    bits = Philox(key=seed, counter=[w0 // 4, 0, 0, 0])
+    bits.random_raw(w0 % 4)  # skip to w0 within its 4-word block
+    words = bits.random_raw(w1 - w0).astype("<u8", copy=False)
+    signs = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.int8)
+    signs <<= 1
+    signs -= 1
+    return signs[k0 - 64 * w0 : k1 - 64 * w0]
 
 
 @lru_cache(maxsize=3)
@@ -79,7 +83,11 @@ def clear_matrix_cache() -> None:
 
 
 class SharedRandomMatrix:
-    """Handle to the deterministic masking matrix for one seed and size."""
+    """Handle to the deterministic masking matrix for one seed and size.
+
+    ``row_block`` and ``rows_for`` return the entries as int8; ``matvec``
+    and ``transpose_apply_packed`` compute in float64.
+    """
 
     def __init__(self, seed: int, rows: int):
         if rows < 1:
@@ -111,7 +119,7 @@ class SharedRandomMatrix:
         full = self._full()
         if full is not None:
             return full[indices]
-        out = np.empty((len(indices), self.cols))
+        out = np.empty((len(indices), self.cols), dtype=np.int8)
         for k, i in enumerate(indices):
             out[k : k + 1] = self.row_block(int(i), int(i) + 1)
         return out
@@ -123,16 +131,20 @@ class SharedRandomMatrix:
             raise DimensionError(
                 f"mask shape {r.shape} != ({self.cols},) or ({self.cols}, k)"
             )
-        # (r^T A^T)^T = A r, in the GEMM shape that OpenBLAS runs about
-        # 1.6x faster when r has a few columns
         full = self._full()
-        if full is not None:
-            return (r.T @ full.T).T
-        out = np.empty((self.rows,) + r.shape[1:])
         chunk = max(1, STREAM_CHUNK_ENTRIES // self.cols)
-        for start in range(0, self.rows, chunk):
-            stop = min(start + chunk, self.rows)
-            out[start:stop] = (r.T @ self.row_block(start, stop).T).T
+        blocks = [(0, full)] if full is not None else (
+            (start, self.row_block(start, min(start + chunk, self.rows)))
+            for start in range(0, self.rows, chunk)
+        )
+        out = np.empty((self.rows,) + r.shape[1:])
+        cast = np.empty((CAST_ROWS, self.cols))
+        for start, block in blocks:
+            for lo in range(0, len(block), CAST_ROWS):
+                part = block[lo : lo + CAST_ROWS]
+                rows = cast[: len(part)]
+                rows[...] = part
+                np.matmul(rows, r, out=out[start + lo : start + lo + len(part)])
         return out
 
     def transpose_apply_packed(self, docs: PackedDocs) -> np.ndarray:
@@ -146,8 +158,12 @@ class SharedRandomMatrix:
         k = len(docs)
         t = np.zeros((k, self.cols))
         if self._full() is not None:
+            # each document's rows are cast into one reused float64 buffer
+            cast = np.empty((int(docs.nnz.max(initial=0)), self.cols))
             for i, (indices, weights) in enumerate(docs):
-                t[i] = weights @ self.rows_for(indices)
+                rows = cast[: indices.size]
+                rows[...] = self.rows_for(indices)
+                np.matmul(weights, rows, out=t[i])
             return t
         rows, column = np.unique(docs.indices, return_inverse=True)
         chunk = max(1, STREAM_CHUNK_ENTRIES // max(self.cols, k))
@@ -184,5 +200,7 @@ def respond(
 
 def recover(s: float | np.ndarray, t: np.ndarray, r: np.ndarray) -> float | np.ndarray:
     """delta = s - t . r, the scalar product of the hidden vectors; with t of
-    shape (k, cols) and s of shape (k,), the k products at once."""
-    return s - t @ r
+    shape (k, cols) and s of shape (k,), the k products at once.  Each row is
+    reduced on its own, so a batch gives the same bits as its rows one at a
+    time (``t @ r`` as a matrix-vector product need not)."""
+    return s - np.einsum("...j,j->...", t, r)

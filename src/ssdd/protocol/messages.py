@@ -9,8 +9,8 @@ little-endian, all reals are IEEE-754 binary64 little-endian.
 
 Tag   Message      Body layout
 ----  -----------  -----------------------------------------------------------
-0x01  Hello        version u16, n u32, f u32, method u8, epsilon f64,
-                   matrix_seed u64, fs_matrix_seed u64, rp_seed u64
+0x01  Hello        version u16, n u32, f u32, method u8, matrix_seed u64,
+                   fs_matrix_seed u64
 0x02  HelloAck     bob_doc_count u32
 0x03  DfVector     n u32, counts u32[n]
 0x10  FilterQuery  query_id u32, index_count u32, indexes u32[index_count],
@@ -30,9 +30,14 @@ raises FrameError for what the layout cannot carry (an integer outside its
 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
 inconsistency; an unknown tag raises ProtocolError.
 
-This is protocol version 3.  A FilterQuery always names its f dimension
-indexes (index_count = f), whatever the selection method: the querying
-side alone selects them.  Version 2 left them out under RP and GF, whose
+This is protocol version 4.  Its Hello carries only what the responder
+uses: version 3's also carried the querying side's tolerance epsilon (f64)
+and RP seed rp_seed (u64), 16 bytes the responder never read, and a
+version-3 Hello does not decode as version 4's.  Version 4 also changed
+the masking matrix's entries to +1 and -1 (see ``ssdd.masking``) without
+changing any layout.  A FilterQuery always names its f dimension indexes
+(index_count = f), whatever the selection method: the querying side alone
+selects them (version 3).  Version 2 left them out under RP and GF, whose
 sets the responder derived itself.  A FullReply carries s = z . v_j for
 every survivor j, but t_j = A^T v_j only for the k_new survivors whose t
 the responder has not yet sent in this session, in survivor order: t_j
@@ -110,10 +115,8 @@ class Hello(_Message):
     n: int
     f: int
     method: int
-    epsilon: float
     matrix_seed: int
     fs_matrix_seed: int
-    rp_seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +227,7 @@ class _Spec:
 _SPECS = {
     spec.tag: spec
     for spec in (
-        _Spec(MSG_HELLO, Hello, "<HIIBdQQQ"),
+        _Spec(MSG_HELLO, Hello, "<HIIBQQ"),
         _Spec(MSG_HELLO_ACK, HelloAck, "<I"),
         _Spec(MSG_DF_VECTOR, DfVector, "<", [("n", [("counts", "<u4")])]),
         _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",

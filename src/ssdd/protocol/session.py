@@ -28,7 +28,9 @@ query, and version 1 sent the same values on every query that j survived.
 Alice alone selects the f dimensions, for every method, and each filter
 query names them (protocol version 3); Bob answers the set he is given.
 For RP and GF that discloses nothing new either: Bob could compute those
-sets from the Hello seeds and the df exchange.
+sets from the df exchange and, before version 4, the RP seed in Hello.
+Since version 4 Hello carries neither that seed nor the tolerance, which
+Alice alone uses.
 
 Both rounds are computed with array operations.  Bob packs his corpus once
 (``PackedDocs``) and answers a filter query with one projection of the whole
@@ -99,31 +101,37 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Parameters both parties must agree on before any query runs."""
+    """Parameters of a session.
+
+    Hello carries all but two to the responder.  The tolerance ``epsilon``
+    and the RP selection seed ``rp_seed`` stay with the querying side, which
+    alone decides and selects; on the responder's side (``from_hello``)
+    both are None.
+    """
 
     n: int
-    epsilon: float
+    epsilon: float | None
     method: SelectionMethod = SelectionMethod.BASE
     f: int = 0
     matrix_seed: int = 0
     fs_matrix_seed: int = 1
-    rp_seed: int = 2
+    rp_seed: int | None = 2
 
     def __post_init__(self):
         if self.n < 1:
             raise RangeError(f"n must be positive, got {self.n}")
-        if not 0.0 <= self.epsilon <= 1.0:
+        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
             raise RangeError(f"tolerance {self.epsilon} outside [0, 1]")
         if self.method.uses_filter and not 1 <= self.f <= self.n:
             raise RangeError(f"f={self.f} outside [1, {self.n}]")
         for name in ("matrix_seed", "fs_matrix_seed", "rp_seed"):
             value = getattr(self, name)
-            if not 0 <= value < 2**64:
+            if value is not None and not 0 <= value < 2**64:
                 raise RangeError(f"{name} must fit in 64 bits")
 
     def hello(self) -> Hello:
@@ -132,10 +140,8 @@ class SessionConfig:
             n=self.n,
             f=self.f,
             method=int(self.method),
-            epsilon=self.epsilon,
             matrix_seed=self.matrix_seed,
             fs_matrix_seed=self.fs_matrix_seed,
-            rp_seed=self.rp_seed,
         )
 
     @classmethod
@@ -149,12 +155,12 @@ class SessionConfig:
         try:
             return cls(
                 n=msg.n,
-                epsilon=msg.epsilon,
+                epsilon=None,
                 method=method,
                 f=msg.f,
                 matrix_seed=msg.matrix_seed,
                 fs_matrix_seed=msg.fs_matrix_seed,
-                rp_seed=msg.rp_seed,
+                rp_seed=None,
             )
         except RangeError as exc:
             raise ProtocolError(f"bad handshake: {exc}") from exc
@@ -449,6 +455,8 @@ class AliceSession:
     def __init__(self, config: SessionConfig, queries: list[DocumentVector], transport):
         if any(q.dims != config.n for q in queries):
             raise RangeError("query documents disagree with the session dims")
+        if config.epsilon is None or config.rp_seed is None:
+            raise RangeError("the querying side needs its tolerance and RP seed")
         self.config = config
         self.queries = queries
         # row q is query q
@@ -471,11 +479,11 @@ class AliceSession:
         # full-round masked vectors and secret masks, one column per query
         self._full_z: np.ndarray | None = None
         self._full_r: np.ndarray | None = None
-        # row j holds t_j R once t_j has arrived (known[j]); empty[j] marks
+        # row j holds t_j R once t_j has arrived (known[j]); zero_t[j] marks
         # a t_j that arrived all-zero
         self._tr = np.empty((0, len(queries)))
         self._known = np.zeros(0, dtype=bool)
-        self._empty = np.zeros(0, dtype=bool)
+        self._zero_t = np.zeros(0, dtype=bool)
         if config.method.per_query:
             logger.warning(
                 "method %s sends each query's chosen dimension indexes to the "
@@ -521,7 +529,7 @@ class AliceSession:
         self.similar = np.zeros(shape, dtype=bool)
         self._tr = np.empty((self.target_count, len(self.queries)))
         self._known = np.zeros(self.target_count, dtype=bool)
-        self._empty = np.zeros(self.target_count, dtype=bool)
+        self._zero_t = np.zeros(self.target_count, dtype=bool)
 
     def _query_index_set(self, query_id: int) -> FeatureIndexSet:
         """The index set of query ``query_id``."""
@@ -604,9 +612,7 @@ class AliceSession:
                 )
             self._tr[new] = reply.t @ r
             self._known[new] = True
-            # A^T v_j is exactly zero for an empty document, and for a
-            # nonzero v_j only with probability 0
-            self._empty[new] = ~reply.t.any(axis=1)
+            self._zero_t[new] = ~reply.t.any(axis=1)
         # a NaN or infinite s or new t entry makes its pair's product non-finite
         recovered = reply.s - self._tr[survivors, query_id]
         if not np.isfinite(recovered).all():
@@ -618,8 +624,8 @@ class AliceSession:
         into row ``query_id`` of the cosine and similar arrays.
 
         Survivors get their recovered cosine, or 0 and never similar for a
-        degenerate query; a target whose t_j arrived all-zero is empty and
-        never similar either.  Filtered pairs keep NaN.
+        degenerate query; an empty target is never similar either.  Filtered
+        pairs keep NaN.
         """
         if self.target_count == 0:
             return
@@ -636,10 +642,16 @@ class AliceSession:
             if query.degenerate:
                 self.cosines[query_id, survivors] = 0.0
             else:
+                # An empty v_j gives t_j = 0 and s = 0 exactly.  With +-1
+                # entries a nonempty v_j can also cancel to t_j = 0, but its
+                # s = z . v_j is then the pair's product itself, so such a
+                # pair is taken for empty only when that product is 0:
+                # never similar at a positive tolerance anyway.
+                empty = self._zero_t[survivors] & (recovered == 0.0)
                 self.cosines[query_id, survivors] = recovered
                 self.similar[query_id, survivors] = (
                     recovered >= self.config.epsilon
-                ) & ~self._empty[survivors]
+                ) & ~empty
         self.metrics.wall_time += time.perf_counter() - started
 
     def run(self) -> DetectionReport:

@@ -129,16 +129,18 @@ class PackedDocs:
 
     def dot(self, z: np.ndarray) -> np.ndarray:
         """z . v_i for every document i, as (m,) for z of shape (dims,) and
-        (k, m) for z of shape (k, dims); a segmented sum in packed-entry order."""
+        (k, m) for z of shape (k, dims); a segmented sum in packed-entry order,
+        one row of z at a time so that temporaries stay at one row's entries."""
         rows = np.atleast_2d(z)
         m = len(self)
-        sums = np.bincount(
-            (np.arange(rows.shape[0])[:, None] * m + self.owner).ravel(),
-            weights=(rows[:, self.indices] * self.weights).ravel(),
-            minlength=rows.shape[0] * m,
-        )
-        # bincount returns integers when it has no entries to sum
-        return sums.astype(np.float64, copy=False).reshape(z.shape[:-1] + (m,))
+        owner = self.owner
+        # float64 even when bincount, given no entries, returns integers
+        out = np.empty((rows.shape[0], m))
+        for row, sums in zip(rows, out):
+            sums[...] = np.bincount(
+                owner, weights=row[self.indices] * self.weights, minlength=m
+            )
+        return out.reshape(z.shape[:-1] + (m,))
 
     def document_frequency(self) -> np.ndarray:
         """Per-dimension count of the documents that contain the term (int64)."""

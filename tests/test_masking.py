@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from ssdd import masking
 from ssdd.errors import DimensionError, RangeError
@@ -34,41 +35,57 @@ class TestSharedRandomMatrix:
         with pytest.raises(RangeError):
             SharedRandomMatrix(1, 0)
 
-    def test_entries_uniform_range_and_seed_determinism(self):
+    def test_entries_are_signs_and_seed_determined(self):
         a = SharedRandomMatrix(99, 40)
         b = SharedRandomMatrix(99, 40)
         block = a.row_block(0, 40)
-        assert np.all(block >= -1.0) and np.all(block <= 1.0)
+        assert np.all(np.abs(block) == 1)
         np.testing.assert_array_equal(block, b.row_block(0, 40))
         c = SharedRandomMatrix(100, 40)
         assert not np.array_equal(block, c.row_block(0, 40))
 
-    # (seed, rows, row, column) -> entry, pinned when the generator was
-    # Philox words mapped by (raw >> 11) * 2**-53 to [0, 1), then 2u - 1.
-    # Row starts of the 30-row matrix (15 columns) fall at every offset
-    # within a 4-word Philox block.
+    # (seed, rows, row) -> the row's signs, entry k of the row-major matrix
+    # being +1 when bit k of the seed's Philox stream is set.  With 15
+    # columns, row 0 holds bits 0-14 (offsets 0 and 1 in word 0), row 1
+    # starts mid-word, row 4 holds bits 60-74 across words 0 and 1 (offsets
+    # 63 and 64), row 17 bits 255-269 across the first two 4-word Philox
+    # blocks, row 29 the last bits; with 10 columns row 6 holds bits 60-69.
     PINNED = {
-        (7, 30, 0, 0): "0x1.7d00d2e0a7a7ep-1",
-        (7, 30, 1, 3): "0x1.7759876c77570p-2",
-        (7, 30, 2, 14): "0x1.19905e743206cp-2",
-        (7, 30, 3, 7): "0x1.071cc83d4d334p-1",
-        (7, 30, 4, 1): "0x1.49c02af9c2268p-2",
-        (7, 30, 29, 14): "-0x1.35a473e8cea90p-1",
-        (2**64 - 1, 9, 0, 4): "-0x1.32de31fb49f44p-2",
-        (2**64 - 1, 9, 1, 0): "0x1.0d3330924ae3ep-1",
-        (2**64 - 1, 9, 8, 2): "-0x1.e0a8685ca291ep-1",
+        (7, 30, 0): "--+--+-+++-++++",
+        (7, 30, 1): "++--+-++++--+-+",
+        (7, 30, 4): "+-+++++----+---",
+        (7, 30, 17): "--++--+++---+-+",
+        (7, 30, 29): "++-++++-+--+-+-",
+        (2**64 - 1, 20, 0): "++-+++++++",
+        (2**64 - 1, 20, 6): "++--+++-+-",
+        (2**64 - 1, 20, 19): "+--+++++++",
     }
 
     def test_pinned_entries(self):
-        """Fixed entries of A, read materialized and streamed, from block
-        starts aligned and not aligned to a Philox block."""
-        for (seed, rows, i, j), text in self.PINNED.items():
-            expected = float.fromhex(text)
+        """Fixed +-1 rows of A, read materialized and streamed, from block
+        starts aligned and not aligned to a 64-bit word, and as int8."""
+        for (seed, rows, i), signs in self.PINNED.items():
+            expected = [1 if c == "+" else -1 for c in signs]
             for matrix in (SharedRandomMatrix(seed, rows), streamed_matrix(seed, rows)):
-                assert matrix.row_block(i, i + 1)[0, j] == expected
-                assert matrix.row_block(0, i + 1)[i, j] == expected
-                assert matrix.row_block(max(i - 1, 0), rows)[min(i, 1), j] == expected
-                assert matrix.rows_for(np.array([i]))[0, j] == expected
+                assert matrix.row_block(i, i + 1)[0].tolist() == expected
+                assert matrix.row_block(0, i + 1)[i].tolist() == expected
+                assert matrix.row_block(max(i - 1, 0), rows)[min(i, 1)].tolist() == expected
+                assert matrix.rows_for(np.array([i]))[0].tolist() == expected
+                assert matrix.row_block(i, i + 1).dtype == np.int8
+
+    def test_entries_are_the_stream_bits(self):
+        """Entry k is +1 or -1 as bit k % 64 of Philox word k // 64 is set or
+        clear, for every entry of a matrix over several Philox blocks."""
+        for seed in (7, 2**64 - 1):
+            matrix = SharedRandomMatrix(seed, 41)
+            k = np.arange(matrix.rows * matrix.cols)
+            words = Philox(key=seed).random_raw(-(-k.size // 64))
+            bits = (words[k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
+            expected = np.where(bits == 1, 1, -1).reshape(matrix.rows, matrix.cols)
+            np.testing.assert_array_equal(matrix.row_block(0, matrix.rows), expected)
+            np.testing.assert_array_equal(
+                streamed_matrix(seed, 41).row_block(0, matrix.rows), expected
+            )
 
     def test_entry_matches_blocks_and_streaming(self):
         """Entry (i, j) is one pure function however the matrix is accessed."""
@@ -168,13 +185,14 @@ class TestSharedRandomMatrix:
 
     def test_generation_peaks_at_the_entries_it_returns(self):
         """Materializing A, or streaming a block of it, allocates little
-        beyond the entries themselves."""
+        beyond the entries themselves: one int8 each, plus the random words
+        they come from (one bit each)."""
         cases = (
             (SharedRandomMatrix(3, 1001), 1, 1001),  # one row materializes all
             (streamed_matrix(3, 1001), 700, 700),
         )
         for matrix, stop, generated in cases:
-            size = generated * matrix.cols * 8
+            size = generated * matrix.cols
             masking.clear_matrix_cache()
             tracemalloc.start()
             try:
@@ -182,7 +200,7 @@ class TestSharedRandomMatrix:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.1 * size, peak / size
+            assert peak <= 1.2 * size, peak / size
 
 
 class TestHandExample:
@@ -271,7 +289,7 @@ class TestExactRecovery:
         s = np.array([s for s, _ in replies])
         t = np.array([t for _, t in replies])
         one_by_one = [recover(s_j, t_j, r) for s_j, t_j in replies]
-        np.testing.assert_allclose(recover(s, t, r), one_by_one, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(recover(s, t, r), one_by_one)
 
 
 class TestCostAccounting:

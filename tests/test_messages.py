@@ -35,10 +35,8 @@ def random_message(rng: np.random.Generator):
             n=int(rng.integers(1, 1 << 20)),
             f=int(rng.integers(0, 1 << 10)),
             method=int(rng.integers(0, 5)),
-            epsilon=float(rng.random()),
             matrix_seed=int(rng.integers(0, 1 << 63)),
             fs_matrix_seed=int(rng.integers(0, 1 << 63)),
-            rp_seed=int(rng.integers(0, 1 << 63)),
         )
     if kind == 1:
         return HelloAck(bob_doc_count=int(rng.integers(0, 1 << 24)))
@@ -155,15 +153,13 @@ class TestFrozenLayouts:
             n=6906,
             f=70,
             method=4,
-            epsilon=0.8,
             matrix_seed=1,
             fs_matrix_seed=2,
-            rp_seed=3,
         )
         frame = encode_message(msg)
-        body = struct.pack("<HIIBdQQQ", 1, 6906, 70, 4, 0.8, 1, 2, 3)
+        body = struct.pack("<HIIBQQ", 1, 6906, 70, 4, 1, 2)
         assert frame == struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO]) + body
-        assert len(body) == 43
+        assert len(body) == 27
 
     def test_hello_ack_layout(self):
         assert encode_message(HelloAck(190)) == struct.pack(
@@ -399,9 +395,9 @@ class TestUnrepresentableValues:
                 t=np.empty((0, 1)),
             ),
             HelloAck(bob_doc_count=-3),
-            Hello(1, 2**32, 1, 0, 0.5, 0, 0, 0),
-            Hello(1, 4, 1, 256, 0.5, 0, 0, 0),
-            Hello(1, 4, 1, 0, 0.5, 2**64, 0, 0),
+            Hello(1, 2**32, 1, 0, 0, 0),
+            Hello(1, 4, 1, 256, 0, 0),
+            Hello(1, 4, 1, 0, 2**64, 0),
         ],
         ids=["query_id=-1", "query_id=2**32", "doc_count=-3", "n=2**32",
              "method=256", "seed=2**64"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import struct
 import threading
 
 import numpy as np
@@ -9,16 +10,18 @@ import pytest
 
 from ssdd import masking
 from ssdd.corpus import build_document_vector, split_queries
-from ssdd.errors import ProtocolError, RangeError
+from ssdd.errors import FrameError, ProtocolError, RangeError
 from ssdd.masking import SharedRandomMatrix, mask, recover, respond
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
+    MSG_HELLO,
     Bye,
     DfVector,
     FilterQuery,
     FilterReply,
     FullQuery,
     FullReply,
+    decode_message,
     encode_message,
 )
 from ssdd.protocol import session as session_module
@@ -61,8 +64,13 @@ def config_for(method, n=500, f=50, epsilon=0.8):
 
 class TestSessionConfig:
     def test_valid_round_trip_through_hello(self):
+        """Hello carries every field but the tolerance and the RP seed, which
+        the responder's copy leaves None; the querying side needs both."""
         config = config_for(SelectionMethod.GF)
-        assert SessionConfig.from_hello(config.hello()) == config
+        bob_side = SessionConfig.from_hello(config.hello())
+        assert bob_side == dataclasses.replace(config, epsilon=None, rp_seed=None)
+        with pytest.raises(RangeError, match="tolerance"):
+            AliceSession(bob_side, [], transport=None)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(RangeError):
@@ -76,11 +84,13 @@ class TestSessionConfig:
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, matrix_seed=-1)
         hello = SessionConfig(n=4, epsilon=0.8).hello()
-        assert hello.version == PROTOCOL_VERSION == 3
-        for version in (1, 2, 4):
+        assert hello.version == PROTOCOL_VERSION == 4
+        for version in (1, 2, 3, 5):
             with pytest.raises(ProtocolError, match="version"):
                 SessionConfig.from_hello(dataclasses.replace(hello, version=version))
-        assert SessionConfig.from_hello(hello) == SessionConfig(n=4, epsilon=0.8)
+        assert SessionConfig.from_hello(hello) == SessionConfig(
+            n=4, epsilon=None, rp_seed=None
+        )
 
     def test_base_needs_no_budget(self):
         config = SessionConfig(n=4, epsilon=0.5)
@@ -107,6 +117,21 @@ class TestSessionConfig:
         """A version-2 peer leaves the RP and GF index sets off its filter
         queries; the responder refuses it at the handshake."""
         hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=2)
+        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        with pytest.raises(ProtocolError, match="version"):
+            responder.handle(hello)
+        assert responder.config is None
+
+    def test_version_3_hello_is_refused(self):
+        """A version-3 peer masks with a different A, so its products would
+        not recover.  Its Hello, 16 bytes longer (epsilon and rp_seed), does
+        not decode; announced in the version-4 layout it is refused at the
+        handshake."""
+        body = struct.pack("<HIIBdQQQ", 3, 500, 50, int(SelectionMethod.RP), 0.8, 11, 12, 13)
+        v3 = struct.pack("<IB", 1 + len(body), MSG_HELLO) + body
+        with pytest.raises(FrameError):
+            decode_message(v3)
+        hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=3)
         responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
@@ -1089,8 +1114,8 @@ class TestNonFiniteReplies:
 class TestEmptyTargets:
     """An empty target is never similar, as in the oracle: at tolerance 0
     its recovered cosine 0 reaches the tolerance, but its t_j arrived
-    all-zero, and Alice remembers that on later queries, which do not
-    resend t_j."""
+    all-zero and its s is 0, and Alice remembers the zero t_j on later
+    queries, which do not resend it."""
 
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_empty_target_at_zero_tolerance(self, method):
@@ -1102,6 +1127,20 @@ class TestEmptyTargets:
         assert compare_results(report, oracle_detect([query] * 2, targets, 0.0)).ok
         assert report.similar_pairs() == [(0, 1), (1, 1)]
         assert report.cosines[:, 0].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("matrix_seed", [2, 4])
+    def test_cancelling_target_is_not_empty(self, matrix_seed):
+        """With +-1 entries a nonempty v_j can give t_j = A^T v_j = 0
+        exactly: here rows 0 and 1 of A are negatives of each other.  Its
+        s = z . v_j is then u . v_j, so the identical pair is still similar."""
+        doc = build_document_vector({0: 1, 1: 1}, 4)
+        rows = SharedRandomMatrix(matrix_seed, 4).row_block(0, 2)
+        assert (rows[0] == -rows[1]).all()
+        config = SessionConfig(n=4, epsilon=0.8, matrix_seed=matrix_seed)
+        report = run_local_detection([doc, doc], config, [doc])
+        assert compare_results(report, oracle_detect([doc] * 2, [doc], 0.8)).ok
+        assert report.similar.tolist() == [[True], [True]]
+        assert report.cosines == pytest.approx(np.ones((2, 1)), abs=1e-12)
 
 
 class TestReportArrays:

@@ -1,5 +1,7 @@
 """Sparse vector kernels against dense oracles and hand-worked values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,23 @@ class TestPackedDocs:
         assert block[:, 3].tolist() == [0.0, 0.0, 0.0]
         empty = pack([build_document_vector({}, 50)] * 2, 50)
         assert empty.dot(z).dtype == empty.dot(z[0]).dtype == np.float64
+
+    def test_dot_temporaries_do_not_grow_with_the_rows(self):
+        """k rows of z allocate the (k, m) result plus what one row needs,
+        not k rows' worth of per-entry temporaries."""
+        rng = np.random.default_rng(21)
+        docs = pack([random_document(rng, 500, 200) for _ in range(20)], 500)
+        z = rng.uniform(-1.0, 1.0, (40, 500))
+        peaks = []
+        for rows in (z[:1], z):
+            tracemalloc.start()
+            try:
+                docs.dot(rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, block = peaks
+        assert block <= one + z.shape[0] * len(docs) * 8, (one, block)
 
     def test_document_frequency(self):
         df = self.packed.document_frequency()

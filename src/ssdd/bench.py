@@ -13,7 +13,7 @@ except the wall_ms column.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
 from .corpus import Corpus, split_queries
@@ -33,21 +33,6 @@ __all__ = [
     "write_report_csv",
 ]
 
-REPORT_COLUMNS = (
-    "method",
-    "f",
-    "epsilon",
-    "pairs_total",
-    "pairs_filtered",
-    "filter_ratio",
-    "full_products",
-    "bytes_sent_alice",
-    "bytes_sent_bob",
-    "wall_ms",
-    "similar_pairs",
-)
-
-
 @dataclass(frozen=True)
 class BenchRow:
     method: str
@@ -63,7 +48,10 @@ class BenchRow:
     similar_pairs: int
 
     def as_tuple(self) -> tuple:
-        return tuple(getattr(self, col) for col in REPORT_COLUMNS)
+        return astuple(self)
+
+
+REPORT_COLUMNS = tuple(field.name for field in fields(BenchRow))
 
 
 def row_from_report(report: DetectionReport) -> BenchRow:

@@ -5,7 +5,9 @@ Every frame is length-prefixed::
     [length: u32 LE] [tag: u8] [body ...]
 
 where length counts the tag byte plus the body.  All integers are
-little-endian, all reals are IEEE-754 binary64 little-endian.
+little-endian, all reals are IEEE-754 binary64 little-endian.  A body is a
+header of scalar fields and counts, then its arrays end to end, each one
+contiguous and row-major.
 
 Tag   Message      Body layout
 ----  -----------  -----------------------------------------------------------
@@ -15,35 +17,32 @@ Tag   Message      Body layout
 0x03  DfVector     n u32, counts u32[n]
 0x10  FilterQuery  query_id u32, index_count u32, indexes u32[index_count],
                    z f64[f]
-0x11  FilterReply  query_id u32, m u32, then m entries of
-                   {s f64, norm_v2 f64, t f64[ceil(f/2)]}
+0x11  FilterReply  query_id u32, m u32, s f64[m], norm_v2 f64[m],
+                   t f64[m][ceil(f/2)]
 0x20  FullQuery    query_id u32, survivor_count u32,
                    survivor_ids u32[survivor_count], z f64[n]
-0x22  FullReply    query_id u32, k u32, k_new u32, then k entries of
-                   {doc_id u32, s f64}, then t f64[k_new][ceil(n/2)]
+0x22  FullReply    query_id u32, k u32, k_new u32, doc_ids u32[k], s f64[k],
+                   t f64[k_new][ceil(n/2)]
 0xFF  Bye          (empty)
 
-``_SPECS`` holds this table.  Reply entries follow the order of the
+``_SPECS`` holds this table.  Reply arrays follow the order of the
 documents they answer for; decoding recovers the trailing f64 width from
 the body length, and every width on this wire is at least 1.  Encoding
 raises FrameError for what the layout cannot carry (an integer outside its
 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
 inconsistency; an unknown tag raises ProtocolError.
 
-This is protocol version 4.  Its Hello carries only what the responder
-uses: version 3's also carried the querying side's tolerance epsilon (f64)
-and RP seed rp_seed (u64), 16 bytes the responder never read, and a
-version-3 Hello does not decode as version 4's.  Version 4 also changed
-the masking matrix's entries to +1 and -1 (see ``ssdd.masking``) without
-changing any layout.  A FilterQuery always names its f dimension indexes
-(index_count = f), whatever the selection method: the querying side alone
-selects them (version 3).  Version 2 left them out under RP and GF, whose
-sets the responder derived itself.  A FullReply carries s = z . v_j for
-every survivor j, but t_j = A^T v_j only for the k_new survivors whose t
-the responder has not yet sent in this session, in survivor order: t_j
-does not depend on the query, so the querying side keeps what it received.
+This is protocol version 5.  A FilterQuery always names its f dimension
+indexes (index_count = f), whatever the selection method: the querying
+side alone selects them.  A FullReply carries s = z . v_j for every
+survivor j, but t_j = A^T v_j only for the k_new survivors whose t the
+responder has not yet sent in this session, in survivor order: t_j does
+not depend on the query, so the querying side keeps what it received.
 Version 1 sent every survivor's t with every reply (tag 0x21, now
 unknown); the values disclosed are the same, each t_j just crosses once.
+Version 4 frames have the same sizes as these, with each reply's entries
+interleaved, so the handshake's version check is what keeps a version-4
+peer out.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,7 +162,7 @@ class Bye(_Message):
     pass
 
 
-def _fits(a: np.ndarray, dtype: str) -> bool:
+def _fits(a: np.ndarray, dtype: np.dtype) -> bool:
     """Whether every value of ``a`` is representable as ``dtype``."""
     return dtype != "<u4" or a.size == 0 or (
         a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF
@@ -175,53 +173,31 @@ class _Spec:
     """Wire layout of one message type.
 
     ``head`` packs the class's scalar fields in declaration order, then one
-    u32 per count that the tail names, in order of first use.  The tail is
-    one numpy structured element made of groups ``(axes, fields)``: an
-    array whose records hold the listed fields side by side.  Axes are
-    space-separated names of those counts and of "w", the trailing width,
-    which a field may also carry as its own last axis.
+    u32 per count that the tail names, in order of first use.  The tail
+    lists the arrays as ``(field, dtype, axes)``, axes being space-separated
+    names of those counts and of "w", the trailing width.
     """
 
     def __init__(self, tag, cls, head, tail=()):
         self.tag, self.cls = tag, cls
-        self.tail = [
-            (axes.split(), [(field, dt, inner) for field, dt, *inner in group])
-            for axes, group in tail
-        ]
-        self.fields = [field for _, group in self.tail for field, _, _ in group]
-        self.names = [f.name for f in fields(cls) if f.name not in self.fields]
+        self.tail = [(field, np.dtype(dt), axes.split()) for field, dt, axes in tail]
+        tail_fields = {field for field, _, _ in self.tail}
+        self.names = [f.name for f in fields(cls) if f.name not in tail_fields]
         self.counts = list(
-            dict.fromkeys(a for axes, _ in self.tail for a in axes if a != "w")
+            dict.fromkeys(a for _, _, axes in self.tail for a in axes if a != "w")
         )
-        self.axes = self.counts + ["w"]
         self.head = struct.Struct(head + "I" * len(self.counts))
-        # each field holds one item of its dtype per element of its axes
-        self.items = [
-            (np.dtype(dt).itemsize, axes + inner)
-            for axes, group in self.tail
-            for _, dt, inner in group
-        ]
 
-    def size(self, sizes: dict) -> int:
-        """Payload bytes (tag, head and tail) for the given axis extents."""
-        return 1 + self.head.size + sum(
-            itemsize * math.prod(sizes[a] for a in axes) for itemsize, axes in self.items
-        )
-
-    def dtype(self, sizes: dict) -> np.dtype:
-        """The tail as one structured element, group g in field str(g)."""
-        return self._dtype(tuple(sizes[a] for a in self.axes))
-
-    # bounded: FullQuery and FullReply extents change from query to query
-    @lru_cache(maxsize=128)
-    def _dtype(self, extents: tuple) -> np.dtype:
-        sizes = dict(zip(self.axes, extents))
-        return np.dtype([
-            (str(g), [(field, dt, tuple(sizes[a] for a in inner))
-                      for field, dt, inner in group],
-             tuple(sizes[a] for a in axes))
-            for g, (axes, group) in enumerate(self.tail)
-        ])
+    def layout(self, sizes: dict) -> tuple[list, int]:
+        """Each array's ``(field, dtype, shape, offset)`` for the given axis
+        extents (0 where absent), offsets counted from the tag, and the
+        payload size."""
+        arrays, offset = [], 1 + self.head.size
+        for field, dtype, axes in self.tail:
+            shape = tuple(sizes.get(a, 0) for a in axes)
+            arrays.append((field, dtype, shape, offset))
+            offset += dtype.itemsize * math.prod(shape)
+        return arrays, offset
 
 
 _SPECS = {
@@ -229,15 +205,15 @@ _SPECS = {
     for spec in (
         _Spec(MSG_HELLO, Hello, "<HIIBQQ"),
         _Spec(MSG_HELLO_ACK, HelloAck, "<I"),
-        _Spec(MSG_DF_VECTOR, DfVector, "<", [("n", [("counts", "<u4")])]),
+        _Spec(MSG_DF_VECTOR, DfVector, "<", [("counts", "<u4", "n")]),
         _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",
-              [("c", [("indexes", "<u4")]), ("w", [("z", "<f8")])]),
+              [("indexes", "<u4", "c"), ("z", "<f8", "w")]),
         _Spec(MSG_FILTER_REPLY, FilterReply, "<I",
-              [("m", [("s", "<f8"), ("norm_v2", "<f8"), ("t", "<f8", "w")])]),
+              [("s", "<f8", "m"), ("norm_v2", "<f8", "m"), ("t", "<f8", "m w")]),
         _Spec(MSG_FULL_QUERY, FullQuery, "<I",
-              [("k", [("survivor_ids", "<u4")]), ("w", [("z", "<f8")])]),
+              [("survivor_ids", "<u4", "k"), ("z", "<f8", "w")]),
         _Spec(MSG_FULL_REPLY, FullReply, "<I",
-              [("k", [("doc_ids", "<u4"), ("s", "<f8")]), ("k_new w", [("t", "<f8")])]),
+              [("doc_ids", "<u4", "k"), ("s", "<f8", "k"), ("t", "<f8", "k_new w")]),
         _Spec(MSG_BYE, Bye, "<"),
     )
 }
@@ -251,15 +227,13 @@ def encode_message(msg: _Message) -> bytearray:
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
     name = spec.cls.__name__
-    values = {field: np.asarray(getattr(msg, field)) for field in spec.fields}
+    values = {field: np.asarray(getattr(msg, field)) for field, _, _ in spec.tail}
     # each axis takes its extent from the first array that has it
     sizes = {}
-    for axes, group in spec.tail:
-        for field, _, inner in group:
-            for axis, extent in zip(axes + inner, values[field].shape):
-                sizes.setdefault(axis, extent)
-    sizes = {axis: sizes.get(axis, 0) for axis in spec.axes}
-    size = spec.size(sizes)
+    for field, _, axes in spec.tail:
+        for axis, extent in zip(axes, values[field].shape):
+            sizes.setdefault(axis, extent)
+    arrays, size = spec.layout(sizes)
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
     frame = bytearray(HEADER_SIZE + size)
@@ -269,20 +243,16 @@ def encode_message(msg: _Message) -> bytearray:
             frame,
             HEADER_SIZE + 1,
             *(getattr(msg, field) for field in spec.names),
-            *(sizes[count] for count in spec.counts),
+            *(sizes.get(count, 0) for count in spec.counts),
         )
     except struct.error as exc:
         raise FrameError(f"{name} header cannot carry its fields: {exc}") from None
-    tail = np.ndarray(
-        (), spec.dtype(sizes), buffer=frame, offset=HEADER_SIZE + 1 + spec.head.size
-    )
-    for g, (_, group) in enumerate(spec.tail):
-        for field, dt, _ in group:
-            part, value = tail[str(g)][field], values[field]
-            if value.shape != part.shape or not _fits(value, dt):
-                want = f"{dt} of shape {part.shape}"
-                raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
-            part[...] = value
+    for field, dtype, shape, offset in arrays:
+        value = values[field]
+        if value.shape != shape or not _fits(value, dtype):
+            want = f"{dtype.str} of shape {shape}"
+            raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
+        np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)[...] = value
     return frame
 
 
@@ -301,22 +271,21 @@ def decode_message(frame: bytes) -> _Message:
     if spec is None:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
     name = spec.cls.__name__
-    body = memoryview(frame)[HEADER_SIZE + 1 :]
-    if len(body) < spec.head.size:
-        raise FrameError(f"{name}: body of {len(body)} bytes is too short")
-    scalars = spec.head.unpack_from(body)
+    if declared < 1 + spec.head.size:
+        raise FrameError(f"{name}: body of {declared - 1} bytes is too short")
+    scalars = spec.head.unpack_from(frame, HEADER_SIZE + 1)
     sizes = dict(zip(spec.counts, scalars[len(spec.names) :]))
     # the payload takes base + width * step bytes; solve for the width
-    base = spec.size({**sizes, "w": 0})
-    step = spec.size({**sizes, "w": 1}) - base
+    base = spec.layout({**sizes, "w": 0})[1]
+    step = spec.layout({**sizes, "w": 1})[1] - base
     width, odd = divmod(declared - base, step) if step else (0, declared - base)
     if width < 0 or odd or (step and not width):
         raise FrameError(f"{name}: {declared} payload bytes do not fit counts {sizes}")
-    sizes["w"] = width
-    tail = np.ndarray((), spec.dtype(sizes), buffer=body, offset=spec.head.size)
-    arrays = {
-        field: tail[str(g)][field].astype(np.int64 if dt == "<u4" else np.float64)
-        for g, (_, group) in enumerate(spec.tail)
-        for field, dt, _ in group
+    arrays, _ = spec.layout({**sizes, "w": width})
+    values = {
+        field: np.frombuffer(frame, dtype, math.prod(shape), HEADER_SIZE + offset)
+        .reshape(shape)
+        .astype(np.int64 if dtype == "<u4" else np.float64)
+        for field, dtype, shape, offset in arrays
     }
-    return spec.cls(**dict(zip(spec.names, scalars)), **arrays)
+    return spec.cls(**dict(zip(spec.names, scalars)), **values)

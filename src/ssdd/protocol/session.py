@@ -22,15 +22,17 @@ that all cross the wire, so Bob can regenerate it and unmask the query.
 Survivor ids necessarily reveal to Bob which of his documents passed the
 filter; LF and HF additionally reveal the chosen dimension indexes of each
 query.  Sending t_j once per session rather than with every reply
-(protocol version 2) discloses nothing new: t_j does not depend on the
-query, and version 1 sent the same values on every query that j survived.
+discloses nothing new: t_j does not depend on the query, and protocol
+version 1 sent the same values on every query that j survived.
 
 Alice alone selects the f dimensions, for every method, and each filter
-query names them (protocol version 3); Bob answers the set he is given.
-For RP and GF that discloses nothing new either: Bob could compute those
-sets from the df exchange and, before version 4, the RP seed in Hello.
-Since version 4 Hello carries neither that seed nor the tolerance, which
-Alice alone uses.
+query names them; Bob answers the set he is given.  For RP and GF that
+discloses nothing new either: Bob could compute those sets from the df
+exchange and, before protocol version 4, the RP seed in Hello.  Hello
+carries neither that seed nor the tolerance, which Alice alone uses.
+
+This is protocol version 5 (``PROTOCOL_VERSION``, see ``messages`` for the
+layout).  Bob refuses a Hello of any other version at the handshake.
 
 Both rounds are computed with array operations.  Bob packs his corpus once
 (``PackedDocs``) and answers a filter query with one projection of the whole
@@ -101,7 +103,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,31 @@ class TestRoundTrip:
         assert again == reply
         assert again.doc_ids.size == 0 and again.t.size == 0
 
+    def test_strided_and_mixed_dtype_arrays_round_trip(self):
+        """Encoding copies through views: a transposed or Fortran-ordered t,
+        a float32 s and 32-bit ids each arrive as the same values."""
+        rng = np.random.default_rng(52)
+        t = rng.standard_normal((5, 3))
+        s = rng.standard_normal(3).astype(np.float32)
+        for t_in in (t.T, np.asfortranarray(t.T)):
+            assert not t_in.flags.c_contiguous
+            reply = FilterReply(query_id=1, s=s, norm_v2=np.arange(3), t=t_in)
+            again = decode_message(encode_message(reply))
+            np.testing.assert_array_equal(again.t, t.T)
+            np.testing.assert_array_equal(again.s, s.astype(np.float64))
+            np.testing.assert_array_equal(again.norm_v2, [0.0, 1.0, 2.0])
+        for ids in (np.array([4, 0, 9], np.uint32), np.array([4, 0, 9], np.int32)):
+            reply = FullReply(query_id=2, doc_ids=ids, s=s, t=t[1:3, ::-1])
+            again = decode_message(encode_message(reply))
+            assert again.doc_ids.dtype == np.int64
+            np.testing.assert_array_equal(again.doc_ids, [4, 0, 9])
+            np.testing.assert_array_equal(again.s, s.astype(np.float64))
+            np.testing.assert_array_equal(again.t, t[1:3, ::-1])
+            query = FullQuery(query_id=3, survivor_ids=ids[::2], z=t[:, 0])
+            again = decode_message(encode_message(query))
+            np.testing.assert_array_equal(again.survivor_ids, [4, 9])
+            np.testing.assert_array_equal(again.z, t[:, 0])
+
     def test_decoded_message_does_not_alias_its_frame(self):
         reply = FilterReply(
             query_id=4,
@@ -209,7 +234,8 @@ class TestFrozenLayouts:
         )
 
     def test_full_reply_layout(self):
-        """Header, {doc_id, s} per survivor, then the new survivors' t rows."""
+        """Header, the survivors' doc_ids, their s, then the new survivors'
+        t rows."""
         msg = FullReply(
             query_id=9,
             doc_ids=np.array([4, 11, 12], dtype=np.int64),
@@ -218,9 +244,8 @@ class TestFrozenLayouts:
         )
         body = (
             struct.pack("<III", 9, 3, 2)
-            + struct.pack("<Id", 4, 0.75)
-            + struct.pack("<Id", 11, -1.25)
-            + struct.pack("<Id", 12, 2.0)
+            + struct.pack("<III", 4, 11, 12)
+            + struct.pack("<ddd", 0.75, -1.25, 2.0)
             + struct.pack("<ddd", 1.0, 2.0, 3.0)
             + struct.pack("<ddd", -4.0, 0.0, 0.5)
         )
@@ -239,7 +264,7 @@ class TestFrozenLayouts:
             s=np.array([0.5, -0.5]),
             t=np.empty((0, 3)),
         )
-        body = struct.pack("<III", 2, 2, 0) + struct.pack("<IdId", 0, 0.5, 7, -0.5)
+        body = struct.pack("<III", 2, 2, 0) + struct.pack("<IIdd", 0, 7, 0.5, -0.5)
         frame = encode_message(msg)
         assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
@@ -278,6 +303,27 @@ class TestFrozenLayouts:
             + bytes([MSG_FILTER_REPLY])
             + expected_body
         )
+
+    def test_filter_reply_layout_is_columnar(self):
+        """Every document's s, then every norm_v2, then the t rows: with
+        more than one document this differs from entries side by side."""
+        msg = FilterReply(
+            query_id=6,
+            s=np.array([2.5, -0.5, 1.0]),
+            norm_v2=np.array([0.5, 0.25, 4.0]),
+            t=np.array([[1.0, -1.0], [3.0, 0.0], [-2.0, 8.0]]),
+        )
+        body = (
+            struct.pack("<II", 6, 3)
+            + struct.pack("<ddd", 2.5, -0.5, 1.0)
+            + struct.pack("<ddd", 0.5, 0.25, 4.0)
+            + struct.pack("<dddddd", 1.0, -1.0, 3.0, 0.0, -2.0, 8.0)
+        )
+        frame = encode_message(msg)
+        assert frame == (
+            struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_REPLY]) + body
+        )
+        assert decode_message(frame) == msg
 
 
 class TestRejection:
@@ -337,7 +383,7 @@ class TestRejection:
         values that two equal rows cannot hold."""
         body = (
             struct.pack("<III", 1, 2, 2)
-            + struct.pack("<IdId", 0, 0.5, 1, 0.25)
+            + struct.pack("<IIdd", 0, 1, 0.5, 0.25)
             + struct.pack(f"<{t_values}d", *range(t_values))
         )
         frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body

@@ -84,8 +84,8 @@ class TestSessionConfig:
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, matrix_seed=-1)
         hello = SessionConfig(n=4, epsilon=0.8).hello()
-        assert hello.version == PROTOCOL_VERSION == 4
-        for version in (1, 2, 3, 5):
+        assert hello.version == PROTOCOL_VERSION == 5
+        for version in (1, 2, 3, 4, 6):
             with pytest.raises(ProtocolError, match="version"):
                 SessionConfig.from_hello(dataclasses.replace(hello, version=version))
         assert SessionConfig.from_hello(hello) == SessionConfig(
@@ -132,6 +132,16 @@ class TestSessionConfig:
         with pytest.raises(FrameError):
             decode_message(v3)
         hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=3)
+        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        with pytest.raises(ProtocolError, match="version"):
+            responder.handle(hello)
+        assert responder.config is None
+
+    def test_version_4_hello_is_refused(self):
+        """A version-4 peer lays each reply's entries side by side.  Its
+        frames have the sizes of version 5's and would decode to the wrong
+        values, so the responder refuses it at the handshake."""
+        hello = dataclasses.replace(config_for(SelectionMethod.HF).hello(), version=4)
         responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)

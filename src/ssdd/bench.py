@@ -91,8 +91,9 @@ def run_bench(
     if not tolerances:
         raise RangeError("no tolerances to run")
     query_ids, target_ids = split_queries(corpus, k=queries, seed=seed, overlap=overlap)
-    query_vecs = [corpus.vectors[i] for i in query_ids]
-    target_vecs = [corpus.vectors[i] for i in target_ids]
+    query_vecs = corpus.vectors.take(query_ids)
+    # one packed target set, and one term-major view of it, for every cell
+    target_vecs = corpus.vectors.take(target_ids)
     rows: list[BenchRow] = []
     for method in sorted(set(methods)):
         per_method_f = [0] if method is SelectionMethod.BASE else sorted(set(f_values))

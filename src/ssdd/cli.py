@@ -176,10 +176,10 @@ def cmd_detect(args) -> int:
     query_ids, target_ids = split_queries(
         corpus, k=args.queries, seed=args.seed, overlap=args.overlap
     )
-    query_vecs = [corpus.vectors[i] for i in query_ids]
+    query_vecs = corpus.vectors.take(query_ids)
 
     if args.local_bob:
-        target_vecs = [corpus.vectors[i] for i in target_ids]
+        target_vecs = corpus.vectors.take(target_ids)
         report = run_local_detection(query_vecs, config, target_vecs)
     else:
         host, port = args.connect
@@ -205,8 +205,8 @@ def cmd_oracle(args) -> int:
         corpus, k=args.queries, seed=args.seed, overlap=args.overlap
     )
     result = oracle_detect(
-        [corpus.vectors[i] for i in query_ids],
-        [corpus.vectors[i] for i in target_ids],
+        corpus.vectors.take(query_ids),
+        corpus.vectors.take(target_ids),
         args.tolerance,
     )
     lines = sorted(result.pairs)

@@ -11,6 +11,10 @@ A parsed corpus can be cached in a little-endian binary file::
     then per document: nnz u32, then nnz packed (index u32, weight f64) pairs
 
 The cache stores normalized weights only, not raw counts.
+
+A corpus holds its vectors as one read-only ``PackedDocs``, built once per
+corpus: a cache is loaded straight into its arrays, and every session over
+the corpus shares them and their term-major view.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .vectors import DocumentVector
+from .vectors import DocumentVector, PackedDocs, pack
 
 __all__ = [
     "RawDocument",
@@ -89,13 +93,15 @@ class Corpus:
 
     ``documents`` holds raw counts when the corpus came from a docword file;
     a cache-loaded corpus has vectors only (``documents is None``).
+    ``vectors`` is the documents' normalized vectors, packed once and shared
+    read-only.
     """
 
     def __init__(
         self,
         dims: int,
         documents: list[RawDocument] | None,
-        vectors: list[DocumentVector] | None = None,
+        vectors: PackedDocs | None = None,
     ):
         if dims < 0:
             raise RangeError("vocabulary width cannot be negative")
@@ -104,7 +110,7 @@ class Corpus:
         if vectors is None:
             if documents is None:
                 raise RangeError("a corpus needs documents or vectors")
-            vectors = [build_document_vector(d.counts, dims) for d in documents]
+            vectors = pack([build_document_vector(d.counts, dims) for d in documents], dims)
         self.vectors = vectors
         if documents is not None and len(documents) != len(vectors):
             raise RangeError("documents and vectors disagree on length")
@@ -113,7 +119,6 @@ class Corpus:
         return len(self.vectors)
 
     def stats(self) -> CorpusStats:
-        nnz = sum(v.nnz for v in self.vectors)
         tokens = None
         if self.documents is not None:
             tokens = sum(sum(d.counts.values()) for d in self.documents)
@@ -121,15 +126,15 @@ class Corpus:
             documents=len(self),
             dims=self.dims,
             total_tokens=tokens,
-            nnz_entries=nnz,
+            nnz_entries=int(self.vectors.indices.size),
         )
 
     def subset(self, doc_ids: Iterable[int]) -> "Corpus":
-        ids = list(doc_ids)
+        ids = np.fromiter(doc_ids, dtype=np.int64)
         docs = None
         if self.documents is not None:
-            docs = [self.documents[i] for i in ids]
-        return Corpus(self.dims, docs, [self.vectors[i] for i in ids])
+            docs = [self.documents[i] for i in ids.tolist()]
+        return Corpus(self.dims, docs, self.vectors.take(ids))
 
 
 def build_document_vector(counts: dict[int, int], dims: int) -> DocumentVector:
@@ -255,19 +260,22 @@ def split_queries(
 
 
 def save_cache(corpus: Corpus, path: str | Path) -> None:
+    docs = corpus.vectors
+    entries = np.empty(docs.indices.size, dtype=_CACHE_ENTRY)
+    entries["index"] = docs.indices
+    entries["weight"] = docs.weights
+    # each document's nnz goes before the first word of its entries
+    body = np.insert(entries.view("<u4"), 3 * docs.indptr[:-1], docs.nnz)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III", CACHE_VERSION, len(corpus), corpus.dims))
-        for vec in corpus.vectors:
-            fh.write(struct.pack("<I", vec.nnz))
-            if vec.nnz:
-                entries = np.empty(vec.nnz, dtype=_CACHE_ENTRY)
-                entries["index"] = vec.indices
-                entries["weight"] = vec.weights
-                fh.write(entries.tobytes())
+        fh.write(struct.pack("<III", CACHE_VERSION, len(docs), corpus.dims))
+        fh.write(body.tobytes())
 
 
 def load_cache(path: str | Path) -> Corpus:
+    """The corpus a cache file holds, read into one PackedDocs with the
+    checks a DocumentVector makes: every index below the width, and indices
+    strictly increasing within a document."""
     data = Path(path).read_bytes()
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ParseError(f"{path}: not a corpus cache (bad magic)")
@@ -279,27 +287,34 @@ def load_cache(path: str | Path) -> Corpus:
     if version != CACHE_VERSION:
         raise ParseError(f"{path}: unsupported cache version {version}")
     off += 12
-    vectors: list[DocumentVector] = []
+    body = off
+    counts = []
     for _ in range(n_docs):
         try:
             (nnz,) = struct.unpack_from("<I", data, off)
         except struct.error:
             raise ParseError(f"{path}: truncated cache body")
-        off += 4
-        end = off + nnz * _CACHE_ENTRY.itemsize
-        if end > len(data):
-            raise ParseError(f"{path}: truncated cache body")
-        entries = np.frombuffer(data, dtype=_CACHE_ENTRY, count=nnz, offset=off)
-        indices = entries["index"]
-        weights = entries["weight"]
-        off = end
-        vectors.append(
-            DocumentVector(
-                dims=dims,
-                indices=indices.astype(np.int64),
-                weights=weights.astype(np.float64),
-            )
-        )
+        counts.append(nnz)
+        off += 4 + nnz * _CACHE_ENTRY.itemsize
+    if off > len(data):
+        raise ParseError(f"{path}: truncated cache body")
     if off != len(data):
         raise ParseError(f"{path}: trailing bytes after last document")
-    return Corpus(dims, None, vectors)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
+    # the body is 4-byte words: document i's nnz at word i + 3 * indptr[i],
+    # then its entries, three words each
+    words = np.frombuffer(data, dtype="<u4", offset=body)
+    entries = np.delete(words, np.arange(n_docs) + 3 * indptr[:-1]).view(_CACHE_ENTRY)
+    docs = PackedDocs(
+        dims,
+        indptr,
+        entries["index"].astype(np.int64),
+        entries["weight"].astype(np.float64),
+    )
+    if np.any(docs.indices >= dims):
+        raise RangeError(f"index out of range for dims={dims}")
+    owner = docs.owner
+    if np.any((np.diff(docs.indices) <= 0) & (owner[1:] == owner[:-1])):
+        raise RangeError("indices must be strictly increasing")
+    return Corpus(dims, None, docs)

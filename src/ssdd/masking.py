@@ -160,10 +160,11 @@ class SharedRandomMatrix:
         if self._full() is not None:
             # each document's rows are cast into one reused float64 buffer
             cast = np.empty((int(docs.nnz.max(initial=0)), self.cols))
-            for i, (indices, weights) in enumerate(docs):
-                rows = cast[: indices.size]
-                rows[...] = self.rows_for(indices)
-                np.matmul(weights, rows, out=t[i])
+            bounds = docs.indptr.tolist()
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                rows = cast[: hi - lo]
+                rows[...] = self.rows_for(docs.indices[lo:hi])
+                np.matmul(docs.weights[lo:hi], rows, out=t[i])
             return t
         rows, column = np.unique(docs.indices, return_inverse=True)
         chunk = max(1, STREAM_CHUNK_ENTRIES // max(self.cols, k))

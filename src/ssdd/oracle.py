@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol.session import DetectionReport
-from .vectors import DocumentVector, pack
+from .vectors import DocumentVector, PackedDocs, pack
 
 __all__ = ["OracleResult", "ResultDiff", "oracle_detect", "compare_results"]
 
@@ -27,11 +27,14 @@ class OracleResult:
 
 
 def oracle_detect(
-    alice_docs: list[DocumentVector],
-    bob_docs: list[DocumentVector],
+    alice_docs: PackedDocs | list[DocumentVector],
+    bob_docs: PackedDocs | list[DocumentVector],
     epsilon: float,
 ) -> OracleResult:
-    dims = next((d.dims for d in alice_docs + bob_docs), 0)
+    # a packed side names its dims even when empty; a list, by its documents
+    dims = next((d.dims for d in (alice_docs, bob_docs) if isinstance(d, PackedDocs)), None)
+    if dims is None:
+        dims = next((v.dims for v in [*alice_docs[:1], *bob_docs[:1]]), 0)
     queries, targets = pack(alice_docs, dims), pack(bob_docs, dims)
     # a degenerate document has no entries, so its products are exactly 0
     cosines = targets.dot(queries.dense())

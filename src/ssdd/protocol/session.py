@@ -34,14 +34,16 @@ carries neither that seed nor the tolerance, which Alice alone uses.
 This is protocol version 5 (``PROTOCOL_VERSION``, see ``messages`` for the
 layout).  Bob refuses a Hello of any other version at the handshake.
 
-Both rounds are computed with array operations.  Bob packs his corpus once
-(``PackedDocs``) and answers a filter query with one projection of the whole
-corpus, read from its term-major view: built on the session's first filter
-query, it lets each projection touch only the entries on the f chosen
-dimensions.  In the full round Bob keeps one flag per document for "t sent",
-computes t_j only the first time document j survives, and s_j = z . v_j
-per query.  Alice holds her queries as one dense block, from which she
-selects, projects and counts document frequencies, and masks the
+Both rounds are computed with array operations.  Bob's corpus is packed
+(``PackedDocs``) once per corpus, not once per session, and shared
+read-only by every session over it.  He answers a filter query with one
+projection of the whole corpus, read from its term-major view: built once
+per corpus, on the first filter query any session makes, and shared
+read-only too, it lets each projection touch only the entries on the f
+chosen dimensions.  In the full round Bob keeps one flag per document for
+"t sent", computes t_j only the first time document j survives, and
+s_j = z . v_j per query.  Alice holds her queries as one dense block, from
+which she selects, projects and counts document frequencies, and masks the
 full-width vectors of all her queries with one pass over A (A R, R
 stacking the per-query masks), made the first time a query reaches the
 full round.  For each t_j that arrives she keeps only t_j R, one float
@@ -61,7 +63,7 @@ from math import isnan
 
 import numpy as np
 
-from ..errors import ProtocolError, RangeError, SessionError, SsddError
+from ..errors import DimensionError, ProtocolError, RangeError, SessionError, SsddError
 from ..masking import SharedRandomMatrix, mask, recover
 from ..selection import (
     SelectionMethod,
@@ -71,7 +73,7 @@ from ..selection import (
     select_lf,
     select_rp,
 )
-from ..vectors import DocumentVector, FeatureIndexSet, pack, project
+from ..vectors import DocumentVector, FeatureIndexSet, PackedDocs, pack, project
 from .messages import (
     Bye,
     DfVector,
@@ -290,15 +292,18 @@ def _secret_mask(
 class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
-    One instance serves one session and drops its arrays when ``serve``
-    returns.  A filter query names its index set, whatever the method, and
+    One instance serves one session and drops its arrays, and its reference
+    to the corpus, when ``serve`` returns.  Given a ``PackedDocs`` (a
+    loaded ``Corpus.vectors``), it shares that corpus read-only with every
+    other session over it; a list of documents is packed for this session
+    alone.  A filter query names its index set, whatever the method, and
     is answered from the projection P (m x f) of the packed corpus onto
     that set: s = P z, t = P A_fs and the squared row norms.  P is read
-    from the corpus's term-major view, built on the first filter query, so
-    it costs the entries on the f chosen dimensions, not a scan of the
-    corpus.  P, t and the norms of the last set are kept, read-only, and
-    reused while queries name the same set: under RP and GF, whose set is
-    fixed, they are computed once per session.
+    from the corpus's term-major view, built once per corpus and shared
+    read-only, so it costs the entries on the f chosen dimensions, not a
+    scan of the corpus.  P, t and the norms of the last set are kept,
+    read-only, and reused while queries name the same set: under RP and
+    GF, whose set is fixed, they are computed once per session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.
@@ -309,16 +314,19 @@ class BobResponder:
     computed and sent earlier in the session.
     """
 
-    def __init__(self, vectors: list[DocumentVector], dims: int | None = None):
-        if vectors:
-            dims = vectors[0].dims if dims is None else dims
-            if any(v.dims != dims for v in vectors):
-                raise RangeError("target documents disagree on dimensionality")
-        elif dims is None:
-            raise RangeError("an empty responder needs an explicit dims")
+    def __init__(
+        self, vectors: PackedDocs | list[DocumentVector], dims: int | None = None
+    ):
+        if dims is None:
+            if not vectors:
+                raise RangeError("an empty responder needs an explicit dims")
+            dims = vectors[0].dims
+        try:
+            self._docs = pack(vectors, dims)
+        except DimensionError as exc:
+            raise RangeError("target documents disagree on dimensionality") from exc
         self.dims = dims
-        self.doc_count = len(vectors)
-        self._docs = pack(vectors, dims)
+        self.doc_count = len(self._docs)
         self.config: SessionConfig | None = None
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
@@ -454,15 +462,22 @@ class BobResponder:
 class AliceSession:
     """Query side of a session; drives the transport and scores pairs."""
 
-    def __init__(self, config: SessionConfig, queries: list[DocumentVector], transport):
-        if any(q.dims != config.n for q in queries):
-            raise RangeError("query documents disagree with the session dims")
+    def __init__(
+        self,
+        config: SessionConfig,
+        queries: PackedDocs | list[DocumentVector],
+        transport,
+    ):
+        try:
+            packed = pack(queries, config.n)
+        except DimensionError as exc:
+            raise RangeError("query documents disagree with the session dims") from exc
         if config.epsilon is None or config.rp_seed is None:
             raise RangeError("the querying side needs its tolerance and RP seed")
         self.config = config
         self.queries = queries
         # row q is query q
-        self._dense = pack(queries, config.n).dense()
+        self._dense = packed.dense()
         self.transport = transport
         self.metrics = SessionMetrics()
         self.target_count = 0
@@ -679,7 +694,7 @@ class AliceSession:
 
 
 def run_detection(
-    queries: list[DocumentVector],
+    queries: PackedDocs | list[DocumentVector],
     config: SessionConfig,
     transport,
     responder: BobResponder | None = None,
@@ -698,9 +713,9 @@ def run_detection(
 
 
 def run_local_detection(
-    queries: list[DocumentVector],
+    queries: PackedDocs | list[DocumentVector],
     config: SessionConfig,
-    bob_vectors: list[DocumentVector],
+    bob_vectors: PackedDocs | list[DocumentVector],
     timeout: float = 60.0,
 ) -> DetectionReport:
     """Run both parties in this process over the queue transport."""

@@ -3,12 +3,15 @@
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
 indices + positive weights).  ``pack`` lays documents out as one CSR
 ``PackedDocs``, the one layout that the protocol, the oracle and the masking
-matrix compute on; ``project`` reads a term-major (CSC) view of it that is
-built on first use.  Everything is float64.
+matrix compute on, and the form a corpus holds its documents in.  A
+``PackedDocs`` is read-only, so one corpus is shared by every session that
+reads it; ``project`` reads a term-major (CSC) view of it that is built on
+first use, once per corpus.  Everything is float64.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,23 +95,41 @@ class FeatureIndexSet:
 @dataclass(frozen=True)
 class PackedDocs:
     """m documents in CSR layout: document i's term indices and weights are
-    ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``;
-    iterating yields each document's (indices, weights).
+    ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``.
 
-    The same entries in term-major (CSC) order are built on the first
-    ``project`` and kept with the documents."""
+    A read-only sequence of documents: the arrays reject writes, and
+    indexing or iterating yields ``DocumentVector``s over views of them (a
+    slice, a list of them).  The same entries in term-major (CSC) order are
+    built on the first ``project`` and kept, read-only, with the documents,
+    so every session over one ``PackedDocs`` shares them.  Sessions that
+    race to build them can at worst build them twice."""
 
     dims: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        for array in (self.indptr, self.indices, self.weights):
+            array.flags.writeable = False
+
     def __len__(self) -> int:
         return self.indptr.size - 1
 
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"document index outside {len(self)} documents")
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return DocumentVector(self.dims, self.indices[lo:hi], self.weights[lo:hi])
+
     def __iter__(self):
         for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
-            yield self.indices[lo:hi], self.weights[lo:hi]
+            yield DocumentVector(self.dims, self.indices[lo:hi], self.weights[lo:hi])
 
     @property
     def nnz(self) -> np.ndarray:
@@ -162,11 +183,19 @@ class PackedDocs:
         order = np.argsort(keys, kind="stable")
         termptr = np.zeros(self.dims + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=self.dims), out=termptr[1:])
-        return termptr, self.owner.take(order), self.weights.take(order)
+        view = termptr, self.owner.take(order), self.weights.take(order)
+        for array in view:
+            array.flags.writeable = False
+        return view
 
 
-def pack(vectors: list[DocumentVector], dims: int) -> PackedDocs:
-    """The documents, in order, as one PackedDocs over ``dims`` dimensions."""
+def pack(vectors: PackedDocs | list[DocumentVector], dims: int) -> PackedDocs:
+    """The documents, in order, as one PackedDocs over ``dims`` dimensions;
+    a PackedDocs is returned as it is, so its term-major view is shared."""
+    if isinstance(vectors, PackedDocs):
+        if vectors.dims != dims:
+            raise DimensionError(f"documents have dims={vectors.dims}, not {dims}")
+        return vectors
     if any(v.dims != dims for v in vectors):
         raise DimensionError(f"documents disagree with dims={dims}")
     return PackedDocs(

@@ -120,7 +120,52 @@ class TestVocabulary:
         assert len(vocab) == 2
 
 
+def write_v1_cache(path, dims, docs) -> None:
+    """A version 1 cache written by hand: ``docs`` lists each document's
+    (index, weight) entries as stored, checked or not."""
+    body = CACHE_MAGIC + struct.pack("<III", 1, len(docs), dims)
+    for entries in docs:
+        body += struct.pack("<I", len(entries))
+        body += b"".join(struct.pack("<Id", i, w) for i, w in entries)
+    path.write_bytes(body)
+
+
 class TestCache:
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            [[(0, 1.0)], [(2, 0.6), (5, 0.8)]],
+            [[(1, 0.6), (1, 0.8)]],
+            [[], [(0, 0.6), (3, 0.6), (2, 0.5)]],
+        ],
+        ids=["index-at-width", "repeated-index", "decreasing-indices"],
+    )
+    def test_bad_entries_are_rejected(self, tmp_path, docs):
+        path = tmp_path / "bad.bin"
+        write_v1_cache(path, 5, docs)
+        with pytest.raises(RangeError):
+            load_cache(path)
+
+    def test_indices_restart_at_each_document(self, tmp_path):
+        """Only steps within a document must increase: the next document,
+        after empty ones or not, may start lower."""
+        docs = [[(3, 0.6), (4, 0.8)], [(1, 1.0)], [], [], [(0, 0.6), (4, 0.8)], []]
+        path = tmp_path / "restart.bin"
+        write_v1_cache(path, 5, docs)
+        corpus = load_cache(path)
+        assert len(corpus) == 6
+        for vec, entries in zip(corpus.vectors, docs, strict=True):
+            assert vec.indices.tolist() == [i for i, _ in entries]
+            assert vec.weights.tolist() == [w for _, w in entries]
+
+    def test_zero_documents(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        write_v1_cache(path, 7, [])
+        corpus = load_cache(path)
+        assert len(corpus) == 0 and corpus.dims == 7
+        assert corpus.stats().nnz_entries == 0
+        assert list(corpus.vectors) == []
+
     def test_round_trip(self, tmp_path):
         corpus = synth_corpus(n_docs=15, dims=120, seed=13, mean_terms=10)
         path = tmp_path / "corpus.bin"

@@ -89,11 +89,11 @@ class TestDocumentFrequency:
 
     def test_matches_per_document_loop(self):
         corpus = synth_corpus(n_docs=50, dims=300, seed=21, mean_terms=25)
-        corpus.vectors.append(build_document_vector({}, 300))
+        vectors = [*corpus.vectors, build_document_vector({}, 300)]
         expected = np.zeros(300, dtype=np.int64)
-        for vec in corpus.vectors:
+        for vec in vectors:
             expected[vec.indices] += 1
-        df = pack(corpus.vectors, corpus.dims).document_frequency()
+        df = pack(vectors, corpus.dims).document_frequency()
         assert df.dtype == np.int64
         np.testing.assert_array_equal(df, expected)
         np.testing.assert_array_equal(

@@ -3,13 +3,14 @@
 import dataclasses
 import logging
 import struct
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from ssdd import masking
-from ssdd.corpus import build_document_vector, split_queries
+from ssdd.corpus import build_document_vector, load_cache, save_cache, split_queries
 from ssdd.errors import FrameError, ProtocolError, RangeError
 from ssdd.masking import SharedRandomMatrix, mask, recover, respond
 from ssdd.oracle import compare_results, oracle_detect
@@ -487,6 +488,82 @@ class TestTcpAgreement:
         assert over_tcp.metrics.bytes_sent_bob == local.metrics.bytes_sent_bob
         assert len(server.responders) == 1
         assert server.responders[0].scalar_mult_count == local.metrics.scalar_mult_count
+
+
+class TestSharedCorpus:
+    """Sessions over one loaded corpus share its packed arrays and view."""
+
+    @pytest.fixture
+    def loaded(self, small_corpus, tmp_path):
+        path = tmp_path / "bob.bin"
+        save_cache(small_corpus.subset(range(2, 60)), path)
+        return load_cache(path)
+
+    def test_sequential_sessions_read_one_view(self, small_corpus, loaded):
+        queries = small_corpus.vectors[:5]
+        config = config_for(SelectionMethod.HF, f=40, epsilon=0.3)
+        seen = []
+
+        class WatchedBob(BobResponder):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if isinstance(msg, FilterQuery):
+                    seen.append((self._docs, vars(self._docs)["_by_term"]))
+                return reply
+
+        with TcpServer(lambda: WatchedBob(loaded.vectors, dims=loaded.dims)) as server:
+            for _ in range(2):
+                transport = connect_tcp(server.host, server.port)
+                try:
+                    report = run_detection(queries, config, transport)
+                finally:
+                    transport.close()
+                assert not report.aborted
+                wait_for_sessions(server)
+        assert server.sessions == 2 and len(seen) == 10
+        assert all(docs is loaded.vectors for docs, _ in seen)
+        assert all(view is seen[0][1] for _, view in seen)
+
+    def test_concurrent_sessions_equal_solo_runs(self, small_corpus, loaded):
+        """HF and BASE sessions at once over one corpus, its view not yet
+        built, each give the bits of a run alone over its own copy."""
+        queries = small_corpus.vectors[:5]
+        configs = [
+            config_for(method, f=40, epsilon=0.3)
+            for method in (SelectionMethod.HF, SelectionMethod.BASE) * 2
+        ]
+        solo = [run_detection_locally(queries, c, list(loaded.vectors)) for c in configs]
+        assert "_by_term" not in vars(loaded.vectors)
+        start = threading.Barrier(len(configs))
+        reports = [None] * len(configs)
+
+        def session(k):
+            start.wait(timeout=10.0)
+            transport = connect_tcp(server.host, server.port)
+            try:
+                reports[k] = run_detection(queries, configs[k], transport)
+            finally:
+                transport.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TcpServer(lambda: BobResponder(loaded.vectors, dims=loaded.dims)) as server:
+                threads = [threading.Thread(target=session, args=(k,)) for k in range(len(configs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.sessions == len(configs)
+        for report, alone in zip(reports, solo, strict=True):
+            assert not report.aborted
+            assert report.cosines.tobytes() == alone.cosines.tobytes()
+            np.testing.assert_array_equal(report.similar, alone.similar)
+            assert report.metrics.bytes_sent_alice == alone.metrics.bytes_sent_alice
+            assert report.metrics.bytes_sent_bob == alone.metrics.bytes_sent_bob
 
 
 def holds_array(value) -> bool:

@@ -181,11 +181,42 @@ class TestPackedDocs:
         assert len(self.packed) == 9
         np.testing.assert_array_equal(self.packed.nnz, [d.nnz for d in self.docs])
         np.testing.assert_array_equal(self.packed.dense(), self.dense)
-        for (indices, weights), doc in zip(self.packed, self.docs, strict=True):
-            np.testing.assert_array_equal(indices, doc.indices)
-            np.testing.assert_array_equal(weights, doc.weights)
+        for packed, doc in zip(self.packed, self.docs, strict=True):
+            np.testing.assert_array_equal(packed.indices, doc.indices)
+            np.testing.assert_array_equal(packed.weights, doc.weights)
         empty = pack([], 50)
         assert len(empty) == 0 and list(empty) == [] and empty.dense().shape == (0, 50)
+
+    def test_indexing_and_slices(self):
+        for i in (0, 3, np.int64(5), -1):
+            doc = self.packed[i]
+            assert isinstance(doc, DocumentVector) and doc.dims == 50
+            np.testing.assert_array_equal(doc.to_dense(), self.dense[i])
+        parts = self.packed[2:7:2]
+        assert isinstance(parts, list) and len(parts) == 3
+        for doc, row in zip(parts, self.dense[2:7:2], strict=True):
+            np.testing.assert_array_equal(doc.to_dense(), row)
+        for i in (9, -10):
+            with pytest.raises(IndexError):
+                self.packed[i]
+
+    def test_arrays_and_view_are_read_only(self):
+        project(self.packed, FeatureIndexSet(dims=50, indexes=np.array([0, 7])))
+        shared = (
+            self.packed.indptr,
+            self.packed.indices,
+            self.packed.weights,
+            *self.packed._by_term,
+            self.packed[0].weights,
+        )
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_pack_keeps_a_packed_corpus(self):
+        assert pack(self.packed, 50) is self.packed
+        with pytest.raises(DimensionError):
+            pack(self.packed, 51)
 
     def test_take_keeps_the_given_order(self):
         ids = np.array([7, 3, 0, 8])

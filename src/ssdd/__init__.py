@@ -34,7 +34,6 @@ from .masking import (
     SharedRandomMatrix,
     mask,
     recover,
-    respond,
 )
 from .oracle import OracleResult, ResultDiff, compare_results, oracle_detect
 from .protocol.session import (
@@ -48,7 +47,6 @@ from .protocol.session import (
     evaluate_filter,
     run_detection,
     run_local_detection,
-    secure_df_exchange,
 )
 from .selection import (
     SelectionMethod,
@@ -62,7 +60,6 @@ from .vectors import (
     DocumentVector,
     FeatureIndexSet,
     PackedDocs,
-    dot,
     pack,
     project,
     top_f,

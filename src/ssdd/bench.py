@@ -102,13 +102,7 @@ def run_bench(
         for f in per_method_f:
             for epsilon in sorted(set(tolerances)):
                 config = SessionConfig(
-                    n=corpus.dims,
-                    epsilon=epsilon,
-                    method=method,
-                    f=f,
-                    matrix_seed=seed,
-                    fs_matrix_seed=seed + 1,
-                    rp_seed=seed + 2,
+                    n=corpus.dims, epsilon=epsilon, method=method, f=f, seed=seed
                 )
                 report = run_local_detection(query_vecs, config, target_vecs)
                 rows.append(row_from_report(report))

@@ -74,18 +74,6 @@ def _resolve_f(args, n: int) -> int:
     return 0
 
 
-def _session_config(args, n: int, method: SelectionMethod, f: int) -> SessionConfig:
-    return SessionConfig(
-        n=n,
-        epsilon=args.tolerance,
-        method=method,
-        f=f,
-        matrix_seed=args.seed,
-        fs_matrix_seed=args.seed + 1,
-        rp_seed=args.seed + 2,
-    )
-
-
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
@@ -172,7 +160,9 @@ def cmd_detect(args) -> int:
         return USAGE_ERROR
     corpus = load_corpus(source, args.limit)
     f = _resolve_f(args, corpus.dims)
-    config = _session_config(args, corpus.dims, method, f)
+    config = SessionConfig(
+        n=corpus.dims, epsilon=args.tolerance, method=method, f=f, seed=args.seed
+    )
     query_ids, target_ids = split_queries(
         corpus, k=args.queries, seed=args.seed, overlap=args.overlap
     )

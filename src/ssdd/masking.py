@@ -39,12 +39,11 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DimensionError, RangeError
-from .vectors import DocumentVector, PackedDocs
+from .vectors import PackedDocs
 
 __all__ = [
     "SharedRandomMatrix",
     "mask",
-    "respond",
     "recover",
     "clear_matrix_cache",
 ]
@@ -186,17 +185,6 @@ def mask(u: np.ndarray, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray
             f"and mask shape {r.shape}"
         )
     return u + matrix.matvec(r)
-
-
-def respond(
-    z: np.ndarray, v: DocumentVector, matrix: SharedRandomMatrix
-) -> tuple[float, np.ndarray]:
-    """(s, t) = (z . v, A^T v) for one document, iterating v's nonzeros only."""
-    if z.shape != (matrix.rows,):
-        raise DimensionError(f"masked length {z.shape} != ({matrix.rows},)")
-    if v.dims != matrix.rows:
-        raise DimensionError(f"document dims {v.dims} != {matrix.rows}")
-    return float(z[v.indices] @ v.weights), v.weights @ matrix.rows_for(v.indices)
 
 
 def recover(s: float | np.ndarray, t: np.ndarray, r: np.ndarray) -> float | np.ndarray:

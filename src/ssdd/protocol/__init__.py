@@ -2,7 +2,6 @@
 
 from .messages import (
     Bye,
-    DfVector,
     FilterQuery,
     FilterReply,
     FullQuery,
@@ -22,7 +21,6 @@ from .session import (
     SimilarityDecision,
     evaluate_filter,
     run_detection,
-    secure_df_exchange,
 )
 from .transport import (
     LocalTransport,
@@ -35,7 +33,6 @@ from .transport import (
 __all__ = [
     "Hello",
     "HelloAck",
-    "DfVector",
     "FilterQuery",
     "FilterReply",
     "FullQuery",
@@ -52,7 +49,6 @@ __all__ = [
     "BobResponder",
     "evaluate_filter",
     "run_detection",
-    "secure_df_exchange",
     "LocalTransport",
     "TcpTransport",
     "TcpServer",

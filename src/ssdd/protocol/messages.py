@@ -11,10 +11,8 @@ contiguous and row-major.
 
 Tag   Message      Body layout
 ----  -----------  -----------------------------------------------------------
-0x01  Hello        version u16, n u32, f u32, method u8, matrix_seed u64,
-                   fs_matrix_seed u64
-0x02  HelloAck     bob_doc_count u32
-0x03  DfVector     n u32, counts u32[n]
+0x01  Hello        version u16, n u32, f u32, method u8, seed u64
+0x02  HelloAck     bob_doc_count u32, n u32, df u32[n]
 0x10  FilterQuery  query_id u32, index_count u32, indexes u32[index_count],
                    z f64[f]
 0x11  FilterReply  query_id u32, m u32, s f64[m], norm_v2 f64[m],
@@ -32,17 +30,22 @@ raises FrameError for what the layout cannot carry (an integer outside its
 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
 inconsistency; an unknown tag raises ProtocolError.
 
-This is protocol version 5.  A FilterQuery always names its f dimension
-indexes (index_count = f), whatever the selection method: the querying
-side alone selects them.  A FullReply carries s = z . v_j for every
+This is protocol version 6.  The handshake is one round trip: Hello
+carries the one seed that both sides derive the masking matrices from,
+and HelloAck carries the responder's document frequencies (n = the
+dimensionality) when the method selects from them (GF, HF), and none
+(n = 0) otherwise.  Version 5 sent three seeds, a Hello 8 bytes longer
+that does not decode as this one, and swapped both sides' counts in a
+separate exchange (tag 0x03, now unknown).  A FilterQuery always names its
+f dimension indexes (index_count = f), whatever the selection method: the
+querying side alone selects them.  A FullReply carries s = z . v_j for every
 survivor j, but t_j = A^T v_j only for the k_new survivors whose t the
 responder has not yet sent in this session, in survivor order: t_j does
 not depend on the query, so the querying side keeps what it received.
 Version 1 sent every survivor's t with every reply (tag 0x21, now
 unknown); the values disclosed are the same, each t_j just crosses once.
-Version 4 frames have the same sizes as these, with each reply's entries
-interleaved, so the handshake's version check is what keeps a version-4
-peer out.
+Version 4 replies have the same sizes as these, with each reply's entries
+interleaved.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from ..errors import FrameError, ProtocolError
 __all__ = [
     "MSG_HELLO",
     "MSG_HELLO_ACK",
-    "MSG_DF_VECTOR",
     "MSG_FILTER_QUERY",
     "MSG_FILTER_REPLY",
     "MSG_FULL_QUERY",
@@ -66,7 +68,6 @@ __all__ = [
     "MSG_BYE",
     "Hello",
     "HelloAck",
-    "DfVector",
     "FilterQuery",
     "FilterReply",
     "FullQuery",
@@ -78,7 +79,6 @@ __all__ = [
 
 MSG_HELLO = 0x01
 MSG_HELLO_ACK = 0x02
-MSG_DF_VECTOR = 0x03
 MSG_FILTER_QUERY = 0x10
 MSG_FILTER_REPLY = 0x11
 MSG_FULL_QUERY = 0x20
@@ -113,18 +113,13 @@ class Hello(_Message):
     n: int
     f: int
     method: int
-    matrix_seed: int
-    fs_matrix_seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class HelloAck(_Message):
-    bob_doc_count: int
+    seed: int
 
 
 @dataclass(eq=False)
-class DfVector(_Message):
-    counts: np.ndarray
+class HelloAck(_Message):
+    bob_doc_count: int
+    df: np.ndarray  # (n,) under GF and HF, else empty
 
 
 @dataclass(eq=False)
@@ -203,9 +198,8 @@ class _Spec:
 _SPECS = {
     spec.tag: spec
     for spec in (
-        _Spec(MSG_HELLO, Hello, "<HIIBQQ"),
-        _Spec(MSG_HELLO_ACK, HelloAck, "<I"),
-        _Spec(MSG_DF_VECTOR, DfVector, "<", [("counts", "<u4", "n")]),
+        _Spec(MSG_HELLO, Hello, "<HIIBQ"),
+        _Spec(MSG_HELLO_ACK, HelloAck, "<I", [("df", "<u4", "n")]),
         _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",
               [("indexes", "<u4", "c"), ("z", "<f8", "w")]),
         _Spec(MSG_FILTER_REPLY, FilterReply, "<I",

@@ -1,9 +1,8 @@
 """Two-party detection sessions.
 
 The querying side (Alice) holds the query documents; the responding side
-(Bob) holds the target corpus.  After a Hello/HelloAck handshake (plus one
-document-frequency exchange when the selection method needs corpus-wide
-counts), each query runs filter-then-refine:
+(Bob) holds the target corpus.  After a one-round-trip Hello/HelloAck
+handshake, each query runs filter-then-refine:
 
 1. Alice chooses f dimensions, masks the query's projection onto them and
    sends it with their indexes.  Bob answers for every document with the
@@ -18,7 +17,8 @@ counts), each query runs filter-then-refine:
 BASE skips step 1 and treats every document as a survivor.  One fresh mask
 per query and step; the same masked vector serves all of Bob's documents
 for that query.  The mask is not secret as built: it is seeded from values
-that all cross the wire, so Bob can regenerate it and unmask the query.
+that all cross the wire (the seed in Hello, the query id in each query),
+so Bob can regenerate it and unmask the query.
 Survivor ids necessarily reveal to Bob which of his documents passed the
 filter; LF and HF additionally reveal the chosen dimension indexes of each
 query.  Sending t_j once per session rather than with every reply
@@ -26,12 +26,14 @@ discloses nothing new: t_j does not depend on the query, and protocol
 version 1 sent the same values on every query that j survived.
 
 Alice alone selects the f dimensions, for every method, and each filter
-query names them; Bob answers the set he is given.  For RP and GF that
-discloses nothing new either: Bob could compute those sets from the df
-exchange and, before protocol version 4, the RP seed in Hello.  Hello
-carries neither that seed nor the tolerance, which Alice alone uses.
+query names them; Bob answers the set he is given.  GF and HF select from
+the document frequencies of both corpora: Bob's counts come with HelloAck
+and Alice adds her own, which never cross the wire, so Bob sees only the
+GF or HF index sets chosen from the sum.  For RP the set discloses nothing
+new either: Bob can derive it from the seed in Hello.  Hello does not
+carry the tolerance, which Alice alone uses.
 
-This is protocol version 5 (``PROTOCOL_VERSION``, see ``messages`` for the
+This is protocol version 6 (``PROTOCOL_VERSION``, see ``messages`` for the
 layout).  Bob refuses a Hello of any other version at the handshake.
 
 Both rounds are computed with array operations.  Bob's corpus is packed
@@ -76,7 +78,6 @@ from ..selection import (
 from ..vectors import DocumentVector, FeatureIndexSet, PackedDocs, pack, project
 from .messages import (
     Bye,
-    DfVector,
     FilterQuery,
     FilterReply,
     FullQuery,
@@ -98,45 +99,44 @@ __all__ = [
     "evaluate_filter",
     "AliceSession",
     "BobResponder",
-    "secure_df_exchange",
     "run_detection",
     "run_local_detection",
 ]
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of a session.
 
-    Hello carries all but two to the responder.  The tolerance ``epsilon``
-    and the RP selection seed ``rp_seed`` stay with the querying side, which
-    alone decides and selects; on the responder's side (``from_hello``)
-    both are None.
+    Hello carries all but the tolerance ``epsilon`` to the responder; it
+    stays with the querying side, which alone decides, and is None on the
+    responder's side (``from_hello``).  The filter budget ``f`` lies in
+    [1, n] for a method that filters and in [0, n] under BASE, which does
+    not use it.  Every random choice of the session derives from ``seed``:
+    A is keyed by it, A_fs by seed + 1 and the RP set by seed + 2 (mod
+    2**64), and each secret mask by the first two with the query id.
     """
 
     n: int
     epsilon: float | None
     method: SelectionMethod = SelectionMethod.BASE
     f: int = 0
-    matrix_seed: int = 0
-    fs_matrix_seed: int = 1
-    rp_seed: int | None = 2
+    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise RangeError(f"n must be positive, got {self.n}")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
             raise RangeError(f"tolerance {self.epsilon} outside [0, 1]")
-        if self.method.uses_filter and not 1 <= self.f <= self.n:
-            raise RangeError(f"f={self.f} outside [1, {self.n}]")
-        for name in ("matrix_seed", "fs_matrix_seed", "rp_seed"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < 2**64:
-                raise RangeError(f"{name} must fit in 64 bits")
+        low = 1 if self.method.uses_filter else 0
+        if not low <= self.f <= self.n:
+            raise RangeError(f"f={self.f} outside [{low}, {self.n}]")
+        if not 0 <= self.seed < 2**64:
+            raise RangeError("seed must fit in 64 bits")
 
     def hello(self) -> Hello:
         return Hello(
@@ -144,8 +144,7 @@ class SessionConfig:
             n=self.n,
             f=self.f,
             method=int(self.method),
-            matrix_seed=self.matrix_seed,
-            fs_matrix_seed=self.fs_matrix_seed,
+            seed=self.seed,
         )
 
     @classmethod
@@ -157,15 +156,7 @@ class SessionConfig:
         except ValueError:
             raise ProtocolError(f"unknown method code {msg.method}") from None
         try:
-            return cls(
-                n=msg.n,
-                epsilon=None,
-                method=method,
-                f=msg.f,
-                matrix_seed=msg.matrix_seed,
-                fs_matrix_seed=msg.fs_matrix_seed,
-                rp_seed=None,
-            )
+            return cls(n=msg.n, epsilon=None, method=method, f=msg.f, seed=msg.seed)
         except RangeError as exc:
             raise ProtocolError(f"bad handshake: {exc}") from exc
 
@@ -262,17 +253,9 @@ class DetectionReport:
         return [(q, t) for q, t in np.argwhere(self.similar).tolist()]
 
 
-def secure_df_exchange(transport, local_counts: np.ndarray) -> np.ndarray:
-    """Swap per-dimension document counts and return the elementwise sum.
-
-    Each party only ever sees the other's aggregate counts, never which
-    documents contain a term.
-    """
-    transport.send_frame(encode_message(DfVector(counts=local_counts)))
-    msg = decode_message(transport.recv_frame())
-    if not isinstance(msg, DfVector):
-        raise ProtocolError(f"expected a df vector, got {type(msg).__name__}")
-    return aggregate_whole_vector(local_counts, msg.counts)
+def _subseed(config: SessionConfig, k: int) -> int:
+    """Key ``k`` of the session, seed + k mod 2**64: 1 keys A_fs, 2 the RP set."""
+    return (config.seed + k) % 2**64
 
 
 def _secret_mask(
@@ -280,11 +263,11 @@ def _secret_mask(
 ) -> np.ndarray:
     """Alice's mask r for one query and step (1 filter, 2 full).
 
-    Every value it is seeded from crosses the wire (the seeds in Hello, the
+    Every value it is seeded from crosses the wire (the seed in Hello, the
     query id in each query), so Bob can regenerate r and read u = z - A r.
     """
     seq = np.random.SeedSequence(
-        entropy=[config.matrix_seed, config.fs_matrix_seed, query_id, step]
+        entropy=[config.seed, _subseed(config, 1), query_id, step]
     )
     return np.random.default_rng(seq).uniform(-1.0, 1.0, size=cols)
 
@@ -331,7 +314,6 @@ class BobResponder:
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
         self._fs_matrix: SharedRandomMatrix | None = None
-        self._df_exchanged = False
         # (indexes, P, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
@@ -362,8 +344,6 @@ class BobResponder:
             raise ProtocolError(
                 f"{type(msg).__name__} before handshake"
             )
-        if isinstance(msg, DfVector):
-            return self._on_df(msg)
         if isinstance(msg, FilterQuery):
             return self._on_filter_query(msg)
         if isinstance(msg, FullQuery):
@@ -379,22 +359,15 @@ class BobResponder:
                 f"query side expects {config.n} dims, corpus has {self.dims}"
             )
         self.config = config
-        self._matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        self._matrix = SharedRandomMatrix(config.seed, config.n)
         if config.method.uses_filter:
-            self._fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
-        return HelloAck(bob_doc_count=self.doc_count)
-
-    def _on_df(self, msg: DfVector) -> DfVector:
-        """Bob's document counts, once per session, for Alice to select with."""
-        method = self.config.method
-        if not method.needs_whole_vector:
-            raise ProtocolError(f"df exchange unexpected for {method.name}")
-        if self._df_exchanged:
-            raise ProtocolError("duplicate df exchange")
-        if len(msg.counts) != self.dims:
-            raise ProtocolError("df vector has the wrong width")
-        self._df_exchanged = True
-        return DfVector(counts=self._docs.document_frequency())
+            self._fs_matrix = SharedRandomMatrix(_subseed(config, 1), config.f)
+        # Bob's document counts, for Alice to select with under GF and HF
+        if config.method.needs_whole_vector:
+            df = self._docs.document_frequency()
+        else:
+            df = np.zeros(0, dtype=np.int64)
+        return HelloAck(bob_doc_count=self.doc_count, df=df)
 
     def _project(self, index_set: FeatureIndexSet) -> tuple:
         """Filter-round pieces of every document for one index set.
@@ -472,8 +445,8 @@ class AliceSession:
             packed = pack(queries, config.n)
         except DimensionError as exc:
             raise RangeError("query documents disagree with the session dims") from exc
-        if config.epsilon is None or config.rp_seed is None:
-            raise RangeError("the querying side needs its tolerance and RP seed")
+        if config.epsilon is None:
+            raise RangeError("the querying side needs its tolerance")
         self.config = config
         self.queries = queries
         # row q is query q
@@ -485,9 +458,9 @@ class AliceSession:
         self.cosines = np.empty((len(queries), 0))
         self.similar = np.empty((len(queries), 0), dtype=bool)
         self.decided = 0
-        self._matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        self._matrix = SharedRandomMatrix(config.seed, config.n)
         self._fs_matrix = (
-            SharedRandomMatrix(config.fs_matrix_seed, config.f)
+            SharedRandomMatrix(_subseed(config, 1), config.f)
             if config.method.uses_filter
             else None
         )
@@ -508,38 +481,37 @@ class AliceSession:
                 config.method.name,
             )
 
-    # The session is also a metered transport, so the frames of helpers
-    # such as secure_df_exchange count in the byte totals.
-    def send_frame(self, frame: bytes) -> None:
+    def _send(self, msg) -> None:
+        frame = encode_message(msg)
         self.metrics.bytes_sent_alice += len(frame)
         self.transport.send_frame(frame)
 
-    def recv_frame(self) -> bytes:
+    def _recv(self):
         frame = self.transport.recv_frame()
         self.metrics.bytes_sent_bob += len(frame)
-        return frame
-
-    def _send(self, msg) -> None:
-        self.send_frame(encode_message(msg))
-
-    def _recv(self):
-        return decode_message(self.recv_frame())
+        return decode_message(frame)
 
     def handshake(self) -> None:
-        self._send(self.config.hello())
+        """Hello, then HelloAck: Bob's document count and, under GF and HF,
+        his document frequencies, which Alice adds to her own."""
+        config = self.config
+        self._send(config.hello())
         ack = self._recv()
         if not isinstance(ack, HelloAck):
             raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
-        method = self.config.method
+        method = config.method
+        width = config.n if method.needs_whole_vector else 0
+        if ack.df.size != width:
+            raise ProtocolError(
+                f"HelloAck carries {ack.df.size} document counts, expected {width}"
+            )
         if method.needs_whole_vector:
             counts = np.count_nonzero(self._dense, axis=0)
-            self._whole = secure_df_exchange(self, counts)
+            self._whole = aggregate_whole_vector(counts, ack.df)
         if method is SelectionMethod.RP:
-            self._session_set = select_rp(
-                self.config.rp_seed, self.config.n, self.config.f
-            )
+            self._session_set = select_rp(_subseed(config, 2), config.n, config.f)
         elif method is SelectionMethod.GF:
-            self._session_set = select_gf(self._whole, self.config.f)
+            self._session_set = select_gf(self._whole, config.f)
         self.target_count = ack.bob_doc_count
         shape = (len(self.queries), self.target_count)
         self.cosines = np.full(shape, np.nan)

@@ -11,9 +11,10 @@ Four strategies pick f of the n dimensions:
 The querying side alone selects, and every filter query carries the chosen
 indexes.  LF and HF depend on the query document, so their indexes disclose
 what each query is about (a documented disclosure); the responder could
-compute the RP and GF sets itself.  GF and HF need the aggregated
-document-frequency vector first; each side counts locally and the two count
-vectors are exchanged once per session and summed.
+derive the RP set itself from the session seed.  GF and HF need the
+aggregated document-frequency vector first: the responder sends its counts
+once per session, in the handshake, and the querying side adds its own,
+which it keeps to itself.
 
 Rankings are invariant under positive scaling of the input, so normalized
 weights select the same dimensions as the raw counts they came from.
@@ -68,11 +69,11 @@ class SelectionMethod(IntEnum):
         return self in (SelectionMethod.GF, SelectionMethod.HF)
 
 
-def select_rp(rp_seed: int, n: int, f: int) -> FeatureIndexSet:
+def select_rp(seed: int, n: int, f: int) -> FeatureIndexSet:
     """f distinct dimensions drawn without replacement from the seed."""
     if not 1 <= f <= n:
         raise RangeError(f"f={f} outside [1, {n}]")
-    rng = np.random.default_rng(rp_seed)
+    rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n, size=f, replace=False))
     return FeatureIndexSet(dims=n, indexes=chosen.astype(np.int64))
 

@@ -23,7 +23,6 @@ __all__ = [
     "DocumentVector",
     "FeatureIndexSet",
     "PackedDocs",
-    "dot",
     "pack",
     "project",
     "zscore",
@@ -224,16 +223,6 @@ def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     out = np.zeros((len(docs), s.f))
     out.reshape(-1)[flat] = weights.take(entries)
     return out
-
-
-def dot(u: DocumentVector, v: DocumentVector) -> float:
-    """Exact sparse dot product via merge-join on the index arrays."""
-    if u.dims != v.dims:
-        raise DimensionError(f"dims mismatch: {u.dims} != {v.dims}")
-    _, iu, iv = np.intersect1d(
-        u.indices, v.indices, assume_unique=True, return_indices=True
-    )
-    return float(u.weights[iu] @ v.weights[iv])
 
 
 def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -1,4 +1,5 @@
-"""Shared corpus builders and data-file discovery for the test suite."""
+"""Shared corpus builders, reference functions and data-file discovery for
+the test suite."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from ssdd.corpus import Corpus, RawDocument, build_document_vector
+from ssdd.errors import DimensionError
+from ssdd.masking import SharedRandomMatrix
 from ssdd.vectors import DocumentVector
 
 
@@ -24,6 +27,28 @@ def data_file(name: str) -> Path | None:
         if candidate.is_file():
             return candidate
     return None
+
+
+def dot(u: DocumentVector, v: DocumentVector) -> float:
+    """Reference sparse dot product: a merge-join on the index arrays."""
+    if u.dims != v.dims:
+        raise DimensionError(f"dims mismatch: {u.dims} != {v.dims}")
+    _, iu, iv = np.intersect1d(
+        u.indices, v.indices, assume_unique=True, return_indices=True
+    )
+    return float(u.weights[iu] @ v.weights[iv])
+
+
+def respond(
+    z: np.ndarray, v: DocumentVector, matrix: SharedRandomMatrix
+) -> tuple[float, np.ndarray]:
+    """Reference responder answer (s, t) = (z . v, A^T v) for one document,
+    iterating v's nonzeros only."""
+    if z.shape != (matrix.rows,):
+        raise DimensionError(f"masked length {z.shape} != ({matrix.rows},)")
+    if v.dims != matrix.rows:
+        raise DimensionError(f"document dims {v.dims} != {matrix.rows}")
+    return float(z[v.indices] @ v.weights), v.weights @ matrix.rows_for(v.indices)
 
 
 def random_document(

@@ -25,27 +25,28 @@ from ssdd.masking import (
     clear_matrix_cache,
     mask,
     recover,
-    respond,
 )
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.messages import decode_message, encode_message
 from ssdd.protocol.session import (
+    AliceSession,
     BobResponder,
     SessionConfig,
     evaluate_filter,
     run_detection,
     run_local_detection,
-    secure_df_exchange,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
 from ssdd.selection import SelectionMethod
-from ssdd.vectors import dot, pack
+from ssdd.vectors import pack
 
 from conftest import (
     data_file,
+    dot,
     random_document,
     random_unit_dense,
     record_acceptance,
+    respond,
     synth_corpus,
 )
 from test_messages import random_message
@@ -149,9 +150,7 @@ def test_03_methods_match_plaintext_decisions(eval_corpus):
                 epsilon=epsilon,
                 method=method,
                 f=70 if method.uses_filter else 0,
-                matrix_seed=3,
-                fs_matrix_seed=4,
-                rp_seed=5,
+                seed=3,
             )
             report = run_local_detection(queries, config, targets)
             assert not report.aborted
@@ -177,26 +176,29 @@ def test_03_methods_match_plaintext_decisions(eval_corpus):
 
 @criterion("exchanged document frequencies equal the union counts")
 def test_04_df_exchange_matches_union(small_corpus):
+    """Alice's GF handshake adds her own counts to the ones Bob's HelloAck
+    carries; the sum is the document frequency of the whole corpus."""
     started = time.perf_counter()
     rng = np.random.default_rng(404)
     expected = pack(small_corpus.vectors, small_corpus.dims).document_frequency()
+    config = SessionConfig(
+        n=small_corpus.dims, epsilon=0.8, method=SelectionMethod.GF, f=10
+    )
     for _ in range(100):
         ids = rng.permutation(len(small_corpus))
         cut = int(rng.integers(1, len(small_corpus)))
         half_a = [small_corpus.vectors[i] for i in ids[:cut]]
         half_b = [small_corpus.vectors[i] for i in ids[cut:]]
-        df_a = pack(half_a, small_corpus.dims).document_frequency()
-        df_b = pack(half_b, small_corpus.dims).document_frequency()
         a_end, b_end = make_local_pair(timeout=5.0)
-        seen = {}
-        worker = threading.Thread(
-            target=lambda: seen.update(b=secure_df_exchange(b_end, df_b))
-        )
+        bob = BobResponder(half_b, dims=small_corpus.dims)
+        worker = threading.Thread(target=bob.serve, args=(b_end,))
         worker.start()
-        agg_a = secure_df_exchange(a_end, df_a)
+        alice = AliceSession(config, half_a, a_end)
+        alice.handshake()
+        a_end.close()
         worker.join(timeout=5.0)
-        assert np.array_equal(agg_a, expected)
-        assert np.array_equal(seen["b"], expected)
+        assert not worker.is_alive()
+        assert np.array_equal(alice._whole, expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
     return f"100 random splits, exact, {elapsed:.1f}s"
@@ -233,9 +235,7 @@ def test_06_selection_effectiveness_trend(eval_corpus):
             epsilon=0.80,
             method=method,
             f=f if method.uses_filter else 0,
-            matrix_seed=3,
-            fs_matrix_seed=4,
-            rp_seed=5,
+            seed=3,
         )
         report = run_local_detection(queries, config, targets)
         assert not report.aborted
@@ -279,11 +279,10 @@ def test_07_filtered_workload_cost_scaling():
             1000 + int(i) for i in rng.choice(1000, size=90, replace=False)
         ) | set(shared)
         bob_docs.append(build_document_vector({i: 1 for i in support}, n))
-    common = dict(matrix_seed=71, fs_matrix_seed=72, rp_seed=73)
     fs_config = SessionConfig(
-        n=n, epsilon=0.8, method=SelectionMethod.LF, f=f, **common
+        n=n, epsilon=0.8, method=SelectionMethod.LF, f=f, seed=71
     )
-    base_config = SessionConfig(n=n, epsilon=0.8, **common)
+    base_config = SessionConfig(n=n, epsilon=0.8, seed=71)
     fs_report = run_local_detection(queries, fs_config, bob_docs)
     base_report = run_local_detection(queries, base_config, bob_docs)
     assert not fs_report.aborted and not base_report.aborted
@@ -315,9 +314,7 @@ def test_08_transports_agree():
         epsilon=0.8,
         method=SelectionMethod.HF,
         f=40,
-        matrix_seed=81,
-        fs_matrix_seed=82,
-        rp_seed=83,
+        seed=81,
     )
     local = run_local_detection(queries, config, targets)
     assert not local.aborted

@@ -10,9 +10,10 @@ import threading
 import numpy as np
 
 from ssdd.masking import SharedRandomMatrix
-from ssdd.protocol.messages import FullQuery, Hello, decode_message
+from ssdd.protocol.messages import Bye, FilterQuery, FullQuery, Hello, decode_message
 from ssdd.protocol.session import BobResponder, SessionConfig, run_detection
 from ssdd.protocol.transport import make_local_pair
+from ssdd.selection import SelectionMethod
 
 from conftest import random_document
 
@@ -55,28 +56,44 @@ def bob_view(queries, targets, config):
 
 class TestFullQueryMask:
     def test_bob_regenerates_r_and_reads_every_query(self):
-        """The full-round mask r is seeded from matrix_seed, fs_matrix_seed,
-        query_id and the step, and all of them cross the wire: Bob
-        regenerates r and reads u = z - A r to rounding error."""
+        """The full-round mask r is seeded from the seed, seed + 1, query_id
+        and the step, and all of them cross the wire: Bob regenerates r and
+        reads u = z - A r to rounding error."""
         rng = np.random.default_rng(41)
         n = 300
         queries = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(3)]
         targets = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(4)]
-        config = SessionConfig(n=n, epsilon=0.8, matrix_seed=77, fs_matrix_seed=78)
+        config = SessionConfig(n=n, epsilon=0.8, seed=77)
         received = bob_view(queries, targets, config)
 
         hello = received[0]
         assert isinstance(hello, Hello)
-        matrix = SharedRandomMatrix(hello.matrix_seed, hello.n)
+        matrix = SharedRandomMatrix(hello.seed, hello.n)
         a = matrix.row_block(0, matrix.rows)
         full = [m for m in received if isinstance(m, FullQuery)]
         assert [m.query_id for m in full] == [0, 1, 2]
         for msg in full:
             seq = np.random.SeedSequence(
-                [hello.matrix_seed, hello.fs_matrix_seed, msg.query_id, 2]
+                [hello.seed, hello.seed + 1, msg.query_id, 2]
             )
             r = np.random.default_rng(seq).uniform(-1.0, 1.0, matrix.cols)
             u = msg.z - a @ r
             query = queries[msg.query_id]
             np.testing.assert_allclose(u, query.to_dense(), rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.flatnonzero(np.abs(u) > 1e-9), query.indices)
+
+
+class TestDocumentFrequencies:
+    def test_alice_counts_never_reach_bob(self):
+        """Under GF Alice adds her document counts to the ones Bob's HelloAck
+        carries, on her side: Bob receives the Hello, then per query the
+        index set chosen from the sum, masked vectors and survivor ids."""
+        rng = np.random.default_rng(43)
+        n, f = 300, 12
+        queries = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(3)]
+        targets = queries + [random_document(rng, n, 20) for _ in range(4)]
+        config = SessionConfig(n=n, epsilon=0.8, method=SelectionMethod.GF, f=f)
+        received = bob_view(queries, targets, config)
+        assert [type(m) for m in received] == [Hello] + [FilterQuery, FullQuery] * 3 + [Bye]
+        for msg in received[1:-1:2]:
+            assert msg.indexes.size == msg.z.size == f

@@ -8,14 +8,14 @@ from numpy.random import Philox
 
 from ssdd import masking
 from ssdd.errors import DimensionError, RangeError
-from ssdd.masking import SharedRandomMatrix, mask, recover, respond
+from ssdd.masking import SharedRandomMatrix, mask, recover
 from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
 from ssdd.corpus import build_document_vector
 from ssdd.vectors import DocumentVector, pack
 
-from conftest import random_document
+from conftest import random_document, respond
 
 
 def streamed_matrix(seed: int, rows: int) -> SharedRandomMatrix:
@@ -333,9 +333,9 @@ class TestCostAccounting:
 
 class TestSecretMask:
     def test_draw_is_deterministic_per_generator_state(self):
-        """Alice's mask r is a pure function of (matrix seed, fs matrix seed,
-        query id, step): uniform(-1, 1) from a generator seeded with them."""
-        config = SessionConfig(n=20, epsilon=0.5, matrix_seed=5, fs_matrix_seed=6)
+        """Alice's mask r is a pure function of (seed, seed + 1, query id,
+        step): uniform(-1, 1) from a generator seeded with them."""
+        config = SessionConfig(n=20, epsilon=0.5, seed=5)
         a = _secret_mask(config, 3, 1, 10)
         np.testing.assert_array_equal(a, _secret_mask(config, 3, 1, 10))
         seq = np.random.SeedSequence([5, 6, 3, 1])

@@ -14,8 +14,8 @@ from ssdd.protocol.messages import (
     MSG_FULL_QUERY,
     MSG_FULL_REPLY,
     MSG_HELLO,
+    MSG_HELLO_ACK,
     Bye,
-    DfVector,
     FilterQuery,
     FilterReply,
     FullQuery,
@@ -35,13 +35,13 @@ def random_message(rng: np.random.Generator):
             n=int(rng.integers(1, 1 << 20)),
             f=int(rng.integers(0, 1 << 10)),
             method=int(rng.integers(0, 5)),
-            matrix_seed=int(rng.integers(0, 1 << 63)),
-            fs_matrix_seed=int(rng.integers(0, 1 << 63)),
+            seed=int(rng.integers(0, 1 << 63)),
         )
-    if kind == 1:
-        return HelloAck(bob_doc_count=int(rng.integers(0, 1 << 24)))
-    if kind == 2:
-        return DfVector(counts=rng.integers(0, 1000, int(rng.integers(0, 50))))
+    if kind in (1, 2):  # without df, then with a df of 0 to 49 counts
+        return HelloAck(
+            bob_doc_count=int(rng.integers(0, 1 << 24)),
+            df=rng.integers(0, 1000, 0 if kind == 1 else int(rng.integers(0, 50))),
+        )
     if kind == 3:
         f = int(rng.integers(1, 40))
         explicit = rng.random() < 0.5
@@ -178,28 +178,31 @@ class TestFrozenLayouts:
             n=6906,
             f=70,
             method=4,
-            matrix_seed=1,
-            fs_matrix_seed=2,
+            seed=2**64 - 1,
         )
         frame = encode_message(msg)
-        body = struct.pack("<HIIBQQ", 1, 6906, 70, 4, 1, 2)
+        body = struct.pack("<HIIBQ", 1, 6906, 70, 4, 2**64 - 1)
         assert frame == struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO]) + body
-        assert len(body) == 27
+        assert len(body) == 19
 
     def test_hello_ack_layout(self):
-        assert encode_message(HelloAck(190)) == struct.pack(
-            "<I", 5
-        ) + bytes([0x02]) + struct.pack("<I", 190)
+        """Under BASE, RP and LF the document count and an empty df."""
+        msg = HelloAck(bob_doc_count=190, df=np.empty(0, np.int64))
+        expected = struct.pack("<I", 9) + bytes([MSG_HELLO_ACK]) + struct.pack("<II", 190, 0)
+        assert encode_message(msg) == expected
+        assert decode_message(expected) == msg
 
-    def test_df_vector_layout(self):
-        msg = DfVector(counts=np.array([7, 0, 2], dtype=np.int64))
+    def test_hello_ack_layout_with_df(self):
+        """Under GF and HF the document count, then n and the n counts."""
+        msg = HelloAck(bob_doc_count=190, df=np.array([7, 0, 2], dtype=np.int64))
         expected = (
-            struct.pack("<I", 1 + 4 + 12)
-            + bytes([0x03])
-            + struct.pack("<I", 3)
+            struct.pack("<I", 1 + 4 + 4 + 12)
+            + bytes([MSG_HELLO_ACK])
+            + struct.pack("<II", 190, 3)
             + struct.pack("<III", 7, 0, 2)
         )
         assert encode_message(msg) == expected
+        assert decode_message(expected) == msg
 
     def test_bye_layout(self):
         assert encode_message(Bye()) == struct.pack("<I", 1) + bytes([MSG_BYE])
@@ -335,7 +338,7 @@ class TestRejection:
                 decode_message(frame[: len(frame) - 1])
 
     def test_declared_length_mismatch(self):
-        frame = bytearray(encode_message(HelloAck(5)))
+        frame = bytearray(encode_message(HelloAck(5, np.empty(0, np.int64))))
         frame[0:4] = struct.pack("<I", 99)
         with pytest.raises(FrameError):
             decode_message(bytes(frame))
@@ -364,6 +367,21 @@ class TestRejection:
     def test_filter_reply_bad_entry_size(self):
         body = struct.pack("<II", 1, 2) + b"\x00" * 20  # entry of 10 bytes
         frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_REPLY]) + body
+        with pytest.raises(FrameError):
+            decode_message(frame)
+
+    def test_version_5_df_vector_tag_is_unknown(self):
+        """Tag 0x03 carried one side's document counts; version 6 sends the
+        responder's in HelloAck and has no such message."""
+        body = struct.pack("<I", 3) + struct.pack("<III", 7, 0, 2)
+        frame = struct.pack("<I", 1 + len(body)) + bytes([0x03]) + body
+        with pytest.raises(ProtocolError, match="0x03"):
+            decode_message(frame)
+
+    def test_hello_ack_df_disagrees_with_its_count(self):
+        """The count announces three entries; the body holds two."""
+        body = struct.pack("<II", 190, 3) + struct.pack("<II", 7, 0)
+        frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO_ACK]) + body
         with pytest.raises(FrameError):
             decode_message(frame)
 
@@ -416,8 +434,8 @@ class TestUnrepresentableValues:
             encode_message(msg)
 
     def test_df_count_past_u32(self):
-        with pytest.raises(FrameError, match="counts"):
-            encode_message(DfVector(counts=np.array([1, 2**32 + 7])))
+        with pytest.raises(FrameError, match="df"):
+            encode_message(HelloAck(bob_doc_count=2, df=np.array([1, 2**32 + 7])))
 
     def test_index_past_u32_and_non_integer_indexes(self):
         for indexes in (np.array([2**32]), np.array([1.0, 2.0])):
@@ -440,10 +458,10 @@ class TestUnrepresentableValues:
                 query_id=2**32, doc_ids=np.empty(0, np.int64), s=np.empty(0),
                 t=np.empty((0, 1)),
             ),
-            HelloAck(bob_doc_count=-3),
-            Hello(1, 2**32, 1, 0, 0, 0),
-            Hello(1, 4, 1, 256, 0, 0),
-            Hello(1, 4, 1, 0, 2**64, 0),
+            HelloAck(bob_doc_count=-3, df=np.empty(0, np.int64)),
+            Hello(1, 2**32, 1, 0, 0),
+            Hello(1, 4, 1, 256, 0),
+            Hello(1, 4, 1, 0, 2**64),
         ],
         ids=["query_id=-1", "query_id=2**32", "doc_count=-3", "n=2**32",
              "method=256", "seed=2**64"],
@@ -496,4 +514,4 @@ class TestUnrepresentableValues:
     def test_errors_are_package_errors(self):
         """Sessions abort cleanly on SsddError; a bare struct.error would escape."""
         with pytest.raises(SsddError):
-            encode_message(HelloAck(bob_doc_count=2**40))
+            encode_message(HelloAck(bob_doc_count=2**40, df=np.empty(0, np.int64)))

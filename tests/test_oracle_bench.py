@@ -17,9 +17,7 @@ from ssdd.protocol.session import (
     run_local_detection,
 )
 from ssdd.selection import SelectionMethod
-from ssdd.vectors import dot
-
-from conftest import synth_corpus
+from conftest import dot, synth_corpus
 
 
 class TestOracle:

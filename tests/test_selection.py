@@ -41,7 +41,7 @@ class TestSelectionMethod:
 
 class TestSelectRp:
     def test_full_budget_selects_everything(self):
-        chosen = select_rp(rp_seed=1, n=10, f=10)
+        chosen = select_rp(seed=1, n=10, f=10)
         np.testing.assert_array_equal(chosen.indexes, np.arange(10))
 
     def test_deterministic_and_distinct(self):

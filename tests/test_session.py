@@ -12,16 +12,17 @@ import pytest
 from ssdd import masking
 from ssdd.corpus import build_document_vector, load_cache, save_cache, split_queries
 from ssdd.errors import FrameError, ProtocolError, RangeError
-from ssdd.masking import SharedRandomMatrix, mask, recover, respond
+from ssdd.masking import SharedRandomMatrix, mask, recover
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
     MSG_HELLO,
     Bye,
-    DfVector,
     FilterQuery,
     FilterReply,
     FullQuery,
     FullReply,
+    Hello,
+    HelloAck,
     decode_message,
     encode_message,
 )
@@ -36,7 +37,6 @@ from ssdd.protocol.session import (
     evaluate_filter,
     run_detection,
     run_local_detection,
-    secure_df_exchange,
 )
 from ssdd.protocol import transport as transport_module
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
@@ -48,7 +48,7 @@ from ssdd.selection import (
 )
 from ssdd.vectors import DocumentVector, FeatureIndexSet, pack, project
 
-from conftest import random_document, random_unit_dense
+from conftest import random_document, random_unit_dense, respond
 
 
 def config_for(method, n=500, f=50, epsilon=0.8):
@@ -57,19 +57,18 @@ def config_for(method, n=500, f=50, epsilon=0.8):
         epsilon=epsilon,
         method=method,
         f=f if method.uses_filter else 0,
-        matrix_seed=11,
-        fs_matrix_seed=12,
-        rp_seed=13,
+        seed=11,
     )
 
 
 class TestSessionConfig:
     def test_valid_round_trip_through_hello(self):
-        """Hello carries every field but the tolerance and the RP seed, which
-        the responder's copy leaves None; the querying side needs both."""
+        """Hello carries every field but the tolerance, which the
+        responder's copy leaves None; the querying side needs it."""
         config = config_for(SelectionMethod.GF)
         bob_side = SessionConfig.from_hello(config.hello())
-        assert bob_side == dataclasses.replace(config, epsilon=None, rp_seed=None)
+        assert bob_side == dataclasses.replace(config, epsilon=None)
+        assert len(dataclasses.fields(SessionConfig)) == 5
         with pytest.raises(RangeError, match="tolerance"):
             AliceSession(bob_side, [], transport=None)
 
@@ -83,19 +82,54 @@ class TestSessionConfig:
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, method=SelectionMethod.RP, f=5)
         with pytest.raises(RangeError):
-            SessionConfig(n=4, epsilon=0.8, matrix_seed=-1)
+            SessionConfig(n=4, epsilon=0.8, seed=-1)
+        with pytest.raises(RangeError):
+            SessionConfig(n=4, epsilon=0.8, seed=2**64)
         hello = SessionConfig(n=4, epsilon=0.8).hello()
-        assert hello.version == PROTOCOL_VERSION == 5
-        for version in (1, 2, 3, 4, 6):
+        assert hello.version == PROTOCOL_VERSION == 6
+        for version in (1, 2, 3, 4, 5, 7):
             with pytest.raises(ProtocolError, match="version"):
                 SessionConfig.from_hello(dataclasses.replace(hello, version=version))
-        assert SessionConfig.from_hello(hello) == SessionConfig(
-            n=4, epsilon=None, rp_seed=None
-        )
+        assert SessionConfig.from_hello(hello) == SessionConfig(n=4, epsilon=None)
 
     def test_base_needs_no_budget(self):
         config = SessionConfig(n=4, epsilon=0.5)
         assert config.f == 0
+
+    @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
+    def test_rejects_a_budget_the_wire_cannot_carry(self, method):
+        """f lies in [0, n] under every method ([1, n] when it filters), so a
+        Hello always encodes; BASE used to take f=-1 and fail in encoding."""
+        for f in (-1, 5, 99):
+            with pytest.raises(RangeError, match=f"f={f}"):
+                SessionConfig(n=4, epsilon=0.5, method=method, f=f)
+        for f in range(1, 5):
+            config = SessionConfig(n=4, epsilon=0.5, method=method, f=f)
+            hello = decode_message(encode_message(config.hello()))
+            assert SessionConfig.from_hello(hello) == dataclasses.replace(config, epsilon=None)
+
+    def test_from_hello_rejects_a_budget_outside_n(self):
+        hello = SessionConfig(n=4, epsilon=0.5).hello()
+        for f in (5, 99):
+            with pytest.raises(ProtocolError, match=f"f={f}"):
+                SessionConfig.from_hello(dataclasses.replace(hello, f=f))
+        responder = BobResponder([build_document_vector({0: 1}, 4)], dims=4)
+        with pytest.raises(ProtocolError, match="f=5"):
+            responder.handle(dataclasses.replace(hello, f=5))
+        assert responder.config is None
+
+    def test_any_64_bit_seed_is_valid(self):
+        """The derived keys wrap mod 2**64: seed 2**64 - 1 keys A_fs with 0
+        and the RP set with 1."""
+        config = SessionConfig(
+            n=40, epsilon=0.5, method=SelectionMethod.RP, f=8, seed=2**64 - 1
+        )
+        assert SessionConfig.from_hello(config.hello()).seed == 2**64 - 1
+        assert session_module._subseed(config, 1) == 0
+        assert session_module._subseed(config, 2) == 1
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        report = run_local_detection(docs, config, docs)
+        assert compare_results(report, oracle_detect(docs, docs, 0.5)).ok
 
     def test_from_hello_rejects_unknown_method(self):
         hello = config_for(SelectionMethod.RP).hello()
@@ -125,8 +159,8 @@ class TestSessionConfig:
 
     def test_version_3_hello_is_refused(self):
         """A version-3 peer masks with a different A, so its products would
-        not recover.  Its Hello, 16 bytes longer (epsilon and rp_seed), does
-        not decode; announced in the version-4 layout it is refused at the
+        not recover.  Its Hello, with the tolerance and three seeds, does not
+        decode; announced in the current layout it is refused at the
         handshake."""
         body = struct.pack("<HIIBdQQQ", 3, 500, 50, int(SelectionMethod.RP), 0.8, 11, 12, 13)
         v3 = struct.pack("<IB", 1 + len(body), MSG_HELLO) + body
@@ -140,9 +174,24 @@ class TestSessionConfig:
 
     def test_version_4_hello_is_refused(self):
         """A version-4 peer lays each reply's entries side by side.  Its
-        frames have the sizes of version 5's and would decode to the wrong
+        replies have the sizes of today's and would decode to the wrong
         values, so the responder refuses it at the handshake."""
         hello = dataclasses.replace(config_for(SelectionMethod.HF).hello(), version=4)
+        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        with pytest.raises(ProtocolError, match="version"):
+            responder.handle(hello)
+        assert responder.config is None
+
+    def test_version_5_hello_is_refused(self):
+        """A version-5 peer sends its document counts after the handshake
+        and expects the responder's in return.  Its Hello, 8 bytes longer
+        (three seeds), does not decode; announced in the current layout it
+        is refused at the handshake."""
+        body = struct.pack("<HIIBQQ", 5, 500, 50, int(SelectionMethod.GF), 11, 12)
+        v5 = struct.pack("<IB", 1 + len(body), MSG_HELLO) + body
+        with pytest.raises(FrameError):
+            decode_message(v5)
+        hello = dataclasses.replace(config_for(SelectionMethod.GF).hello(), version=5)
         responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
@@ -233,7 +282,7 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     responder.handle(config.hello())
     index_set = FeatureIndexSet(config.n, np.asarray(indexes))
     rng = np.random.default_rng(7)
-    fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+    fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
     u_fs = u.to_dense()[index_set.indexes]
     r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
@@ -242,7 +291,7 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     outcome = evaluate_filter(
         recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2, config.epsilon
     )
-    matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+    matrix = SharedRandomMatrix(config.seed, config.n)
     r = rng.uniform(-1.0, 1.0, matrix.cols)
     z = mask(u.to_dense(), matrix, r)
     reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
@@ -318,28 +367,6 @@ class TestFsPair:
         query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.zeros(1))
         with pytest.raises(ProtocolError, match="BASE"):
             responder.handle(query)
-
-
-class TestSecureDfExchange:
-    def test_both_sides_see_the_sum(self):
-        a_end, b_end = make_local_pair(timeout=5.0)
-        a_counts = np.array([3, 0, 1, 2], dtype=np.int64)
-        b_counts = np.array([1, 1, 0, 5], dtype=np.int64)
-        seen = {}
-        worker = threading.Thread(
-            target=lambda: seen.update(bob=secure_df_exchange(b_end, b_counts))
-        )
-        worker.start()
-        agg = secure_df_exchange(a_end, a_counts)
-        worker.join(timeout=5.0)
-        np.testing.assert_array_equal(agg, [4, 1, 1, 7])
-        np.testing.assert_array_equal(seen["bob"], agg)
-
-    def test_wrong_message_is_rejected(self):
-        a_end, b_end = make_local_pair(timeout=5.0)
-        a_end.send_frame(encode_message(Bye()))
-        with pytest.raises(ProtocolError):
-            secure_df_exchange(b_end, np.array([1, 2], dtype=np.int64))
 
 
 class TestDetectionAgainstOracle:
@@ -440,7 +467,8 @@ class TestTraffic:
         "method", [SelectionMethod.GF, SelectionMethod.HF], ids=lambda m: m.name
     )
     def test_every_frame_counts_in_the_byte_totals(self, method):
-        """The df exchange frames count too: totals equal the bytes moved."""
+        """Every frame counts, HelloAck's document counts included: totals
+        equal the bytes moved."""
         alice_end, bob_end = make_local_pair(timeout=5.0)
         moved = {"sent": 0, "received": 0}
         send, recv = alice_end.send_frame, alice_end.recv_frame
@@ -466,6 +494,20 @@ class TestTraffic:
         df_frame = 4 + 1 + 4 + 4 * 400
         assert report.metrics.bytes_sent_alice == moved["sent"] > df_frame
         assert report.metrics.bytes_sent_bob == moved["received"] > df_frame
+
+    def test_gf_alice_sends_hello_queries_and_bye(self):
+        """Under GF Alice's bytes are her Hello, one filter and one full query
+        and Bye: her document counts stay with her."""
+        n, f = 400, 20
+        bob = RecordingBob([self.u, self.far], n)
+        report = run_against(bob, [self.u], config_for(SelectionMethod.GF, n=n, f=f))
+        assert not report.aborted
+        assert [type(m) for m in bob.received] == [Hello, FilterQuery, FullQuery]
+        k = report.metrics.full_products
+        hello, bye = 4 + 1 + 19, 4 + 1
+        filter_query = 4 + 1 + 8 + 4 * f + 8 * f
+        full_query = 4 + 1 + 8 + 4 * k + 8 * n
+        assert report.metrics.bytes_sent_alice == hello + filter_query + full_query + bye
 
 
 class TestTcpAgreement:
@@ -749,27 +791,6 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="duplicate"):
             responder.handle(config.hello())
 
-    def test_duplicate_df_exchange(self):
-        """The counts cross once per session: a second df vector is refused,
-        and the first exchange and the replies built on it stand."""
-        responder, config = self.make(method=SelectionMethod.GF, n=6, f=2, docs=4)
-        responder.handle(config.hello())
-        counts = responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
-        np.testing.assert_array_equal(counts.counts, [1, 2, 2, 2, 1, 0])
-        query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.ones(2))
-        first = responder.handle(query)
-        with pytest.raises(ProtocolError, match="duplicate df exchange"):
-            responder.handle(DfVector(np.array([0, 0, 0, 0, 9, 9])))
-        with pytest.raises(ProtocolError, match="duplicate df exchange"):
-            responder.handle(DfVector(np.array([9, 9, 0, 0, 0, 0])))
-        assert responder.handle(query) == first
-
-    def test_df_exchange_needs_a_whole_vector_method(self):
-        responder, config = self.make(method=SelectionMethod.RP)
-        responder.handle(config.hello())
-        with pytest.raises(ProtocolError, match="df exchange"):
-            responder.handle(DfVector(np.zeros(6, dtype=np.int64)))
-
     @pytest.mark.parametrize(
         "method",
         [SelectionMethod.RP, SelectionMethod.LF, SelectionMethod.GF, SelectionMethod.HF],
@@ -780,8 +801,6 @@ class TestResponderValidation:
         the responder derives no set of its own."""
         responder, config = self.make(method=method)
         responder.handle(config.hello())
-        if method.needs_whole_vector:
-            responder.handle(DfVector(np.zeros(6, dtype=np.int64)))
         query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(2))
         with pytest.raises(ProtocolError, match="0 indexes, expected 2"):
             responder.handle(query)
@@ -889,11 +908,11 @@ class TestResponderMatchesRespond:
     def config(self, method):
         return SessionConfig(
             n=N_EQ, epsilon=0.5, method=method, f=F_EQ if method.uses_filter else 0,
-            matrix_seed=21, fs_matrix_seed=22, rp_seed=23,
+            seed=21,
         )
 
     def assert_filter_reply(self, reply, docs, index_set, config, z):
-        fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+        fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
         for j, doc in enumerate(docs):
@@ -908,7 +927,7 @@ class TestResponderMatchesRespond:
     def assert_full_reply(self, reply, docs, ids, config, z, sent):
         """s for every survivor; t, in survivor order, only for the survivors
         not in ``sent``, which then joins it."""
-        matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        matrix = SharedRandomMatrix(config.seed, config.n)
         np.testing.assert_array_equal(reply.doc_ids, ids)
         new = [doc_id for doc_id in ids if doc_id not in sent]
         assert reply.t.shape == (len(new), matrix.cols)
@@ -977,21 +996,22 @@ class TestResponderMatchesRespond:
     def check_filter_replies(self, method):
         config = self.config(method)
         if method is SelectionMethod.RP:
-            index_set = select_rp(config.rp_seed, N_EQ, F_EQ)
+            index_set = select_rp(config.seed + 2, N_EQ, F_EQ)
         else:
             index_set = FeatureIndexSet(N_EQ, np.arange(F_EQ))
         docs = _equivalence_corpus(index_set.indexes)
         responder = BobResponder(docs, dims=N_EQ)
-        responder.handle(config.hello())
+        ack = responder.handle(config.hello())
         if method.needs_whole_vector:
-            alice_counts = np.zeros(N_EQ, dtype=np.int64)
-            alice_counts[:F_EQ] = 1000  # makes the GF set the first F_EQ dims
-            reply = responder.handle(DfVector(counts=alice_counts))
             mine = pack(docs, N_EQ).document_frequency()
-            np.testing.assert_array_equal(reply.counts, mine)
+            np.testing.assert_array_equal(ack.df, mine)
             if method is SelectionMethod.GF:
-                chosen = select_gf(alice_counts + mine, F_EQ).indexes
+                alice_counts = np.zeros(N_EQ, dtype=np.int64)
+                alice_counts[:F_EQ] = 1000  # makes the GF set the first F_EQ dims
+                chosen = select_gf(alice_counts + ack.df, F_EQ).indexes
                 np.testing.assert_array_equal(chosen, index_set.indexes)
+        else:
+            assert ack.df.size == 0
         rng = np.random.default_rng(5)
         for query_id in range(3):
             z = rng.uniform(-3, 3, F_EQ)
@@ -1124,7 +1144,7 @@ class TestStreamedMatrixSession:
         config = config_for(method)
         cached = run_detection_locally(queries, config, targets)
         monkeypatch.setattr(masking, "MATERIALIZE_LIMIT_ENTRIES", 0)
-        assert SharedRandomMatrix(config.matrix_seed, config.n)._full() is None
+        assert SharedRandomMatrix(config.seed, config.n)._full() is None
         streamed = run_detection_locally(queries, config, targets)
         oracle = oracle_detect(queries, targets, config.epsilon)
         assert compare_results(streamed, oracle).ok
@@ -1215,15 +1235,15 @@ class TestEmptyTargets:
         assert report.similar_pairs() == [(0, 1), (1, 1)]
         assert report.cosines[:, 0].tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("matrix_seed", [2, 4])
-    def test_cancelling_target_is_not_empty(self, matrix_seed):
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_cancelling_target_is_not_empty(self, seed):
         """With +-1 entries a nonempty v_j can give t_j = A^T v_j = 0
         exactly: here rows 0 and 1 of A are negatives of each other.  Its
         s = z . v_j is then u . v_j, so the identical pair is still similar."""
         doc = build_document_vector({0: 1, 1: 1}, 4)
-        rows = SharedRandomMatrix(matrix_seed, 4).row_block(0, 2)
+        rows = SharedRandomMatrix(seed, 4).row_block(0, 2)
         assert (rows[0] == -rows[1]).all()
-        config = SessionConfig(n=4, epsilon=0.8, matrix_seed=matrix_seed)
+        config = SessionConfig(n=4, epsilon=0.8, seed=seed)
         report = run_local_detection([doc, doc], config, [doc])
         assert compare_results(report, oracle_detect([doc] * 2, [doc], 0.8)).ok
         assert report.similar.tolist() == [[True], [True]]
@@ -1351,6 +1371,46 @@ class TestWrongWidthReplies:
         assert report.decided == 0
 
 
+class TestWrongWidthHelloAck:
+    """Alice aborts on a HelloAck whose df is not n counts under GF and HF,
+    or not empty under the other methods."""
+
+    @pytest.mark.parametrize(
+        "method, width",
+        [
+            (SelectionMethod.GF, 0),
+            (SelectionMethod.HF, 0),
+            (SelectionMethod.HF, 39),
+            (SelectionMethod.BASE, 40),
+            (SelectionMethod.RP, 1),
+        ],
+        ids=["gf-none", "hf-none", "hf-short", "base-whole", "rp-one"],
+    )
+    def test_handshake(self, method, width):
+        class WrongDfBob(BobResponder):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if isinstance(reply, HelloAck):
+                    reply = dataclasses.replace(reply, df=np.ones(width, np.int64))
+                return reply
+
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        alice_end, bob_end = make_local_pair(timeout=5.0)
+        worker = threading.Thread(
+            target=WrongDfBob(docs, dims=40).serve, args=(bob_end,), daemon=True
+        )
+        worker.start()
+        alice = AliceSession(config_for(method, n=40, f=8), docs[:2], alice_end)
+        try:
+            with pytest.raises(ProtocolError, match=f"{width} document counts"):
+                alice.handshake()
+        finally:
+            alice_end.close()
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert alice.target_count == 0
+
+
 class RecordingBob(BobResponder):
     """An honest responder that keeps every message it handles and every
     reply it gives."""
@@ -1442,15 +1502,15 @@ class TestTransposeOncePerSession:
         assert survivors > len(seen) > 0
 
     def test_base_traffic_formula(self, small_corpus):
-        """HelloAck, then per query a header and {doc_id, s} per target, plus
-        one t per target per session."""
+        """HelloAck with an empty df, then per query a header and {doc_id, s}
+        per target, plus one t per target per session."""
         query_ids, target_ids = split_queries(small_corpus, k=3, seed=5)
         queries = [small_corpus.vectors[i] for i in query_ids]
         targets = [small_corpus.vectors[i] for i in target_ids[:7]]
         config = config_for(SelectionMethod.BASE)
         report = run_detection_locally(queries, config, targets)
         q, m, cols = len(queries), len(targets), (config.n + 1) // 2
-        hello_ack = 4 + 1 + 4
+        hello_ack = 4 + 1 + 8
         reply_head = 4 + 1 + 12
         expected = hello_ack + q * (reply_head + m * (4 + 8)) + m * cols * 8
         assert report.metrics.bytes_sent_bob == expected
@@ -1458,15 +1518,13 @@ class TestTransposeOncePerSession:
 
 def expected_mask(config, query_id, step, cols):
     """The secret mask of one query and step (1 filter, 2 full)."""
-    seq = np.random.SeedSequence(
-        [config.matrix_seed, config.fs_matrix_seed, query_id, step]
-    )
+    seq = np.random.SeedSequence([config.seed, config.seed + 1, query_id, step])
     return np.random.default_rng(seq).uniform(-1, 1, cols)
 
 
 class TestMaskDerivation:
     """Alice's masked vectors are z = u + A r, with r drawn from a generator
-    seeded by (matrix seed, fs matrix seed, query id, step)."""
+    seeded by (seed, seed + 1, query id, step)."""
 
     @pytest.mark.parametrize(
         "method", [SelectionMethod.BASE, SelectionMethod.RP], ids=lambda m: m.name
@@ -1481,7 +1539,7 @@ class TestMaskDerivation:
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)
         assert not report.aborted and report.decided == len(queries)
-        matrix = SharedRandomMatrix(config.matrix_seed, config.n)
+        matrix = SharedRandomMatrix(config.seed, config.n)
         a = matrix.row_block(0, matrix.rows)
         full = [m for m in bob.received if isinstance(m, FullQuery)]
         assert [m.query_id for m in full] == list(range(len(queries)))
@@ -1494,9 +1552,9 @@ class TestMaskDerivation:
             assert filters == []
             return
         assert [m.query_id for m in filters] == list(range(len(queries)))
-        fs_matrix = SharedRandomMatrix(config.fs_matrix_seed, config.f)
+        fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
         a_fs = fs_matrix.row_block(0, fs_matrix.rows)
-        index_set = select_rp(config.rp_seed, config.n, config.f)
+        index_set = select_rp(config.seed + 2, config.n, config.f)
         for msg in filters:
             np.testing.assert_array_equal(msg.indexes, index_set.indexes)
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)

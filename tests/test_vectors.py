@@ -7,20 +7,19 @@ import pytest
 
 from ssdd.corpus import build_document_vector
 from ssdd.errors import DimensionError, RangeError
-from ssdd.protocol.messages import DfVector, FilterQuery
+from ssdd.protocol.messages import FilterQuery
 from ssdd.protocol.session import BobResponder, SessionConfig
 from ssdd.selection import SelectionMethod
 from ssdd.vectors import (
     DocumentVector,
     FeatureIndexSet,
-    dot,
     pack,
     project,
     top_f,
     zscore,
 )
 
-from conftest import random_document
+from conftest import dot, random_document
 
 
 class TestDocumentVector:
@@ -149,7 +148,6 @@ class TestProject:
         responder = BobResponder(docs, dims=n)
         config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f)
         responder.handle(config.hello())
-        responder.handle(DfVector(counts=np.ones(n, dtype=np.int64)))
         assert "_by_term" not in vars(responder._docs)
         dense = np.array([d.to_dense() for d in docs])
         views = []

@@ -40,7 +40,6 @@ from .protocol.session import (
     AliceSession,
     BobResponder,
     DetectionReport,
-    FilterEvaluation,
     SessionConfig,
     SessionMetrics,
     SimilarityDecision,

@@ -7,14 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol.session import DetectionReport
-from .vectors import DocumentVector, PackedDocs, pack
+from .errors import DimensionError
+from .vectors import PackedDocs
 
 __all__ = ["OracleResult", "ResultDiff", "oracle_detect", "compare_results"]
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exhaustive pairwise answer over two document lists.
+    """Exhaustive pairwise answer over two packed document sets.
 
     ``cosines`` covers every (query index, target index) pair; ``pairs``
     holds those at or above the tolerance.  Pairs with a degenerate document
@@ -26,16 +27,9 @@ class OracleResult:
     cosines: dict[tuple[int, int], float]
 
 
-def oracle_detect(
-    alice_docs: PackedDocs | list[DocumentVector],
-    bob_docs: PackedDocs | list[DocumentVector],
-    epsilon: float,
-) -> OracleResult:
-    # a packed side names its dims even when empty; a list, by its documents
-    dims = next((d.dims for d in (alice_docs, bob_docs) if isinstance(d, PackedDocs)), None)
-    if dims is None:
-        dims = next((v.dims for v in [*alice_docs[:1], *bob_docs[:1]]), 0)
-    queries, targets = pack(alice_docs, dims), pack(bob_docs, dims)
+def oracle_detect(queries: PackedDocs, targets: PackedDocs, epsilon: float) -> OracleResult:
+    if queries.dims != targets.dims:
+        raise DimensionError(f"dims mismatch: {queries.dims} != {targets.dims}")
     # a degenerate document has no entries, so its products are exactly 0
     cosines = targets.dot(queries.dense())
     live = (queries.nnz > 0)[:, None] & (targets.nnz > 0)

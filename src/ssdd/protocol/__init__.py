@@ -15,7 +15,6 @@ from .session import (
     AliceSession,
     BobResponder,
     DetectionReport,
-    FilterEvaluation,
     SessionConfig,
     SessionMetrics,
     SimilarityDecision,
@@ -43,7 +42,6 @@ __all__ = [
     "SessionConfig",
     "SessionMetrics",
     "SimilarityDecision",
-    "FilterEvaluation",
     "DetectionReport",
     "AliceSession",
     "BobResponder",

@@ -44,13 +44,14 @@ per corpus, on the first filter query any session makes, and shared
 read-only too, it lets each projection touch only the entries on the f
 chosen dimensions.  In the full round Bob keeps one flag per document for
 "t sent", computes t_j only the first time document j survives, and
-s_j = z . v_j per query.  Alice holds her queries as one dense block, from
-which she selects, projects and counts document frequencies, and masks the
-full-width vectors of all her queries with one pass over A (A R, R
-stacking the per-query masks), made the first time a query reaches the
-full round.  For each t_j that arrives she keeps only t_j R, one float
-per query, and recovers pair (q, j) as s_j - (t_j R)_q; she bounds and
-recovers all pairs of a query at once.  A session's outcome is two
+s_j = z . v_j per query.  Alice's queries come packed too, and she reads
+their document frequencies from them.  She also holds them as one dense
+block, from which she selects and projects, and masks the full-width
+vectors of all her queries with one pass over A (A R, R stacking the
+per-query masks), made the first time a query reaches the full round.
+For each t_j that arrives she keeps only t_j R, one float per query, and
+recovers pair (q, j) as s_j - (t_j R)_q; she bounds and recovers all
+pairs of a query at once.  A session's outcome is two
 queries x targets arrays: the recovered cosines (NaN for a pair the filter
 dismissed) and the similar mask.
 """
@@ -65,7 +66,7 @@ from math import isnan
 
 import numpy as np
 
-from ..errors import DimensionError, ProtocolError, RangeError, SessionError, SsddError
+from ..errors import ProtocolError, RangeError, SessionError, SsddError
 from ..masking import SharedRandomMatrix, mask, recover
 from ..selection import (
     SelectionMethod,
@@ -75,7 +76,7 @@ from ..selection import (
     select_lf,
     select_rp,
 )
-from ..vectors import DocumentVector, FeatureIndexSet, PackedDocs, pack, project
+from ..vectors import DocumentVector, FeatureIndexSet, PackedDocs, project
 from .messages import (
     Bye,
     FilterQuery,
@@ -92,7 +93,6 @@ from .transport import make_local_pair
 __all__ = [
     "PROTOCOL_VERSION",
     "SessionConfig",
-    "FilterEvaluation",
     "SimilarityDecision",
     "SessionMetrics",
     "DetectionReport",
@@ -161,30 +161,17 @@ class SessionConfig:
             raise ProtocolError(f"bad handshake: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class FilterEvaluation:
-    """Outcome of the cheap step for one pair, or elementwise for many."""
-
-    distance2: float | np.ndarray
-    upper_bound: float | np.ndarray
-    passed: bool | np.ndarray
-
-
-def evaluate_filter(delta_fs, norm_u2, norm_v2, epsilon: float) -> FilterEvaluation:
-    """Bound the cosine from the f-dimensional pieces.
+def evaluate_filter(delta_fs, norm_u2, norm_v2):
+    """Upper bound on the cosine from the f-dimensional pieces.
 
     The projected squared distance ``norm_u2 - 2*delta_fs + norm_v2`` never
     exceeds the full squared distance, so ``1 - distance/2`` bounds the true
     cosine from above for unit vectors; a pair whose bound misses the
     tolerance cannot be similar.  The distance is clamped at zero against
-    rounding.  Scalars give one pair's outcome; arrays (broadcast against
-    each other) give every pair's outcome elementwise.
+    rounding.  Scalars give one pair's bound; arrays (broadcast against
+    each other) give every pair's bound elementwise.
     """
-    distance2 = np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0)
-    upper = 1.0 - distance2 / 2.0
-    return FilterEvaluation(
-        distance2=distance2, upper_bound=upper, passed=upper >= epsilon
-    )
+    return 1.0 - np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -276,10 +263,10 @@ class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
     One instance serves one session and drops its arrays, and its reference
-    to the corpus, when ``serve`` returns.  Given a ``PackedDocs`` (a
-    loaded ``Corpus.vectors``), it shares that corpus read-only with every
-    other session over it; a list of documents is packed for this session
-    alone.  A filter query names its index set, whatever the method, and
+    to the corpus, when ``serve`` returns.  The corpus (a loaded
+    ``Corpus.vectors``, say) is shared read-only with every other session
+    over it, and names the session's dims; ``dims``, when given, must
+    match.  A filter query names its index set, whatever the method, and
     is answered from the projection P (m x f) of the packed corpus onto
     that set: s = P z, t = P A_fs and the squared row norms.  P is read
     from the corpus's term-major view, built once per corpus and shared
@@ -297,18 +284,11 @@ class BobResponder:
     computed and sent earlier in the session.
     """
 
-    def __init__(
-        self, vectors: PackedDocs | list[DocumentVector], dims: int | None = None
-    ):
-        if dims is None:
-            if not vectors:
-                raise RangeError("an empty responder needs an explicit dims")
-            dims = vectors[0].dims
-        try:
-            self._docs = pack(vectors, dims)
-        except DimensionError as exc:
-            raise RangeError("target documents disagree on dimensionality") from exc
-        self.dims = dims
+    def __init__(self, docs: PackedDocs, dims: int | None = None):
+        if dims is not None and dims != docs.dims:
+            raise RangeError(f"target documents have dims={docs.dims}, not {dims}")
+        self._docs = docs
+        self.dims = docs.dims
         self.doc_count = len(self._docs)
         self.config: SessionConfig | None = None
         self.scalar_mult_count = 0
@@ -364,7 +344,7 @@ class BobResponder:
             self._fs_matrix = SharedRandomMatrix(_subseed(config, 1), config.f)
         # Bob's document counts, for Alice to select with under GF and HF
         if config.method.needs_whole_vector:
-            df = self._docs.document_frequency()
+            df = self._docs.document_frequency
         else:
             df = np.zeros(0, dtype=np.int64)
         return HelloAck(bob_doc_count=self.doc_count, df=df)
@@ -435,22 +415,17 @@ class BobResponder:
 class AliceSession:
     """Query side of a session; drives the transport and scores pairs."""
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        queries: PackedDocs | list[DocumentVector],
-        transport,
-    ):
-        try:
-            packed = pack(queries, config.n)
-        except DimensionError as exc:
-            raise RangeError("query documents disagree with the session dims") from exc
+    def __init__(self, config: SessionConfig, queries: PackedDocs, transport):
+        if queries.dims != config.n:
+            raise RangeError(
+                f"query documents have dims={queries.dims}, the session n={config.n}"
+            )
         if config.epsilon is None:
             raise RangeError("the querying side needs its tolerance")
         self.config = config
         self.queries = queries
         # row q is query q
-        self._dense = packed.dense()
+        self._dense = queries.dense()
         self.transport = transport
         self.metrics = SessionMetrics()
         self.target_count = 0
@@ -506,8 +481,7 @@ class AliceSession:
                 f"HelloAck carries {ack.df.size} document counts, expected {width}"
             )
         if method.needs_whole_vector:
-            counts = np.count_nonzero(self._dense, axis=0)
-            self._whole = aggregate_whole_vector(counts, ack.df)
+            self._whole = aggregate_whole_vector(self.queries.document_frequency, ack.df)
         if method is SelectionMethod.RP:
             self._session_set = select_rp(_subseed(config, 2), config.n, config.f)
         elif method is SelectionMethod.GF:
@@ -559,8 +533,8 @@ class AliceSession:
         delta = recover(reply.s, reply.t, r)
         if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
             raise ProtocolError("filter reply carries a non-finite value")
-        ev = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2, self.config.epsilon)
-        return np.flatnonzero(ev.passed)
+        bound = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2)
+        return np.flatnonzero(bound >= self.config.epsilon)
 
     def _full_round_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Masked full-width vectors and secret masks of all queries.
@@ -609,8 +583,10 @@ class AliceSession:
         return recovered
 
     def run_query(self, query_id: int, query: DocumentVector) -> None:
-        """Decide every pair of ``query``, which is ``self.queries[query_id]``,
-        into row ``query_id`` of the cosine and similar arrays.
+        """Decide every pair of query ``query_id`` into row ``query_id`` of
+        the cosine and similar arrays.  ``query`` is ``self.queries[query_id]``,
+        passed on for callers that wrap this method; the packed queries are
+        what the session reads.
 
         Survivors get their recovered cosine, or 0 and never similar for a
         degenerate query; an empty target is never similar either.  Filtered
@@ -628,7 +604,7 @@ class AliceSession:
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
             self.metrics.full_products += survivors.size
-            if query.degenerate:
+            if self.queries.nnz[query_id] == 0:
                 self.cosines[query_id, survivors] = 0.0
             else:
                 # An empty v_j gives t_j = 0 and s = 0 exactly.  With +-1
@@ -647,8 +623,8 @@ class AliceSession:
         aborted = False
         try:
             self.handshake()
-            for query_id, query in enumerate(self.queries):
-                self.run_query(query_id, query)
+            for query_id in range(len(self.queries)):
+                self.run_query(query_id, self.queries[query_id])
                 self.decided = query_id + 1
             self._send(Bye())
         except (SsddError, OSError) as exc:
@@ -666,7 +642,7 @@ class AliceSession:
 
 
 def run_detection(
-    queries: PackedDocs | list[DocumentVector],
+    queries: PackedDocs,
     config: SessionConfig,
     transport,
     responder: BobResponder | None = None,
@@ -685,9 +661,9 @@ def run_detection(
 
 
 def run_local_detection(
-    queries: PackedDocs | list[DocumentVector],
+    queries: PackedDocs,
     config: SessionConfig,
-    bob_vectors: PackedDocs | list[DocumentVector],
+    bob_vectors: PackedDocs,
     timeout: float = 60.0,
 ) -> DetectionReport:
     """Run both parties in this process over the queue transport."""

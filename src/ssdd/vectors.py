@@ -2,8 +2,8 @@
 
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
 indices + positive weights).  ``pack`` lays documents out as one CSR
-``PackedDocs``, the one layout that the protocol, the oracle and the masking
-matrix compute on, and the form a corpus holds its documents in.  A
+``PackedDocs``, the one document-set type that the protocol, the oracle and
+the masking matrix take, and the form a corpus holds its documents in.  A
 ``PackedDocs`` is read-only, so one corpus is shared by every session that
 reads it; ``project`` reads a term-major (CSC) view of it that is built on
 first use, once per corpus.  Everything is float64.
@@ -12,6 +12,7 @@ first use, once per corpus.  Everything is float64.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,12 +97,12 @@ class PackedDocs:
     """m documents in CSR layout: document i's term indices and weights are
     ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``.
 
-    A read-only sequence of documents: the arrays reject writes, and
-    indexing or iterating yields ``DocumentVector``s over views of them (a
-    slice, a list of them).  The same entries in term-major (CSC) order are
-    built on the first ``project`` and kept, read-only, with the documents,
-    so every session over one ``PackedDocs`` shares them.  Sessions that
-    race to build them can at worst build them twice."""
+    Read-only: the arrays reject writes, and ``docs[i]`` is document i as a
+    ``DocumentVector`` over views of them.  The document frequencies and
+    the same entries in term-major (CSC) order are built on first use and
+    kept, read-only, with the documents, so every session over one
+    ``PackedDocs`` shares them.  Sessions that race to build either can at
+    worst build it twice."""
 
     dims: int
     indptr: np.ndarray
@@ -115,9 +116,7 @@ class PackedDocs:
     def __len__(self) -> int:
         return self.indptr.size - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i) -> DocumentVector:
         i = operator.index(i)
         if i < 0:
             i += len(self)
@@ -125,10 +124,6 @@ class PackedDocs:
             raise IndexError(f"document index outside {len(self)} documents")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return DocumentVector(self.dims, self.indices[lo:hi], self.weights[lo:hi])
-
-    def __iter__(self):
-        for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
-            yield DocumentVector(self.dims, self.indices[lo:hi], self.weights[lo:hi])
 
     @property
     def nnz(self) -> np.ndarray:
@@ -162,9 +157,12 @@ class PackedDocs:
             )
         return out.reshape(z.shape[:-1] + (m,))
 
+    @cached_property
     def document_frequency(self) -> np.ndarray:
         """Per-dimension count of the documents that contain the term (int64)."""
-        return np.bincount(self.indices, minlength=self.dims).astype(np.int64, copy=False)
+        df = np.bincount(self.indices, minlength=self.dims).astype(np.int64, copy=False)
+        df.flags.writeable = False
+        return df
 
     def dense(self) -> np.ndarray:
         """The documents as the rows of an (m, dims) array."""
@@ -181,20 +179,15 @@ class PackedDocs:
         keys = self.indices.astype(np.min_scalar_type(max(self.dims - 1, 0)))
         order = np.argsort(keys, kind="stable")
         termptr = np.zeros(self.dims + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=self.dims), out=termptr[1:])
+        np.cumsum(self.document_frequency, out=termptr[1:])
         view = termptr, self.owner.take(order), self.weights.take(order)
         for array in view:
             array.flags.writeable = False
         return view
 
 
-def pack(vectors: PackedDocs | list[DocumentVector], dims: int) -> PackedDocs:
-    """The documents, in order, as one PackedDocs over ``dims`` dimensions;
-    a PackedDocs is returned as it is, so its term-major view is shared."""
-    if isinstance(vectors, PackedDocs):
-        if vectors.dims != dims:
-            raise DimensionError(f"documents have dims={vectors.dims}, not {dims}")
-        return vectors
+def pack(vectors: Sequence[DocumentVector], dims: int) -> PackedDocs:
+    """The documents, in order, as one PackedDocs over ``dims`` dimensions."""
     if any(v.dims != dims for v in vectors):
         raise DimensionError(f"documents disagree with dims={dims}")
     return PackedDocs(

@@ -121,10 +121,10 @@ def test_02_filter_bound_never_dismisses():
         f = int(rng.integers(1, n + 1))
         idx = np.sort(rng.choice(n, f, replace=False))
         u_fs, v_fs = u[idx], v[idx]
-        ev = evaluate_filter(
-            float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs), 0.8
+        bound = evaluate_filter(
+            float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs)
         )
-        worst_slack = min(worst_slack, ev.upper_bound - float(u @ v))
+        worst_slack = min(worst_slack, bound - float(u @ v))
     elapsed = time.perf_counter() - started
     assert worst_slack >= -1e-9, f"bound fell {-worst_slack:.3e} below a cosine"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -135,8 +135,8 @@ def test_02_filter_bound_never_dismisses():
 def test_03_methods_match_plaintext_decisions(eval_corpus):
     started = time.perf_counter()
     query_ids, target_ids = split_queries(eval_corpus, k=10, seed=17)
-    queries = [eval_corpus.vectors[i] for i in query_ids]
-    targets = [eval_corpus.vectors[i] for i in target_ids]
+    queries = eval_corpus.vectors.take(query_ids)
+    targets = eval_corpus.vectors.take(target_ids)
     truth = oracle_detect(queries, targets, 0.0)
     margin = min(
         abs(c - e) for c in truth.cosines.values() for e in TOLERANCES
@@ -180,15 +180,15 @@ def test_04_df_exchange_matches_union(small_corpus):
     carries; the sum is the document frequency of the whole corpus."""
     started = time.perf_counter()
     rng = np.random.default_rng(404)
-    expected = pack(small_corpus.vectors, small_corpus.dims).document_frequency()
+    expected = small_corpus.vectors.document_frequency
     config = SessionConfig(
         n=small_corpus.dims, epsilon=0.8, method=SelectionMethod.GF, f=10
     )
     for _ in range(100):
         ids = rng.permutation(len(small_corpus))
         cut = int(rng.integers(1, len(small_corpus)))
-        half_a = [small_corpus.vectors[i] for i in ids[:cut]]
-        half_b = [small_corpus.vectors[i] for i in ids[cut:]]
+        half_a = small_corpus.vectors.take(ids[:cut])
+        half_b = small_corpus.vectors.take(ids[cut:])
         a_end, b_end = make_local_pair(timeout=5.0)
         bob = BobResponder(half_b, dims=small_corpus.dims)
         worker = threading.Thread(target=bob.serve, args=(b_end,))
@@ -225,8 +225,8 @@ def test_05_cosine_distance_identity():
 @criterion("corpus-aware selection filters better than random")
 def test_06_selection_effectiveness_trend(eval_corpus):
     query_ids, target_ids = split_queries(eval_corpus, k=10, seed=17)
-    queries = [eval_corpus.vectors[i] for i in query_ids]
-    targets = [eval_corpus.vectors[i] for i in target_ids]
+    queries = eval_corpus.vectors.take(query_ids)
+    targets = eval_corpus.vectors.take(target_ids)
     f = max(1, round(eval_corpus.dims * 0.01))
     outcomes = {}
     for method in SelectionMethod:
@@ -283,6 +283,7 @@ def test_07_filtered_workload_cost_scaling():
         n=n, epsilon=0.8, method=SelectionMethod.LF, f=f, seed=71
     )
     base_config = SessionConfig(n=n, epsilon=0.8, seed=71)
+    queries, bob_docs = pack(queries, n), pack(bob_docs, n)
     fs_report = run_local_detection(queries, fs_config, bob_docs)
     base_report = run_local_detection(queries, base_config, bob_docs)
     assert not fs_report.aborted and not base_report.aborted
@@ -307,8 +308,8 @@ def test_07_filtered_workload_cost_scaling():
 def test_08_transports_agree():
     started = time.perf_counter()
     corpus = synth_corpus(n_docs=100, dims=800, seed=203, mean_terms=50)
-    queries = corpus.vectors[:50]
-    targets = corpus.vectors[50:]
+    queries = corpus.vectors.take(np.arange(50))
+    targets = corpus.vectors.take(np.arange(50, len(corpus)))
     config = SessionConfig(
         n=corpus.dims,
         epsilon=0.8,

@@ -97,7 +97,8 @@ class TestDetect:
         )
         assert code == 0
         assert "method=hf f=12" in capsys.readouterr().out
-        rows = list(csv.reader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(REPORT_COLUMNS)
         assert len(rows) == 2
 
@@ -153,7 +154,8 @@ class TestOracleCommand:
         )
         assert code == 0
         assert "similar_pairs=" in capsys.readouterr().out
-        rows = list(csv.reader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["query_doc", "target_doc", "cosine"]
 
 
@@ -178,7 +180,8 @@ class TestBenchCommand:
         )
         assert code == 0
         assert "4 rows" in capsys.readouterr().out
-        rows = list(csv.reader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(REPORT_COLUMNS)
         assert len(rows) == 5
 
@@ -189,7 +192,7 @@ class TestRemote:
         from ssdd.protocol.transport import TcpServer
 
         _, target_ids = split_queries(corpus, k=5, seed=3)
-        targets = [corpus.vectors[i] for i in target_ids]
+        targets = corpus.vectors.take(target_ids)
         server = TcpServer(lambda: BobResponder(targets, dims=corpus.dims))
         with server:
             code = main(
@@ -229,7 +232,7 @@ class TestRemote:
             except SessionError:
                 time.sleep(0.05)
         assert transport is not None, "server never started listening"
-        queries = corpus.vectors[:3]
+        queries = corpus.vectors.take([0, 1, 2])
         config = SessionConfig(n=corpus.dims, epsilon=0.8)
         try:
             report = run_detection(queries, config, transport)

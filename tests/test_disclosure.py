@@ -14,6 +14,7 @@ from ssdd.protocol.messages import Bye, FilterQuery, FullQuery, Hello, decode_me
 from ssdd.protocol.session import BobResponder, SessionConfig, run_detection
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import pack
 
 from conftest import random_document
 
@@ -41,11 +42,11 @@ def bob_view(queries, targets, config):
     """Run a session against an honest Bob; return the messages he received."""
     alice_end, bob_end = make_local_pair(timeout=5.0)
     bob_end = Eavesdropper(bob_end)
-    bob = BobResponder(targets, dims=config.n)
+    bob = BobResponder(pack(targets, config.n), dims=config.n)
     worker = threading.Thread(target=bob.serve, args=(bob_end,), daemon=True)
     worker.start()
     try:
-        report = run_detection(queries, config, alice_end)
+        report = run_detection(pack(queries, config.n), config, alice_end)
     finally:
         alice_end.close()
         worker.join(timeout=5.0)

@@ -272,7 +272,7 @@ class TestExactRecovery:
         rng = np.random.default_rng(3)
         v = random_document(rng, 6, 3)
         config = SessionConfig(n=6, epsilon=0.5, method=SelectionMethod.LF, f=3)
-        bob = BobResponder([v], dims=6)
+        bob = BobResponder(pack([v], 6), dims=6)
         bob.handle(config.hello())
         reply = bob.handle(FilterQuery(query_id=0, indexes=v.indices, z=np.ones(3)))
         assert reply.norm_v2.tolist() == pytest.approx([float(v.weights @ v.weights)])
@@ -301,7 +301,7 @@ class TestCostAccounting:
         for nnz in (1, 7, 50):
             v = random_document(rng, n, nnz)
             config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.LF, f=nnz)
-            bob = BobResponder([v], dims=n)
+            bob = BobResponder(pack([v], n), dims=n)
             bob.handle(config.hello())
             bob.handle(FilterQuery(query_id=0, indexes=v.indices, z=np.zeros(nnz)))
             fs_cost = nnz * (2 + (nnz + 1) // 2)

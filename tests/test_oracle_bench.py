@@ -17,20 +17,21 @@ from ssdd.protocol.session import (
     run_local_detection,
 )
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import pack
 from conftest import dot, synth_corpus
 
 
 class TestOracle:
     def test_axis_pair_example(self):
-        alice = [build_document_vector({0: 1}, 2)]
-        bob = [build_document_vector({0: 1}, 2), build_document_vector({1: 1}, 2)]
+        alice = pack([build_document_vector({0: 1}, 2)], 2)
+        bob = pack([build_document_vector({0: 1}, 2), build_document_vector({1: 1}, 2)], 2)
         result = oracle_detect(alice, bob, 0.9)
         assert result.pairs == frozenset({(0, 0)})
         assert result.cosines == {(0, 0): pytest.approx(1.0), (0, 1): pytest.approx(0.0)}
 
     def test_empty_document_never_matches(self):
-        alice = [build_document_vector({}, 3)]
-        bob = [build_document_vector({0: 1}, 3)]
+        alice = pack([build_document_vector({}, 3)], 3)
+        bob = pack([build_document_vector({0: 1}, 3)], 3)
         result = oracle_detect(alice, bob, 0.0)
         assert result.pairs == frozenset()
         assert result.cosines[(0, 0)] == 0.0
@@ -39,14 +40,16 @@ class TestOracle:
         """The array oracle equals one dot per pair within 1e-15; away from
         the tolerance it finds the same pairs."""
         corpus = synth_corpus(n_docs=80, dims=700, seed=9, mean_terms=60)
-        alice = corpus.vectors[:12] + [build_document_vector({}, 700)]
-        bob = corpus.vectors[4:] + [build_document_vector({}, 700)]
+        empty = build_document_vector({}, 700)
+        alice = [corpus.vectors[i] for i in range(12)] + [empty]
+        bob = [corpus.vectors[i] for i in range(4, len(corpus))] + [empty]
         epsilon = 0.2
         reference = {}
         for qi, u in enumerate(alice):
             for ti, v in enumerate(bob):
                 degenerate = u.degenerate or v.degenerate
                 reference[(qi, ti)] = 0.0 if degenerate else dot(u, v)
+        alice, bob = pack(alice, 700), pack(bob, 700)
         result = oracle_detect(alice, bob, epsilon)
         assert result.cosines.keys() == reference.keys()
         gap = max(abs(result.cosines[p] - c) for p, c in reference.items())
@@ -56,13 +59,13 @@ class TestOracle:
         assert result.pairs & clear == expected
         assert 8 < len(expected) < len(clear) / 2
         with pytest.raises(DimensionError):
-            oracle_detect(alice, [build_document_vector({0: 1}, 701)], epsilon)
+            oracle_detect(alice, pack([build_document_vector({0: 1}, 701)], 701), epsilon)
 
     def test_tolerance_is_inclusive(self):
         u = build_document_vector({0: 1, 1: 1}, 2)
         v = build_document_vector({0: 1}, 2)
-        cos = oracle_detect([u], [v], 0.0).cosines[(0, 0)]
-        at_boundary = oracle_detect([u], [v], cos)
+        cos = oracle_detect(pack([u], 2), pack([v], 2), 0.0).cosines[(0, 0)]
+        at_boundary = oracle_detect(pack([u], 2), pack([v], 2), cos)
         assert (0, 0) in at_boundary.pairs
 
     def test_compare_results_reports_both_directions(self):
@@ -74,16 +77,16 @@ class TestOracle:
             similar=np.array([[True, False]]),
             decided=1,
         )
-        alice = [build_document_vector({0: 1}, 2)]
-        bob = [build_document_vector({1: 1}, 2), build_document_vector({0: 1}, 2)]
+        alice = pack([build_document_vector({0: 1}, 2)], 2)
+        bob = pack([build_document_vector({1: 1}, 2), build_document_vector({0: 1}, 2)], 2)
         diff = compare_results(report, oracle_detect(alice, bob, 0.9))
         assert diff.missing == frozenset({(0, 1)})
         assert diff.extra == frozenset({(0, 0)})
         assert not diff.ok
 
     def test_agreeing_report_is_ok(self):
-        alice = [build_document_vector({0: 1}, 2)]
-        bob = [build_document_vector({0: 2}, 2)]
+        alice = pack([build_document_vector({0: 1}, 2)], 2)
+        bob = pack([build_document_vector({0: 2}, 2)], 2)
         oracle = oracle_detect(alice, bob, 0.9)
         config = SessionConfig(n=2, epsilon=0.9)
         report = DetectionReport(
@@ -170,8 +173,8 @@ class TestBench:
 
     def test_row_from_report(self, bench_corpus):
         query_ids, target_ids = split_queries(bench_corpus, k=4, seed=3)
-        queries = [bench_corpus.vectors[i] for i in query_ids]
-        targets = [bench_corpus.vectors[i] for i in target_ids]
+        queries = bench_corpus.vectors.take(query_ids)
+        targets = bench_corpus.vectors.take(target_ids)
         config = SessionConfig(
             n=bench_corpus.dims, epsilon=0.8, method=SelectionMethod.GF, f=30
         )

@@ -84,7 +84,7 @@ class TestDocumentFrequency:
     def test_reference_example(self):
         corpus = Corpus(2, [RawDocument(0, {0: 3, 1: 1}), RawDocument(1, {0: 2})])
         np.testing.assert_array_equal(
-            pack(corpus.vectors, corpus.dims).document_frequency(), [2, 1]
+            corpus.vectors.document_frequency, [2, 1]
         )
 
     def test_matches_per_document_loop(self):
@@ -93,25 +93,25 @@ class TestDocumentFrequency:
         expected = np.zeros(300, dtype=np.int64)
         for vec in vectors:
             expected[vec.indices] += 1
-        df = pack(vectors, corpus.dims).document_frequency()
+        df = pack(vectors, corpus.dims).document_frequency
         assert df.dtype == np.int64
         np.testing.assert_array_equal(df, expected)
         np.testing.assert_array_equal(
-            pack([], 300).document_frequency(), np.zeros(300)
+            pack([], 300).document_frequency, np.zeros(300)
         )
 
     def test_aggregate_equals_union_oracle(self):
         """Summed per-party counts equal the whole-corpus count, any split."""
         corpus = synth_corpus(n_docs=50, dims=300, seed=21, mean_terms=25)
-        union_df = pack(corpus.vectors, corpus.dims).document_frequency()
+        union_df = corpus.vectors.document_frequency
         rng = np.random.default_rng(9)
         for _ in range(20):
             mine = rng.random(50) < rng.random()
             part_a = corpus.subset(np.flatnonzero(mine))
             part_b = corpus.subset(np.flatnonzero(~mine))
             total = aggregate_whole_vector(
-                pack(part_a.vectors, part_a.dims).document_frequency(),
-                pack(part_b.vectors, part_b.dims).document_frequency(),
+                part_a.vectors.document_frequency,
+                part_b.vectors.document_frequency,
             )
             np.testing.assert_array_equal(total, union_df)
 

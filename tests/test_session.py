@@ -11,7 +11,7 @@ import pytest
 
 from ssdd import masking
 from ssdd.corpus import build_document_vector, load_cache, save_cache, split_queries
-from ssdd.errors import FrameError, ProtocolError, RangeError
+from ssdd.errors import DimensionError, FrameError, ProtocolError, RangeError
 from ssdd.masking import SharedRandomMatrix, mask, recover
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
@@ -70,7 +70,7 @@ class TestSessionConfig:
         assert bob_side == dataclasses.replace(config, epsilon=None)
         assert len(dataclasses.fields(SessionConfig)) == 5
         with pytest.raises(RangeError, match="tolerance"):
-            AliceSession(bob_side, [], transport=None)
+            AliceSession(bob_side, pack([], config.n), transport=None)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(RangeError):
@@ -113,7 +113,7 @@ class TestSessionConfig:
         for f in (5, 99):
             with pytest.raises(ProtocolError, match=f"f={f}"):
                 SessionConfig.from_hello(dataclasses.replace(hello, f=f))
-        responder = BobResponder([build_document_vector({0: 1}, 4)], dims=4)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 4)], 4), dims=4)
         with pytest.raises(ProtocolError, match="f=5"):
             responder.handle(dataclasses.replace(hello, f=5))
         assert responder.config is None
@@ -127,7 +127,7 @@ class TestSessionConfig:
         assert SessionConfig.from_hello(config.hello()).seed == 2**64 - 1
         assert session_module._subseed(config, 1) == 0
         assert session_module._subseed(config, 2) == 1
-        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
         report = run_local_detection(docs, config, docs)
         assert compare_results(report, oracle_detect(docs, docs, 0.5)).ok
 
@@ -143,7 +143,7 @@ class TestSessionConfig:
         hello = dataclasses.replace(config_for(SelectionMethod.BASE).hello(), version=1)
         with pytest.raises(ProtocolError, match="version"):
             SessionConfig.from_hello(hello)
-        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
         assert responder.config is None
@@ -152,7 +152,7 @@ class TestSessionConfig:
         """A version-2 peer leaves the RP and GF index sets off its filter
         queries; the responder refuses it at the handshake."""
         hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=2)
-        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
         assert responder.config is None
@@ -167,7 +167,7 @@ class TestSessionConfig:
         with pytest.raises(FrameError):
             decode_message(v3)
         hello = dataclasses.replace(config_for(SelectionMethod.RP).hello(), version=3)
-        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
         assert responder.config is None
@@ -177,7 +177,7 @@ class TestSessionConfig:
         replies have the sizes of today's and would decode to the wrong
         values, so the responder refuses it at the handshake."""
         hello = dataclasses.replace(config_for(SelectionMethod.HF).hello(), version=4)
-        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
         assert responder.config is None
@@ -192,7 +192,7 @@ class TestSessionConfig:
         with pytest.raises(FrameError):
             decode_message(v5)
         hello = dataclasses.replace(config_for(SelectionMethod.GF).hello(), version=5)
-        responder = BobResponder([build_document_vector({0: 1}, 500)], dims=500)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
         assert responder.config is None
@@ -206,26 +206,26 @@ class TestSessionConfig:
 
 class TestEvaluateFilter:
     def test_reference_values(self):
-        ev = evaluate_filter(0.5, 1.0, 0.5, 0.8)
-        assert ev.distance2 == pytest.approx(0.5, abs=1e-12)
-        assert ev.upper_bound == pytest.approx(0.75, abs=1e-12)
-        assert not ev.passed
+        # squared distance 1 - 2 * 0.5 + 0.5 = 0.5
+        bound = evaluate_filter(0.5, 1.0, 0.5)
+        assert bound == pytest.approx(0.75, abs=1e-12)
+        assert not bound >= 0.8
 
     def test_passing_pair(self):
-        ev = evaluate_filter(0.9, 1.0, 0.9, 0.8)
-        assert ev.upper_bound == pytest.approx(0.95, abs=1e-12)
-        assert ev.passed
+        bound = evaluate_filter(0.9, 1.0, 0.9)
+        assert bound == pytest.approx(0.95, abs=1e-12)
+        assert bound >= 0.8
 
     def test_boundary_counts_as_pass(self):
-        ev = evaluate_filter(0.5, 1.0, 0.4, 0.8)
-        assert ev.upper_bound == pytest.approx(0.8, abs=1e-12)
-        assert ev.passed
+        bound = evaluate_filter(0.5, 1.0, 0.4)
+        assert bound == pytest.approx(0.8, abs=1e-12)
+        assert bound >= 0.8
 
     def test_negative_distance_clamps_to_perfect_bound(self):
-        ev = evaluate_filter(1.2, 1.0, 1.0, 0.5)
-        assert ev.distance2 == 0.0
-        assert ev.upper_bound == 1.0
-        assert ev.passed
+        # squared distance 1 - 2.4 + 1 < 0, clamped to 0
+        bound = evaluate_filter(1.2, 1.0, 1.0)
+        assert bound == 1.0
+        assert bound >= 0.5
 
     def test_bound_dominates_true_cosine(self):
         """The projected bound can never sit below the full cosine for
@@ -238,10 +238,10 @@ class TestEvaluateFilter:
             f = int(rng.integers(1, n + 1))
             idx = np.sort(rng.choice(n, f, replace=False))
             u_fs, v_fs = u[idx], v[idx]
-            ev = evaluate_filter(
-                float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs), 0.8
+            bound = evaluate_filter(
+                float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs)
             )
-            assert ev.upper_bound >= float(u @ v) - 1e-9
+            assert bound >= float(u @ v) - 1e-9
 
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(8)
@@ -249,14 +249,15 @@ class TestEvaluateFilter:
         norm_v2 = rng.uniform(0.0, 1.0, 300)
         delta[:10] = 1.5  # negative distances, clamped
         norm_u2, epsilon = 0.7, 0.6
-        ev = evaluate_filter(delta, norm_u2, norm_v2, epsilon)
-        assert ev.passed.shape == (300,)
-        assert ev.passed.any() and not ev.passed.all()
+        bound = evaluate_filter(delta, norm_u2, norm_v2)
+        passed = bound >= epsilon
+        assert passed.shape == (300,)
+        assert passed.any() and not passed.all()
+        assert (bound[:10] == 1.0).all()
         for i in range(300):
-            one = evaluate_filter(float(delta[i]), norm_u2, float(norm_v2[i]), epsilon)
-            assert ev.distance2[i] == one.distance2
-            assert ev.upper_bound[i] == one.upper_bound
-            assert ev.passed[i] == one.passed
+            one = evaluate_filter(float(delta[i]), norm_u2, float(norm_v2[i]))
+            assert bound[i] == one
+            assert passed[i] == (one >= epsilon)
 
 
 class TestSessionMetrics:
@@ -267,7 +268,7 @@ class TestSessionMetrics:
 
 def decide_pair(u, v, config):
     """The one decision of a single-query, single-target local session."""
-    report = run_local_detection([u], config, [v])
+    report = run_local_detection(pack([u], config.n), config, pack([v], config.n))
     assert not report.aborted and len(report.decisions) == 1
     return report.decisions[0]
 
@@ -276,9 +277,10 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     """Alice's two rounds for one pair, sending ``indexes`` with the filter
     query whatever the method, answered by ``BobResponder.handle``.
 
-    Returns the filter outcome and the recovered full-width cosine.
+    Returns whether the filter bound reaches the tolerance, and the
+    recovered full-width cosine.
     """
-    responder = BobResponder([v], dims=config.n)
+    responder = BobResponder(pack([v], config.n), dims=config.n)
     responder.handle(config.hello())
     index_set = FeatureIndexSet(config.n, np.asarray(indexes))
     rng = np.random.default_rng(7)
@@ -288,14 +290,12 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     reply = responder.handle(
         FilterQuery(query_id=0, indexes=index_set.indexes, z=mask(u_fs, fs_matrix, r))
     )
-    outcome = evaluate_filter(
-        recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2, config.epsilon
-    )
+    bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
     matrix = SharedRandomMatrix(config.seed, config.n)
     r = rng.uniform(-1.0, 1.0, matrix.cols)
     z = mask(u.to_dense(), matrix, r)
     reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
-    return outcome, float(recover(reply.s, reply.t, r)[0])
+    return bound >= config.epsilon, float(recover(reply.s, reply.t, r)[0])
 
 
 class TestBasePair:
@@ -343,15 +343,15 @@ class TestFsPair:
         u = build_document_vector({0: 1}, 6)
         v = build_document_vector({5: 1}, 6)
         config = SessionConfig(n=6, epsilon=0.6, method=SelectionMethod.RP, f=2)
-        outcome, cosine = pair_with_explicit_indexes(u, v, [0, 1], config)
-        assert not outcome.passed
+        passed, cosine = pair_with_explicit_indexes(u, v, [0, 1], config)
+        assert not passed
         assert abs(cosine) < 1e-9
 
     def test_similar_pair_survives_and_scores(self):
         doc = build_document_vector({0: 1, 1: 1}, 6)
         config = SessionConfig(n=6, epsilon=0.8, method=SelectionMethod.RP, f=2)
-        outcome, cosine = pair_with_explicit_indexes(doc, doc, [0, 1], config)
-        assert outcome.passed
+        passed, cosine = pair_with_explicit_indexes(doc, doc, [0, 1], config)
+        assert passed
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_index_set_defaults_to_the_method(self):
@@ -362,7 +362,7 @@ class TestFsPair:
         assert decision.cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_base(self):
-        responder = BobResponder([build_document_vector({0: 1}, 4)], dims=4)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 4)], 4), dims=4)
         responder.handle(SessionConfig(n=4, epsilon=0.5).hello())
         query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.zeros(1))
         with pytest.raises(ProtocolError, match="BASE"):
@@ -373,8 +373,8 @@ class TestDetectionAgainstOracle:
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_matches_plaintext_oracle(self, small_corpus, method):
         query_ids, target_ids = split_queries(small_corpus, k=10, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         config = config_for(method)
         oracle = oracle_detect(queries, targets, config.epsilon)
         margin = min(abs(c - config.epsilon) for c in oracle.cosines.values())
@@ -390,8 +390,8 @@ class TestDetectionAgainstOracle:
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_metrics_invariants(self, small_corpus, method):
         query_ids, target_ids = split_queries(small_corpus, k=10, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         report = run_detection_locally(queries, config_for(method), targets)
         m = report.metrics
         assert m.pairs_total == len(queries) * len(targets)
@@ -405,8 +405,8 @@ class TestDetectionAgainstOracle:
 
     def test_decisions_come_in_pair_order(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         report = run_detection_locally(queries, config_for(SelectionMethod.HF), targets)
         expected = [
             (q, t) for q in range(len(queries)) for t in range(len(targets))
@@ -415,8 +415,8 @@ class TestDetectionAgainstOracle:
 
     def test_repeat_runs_are_identical(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         config = config_for(SelectionMethod.HF, f=40)
         first = run_detection_locally(queries, config, targets)
         second = run_detection_locally(queries, config, targets)
@@ -440,13 +440,14 @@ def run_detection_locally(queries, config, targets):
 
 class TestTraffic:
     def setup_method(self):
-        self.u = build_document_vector({i: 2 for i in range(20)}, 400)
-        self.far = build_document_vector({i: 2 for i in range(200, 220)}, 400)
+        u = build_document_vector({i: 2 for i in range(20)}, 400)
+        far = build_document_vector({i: 2 for i in range(200, 220)}, 400)
+        self.u, self.far, self.both = pack([u], 400), pack([far], 400), pack([u, far], 400)
 
     def test_filtered_pair_costs_less_than_base(self):
-        base = run_local_detection([self.u], config_for(SelectionMethod.BASE, n=400), [self.far])
+        base = run_local_detection(self.u, config_for(SelectionMethod.BASE, n=400), self.far)
         lf = run_local_detection(
-            [self.u], config_for(SelectionMethod.LF, n=400, f=20), [self.far]
+            self.u, config_for(SelectionMethod.LF, n=400, f=20), self.far
         )
         assert lf.metrics.pairs_filtered == 1
         assert lf.metrics.full_products == 0
@@ -454,9 +455,9 @@ class TestTraffic:
         assert lf.metrics.bytes_sent_bob < base.metrics.bytes_sent_bob
 
     def test_surviving_pair_costs_more_than_base(self):
-        base = run_local_detection([self.u], config_for(SelectionMethod.BASE, n=400), [self.u])
+        base = run_local_detection(self.u, config_for(SelectionMethod.BASE, n=400), self.u)
         lf = run_local_detection(
-            [self.u], config_for(SelectionMethod.LF, n=400, f=20), [self.u]
+            self.u, config_for(SelectionMethod.LF, n=400, f=20), self.u
         )
         assert lf.metrics.pairs_filtered == 0
         assert lf.metrics.bytes_sent_alice > base.metrics.bytes_sent_alice
@@ -483,11 +484,11 @@ class TestTraffic:
             return frame
 
         alice_end.send_frame, alice_end.recv_frame = counted_send, counted_recv
-        responder = BobResponder([self.u, self.far], dims=400)
+        responder = BobResponder(self.both, dims=400)
         worker = threading.Thread(target=responder.serve, args=(bob_end,))
         worker.start()
         config = config_for(method, n=400, f=20)
-        report = run_detection([self.u], config, alice_end)
+        report = run_detection(self.u, config, alice_end)
         worker.join(timeout=5.0)
         assert not worker.is_alive()
         assert not report.aborted
@@ -499,8 +500,8 @@ class TestTraffic:
         """Under GF Alice's bytes are her Hello, one filter and one full query
         and Bye: her document counts stay with her."""
         n, f = 400, 20
-        bob = RecordingBob([self.u, self.far], n)
-        report = run_against(bob, [self.u], config_for(SelectionMethod.GF, n=n, f=f))
+        bob = RecordingBob(self.both, n)
+        report = run_against(bob, self.u, config_for(SelectionMethod.GF, n=n, f=f))
         assert not report.aborted
         assert [type(m) for m in bob.received] == [Hello, FilterQuery, FullQuery]
         k = report.metrics.full_products
@@ -513,8 +514,8 @@ class TestTraffic:
 class TestTcpAgreement:
     def test_tcp_and_local_runs_agree(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=5, seed=9)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         config = config_for(SelectionMethod.HF, f=40)
         local = run_detection_locally(queries, config, targets)
         server = TcpServer(lambda: BobResponder(targets, dims=config.n))
@@ -542,7 +543,7 @@ class TestSharedCorpus:
         return load_cache(path)
 
     def test_sequential_sessions_read_one_view(self, small_corpus, loaded):
-        queries = small_corpus.vectors[:5]
+        queries = small_corpus.vectors.take(np.arange(5))
         config = config_for(SelectionMethod.HF, f=40, epsilon=0.3)
         seen = []
 
@@ -569,12 +570,13 @@ class TestSharedCorpus:
     def test_concurrent_sessions_equal_solo_runs(self, small_corpus, loaded):
         """HF and BASE sessions at once over one corpus, its view not yet
         built, each give the bits of a run alone over its own copy."""
-        queries = small_corpus.vectors[:5]
+        queries = small_corpus.vectors.take(np.arange(5))
         configs = [
             config_for(method, f=40, epsilon=0.3)
             for method in (SelectionMethod.HF, SelectionMethod.BASE) * 2
         ]
-        solo = [run_detection_locally(queries, c, list(loaded.vectors)) for c in configs]
+        copy = loaded.vectors.take(np.arange(len(loaded)))
+        solo = [run_detection_locally(queries, c, copy) for c in configs]
         assert "_by_term" not in vars(loaded.vectors)
         start = threading.Barrier(len(configs))
         reports = [None] * len(configs)
@@ -624,7 +626,8 @@ class TestFinishedResponders:
     def test_server_keeps_counters_not_arrays(self, small_corpus):
         """A TcpServer keeps each finished responder for its multiplication
         count; the packed corpus and the session's arrays are dropped."""
-        queries, targets = small_corpus.vectors[:3], small_corpus.vectors[3:]
+        queries = small_corpus.vectors.take(np.arange(3))
+        targets = small_corpus.vectors.take(np.arange(3, len(small_corpus)))
         config = config_for(SelectionMethod.GF, f=40, epsilon=0.3)
         with TcpServer(lambda: BobResponder(targets, dims=config.n)) as server:
             for _ in range(2):
@@ -640,7 +643,8 @@ class TestFinishedResponders:
             assert [k for k, v in vars(responder).items() if holds_array(v)] == []
 
     def test_server_keeps_only_the_latest_responders(self, small_corpus, monkeypatch):
-        queries, targets = small_corpus.vectors[:2], small_corpus.vectors[2:]
+        queries = small_corpus.vectors.take(np.arange(2))
+        targets = small_corpus.vectors.take(np.arange(2, len(small_corpus)))
         config = config_for(SelectionMethod.HF, f=40, epsilon=0.3)
         monkeypatch.setattr(transport_module, "KEPT_RESPONDERS", 2)
         made = []
@@ -671,7 +675,8 @@ class TestFinishedResponders:
     def test_filter_memo_is_dropped(self, small_corpus, method):
         """Bob keeps the last index set's pieces while the session runs and
         drops them with the corpus when ``serve`` returns."""
-        queries, targets = small_corpus.vectors[:3], small_corpus.vectors[3:]
+        queries = small_corpus.vectors.take(np.arange(3))
+        targets = small_corpus.vectors.take(np.arange(3, len(small_corpus)))
         config = config_for(method, f=40, epsilon=0.3)
         memo_held = []
 
@@ -699,7 +704,7 @@ def wait_for_sessions(server: TcpServer) -> None:
 
 class TestTcpServer:
     def test_failed_session_is_logged_and_the_next_is_served(self, caplog):
-        doc = build_document_vector({0: 1, 1: 1}, 6)
+        doc = pack([build_document_vector({0: 1, 1: 1}, 6)], 6)
         config = SessionConfig(n=6, epsilon=0.8)
 
         class Exploding:
@@ -709,7 +714,7 @@ class TestTcpServer:
         made = []
 
         def factory():
-            made.append(Exploding() if not made else BobResponder([doc], dims=6))
+            made.append(Exploding() if not made else BobResponder(doc, dims=6))
             return made[-1]
 
         with caplog.at_level(logging.ERROR, logger="ssdd.protocol.transport"):
@@ -717,12 +722,12 @@ class TestTcpServer:
                 first = connect_tcp(server.host, server.port, timeout=5.0)
                 try:
                     wait_for_sessions(server)
-                    assert run_detection([doc], config, first).aborted
+                    assert run_detection(doc, config, first).aborted
                 finally:
                     first.close()
                 second = connect_tcp(server.host, server.port, timeout=5.0)
                 try:
-                    report = run_detection([doc], config, second)
+                    report = run_detection(doc, config, second)
                 finally:
                     second.close()
                 wait_for_sessions(server)
@@ -739,15 +744,15 @@ class TestAbort:
     def test_peer_gone_before_handshake(self):
         a_end, b_end = make_local_pair(timeout=1.0)
         b_end.close()
-        doc = build_document_vector({0: 1}, 4)
-        report = run_detection([doc], SessionConfig(n=4, epsilon=0.5), a_end)
+        doc = pack([build_document_vector({0: 1}, 4)], 4)
+        report = run_detection(doc, SessionConfig(n=4, epsilon=0.5), a_end)
         assert report.aborted
         assert report.decisions == []
         assert report.target_count == 0
 
     def test_responder_rejecting_handshake_aborts_the_run(self):
         a_end, b_end = make_local_pair(timeout=2.0)
-        responder = BobResponder([build_document_vector({0: 1}, 300)], dims=300)
+        responder = BobResponder(pack([build_document_vector({0: 1}, 300)], 300), dims=300)
 
         def serve_quietly():
             try:
@@ -757,8 +762,8 @@ class TestAbort:
 
         worker = threading.Thread(target=serve_quietly, daemon=True)
         worker.start()
-        doc = build_document_vector({0: 1}, 500)
-        report = run_detection([doc], SessionConfig(n=500, epsilon=0.5), a_end)
+        doc = pack([build_document_vector({0: 1}, 500)], 500)
+        report = run_detection(doc, SessionConfig(n=500, epsilon=0.5), a_end)
         worker.join(timeout=5.0)
         assert report.aborted
         assert report.target_count == 0
@@ -766,7 +771,7 @@ class TestAbort:
 
 class TestResponderValidation:
     def make(self, method=SelectionMethod.RP, n=6, f=2, docs=2):
-        vectors = [build_document_vector({i: 1, i + 1: 2}, n) for i in range(docs)]
+        vectors = pack([build_document_vector({i: 1, i + 1: 2}, n) for i in range(docs)], n)
         responder = BobResponder(vectors, dims=n)
         config = SessionConfig(
             n=n, epsilon=0.8, method=method, f=f if method.uses_filter else 0
@@ -855,38 +860,60 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="survivor"):
             responder.handle(query)
 
-    def test_empty_responder_needs_dims(self):
-        with pytest.raises(RangeError):
-            BobResponder([])
-        responder = BobResponder([], dims=4)
-        assert responder.dims == 4
+    def test_empty_corpus_names_its_dims(self):
+        """An empty packed corpus carries its dims; an explicit dims is only
+        checked against it."""
+        assert BobResponder(pack([], 4)).dims == 4
+        assert BobResponder(pack([], 4), dims=4).dims == 4
+        with pytest.raises(RangeError, match="dims=4, not 5"):
+            BobResponder(pack([], 4), dims=5)
+
+    def test_empty_corpus_is_served_without_dims(self):
+        """A session against an empty corpus given without dims decides a
+        (queries x 0) report."""
+        queries = pack([build_document_vector({0: 1}, 4)] * 3, 4)
+        config = SessionConfig(n=4, epsilon=0.5)
+        alice_end, bob_end = make_local_pair(timeout=5.0)
+        worker = threading.Thread(target=BobResponder(pack([], 4)).serve, args=(bob_end,))
+        worker.start()
+        try:
+            report = run_detection(queries, config, alice_end)
+        finally:
+            alice_end.close()
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert not report.aborted and report.target_count == 0
+        assert report.cosines.shape == report.similar.shape == (3, 0)
+        assert report.decided == 3 and report.decisions == []
 
     def test_mixed_dims_rejected(self):
         docs = [build_document_vector({0: 1}, 4), build_document_vector({0: 1}, 5)]
-        with pytest.raises(RangeError):
-            BobResponder(docs)
+        with pytest.raises(DimensionError):
+            pack(docs, 4)
+        with pytest.raises(RangeError, match="dims=4, not 5"):
+            BobResponder(pack(docs[:1], 4), dims=5)
 
 
 class TestDisclosureWarnings:
     def test_per_query_methods_warn(self, caplog):
-        doc = build_document_vector({0: 1}, 10)
+        doc = pack([build_document_vector({0: 1}, 10)], 10)
         config = SessionConfig(n=10, epsilon=0.8, method=SelectionMethod.LF, f=2)
         with caplog.at_level(logging.WARNING, logger="ssdd.protocol.session"):
-            AliceSession(config, [doc], transport=None)
+            AliceSession(config, doc, transport=None)
         assert "disclosed" in caplog.text
 
     def test_session_fixed_methods_do_not(self, caplog):
-        doc = build_document_vector({0: 1}, 10)
+        doc = pack([build_document_vector({0: 1}, 10)], 10)
         config = SessionConfig(n=10, epsilon=0.8, method=SelectionMethod.RP, f=2)
         with caplog.at_level(logging.WARNING, logger="ssdd.protocol.session"):
-            AliceSession(config, [doc], transport=None)
+            AliceSession(config, doc, transport=None)
         assert caplog.text == ""
 
     def test_dims_mismatch_rejected_up_front(self):
-        doc = build_document_vector({0: 1}, 9)
+        doc = pack([build_document_vector({0: 1}, 9)], 9)
         config = SessionConfig(n=10, epsilon=0.8)
         with pytest.raises(RangeError):
-            AliceSession(config, [doc], transport=None)
+            AliceSession(config, doc, transport=None)
 
 
 N_EQ, F_EQ = 60, 6
@@ -976,7 +1003,7 @@ class TestResponderMatchesRespond:
             return project(packed, index_set)
 
         monkeypatch.setattr(session_module, "project", counting)
-        responder = BobResponder(docs, dims=N_EQ)
+        responder = BobResponder(pack(docs, N_EQ), dims=N_EQ)
         responder.handle(config.hello())
         rng = np.random.default_rng(8)
         expected_count = 0
@@ -1000,10 +1027,10 @@ class TestResponderMatchesRespond:
         else:
             index_set = FeatureIndexSet(N_EQ, np.arange(F_EQ))
         docs = _equivalence_corpus(index_set.indexes)
-        responder = BobResponder(docs, dims=N_EQ)
+        responder = BobResponder(pack(docs, N_EQ), dims=N_EQ)
         ack = responder.handle(config.hello())
         if method.needs_whole_vector:
-            mine = pack(docs, N_EQ).document_frequency()
+            mine = pack(docs, N_EQ).document_frequency
             np.testing.assert_array_equal(ack.df, mine)
             if method is SelectionMethod.GF:
                 alice_counts = np.zeros(N_EQ, dtype=np.int64)
@@ -1025,7 +1052,7 @@ class TestResponderMatchesRespond:
         computed and the documents whose t he sent."""
         config = self.config(SelectionMethod.BASE)
         docs = _equivalence_corpus(np.arange(F_EQ))
-        responder = BobResponder(docs, dims=N_EQ)
+        responder = BobResponder(pack(docs, N_EQ), dims=N_EQ)
         responder.handle(config.hello())
         computed = []
         transpose_apply_packed = SharedRandomMatrix.transpose_apply_packed
@@ -1088,7 +1115,7 @@ class TestResponderMatchesRespond:
     )
     def test_empty_corpus(self, method):
         config = self.config(method)
-        responder = BobResponder([], dims=N_EQ)
+        responder = BobResponder(pack([], N_EQ), dims=N_EQ)
         assert responder.handle(config.hello()).bob_doc_count == 0
         reply = responder.handle(
             FilterQuery(query_id=0, indexes=np.arange(F_EQ), z=np.ones(F_EQ))
@@ -1111,8 +1138,8 @@ class TestMultiplicationCount:
     )
     def test_count_follows_the_cost_model(self, small_corpus, method):
         query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         config = config_for(method)
         report = run_detection_locally(queries, config, targets)
         cols, fs_cols = (config.n + 1) // 2, (config.f + 1) // 2
@@ -1123,7 +1150,7 @@ class TestMultiplicationCount:
         )
         if method.uses_filter:
             assert 0 < report.metrics.pairs_filtered < report.metrics.pairs_total
-            whole = pack(queries + targets, config.n).document_frequency()
+            whole = queries.document_frequency + targets.document_frequency
             for query in queries:
                 index_set = select_hf(query.to_dense(), whole, config.f)
                 for target in targets:
@@ -1139,8 +1166,8 @@ class TestStreamedMatrixSession:
     )
     def test_streamed_session_matches_materialized(self, small_corpus, method, monkeypatch):
         query_ids, target_ids = split_queries(small_corpus, k=4, seed=7)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids[:30]]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids[:30])
         config = config_for(method)
         cached = run_detection_locally(queries, config, targets)
         monkeypatch.setattr(masking, "MATERIALIZE_LIMIT_ENTRIES", 0)
@@ -1197,14 +1224,15 @@ class TestNonFiniteReplies:
     the pair with it."""
 
     def setup_method(self):
-        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        self.targets, self.queries = pack(docs, 40), pack(docs[:2], 40)
 
     @NON_FINITE
     @pytest.mark.parametrize("piece", ["s", "t", "norm_v2"])
     def test_filter_reply(self, piece, value):
         config = config_for(SelectionMethod.RP, n=40, f=8)
-        bob = PoisonedBob(self.docs, 40, FilterReply, piece, value)
-        report = run_against(bob, self.docs[:2], config)
+        bob = PoisonedBob(self.targets, 40, FilterReply, piece, value)
+        report = run_against(bob, self.queries, config)
         assert report.aborted
         assert report.decided == 0 and report.decisions == []
 
@@ -1212,8 +1240,8 @@ class TestNonFiniteReplies:
     @pytest.mark.parametrize("piece", ["s", "t"])
     def test_full_reply(self, piece, value):
         config = config_for(SelectionMethod.BASE, n=40)
-        bob = PoisonedBob(self.docs, 40, FullReply, piece, value)
-        report = run_against(bob, self.docs[:2], config)
+        bob = PoisonedBob(self.targets, 40, FullReply, piece, value)
+        report = run_against(bob, self.queries, config)
         assert report.aborted
         assert report.decided == 0 and report.decisions == []
 
@@ -1226,12 +1254,12 @@ class TestEmptyTargets:
 
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_empty_target_at_zero_tolerance(self, method):
-        query = build_document_vector({0: 1, 1: 1}, 10)
-        targets = [build_document_vector({}, 10), build_document_vector({0: 1}, 10)]
+        queries = pack([build_document_vector({0: 1, 1: 1}, 10)] * 2, 10)
+        targets = pack([build_document_vector({}, 10), build_document_vector({0: 1}, 10)], 10)
         config = config_for(method, n=10, f=2, epsilon=0.0)
-        report = run_local_detection([query, query], config, targets)
+        report = run_local_detection(queries, config, targets)
         assert not report.aborted and report.decided == 2
-        assert compare_results(report, oracle_detect([query] * 2, targets, 0.0)).ok
+        assert compare_results(report, oracle_detect(queries, targets, 0.0)).ok
         assert report.similar_pairs() == [(0, 1), (1, 1)]
         assert report.cosines[:, 0].tolist() == [0.0, 0.0]
 
@@ -1244,8 +1272,9 @@ class TestEmptyTargets:
         rows = SharedRandomMatrix(seed, 4).row_block(0, 2)
         assert (rows[0] == -rows[1]).all()
         config = SessionConfig(n=4, epsilon=0.8, seed=seed)
-        report = run_local_detection([doc, doc], config, [doc])
-        assert compare_results(report, oracle_detect([doc] * 2, [doc], 0.8)).ok
+        queries, targets = pack([doc, doc], 4), pack([doc], 4)
+        report = run_local_detection(queries, config, targets)
+        assert compare_results(report, oracle_detect(queries, targets, 0.8)).ok
         assert report.similar.tolist() == [[True], [True]]
         assert report.cosines == pytest.approx(np.ones((2, 1)), abs=1e-12)
 
@@ -1254,8 +1283,8 @@ class TestReportArrays:
     def test_abort_keeps_the_finished_rows(self):
         docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
         config = config_for(SelectionMethod.BASE, n=40)
-        bob = PoisonedBob(docs, 40, FullReply, "s", np.nan, query_id=1)
-        report = run_against(bob, docs[:3], config)
+        bob = PoisonedBob(pack(docs, 40), 40, FullReply, "s", np.nan, query_id=1)
+        report = run_against(bob, pack(docs[:3], 40), config)
         assert report.aborted
         assert report.decided == 1
         assert report.cosines.shape == report.similar.shape == (3, 6)
@@ -1271,9 +1300,12 @@ class TestReportArrays:
 
     def test_filtered_is_nan_is_no_cosine(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        queries.append(build_document_vector({}, small_corpus.dims))
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = pack(
+            [small_corpus.vectors[i] for i in query_ids]
+            + [build_document_vector({}, small_corpus.dims)],
+            small_corpus.dims,
+        )
+        targets = small_corpus.vectors.take(target_ids)
         report = run_detection_locally(queries, config_for(SelectionMethod.HF), targets)
         assert report.decided == len(queries)
         decisions = report.decisions
@@ -1311,8 +1343,8 @@ class TestReportArrays:
 
     def test_session_similar_pairs_are_query_major(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=10, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
         report = run_detection_locally(queries, config_for(SelectionMethod.BASE), targets)
         pairs = report.similar_pairs()
         assert len({q for q, _ in pairs}) > 1
@@ -1347,13 +1379,14 @@ class TestWrongWidthReplies:
     """A reply whose t is not ceil(f/2) or ceil(n/2) wide aborts the session."""
 
     def setup_method(self):
-        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        self.targets, self.queries = pack(docs, 40), pack(docs[:2], 40)
 
     @WRONG_WIDTH
     def test_filter_reply(self, reshape):
         config = config_for(SelectionMethod.RP, n=40, f=8)
         report = run_against(
-            ReshapedBob(self.docs, 40, FilterReply, reshape), self.docs[:2], config
+            ReshapedBob(self.targets, 40, FilterReply, reshape), self.queries, config
         )
         assert report.aborted
         assert report.decided == 0
@@ -1365,7 +1398,7 @@ class TestWrongWidthReplies:
     def test_full_reply(self, reshape, method):
         config = config_for(method, n=40, f=8, epsilon=0.1)
         report = run_against(
-            ReshapedBob(self.docs, 40, FullReply, reshape), self.docs[:2], config
+            ReshapedBob(self.targets, 40, FullReply, reshape), self.queries, config
         )
         assert report.aborted
         assert report.decided == 0
@@ -1397,10 +1430,10 @@ class TestWrongWidthHelloAck:
         docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
         alice_end, bob_end = make_local_pair(timeout=5.0)
         worker = threading.Thread(
-            target=WrongDfBob(docs, dims=40).serve, args=(bob_end,), daemon=True
+            target=WrongDfBob(pack(docs, 40), dims=40).serve, args=(bob_end,), daemon=True
         )
         worker.start()
-        alice = AliceSession(config_for(method, n=40, f=8), docs[:2], alice_end)
+        alice = AliceSession(config_for(method, n=40, f=8), pack(docs[:2], 40), alice_end)
         try:
             with pytest.raises(ProtocolError, match=f"{width} document counts"):
                 alice.handshake()
@@ -1441,10 +1474,10 @@ class TestTransposeOncePerSession:
     omits a new one, or carries a non-finite one."""
 
     def setup_method(self):
-        self.docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        self.docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
         # under LF, query 0 and 2 survive with target 0 only, query 1 with
         # target 4 only: query 1 brings a new t, query 2 none
-        self.queries = [self.docs[0], self.docs[4], self.docs[0]]
+        self.queries = self.docs.take([0, 4, 0])
         self.lf = config_for(SelectionMethod.LF, n=40, f=8)
 
     def test_lf_survivors(self):
@@ -1464,7 +1497,7 @@ class TestTransposeOncePerSession:
 
     def test_resent_t(self):
         config = config_for(SelectionMethod.BASE, n=40)
-        report = run_against(ForgetfulBob(self.docs, 40), self.docs[:2], config)
+        report = run_against(ForgetfulBob(self.docs, 40), self.docs.take([0, 1]), config)
         assert report.aborted and report.decided == 1
         assert report.similar_pairs() == [(0, 0)]
         report = run_against(ForgetfulBob(self.docs, 40), self.queries, self.lf)
@@ -1484,8 +1517,8 @@ class TestTransposeOncePerSession:
     )
     def test_repeating_survivors_get_each_t_once(self, small_corpus, method):
         query_ids, target_ids = split_queries(small_corpus, k=5, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids] * 2
-        targets = [small_corpus.vectors[i] for i in target_ids]
+        queries = small_corpus.vectors.take(np.tile(query_ids, 2))
+        targets = small_corpus.vectors.take(target_ids)
         config = config_for(method, epsilon=0.3)
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)
@@ -1505,8 +1538,8 @@ class TestTransposeOncePerSession:
         """HelloAck with an empty df, then per query a header and {doc_id, s}
         per target, plus one t per target per session."""
         query_ids, target_ids = split_queries(small_corpus, k=3, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
-        targets = [small_corpus.vectors[i] for i in target_ids[:7]]
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids[:7])
         config = config_for(SelectionMethod.BASE)
         report = run_detection_locally(queries, config, targets)
         q, m, cols = len(queries), len(targets), (config.n + 1) // 2
@@ -1531,10 +1564,10 @@ class TestMaskDerivation:
     )
     def test_sent_vectors_are_u_plus_a_r(self, small_corpus, method):
         query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
-        queries = [small_corpus.vectors[i] for i in query_ids]
+        queries = small_corpus.vectors.take(query_ids)
         # each query's own document among the targets, so every query
         # reaches the full round
-        targets = queries + [small_corpus.vectors[i] for i in target_ids[:20]]
+        targets = small_corpus.vectors.take(np.concatenate((query_ids, target_ids[:20])))
         config = config_for(method)
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)

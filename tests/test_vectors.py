@@ -145,7 +145,7 @@ class TestProject:
         rng = np.random.default_rng(8)
         n, f = 200, 20
         docs = [random_document(rng, n, int(rng.integers(1, 40))) for _ in range(30)]
-        responder = BobResponder(docs, dims=n)
+        responder = BobResponder(pack(docs, n), dims=n)
         config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f)
         responder.handle(config.hello())
         assert "_by_term" not in vars(responder._docs)
@@ -186,14 +186,17 @@ class TestPackedDocs:
         assert len(empty) == 0 and list(empty) == [] and empty.dense().shape == (0, 50)
 
     def test_indexing_and_slices(self):
+        """An integer gives one DocumentVector; a slice is refused, since
+        ``take`` is how a block of documents stays packed."""
         for i in (0, 3, np.int64(5), -1):
             doc = self.packed[i]
             assert isinstance(doc, DocumentVector) and doc.dims == 50
             np.testing.assert_array_equal(doc.to_dense(), self.dense[i])
-        parts = self.packed[2:7:2]
-        assert isinstance(parts, list) and len(parts) == 3
-        for doc, row in zip(parts, self.dense[2:7:2], strict=True):
-            np.testing.assert_array_equal(doc.to_dense(), row)
+        with pytest.raises(TypeError):
+            self.packed[2:7:2]
+        np.testing.assert_array_equal(
+            self.packed.take(np.arange(2, 7, 2)).dense(), self.dense[2:7:2]
+        )
         for i in (9, -10):
             with pytest.raises(IndexError):
                 self.packed[i]
@@ -210,11 +213,6 @@ class TestPackedDocs:
         for array in shared:
             with pytest.raises(ValueError):
                 array[0] = 0
-
-    def test_pack_keeps_a_packed_corpus(self):
-        assert pack(self.packed, 50) is self.packed
-        with pytest.raises(DimensionError):
-            pack(self.packed, 51)
 
     def test_take_keeps_the_given_order(self):
         ids = np.array([7, 3, 0, 8])
@@ -251,9 +249,17 @@ class TestPackedDocs:
         assert block <= one + z.shape[0] * len(docs) * 8, (one, block)
 
     def test_document_frequency(self):
-        df = self.packed.document_frequency()
+        """Counted once per PackedDocs, read-only, and the term-major view's
+        offsets are its running sum."""
+        df = self.packed.document_frequency
         assert df.dtype == np.int64
         np.testing.assert_array_equal(df, np.count_nonzero(self.dense, axis=0))
+        assert self.packed.document_frequency is df
+        with pytest.raises(ValueError):
+            df[0] = 0
+        termptr = self.packed._by_term[0]
+        np.testing.assert_array_equal(termptr, np.concatenate(([0], np.cumsum(df))))
+        assert pack([], 50).document_frequency.tolist() == [0] * 50
 
     def test_dims_mismatch(self):
         with pytest.raises(DimensionError):

@@ -13,27 +13,30 @@ In floating point it carries rounding error, so a pair whose cosine lies
 within that error of a tolerance (an identical pair at tolerance 1, say)
 can be decided either way.
 
-Matrix entries are +1 or -1 ("binary coins", Achlioptas 2003): any A makes
-the recovery exact, and a sign costs one random bit.  They are a pure
-function of (seed, i, j), generated with a block-addressable counter RNG:
-entry k of the row-major matrix is +1 when bit k of the Philox stream keyed
-by the seed is set and -1 when it is clear, bit k being bit k % 64 (least
-significant first) of the stream's word k // 64.  Rows can be produced on
-demand from the words that cover them, so the responder's t costs
-O(nnz(v) * cols) work and no party ever needs the full matrix in memory
-(though materializing is allowed as a speedup for moderate n; the
-materialized matrix is cached as read-only int8, one byte per entry, and
-shared).  Products cast the int8 entries to float64 a few rows at a time.
+Any A makes the recovery exact; A is a subsampled randomized Hadamard
+transform (Ailon & Chazelle 2006; Tropp 2011).  With N the smallest power
+of two >= n and H the N x N Sylvester Hadamard matrix,
 
-``mask`` and ``matvec`` also take a block of k vectors at once: u as an
-(n, k) array and r as a (cols, k) array give the k masked vectors as the
-columns of Z = U + A R, and a streamed matrix generates each row once for
-all k columns.
+    A = D_r H[R, C] D_c,   A[i, j] = d_r[i] d_c[j] (-1)^popcount(R[i] & C[j])
+
+where R is a seeded n-subset of H's rows, C a seeded ceil(n/2)-subset of
+its columns and d_r, d_c seeded signs.  All of them come from the raw
+words of the Philox stream keyed by the seed, whose layout numpy pins
+across versions: the first N words rank H's rows (R takes the first n of
+the ranking), the next N rank its columns (C takes the first ceil(n/2)),
+and the lowest bits of the next n + ceil(n/2) words are d_r, then d_c
+(a set bit meaning -1).  Entries are +1 or -1.
+
+No party holds A.  ``matvec`` computes A R by scattering D_c R into N rows,
+running a fast Walsh-Hadamard transform and gathering rows R;
+``transpose_apply_packed`` computes A^T v for a batch of documents the
+same way in reverse.  Each costs O(N log N) per vector, and each column
+is transformed on its own, so a vector's product has the same bits
+whatever it is batched with.  ``rows_for`` computes entries from the
+closed form, for the small filter matrix A_fs and for tests.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from numpy.random import Philox
@@ -45,48 +48,32 @@ __all__ = [
     "SharedRandomMatrix",
     "mask",
     "recover",
-    "clear_matrix_cache",
 ]
 
-# Entries above this count are never materialized; rows stream on demand.
-MATERIALIZE_LIMIT_ENTRIES = 40_000_000
-# A streamed matrix generates at most about this many entries at a time.
-STREAM_CHUNK_ENTRIES = 4_000_000
-# Products cast this many int8 rows at a time into one float64 buffer, small
-# enough to stay in cache between the cast and the multiplication.
-CAST_ROWS = 16
+# Documents per transform in transpose_apply_packed.  Of widths 1 to 64 at
+# KOS's N = 8192, 16 cost least per document: a narrower block pays numpy's
+# per-call overhead more often, a wider one leaves the cache.
+BATCH = 16
 
 
-def _raw_span(seed: int, k0: int, k1: int) -> np.ndarray:
-    """Entries for flat positions [k0, k1) of the matrix stream, as int8."""
-    w0, w1 = k0 // 64, -(-k1 // 64)  # the words holding bits k0, ..., k1 - 1
-    bits = Philox(key=seed, counter=[w0 // 4, 0, 0, 0])
-    bits.random_raw(w0 % 4)  # skip to w0 within its 4-word block
-    words = bits.random_raw(w1 - w0).astype("<u8", copy=False)
-    signs = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.int8)
-    signs <<= 1
-    signs -= 1
-    return signs[k0 - 64 * w0 : k1 - 64 * w0]
-
-
-@lru_cache(maxsize=3)
-def _materialized(seed: int, rows: int, cols: int) -> np.ndarray:
-    # read-only: every session in the process shares this array
-    full = _raw_span(seed, 0, rows * cols).reshape(rows, cols)
-    full.flags.writeable = False
-    return full
-
-
-def clear_matrix_cache() -> None:
-    _materialized.cache_clear()
+def _fwht(x: np.ndarray) -> None:
+    """In-place unnormalised Walsh-Hadamard transform of each column of
+    the (N, k) array x, N a power of two: x becomes H x."""
+    size = len(x)
+    half = np.empty(x.size // 2)
+    h = 1
+    while h < size:
+        pairs = x.reshape(size // (2 * h), 2, -1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        diff = half.reshape(a.shape)
+        np.subtract(a, b, out=diff)
+        a += b
+        b[...] = diff
+        h *= 2
 
 
 class SharedRandomMatrix:
-    """Handle to the deterministic masking matrix for one seed and size.
-
-    ``row_block`` and ``rows_for`` return the entries as int8; ``matvec``
-    and ``transpose_apply_packed`` compute in float64.
-    """
+    """Handle to the deterministic masking matrix for one seed and size."""
 
     def __init__(self, seed: int, rows: int):
         if rows < 1:
@@ -95,84 +82,60 @@ class SharedRandomMatrix:
             raise RangeError("seed must fit in 64 bits")
         self.seed = seed
         self.rows = rows
-        self.cols = (rows + 1) // 2
-        self._can_materialize = rows * self.cols <= MATERIALIZE_LIMIT_ENTRIES
-
-    def _full(self) -> np.ndarray | None:
-        if self._can_materialize:
-            return _materialized(self.seed, self.rows, self.cols)
-        return None
-
-    def row_block(self, start: int, stop: int) -> np.ndarray:
-        if not 0 <= start <= stop <= self.rows:
-            raise RangeError(f"row block [{start}, {stop}) outside {self.rows} rows")
-        full = self._full()
-        if full is not None:
-            return full[start:stop]
-        return _raw_span(self.seed, start * self.cols, stop * self.cols).reshape(
-            stop - start, self.cols
-        )
+        self.cols = cols = (rows + 1) // 2
+        # N, the order of H
+        self.size = size = 1 << (rows - 1).bit_length()
+        words = Philox(key=seed).random_raw(2 * size + rows + cols)
+        # R and C, as the smallest unsigned type that holds an index of H
+        index = np.min_scalar_type(size - 1)
+        self._row_of = np.argsort(words[:size], kind="stable")[:rows].astype(index)
+        self._col_of = np.argsort(words[size : 2 * size], kind="stable")[:cols]
+        self._col_of = self._col_of.astype(index)
+        # d_r and d_c
+        signs = 1 - 2 * (words[2 * size :] & np.uint64(1)).astype(np.int8)
+        self._row_sign, self._col_sign = signs[:rows], signs[rows:]
 
     def rows_for(self, indices: np.ndarray) -> np.ndarray:
-        """Rows at the given (not necessarily contiguous) indices."""
-        full = self._full()
-        if full is not None:
-            return full[indices]
-        out = np.empty((len(indices), self.cols), dtype=np.int8)
-        for k, i in enumerate(indices):
-            out[k : k + 1] = self.row_block(int(i), int(i) + 1)
-        return out
+        """Rows of A at the given indices, as int8, from the closed form."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and not 0 <= indices.min() <= indices.max() < self.rows:
+            raise RangeError(f"row index outside {self.rows} rows")
+        both = self._row_of[indices, None] & self._col_of
+        shift = 4 * both.itemsize
+        while shift:  # fold the bits of each entry into its lowest one
+            both ^= both >> shift
+            shift //= 2
+        parity = (both & 1).astype(np.int8)
+        return (1 - 2 * parity) * self._row_sign[indices, None] * self._col_sign
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
-        """A @ r for r of shape (cols,) or (cols, k), without requiring the
-        whole matrix at once."""
+        """A @ r for r of shape (cols,) or (cols, k)."""
         if r.ndim not in (1, 2) or r.shape[0] != self.cols:
             raise DimensionError(
                 f"mask shape {r.shape} != ({self.cols},) or ({self.cols}, k)"
             )
-        full = self._full()
-        chunk = max(1, STREAM_CHUNK_ENTRIES // self.cols)
-        blocks = [(0, full)] if full is not None else (
-            (start, self.row_block(start, min(start + chunk, self.rows)))
-            for start in range(0, self.rows, chunk)
-        )
-        out = np.empty((self.rows,) + r.shape[1:])
-        cast = np.empty((CAST_ROWS, self.cols))
-        for start, block in blocks:
-            for lo in range(0, len(block), CAST_ROWS):
-                part = block[lo : lo + CAST_ROWS]
-                rows = cast[: len(part)]
-                rows[...] = part
-                np.matmul(rows, r, out=out[start + lo : start + lo + len(part)])
-        return out
+        block = r.reshape(self.cols, -1)
+        x = np.zeros((self.size, block.shape[1]))
+        x[self._col_of] = self._col_sign[:, None] * block
+        _fwht(x)
+        out = self._row_sign[:, None] * x[self._row_of]
+        return out.reshape((self.rows,) + r.shape[1:])
 
     def transpose_apply_packed(self, docs: PackedDocs) -> np.ndarray:
-        """Row i is A^T v_i for document i of ``docs``.
-
-        A materialized matrix gathers each vector's rows.  A streamed one
-        generates each distinct row of the batch once, in chunks that keep
-        both the rows and the dense weights applied to them within
-        STREAM_CHUNK_ENTRIES entries.
-        """
-        k = len(docs)
-        t = np.zeros((k, self.cols))
-        if self._full() is not None:
-            # each document's rows are cast into one reused float64 buffer
-            cast = np.empty((int(docs.nnz.max(initial=0)), self.cols))
-            bounds = docs.indptr.tolist()
-            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                rows = cast[: hi - lo]
-                rows[...] = self.rows_for(docs.indices[lo:hi])
-                np.matmul(docs.weights[lo:hi], rows, out=t[i])
-            return t
-        rows, column = np.unique(docs.indices, return_inverse=True)
-        chunk = max(1, STREAM_CHUNK_ENTRIES // max(self.cols, k))
-        for start in range(0, rows.size, chunk):
-            block = self.rows_for(rows[start : start + chunk])
-            hit = (column >= start) & (column < start + chunk)
-            w = np.zeros((k, block.shape[0]))
-            w[docs.owner[hit], column[hit] - start] = docs.weights[hit]
-            t += w @ block
+        """Row i is A^T v_i for document i of ``docs``, BATCH documents per
+        transform."""
+        t = np.empty((len(docs), self.cols))
+        bounds = docs.indptr
+        for lo in range(0, len(docs), BATCH):
+            hi = min(lo + BATCH, len(docs))
+            entries = slice(bounds[lo], bounds[hi])
+            indices = docs.indices[entries]
+            x = np.zeros((self.size, hi - lo))
+            owner = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
+            weights = self._row_sign[indices] * docs.weights[entries]
+            x[self._row_of[indices], owner] = weights
+            _fwht(x)
+            t[lo:hi] = (self._col_sign[:, None] * x[self._col_of]).T
         return t
 
 

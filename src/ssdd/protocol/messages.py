@@ -30,7 +30,7 @@ raises FrameError for what the layout cannot carry (an integer outside its
 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
 inconsistency; an unknown tag raises ProtocolError.
 
-This is protocol version 6.  The handshake is one round trip: Hello
+This is protocol version 7.  The handshake is one round trip: Hello
 carries the one seed that both sides derive the masking matrices from,
 and HelloAck carries the responder's document frequencies (n = the
 dimensionality) when the method selects from them (GF, HF), and none
@@ -45,7 +45,9 @@ not depend on the query, so the querying side keeps what it received.
 Version 1 sent every survivor's t with every reply (tag 0x21, now
 unknown); the values disclosed are the same, each t_j just crosses once.
 Version 4 replies have the same sizes as these, with each reply's entries
-interleaved.
+interleaved.  Version 6 frames are laid out as these are, but its peers
+derive a different A from the seed (one Philox bit per entry), so their
+products would not recover: the responder refuses its Hello.
 """
 
 from __future__ import annotations

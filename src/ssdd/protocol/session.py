@@ -33,8 +33,9 @@ GF or HF index sets chosen from the sum.  For RP the set discloses nothing
 new either: Bob can derive it from the seed in Hello.  Hello does not
 carry the tolerance, which Alice alone uses.
 
-This is protocol version 6 (``PROTOCOL_VERSION``, see ``messages`` for the
-layout).  Bob refuses a Hello of any other version at the handshake.
+This is protocol version 7 (``PROTOCOL_VERSION``, see ``messages`` for the
+layout), whose A is the subsampled Hadamard matrix of ``masking``.  Bob
+refuses a Hello of any other version at the handshake.
 
 Both rounds are computed with array operations.  Bob's corpus is packed
 (``PackedDocs``) once per corpus, not once per session, and shared
@@ -47,13 +48,14 @@ chosen dimensions.  In the full round Bob keeps one flag per document for
 s_j = z . v_j per query.  Alice's queries come packed too, and she reads
 their document frequencies from them.  She also holds them as one dense
 block, from which she selects and projects, and masks the full-width
-vectors of all her queries with one pass over A (A R, R stacking the
+vectors of all her queries with one transform (A R, R stacking the
 per-query masks), made the first time a query reaches the full round.
 For each t_j that arrives she keeps only t_j R, one float per query, and
 recovers pair (q, j) as s_j - (t_j R)_q; she bounds and recovers all
 pairs of a query at once.  A session's outcome is two
 queries x targets arrays: the recovered cosines (NaN for a pair the filter
-dismissed) and the similar mask.
+dismissed) and the similar mask.  Neither side holds A; each holds the
+small filter matrix A_fs as explicit entries, built once per session.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,15 @@ def _subseed(config: SessionConfig, k: int) -> int:
     return (config.seed + k) % 2**64
 
 
+def _filter_matrix(config: SessionConfig) -> np.ndarray:
+    """The entries of A_fs (f x ceil(f/2), keyed by seed + 1) as float64.
+
+    Both rounds of the filter step multiply by them directly: at f << n a
+    dense product beats one transform per index set."""
+    fs_matrix = SharedRandomMatrix(_subseed(config, 1), config.f)
+    return fs_matrix.rows_for(np.arange(config.f)).astype(np.float64)
+
+
 def _secret_mask(
     config: SessionConfig, query_id: int, step: int, cols: int
 ) -> np.ndarray:
@@ -293,7 +304,7 @@ class BobResponder:
         self.config: SessionConfig | None = None
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
-        self._fs_matrix: SharedRandomMatrix | None = None
+        self._a_fs: np.ndarray | None = None
         # (indexes, P, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
@@ -316,6 +327,7 @@ class BobResponder:
         finally:
             transport.close()
             self._docs = self._sent = self._session_filter = None
+            self._matrix = self._a_fs = None
 
     def handle(self, msg):
         if isinstance(msg, Hello):
@@ -341,7 +353,7 @@ class BobResponder:
         self.config = config
         self._matrix = SharedRandomMatrix(config.seed, config.n)
         if config.method.uses_filter:
-            self._fs_matrix = SharedRandomMatrix(_subseed(config, 1), config.f)
+            self._a_fs = _filter_matrix(config)
         # Bob's document counts, for Alice to select with under GF and HF
         if config.method.needs_whole_vector:
             df = self._docs.document_frequency
@@ -356,7 +368,7 @@ class BobResponder:
         of P, and its nonzero count.
         """
         projected = project(self._docs, index_set)
-        t = projected @ self._fs_matrix.row_block(0, index_set.f)
+        t = projected @ self._a_fs
         norm_v2 = np.einsum("ij,ij->i", projected, projected)
         return projected, t, norm_v2, int(np.count_nonzero(projected))
 
@@ -390,7 +402,7 @@ class BobResponder:
         if msg.z.size != config.f:
             raise ProtocolError(f"masked width {msg.z.size}, expected {config.f}")
         projected, t, norm_v2, nnz = self._filter_pieces(msg)
-        self.scalar_mult_count += nnz * (2 + self._fs_matrix.cols)
+        self.scalar_mult_count += nnz * (2 + self._a_fs.shape[1])
         return FilterReply(
             query_id=msg.query_id, s=projected @ msg.z, norm_v2=norm_v2, t=t
         )
@@ -434,11 +446,7 @@ class AliceSession:
         self.similar = np.empty((len(queries), 0), dtype=bool)
         self.decided = 0
         self._matrix = SharedRandomMatrix(config.seed, config.n)
-        self._fs_matrix = (
-            SharedRandomMatrix(_subseed(config, 1), config.f)
-            if config.method.uses_filter
-            else None
-        )
+        self._a_fs = _filter_matrix(config) if config.method.uses_filter else None
         self._whole: np.ndarray | None = None
         self._session_set: FeatureIndexSet | None = None
         # full-round masked vectors and secret masks, one column per query
@@ -508,15 +516,10 @@ class AliceSession:
         """Ids of the targets whose filter bound reaches the tolerance."""
         index_set = self._query_index_set(query_id)
         u_fs = self._dense[query_id, index_set.indexes]
-        cols = self._fs_matrix.cols
+        cols = self._a_fs.shape[1]
         r = _secret_mask(self.config, query_id, 1, cols)
-        self._send(
-            FilterQuery(
-                query_id=query_id,
-                indexes=index_set.indexes,
-                z=mask(u_fs, self._fs_matrix, r),
-            )
-        )
+        z = u_fs + self._a_fs @ r
+        self._send(FilterQuery(query_id=query_id, indexes=index_set.indexes, z=z))
         reply = self._recv()
         if not isinstance(reply, FilterReply) or reply.query_id != query_id:
             raise ProtocolError("filter reply does not match the query")

@@ -22,7 +22,6 @@ from ssdd.corpus import (
 from ssdd.errors import FrameError, ProtocolError
 from ssdd.masking import (
     SharedRandomMatrix,
-    clear_matrix_cache,
     mask,
     recover,
 )
@@ -103,7 +102,6 @@ def test_01_masked_products_are_exact():
             want = dot(u, v)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     elapsed = time.perf_counter() - started
-    clear_matrix_cache()
     assert worst <= 1e-9, f"worst relative error {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     return f"1000 trials, worst relative error {worst:.1e}, {elapsed:.1f}s"

@@ -70,7 +70,7 @@ class TestFullQueryMask:
         hello = received[0]
         assert isinstance(hello, Hello)
         matrix = SharedRandomMatrix(hello.seed, hello.n)
-        a = matrix.row_block(0, matrix.rows)
+        a = matrix.rows_for(np.arange(matrix.rows))
         full = [m for m in received if isinstance(m, FullQuery)]
         assert [m.query_id for m in full] == [0, 1, 2]
         for msg in full:

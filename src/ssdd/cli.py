@@ -66,12 +66,21 @@ def load_corpus(path: str, limit: int | None = None) -> Corpus:
     return corpus
 
 
-def _resolve_f(args, n: int) -> int:
-    if args.dims is not None:
+def _numbers(kind):
+    """An argument type: a comma-separated list of ``kind`` values."""
+
+    def numbers(text: str) -> list:
+        return [kind(item) for item in text.split(",") if item]
+
+    return numbers
+
+
+def _filter_budgets(args, n: int) -> list[int]:
+    """The filter budgets f: --dims as given, else each --dims-pct value as
+    that percentage of n, at least 1; none without either."""
+    if args.dims:
         return args.dims
-    if args.dims_pct is not None:
-        return max(1, round(n * args.dims_pct / 100.0))
-    return 0
+    return [max(1, round(n * pct / 100.0)) for pct in args.dims_pct or ()]
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -82,8 +91,7 @@ def _host_port(text: str) -> tuple[str, int]:
 
 
 def cmd_ingest(args) -> int:
-    with open(args.docword, "r", encoding="utf-8") as fh:
-        corpus = parse_bag_of_words(fh)
+    corpus = load_corpus(args.docword, args.limit)
     if args.vocab:
         with open(args.vocab, "r", encoding="utf-8") as fh:
             vocab = load_vocabulary(fh)
@@ -94,8 +102,6 @@ def cmd_ingest(args) -> int:
                 file=sys.stderr,
             )
             return RUNTIME_ERROR
-    if args.limit is not None and args.limit < len(corpus):
-        corpus = corpus.subset(range(args.limit))
     save_cache(corpus, args.out)
     stats = corpus.stats()
     print(
@@ -159,7 +165,11 @@ def cmd_detect(args) -> int:
         print("error: --connect needs --corpus for the query side", file=sys.stderr)
         return USAGE_ERROR
     corpus = load_corpus(source, args.limit)
-    f = _resolve_f(args, corpus.dims)
+    budgets = _filter_budgets(args, corpus.dims)
+    if len(budgets) > 1:
+        print("error: detect takes one filter budget", file=sys.stderr)
+        return USAGE_ERROR
+    f = budgets[0] if budgets else 0
     config = SessionConfig(
         n=corpus.dims, epsilon=args.tolerance, method=method, f=f, seed=args.seed
     )
@@ -215,27 +225,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = load_corpus(args.corpus)
-    if not args.full:
-        limit = args.limit if args.limit is not None else 200
-        if limit < len(corpus):
-            corpus = corpus.subset(range(limit))
+    limit = None if args.full else 200 if args.limit is None else args.limit
+    corpus = load_corpus(args.corpus, limit)
     methods = [SelectionMethod.parse(m) for m in args.methods.split(",") if m]
     tolerances = [float(t) for t in args.tolerances.split(",") if t]
-    if args.dims:
-        f_values = [int(d) for d in args.dims.split(",") if d]
-    elif args.dims_pct:
-        f_values = [
-            max(1, round(corpus.dims * float(p) / 100.0))
-            for p in args.dims_pct.split(",")
-            if p
-        ]
-    else:
-        f_values = []
     rows = run_bench(
         corpus,
         methods,
-        f_values,
+        _filter_budgets(args, corpus.dims),
         tolerances,
         queries=args.queries,
         seed=args.seed,
@@ -268,8 +265,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="run the detection protocol")
     p.add_argument("--method", default="base", help="base|rp|lf|gf|hf")
     p.add_argument("--tolerance", type=float, default=0.8)
-    p.add_argument("--dims", type=int, help="filter dimension budget f")
-    p.add_argument("--dims-pct", type=float, help="f as a percentage of n")
+    p.add_argument("--dims", type=_numbers(int), help="filter dimension budget f")
+    p.add_argument("--dims-pct", type=_numbers(float), help="f as a percentage of n")
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int)
@@ -294,8 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("corpus")
     p.add_argument("--methods", default="base,rp,lf,gf,hf")
     p.add_argument("--tolerances", default="0.75,0.8,0.85,0.9,0.95")
-    p.add_argument("--dims", help="comma list of dimension budgets")
-    p.add_argument("--dims-pct", help="comma list of percentages of n")
+    p.add_argument("--dims", type=_numbers(int), help="comma list of dimension budgets")
+    p.add_argument("--dims-pct", type=_numbers(float), help="comma list of percentages of n")
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--overlap", action="store_true")

@@ -2,27 +2,31 @@
 
 Input is the UCI docword layout: three header lines (document count D, vocab
 size W, entry count NNZ), then NNZ lines of ``docID wordID count`` with
-1-based ids.  Term weights are raw counts, unit L2-normalized per document;
-empty documents become zero vectors flagged degenerate.
+1-based ids.
 
-A parsed corpus can be cached in a little-endian binary file::
+A corpus is CSR arrays from the point where it is built: ``counts``, one
+read-only ``PackedDocs`` of raw term counts, and ``vectors``, the same
+documents unit L2-normalized (empty ones as degenerate zero vectors),
+sharing ``indptr`` and ``indices`` with ``counts``.  Every session over a
+corpus shares its vectors.  A corpus can be cached in a little-endian
+binary file, version 2::
 
     magic "SSDDCORP" | version u32 | D u32 | W u32
-    then per document: nnz u32, then nnz packed (index u32, weight f64) pairs
+    | nnz u32[D] | index u32[NNZ] | weight f64[NNZ]
 
-The cache stores normalized weights only, not raw counts.
-
-A corpus holds its vectors as one read-only ``PackedDocs``, built once per
-corpus: a cache is loaded straight into its arrays, and every session over
-the corpus shares them and their term-major view.
+The cache holds the normalized weights only, so a cache-loaded corpus has
+``counts is None``.  A version 1 cache (each document's nnz, then its
+entries) is refused: ingest its docword file again.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .vectors import DocumentVector, PackedDocs, pack
+from .vectors import DocumentVector, PackedDocs
 
 __all__ = [
     "RawDocument",
@@ -49,10 +53,7 @@ __all__ = [
 ]
 
 CACHE_MAGIC = b"SSDDCORP"
-CACHE_VERSION = 1
-
-# packed (index u32, weight f64) cache entry
-_CACHE_ENTRY = np.dtype([("index", "<u4"), ("weight", "<f8")])
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,12 @@ class RawDocument:
 class Vocabulary:
     terms: tuple[str, ...]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.terms)}
+
     def index_of(self, term: str) -> int:
-        try:
-            return self._index[term]
-        except AttributeError:
-            object.__setattr__(
-                self, "_index", {t: i for i, t in enumerate(self.terms)}
-            )
-            return self._index[term]
+        return self._index[term]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -91,70 +90,85 @@ class CorpusStats:
 class Corpus:
     """Ordered documents over a fixed vocabulary width.
 
-    ``documents`` holds raw counts when the corpus came from a docword file;
-    a cache-loaded corpus has vectors only (``documents is None``).
-    ``vectors`` is the documents' normalized vectors, packed once and shared
-    read-only.
+    Built from ``documents`` (in order; their ``doc_id`` is not kept) or
+    from ``counts``, a corpus holds its raw counts as ``counts`` and derives
+    ``vectors`` from them.  Built from ``vectors`` alone, as a cache-loaded
+    corpus is, it has no counts (``counts is None``).
     """
 
     def __init__(
         self,
         dims: int,
-        documents: list[RawDocument] | None,
+        documents: Sequence[RawDocument] | None = None,
+        *,
+        counts: PackedDocs | None = None,
         vectors: PackedDocs | None = None,
     ):
         if dims < 0:
             raise RangeError("vocabulary width cannot be negative")
+        if documents is not None:
+            owner = np.repeat(np.arange(len(documents)), [len(d.counts) for d in documents])
+            terms = chain.from_iterable(d.counts for d in documents)
+            values = chain.from_iterable(d.counts.values() for d in documents)
+            terms, values = (np.fromiter(it, np.int64, owner.size) for it in (terms, values))
+            counts = _pack_counts(dims, len(documents), owner, terms, values)
+        if counts is not None:
+            vectors = _normalize(counts)
+        elif vectors is None:
+            raise RangeError("a corpus needs documents, counts or vectors")
         self.dims = dims
-        self.documents = documents
-        if vectors is None:
-            if documents is None:
-                raise RangeError("a corpus needs documents or vectors")
-            vectors = pack([build_document_vector(d.counts, dims) for d in documents], dims)
+        self.counts = counts
         self.vectors = vectors
-        if documents is not None and len(documents) != len(vectors):
-            raise RangeError("documents and vectors disagree on length")
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def stats(self) -> CorpusStats:
-        tokens = None
-        if self.documents is not None:
-            tokens = sum(sum(d.counts.values()) for d in self.documents)
         return CorpusStats(
             documents=len(self),
             dims=self.dims,
-            total_tokens=tokens,
+            total_tokens=None if self.counts is None else int(self.counts.weights.sum()),
             nnz_entries=int(self.vectors.indices.size),
         )
 
     def subset(self, doc_ids: Iterable[int]) -> "Corpus":
         ids = np.fromiter(doc_ids, dtype=np.int64)
-        docs = None
-        if self.documents is not None:
-            docs = [self.documents[i] for i in ids.tolist()]
-        return Corpus(self.dims, docs, self.vectors.take(ids))
+        if self.counts is None:
+            return Corpus(self.dims, vectors=self.vectors.take(ids))
+        return Corpus(self.dims, counts=self.counts.take(ids))
+
+
+def _pack_counts(
+    dims: int, n_docs: int, owner: np.ndarray, terms: np.ndarray, values: np.ndarray
+) -> PackedDocs:
+    """Raw counts as CSR: entry k is ``values[k]`` of term ``terms[k]`` in
+    document ``owner[k]``, in any order; sorted by (document, term), then
+    checked."""
+    order = np.lexsort((terms, owner))
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_docs), out=indptr[1:])
+    counts = PackedDocs(dims, indptr, terms[order], values[order])
+    counts.check()
+    return counts
+
+
+def _normalize(counts: PackedDocs) -> PackedDocs:
+    """Each document's counts over their L2 norm, sharing ``indptr`` and
+    ``indices`` with ``counts``.  A squared norm is a sum of integer squares,
+    exact in float64 below 2**53, so a document's weights do not depend on
+    the documents packed with it."""
+    values = counts.weights.astype(np.float64)
+    owner = counts.owner
+    norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=len(counts)))
+    return PackedDocs(counts.dims, counts.indptr, counts.indices, values / norms[owner])
 
 
 def build_document_vector(counts: dict[int, int], dims: int) -> DocumentVector:
-    """Unit L2-normalized weight vector from raw term counts.
-
-    An empty count map yields the zero vector, which is degenerate.
+    """Unit L2-normalized weight vector from raw term counts: the vector of
+    a one-document corpus.  An empty count map yields the zero vector, which
+    is degenerate.
     """
-    if not counts:
-        return DocumentVector(
-            dims=dims,
-            indices=np.empty(0, dtype=np.int64),
-            weights=np.empty(0, dtype=np.float64),
-        )
-    indices = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    order = np.argsort(indices)
-    indices = indices[order]
-    values = values[order]
-    norm = float(np.sqrt(values @ values))
-    return DocumentVector(dims=dims, indices=indices, weights=values / norm)
+    return Corpus(dims, [RawDocument(0, counts)]).vectors[0]
 
 
 def _header_int(lines: Iterator[tuple[int, str]], what: str) -> int:
@@ -173,14 +187,15 @@ def _header_int(lines: Iterator[tuple[int, str]], what: str) -> int:
 
 
 def parse_bag_of_words(lines: Iterable[str]) -> Corpus:
-    """Parse a docword stream into a corpus of normalized vectors."""
+    """Parse a docword stream into a corpus of raw counts."""
     numbered = iter(enumerate(lines, start=1))
     n_docs = _header_int(numbered, "document count")
     n_words = _header_int(numbered, "vocabulary size")
     n_entries = _header_int(numbered, "entry count")
 
-    counts: list[dict[int, int]] = [{} for _ in range(n_docs)]
-    seen = 0
+    # (document, term, count) of each entry, 0-based, end to end
+    entries: list[int] = []
+    seen: set[int] = set()
     for lineno, raw in numbered:
         text = raw.strip()
         if not text:
@@ -189,27 +204,27 @@ def parse_bag_of_words(lines: Iterable[str]) -> Corpus:
         if len(fields) != 3:
             raise ParseError(f"expected 'docID wordID count', got {text!r}", lineno)
         try:
-            doc_id, word_id, count = (int(f) for f in fields)
+            doc_id, word_id, count = map(int, fields)
         except ValueError:
             raise ParseError(f"non-integer field in {text!r}", lineno)
         if not 1 <= doc_id <= n_docs:
             raise RangeError(f"docID {doc_id} outside [1, {n_docs}]", lineno)
         if not 1 <= word_id <= n_words:
             raise RangeError(f"wordID {word_id} outside [1, {n_words}]", lineno)
-        if count <= 0:
-            raise ParseError(f"count must be positive, got {count}", lineno)
-        doc_counts = counts[doc_id - 1]
-        if word_id - 1 in doc_counts:
+        if not 0 < count < 2**63:
+            raise ParseError(f"count must be positive and below 2**63, got {count}", lineno)
+        key = (doc_id - 1) * n_words + word_id - 1
+        if key in seen:
             raise DuplicateEntryError(doc_id, word_id, lineno)
-        doc_counts[word_id - 1] = count
-        seen += 1
-        if seen > n_entries:
+        seen.add(key)
+        if len(seen) > n_entries:
             raise ParseError(f"more than {n_entries} entry lines", lineno)
-    if seen != n_entries:
-        raise ParseError(f"header promised {n_entries} entries, found {seen}")
+        entries += (doc_id - 1, word_id - 1, count)
+    if len(seen) != n_entries:
+        raise ParseError(f"header promised {n_entries} entries, found {len(seen)}")
 
-    documents = [RawDocument(i, c) for i, c in enumerate(counts)]
-    return Corpus(n_words, documents)
+    owner, terms, values = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return Corpus(n_words, counts=_pack_counts(n_words, n_docs, owner, terms, values))
 
 
 def load_vocabulary(lines: Iterable[str]) -> Vocabulary:
@@ -233,14 +248,14 @@ def load_vocabulary(lines: Iterable[str]) -> Vocabulary:
 
 
 def write_docword(corpus: Corpus, out: IO[str]) -> None:
-    """Inverse of parse_bag_of_words; requires raw counts."""
-    if corpus.documents is None:
+    """Inverse of parse_bag_of_words; requires raw counts.  Documents are
+    numbered by their position in the corpus, from 1."""
+    counts = corpus.counts
+    if counts is None:
         raise RangeError("corpus has no raw counts to serialize")
-    entries = sum(len(d.counts) for d in corpus.documents)
-    out.write(f"{len(corpus)}\n{corpus.dims}\n{entries}\n")
-    for doc in corpus.documents:
-        for word, count in sorted(doc.counts.items()):
-            out.write(f"{doc.doc_id + 1} {word + 1} {count}\n")
+    rows = np.column_stack((counts.owner + 1, counts.indices + 1, counts.weights)).tolist()
+    out.write(f"{len(counts)}\n{counts.dims}\n{len(rows)}\n")
+    out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)
 
 
 def split_queries(
@@ -251,70 +266,47 @@ def split_queries(
         raise RangeError(f"k={k} outside [1, {len(corpus)}]")
     rng = np.random.default_rng(seed)
     queries = sorted(int(i) for i in rng.choice(len(corpus), size=k, replace=False))
-    if overlap:
-        targets = list(range(len(corpus)))
-    else:
-        chosen = set(queries)
-        targets = [i for i in range(len(corpus)) if i not in chosen]
+    chosen = set() if overlap else set(queries)
+    targets = [i for i in range(len(corpus)) if i not in chosen]
     return queries, targets
 
 
 def save_cache(corpus: Corpus, path: str | Path) -> None:
     docs = corpus.vectors
-    entries = np.empty(docs.indices.size, dtype=_CACHE_ENTRY)
-    entries["index"] = docs.indices
-    entries["weight"] = docs.weights
-    # each document's nnz goes before the first word of its entries
-    body = np.insert(entries.view("<u4"), 3 * docs.indptr[:-1], docs.nnz)
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III", CACHE_VERSION, len(docs), corpus.dims))
-        fh.write(body.tobytes())
+        fh.write(CACHE_MAGIC + struct.pack("<III", CACHE_VERSION, len(docs), corpus.dims))
+        fh.write(docs.nnz.astype("<u4"))
+        fh.write(docs.indices.astype("<u4"))
+        fh.write(docs.weights.astype("<f8"))
 
 
 def load_cache(path: str | Path) -> Corpus:
-    """The corpus a cache file holds, read into one PackedDocs with the
-    checks a DocumentVector makes: every index below the width, and indices
-    strictly increasing within a document."""
+    """The corpus a cache file holds, read into one PackedDocs and checked
+    as a corpus's counts are (``PackedDocs.check``)."""
     data = Path(path).read_bytes()
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ParseError(f"{path}: not a corpus cache (bad magic)")
-    off = len(CACHE_MAGIC)
-    try:
-        version, n_docs, dims = struct.unpack_from("<III", data, off)
-    except struct.error:
+    head = len(CACHE_MAGIC) + 12
+    if len(data) < head:
         raise ParseError(f"{path}: truncated cache header")
+    version, n_docs, dims = struct.unpack_from("<III", data, len(CACHE_MAGIC))
     if version != CACHE_VERSION:
-        raise ParseError(f"{path}: unsupported cache version {version}")
-    off += 12
-    body = off
-    counts = []
-    for _ in range(n_docs):
-        try:
-            (nnz,) = struct.unpack_from("<I", data, off)
-        except struct.error:
-            raise ParseError(f"{path}: truncated cache body")
-        counts.append(nnz)
-        off += 4 + nnz * _CACHE_ENTRY.itemsize
-    if off > len(data):
+        raise ParseError(f"{path}: unsupported cache version {version}, ingest again")
+    # nothing is sized by the header before the file is known to hold it
+    start = head + 4 * n_docs
+    if len(data) < start:
         raise ParseError(f"{path}: truncated cache body")
-    if off != len(data):
-        raise ParseError(f"{path}: trailing bytes after last document")
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.array(counts, dtype=np.int64), out=indptr[1:])
-    # the body is 4-byte words: document i's nnz at word i + 3 * indptr[i],
-    # then its entries, three words each
-    words = np.frombuffer(data, dtype="<u4", offset=body)
-    entries = np.delete(words, np.arange(n_docs) + 3 * indptr[:-1]).view(_CACHE_ENTRY)
+    np.cumsum(np.frombuffer(data, "<u4", n_docs, head), dtype=np.int64, out=indptr[1:])
+    nnz = int(indptr[-1])
+    if len(data) != start + 12 * nnz:
+        short = len(data) < start + 12 * nnz
+        raise ParseError(f"{path}: " + ("truncated cache body" if short else "trailing bytes"))
     docs = PackedDocs(
         dims,
         indptr,
-        entries["index"].astype(np.int64),
-        entries["weight"].astype(np.float64),
+        np.frombuffer(data, "<u4", nnz, start).astype(np.int64),
+        np.frombuffer(data, "<f8", nnz, start + 4 * nnz).astype(np.float64),
     )
-    if np.any(docs.indices >= dims):
-        raise RangeError(f"index out of range for dims={dims}")
-    owner = docs.owner
-    if np.any((np.diff(docs.indices) <= 0) & (owner[1:] == owner[:-1])):
-        raise RangeError("indices must be strictly increasing")
-    return Corpus(dims, None, docs)
+    docs.check()
+    return Corpus(dims, vectors=docs)

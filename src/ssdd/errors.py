@@ -5,24 +5,22 @@ class SsddError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(SsddError):
+class _LineError(SsddError):
+    """An error that may name the input line it was found on."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(_LineError):
     """Malformed input text (bad header, bad line, wrong field count)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class RangeError(SsddError):
+class RangeError(_LineError):
     """A value or identifier is outside its allowed range."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class DuplicateEntryError(ParseError):

@@ -34,20 +34,15 @@ This is protocol version 7.  The handshake is one round trip: Hello
 carries the one seed that both sides derive the masking matrices from,
 and HelloAck carries the responder's document frequencies (n = the
 dimensionality) when the method selects from them (GF, HF), and none
-(n = 0) otherwise.  Version 5 sent three seeds, a Hello 8 bytes longer
-that does not decode as this one, and swapped both sides' counts in a
-separate exchange (tag 0x03, now unknown).  A FilterQuery always names its
-f dimension indexes (index_count = f), whatever the selection method: the
-querying side alone selects them.  A FullReply carries s = z . v_j for every
-survivor j, but t_j = A^T v_j only for the k_new survivors whose t the
-responder has not yet sent in this session, in survivor order: t_j does
-not depend on the query, so the querying side keeps what it received.
-Version 1 sent every survivor's t with every reply (tag 0x21, now
-unknown); the values disclosed are the same, each t_j just crosses once.
-Version 4 replies have the same sizes as these, with each reply's entries
-interleaved.  Version 6 frames are laid out as these are, but its peers
-derive a different A from the seed (one Philox bit per entry), so their
-products would not recover: the responder refuses its Hello.
+(n = 0) otherwise.  A FilterQuery always names its f dimension indexes
+(index_count = f), whatever the selection method: the querying side alone
+selects them.  A FullReply carries s = z . v_j for every survivor j, but
+t_j = A^T v_j only for the k_new survivors whose t the responder has not
+yet sent in this session, in survivor order: t_j does not depend on the
+query, so the querying side keeps what it received.  Version 6 frames are
+laid out as these are, but its peers derive a different A from the seed
+(one Philox bit per entry), so their products would not recover: the
+responder refuses its Hello.
 """
 
 from __future__ import annotations

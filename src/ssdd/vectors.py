@@ -135,6 +135,16 @@ class PackedDocs:
         """The document each packed entry belongs to."""
         return np.repeat(np.arange(len(self)), self.nnz)
 
+    def check(self) -> None:
+        """Raise RangeError unless every index is in [0, dims) and indices
+        strictly increase within each document."""
+        indices = self.indices
+        if indices.size and (indices.min() < 0 or indices.max() >= self.dims):
+            raise RangeError(f"index out of range for dims={self.dims}")
+        owner = self.owner
+        if np.any((np.diff(indices) <= 0) & (owner[1:] == owner[:-1])):
+            raise RangeError("indices must be strictly increasing")
+
     def take(self, ids) -> "PackedDocs":
         """The documents ``ids`` (integers), in that order."""
         counts = self.nnz[ids]

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ class TestParseBagOfWords:
         corpus = parse_bag_of_words(io.StringIO(EXAMPLE))
         assert len(corpus) == 3
         assert corpus.dims == 4
-        assert corpus.documents[0].counts == {1: 5}
-        assert corpus.documents[1].counts == {}
-        assert corpus.documents[2].counts == {3: 1}
+        assert corpus.counts.indptr.tolist() == [0, 1, 1, 2]
+        assert corpus.counts.indices.tolist() == [1, 3]
+        assert corpus.counts.weights.tolist() == [5, 1]
         assert corpus.vectors[1].degenerate
         np.testing.assert_allclose(corpus.vectors[0].weights, [1.0])
 
@@ -82,6 +83,11 @@ class TestParseBagOfWords:
             parse_bag_of_words(io.StringIO("1\n4\n2\n1 1 3\n\n1 2 -3\n"))
         assert negative.value.line == 6
 
+    def test_count_beyond_int64(self):
+        with pytest.raises(ParseError) as err:
+            parse_bag_of_words(io.StringIO(f"1\n4\n2\n1 1 3\n1 2 {2**63}\n"))
+        assert err.value.line == 5
+
     def test_missing_entries(self):
         with pytest.raises(ParseError):
             parse_bag_of_words(io.StringIO("1\n4\n2\n1 2 5\n"))
@@ -97,8 +103,82 @@ class TestParseBagOfWords:
         again = parse_bag_of_words(io.StringIO(buf.getvalue()))
         assert len(again) == len(corpus)
         assert again.dims == corpus.dims
-        for a, b in zip(corpus.documents, again.documents):
-            assert a.counts == b.counts
+        for array in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(again.counts, array), getattr(corpus.counts, array)
+            )
+            np.testing.assert_array_equal(
+                getattr(again.vectors, array), getattr(corpus.vectors, array)
+            )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synth_corpus(n_docs=6, dims=40, seed=9, mean_terms=5).subset([2, 3]),
+            lambda: Corpus(4, [RawDocument(7, {0: 1})]),
+        ],
+        ids=["subset", "unnumbered-document"],
+    )
+    def test_round_trip_numbers_documents_by_position(self, make):
+        """docIDs run 1..D under a header of D documents, whatever ids the
+        documents came from."""
+        corpus = make()
+        buf = io.StringIO()
+        write_docword(corpus, buf)
+        doc_ids = {int(line.split()[0]) for line in buf.getvalue().splitlines()[3:]}
+        assert doc_ids <= set(range(1, len(corpus) + 1))
+        again = parse_bag_of_words(io.StringIO(buf.getvalue()))
+        np.testing.assert_array_equal(again.counts.indptr, corpus.counts.indptr)
+        np.testing.assert_array_equal(again.counts.indices, corpus.counts.indices)
+        np.testing.assert_array_equal(again.counts.weights, corpus.counts.weights)
+
+    def test_entries_in_any_order(self):
+        corpus = parse_bag_of_words(io.StringIO("2\n5\n3\n2 1 2\n1 5 3\n1 2 4\n"))
+        assert corpus.counts.indptr.tolist() == [0, 2, 3]
+        assert corpus.counts.indices.tolist() == [1, 4, 0]
+        assert corpus.counts.weights.tolist() == [4, 3, 2]
+        np.testing.assert_array_equal(corpus.vectors.weights, [0.8, 0.6, 1.0])
+
+
+class TestCounts:
+    def test_matches_per_document_reference(self):
+        """Packing all documents at once gives each document the counts and
+        the bits that normalizing it alone gives."""
+        rng = np.random.default_rng(4)
+        documents = []
+        for i in range(25):
+            terms = rng.choice(300, size=int(rng.integers(1, 40)), replace=False)
+            counts = rng.integers(1, 60, terms.size)
+            documents.append(RawDocument(i, dict(zip(terms.tolist(), counts.tolist()))))
+        for at in (0, 10, 10, 27):
+            documents.insert(at, RawDocument(-1, {}))
+        corpus = Corpus(300, documents)
+        assert len(corpus) == len(documents)
+        for i, doc in enumerate(documents):
+            terms = sorted(doc.counts)
+            values = np.array([doc.counts[t] for t in terms], dtype=np.float64)
+            lo, hi = corpus.counts.indptr[i : i + 2]
+            assert corpus.counts.indices[lo:hi].tolist() == terms
+            assert corpus.counts.weights[lo:hi].tolist() == values.tolist()
+            if terms:
+                expected = values / float(np.sqrt(values @ values))
+                np.testing.assert_array_equal(corpus.vectors.weights[lo:hi], expected)
+        assert corpus.vectors.indptr is corpus.counts.indptr
+        assert corpus.vectors.indices is corpus.counts.indices
+
+    @pytest.mark.parametrize("term", [-1, 5])
+    def test_index_outside_width(self, term):
+        with pytest.raises(RangeError):
+            Corpus(5, [RawDocument(0, {0: 1}), RawDocument(1, {term: 2})])
+
+    def test_subset_keeps_counts(self):
+        corpus = synth_corpus(n_docs=12, dims=90, seed=2, mean_terms=9)
+        part = corpus.subset([7, 1, 1])
+        for a, i in zip(part.vectors, [7, 1, 1]):
+            np.testing.assert_array_equal(a.weights, corpus.vectors[i].weights)
+        assert part.stats().total_tokens == sum(
+            int(corpus.counts[i].weights.sum()) for i in [7, 1, 1]
+        )
 
 
 class TestVocabulary:
@@ -120,14 +200,17 @@ class TestVocabulary:
         assert len(vocab) == 2
 
 
-def write_v1_cache(path, dims, docs) -> None:
-    """A version 1 cache written by hand: ``docs`` lists each document's
+def write_v2_cache(path, dims, docs) -> None:
+    """A version 2 cache written by hand: ``docs`` lists each document's
     (index, weight) entries as stored, checked or not."""
-    body = CACHE_MAGIC + struct.pack("<III", 1, len(docs), dims)
-    for entries in docs:
-        body += struct.pack("<I", len(entries))
-        body += b"".join(struct.pack("<Id", i, w) for i, w in entries)
-    path.write_bytes(body)
+    entries = [entry for doc in docs for entry in doc]
+    path.write_bytes(
+        CACHE_MAGIC
+        + struct.pack("<III", 2, len(docs), dims)
+        + struct.pack(f"<{len(docs)}I", *map(len, docs))
+        + struct.pack(f"<{len(entries)}I", *(i for i, _ in entries))
+        + struct.pack(f"<{len(entries)}d", *(w for _, w in entries))
+    )
 
 
 class TestCache:
@@ -142,7 +225,7 @@ class TestCache:
     )
     def test_bad_entries_are_rejected(self, tmp_path, docs):
         path = tmp_path / "bad.bin"
-        write_v1_cache(path, 5, docs)
+        write_v2_cache(path, 5, docs)
         with pytest.raises(RangeError):
             load_cache(path)
 
@@ -151,7 +234,7 @@ class TestCache:
         after empty ones or not, may start lower."""
         docs = [[(3, 0.6), (4, 0.8)], [(1, 1.0)], [], [], [(0, 0.6), (4, 0.8)], []]
         path = tmp_path / "restart.bin"
-        write_v1_cache(path, 5, docs)
+        write_v2_cache(path, 5, docs)
         corpus = load_cache(path)
         assert len(corpus) == 6
         for vec, entries in zip(corpus.vectors, docs, strict=True):
@@ -160,7 +243,7 @@ class TestCache:
 
     def test_zero_documents(self, tmp_path):
         path = tmp_path / "empty.bin"
-        write_v1_cache(path, 7, [])
+        write_v2_cache(path, 7, [])
         corpus = load_cache(path)
         assert len(corpus) == 0 and corpus.dims == 7
         assert corpus.stats().nnz_entries == 0
@@ -173,7 +256,7 @@ class TestCache:
         again = load_cache(path)
         assert len(again) == len(corpus)
         assert again.dims == corpus.dims
-        assert again.documents is None
+        assert again.counts is None
         for a, b in zip(corpus.vectors, again.vectors):
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.weights, b.weights)
@@ -189,18 +272,56 @@ class TestCache:
 
     def test_exact_layout(self, tmp_path):
         """The cache bytes match the documented little-endian layout."""
-        corpus = Corpus(3, [RawDocument(0, {0: 3, 1: 4})])
+        corpus = Corpus(3, [RawDocument(0, {0: 3, 1: 4}), RawDocument(1, {}), RawDocument(2, {2: 1})])
         path = tmp_path / "layout.bin"
         save_cache(corpus, path)
-        # magic, (version, D, W), then per doc: nnz, (index, weight) pairs
+        # magic, (version, D, W), each document's nnz, then all indices, then all weights
         expected = (
+            CACHE_MAGIC
+            + struct.pack("<III", 2, 3, 3)
+            + struct.pack("<III", 2, 0, 1)
+            + struct.pack("<III", 0, 1, 2)
+            + struct.pack("<ddd", 0.6, 0.8, 1.0)
+        )
+        assert path.read_bytes() == expected
+
+    def test_version_1_is_refused(self, tmp_path):
+        """A version 1 file (each document's nnz, then its interleaved
+        (index u32, weight f64) entries) must be ingested again."""
+        path = tmp_path / "v1.bin"
+        path.write_bytes(
             CACHE_MAGIC
             + struct.pack("<III", 1, 1, 3)
             + struct.pack("<I", 2)
             + struct.pack("<Id", 0, 0.6)
             + struct.pack("<Id", 1, 0.8)
         )
-        assert path.read_bytes() == expected
+        with pytest.raises(ParseError, match="version 1"):
+            load_cache(path)
+
+    def test_every_proper_prefix_is_refused(self, tmp_path):
+        corpus = Corpus(5, [RawDocument(0, {0: 3, 4: 4}), RawDocument(1, {}), RawDocument(2, {2: 1})])
+        path = tmp_path / "whole.bin"
+        save_cache(corpus, path)
+        whole = path.read_bytes()
+        for size in range(len(whole)):
+            path.write_bytes(whole[:size])
+            with pytest.raises(ParseError):
+                load_cache(path)
+
+    def test_document_count_beyond_the_file(self, tmp_path):
+        """A header declaring 2**32 - 1 documents over a 20-byte file fails
+        before anything sized by the header is allocated."""
+        path = tmp_path / "huge.bin"
+        path.write_bytes(CACHE_MAGIC + struct.pack("<III", 2, 2**32 - 1, 5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                load_cache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

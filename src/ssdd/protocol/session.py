@@ -576,7 +576,9 @@ class AliceSession:
                     f"full reply t has shape {reply.t.shape}, "
                     f"expected width {r.shape[0]}"
                 )
-            self._tr[new] = reply.t @ r
+            # one matrix-vector product per row, so a row's t_j R has the
+            # same bits whichever other rows arrived with it
+            self._tr[new] = np.matmul(reply.t[:, None, :], r)[:, 0]
             self._known[new] = True
             self._zero_t[new] = ~reply.t.any(axis=1)
         # a NaN or infinite s or new t entry makes its pair's product non-finite

@@ -77,7 +77,9 @@ class TcpTransport:
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def _recv_exact(self, size: int) -> bytes:
+    def _recv_chunks(self, size: int) -> list[bytes]:
+        """The next ``size`` bytes from the socket, in the pieces they
+        arrived in."""
         chunks = []
         remaining = size
         while remaining:
@@ -89,7 +91,7 @@ class TcpTransport:
                 raise SessionError("connection closed mid-frame")
             chunks.append(chunk)
             remaining -= len(chunk)
-        return b"".join(chunks)
+        return chunks
 
     def send_frame(self, frame: bytes) -> None:
         try:
@@ -98,11 +100,14 @@ class TcpTransport:
             raise SessionError(f"socket error: {exc}") from exc
 
     def recv_frame(self) -> bytes:
-        header = self._recv_exact(HEADER_SIZE)
+        """One frame, length prefix included.  Its bytes are kept as they
+        arrive and joined once, so a declared length alone commits no
+        memory."""
+        header = b"".join(self._recv_chunks(HEADER_SIZE))
         (length,) = struct.unpack("<I", header)
         if length > MAX_FRAME_SIZE:
             raise FrameError(f"declared payload of {length} bytes exceeds the limit")
-        return header + self._recv_exact(length)
+        return b"".join([header, *self._recv_chunks(length)])
 
     def close(self) -> None:
         try:

@@ -51,6 +51,23 @@ def respond(
     return float(z[v.indices] @ v.weights), v.weights @ matrix.rows_for(v.indices)
 
 
+def fwht(x: np.ndarray) -> None:
+    """Reference transform: the radix-2 butterfly, in place, x becoming H x
+    for each column of the (N, k) array x, N a power of two and H the
+    Sylvester Hadamard matrix."""
+    size = len(x)
+    half = np.empty(x.size // 2)
+    h = 1
+    while h < size:
+        pairs = x.reshape(size // (2 * h), 2, -1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        diff = half.reshape(a.shape)
+        np.subtract(a, b, out=diff)
+        a += b
+        b[...] = diff
+        h *= 2
+
+
 def random_document(
     rng: np.random.Generator, dims: int, nnz: int, max_count: int = 12
 ) -> DocumentVector:

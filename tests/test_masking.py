@@ -15,7 +15,7 @@ from ssdd.selection import SelectionMethod
 from ssdd.corpus import build_document_vector
 from ssdd.vectors import DocumentVector, pack
 
-from conftest import random_document, respond
+from conftest import fwht, random_document, respond
 
 
 def sylvester(size: int) -> np.ndarray:
@@ -29,6 +29,25 @@ def sylvester(size: int) -> np.ndarray:
 def dense(matrix: SharedRandomMatrix) -> np.ndarray:
     """All of A, from the closed form."""
     return matrix.rows_for(np.arange(matrix.rows)).astype(np.float64)
+
+
+def assert_batch_invariant(matrix, docs, r, documents, queries):
+    """t_j for each document j in ``documents``, and column q of A R for
+    each q in ``queries``, has the same bits alone as in the whole batch;
+    so do the last half of the documents, reversed, and the middle columns
+    of r."""
+    t = matrix.transpose_apply_packed(docs)
+    for j in documents:
+        alone = matrix.transpose_apply_packed(docs.take([j]))
+        np.testing.assert_array_equal(alone[0], t[j])
+    tail = np.arange(len(docs) - 1, len(docs) // 2 - 1, -1)
+    np.testing.assert_array_equal(matrix.transpose_apply_packed(docs.take(tail)), t[tail])
+    z = matrix.matvec(r)
+    for q in queries:
+        np.testing.assert_array_equal(matrix.matvec(r[:, q]), z[:, q])
+    k = r.shape[1]
+    middle = slice(k // 4, k - k // 4)
+    np.testing.assert_array_equal(matrix.matvec(r[:, middle]), z[:, middle])
 
 
 # powers of two and not, from the one-entry matrix up
@@ -200,6 +219,60 @@ class TestSharedRandomMatrix:
                 tracemalloc.stop()
             block = matrix.size * k * 8
             assert peak <= 4 * block, peak / block
+
+
+class TestTransform:
+    """The Kronecker-factored transform against the radix-2 butterfly."""
+
+    def test_reference_is_sylvester(self):
+        """On small integers, where every sum is exact."""
+        rng = np.random.default_rng(2)
+        for size in (1, 2, 4, 32, 64):
+            x = rng.integers(-9, 10, (size, 3)).astype(np.float64)
+            expected = sylvester(size) @ x
+            fwht(x)
+            np.testing.assert_array_equal(x, expected)
+
+    def test_factors(self):
+        """m = ceil(log2 N / 5) factors of at most 32: KOS's N = 8192 is
+        16 * 16 * 32, NIPS's 16384 is 16 * 32 * 32."""
+        assert masking._factors(1) == []
+        assert masking._factors(2) == [2]
+        assert masking._factors(32) == [32]
+        assert masking._factors(64) == [8, 8]
+        assert masking._factors(8192) == [16, 16, 32]
+        assert masking._factors(16384) == [16, 32, 32]
+        assert masking._factors(1 << 17) == [16, 16, 16, 32]
+        for bits in range(18):
+            factors = masking._factors(1 << bits)
+            assert np.prod(factors, dtype=np.int64) == 1 << bits
+            assert len(factors) == -(-bits // 5) and max(factors, default=1) <= 32
+
+    @pytest.mark.parametrize("bits", range(18))
+    def test_matches_butterfly(self, bits):
+        """Every N from 2^0 to 2^17, 0 to 4 factors.  Each output is a tree
+        of sums, m of at most 32 terms against log2(N) of two, so the two
+        differ by at most about (sum a_i + log2 N) u sum|x|."""
+        size = 1 << bits
+        rng = np.random.default_rng(bits)
+        x = rng.standard_normal((size, 3))
+        expected = x.copy()
+        fwht(expected)
+        got = masking._fwht(x.copy(), np.empty_like(x))
+        unit = np.finfo(np.float64).eps / 2
+        terms = sum(masking._factors(size)) + bits
+        bound = terms * unit * np.abs(x).sum(axis=0)
+        assert np.all(np.abs(got - expected) <= bound)
+
+    @pytest.mark.parametrize("rows", (6906, 70_000))
+    def test_products_are_batch_invariant_at_size(self, rows):
+        """As test_products_are_batch_invariant, at KOS's n (3 factors) and
+        at an n of 4 factors (N = 2^17)."""
+        rng = np.random.default_rng(rows)
+        matrix = SharedRandomMatrix(5, rows)
+        docs = pack([random_document(rng, rows, 100) for _ in range(40)], rows)
+        r = rng.uniform(-1, 1, (matrix.cols, 10))
+        assert_batch_invariant(matrix, docs, r, (0, 15, 16, 39), (0, 7, 8, 9))
 
 
 class TestHandExample:

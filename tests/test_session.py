@@ -2,18 +2,28 @@
 
 import dataclasses
 import logging
+import socket
 import struct
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssdd.corpus import build_document_vector, load_cache, save_cache, split_queries
-from ssdd.errors import DimensionError, FrameError, ProtocolError, RangeError
+from ssdd.errors import (
+    DimensionError,
+    FrameError,
+    ProtocolError,
+    RangeError,
+    SessionError,
+)
 from ssdd.masking import SharedRandomMatrix, mask, recover
 from ssdd.oracle import compare_results, oracle_detect
 from ssdd.protocol.messages import (
+    MAX_FRAME_SIZE,
     MSG_HELLO,
     Bye,
     FilterQuery,
@@ -38,7 +48,12 @@ from ssdd.protocol.session import (
     run_local_detection,
 )
 from ssdd.protocol import transport as transport_module
-from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
+from ssdd.protocol.transport import (
+    TcpServer,
+    TcpTransport,
+    connect_tcp,
+    make_local_pair,
+)
 from ssdd.selection import (
     SelectionMethod,
     select_gf,
@@ -47,7 +62,7 @@ from ssdd.selection import (
 )
 from ssdd.vectors import DocumentVector, FeatureIndexSet, pack, project
 
-from conftest import random_document, random_unit_dense, respond
+from conftest import random_document, random_unit_dense, respond, synth_corpus
 
 
 def config_for(method, n=500, f=50, epsilon=0.8):
@@ -443,6 +458,23 @@ class TestDetectionAgainstOracle:
             assert getattr(first.metrics, name) == getattr(second.metrics, name)
 
 
+    def test_cosines_do_not_depend_on_the_other_survivors(self):
+        """A pair's recovered cosine has the same bits whether its target is
+        served alone, with a few others or with all of them: each new t_j R
+        is a product of its own, on a KOS-shaped corpus (n = 6906, 10
+        queries x 190 targets) where a GEMM's rows would differ by ~1e-13."""
+        corpus = synth_corpus(n_docs=200, dims=6906, seed=101, mean_terms=90)
+        query_ids, target_ids = split_queries(corpus, k=10, seed=5)
+        queries = corpus.vectors.take(query_ids)
+        targets = corpus.vectors.take(target_ids)
+        config = SessionConfig(
+            n=6906, epsilon=0.8, method=SelectionMethod.BASE, seed=3
+        )
+        full = run_detection_locally(queries, config, targets).cosines
+        for subset in ([5], [5, 17, 33], np.arange(0, len(targets), 7)):
+            part = run_detection_locally(queries, config, targets.take(subset))
+            np.testing.assert_array_equal(part.cosines, full[:, subset])
+
 def run_detection_locally(queries, config, targets):
     report = run_local_detection(queries, config, targets)
     assert not report.aborted
@@ -711,6 +743,75 @@ def wait_for_sessions(server: TcpServer) -> None:
     waiter.start()
     waiter.join(timeout=10.0)
     assert not waiter.is_alive(), "sessions did not end"
+
+
+@pytest.fixture
+def tcp_pair():
+    """A TcpTransport and the raw socket at the other end of its loopback
+    connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        near = socket.create_connection(listener.getsockname()[:2], timeout=5.0)
+        far, _ = listener.accept()
+    far.settimeout(5.0)
+    transport = TcpTransport(near)
+    try:
+        yield transport, far
+    finally:
+        transport.close()
+        far.close()
+
+
+class TestTcpTransport:
+    def test_frame_sent_in_small_pieces_arrives_intact(self, tcp_pair):
+        transport, far = tcp_pair
+        body = np.random.default_rng(1).bytes(300_000)
+        frame = struct.pack("<I", len(body)) + body
+
+        def send_in_pieces():
+            for lo in range(0, 8):  # the header a byte at a time
+                far.sendall(frame[lo : lo + 1])
+                time.sleep(0.002)
+            for lo in range(8, len(frame), 997):
+                far.sendall(frame[lo : lo + 997])
+
+        sender = threading.Thread(target=send_in_pieces)
+        sender.start()
+        try:
+            assert transport.recv_frame() == frame
+        finally:
+            sender.join()
+
+    def test_oversized_declared_length_rejected_before_allocating(self, tcp_pair):
+        transport, far = tcp_pair
+        far.sendall(struct.pack("<I", MAX_FRAME_SIZE + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="exceeds the limit"):
+                transport.recv_frame()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_declared_length_commits_no_memory_before_the_body(self, tcp_pair):
+        transport, far = tcp_pair
+        far.sendall(struct.pack("<I", MAX_FRAME_SIZE) + b"x" * 100_000)
+        far.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SessionError, match="mid-frame"):
+                transport.recv_frame()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_peer_closing_mid_frame_aborts(self, tcp_pair):
+        transport, far = tcp_pair
+        far.sendall(struct.pack("<I", 100) + b"x" * 40)
+        far.close()
+        with pytest.raises(SessionError, match="mid-frame"):
+            transport.recv_frame()
 
 
 class TestTcpServer:

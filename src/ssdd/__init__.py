@@ -56,7 +56,6 @@ from .selection import (
     select_rp,
 )
 from .vectors import (
-    DocumentVector,
     FeatureIndexSet,
     PackedDocs,
     pack,

@@ -83,6 +83,14 @@ def _filter_budgets(args, n: int) -> list[int]:
     return [max(1, round(n * pct / 100.0)) for pct in args.dims_pct or ()]
 
 
+def _limit(text: str) -> int:
+    """A document count: an integer, 0 or more."""
+    limit = int(text)
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {limit}")
+    return limit
+
+
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
@@ -252,13 +260,13 @@ def build_parser() -> _Parser:
     p.add_argument("docword")
     p.add_argument("--vocab", help="vocabulary file to validate against")
     p.add_argument("--out", required=True)
-    p.add_argument("--limit", type=int, help="keep only the first N documents")
+    p.add_argument("--limit", type=_limit, help="keep only the first N documents")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("serve", help="host a corpus for remote detection")
     p.add_argument("corpus")
     p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 7643))
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_limit)
     p.add_argument("--once", action="store_true", help="exit after one session")
     p.set_defaults(func=cmd_serve)
 
@@ -269,7 +277,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dims-pct", type=_numbers(float), help="f as a percentage of n")
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_limit)
     p.add_argument("--overlap", action="store_true", help="targets keep query docs")
     p.add_argument("--report", help="write the run's CSV row here")
     p.add_argument("--local-bob", metavar="CORPUS", help="single-process run")
@@ -282,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tolerance", type=float, default=0.8)
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_limit)
     p.add_argument("--overlap", action="store_true")
     p.add_argument("--report", help="write similar pairs as CSV here")
     p.set_defaults(func=cmd_oracle)
@@ -296,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--overlap", action="store_true")
-    p.add_argument("--limit", type=int, help="first-N-document subset (default 200)")
+    p.add_argument("--limit", type=_limit, help="first-N-document subset (default 200)")
     p.add_argument("--full", action="store_true", help="run the whole corpus")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_bench)

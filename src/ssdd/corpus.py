@@ -21,6 +21,7 @@ entries) is refused: ingest its docword file again.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +37,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .vectors import DocumentVector, PackedDocs
+from .vectors import PackedDocs
 
 __all__ = [
     "RawDocument",
@@ -90,10 +91,11 @@ class CorpusStats:
 class Corpus:
     """Ordered documents over a fixed vocabulary width.
 
-    Built from ``documents`` (in order; their ``doc_id`` is not kept) or
-    from ``counts``, a corpus holds its raw counts as ``counts`` and derives
-    ``vectors`` from them.  Built from ``vectors`` alone, as a cache-loaded
-    corpus is, it has no counts (``counts is None``).
+    Built from ``documents`` (in order; their ``doc_id`` is not kept; every
+    count a positive integer) or from ``counts``, a corpus holds its raw
+    counts as ``counts`` and derives ``vectors`` from them.  Built from
+    ``vectors`` alone, as a cache-loaded corpus is, it has no counts
+    (``counts is None``).
     """
 
     def __init__(
@@ -110,7 +112,14 @@ class Corpus:
             owner = np.repeat(np.arange(len(documents)), [len(d.counts) for d in documents])
             terms = chain.from_iterable(d.counts for d in documents)
             values = chain.from_iterable(d.counts.values() for d in documents)
-            terms, values = (np.fromiter(it, np.int64, owner.size) for it in (terms, values))
+            terms = np.fromiter(terms, np.int64, owner.size)
+            try:
+                # operator.index refuses a float, which fromiter would truncate
+                values = np.fromiter(map(operator.index, values), np.int64, owner.size)
+            except (TypeError, OverflowError):
+                values = None
+            if values is None or np.any(values <= 0):
+                raise RangeError("term counts must be positive integers below 2**63")
             counts = _pack_counts(dims, len(documents), owner, terms, values)
         if counts is not None:
             vectors = _normalize(counts)
@@ -163,12 +172,12 @@ def _normalize(counts: PackedDocs) -> PackedDocs:
     return PackedDocs(counts.dims, counts.indptr, counts.indices, values / norms[owner])
 
 
-def build_document_vector(counts: dict[int, int], dims: int) -> DocumentVector:
-    """Unit L2-normalized weight vector from raw term counts: the vector of
-    a one-document corpus.  An empty count map yields the zero vector, which
-    is degenerate.
+def build_document_vector(counts: dict[int, int], dims: int) -> PackedDocs:
+    """Unit L2-normalized weight vector from raw term counts, as a
+    one-document ``PackedDocs``: the vectors of a one-document corpus.  An
+    empty count map yields the zero vector, which is degenerate.
     """
-    return Corpus(dims, [RawDocument(0, counts)]).vectors[0]
+    return Corpus(dims, [RawDocument(0, counts)]).vectors
 
 
 def _header_int(lines: Iterator[tuple[int, str]], what: str) -> int:

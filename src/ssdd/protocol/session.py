@@ -78,7 +78,7 @@ from ..selection import (
     select_lf,
     select_rp,
 )
-from ..vectors import DocumentVector, FeatureIndexSet, PackedDocs, project
+from ..vectors import FeatureIndexSet, PackedDocs, project
 from .messages import (
     Bye,
     FilterQuery,
@@ -587,11 +587,11 @@ class AliceSession:
             raise ProtocolError("full reply carries a non-finite value")
         return recovered
 
-    def run_query(self, query_id: int, query: DocumentVector) -> None:
+    def run_query(self, query_id: int, query: PackedDocs) -> None:
         """Decide every pair of query ``query_id`` into row ``query_id`` of
         the cosine and similar arrays.  ``query`` is ``self.queries[query_id]``,
-        passed on for callers that wrap this method; the packed queries are
-        what the session reads.
+        a one-document ``PackedDocs`` passed on for callers that wrap this
+        method; the packed queries are what the session reads.
 
         Survivors get their recovered cosine, or 0 and never similar for a
         degenerate query; an empty target is never similar either.  Filtered

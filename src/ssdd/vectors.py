@@ -1,12 +1,13 @@
 """Sparse document vectors and the packed kernels built on them.
 
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
-indices + positive weights).  ``pack`` lays documents out as one CSR
-``PackedDocs``, the one document-set type that the protocol, the oracle and
-the masking matrix take, and the form a corpus holds its documents in.  A
-``PackedDocs`` is read-only, so one corpus is shared by every session that
-reads it; ``project`` reads a term-major (CSC) view of it that is built on
-first use, once per corpus.  Everything is float64.
+indices + positive weights).  A set of them, a single document included, is
+one CSR ``PackedDocs``: the one document type that the protocol, the oracle
+and the masking matrix take, and the form a corpus holds its documents in;
+``pack`` concatenates sets.  A ``PackedDocs`` is read-only, so one corpus
+is shared by every session that reads it; ``project`` reads a term-major
+(CSC) view of it that is built on first use, once per corpus.  Everything
+is float64.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import DimensionError, RangeError
 
 __all__ = [
-    "DocumentVector",
     "FeatureIndexSet",
     "PackedDocs",
     "pack",
@@ -29,45 +29,6 @@ __all__ = [
     "zscore",
     "top_f",
 ]
-
-
-@dataclass(frozen=True)
-class DocumentVector:
-    """Unit-normalized sparse vector over a fixed dimensionality.
-
-    `indices` is strictly increasing, `weights` holds the matching nonzero
-    values.
-    """
-
-    dims: int
-    indices: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        wts = np.asarray(self.weights, dtype=np.float64)
-        if idx.shape != wts.shape:
-            raise DimensionError("indices and weights must have equal length")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dims):
-            raise RangeError(f"index out of range for dims={self.dims}")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise RangeError("indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def degenerate(self) -> bool:
-        """Whether this is an empty document's zero vector, never similar to anything."""
-        return self.nnz == 0
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dims, dtype=np.float64)
-        out[self.indices] = self.weights
-        return out
 
 
 @dataclass(frozen=True)
@@ -98,11 +59,11 @@ class PackedDocs:
     ``indices[indptr[i]:indptr[i + 1]]`` and the same slice of ``weights``.
 
     Read-only: the arrays reject writes, and ``docs[i]`` is document i as a
-    ``DocumentVector`` over views of them.  The document frequencies and
-    the same entries in term-major (CSC) order are built on first use and
-    kept, read-only, with the documents, so every session over one
-    ``PackedDocs`` shares them.  Sessions that race to build either can at
-    worst build it twice."""
+    one-document ``PackedDocs`` over views of them.  The document
+    frequencies and the same entries in term-major (CSC) order are built on
+    first use and kept, read-only, with the documents, so every session over
+    one ``PackedDocs`` shares them.  Sessions that race to build either can
+    at worst build it twice."""
 
     dims: int
     indptr: np.ndarray
@@ -116,14 +77,15 @@ class PackedDocs:
     def __len__(self) -> int:
         return self.indptr.size - 1
 
-    def __getitem__(self, i) -> DocumentVector:
+    def __getitem__(self, i) -> "PackedDocs":
         i = operator.index(i)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"document index outside {len(self)} documents")
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return DocumentVector(self.dims, self.indices[lo:hi], self.weights[lo:hi])
+        indptr = np.array([0, hi - lo], dtype=np.int64)
+        return PackedDocs(self.dims, indptr, self.indices[lo:hi], self.weights[lo:hi])
 
     @property
     def nnz(self) -> np.ndarray:
@@ -196,15 +158,16 @@ class PackedDocs:
         return view
 
 
-def pack(vectors: Sequence[DocumentVector], dims: int) -> PackedDocs:
-    """The documents, in order, as one PackedDocs over ``dims`` dimensions."""
-    if any(v.dims != dims for v in vectors):
+def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
+    """The documents of ``sets``, in order, as one PackedDocs over ``dims``
+    dimensions."""
+    if any(docs.dims != dims for docs in sets):
         raise DimensionError(f"documents disagree with dims={dims}")
     return PackedDocs(
         dims,
-        np.cumsum([0] + [v.nnz for v in vectors], dtype=np.int64),
-        np.concatenate([v.indices for v in vectors] + [np.empty(0, np.int64)]),
-        np.concatenate([v.weights for v in vectors] + [np.empty(0)]),
+        np.cumsum(np.concatenate([[0], *(docs.nnz for docs in sets)]), dtype=np.int64),
+        np.concatenate([docs.indices for docs in sets] + [np.empty(0, np.int64)]),
+        np.concatenate([docs.weights for docs in sets] + [np.empty(0)]),
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from ssdd.corpus import Corpus, RawDocument, build_document_vector
 from ssdd.errors import DimensionError
 from ssdd.masking import SharedRandomMatrix
-from ssdd.vectors import DocumentVector
+from ssdd.vectors import PackedDocs
 
 
 def data_file(name: str) -> Path | None:
@@ -29,8 +29,9 @@ def data_file(name: str) -> Path | None:
     return None
 
 
-def dot(u: DocumentVector, v: DocumentVector) -> float:
-    """Reference sparse dot product: a merge-join on the index arrays."""
+def dot(u: PackedDocs, v: PackedDocs) -> float:
+    """Reference sparse dot product of two one-document sets: a merge-join
+    on the index arrays."""
     if u.dims != v.dims:
         raise DimensionError(f"dims mismatch: {u.dims} != {v.dims}")
     _, iu, iv = np.intersect1d(
@@ -40,9 +41,9 @@ def dot(u: DocumentVector, v: DocumentVector) -> float:
 
 
 def respond(
-    z: np.ndarray, v: DocumentVector, matrix: SharedRandomMatrix
+    z: np.ndarray, v: PackedDocs, matrix: SharedRandomMatrix
 ) -> tuple[float, np.ndarray]:
-    """Reference responder answer (s, t) = (z . v, A^T v) for one document,
+    """Reference responder answer (s, t) = (z . v, A^T v) for v one document,
     iterating v's nonzeros only."""
     if z.shape != (matrix.rows,):
         raise DimensionError(f"masked length {z.shape} != ({matrix.rows},)")
@@ -70,7 +71,7 @@ def fwht(x: np.ndarray) -> None:
 
 def random_document(
     rng: np.random.Generator, dims: int, nnz: int, max_count: int = 12
-) -> DocumentVector:
+) -> PackedDocs:
     idx = rng.choice(dims, size=nnz, replace=False)
     counts = {int(i): int(c) for i, c in zip(idx, rng.integers(1, max_count + 1, nnz))}
     return build_document_vector(counts, dims)

@@ -43,7 +43,7 @@ class TestIngest:
         assert len(cached) == len(corpus)
         assert cached.dims == corpus.dims
         for mine, theirs in zip(corpus.vectors, cached.vectors):
-            assert mine.nnz == theirs.nnz
+            assert mine.nnz[0] == theirs.nnz[0]
 
     def test_vocabulary_width_is_checked(self, corpus, docword_path, tmp_path):
         good = tmp_path / "vocab.txt"
@@ -66,6 +66,18 @@ class TestIngest:
         assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "5"]) == 0
         assert len(load_cache(out)) == 5
         assert "5 documents" in capsys.readouterr().out
+
+    def test_limit_zero_keeps_no_documents(self, docword_path, tmp_path, capsys):
+        out = tmp_path / "none.bin"
+        assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "0"]) == 0
+        assert len(load_cache(out)) == 0
+        capsys.readouterr()
+
+    def test_negative_limit_is_usage_error(self, docword_path, tmp_path, capsys):
+        out = tmp_path / "negative.bin"
+        assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "-1"]) == 1
+        assert not out.exists()
+        assert "--limit" in capsys.readouterr().err
 
 
 class TestDetect:
@@ -133,6 +145,20 @@ class TestParser:
     def test_bad_host_port(self, capsys):
         assert main(["detect", "--connect", "nonsense", "--corpus", "x"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "absent.bin"],
+            ["detect", "--local-bob", "absent.bin"],
+            ["oracle", "absent.bin"],
+            ["bench", "absent.bin", "--report", "absent.csv"],
+        ],
+    )
+    def test_negative_limit_is_usage_error(self, command, capsys):
+        # refused while parsing, before the absent corpus is opened
+        assert main(command + ["--limit", "-3"]) == 1
+        assert "--limit" in capsys.readouterr().err
 
 
 class TestOracleCommand:
@@ -246,5 +272,5 @@ class TestRemote:
         out = capsys.readouterr().out
         assert f"serving {len(corpus)} documents" in out
         # BASE: every query gets a full response from every document
-        mults = 3 * sum(v.nnz for v in corpus.vectors) * (1 + (corpus.dims + 1) // 2)
+        mults = 3 * sum(v.nnz[0] for v in corpus.vectors) * (1 + (corpus.dims + 1) // 2)
         assert f"session 0: {mults} response multiplications" in out

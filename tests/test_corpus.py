@@ -38,7 +38,7 @@ class TestParseBagOfWords:
         assert corpus.counts.indptr.tolist() == [0, 1, 1, 2]
         assert corpus.counts.indices.tolist() == [1, 3]
         assert corpus.counts.weights.tolist() == [5, 1]
-        assert corpus.vectors[1].degenerate
+        assert corpus.vectors[1].nnz[0] == 0
         np.testing.assert_allclose(corpus.vectors[0].weights, [1.0])
 
     def test_stats(self):
@@ -171,6 +171,20 @@ class TestCounts:
         with pytest.raises(RangeError):
             Corpus(5, [RawDocument(0, {0: 1}), RawDocument(1, {term: 2})])
 
+    def test_zero_count_is_refused(self):
+        # normalizing it would divide 0 by 0
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {1: 0})])
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {1: -3, 2: 4})])
+
+    def test_fractional_count_is_refused(self):
+        # not truncated to 2
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {1: 2.5, 2: 1})])
+
     def test_subset_keeps_counts(self):
         corpus = synth_corpus(n_docs=12, dims=90, seed=2, mean_terms=9)
         part = corpus.subset([7, 1, 1])
@@ -260,15 +274,15 @@ class TestCache:
         for a, b in zip(corpus.vectors, again.vectors):
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.weights, b.weights)
-            assert a.degenerate == b.degenerate
+            assert (a.nnz[0] == 0) == (b.nnz[0] == 0)
 
     def test_degenerate_documents_survive(self, tmp_path):
         corpus = Corpus(4, [RawDocument(0, {}), RawDocument(1, {2: 3})])
         path = tmp_path / "deg.bin"
         save_cache(corpus, path)
         again = load_cache(path)
-        assert again.vectors[0].degenerate
-        assert not again.vectors[1].degenerate
+        assert again.vectors[0].nnz[0] == 0
+        assert again.vectors[1].nnz[0] != 0
 
     def test_exact_layout(self, tmp_path):
         """The cache bytes match the documented little-endian layout."""

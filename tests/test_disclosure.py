@@ -80,7 +80,7 @@ class TestFullQueryMask:
             r = np.random.default_rng(seq).uniform(-1.0, 1.0, matrix.cols)
             u = msg.z - a @ r
             query = queries[msg.query_id]
-            np.testing.assert_allclose(u, query.to_dense(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u, query.dense()[0], rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.flatnonzero(np.abs(u) > 1e-9), query.indices)
 
 

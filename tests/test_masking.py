@@ -13,7 +13,7 @@ from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
 from ssdd.corpus import build_document_vector
-from ssdd.vectors import DocumentVector, pack
+from ssdd.vectors import pack
 
 from conftest import fwht, random_document, respond
 
@@ -139,7 +139,7 @@ class TestSharedRandomMatrix:
         ]
         docs.insert(3, build_document_vector({}, rows))
         t = matrix.transpose_apply_packed(pack(docs, rows))
-        expected = np.array([d.to_dense() @ a for d in docs])
+        expected = np.array([d.dense()[0] @ a for d in docs])
         np.testing.assert_allclose(t, expected, rtol=0, atol=1e-12)
 
     def test_full_column_rank(self):
@@ -302,7 +302,7 @@ class TestHandExample:
 
     def test_respond_and_recover(self):
         z = mask(self.u, self.matrix, self.r)
-        v = DocumentVector(dims=2, indices=np.array([0]), weights=np.array([1.0]))
+        v = build_document_vector({0: 1}, 2)
         s, t = respond(z, v, self.matrix)
         assert s == pytest.approx(0.6 + 2.0 * self.a0, abs=1e-15)
         np.testing.assert_allclose(t, [self.a0], atol=1e-15)
@@ -318,9 +318,9 @@ class TestExactRecovery:
             u = random_document(rng, 120, int(rng.integers(1, 60)))
             v = random_document(rng, 120, int(rng.integers(1, 60)))
             r = rng.uniform(-1.0, 1.0, matrix.cols)
-            z = mask(u.to_dense(), matrix, r)
+            z = mask(u.dense()[0], matrix, r)
             delta = recover(*respond(z, v, matrix), r)
-            expected = float(u.to_dense() @ v.to_dense())
+            expected = float(u.dense()[0] @ v.dense()[0])
             assert abs(delta - expected) <= 1e-9 * (1.0 + abs(expected))
 
     def test_zero_document_recovers_zero(self):
@@ -328,12 +328,8 @@ class TestExactRecovery:
         rng = np.random.default_rng(2)
         r = rng.uniform(-1.0, 1.0, matrix.cols)
         u = random_document(rng, 8, 4)
-        z = mask(u.to_dense(), matrix, r)
-        empty = DocumentVector(
-            dims=8,
-            indices=np.empty(0, np.int64),
-            weights=np.empty(0),
-        )
+        z = mask(u.dense()[0], matrix, r)
+        empty = build_document_vector({}, 8)
         s, t = respond(z, empty, matrix)
         assert (s, t.tolist()) == (0.0, [0.0] * matrix.cols)
         assert recover(s, t, r) == 0.0
@@ -356,7 +352,7 @@ class TestExactRecovery:
         matrix = SharedRandomMatrix(6, 40)
         rng = np.random.default_rng(6)
         r = rng.uniform(-1.0, 1.0, matrix.cols)
-        z = mask(random_document(rng, 40, 9).to_dense(), matrix, r)
+        z = mask(random_document(rng, 40, 9).dense()[0], matrix, r)
         replies = [respond(z, random_document(rng, 40, 5), matrix) for _ in range(4)]
         s = np.array([s for s, _ in replies])
         t = np.array([t for _, t in replies])

@@ -60,7 +60,7 @@ from ssdd.selection import (
     select_hf,
     select_rp,
 )
-from ssdd.vectors import DocumentVector, FeatureIndexSet, pack, project
+from ssdd.vectors import FeatureIndexSet, PackedDocs, pack, project
 
 from conftest import random_document, random_unit_dense, respond, synth_corpus
 
@@ -311,7 +311,7 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     index_set = FeatureIndexSet(config.n, np.asarray(indexes))
     rng = np.random.default_rng(7)
     fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
-    u_fs = u.to_dense()[index_set.indexes]
+    u_fs = u.dense()[0][index_set.indexes]
     r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
         FilterQuery(query_id=0, indexes=index_set.indexes, z=mask(u_fs, fs_matrix, r))
@@ -319,7 +319,7 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
     matrix = SharedRandomMatrix(config.seed, config.n)
     r = rng.uniform(-1.0, 1.0, matrix.cols)
-    z = mask(u.to_dense(), matrix, r)
+    z = mask(u.dense()[0], matrix, r)
     reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
     return bound >= config.epsilon, float(recover(reply.s, reply.t, r)[0])
 
@@ -1031,7 +1031,7 @@ class TestDisclosureWarnings:
 N_EQ, F_EQ = 60, 6
 
 
-def _equivalence_corpus(index_set: np.ndarray) -> list[DocumentVector]:
+def _equivalence_corpus(index_set: np.ndarray) -> list[PackedDocs]:
     """Random documents, one with no term in ``index_set``, one empty."""
     rng = np.random.default_rng(41)
     docs = [random_document(rng, N_EQ, int(rng.integers(1, 15))) for _ in range(10)]
@@ -1055,9 +1055,9 @@ class TestResponderMatchesRespond:
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
         for j, doc in enumerate(docs):
-            values = doc.to_dense()[index_set.indexes]
+            values = doc.dense()[0][index_set.indexes]
             nz = np.flatnonzero(values)
-            sparse = DocumentVector(dims=index_set.f, indices=nz, weights=values[nz])
+            sparse = PackedDocs(index_set.f, np.array([0, nz.size]), nz, values[nz])
             s, t = respond(z, sparse, fs_matrix)
             assert reply.s[j] == pytest.approx(s, abs=1e-12)
             assert reply.norm_v2[j] == pytest.approx(values @ values, abs=1e-12)
@@ -1127,7 +1127,7 @@ class TestResponderMatchesRespond:
             )
             index_set = FeatureIndexSet(N_EQ, indexes)
             self.assert_filter_reply(reply, docs, index_set, config, z)
-            nnz = sum(int(np.count_nonzero(d.to_dense()[indexes])) for d in docs)
+            nnz = sum(int(np.count_nonzero(d.dense()[0][indexes])) for d in docs)
             expected_count += nnz * (2 + (F_EQ + 1) // 2)
         assert projected == [first.tolist(), second.tolist(), first.tolist()]
         assert responder.scalar_mult_count == expected_count
@@ -1225,7 +1225,7 @@ class TestMultiplicationCount:
         report = run_detection_locally(queries, config, targets)
         cols, fs_cols = (config.n + 1) // 2, (config.f + 1) // 2
         expected = sum(
-            targets[d.target_id].nnz * (1 + cols)
+            targets[d.target_id].nnz[0] * (1 + cols)
             for d in report.decisions
             if not d.filtered
         )
@@ -1233,9 +1233,9 @@ class TestMultiplicationCount:
             assert 0 < report.metrics.pairs_filtered < report.metrics.pairs_total
             whole = queries.document_frequency + targets.document_frequency
             for query in queries:
-                index_set = select_hf(query.to_dense(), whole, config.f)
+                index_set = select_hf(query.dense()[0], whole, config.f)
                 for target in targets:
-                    nnz = int(np.count_nonzero(target.to_dense()[index_set.indexes]))
+                    nnz = int(np.count_nonzero(target.dense()[0][index_set.indexes]))
                     expected += nnz * (2 + fs_cols)
         assert type(report.metrics.scalar_mult_count) is int
         assert report.metrics.scalar_mult_count == expected
@@ -1658,7 +1658,7 @@ class TestMaskDerivation:
         assert [m.query_id for m in full] == list(range(len(queries)))
         for msg in full:
             r = expected_mask(config, msg.query_id, 2, matrix.cols)
-            u = queries[msg.query_id].to_dense()
+            u = queries[msg.query_id].dense()[0]
             np.testing.assert_allclose(msg.z, u + a @ r, rtol=0, atol=1e-12)
         filters = [m for m in bob.received if isinstance(m, FilterQuery)]
         if method is SelectionMethod.BASE:
@@ -1671,5 +1671,5 @@ class TestMaskDerivation:
         for msg in filters:
             np.testing.assert_array_equal(msg.indexes, index_set.indexes)
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
-            u_fs = queries[msg.query_id].to_dense()[index_set.indexes]
+            u_fs = queries[msg.query_id].dense()[0][index_set.indexes]
             np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)

@@ -11,8 +11,8 @@ from ssdd.protocol.messages import FilterQuery
 from ssdd.protocol.session import BobResponder, SessionConfig
 from ssdd.selection import SelectionMethod
 from ssdd.vectors import (
-    DocumentVector,
     FeatureIndexSet,
+    PackedDocs,
     pack,
     project,
     top_f,
@@ -22,11 +22,11 @@ from ssdd.vectors import (
 from conftest import dot, random_document
 
 
-class TestDocumentVector:
+class TestOneDocument:
     def test_three_four_five_normalization(self):
         vec = build_document_vector({0: 3, 1: 4}, dims=2)
         np.testing.assert_allclose(vec.weights, [0.6, 0.8], atol=1e-15)
-        assert not vec.degenerate
+        assert vec.nnz[0] != 0
 
     def test_unit_norm_within_tolerance(self):
         rng = np.random.default_rng(42)
@@ -37,17 +37,17 @@ class TestDocumentVector:
 
     def test_empty_document_is_degenerate_zero(self):
         vec = build_document_vector({}, dims=5)
-        assert vec.degenerate
-        assert vec.nnz == 0
-        assert np.all(vec.to_dense() == 0.0)
+        assert vec.nnz[0] == 0
+        assert vec.nnz.tolist() == [0]
+        assert np.all(vec.dense()[0] == 0.0)
 
     def test_unsorted_indices_rejected(self):
         with pytest.raises(RangeError):
-            DocumentVector(dims=4, indices=np.array([2, 1]), weights=np.array([1.0, 1.0]))
+            PackedDocs(4, np.array([0, 2]), np.array([2, 1]), np.array([1.0, 1.0])).check()
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(RangeError):
-            DocumentVector(dims=2, indices=np.array([2]), weights=np.array([1.0]))
+            PackedDocs(2, np.array([0, 1]), np.array([2]), np.array([1.0])).check()
 
 
 class TestDot:
@@ -58,17 +58,17 @@ class TestDot:
             n = int(rng.integers(2, 2000))
             u = random_document(rng, n, int(rng.integers(1, min(n, 80) + 1)))
             v = random_document(rng, n, int(rng.integers(1, min(n, 80) + 1)))
-            expected = float(u.to_dense() @ v.to_dense())
+            expected = float(u.dense()[0] @ v.dense()[0])
             assert dot(u, v) == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_supports_give_zero(self):
-        u = DocumentVector(dims=6, indices=np.array([0, 1]), weights=np.array([0.6, 0.8]))
-        v = DocumentVector(dims=6, indices=np.array([4, 5]), weights=np.array([0.6, 0.8]))
+        u = build_document_vector({0: 3, 1: 4}, 6)
+        v = build_document_vector({4: 3, 5: 4}, 6)
         assert dot(u, v) == 0.0
 
     def test_dims_mismatch(self):
-        u = DocumentVector(dims=3, indices=np.array([0]), weights=np.array([1.0]))
-        v = DocumentVector(dims=4, indices=np.array([0]), weights=np.array([1.0]))
+        u = build_document_vector({0: 1}, 3)
+        v = build_document_vector({0: 1}, 4)
         with pytest.raises(DimensionError):
             dot(u, v)
 
@@ -93,7 +93,7 @@ class TestProject:
             pu, pv = project(pack([u, v], n), s)
             d = pu - pv
             d_fs = d @ d
-            full = float(np.sum((u.to_dense() - v.to_dense()) ** 2))
+            full = float(np.sum((u.dense()[0] - v.dense()[0]) ** 2))
             assert d_fs <= full + 1e-12
 
     def test_rows_are_dense_columns(self):
@@ -101,7 +101,7 @@ class TestProject:
         docs = [random_document(rng, 40, int(rng.integers(1, 30))) for _ in range(6)]
         docs.append(build_document_vector({}, 40))
         s = FeatureIndexSet(dims=40, indexes=np.sort(rng.choice(40, 9, replace=False)))
-        dense = np.array([d.to_dense() for d in docs])
+        dense = np.array([d.dense()[0] for d in docs])
         np.testing.assert_array_equal(project(pack(docs, 40), s), dense[:, s.indexes])
 
     def test_absent_terms_and_the_edge_dims(self):
@@ -120,7 +120,7 @@ class TestProject:
         for at in (0, 4, len(docs) + 1):
             docs.insert(at, build_document_vector({}, n))
         packed = pack(docs, n)
-        dense = np.array([d.to_dense() for d in docs])
+        dense = np.array([d.dense()[0] for d in docs])
         absent = np.flatnonzero(~dense.any(axis=0))
         assert absent.size > 0
         for indexes in (
@@ -149,7 +149,7 @@ class TestProject:
         config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f)
         responder.handle(config.hello())
         assert "_by_term" not in vars(responder._docs)
-        dense = np.array([d.to_dense() for d in docs])
+        dense = np.array([d.dense()[0] for d in docs])
         views = []
         for query_id in range(4):
             indexes = np.sort(rng.choice(n, f, replace=False))
@@ -173,11 +173,11 @@ class TestPackedDocs:
         self.docs = [random_document(rng, 50, int(rng.integers(1, 20))) for _ in range(8)]
         self.docs.insert(3, build_document_vector({}, 50))
         self.packed = pack(self.docs, 50)
-        self.dense = np.array([d.to_dense() for d in self.docs])
+        self.dense = np.array([d.dense()[0] for d in self.docs])
 
     def test_layout_dense_and_iteration(self):
         assert len(self.packed) == 9
-        np.testing.assert_array_equal(self.packed.nnz, [d.nnz for d in self.docs])
+        np.testing.assert_array_equal(self.packed.nnz, [d.nnz[0] for d in self.docs])
         np.testing.assert_array_equal(self.packed.dense(), self.dense)
         for packed, doc in zip(self.packed, self.docs, strict=True):
             np.testing.assert_array_equal(packed.indices, doc.indices)
@@ -186,12 +186,12 @@ class TestPackedDocs:
         assert len(empty) == 0 and list(empty) == [] and empty.dense().shape == (0, 50)
 
     def test_indexing_and_slices(self):
-        """An integer gives one DocumentVector; a slice is refused, since
+        """An integer gives a one-document PackedDocs; a slice is refused, since
         ``take`` is how a block of documents stays packed."""
         for i in (0, 3, np.int64(5), -1):
             doc = self.packed[i]
-            assert isinstance(doc, DocumentVector) and doc.dims == 50
-            np.testing.assert_array_equal(doc.to_dense(), self.dense[i])
+            assert isinstance(doc, PackedDocs) and len(doc) == 1 and doc.dims == 50
+            np.testing.assert_array_equal(doc.dense()[0], self.dense[i])
         with pytest.raises(TypeError):
             self.packed[2:7:2]
         np.testing.assert_array_equal(
@@ -213,6 +213,34 @@ class TestPackedDocs:
         for array in shared:
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_one_document_is_a_read_only_view(self):
+        for i in (0, 5, 8):
+            doc = self.packed[i]
+            assert doc.indptr.tolist() == [0, self.packed.nnz[i]]
+            for mine, parent in (
+                (doc.indices, self.packed.indices),
+                (doc.weights, self.packed.weights),
+            ):
+                assert np.shares_memory(mine, parent)
+                with pytest.raises(ValueError):
+                    mine[0] = 0
+
+    def test_pack_of_documents_is_take(self):
+        """Packing documents one by one, or in blocks, gives take's arrays;
+        document 3 is empty."""
+        ids = np.array([7, 3, 0, 3, 8])
+        taken = self.packed.take(ids)
+        singles = pack([self.packed[i] for i in ids], 50)
+        blocks = pack([self.packed.take(ids[:2]), self.packed.take(ids[2:])], 50)
+        for packed in (singles, blocks):
+            for mine, theirs in (
+                (packed.indptr, taken.indptr),
+                (packed.indices, taken.indices),
+                (packed.weights, taken.weights),
+            ):
+                assert mine.dtype == theirs.dtype
+                np.testing.assert_array_equal(mine, theirs)
 
     def test_take_keeps_the_given_order(self):
         ids = np.array([7, 3, 0, 8])
@@ -275,7 +303,7 @@ class TestCosineDistanceIdentity:
             u = random_document(rng, n, int(rng.integers(1, min(n, 50) + 1)))
             v = random_document(rng, n, int(rng.integers(1, min(n, 50) + 1)))
             cosine = dot(u, v)
-            d2 = float(np.sum((u.to_dense() - v.to_dense()) ** 2))
+            d2 = float(np.sum((u.dense()[0] - v.dense()[0]) ** 2))
             assert abs(cosine - (1.0 - d2 / 2.0)) <= 1e-9
 
 

@@ -5,10 +5,14 @@ Subcommands:
 - ingest: parse a docword file (optionally checking a vocabulary) into the
   binary corpus cache.
 - serve: host a corpus as the responding side on a TCP port.
-- detect: run the detection protocol for seeded query documents, either
-  against a local in-process responder or a remote server.
+- detect: run the detection protocol for seeded query documents of a
+  corpus: against its other documents in-process, or, with --connect,
+  against a remote server.
 - oracle: plaintext exhaustive ground truth for the same split.
 - bench: grid of detection runs written as a CSV report.
+
+A filter budget (--dims) is a count, such as 69, or a percentage of the
+vocabulary width n, such as 1%.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or protocol error.
 """
@@ -30,7 +34,7 @@ from .corpus import (
     save_cache,
     split_queries,
 )
-from .errors import SsddError
+from .errors import RangeError, SsddError
 from .oracle import oracle_detect
 from .protocol.session import (
     BobResponder,
@@ -66,21 +70,30 @@ def load_corpus(path: str, limit: int | None = None) -> Corpus:
     return corpus
 
 
-def _numbers(kind):
+def _comma_list(kind):
     """An argument type: a comma-separated list of ``kind`` values."""
 
-    def numbers(text: str) -> list:
+    def comma_list(text: str) -> list:
         return [kind(item) for item in text.split(",") if item]
 
-    return numbers
+    return comma_list
 
 
-def _filter_budgets(args, n: int) -> list[int]:
-    """The filter budgets f: --dims as given, else each --dims-pct value as
-    that percentage of n, at least 1; none without either."""
-    if args.dims:
-        return args.dims
-    return [max(1, round(n * pct / 100.0)) for pct in args.dims_pct or ()]
+def _budget(text: str):
+    """A filter budget, as f for a vocabulary width n: a count, or a
+    percentage of n (``1%``), at least 1."""
+    if text.endswith("%"):
+        pct = float(text[:-1])
+        return lambda n: max(1, round(n * pct / 100.0))
+    f = int(text)
+    return lambda n: f
+
+
+def _method(text: str) -> SelectionMethod:
+    try:
+        return SelectionMethod.parse(text)
+    except RangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _limit(text: str) -> int:
@@ -148,59 +161,44 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _print_summary(report, queries: int) -> None:
-    m = report.metrics
-    mean_ms = m.wall_time * 1000.0 / queries if queries else 0.0
+def _split(args, corpus: Corpus):
+    """The seeded query/target split, as document ids and as vectors."""
+    ids = split_queries(corpus, k=args.queries, seed=args.seed, overlap=args.overlap)
+    return ids, [corpus.vectors.take(i) for i in ids]
+
+
+def _print_summary(row, queries: int) -> None:
+    mean_ms = row.wall_ms / queries if queries else 0.0
     print(
-        f"method={report.config.method.name.lower()} f={report.config.f} "
-        f"tolerance={report.config.epsilon} pairs={m.pairs_total} "
-        f"filtered={m.pairs_filtered} ratio={m.filter_ratio:.4f} "
-        f"full={m.full_products} similar={report.similar.sum()} "
-        f"wall_ms={m.wall_time * 1000.0:.1f} per_query_ms={mean_ms:.1f}"
+        f"method={row.method} f={row.f} tolerance={row.epsilon} "
+        f"pairs={row.pairs_total} filtered={row.pairs_filtered} "
+        f"ratio={row.filter_ratio:.4f} full={row.full_products} "
+        f"similar={row.similar_pairs} wall_ms={row.wall_ms:.1f} "
+        f"per_query_ms={mean_ms:.1f}"
     )
 
 
 def cmd_detect(args) -> int:
-    method = SelectionMethod.parse(args.method)
-    if args.local_bob is None and args.connect is None:
-        print(
-            "error: choose --local-bob CORPUS or --connect HOST:PORT",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    source = args.local_bob or args.corpus
-    if source is None:
-        print("error: --connect needs --corpus for the query side", file=sys.stderr)
-        return USAGE_ERROR
-    corpus = load_corpus(source, args.limit)
-    budgets = _filter_budgets(args, corpus.dims)
-    if len(budgets) > 1:
-        print("error: detect takes one filter budget", file=sys.stderr)
-        return USAGE_ERROR
-    f = budgets[0] if budgets else 0
+    corpus = load_corpus(args.corpus, args.limit)
+    f = args.dims(corpus.dims) if args.dims else 0
     config = SessionConfig(
-        n=corpus.dims, epsilon=args.tolerance, method=method, f=f, seed=args.seed
+        n=corpus.dims, epsilon=args.tolerance, method=args.method, f=f, seed=args.seed
     )
-    query_ids, target_ids = split_queries(
-        corpus, k=args.queries, seed=args.seed, overlap=args.overlap
-    )
-    query_vecs = corpus.vectors.take(query_ids)
-
-    if args.local_bob:
-        target_vecs = corpus.vectors.take(target_ids)
-        report = run_local_detection(query_vecs, config, target_vecs)
+    _, (queries, targets) = _split(args, corpus)
+    if args.connect is None:
+        report = run_local_detection(queries, config, targets)
     else:
-        host, port = args.connect
-        transport = connect_tcp(host, port)
+        transport = connect_tcp(*args.connect)
         try:
-            report = run_detection(query_vecs, config, transport)
+            report = run_detection(queries, config, transport)
         finally:
             transport.close()
 
-    _print_summary(report, len(query_vecs))
+    row = row_from_report(report)
+    _print_summary(row, len(queries))
     if args.report:
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
-            write_report_csv([row_from_report(report)], fh)
+            write_report_csv([row], fh)
     if report.aborted:
         print("error: session aborted before completion", file=sys.stderr)
         return RUNTIME_ERROR
@@ -209,14 +207,8 @@ def cmd_detect(args) -> int:
 
 def cmd_oracle(args) -> int:
     corpus = load_corpus(args.corpus, args.limit)
-    query_ids, target_ids = split_queries(
-        corpus, k=args.queries, seed=args.seed, overlap=args.overlap
-    )
-    result = oracle_detect(
-        corpus.vectors.take(query_ids),
-        corpus.vectors.take(target_ids),
-        args.tolerance,
-    )
+    (query_ids, target_ids), (queries, targets) = _split(args, corpus)
+    result = oracle_detect(queries, targets, args.tolerance)
     lines = sorted(result.pairs)
     if args.report:
         import csv
@@ -233,15 +225,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    limit = None if args.full else 200 if args.limit is None else args.limit
-    corpus = load_corpus(args.corpus, limit)
-    methods = [SelectionMethod.parse(m) for m in args.methods.split(",") if m]
-    tolerances = [float(t) for t in args.tolerances.split(",") if t]
+    corpus = load_corpus(args.corpus, args.limit)
     rows = run_bench(
         corpus,
-        methods,
-        _filter_budgets(args, corpus.dims),
-        tolerances,
+        args.methods,
+        [budget(corpus.dims) for budget in args.dims or ()],
+        args.tolerances,
         queries=args.queries,
         seed=args.seed,
         overlap=args.overlap,
@@ -250,6 +239,17 @@ def cmd_bench(args) -> int:
         write_report_csv(rows, fh)
     print(f"{args.report}: {len(rows)} rows over {len(corpus)} documents")
     return 0
+
+
+def _add_split_options(p, limits=None) -> None:
+    """The options of the seeded query/target split, shared by detect,
+    oracle and bench; --limit goes into ``limits``, else into ``p``."""
+    p.add_argument("--queries", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--overlap", action="store_true", help="targets keep query docs")
+    (limits or p).add_argument(
+        "--limit", type=_limit, help="keep only the first N documents"
+    )
 
 
 def build_parser() -> _Parser:
@@ -271,43 +271,37 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("detect", help="run the detection protocol")
-    p.add_argument("--method", default="base", help="base|rp|lf|gf|hf")
-    p.add_argument("--tolerance", type=float, default=0.8)
-    p.add_argument("--dims", type=_numbers(int), help="filter dimension budget f")
-    p.add_argument("--dims-pct", type=_numbers(float), help="f as a percentage of n")
-    p.add_argument("--queries", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=_limit)
-    p.add_argument("--overlap", action="store_true", help="targets keep query docs")
-    p.add_argument("--report", help="write the run's CSV row here")
-    p.add_argument("--local-bob", metavar="CORPUS", help="single-process run")
+    p.add_argument("corpus", help="queries and targets, or only queries with --connect")
     p.add_argument("--connect", type=_host_port, help="remote responder HOST:PORT")
-    p.add_argument("--corpus", help="query-side corpus (with --connect)")
+    p.add_argument("--method", type=_method, default="base", help="base|rp|lf|gf|hf")
+    p.add_argument("--tolerance", type=float, default=0.8)
+    p.add_argument("--dims", type=_budget, help="filter budget f: N, or P%% of n")
+    _add_split_options(p)
+    p.add_argument("--report", help="write the run's CSV row here")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("oracle", help="plaintext ground truth")
     p.add_argument("corpus")
     p.add_argument("--tolerance", type=float, default=0.8)
-    p.add_argument("--queries", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=_limit)
-    p.add_argument("--overlap", action="store_true")
+    _add_split_options(p)
     p.add_argument("--report", help="write similar pairs as CSV here")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="grid of runs to a CSV report")
     p.add_argument("corpus")
-    p.add_argument("--methods", default="base,rp,lf,gf,hf")
-    p.add_argument("--tolerances", default="0.75,0.8,0.85,0.9,0.95")
-    p.add_argument("--dims", type=_numbers(int), help="comma list of dimension budgets")
-    p.add_argument("--dims-pct", type=_numbers(float), help="comma list of percentages of n")
-    p.add_argument("--queries", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--overlap", action="store_true")
-    p.add_argument("--limit", type=_limit, help="first-N-document subset (default 200)")
-    p.add_argument("--full", action="store_true", help="run the whole corpus")
+    p.add_argument("--methods", type=_comma_list(_method), default="base,rp,lf,gf,hf")
+    p.add_argument(
+        "--tolerances", type=_comma_list(float), default="0.75,0.8,0.85,0.9,0.95"
+    )
+    p.add_argument("--dims", type=_comma_list(_budget), help="comma list of filter budgets")
+    limits = p.add_mutually_exclusive_group()
+    _add_split_options(p, limits)
+    limits.add_argument(
+        "--full", action="store_const", dest="limit", const=None,
+        help="run the whole corpus, not the first 200 documents",
+    )
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, limit=200)
 
     return parser
 

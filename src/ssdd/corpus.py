@@ -92,10 +92,10 @@ class Corpus:
     """Ordered documents over a fixed vocabulary width.
 
     Built from ``documents`` (in order; their ``doc_id`` is not kept; every
-    count a positive integer) or from ``counts``, a corpus holds its raw
-    counts as ``counts`` and derives ``vectors`` from them.  Built from
-    ``vectors`` alone, as a cache-loaded corpus is, it has no counts
-    (``counts is None``).
+    term an integer, every count a positive integer) or from ``counts``, a
+    corpus holds its raw counts as ``counts`` and derives ``vectors`` from
+    them.  Built from ``vectors`` alone, as a cache-loaded corpus is, it has
+    no counts (``counts is None``).
     """
 
     def __init__(
@@ -112,14 +112,19 @@ class Corpus:
             owner = np.repeat(np.arange(len(documents)), [len(d.counts) for d in documents])
             terms = chain.from_iterable(d.counts for d in documents)
             values = chain.from_iterable(d.counts.values() for d in documents)
-            terms = np.fromiter(terms, np.int64, owner.size)
             try:
-                # operator.index refuses a float, which fromiter would truncate
-                values = np.fromiter(map(operator.index, values), np.int64, owner.size)
+                # operator.index refuses a float, which fromiter would
+                # truncate, and a string, which it would parse
+                terms, values = (
+                    np.fromiter(map(operator.index, column), np.int64, owner.size)
+                    for column in (terms, values)
+                )
             except (TypeError, OverflowError):
                 values = None
             if values is None or np.any(values <= 0):
-                raise RangeError("term counts must be positive integers below 2**63")
+                raise RangeError(
+                    "terms must be integers, and counts positive integers, below 2**63"
+                )
             counts = _pack_counts(dims, len(documents), owner, terms, values)
         if counts is not None:
             vectors = _normalize(counts)

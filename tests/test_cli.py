@@ -83,7 +83,7 @@ class TestIngest:
 class TestDetect:
     def test_local_run_base(self, cache_path, capsys):
         code = main(
-            ["detect", "--local-bob", str(cache_path), "--queries", "5", "--seed", "3"]
+            ["detect", str(cache_path), "--queries", "5", "--seed", "3"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -95,12 +95,11 @@ class TestDetect:
         code = main(
             [
                 "detect",
-                "--local-bob",
                 str(cache_path),
                 "--method",
                 "hf",
-                "--dims-pct",
-                "10",
+                "--dims",
+                "10%",
                 "--queries",
                 "5",
                 "--report",
@@ -115,22 +114,45 @@ class TestDetect:
         assert len(rows) == 2
 
     def test_reads_docword_directly(self, docword_path):
-        code = main(
-            ["detect", "--local-bob", str(docword_path), "--queries", "3"]
-        )
+        code = main(["detect", str(docword_path), "--queries", "3"])
         assert code == 0
 
-    def test_missing_transport_choice_is_usage_error(self, cache_path):
-        assert main(["detect", "--corpus", str(cache_path)]) == 1
+    def test_missing_transport_choice_is_usage_error(self):
+        assert main(["detect"]) == 1
 
     def test_connect_without_corpus_is_usage_error(self):
         assert main(["detect", "--connect", "127.0.0.1:1"]) == 1
 
     def test_missing_file(self, tmp_path):
-        assert main(["detect", "--local-bob", str(tmp_path / "absent.bin")]) == 2
+        assert main(["detect", str(tmp_path / "absent.bin")]) == 2
 
     def test_filter_method_without_budget(self, cache_path):
-        assert main(["detect", "--local-bob", str(cache_path), "--method", "rp"]) == 2
+        assert main(["detect", str(cache_path), "--method", "rp"]) == 2
+
+    def test_budget_count_and_percentage_is_usage_error(self, cache_path, capsys):
+        # one option sets f, so a count and a percentage cannot both be given
+        code = main(
+            ["detect", str(cache_path), "--method", "rp", "--dims", "10", "--dims-pct", "50"]
+        )
+        assert code == 1
+        assert "--dims-pct" in capsys.readouterr().err
+
+    def test_local_corpus_and_connect_run_remote(self, cache_path, capsys):
+        # the corpus is the query side of a remote run, not a local run
+        # that silently ignores --connect
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["detect", str(cache_path), "--connect", f"127.0.0.1:{port}"]) == 2
+        assert "method=" not in capsys.readouterr().out
+
+    def test_two_budgets_is_usage_error(self, cache_path, capsys):
+        assert main(["detect", str(cache_path), "--method", "rp", "--dims", "1,2"]) == 1
+        assert "--dims" in capsys.readouterr().err
+
+    def test_unknown_method_is_usage_error(self, cache_path, capsys):
+        assert main(["detect", str(cache_path), "--method", "bogus"]) == 1
+        assert "unknown method 'bogus'" in capsys.readouterr().err
 
 
 class TestParser:
@@ -143,14 +165,14 @@ class TestParser:
         capsys.readouterr()
 
     def test_bad_host_port(self, capsys):
-        assert main(["detect", "--connect", "nonsense", "--corpus", "x"]) == 1
-        capsys.readouterr()
+        assert main(["detect", "x", "--connect", "nonsense"]) == 1
+        assert "HOST:PORT" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",
         [
             ["serve", "absent.bin"],
-            ["detect", "--local-bob", "absent.bin"],
+            ["detect", "absent.bin"],
             ["oracle", "absent.bin"],
             ["bench", "absent.bin", "--report", "absent.csv"],
         ],
@@ -211,6 +233,55 @@ class TestBenchCommand:
         assert rows[0] == list(REPORT_COLUMNS)
         assert len(rows) == 5
 
+    def test_budget_counts_and_percentages(self, cache_path, tmp_path, capsys):
+        # 10% of n = 120 is 12, the same f as the count 12: one row per f
+        report = tmp_path / "budgets.csv"
+        code = main(
+            [
+                "bench",
+                str(cache_path),
+                "--methods",
+                "lf",
+                "--dims",
+                "5,10%,12",
+                "--tolerances",
+                "0.8",
+                "--queries",
+                "4",
+                "--report",
+                str(report),
+            ]
+        )
+        assert code == 0
+        assert "2 rows" in capsys.readouterr().out
+        with report.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["f"] for row in rows] == ["5", "12"]
+
+    def test_full_and_limit_is_usage_error(self, cache_path, tmp_path, capsys):
+        report = tmp_path / "never.csv"
+        code = main(
+            ["bench", str(cache_path), "--full", "--limit", "5", "--report", str(report)]
+        )
+        assert code == 1
+        assert not report.exists()
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--methods", "base,bogus", "unknown method 'bogus'"),
+            ("--tolerances", "0.8,x", "--tolerances"),
+        ],
+    )
+    def test_bad_grid_value_is_usage_error(
+        self, cache_path, tmp_path, capsys, option, value, message
+    ):
+        report = tmp_path / "never.csv"
+        assert main(["bench", str(cache_path), option, value, "--report", str(report)]) == 1
+        assert not report.exists()
+        assert message in capsys.readouterr().err
+
 
 class TestRemote:
     def test_detect_against_library_server(self, corpus, cache_path, capsys):
@@ -224,10 +295,9 @@ class TestRemote:
             code = main(
                 [
                     "detect",
+                    str(cache_path),
                     "--connect",
                     f"{server.host}:{server.port}",
-                    "--corpus",
-                    str(cache_path),
                     "--queries",
                     "5",
                     "--seed",

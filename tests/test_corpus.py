@@ -185,6 +185,16 @@ class TestCounts:
         with pytest.raises(RangeError):
             Corpus(4, [RawDocument(0, {1: 2.5, 2: 1})])
 
+    def test_fractional_term_is_refused(self):
+        # not truncated to index 1
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {1.5: 2, 3: 1})])
+
+    def test_string_term_is_refused(self):
+        # not parsed as index 2
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {"2": 2})])
+
     def test_subset_keeps_counts(self):
         corpus = synth_corpus(n_docs=12, dims=90, seed=2, mean_terms=9)
         part = corpus.subset([7, 1, 1])

@@ -27,26 +27,27 @@ the ranking), the next N rank its columns (C takes the first ceil(n/2)),
 and the lowest bits of the next n + ceil(n/2) words are d_r, then d_c
 (a set bit meaning -1).  Entries are +1 or -1.
 
-No party holds A.  ``matvec`` computes A R by scattering D_c R into N rows,
-applying H and gathering rows R; ``transpose_apply_packed`` computes A^T v
-for a batch of documents the same way in reverse.  H is applied through
+No party holds A.  ``matvec`` computes A R by scattering D_c R into N
+columns, applying H and gathering columns R; ``transpose_apply_packed``
+computes A^T v for a batch of documents the same way in reverse.  Both
+hold a batch as rows, one vector per row, and H is applied to it through
 the Kronecker factorisation
 
     H_N = H_a1 (x) H_a2 (x) ... (x) H_am,   m = ceil(log2 N / 5), a_i <= 32,
 
-one ``matmul`` per factor (KOS's N = 8192 gives 16 * 16 * 32).  Vectors go
-through the transform a fixed number of columns at a time, the last block
-padded with zero columns, so every product has the same shapes, and a
-vector's product the same bits, whatever it is batched with.  ``rows_for``
-computes entries from the closed form, for the small filter matrix A_fs
-and for tests.
+one ``matmul`` per factor (KOS's N = 8192 gives 16 * 16 * 32) whose stack
+axis carries the vector.  numpy runs one GEMM per stack element, with
+shapes that depend on N alone, so a vector's product has the same bits
+whatever it is batched with, and a batch of any size needs no padding.
+``rows_for`` computes entries from the closed form, for the small filter
+matrix A_fs and for tests.
 
 Each output of H is a tree of m sequential sums of at most 32 terms, so
 its rounding error is bounded by about (a_1 + ... + a_m) u sum|x| (64 u at
 KOS, u the unit roundoff), where a radix-2 butterfly's is log2(N) u sum|x|
-(13 u).  Measured against the butterfly on Gaussian and uniform vectors
-for N = 2^0 ... 2^17, the two differ by at most 4.0 u sum|x| (2.0 u at
-KOS).
+(13 u).  Measured against the butterfly on 32 Gaussian and 32 uniform
+vectors for each N = 2^0 ... 2^17, the two differ by at most 1.9 u sum|x|
+(0.32 u at KOS).
 """
 
 from __future__ import annotations
@@ -69,21 +70,12 @@ __all__ = [
 # is its leading a x a block.
 _H32 = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 5)
 
-# Columns per transform block.  Every block is (N, width) whatever the
-# number of vectors, the last one padded with zero columns, so the matmul
-# shapes, and with them the bits of a vector's product, never depend on
-# the batch.  Not every width keeps that: in 10- or 12-wide blocks a
-# column's bits depend on its place in the block, in 8- or 16-wide ones
-# they do not (OpenBLAS 0.3.31).  Each product keeps its peak memory,
-# output included, within four blocks: (N, BATCH) ones for A^T v and
-# (N, k) ones for A R over k masks.  Documents go 16 at a time, since at
-# width 8 the two buffers and t for 40 documents at KOS's n take 4.1
-# (N, 8) blocks; a wider block would pad Bob's short batches (a few new t
-# rows per query under hf) with more zero columns.  Masks go 8 at a time,
-# since for Alice's ten or so queries two 16-wide buffers alone take 3.2
-# (N, 10) arrays.
+# Vectors per transform chunk.  A product goes through its batch BATCH
+# vectors at a time in one pair of (BATCH, N) buffers, allocated once per
+# call, and a short last chunk takes the first rows of them; so its peak
+# memory, output included, stays within about four (N, BATCH) blocks
+# whatever the batch size, and no vector's bits depend on the chunking.
 BATCH = 16
-MASK_BATCH = 8
 
 
 def _factors(size: int) -> list[int]:
@@ -99,22 +91,25 @@ def _factors(size: int) -> list[int]:
 
 
 def _fwht(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform H x of each column of the
-    (N, k) array x, N a power of two, through its Kronecker factors: the
-    factor H_a on the lowest bits of the row index not yet transformed is
-    one matmul with x viewed as (pre, a, post).  ``spare`` is a scratch
-    array of x's shape; both are overwritten, and the one holding H x is
-    returned."""
-    size, post = x.shape
-    pre = size
-    for a in _factors(size):
-        pre //= a
-        np.matmul(
-            _H32[:a, :a],
-            x.reshape(pre, a, post),
-            out=spare.reshape(pre, a, post),
-        )
-        post *= a
+    """Unnormalised Walsh-Hadamard transform H x of each row of the (k, N)
+    array x, N a power of two, through its Kronecker factors, widest first.
+    The first factor H_a acts on the lowest bits of the column index, as x
+    viewed as (k, N / a, a) times H_a; each later one on the lowest bits not
+    yet transformed, as H_a times x viewed as (k * lead, a, tail).  Each
+    vector thus gets GEMMs of its own, of shapes fixed by N.  ``spare`` is
+    a scratch array of x's shape; both are overwritten, and the one holding
+    H x is returned."""
+    k, size = x.shape
+    tail = 1
+    # widest first: up to 15% faster than narrowest first at N = 8192 and 16384
+    for a in reversed(_factors(size)):
+        h, lead = _H32[:a, :a], size // (a * tail)
+        if tail == 1:
+            np.matmul(x.reshape(k, lead, a), h, out=spare.reshape(k, lead, a))
+        else:
+            stack = (k * lead, a, tail)
+            np.matmul(h, x.reshape(stack), out=spare.reshape(stack))
+        tail *= a
         x, spare = spare, x
     return x
 
@@ -155,44 +150,44 @@ class SharedRandomMatrix:
         parity = (both & 1).astype(np.int8)
         return (1 - 2 * parity) * self._row_sign[indices, None] * self._col_sign
 
+    def _chunks(self, k: int):
+        """(lo, hi, x, spare) for each run lo:hi of at most BATCH of k
+        vectors: x, zeroed, and spare are the first hi - lo rows of one
+        buffer pair made for the whole call."""
+        x, spare = np.empty((2, min(k, BATCH), self.size))
+        for lo in range(0, k, BATCH):
+            hi = min(lo + BATCH, k)
+            block = x[: hi - lo]
+            block.fill(0.0)
+            yield lo, hi, block, spare[: hi - lo]
+
     def matvec(self, r: np.ndarray) -> np.ndarray:
         """A @ r for r of shape (cols,) or (cols, k)."""
         if r.ndim not in (1, 2) or r.shape[0] != self.cols:
             raise DimensionError(
                 f"mask shape {r.shape} != ({self.cols},) or ({self.cols}, k)"
             )
-        block = r.reshape(self.cols, -1)
-        k = block.shape[1]
-        out = np.empty((self.rows, k))
-        x, spare = np.empty((2, self.size, MASK_BATCH))
-        for lo in range(0, k, MASK_BATCH):
-            hi = min(lo + MASK_BATCH, k)
-            x.fill(0.0)
-            x[self._col_of, : hi - lo] = self._col_sign[:, None] * block[:, lo:hi]
-            y = _fwht(x, spare)
-            out[:, lo:hi] = y[self._row_of, : hi - lo]
-        out *= self._row_sign[:, None]
-        return out.reshape((self.rows,) + r.shape[1:])
+        masks = r.reshape(self.cols, -1).T  # one mask per row
+        out = np.empty((len(masks), self.rows))
+        for lo, hi, x, spare in self._chunks(len(masks)):
+            x[:, self._col_of] = masks[lo:hi] * self._col_sign
+            # with mode="clip" take writes into out with no buffer of its
+            # own; the indices are in range, so nothing is clipped
+            np.take(_fwht(x, spare), self._row_of, axis=1, out=out[lo:hi], mode="clip")
+        out *= self._row_sign
+        return out.T.reshape((self.rows,) + r.shape[1:])
 
     def transpose_apply_packed(self, docs: PackedDocs) -> np.ndarray:
-        """Row i is A^T v_i for document i of ``docs``, BATCH documents per
-        transform."""
+        """Row i is A^T v_i for document i of ``docs``."""
         t = np.empty((len(docs), self.cols))
-        if not len(docs):  # no new survivor: most full rounds after the first
-            return t
-        x, spare = np.empty((2, self.size, BATCH))
         bounds = docs.indptr
-        for lo in range(0, len(docs), BATCH):
-            hi = min(lo + BATCH, len(docs))
+        for lo, hi, x, spare in self._chunks(len(docs)):
             entries = slice(bounds[lo], bounds[hi])
             indices = docs.indices[entries]
-            x.fill(0.0)
             owner = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
-            weights = self._row_sign[indices] * docs.weights[entries]
-            x[self._row_of[indices], owner] = weights
-            y = _fwht(x, spare)
-            t[lo:hi] = y[self._col_of, : hi - lo].T
-            t[lo:hi] *= self._col_sign
+            x[owner, self._row_of[indices]] = self._row_sign[indices] * docs.weights[entries]
+            np.take(_fwht(x, spare), self._col_of, axis=1, out=t[lo:hi], mode="clip")
+        t *= self._col_sign
         return t
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol.session import DetectionReport
-from .errors import DimensionError
+from .errors import DimensionError, RangeError
 from .vectors import PackedDocs
 
 __all__ = ["OracleResult", "ResultDiff", "oracle_detect", "compare_results"]
@@ -28,6 +28,10 @@ class OracleResult:
 
 
 def oracle_detect(queries: PackedDocs, targets: PackedDocs, epsilon: float) -> OracleResult:
+    """Every pair's cosine, and the pairs at or above ``epsilon``, a
+    tolerance in [0, 1] as the protocol's ``SessionConfig`` takes it."""
+    if not 0.0 <= epsilon <= 1.0:  # NaN included
+        raise RangeError(f"tolerance {epsilon} outside [0, 1]")
     if queries.dims != targets.dims:
         raise DimensionError(f"dims mismatch: {queries.dims} != {targets.dims}")
     # a degenerate document has no entries, so its products are exactly 0

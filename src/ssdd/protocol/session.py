@@ -43,10 +43,11 @@ read-only by every session over it.  He answers a filter query with one
 projection of the whole corpus, read from its term-major view: built once
 per corpus, on the first filter query any session makes, and shared
 read-only too, it lets each projection touch only the entries on the f
-chosen dimensions.  In the full round Bob keeps one flag per document for
-"t sent", computes t_j only the first time document j survives, and
-s_j = z . v_j per query.  Alice's queries come packed too, and she reads
-their document frequencies from them.  She also holds them as one dense
+chosen dimensions, written term by term into an (f, m) array whose
+transpose is the projection.  In the full round Bob keeps one flag per
+document for "t sent", computes t_j only the first time document j
+survives, and s_j = z . v_j per query.  Alice's queries come packed too,
+and she reads their document frequencies from them.  She also holds them as one dense
 block, from which she selects and projects, and masks the full-width
 vectors of all her queries with one transform (A R, R stacking the
 per-query masks), made the first time a query reaches the full round.
@@ -282,7 +283,8 @@ class BobResponder:
     that set: s = P z, t = P A_fs and the squared row norms.  P is read
     from the corpus's term-major view, built once per corpus and shared
     read-only, so it costs the entries on the f chosen dimensions, not a
-    scan of the corpus.  P, t and the norms of the last set are kept,
+    scan of the corpus; it is the transpose of an (f, m) array filled one
+    term at a time.  P, t and the norms of the last set are kept,
     read-only, and reused while queries name the same set: under RP and
     GF, whose set is fixed, they are computed once per session.
 
@@ -364,13 +366,16 @@ class BobResponder:
     def _project(self, index_set: FeatureIndexSet) -> tuple:
         """Filter-round pieces of every document for one index set.
 
-        Returns the projection P (m x f), t = P A_fs, the squared row norms
-        of P, and its nonzero count.
+        Returns the projection P (m x f, the transpose of a term-major
+        array), t = P A_fs, the squared row norms of P, and the number of
+        corpus entries on the set's dimensions: P's stored entries, each of
+        which the products multiply.
         """
         projected = project(self._docs, index_set)
         t = projected @ self._a_fs
         norm_v2 = np.einsum("ij,ij->i", projected, projected)
-        return projected, t, norm_v2, int(np.count_nonzero(projected))
+        nnz = int(self._docs.document_frequency[index_set.indexes].sum())
+        return projected, t, norm_v2, nnz
 
     def _filter_pieces(self, msg: FilterQuery) -> tuple:
         """``_project`` of the query's index set, reused from the last query

@@ -174,7 +174,8 @@ def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
 def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     """Dense restriction of every document to the indexes in `s`, as an
     (m, f) array; absent dims are 0.  Reads only the entries on those
-    indexes, through the term-major view."""
+    indexes, through the term-major view, and fills an (f, m) array one
+    term at a time, in document order; the result is its transpose."""
     if s.dims != docs.dims:
         raise DimensionError(f"dims mismatch: {docs.dims} != {s.dims}")
     termptr, owner, weights = docs._by_term
@@ -184,11 +185,10 @@ def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     entries = np.repeat(first - np.cumsum(counts) + counts, counts)
     entries += np.arange(entries.size)
     flat = owner.take(entries)
-    flat *= s.f
-    flat += np.repeat(np.arange(s.f), counts)
-    out = np.zeros((len(docs), s.f))
+    flat += np.repeat(np.arange(s.f) * len(docs), counts)
+    out = np.zeros((s.f, len(docs)))
     out.reshape(-1)[flat] = weights.take(entries)
-    return out
+    return out.T
 
 
 def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:

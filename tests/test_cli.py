@@ -206,6 +206,17 @@ class TestOracleCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["query_doc", "target_doc", "cosine"]
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-2"])
+    def test_tolerance_outside_unit_interval(self, cache_path, capsys, value):
+        """The ground truth refuses what the protocol refuses, with the
+        same exit code and message as detect."""
+        assert main(["oracle", str(cache_path), "--tolerance", value]) == 2
+        refused = capsys.readouterr()
+        assert "similar_pairs" not in refused.out
+        assert f"tolerance {float(value)} outside [0, 1]" in refused.err
+        assert main(["detect", str(cache_path), "--tolerance", value]) == 2
+        assert capsys.readouterr().err == refused.err
+
 
 class TestBenchCommand:
     def test_grid_to_csv(self, cache_path, tmp_path, capsys):

@@ -255,14 +255,14 @@ class TestTransform:
         differ by at most about (sum a_i + log2 N) u sum|x|."""
         size = 1 << bits
         rng = np.random.default_rng(bits)
-        x = rng.standard_normal((size, 3))
-        expected = x.copy()
+        x = rng.standard_normal((3, size))
+        expected = x.T.copy()
         fwht(expected)
         got = masking._fwht(x.copy(), np.empty_like(x))
         unit = np.finfo(np.float64).eps / 2
         terms = sum(masking._factors(size)) + bits
-        bound = terms * unit * np.abs(x).sum(axis=0)
-        assert np.all(np.abs(got - expected) <= bound)
+        bound = terms * unit * np.abs(x).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected.T) <= bound)
 
     @pytest.mark.parametrize("rows", (6906, 70_000))
     def test_products_are_batch_invariant_at_size(self, rows):
@@ -273,6 +273,28 @@ class TestTransform:
         docs = pack([random_document(rng, rows, 100) for _ in range(40)], rows)
         r = rng.uniform(-1, 1, (matrix.cols, 10))
         assert_batch_invariant(matrix, docs, r, (0, 15, 16, 39), (0, 7, 8, 9))
+
+    @pytest.mark.parametrize("rows", (3, 300, 6906))
+    def test_every_batch_size_is_invariant(self, rows):
+        """Batches of 1 to 17 vectors, up to a full chunk of BATCH and one
+        short chunk after it: each t_j, and each column of A R, has the bits
+        it has alone.  The first CI step runs this with BLAS at its default
+        thread count, the second with one thread."""
+        assert masking.BATCH < 17
+        rng = np.random.default_rng(rows + 1)
+        matrix = SharedRandomMatrix(11, rows)
+        docs = [random_document(rng, rows, int(rng.integers(1, rows // 3 + 2)))
+                for _ in range(17)]
+        docs = pack(docs, rows)
+        r = rng.uniform(-1, 1, (matrix.cols, 17))
+        t_alone = [matrix.transpose_apply_packed(docs.take([j]))[0] for j in range(17)]
+        z_alone = [matrix.matvec(r[:, q]) for q in range(17)]
+        for k in range(1, 18):
+            t = matrix.transpose_apply_packed(docs.take(np.arange(k)))
+            z = matrix.matvec(r[:, :k])
+            for j in range(k):
+                np.testing.assert_array_equal(t[j], t_alone[j])
+                np.testing.assert_array_equal(z[:, j], z_alone[j])
 
 
 class TestHandExample:
@@ -376,6 +398,27 @@ class TestCostAccounting:
             assert bob.scalar_mult_count == fs_cost
             bob.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=np.zeros(n)))
             assert bob.scalar_mult_count == fs_cost + nnz * (1 + (n + 1) // 2)
+
+    def test_filter_cost_is_the_corpus_entries_on_the_set(self):
+        """Over a corpus, a filter query costs (2 + ceil(f/2)) products for
+        each stored entry on the set's dimensions: the sum of their
+        document frequencies, empty documents and absent terms adding 0."""
+        n, f = 300, 15
+        rng = np.random.default_rng(9)
+        docs = [random_document(rng, n, int(rng.integers(1, 80))) for _ in range(25)]
+        docs.insert(7, build_document_vector({}, n))
+        corpus = pack(docs, n)
+        config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f)
+        bob = BobResponder(corpus, dims=n)
+        bob.handle(config.hello())
+        df = corpus.document_frequency
+        absent = np.flatnonzero(df == 0)[:3]
+        present = rng.choice(np.flatnonzero(df), f - absent.size, replace=False)
+        indexes = np.union1d(absent, present)
+        bob.handle(FilterQuery(query_id=0, indexes=indexes, z=np.ones(f)))
+        entries = int(df[indexes].sum())
+        assert entries == np.count_nonzero(corpus.dense()[:, indexes])
+        assert bob.scalar_mult_count == entries * (2 + (f + 1) // 2)
 
     def test_mask_dimension_mismatch(self):
         matrix = SharedRandomMatrix(1, 4)

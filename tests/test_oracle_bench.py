@@ -68,6 +68,14 @@ class TestOracle:
         at_boundary = oracle_detect(pack([u], 2), pack([v], 2), cos)
         assert (0, 0) in at_boundary.pairs
 
+    @pytest.mark.parametrize("epsilon", [np.nan, 1.5, -2.0], ids=["nan", "1.5", "-2"])
+    def test_tolerance_outside_unit_interval_is_refused(self, epsilon):
+        """As SessionConfig refuses it: NaN would report no pair, -2 every
+        pair."""
+        docs = pack([build_document_vector({0: 1}, 2)], 2)
+        with pytest.raises(RangeError, match="outside"):
+            oracle_detect(docs, docs, epsilon)
+
     def test_compare_results_reports_both_directions(self):
         config = SessionConfig(n=2, epsilon=0.9)
         report = DetectionReport(

@@ -133,6 +133,18 @@ class TestProject:
             s = FeatureIndexSet(dims=n, indexes=np.asarray(indexes))
             np.testing.assert_array_equal(project(packed, s), dense[:, s.indexes])
 
+    def test_one_and_many_documents_and_none(self):
+        """m = 0, 1 and 17 documents, bit for bit the dense columns."""
+        rng = np.random.default_rng(6)
+        n = 50
+        s = FeatureIndexSet(dims=n, indexes=np.sort(rng.choice(n, 11, replace=False)))
+        for m in (0, 1, 17):
+            docs = [random_document(rng, n, int(rng.integers(1, 25))) for _ in range(m)]
+            dense = np.array([d.dense()[0] for d in docs]).reshape(m, n)
+            projected = project(pack(docs, n), s)
+            assert projected.shape == (m, s.f)
+            np.testing.assert_array_equal(projected, dense[:, s.indexes])
+
     def test_no_documents(self):
         s = FeatureIndexSet(dims=30, indexes=np.array([0, 7, 29]))
         assert project(pack([], 30), s).shape == (0, 3)

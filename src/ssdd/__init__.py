@@ -9,9 +9,7 @@ before the exact full-width check.
 
 from .corpus import (
     Corpus,
-    CorpusStats,
     RawDocument,
-    Vocabulary,
     build_document_vector,
     load_cache,
     load_vocabulary,
@@ -35,7 +33,7 @@ from .masking import (
     mask,
     recover,
 )
-from .oracle import OracleResult, ResultDiff, compare_results, oracle_detect
+from .oracle import OracleResult, oracle_detect
 from .protocol.session import (
     AliceSession,
     BobResponder,

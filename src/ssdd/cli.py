@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .bench import row_from_report, run_bench, write_report_csv
 from .corpus import (
     CACHE_MAGIC,
@@ -80,12 +82,16 @@ def _comma_list(kind):
 
 
 def _budget(text: str):
-    """A filter budget, as f for a vocabulary width n: a count, or a
-    percentage of n (``1%``), at least 1."""
+    """A filter budget, as f for a vocabulary width n: a count of 1 or more,
+    or a percentage of n in [0, 100] (``1%``), rounded, at least 1."""
     if text.endswith("%"):
         pct = float(text[:-1])
+        if not 0.0 <= pct <= 100.0:  # NaN included
+            raise argparse.ArgumentTypeError(f"expected a percentage in [0, 100], got {text}")
         return lambda n: max(1, round(n * pct / 100.0))
     f = int(text)
+    if f < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of 1 or more, got {f}")
     return lambda n: f
 
 
@@ -124,10 +130,10 @@ def cmd_ingest(args) -> int:
             )
             return RUNTIME_ERROR
     save_cache(corpus, args.out)
-    stats = corpus.stats()
+    tokens = None if corpus.counts is None else int(corpus.counts.weights.sum())
     print(
-        f"{args.out}: {stats.documents} documents, {stats.dims} dims, "
-        f"{stats.nnz_entries} entries, {stats.total_tokens} tokens"
+        f"{args.out}: {len(corpus)} documents, {corpus.dims} dims, "
+        f"{corpus.vectors.indices.size} entries, {tokens} tokens"
     )
     return 0
 
@@ -209,18 +215,18 @@ def cmd_oracle(args) -> int:
     corpus = load_corpus(args.corpus, args.limit)
     (query_ids, target_ids), (queries, targets) = _split(args, corpus)
     result = oracle_detect(queries, targets, args.tolerance)
-    lines = sorted(result.pairs)
+    pairs = np.argwhere(result.similar).tolist()
     if args.report:
         import csv
 
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("query_doc", "target_doc", "cosine"))
-            for qi, ti in lines:
+            for qi, ti in pairs:
                 writer.writerow(
                     (query_ids[qi], target_ids[ti], result.cosines[(qi, ti)])
                 )
-    print(f"tolerance={args.tolerance} similar_pairs={len(lines)}")
+    print(f"tolerance={args.tolerance} similar_pairs={len(pairs)}")
     return 0
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -41,9 +40,7 @@ from .vectors import PackedDocs
 
 __all__ = [
     "RawDocument",
-    "Vocabulary",
     "Corpus",
-    "CorpusStats",
     "parse_bag_of_words",
     "load_vocabulary",
     "build_document_vector",
@@ -63,29 +60,6 @@ class RawDocument:
 
     doc_id: int
     counts: dict[int, int]
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    terms: tuple[str, ...]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
-
-    def index_of(self, term: str) -> int:
-        return self._index[term]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    documents: int
-    dims: int
-    total_tokens: int | None
-    nnz_entries: int
 
 
 class Corpus:
@@ -136,14 +110,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def stats(self) -> CorpusStats:
-        return CorpusStats(
-            documents=len(self),
-            dims=self.dims,
-            total_tokens=None if self.counts is None else int(self.counts.weights.sum()),
-            nnz_entries=int(self.vectors.indices.size),
-        )
 
     def subset(self, doc_ids: Iterable[int]) -> "Corpus":
         ids = np.fromiter(doc_ids, dtype=np.int64)
@@ -241,8 +207,8 @@ def parse_bag_of_words(lines: Iterable[str]) -> Corpus:
     return Corpus(n_words, counts=_pack_counts(n_words, n_docs, owner, terms, values))
 
 
-def load_vocabulary(lines: Iterable[str]) -> Vocabulary:
-    """One term per line; order defines the dimension index."""
+def load_vocabulary(lines: Iterable[str]) -> tuple[str, ...]:
+    """One term per line; a term's position is its dimension index."""
     terms: list[str] = []
     seen: set[str] = set()
     pending_blank = None
@@ -258,7 +224,7 @@ def load_vocabulary(lines: Iterable[str]) -> Vocabulary:
             raise DuplicateTermError(term, lineno)
         seen.add(term)
         terms.append(term)
-    return Vocabulary(tuple(terms))
+    return tuple(terms)
 
 
 def write_docword(corpus: Corpus, out: IO[str]) -> None:

@@ -86,25 +86,12 @@ HEADER_SIZE = 4
 MAX_FRAME_SIZE = 1 << 30
 
 
-def _same(a, b) -> bool:
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        return a == b
-    a, b = np.asarray(a), np.asarray(b)
-    empty = a.size == b.size == 0
-    return empty or (a.shape == b.shape and np.array_equal(a, b, equal_nan=True))
-
-
 class _Message:
-    """Field-wise equality: arrays match by shape and value, NaN matching
-    NaN, and any two empty arrays match."""
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+    """A wire message.  Messages with array fields compare by identity: check
+    a decoded one by encoding it again."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Hello(_Message):
     version: int
     n: int
@@ -149,7 +136,7 @@ class FullReply(_Message):
     t: np.ndarray  # (k_new, ceil(n/2)): the survivors whose t is new
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bye(_Message):
     pass
 

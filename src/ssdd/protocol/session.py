@@ -177,6 +177,7 @@ def evaluate_filter(delta_fs, norm_u2, norm_v2):
     return 1.0 - np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0) / 2.0
 
 
+# kept for perfbench, which reads ``DetectionReport.decisions``
 @dataclass(frozen=True)
 class SimilarityDecision:
     """Verdict for one (query, target) pair.
@@ -215,8 +216,9 @@ class DetectionReport:
 
     ``cosines`` holds each pair's recovered cosine, NaN where the filter
     dismissed the pair or its query was never reached; ``similar`` is the
-    verdict.  The first ``decided`` queries were decided; an aborted session
-    keeps the rows it finished.
+    verdict, which the plaintext ``OracleResult.similar`` checks.  The first
+    ``decided`` queries were decided; an aborted session keeps the rows it
+    finished.
     """
 
     config: SessionConfig
@@ -227,6 +229,7 @@ class DetectionReport:
     metrics: SessionMetrics = field(default_factory=SessionMetrics)
     aborted: bool = False
 
+    # kept for perfbench, which judges a run by its decisions
     @property
     def decisions(self) -> list[SimilarityDecision]:
         """One decision per pair of the decided queries, query-major."""
@@ -237,10 +240,6 @@ class DetectionReport:
             for q, (row, verdicts) in enumerate(zip(cosines, similar))
             for t, (c, s) in enumerate(zip(row, verdicts))
         ]
-
-    def similar_pairs(self) -> list[tuple[int, int]]:
-        """(query, target) of every similar pair, query-major."""
-        return [(q, t) for q, t in np.argwhere(self.similar).tolist()]
 
 
 def _subseed(config: SessionConfig, k: int) -> int:

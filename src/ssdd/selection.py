@@ -101,9 +101,7 @@ def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> FeatureIndexSet
         raise DimensionError(
             f"current and whole disagree on dims: {cur.shape} != {agg.shape}"
         )
-    cur_z, _ = zscore(cur)
-    agg_z, _ = zscore(agg)
-    return top_f(np.abs(cur_z - agg_z), f)
+    return top_f(np.abs(zscore(cur) - zscore(agg)), f)
 
 
 def aggregate_whole_vector(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:

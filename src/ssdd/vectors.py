@@ -191,19 +191,16 @@ def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
     return out.T
 
 
-def zscore(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Standardize with the population standard deviation.
-
-    Returns (scores, degenerate).  A constant vector has zero deviation; it
-    maps to all zeros with the degenerate flag set.
-    """
+def zscore(values: np.ndarray) -> np.ndarray:
+    """Standardize with the population standard deviation.  A constant
+    vector has zero deviation; it maps to all zeros."""
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise RangeError("cannot z-score an empty vector")
     sigma = float(np.std(x))
     if sigma == 0.0:
-        return np.zeros_like(x), True
-    return (x - x.mean()) / sigma, False
+        return np.zeros_like(x)
+    return (x - x.mean()) / sigma
 
 
 def top_f(values: np.ndarray, f: int) -> FeatureIndexSet:

@@ -40,6 +40,17 @@ def dot(u: PackedDocs, v: PackedDocs) -> float:
     return float(u.weights[iu] @ v.weights[iv])
 
 
+def missed_and_extra(reported: np.ndarray, expected: np.ndarray) -> tuple[list, list]:
+    """The [query, target] pairs that the verdict array ``reported`` misses
+    of ``expected``, and those it adds, each query-major; ``([], [])`` when
+    the two agree."""
+    assert reported.shape == expected.shape
+    return (
+        np.argwhere(expected & ~reported).tolist(),
+        np.argwhere(reported & ~expected).tolist(),
+    )
+
+
 def respond(
     z: np.ndarray, v: PackedDocs, matrix: SharedRandomMatrix
 ) -> tuple[float, np.ndarray]:

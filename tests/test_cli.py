@@ -5,13 +5,15 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from ssdd.bench import REPORT_COLUMNS
 from ssdd.cli import main
 from ssdd.corpus import load_cache, split_queries, write_docword
 from ssdd.errors import SessionError
-from ssdd.protocol.session import SessionConfig, run_detection
+from ssdd.oracle import oracle_detect
+from ssdd.protocol.session import SessionConfig, run_detection, run_local_detection
 from ssdd.protocol.transport import connect_tcp
 
 from conftest import synth_corpus
@@ -61,11 +63,15 @@ class TestIngest:
         )
         assert code == 2
 
-    def test_limit_truncates(self, docword_path, tmp_path, capsys):
+    def test_limit_truncates(self, corpus, docword_path, tmp_path, capsys):
         out = tmp_path / "five.bin"
         assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "5"]) == 0
         assert len(load_cache(out)) == 5
-        assert "5 documents" in capsys.readouterr().out
+        five = corpus.subset(range(5)).counts
+        assert capsys.readouterr().out == (
+            f"{out}: 5 documents, {corpus.dims} dims, "
+            f"{five.indices.size} entries, {five.weights.sum()} tokens\n"
+        )
 
     def test_limit_zero_keeps_no_documents(self, docword_path, tmp_path, capsys):
         out = tmp_path / "none.bin"
@@ -154,6 +160,13 @@ class TestDetect:
         assert main(["detect", str(cache_path), "--method", "bogus"]) == 1
         assert "unknown method 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, f", [("0%", 1), ("100%", 120), ("1", 1)])
+    def test_budget_at_the_ends_of_its_range(self, cache_path, capsys, value, f):
+        # a percentage rounds to at least 1; n = 120
+        argv = ["detect", str(cache_path), "--method", "hf", "--dims", value]
+        assert main(argv + ["--queries", "3"]) == 0
+        assert f"method=hf f={f} " in capsys.readouterr().out
+
 
 class TestParser:
     def test_unknown_subcommand(self, capsys):
@@ -182,6 +195,22 @@ class TestParser:
         assert main(command + ["--limit", "-3"]) == 1
         assert "--limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf%", "-inf%", "nan%", "-5%", "101%", "0", "-5"])
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    def test_budget_outside_its_range_is_usage_error(
+        self, cache_path, tmp_path, capsys, command, value
+    ):
+        """A non-finite, negative or over-100 percentage, and a count below 1,
+        are refused while parsing: no run starts and no report is written."""
+        report = tmp_path / "never.csv"
+        argv = [command, str(cache_path), f"--dims={value}", "--report", str(report)]
+        extra = ["--method", "hf"] if command == "detect" else ["--methods", "hf"]
+        assert main(argv + extra) == 1
+        refused = capsys.readouterr()
+        assert "argument --dims" in refused.err and value in refused.err
+        assert refused.out == ""
+        assert not report.exists()
+
 
 class TestOracleCommand:
     def test_summary_and_report(self, cache_path, tmp_path, capsys):
@@ -205,6 +234,34 @@ class TestOracleCommand:
         with report.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["query_doc", "target_doc", "cosine"]
+
+    def test_report_rows_are_the_similar_pairs(self, corpus, cache_path, tmp_path, capsys):
+        """One row per similar pair, query-major, named by corpus doc ids,
+        with the oracle's cosine; the pairs a BASE run reports."""
+        report = tmp_path / "truth.csv"
+        split = ["--tolerance", "0.3", "--queries", "5", "--seed", "3"]
+        assert main(["oracle", str(cache_path), *split, "--report", str(report)]) == 0
+        assert "similar_pairs=12" in capsys.readouterr().out
+        with report.open() as fh:
+            rows = list(csv.reader(fh))[1:]
+
+        query_ids, target_ids = split_queries(corpus, k=5, seed=3)
+        queries = corpus.vectors.take(query_ids)
+        targets = corpus.vectors.take(target_ids)
+        oracle = oracle_detect(queries, targets, 0.3)
+        margin = min(abs(c - 0.3) for c in oracle.cosines.values())
+        assert margin > 1e-6, "fixture produced a borderline pair"
+        pairs = [[q, t] for (q, t), c in sorted(oracle.cosines.items()) if c >= 0.3]
+        assert len(pairs) == 12 and len({q for q, _ in pairs}) > 1
+        assert [(int(q), int(t)) for q, t, _ in rows] == [
+            (query_ids[q], target_ids[t]) for q, t in pairs
+        ]
+        assert [float(c) for *_, c in rows] == [oracle.cosines[(q, t)] for q, t in pairs]
+
+        run = run_local_detection(queries, SessionConfig(n=corpus.dims, epsilon=0.3), targets)
+        assert np.argwhere(run.similar).tolist() == pairs
+        assert main(["detect", str(cache_path), *split]) == 0
+        assert "similar=12 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "1.5", "-2"])
     def test_tolerance_outside_unit_interval(self, cache_path, capsys, value):

@@ -42,11 +42,11 @@ class TestParseBagOfWords:
         np.testing.assert_allclose(corpus.vectors[0].weights, [1.0])
 
     def test_stats(self):
-        stats = parse_bag_of_words(io.StringIO(EXAMPLE)).stats()
-        assert stats.documents == 3
-        assert stats.dims == 4
-        assert stats.total_tokens == 6
-        assert stats.nnz_entries == 2
+        corpus = parse_bag_of_words(io.StringIO(EXAMPLE))
+        assert len(corpus) == 3
+        assert corpus.dims == 4
+        assert corpus.counts.weights.sum() == 6
+        assert corpus.vectors.indices.size == 2
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -200,7 +200,7 @@ class TestCounts:
         part = corpus.subset([7, 1, 1])
         for a, i in zip(part.vectors, [7, 1, 1]):
             np.testing.assert_array_equal(a.weights, corpus.vectors[i].weights)
-        assert part.stats().total_tokens == sum(
+        assert part.counts.weights.sum() == sum(
             int(corpus.counts[i].weights.sum()) for i in [7, 1, 1]
         )
 
@@ -208,8 +208,8 @@ class TestCounts:
 class TestVocabulary:
     def test_load_and_index(self):
         vocab = load_vocabulary(io.StringIO("alpha\nbeta\ngamma\n"))
-        assert len(vocab) == 3
-        assert vocab.index_of("beta") == 1
+        assert vocab == ("alpha", "beta", "gamma")
+        assert vocab.index("beta") == 1
 
     def test_duplicate_term(self):
         with pytest.raises(DuplicateTermError):
@@ -270,7 +270,7 @@ class TestCache:
         write_v2_cache(path, 7, [])
         corpus = load_cache(path)
         assert len(corpus) == 0 and corpus.dims == 7
-        assert corpus.stats().nnz_entries == 0
+        assert corpus.vectors.indices.size == 0
         assert list(corpus.vectors) == []
 
     def test_round_trip(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from ssdd.bench import REPORT_COLUMNS, row_from_report, run_bench, write_report_csv
 from ssdd.corpus import build_document_vector, split_queries
 from ssdd.errors import DimensionError, RangeError
-from ssdd.oracle import compare_results, oracle_detect
+from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
     DetectionReport,
     SessionConfig,
@@ -18,7 +18,7 @@ from ssdd.protocol.session import (
 )
 from ssdd.selection import SelectionMethod
 from ssdd.vectors import pack
-from conftest import dot, synth_corpus
+from conftest import dot, missed_and_extra, synth_corpus
 
 
 class TestOracle:
@@ -26,14 +26,14 @@ class TestOracle:
         alice = pack([build_document_vector({0: 1}, 2)], 2)
         bob = pack([build_document_vector({0: 1}, 2), build_document_vector({1: 1}, 2)], 2)
         result = oracle_detect(alice, bob, 0.9)
-        assert result.pairs == frozenset({(0, 0)})
+        assert result.similar.tolist() == [[True, False]]
         assert result.cosines == {(0, 0): pytest.approx(1.0), (0, 1): pytest.approx(0.0)}
 
     def test_empty_document_never_matches(self):
         alice = pack([build_document_vector({}, 3)], 3)
         bob = pack([build_document_vector({0: 1}, 3)], 3)
         result = oracle_detect(alice, bob, 0.0)
-        assert result.pairs == frozenset()
+        assert result.similar.tolist() == [[False]]
         assert result.cosines[(0, 0)] == 0.0
 
     def test_matches_per_pair_dot_reference(self):
@@ -52,11 +52,12 @@ class TestOracle:
         alice, bob = pack(alice, 700), pack(bob, 700)
         result = oracle_detect(alice, bob, epsilon)
         assert result.cosines.keys() == reference.keys()
+        assert result.similar.shape == (len(alice), len(bob))
         gap = max(abs(result.cosines[p] - c) for p, c in reference.items())
         assert gap <= 1e-15
         clear = {p for p, c in reference.items() if abs(c - epsilon) > 1e-12}
         expected = {p for p in clear if reference[p] >= epsilon}
-        assert result.pairs & clear == expected
+        assert {p for p in clear if result.similar[p]} == expected
         assert 8 < len(expected) < len(clear) / 2
         with pytest.raises(DimensionError):
             oracle_detect(alice, pack([build_document_vector({0: 1}, 701)], 701), epsilon)
@@ -66,7 +67,7 @@ class TestOracle:
         v = build_document_vector({0: 1}, 2)
         cos = oracle_detect(pack([u], 2), pack([v], 2), 0.0).cosines[(0, 0)]
         at_boundary = oracle_detect(pack([u], 2), pack([v], 2), cos)
-        assert (0, 0) in at_boundary.pairs
+        assert at_boundary.similar[0, 0]
 
     @pytest.mark.parametrize("epsilon", [np.nan, 1.5, -2.0], ids=["nan", "1.5", "-2"])
     def test_tolerance_outside_unit_interval_is_refused(self, epsilon):
@@ -75,22 +76,6 @@ class TestOracle:
         docs = pack([build_document_vector({0: 1}, 2)], 2)
         with pytest.raises(RangeError, match="outside"):
             oracle_detect(docs, docs, epsilon)
-
-    def test_compare_results_reports_both_directions(self):
-        config = SessionConfig(n=2, epsilon=0.9)
-        report = DetectionReport(
-            config=config,
-            target_count=2,
-            cosines=np.array([[1.0, 0.0]]),
-            similar=np.array([[True, False]]),
-            decided=1,
-        )
-        alice = pack([build_document_vector({0: 1}, 2)], 2)
-        bob = pack([build_document_vector({1: 1}, 2), build_document_vector({0: 1}, 2)], 2)
-        diff = compare_results(report, oracle_detect(alice, bob, 0.9))
-        assert diff.missing == frozenset({(0, 1)})
-        assert diff.extra == frozenset({(0, 0)})
-        assert not diff.ok
 
     def test_agreeing_report_is_ok(self):
         alice = pack([build_document_vector({0: 1}, 2)], 2)
@@ -107,7 +92,7 @@ class TestOracle:
         assert report.decisions == [
             SimilarityDecision(0, 0, similar=True, cosine=1.0, filtered=False)
         ]
-        assert compare_results(report, oracle).ok
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +175,7 @@ class TestBench:
         row = row_from_report(report)
         assert row.method == "gf"
         assert row.f == 30
-        assert row.similar_pairs == len(report.similar_pairs())
+        assert row.similar_pairs == sum(d.similar for d in report.decisions)
         assert row.wall_ms == pytest.approx(report.metrics.wall_time * 1000.0)
         assert row.bytes_sent_alice == report.metrics.bytes_sent_alice
 

@@ -21,7 +21,7 @@ from ssdd.errors import (
     SessionError,
 )
 from ssdd.masking import SharedRandomMatrix, mask, recover
-from ssdd.oracle import compare_results, oracle_detect
+from ssdd.oracle import oracle_detect
 from ssdd.protocol.messages import (
     MAX_FRAME_SIZE,
     MSG_HELLO,
@@ -62,7 +62,13 @@ from ssdd.selection import (
 )
 from ssdd.vectors import FeatureIndexSet, PackedDocs, pack, project
 
-from conftest import random_document, random_unit_dense, respond, synth_corpus
+from conftest import (
+    missed_and_extra,
+    random_document,
+    random_unit_dense,
+    respond,
+    synth_corpus,
+)
 
 
 def config_for(method, n=500, f=50, epsilon=0.8):
@@ -143,7 +149,8 @@ class TestSessionConfig:
         assert session_module._subseed(config, 2) == 1
         docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
         report = run_local_detection(docs, config, docs)
-        assert compare_results(report, oracle_detect(docs, docs, 0.5)).ok
+        oracle = oracle_detect(docs, docs, 0.5)
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
 
     def test_from_hello_rejects_unknown_method(self):
         hello = config_for(SelectionMethod.RP).hello()
@@ -406,8 +413,7 @@ class TestDetectionAgainstOracle:
         margin = min(abs(c - config.epsilon) for c in oracle.cosines.values())
         assert margin > 1e-6, "fixture produced a borderline pair"
         report = run_detection_locally(queries, config, targets)
-        diff = compare_results(report, oracle)
-        assert diff.ok, f"missing={sorted(diff.missing)} extra={sorted(diff.extra)}"
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
         for d in report.decisions:
             if not d.filtered:
                 expected = oracle.cosines[(d.query_id, d.target_id)]
@@ -1339,8 +1345,9 @@ class TestEmptyTargets:
         config = config_for(method, n=10, f=2, epsilon=0.0)
         report = run_local_detection(queries, config, targets)
         assert not report.aborted and report.decided == 2
-        assert compare_results(report, oracle_detect(queries, targets, 0.0)).ok
-        assert report.similar_pairs() == [(0, 1), (1, 1)]
+        oracle = oracle_detect(queries, targets, 0.0)
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
+        assert np.argwhere(report.similar).tolist() == [[0, 1], [1, 1]]
         assert report.cosines[:, 0].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1354,7 +1361,8 @@ class TestEmptyTargets:
         config = SessionConfig(n=4, epsilon=0.8, seed=seed)
         queries, targets = pack([doc, doc], 4), pack([doc], 4)
         report = run_local_detection(queries, config, targets)
-        assert compare_results(report, oracle_detect(queries, targets, 0.8)).ok
+        oracle = oracle_detect(queries, targets, 0.8)
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
         assert report.similar.tolist() == [[True], [True]]
         assert report.cosines == pytest.approx(np.ones((2, 1)), abs=1e-12)
 
@@ -1376,7 +1384,7 @@ class TestReportArrays:
         # rows past the abort stay undecided
         assert np.isnan(report.cosines[1:]).all()
         assert not report.similar[1:].any()
-        assert report.similar_pairs() == [(0, 0)]
+        assert np.argwhere(report.similar).tolist() == [[0, 0]]
 
     def test_filtered_is_nan_is_no_cosine(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
@@ -1416,9 +1424,10 @@ class TestReportArrays:
             similar=similar,
             decided=3,
         )
-        assert report.similar_pairs() == [(0, 1), (0, 2), (1, 0), (2, 2)]
-        assert report.similar_pairs() == [
-            (d.query_id, d.target_id) for d in report.decisions if d.similar
+        pairs = np.argwhere(report.similar).tolist()
+        assert pairs == [[0, 1], [0, 2], [1, 0], [2, 2]]
+        assert pairs == [
+            [d.query_id, d.target_id] for d in report.decisions if d.similar
         ]
 
     def test_session_similar_pairs_are_query_major(self, small_corpus):
@@ -1426,10 +1435,10 @@ class TestReportArrays:
         queries = small_corpus.vectors.take(query_ids)
         targets = small_corpus.vectors.take(target_ids)
         report = run_detection_locally(queries, config_for(SelectionMethod.BASE), targets)
-        pairs = report.similar_pairs()
+        pairs = np.argwhere(report.similar).tolist()
         assert len({q for q, _ in pairs}) > 1
         assert pairs == sorted(pairs)
-        assert pairs == [(d.query_id, d.target_id) for d in report.decisions if d.similar]
+        assert pairs == [[d.query_id, d.target_id] for d in report.decisions if d.similar]
         assert all(type(q) is int and type(t) is int for q, t in pairs)
 
 
@@ -1567,19 +1576,19 @@ class TestTransposeOncePerSession:
         full = [m for m in bob.replies if isinstance(m, FullReply)]
         assert [m.doc_ids.tolist() for m in full] == [[0], [4], [0]]
         assert [len(m.t) for m in full] == [1, 1, 0]
-        assert report.similar_pairs() == [(0, 0), (1, 4), (2, 0)]
+        assert np.argwhere(report.similar).tolist() == [[0, 0], [1, 4], [2, 0]]
 
     def assert_aborted_after(self, report, decided):
         assert report.aborted
         assert report.decided == decided
-        assert report.similar_pairs() == [(0, 0), (1, 4)][:decided]
+        assert np.argwhere(report.similar).tolist() == [[0, 0], [1, 4]][:decided]
         assert np.isnan(report.cosines[decided:]).all()
 
     def test_resent_t(self):
         config = config_for(SelectionMethod.BASE, n=40)
         report = run_against(ForgetfulBob(self.docs, 40), self.docs.take([0, 1]), config)
         assert report.aborted and report.decided == 1
-        assert report.similar_pairs() == [(0, 0)]
+        assert np.argwhere(report.similar).tolist() == [[0, 0]]
         report = run_against(ForgetfulBob(self.docs, 40), self.queries, self.lf)
         self.assert_aborted_after(report, 2)
 
@@ -1603,7 +1612,8 @@ class TestTransposeOncePerSession:
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)
         assert not report.aborted and report.decided == len(queries)
-        assert compare_results(report, oracle_detect(queries, targets, 0.3)).ok
+        oracle = oracle_detect(queries, targets, 0.3)
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
         seen = set()
         survivors = 0
         for reply in (m for m in bob.replies if isinstance(m, FullReply)):

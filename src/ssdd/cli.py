@@ -81,6 +81,18 @@ def _comma_list(kind):
     return comma_list
 
 
+def _integer(low: int, high: float = float("inf")):
+    """An argument type: an integer in [low, high)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}), got {text}")
+        return value
+
+    return integer
+
+
 def _budget(text: str):
     """A filter budget, as f for a vocabulary width n: a count of 1 or more,
     or a percentage of n in [0, 100] (``1%``), rounded, at least 1."""
@@ -89,9 +101,7 @@ def _budget(text: str):
         if not 0.0 <= pct <= 100.0:  # NaN included
             raise argparse.ArgumentTypeError(f"expected a percentage in [0, 100], got {text}")
         return lambda n: max(1, round(n * pct / 100.0))
-    f = int(text)
-    if f < 1:
-        raise argparse.ArgumentTypeError(f"expected a count of 1 or more, got {f}")
+    f = _integer(1)(text)
     return lambda n: f
 
 
@@ -100,14 +110,6 @@ def _method(text: str) -> SelectionMethod:
         return SelectionMethod.parse(text)
     except RangeError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _limit(text: str) -> int:
-    """A document count: an integer, 0 or more."""
-    limit = int(text)
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {limit}")
-    return limit
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -130,24 +132,24 @@ def cmd_ingest(args) -> int:
             )
             return RUNTIME_ERROR
     save_cache(corpus, args.out)
-    tokens = None if corpus.counts is None else int(corpus.counts.weights.sum())
     print(
         f"{args.out}: {len(corpus)} documents, {corpus.dims} dims, "
-        f"{corpus.vectors.indices.size} entries, {tokens} tokens"
+        f"{corpus.counts.indices.size} entries, {corpus.counts.weights.sum()} tokens"
     )
     return 0
 
 
 def cmd_serve(args) -> int:
-    corpus = load_corpus(args.corpus, args.limit)
+    # the vectors only: a served corpus keeps no counts
+    targets = load_corpus(args.corpus, args.limit).vectors
     host, port = args.listen
 
     def factory():
-        return BobResponder(corpus.vectors, dims=corpus.dims)
+        return BobResponder(targets, dims=targets.dims)
 
     server = TcpServer(factory, host=host, port=port)
     server.start()
-    print(f"serving {len(corpus)} documents on {server.host}:{server.port}")
+    print(f"serving {len(targets)} documents on {server.host}:{server.port}")
     try:
         if args.once:
             server.wait()
@@ -250,11 +252,11 @@ def cmd_bench(args) -> int:
 def _add_split_options(p, limits=None) -> None:
     """The options of the seeded query/target split, shared by detect,
     oracle and bench; --limit goes into ``limits``, else into ``p``."""
-    p.add_argument("--queries", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--queries", type=_integer(1), default=10)
+    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
     p.add_argument("--overlap", action="store_true", help="targets keep query docs")
     (limits or p).add_argument(
-        "--limit", type=_limit, help="keep only the first N documents"
+        "--limit", type=_integer(0), help="keep only the first N documents"
     )
 
 
@@ -266,13 +268,13 @@ def build_parser() -> _Parser:
     p.add_argument("docword")
     p.add_argument("--vocab", help="vocabulary file to validate against")
     p.add_argument("--out", required=True)
-    p.add_argument("--limit", type=_limit, help="keep only the first N documents")
+    p.add_argument("--limit", type=_integer(0), help="keep only the first N documents")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("serve", help="host a corpus for remote detection")
     p.add_argument("corpus")
     p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 7643))
-    p.add_argument("--limit", type=_limit)
+    p.add_argument("--limit", type=_integer(0))
     p.add_argument("--once", action="store_true", help="exit after one session")
     p.set_defaults(func=cmd_serve)
 

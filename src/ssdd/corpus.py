@@ -9,14 +9,16 @@ read-only ``PackedDocs`` of raw term counts, and ``vectors``, the same
 documents unit L2-normalized (empty ones as degenerate zero vectors),
 sharing ``indptr`` and ``indices`` with ``counts``.  Every session over a
 corpus shares its vectors.  A corpus can be cached in a little-endian
-binary file, version 2::
+binary file, version 3::
 
     magic "SSDDCORP" | version u32 | D u32 | W u32
-    | nnz u32[D] | index u32[NNZ] | weight f64[NNZ]
+    | nnz u32[D] | index u32[NNZ] | count u64[NNZ]
 
-The cache holds the normalized weights only, so a cache-loaded corpus has
-``counts is None``.  A version 1 cache (each document's nnz, then its
-entries) is refused: ingest its docword file again.
+Whether from documents, a docword file or a cache, every corpus is built
+from its counts by ``Corpus``, which checks them and normalizes them.  A
+version 1 cache (each document's nnz, then its entries) or a version 2
+cache (normalized weights in place of the counts) is refused: ingest its
+docword file again.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionError,
     DuplicateEntryError,
     DuplicateTermError,
     ParseError,
@@ -51,7 +54,7 @@ __all__ = [
 ]
 
 CACHE_MAGIC = b"SSDDCORP"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,11 @@ class RawDocument:
 class Corpus:
     """Ordered documents over a fixed vocabulary width.
 
-    Built from ``documents`` (in order; their ``doc_id`` is not kept; every
-    term an integer, every count a positive integer) or from ``counts``, a
-    corpus holds its raw counts as ``counts`` and derives ``vectors`` from
-    them.  Built from ``vectors`` alone, as a cache-loaded corpus is, it has
-    no counts (``counts is None``).
+    Built from ``documents`` (in order; their ``doc_id`` is not kept) or
+    from ``counts``, a ``PackedDocs`` of raw counts over ``dims`` terms,
+    a corpus checks its counts (every term an integer in [0, dims), every
+    count an integer in [1, 2**63)), holds them as ``counts`` and derives
+    ``vectors`` from them.
     """
 
     def __init__(
@@ -78,10 +81,11 @@ class Corpus:
         documents: Sequence[RawDocument] | None = None,
         *,
         counts: PackedDocs | None = None,
-        vectors: PackedDocs | None = None,
     ):
         if dims < 0:
             raise RangeError("vocabulary width cannot be negative")
+        if (documents is None) == (counts is None):
+            raise RangeError("a corpus is built from documents or from counts")
         if documents is not None:
             owner = np.repeat(np.arange(len(documents)), [len(d.counts) for d in documents])
             terms = chain.from_iterable(d.counts for d in documents)
@@ -94,27 +98,24 @@ class Corpus:
                     for column in (terms, values)
                 )
             except (TypeError, OverflowError):
-                values = None
-            if values is None or np.any(values <= 0):
-                raise RangeError(
-                    "terms must be integers, and counts positive integers, below 2**63"
-                )
+                raise RangeError("terms and counts must be integers below 2**63") from None
             counts = _pack_counts(dims, len(documents), owner, terms, values)
-        if counts is not None:
-            vectors = _normalize(counts)
-        elif vectors is None:
-            raise RangeError("a corpus needs documents, counts or vectors")
+        if counts.dims != dims:
+            raise DimensionError(f"counts over {counts.dims} terms, corpus over {dims}")
+        # signed, so that a u64 count from a cache at or above 2**63, read
+        # as int64, is negative
+        if counts.weights.dtype.kind != "i" or np.any(counts.weights < 1):
+            raise RangeError("counts must be integers in [1, 2**63)")
+        counts.check()
         self.dims = dims
         self.counts = counts
-        self.vectors = vectors
+        self.vectors = _normalize(counts)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def subset(self, doc_ids: Iterable[int]) -> "Corpus":
         ids = np.fromiter(doc_ids, dtype=np.int64)
-        if self.counts is None:
-            return Corpus(self.dims, vectors=self.vectors.take(ids))
         return Corpus(self.dims, counts=self.counts.take(ids))
 
 
@@ -122,14 +123,11 @@ def _pack_counts(
     dims: int, n_docs: int, owner: np.ndarray, terms: np.ndarray, values: np.ndarray
 ) -> PackedDocs:
     """Raw counts as CSR: entry k is ``values[k]`` of term ``terms[k]`` in
-    document ``owner[k]``, in any order; sorted by (document, term), then
-    checked."""
+    document ``owner[k]``, in any order; sorted by (document, term)."""
     order = np.lexsort((terms, owner))
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n_docs), out=indptr[1:])
-    counts = PackedDocs(dims, indptr, terms[order], values[order])
-    counts.check()
-    return counts
+    return PackedDocs(dims, indptr, terms[order], values[order])
 
 
 def _normalize(counts: PackedDocs) -> PackedDocs:
@@ -140,7 +138,8 @@ def _normalize(counts: PackedDocs) -> PackedDocs:
     values = counts.weights.astype(np.float64)
     owner = counts.owner
     norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=len(counts)))
-    return PackedDocs(counts.dims, counts.indptr, counts.indices, values / norms[owner])
+    values /= norms[owner]
+    return PackedDocs(counts.dims, counts.indptr, counts.indices, values)
 
 
 def build_document_vector(counts: dict[int, int], dims: int) -> PackedDocs:
@@ -228,11 +227,9 @@ def load_vocabulary(lines: Iterable[str]) -> tuple[str, ...]:
 
 
 def write_docword(corpus: Corpus, out: IO[str]) -> None:
-    """Inverse of parse_bag_of_words; requires raw counts.  Documents are
-    numbered by their position in the corpus, from 1."""
+    """Inverse of parse_bag_of_words.  Documents are numbered by their
+    position in the corpus, from 1."""
     counts = corpus.counts
-    if counts is None:
-        raise RangeError("corpus has no raw counts to serialize")
     rows = np.column_stack((counts.owner + 1, counts.indices + 1, counts.weights)).tolist()
     out.write(f"{len(counts)}\n{counts.dims}\n{len(rows)}\n")
     out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)
@@ -245,24 +242,24 @@ def split_queries(
     if not 1 <= k <= len(corpus):
         raise RangeError(f"k={k} outside [1, {len(corpus)}]")
     rng = np.random.default_rng(seed)
-    queries = sorted(int(i) for i in rng.choice(len(corpus), size=k, replace=False))
-    chosen = set() if overlap else set(queries)
-    targets = [i for i in range(len(corpus)) if i not in chosen]
-    return queries, targets
+    queries = np.sort(rng.choice(len(corpus), size=k, replace=False))
+    targets = np.arange(len(corpus))
+    if not overlap:
+        targets = np.delete(targets, queries)
+    return queries.tolist(), targets.tolist()
 
 
 def save_cache(corpus: Corpus, path: str | Path) -> None:
-    docs = corpus.vectors
+    counts = corpus.counts
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC + struct.pack("<III", CACHE_VERSION, len(docs), corpus.dims))
-        fh.write(docs.nnz.astype("<u4"))
-        fh.write(docs.indices.astype("<u4"))
-        fh.write(docs.weights.astype("<f8"))
+        fh.write(CACHE_MAGIC + struct.pack("<III", CACHE_VERSION, len(counts), corpus.dims))
+        fh.write(counts.nnz.astype("<u4"))
+        fh.write(counts.indices.astype("<u4"))
+        fh.write(counts.weights.astype("<u8"))
 
 
 def load_cache(path: str | Path) -> Corpus:
-    """The corpus a cache file holds, read into one PackedDocs and checked
-    as a corpus's counts are (``PackedDocs.check``)."""
+    """The corpus whose counts a cache file holds, built by ``Corpus``."""
     data = Path(path).read_bytes()
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ParseError(f"{path}: not a corpus cache (bad magic)")
@@ -282,11 +279,10 @@ def load_cache(path: str | Path) -> Corpus:
     if len(data) != start + 12 * nnz:
         short = len(data) < start + 12 * nnz
         raise ParseError(f"{path}: " + ("truncated cache body" if short else "trailing bytes"))
-    docs = PackedDocs(
+    counts = PackedDocs(
         dims,
         indptr,
         np.frombuffer(data, "<u4", nnz, start).astype(np.int64),
-        np.frombuffer(data, "<f8", nnz, start + 4 * nnz).astype(np.float64),
+        np.frombuffer(data, "<u8", nnz, start + 4 * nnz).astype(np.int64),
     )
-    docs.check()
-    return Corpus(dims, vectors=docs)
+    return Corpus(dims, counts=counts)

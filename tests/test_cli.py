@@ -46,6 +46,13 @@ class TestIngest:
         assert cached.dims == corpus.dims
         for mine, theirs in zip(corpus.vectors, cached.vectors):
             assert mine.nnz[0] == theirs.nnz[0]
+        for array in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(cached.counts, array), getattr(corpus.counts, array)
+            )
+            assert getattr(cached.vectors, array).tobytes() == getattr(
+                corpus.vectors, array
+            ).tobytes()
 
     def test_vocabulary_width_is_checked(self, corpus, docword_path, tmp_path):
         good = tmp_path / "vocab.txt"
@@ -195,6 +202,21 @@ class TestParser:
         assert main(command + ["--limit", "-3"]) == 1
         assert "--limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--queries", "0"], ["--queries", "-2"], ["--seed", "-1"], ["--seed", str(2**64)]],
+        ids=["queries=0", "queries=-2", "seed=-1", "seed=2**64"],
+    )
+    @pytest.mark.parametrize("command", ["detect", "oracle", "bench"])
+    def test_split_option_outside_its_range_is_usage_error(self, command, option, capsys):
+        # refused while parsing, before the absent corpus is opened
+        argv = [command, "absent.bin", *option]
+        if command == "bench":
+            argv += ["--report", "absent.csv"]
+        assert main(argv) == 1
+        refused = capsys.readouterr()
+        assert f"argument {option[0]}" in refused.err and option[1] in refused.err
+
     @pytest.mark.parametrize("value", ["inf%", "-inf%", "nan%", "-5%", "101%", "0", "-5"])
     @pytest.mark.parametrize("command", ["detect", "bench"])
     def test_budget_outside_its_range_is_usage_error(
@@ -273,6 +295,11 @@ class TestOracleCommand:
         assert f"tolerance {float(value)} outside [0, 1]" in refused.err
         assert main(["detect", str(cache_path), "--tolerance", value]) == 2
         assert capsys.readouterr().err == refused.err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_ends_of_its_range(self, cache_path, capsys, seed):
+        assert main(["oracle", str(cache_path), "--seed", str(seed)]) == 0
+        assert "similar_pairs=" in capsys.readouterr().out
 
 
 class TestBenchCommand:

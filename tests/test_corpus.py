@@ -19,11 +19,16 @@ from ssdd.corpus import (
     write_docword,
 )
 from ssdd.errors import (
+    DimensionError,
     DuplicateEntryError,
     DuplicateTermError,
     ParseError,
     RangeError,
 )
+from ssdd.oracle import oracle_detect
+from ssdd.protocol.session import SessionConfig, run_local_detection
+from ssdd.selection import SelectionMethod
+from ssdd.vectors import PackedDocs
 
 from conftest import synth_corpus
 
@@ -195,6 +200,27 @@ class TestCounts:
         with pytest.raises(RangeError):
             Corpus(4, [RawDocument(0, {"2": 2})])
 
+    def test_counts_over_another_width_are_refused(self):
+        counts = PackedDocs(7, np.array([0, 1]), np.array([6]), np.array([2]))
+        with pytest.raises(DimensionError):
+            Corpus(5, counts=counts)
+
+    def test_documents_or_counts(self):
+        counts = PackedDocs(4, np.array([0, 1]), np.array([2]), np.array([3]))
+        with pytest.raises(RangeError):
+            Corpus(4)
+        with pytest.raises(RangeError):
+            Corpus(4, [RawDocument(0, {2: 3})], counts=counts)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64, np.bool_])
+    def test_counts_must_be_signed_integers(self, dtype):
+        """Float counts are refused, and so are unsigned ones, which a
+        cache could not hold at or above 2**63."""
+        values = np.array([2, 1], dtype=dtype)
+        counts = PackedDocs(4, np.array([0, 2]), np.array([0, 1]), values)
+        with pytest.raises(RangeError):
+            Corpus(4, counts=counts)
+
     def test_subset_keeps_counts(self):
         corpus = synth_corpus(n_docs=12, dims=90, seed=2, mean_terms=9)
         part = corpus.subset([7, 1, 1])
@@ -224,16 +250,16 @@ class TestVocabulary:
         assert len(vocab) == 2
 
 
-def write_v2_cache(path, dims, docs) -> None:
-    """A version 2 cache written by hand: ``docs`` lists each document's
-    (index, weight) entries as stored, checked or not."""
+def write_v3_cache(path, dims, docs) -> None:
+    """A version 3 cache written by hand: ``docs`` lists each document's
+    (index, count) entries as stored, checked or not."""
     entries = [entry for doc in docs for entry in doc]
     path.write_bytes(
         CACHE_MAGIC
-        + struct.pack("<III", 2, len(docs), dims)
+        + struct.pack("<III", 3, len(docs), dims)
         + struct.pack(f"<{len(docs)}I", *map(len, docs))
         + struct.pack(f"<{len(entries)}I", *(i for i, _ in entries))
-        + struct.pack(f"<{len(entries)}d", *(w for _, w in entries))
+        + struct.pack(f"<{len(entries)}Q", *(c for _, c in entries))
     )
 
 
@@ -241,33 +267,69 @@ class TestCache:
     @pytest.mark.parametrize(
         "docs",
         [
-            [[(0, 1.0)], [(2, 0.6), (5, 0.8)]],
-            [[(1, 0.6), (1, 0.8)]],
-            [[], [(0, 0.6), (3, 0.6), (2, 0.5)]],
+            [[(0, 1)], [(2, 3), (5, 4)]],
+            [[(1, 3), (1, 4)]],
+            [[], [(0, 2), (3, 2), (2, 1)]],
+            [[(0, 1)], [(2, 0), (4, 1)]],
+            [[(0, 1)], [(2, 2**63)]],
+            [[(0, 1)], [(2, 2**64 - 1)]],
         ],
-        ids=["index-at-width", "repeated-index", "decreasing-indices"],
+        ids=[
+            "index-at-width",
+            "repeated-index",
+            "decreasing-indices",
+            "zero-count",
+            "count-at-2**63",
+            "count-at-2**64-1",
+        ],
     )
     def test_bad_entries_are_rejected(self, tmp_path, docs):
         path = tmp_path / "bad.bin"
-        write_v2_cache(path, 5, docs)
+        write_v3_cache(path, 5, docs)
         with pytest.raises(RangeError):
             load_cache(path)
 
     def test_indices_restart_at_each_document(self, tmp_path):
         """Only steps within a document must increase: the next document,
         after empty ones or not, may start lower."""
-        docs = [[(3, 0.6), (4, 0.8)], [(1, 1.0)], [], [], [(0, 0.6), (4, 0.8)], []]
+        docs = [[(3, 3), (4, 4)], [(1, 7)], [], [], [(0, 6), (4, 8)], []]
+        weights = [[0.6, 0.8], [1.0], [], [], [0.6, 0.8], []]
         path = tmp_path / "restart.bin"
-        write_v2_cache(path, 5, docs)
+        write_v3_cache(path, 5, docs)
         corpus = load_cache(path)
         assert len(corpus) == 6
-        for vec, entries in zip(corpus.vectors, docs, strict=True):
+        for vec, counts, entries, expected in zip(
+            corpus.vectors, corpus.counts, docs, weights, strict=True
+        ):
             assert vec.indices.tolist() == [i for i, _ in entries]
-            assert vec.weights.tolist() == [w for _, w in entries]
+            assert counts.weights.tolist() == [c for _, c in entries]
+            assert vec.weights.tolist() == expected
+
+    def test_unnormalized_documents_are_normalized(self, tmp_path):
+        """A version 2 cache held weights that nothing checked: with the
+        first document normalized and the second stored as weight 2.0, LF
+        and GF with f = 1 dismissed this pair, which the plaintext cosine
+        calls similar.  A version 3 cache holds counts, so both documents
+        load as unit vectors and every method agrees with the oracle."""
+        path = tmp_path / "counts.bin"
+        write_v3_cache(path, 4, [[(0, 2), (1, 1)], [(0, 2)]])
+        corpus = load_cache(path)
+        np.testing.assert_allclose(
+            np.linalg.norm(corpus.vectors.dense(), axis=1), [1.0, 1.0], rtol=1e-15
+        )
+        queries, targets = corpus.vectors.take([0]), corpus.vectors.take([1])
+        expected = oracle_detect(queries, targets, 0.8).similar
+        assert expected.tolist() == [[True]]  # cosine 2 / sqrt(5)
+        for method in SelectionMethod:
+            f = 0 if method is SelectionMethod.BASE else 1
+            config = SessionConfig(n=4, epsilon=0.8, method=method, f=f)
+            report = run_local_detection(queries, config, targets)
+            assert not report.aborted, method.name
+            np.testing.assert_array_equal(report.similar, expected, err_msg=method.name)
 
     def test_zero_documents(self, tmp_path):
         path = tmp_path / "empty.bin"
-        write_v2_cache(path, 7, [])
+        write_v3_cache(path, 7, [])
         corpus = load_cache(path)
         assert len(corpus) == 0 and corpus.dims == 7
         assert corpus.vectors.indices.size == 0
@@ -280,7 +342,14 @@ class TestCache:
         again = load_cache(path)
         assert len(again) == len(corpus)
         assert again.dims == corpus.dims
-        assert again.counts is None
+        for array in ("indptr", "indices", "weights"):
+            mine, theirs = getattr(corpus.counts, array), getattr(again.counts, array)
+            assert theirs.dtype == mine.dtype
+            np.testing.assert_array_equal(theirs, mine)
+            # bit-equal: normalization reads one document at a time
+            assert getattr(again.vectors, array).tobytes() == getattr(
+                corpus.vectors, array
+            ).tobytes()
         for a, b in zip(corpus.vectors, again.vectors):
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.weights, b.weights)
@@ -299,13 +368,13 @@ class TestCache:
         corpus = Corpus(3, [RawDocument(0, {0: 3, 1: 4}), RawDocument(1, {}), RawDocument(2, {2: 1})])
         path = tmp_path / "layout.bin"
         save_cache(corpus, path)
-        # magic, (version, D, W), each document's nnz, then all indices, then all weights
+        # magic, (version, D, W), each document's nnz, then all indices, then all counts
         expected = (
             CACHE_MAGIC
-            + struct.pack("<III", 2, 3, 3)
+            + struct.pack("<III", 3, 3, 3)
             + struct.pack("<III", 2, 0, 1)
             + struct.pack("<III", 0, 1, 2)
-            + struct.pack("<ddd", 0.6, 0.8, 1.0)
+            + struct.pack("<QQQ", 3, 4, 1)
         )
         assert path.read_bytes() == expected
 
@@ -323,6 +392,20 @@ class TestCache:
         with pytest.raises(ParseError, match="version 1"):
             load_cache(path)
 
+    def test_version_2_is_refused(self, tmp_path):
+        """A version 2 file (the version 3 layout with normalized f64
+        weights in place of the counts) must be ingested again."""
+        path = tmp_path / "v2.bin"
+        path.write_bytes(
+            CACHE_MAGIC
+            + struct.pack("<III", 2, 1, 3)
+            + struct.pack("<I", 2)
+            + struct.pack("<II", 0, 1)
+            + struct.pack("<dd", 0.6, 0.8)
+        )
+        with pytest.raises(ParseError, match="version 2"):
+            load_cache(path)
+
     def test_every_proper_prefix_is_refused(self, tmp_path):
         corpus = Corpus(5, [RawDocument(0, {0: 3, 4: 4}), RawDocument(1, {}), RawDocument(2, {2: 1})])
         path = tmp_path / "whole.bin"
@@ -337,7 +420,7 @@ class TestCache:
         """A header declaring 2**32 - 1 documents over a 20-byte file fails
         before anything sized by the header is allocated."""
         path = tmp_path / "huge.bin"
-        path.write_bytes(CACHE_MAGIC + struct.pack("<III", 2, 2**32 - 1, 5))
+        path.write_bytes(CACHE_MAGIC + struct.pack("<III", 3, 2**32 - 1, 5))
         tracemalloc.start()
         try:
             with pytest.raises(ParseError):
@@ -393,6 +476,18 @@ class TestSplitQueries:
             split_queries(corpus, k=0)
         with pytest.raises(RangeError):
             split_queries(corpus, k=11)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_matches_per_document_reference(self, overlap):
+        corpus = synth_corpus(n_docs=30, dims=60, seed=3, mean_terms=6)
+        for seed in range(5):
+            queries, targets = split_queries(corpus, k=7, seed=seed, overlap=overlap)
+            rng = np.random.default_rng(seed)
+            expected = sorted(int(i) for i in rng.choice(30, size=7, replace=False))
+            chosen = set() if overlap else set(expected)
+            assert queries == expected
+            assert targets == [i for i in range(30) if i not in chosen]
+            assert all(type(i) is int for i in queries + targets)
 
     def test_different_seeds_differ(self):
         corpus = synth_corpus(n_docs=40, dims=100, seed=3, mean_terms=8)

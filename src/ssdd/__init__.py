@@ -47,19 +47,15 @@ from .protocol.session import (
 )
 from .selection import (
     SelectionMethod,
-    aggregate_whole_vector,
-    select_gf,
     select_hf,
-    select_lf,
     select_rp,
+    top_f,
+    zscore,
 )
 from .vectors import (
-    FeatureIndexSet,
     PackedDocs,
     pack,
     project,
-    top_f,
-    zscore,
 )
 
 __version__ = "0.1.0"

@@ -113,10 +113,16 @@ def _method(text: str) -> SelectionMethod:
 
 
 def _host_port(text: str) -> tuple[str, int]:
+    """HOST:PORT, the port an integer in [0, 65535]."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    try:
+        if not host or not port.isdigit():
+            raise ValueError
+        return host, _integer(0, 2**16)(port)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in [0, 65535], got {text!r}"
+        ) from None
 
 
 def cmd_ingest(args) -> int:

@@ -71,15 +71,8 @@ import numpy as np
 
 from ..errors import ProtocolError, RangeError, SessionError, SsddError
 from ..masking import SharedRandomMatrix, mask, recover
-from ..selection import (
-    SelectionMethod,
-    aggregate_whole_vector,
-    select_gf,
-    select_hf,
-    select_lf,
-    select_rp,
-)
-from ..vectors import FeatureIndexSet, PackedDocs, project
+from ..selection import SelectionMethod, select_hf, select_rp, top_f
+from ..vectors import PackedDocs, project
 from .messages import (
     Bye,
     FilterQuery,
@@ -279,7 +272,11 @@ class BobResponder:
     over it, and names the session's dims; ``dims``, when given, must
     match.  A filter query names its index set, whatever the method, and
     is answered from the projection P (m x f) of the packed corpus onto
-    that set: s = P z, t = P A_fs and the squared row norms.  P is read
+    that set: s = P z, t = P A_fs and the squared row norms.  The set is
+    checked in one place, ``_filter_pieces``, as it comes off the wire:
+    f indexes, strictly increasing, within [0, n); anything else is a
+    ``ProtocolError``.  A set equal to the last one answered passed the
+    check then, so its pieces are reused without it.  P is read
     from the corpus's term-major view, built once per corpus and shared
     read-only, so it costs the entries on the f chosen dimensions, not a
     scan of the corpus; it is the transpose of an (f, m) array filled one
@@ -362,7 +359,7 @@ class BobResponder:
             df = np.zeros(0, dtype=np.int64)
         return HelloAck(bob_doc_count=self.doc_count, df=df)
 
-    def _project(self, index_set: FeatureIndexSet) -> tuple:
+    def _project(self, indexes: np.ndarray) -> tuple:
         """Filter-round pieces of every document for one index set.
 
         Returns the projection P (m x f, the transpose of a term-major
@@ -370,33 +367,37 @@ class BobResponder:
         corpus entries on the set's dimensions: P's stored entries, each of
         which the products multiply.
         """
-        projected = project(self._docs, index_set)
+        projected = project(self._docs, indexes)
         t = projected @ self._a_fs
         norm_v2 = np.einsum("ij,ij->i", projected, projected)
-        nnz = int(self._docs.document_frequency[index_set.indexes].sum())
+        nnz = int(self._docs.document_frequency[indexes].sum())
         return projected, t, norm_v2, nnz
 
     def _filter_pieces(self, msg: FilterQuery) -> tuple:
         """``_project`` of the query's index set, reused from the last query
         when it names the same set."""
         config = self.config
-        if msg.indexes.size != config.f:
+        indexes = msg.indexes
+        if indexes.size != config.f:
             raise ProtocolError(
-                f"query carries {msg.indexes.size} indexes, expected {config.f}"
+                f"query carries {indexes.size} indexes, expected {config.f}"
             )
         memo = self._session_filter
-        if memo is not None and np.array_equal(memo[0], msg.indexes):
+        if memo is not None and np.array_equal(memo[0], indexes):
             return memo[1:]
-        try:
-            index_set = FeatureIndexSet(dims=config.n, indexes=msg.indexes)
-        except RangeError as exc:
-            raise ProtocolError(f"bad index set: {exc}") from exc
+        # the one check of a set off the wire; f >= 1, so it has a first
+        # and a last index
+        increasing = np.all(indexes[1:] > indexes[:-1])
+        if not (increasing and indexes[0] >= 0 and indexes[-1] < config.n):
+            raise ProtocolError(
+                f"bad index set: indexes must strictly increase within [0, {config.n})"
+            )
         self._session_filter = None  # the old pieces go before the new are built
-        pieces = self._project(index_set)
+        pieces = self._project(indexes)
         # later replies for the same set share these arrays
         for piece in pieces[:3]:
             piece.flags.writeable = False
-        self._session_filter = (index_set.indexes.copy(), *pieces)
+        self._session_filter = (indexes.copy(), *pieces)
         return pieces
 
     def _on_filter_query(self, msg: FilterQuery) -> FilterReply:
@@ -452,7 +453,7 @@ class AliceSession:
         self._matrix = SharedRandomMatrix(config.seed, config.n)
         self._a_fs = _filter_matrix(config) if config.method.uses_filter else None
         self._whole: np.ndarray | None = None
-        self._session_set: FeatureIndexSet | None = None
+        self._session_set: np.ndarray | None = None
         # full-round masked vectors and secret masks, one column per query
         self._full_z: np.ndarray | None = None
         self._full_r: np.ndarray | None = None
@@ -493,11 +494,11 @@ class AliceSession:
                 f"HelloAck carries {ack.df.size} document counts, expected {width}"
             )
         if method.needs_whole_vector:
-            self._whole = aggregate_whole_vector(self.queries.document_frequency, ack.df)
+            self._whole = self.queries.document_frequency + ack.df
         if method is SelectionMethod.RP:
             self._session_set = select_rp(_subseed(config, 2), config.n, config.f)
         elif method is SelectionMethod.GF:
-            self._session_set = select_gf(self._whole, config.f)
+            self._session_set = top_f(self._whole, config.f)
         self.target_count = ack.bob_doc_count
         shape = (len(self.queries), self.target_count)
         self.cosines = np.full(shape, np.nan)
@@ -506,24 +507,24 @@ class AliceSession:
         self._known = np.zeros(self.target_count, dtype=bool)
         self._zero_t = np.zeros(self.target_count, dtype=bool)
 
-    def _query_index_set(self, query_id: int) -> FeatureIndexSet:
+    def _query_index_set(self, query_id: int) -> np.ndarray:
         """The index set of query ``query_id``."""
         method = self.config.method
         row = self._dense[query_id]
         if method is SelectionMethod.LF:
-            return select_lf(row, self.config.f)
+            return top_f(row, self.config.f)
         if method is SelectionMethod.HF:
             return select_hf(row, self._whole, self.config.f)
         return self._session_set
 
     def _filter_step(self, query_id: int) -> np.ndarray:
         """Ids of the targets whose filter bound reaches the tolerance."""
-        index_set = self._query_index_set(query_id)
-        u_fs = self._dense[query_id, index_set.indexes]
+        indexes = self._query_index_set(query_id)
+        u_fs = self._dense[query_id, indexes]
         cols = self._a_fs.shape[1]
         r = _secret_mask(self.config, query_id, 1, cols)
         z = u_fs + self._a_fs @ r
-        self._send(FilterQuery(query_id=query_id, indexes=index_set.indexes, z=z))
+        self._send(FilterQuery(query_id=query_id, indexes=indexes, z=z))
         reply = self._recv()
         if not isinstance(reply, FilterReply) or reply.query_id != query_id:
             raise ProtocolError("filter reply does not match the query")
@@ -651,39 +652,26 @@ class AliceSession:
 
 
 def run_detection(
-    queries: PackedDocs,
-    config: SessionConfig,
-    transport,
-    responder: BobResponder | None = None,
+    queries: PackedDocs, config: SessionConfig, transport
 ) -> DetectionReport:
-    """Drive a full session over an already-connected transport.
-
-    When the caller can reach the responder object (in-process runs, a local
-    server), its multiplication counter lands in the report; a remote
-    responder keeps its own count.
-    """
-    session = AliceSession(config, queries, transport)
-    report = session.run()
-    if responder is not None:
-        report.metrics.scalar_mult_count = responder.scalar_mult_count
-    return report
+    """Drive a full session over an already-connected transport.  The
+    responder keeps its own multiplication count; ``run_local_detection``,
+    which holds it, copies it into the report."""
+    return AliceSession(config, queries, transport).run()
 
 
 def run_local_detection(
-    queries: PackedDocs,
-    config: SessionConfig,
-    bob_vectors: PackedDocs,
-    timeout: float = 60.0,
+    queries: PackedDocs, config: SessionConfig, bob_vectors: PackedDocs
 ) -> DetectionReport:
     """Run both parties in this process over the queue transport."""
-    alice_end, bob_end = make_local_pair(timeout)
+    alice_end, bob_end = make_local_pair()
     responder = BobResponder(bob_vectors, dims=config.n)
     server = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
     server.start()
     try:
-        report = run_detection(queries, config, alice_end, responder=responder)
+        report = run_detection(queries, config, alice_end)
     finally:
         alice_end.close()
         server.join(timeout=5.0)
+    report.metrics.scalar_mult_count = responder.scalar_mult_count
     return report
-

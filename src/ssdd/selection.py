@@ -1,12 +1,16 @@
 """Feature-dimension selection for the filter step.
 
-Four strategies pick f of the n dimensions:
+An index set is f of the n dimensions as a sorted ``int64`` array, with no
+repeats; this module chooses it and ``vectors.project`` restricts documents
+to it.  Four strategies pick it:
 
-- RP: seeded random pick, fixed for a session.
-- LF: top-f raw term counts of the querying side's current document.
-- GF: top-f of the aggregated document-frequency vector over both corpora.
+- RP: seeded random pick, fixed for a session (``select_rp``).
+- LF: top-f raw term counts of the querying side's current document
+  (``top_f``).
+- GF: top-f of the aggregated document-frequency vector over both corpora
+  (``top_f``).
 - HF: z-score the current document against the aggregated whole vector and
-  take the f largest absolute differences.
+  take the f largest absolute differences (``select_hf``).
 
 The querying side alone selects, and every filter query carries the chosen
 indexes.  LF and HF depend on the query document, so their indexes disclose
@@ -27,15 +31,13 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DimensionError, RangeError
-from .vectors import FeatureIndexSet, top_f, zscore
 
 __all__ = [
     "SelectionMethod",
     "select_rp",
-    "select_lf",
-    "select_gf",
     "select_hf",
-    "aggregate_whole_vector",
+    "top_f",
+    "zscore",
 ]
 
 
@@ -69,26 +71,44 @@ class SelectionMethod(IntEnum):
         return self in (SelectionMethod.GF, SelectionMethod.HF)
 
 
-def select_rp(seed: int, n: int, f: int) -> FeatureIndexSet:
-    """f distinct dimensions drawn without replacement from the seed."""
+def zscore(values: np.ndarray) -> np.ndarray:
+    """Standardize with the population standard deviation.  A constant
+    vector has zero deviation; it maps to all zeros."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.size == 0:
+        raise RangeError("cannot z-score an empty vector")
+    sigma = float(np.std(x))
+    if sigma == 0.0:
+        return np.zeros_like(x)
+    return (x - x.mean()) / sigma
+
+
+def top_f(values: np.ndarray, f: int) -> np.ndarray:
+    """Indexes of the `f` largest values, sorted; ties go to the lower index.
+
+    Takes every value above the f-th largest, then the lowest indexes
+    holding the f-th largest itself; no full sort.  Values must not be NaN.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if not 1 <= f <= x.size:
+        raise RangeError(f"f={f} outside [1, {x.size}]")
+    # the f-th smallest of -x: selecting at the low end stays fast when
+    # most values tie (the zero counts of one document, say)
+    kth = -np.partition(-x, f - 1)[f - 1]
+    above = np.flatnonzero(x > kth)
+    ties = np.flatnonzero(x == kth)[: f - above.size]
+    return np.sort(np.concatenate((above, ties)))
+
+
+def select_rp(seed: int, n: int, f: int) -> np.ndarray:
+    """f distinct dimensions drawn without replacement from the seed, sorted."""
     if not 1 <= f <= n:
         raise RangeError(f"f={f} outside [1, {n}]")
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(n, size=f, replace=False))
-    return FeatureIndexSet(dims=n, indexes=chosen.astype(np.int64))
+    return np.sort(rng.choice(n, size=f, replace=False)).astype(np.int64)
 
 
-def select_lf(current: np.ndarray, f: int) -> FeatureIndexSet:
-    """Top-f dimensions of the current document's term counts."""
-    return top_f(current, f)
-
-
-def select_gf(whole: np.ndarray, f: int) -> FeatureIndexSet:
-    """Top-f dimensions of the aggregated document-frequency vector."""
-    return top_f(whole, f)
-
-
-def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> FeatureIndexSet:
+def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> np.ndarray:
     """Top-f absolute differences between standardized current and whole.
 
     Dimensions where the current document deviates most from the corpus-wide
@@ -102,12 +122,3 @@ def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> FeatureIndexSet
             f"current and whole disagree on dims: {cur.shape} != {agg.shape}"
         )
     return top_f(np.abs(zscore(cur) - zscore(agg)), f)
-
-
-def aggregate_whole_vector(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the two parties' document-frequency counts."""
-    a = np.asarray(mine, dtype=np.int64)
-    b = np.asarray(theirs, dtype=np.int64)
-    if a.shape != b.shape:
-        raise DimensionError(f"count vectors disagree: {a.shape} != {b.shape}")
-    return a + b

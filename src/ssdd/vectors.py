@@ -5,9 +5,10 @@ indices + positive weights).  A set of them, a single document included, is
 one CSR ``PackedDocs``: the one document type that the protocol, the oracle
 and the masking matrix take, and the form a corpus holds its documents in;
 ``pack`` concatenates sets.  A ``PackedDocs`` is read-only, so one corpus
-is shared by every session that reads it; ``project`` reads a term-major
-(CSC) view of it that is built on first use, once per corpus.  Everything
-is float64.
+is shared by every session that reads it; ``project`` restricts it to an
+index set, a sorted ``int64`` array of dimensions that ``selection``
+chooses, and reads a term-major (CSC) view of it that is built on first
+use, once per corpus.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -22,35 +23,10 @@ import numpy as np
 from .errors import DimensionError, RangeError
 
 __all__ = [
-    "FeatureIndexSet",
     "PackedDocs",
     "pack",
     "project",
-    "zscore",
-    "top_f",
 ]
-
-
-@dataclass(frozen=True)
-class FeatureIndexSet:
-    """Ordered set of distinct dimension indices used for projection."""
-
-    dims: int
-    indexes: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indexes, dtype=np.int64)
-        if idx.size < 1:
-            raise RangeError("a feature index set needs at least one index")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise RangeError("feature indexes must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self.dims:
-            raise RangeError(f"feature index out of range for dims={self.dims}")
-        object.__setattr__(self, "indexes", idx)
-
-    @property
-    def f(self) -> int:
-        return int(self.indexes.size)
 
 
 @dataclass(frozen=True)
@@ -171,51 +147,20 @@ def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
     )
 
 
-def project(docs: PackedDocs, s: FeatureIndexSet) -> np.ndarray:
-    """Dense restriction of every document to the indexes in `s`, as an
-    (m, f) array; absent dims are 0.  Reads only the entries on those
-    indexes, through the term-major view, and fills an (f, m) array one
-    term at a time, in document order; the result is its transpose."""
-    if s.dims != docs.dims:
-        raise DimensionError(f"dims mismatch: {docs.dims} != {s.dims}")
+def project(docs: PackedDocs, indexes: np.ndarray) -> np.ndarray:
+    """Dense restriction of every document to ``indexes``, a sorted index
+    set in [0, dims), as an (m, f) array; absent dims are 0.  Reads only the
+    entries on those indexes, through the term-major view, and fills an
+    (f, m) array one term at a time, in document order; the result is its
+    transpose."""
     termptr, owner, weights = docs._by_term
-    first = termptr[s.indexes]
-    counts = termptr[s.indexes + 1] - first
-    # the view's entries on term s.indexes[j] are first[j], ..., first[j] + counts[j] - 1
+    first = termptr[indexes]
+    counts = termptr[indexes + 1] - first
+    # the view's entries on term indexes[j] are first[j], ..., first[j] + counts[j] - 1
     entries = np.repeat(first - np.cumsum(counts) + counts, counts)
     entries += np.arange(entries.size)
     flat = owner.take(entries)
-    flat += np.repeat(np.arange(s.f) * len(docs), counts)
-    out = np.zeros((s.f, len(docs)))
+    flat += np.repeat(np.arange(indexes.size) * len(docs), counts)
+    out = np.zeros((indexes.size, len(docs)))
     out.reshape(-1)[flat] = weights.take(entries)
     return out.T
-
-
-def zscore(values: np.ndarray) -> np.ndarray:
-    """Standardize with the population standard deviation.  A constant
-    vector has zero deviation; it maps to all zeros."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise RangeError("cannot z-score an empty vector")
-    sigma = float(np.std(x))
-    if sigma == 0.0:
-        return np.zeros_like(x)
-    return (x - x.mean()) / sigma
-
-
-def top_f(values: np.ndarray, f: int) -> FeatureIndexSet:
-    """Indexes of the `f` largest values; ties go to the lower index.
-
-    Takes every value above the f-th largest, then the lowest indexes
-    holding the f-th largest itself; no full sort.  Values must not be NaN.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if not 1 <= f <= x.size:
-        raise RangeError(f"f={f} outside [1, {x.size}]")
-    # the f-th smallest of -x: selecting at the low end stays fast when
-    # most values tie (the zero counts of one document, say)
-    kth = -np.partition(-x, f - 1)[f - 1]
-    above = np.flatnonzero(x > kth)
-    ties = np.flatnonzero(x == kth)[: f - above.size]
-    chosen = np.sort(np.concatenate((above, ties)))
-    return FeatureIndexSet(dims=int(x.size), indexes=chosen)

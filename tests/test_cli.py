@@ -185,8 +185,12 @@ class TestParser:
         capsys.readouterr()
 
     def test_bad_host_port(self, capsys):
-        assert main(["detect", "x", "--connect", "nonsense"]) == 1
-        assert "HOST:PORT" in capsys.readouterr().err
+        # refused while parsing, before the absent corpus is opened or a
+        # socket made
+        for command in (["detect", "x", "--connect"], ["serve", "x", "--once", "--listen"]):
+            for text in ("nonsense", "127.0.0.1:65536", "127.0.0.1:70000"):
+                assert main(command + [text]) == 1
+                assert "HOST:PORT" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",

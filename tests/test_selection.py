@@ -1,18 +1,13 @@
-"""Feature selection strategies and the document-frequency aggregate."""
+"""Feature selection strategies and the document-frequency aggregate.
+
+LF and GF select with ``top_f``, whose own tests are in test_vectors.py."""
 
 import numpy as np
 import pytest
 
 from ssdd.corpus import Corpus, RawDocument, build_document_vector
 from ssdd.errors import DimensionError, RangeError
-from ssdd.selection import (
-    SelectionMethod,
-    aggregate_whole_vector,
-    select_gf,
-    select_hf,
-    select_lf,
-    select_rp,
-)
+from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
 from ssdd.vectors import pack
 
 from conftest import synth_corpus
@@ -42,16 +37,16 @@ class TestSelectionMethod:
 class TestSelectRp:
     def test_full_budget_selects_everything(self):
         chosen = select_rp(seed=1, n=10, f=10)
-        np.testing.assert_array_equal(chosen.indexes, np.arange(10))
+        np.testing.assert_array_equal(chosen, np.arange(10))
 
     def test_deterministic_and_distinct(self):
         a = select_rp(42, 500, 70)
         b = select_rp(42, 500, 70)
-        np.testing.assert_array_equal(a.indexes, b.indexes)
-        assert len(np.unique(a.indexes)) == 70
-        assert a.indexes.min() >= 0 and a.indexes.max() < 500
+        np.testing.assert_array_equal(a, b)
+        assert len(np.unique(a)) == 70
+        assert a.min() >= 0 and a.max() < 500
         c = select_rp(43, 500, 70)
-        assert not np.array_equal(a.indexes, c.indexes)
+        assert not np.array_equal(a, c)
 
     def test_budget_out_of_range(self):
         with pytest.raises(RangeError):
@@ -62,8 +57,8 @@ class TestSelectRp:
 
 class TestSelectLf:
     def test_reference_example(self):
-        chosen = select_lf(np.array([4.0, 1.0, 9.0]), 2)
-        np.testing.assert_array_equal(chosen.indexes, [0, 2])
+        chosen = top_f(np.array([4.0, 1.0, 9.0]), 2)
+        np.testing.assert_array_equal(chosen, [0, 2])
 
     def test_scale_invariance_counts_vs_weights(self):
         """Unit normalization must not change which dims are picked."""
@@ -75,8 +70,8 @@ class TestSelectLf:
             norm = np.linalg.norm(counts)
             if norm == 0:
                 continue
-            a = select_lf(counts, f).indexes
-            b = select_lf(counts / norm, f).indexes
+            a = top_f(counts, f)
+            b = top_f(counts / norm, f)
             np.testing.assert_array_equal(a, b)
 
 
@@ -109,21 +104,14 @@ class TestDocumentFrequency:
             mine = rng.random(50) < rng.random()
             part_a = corpus.subset(np.flatnonzero(mine))
             part_b = corpus.subset(np.flatnonzero(~mine))
-            total = aggregate_whole_vector(
-                part_a.vectors.document_frequency,
-                part_b.vectors.document_frequency,
-            )
+            total = part_a.vectors.document_frequency + part_b.vectors.document_frequency
             np.testing.assert_array_equal(total, union_df)
-
-    def test_aggregate_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            aggregate_whole_vector(np.zeros(3, np.int64), np.zeros(4, np.int64))
 
 
 class TestSelectGf:
     def test_reference_example(self):
-        chosen = select_gf(np.array([5.0, 9.0, 9.0, 2.0]), 2)
-        np.testing.assert_array_equal(chosen.indexes, [1, 2])
+        chosen = top_f(np.array([5.0, 9.0, 9.0, 2.0]), 2)
+        np.testing.assert_array_equal(chosen, [1, 2])
 
 
 class TestSelectHf:
@@ -134,7 +122,7 @@ class TestSelectHf:
         between dims 0 and 2 goes to the lower index.
         """
         chosen = select_hf(np.array([4.0, 0.0, 0.0]), np.array([1.0, 1.0, 4.0]), 1)
-        np.testing.assert_array_equal(chosen.indexes, [0])
+        np.testing.assert_array_equal(chosen, [0])
 
     def test_hand_difference_values(self):
         cur = np.array([4.0, 0.0, 0.0])
@@ -148,7 +136,7 @@ class TestSelectHf:
     def test_constant_whole_vector_degrades_gracefully(self):
         chosen = select_hf(np.array([3.0, 1.0, 2.0]), np.array([7.0, 7.0, 7.0]), 2)
         # whole standardizes to zeros; ranking falls back to |z(current)|
-        np.testing.assert_array_equal(chosen.indexes, [0, 1])
+        np.testing.assert_array_equal(chosen, [0, 1])
 
     def test_scale_invariance_counts_vs_weights(self):
         rng = np.random.default_rng(14)
@@ -158,8 +146,8 @@ class TestSelectHf:
             if counts.std() == 0:
                 continue
             f = int(rng.integers(1, 121))
-            a = select_hf(counts, whole, f).indexes
-            b = select_hf(counts / np.linalg.norm(counts), whole, f).indexes
+            a = select_hf(counts, whole, f)
+            b = select_hf(counts / np.linalg.norm(counts), whole, f)
             np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch(self):

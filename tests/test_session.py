@@ -54,13 +54,8 @@ from ssdd.protocol.transport import (
     connect_tcp,
     make_local_pair,
 )
-from ssdd.selection import (
-    SelectionMethod,
-    select_gf,
-    select_hf,
-    select_rp,
-)
-from ssdd.vectors import FeatureIndexSet, PackedDocs, pack, project
+from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
+from ssdd.vectors import PackedDocs, pack, project
 
 from conftest import (
     missed_and_extra,
@@ -315,13 +310,13 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     """
     responder = BobResponder(pack([v], config.n), dims=config.n)
     responder.handle(config.hello())
-    index_set = FeatureIndexSet(config.n, np.asarray(indexes))
+    indexes = np.asarray(indexes, dtype=np.int64)
     rng = np.random.default_rng(7)
     fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
-    u_fs = u.dense()[0][index_set.indexes]
+    u_fs = u.dense()[0][indexes]
     r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
-        FilterQuery(query_id=0, indexes=index_set.indexes, z=mask(u_fs, fs_matrix, r))
+        FilterQuery(query_id=0, indexes=indexes, z=mask(u_fs, fs_matrix, r))
     )
     bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
     matrix = SharedRandomMatrix(config.seed, config.n)
@@ -938,13 +933,21 @@ class TestResponderValidation:
             responder.handle(query)
 
     def test_duplicate_indexes(self):
+        """Bob's one check of a set off the wire refuses a repeated index,
+        a decreasing set and an index outside [0, n) (n = 6), whether or not
+        he answered another set before."""
         responder, config = self.make(method=SelectionMethod.LF)
         responder.handle(config.hello())
-        query = FilterQuery(
-            query_id=0, indexes=np.array([3, 3], dtype=np.int64), z=np.zeros(2)
-        )
-        with pytest.raises(ProtocolError, match="index set"):
-            responder.handle(query)
+        good = FilterQuery(query_id=0, indexes=np.array([0, 5], dtype=np.int64), z=np.zeros(2))
+        for indexes in ([3, 3], [4, 2], [-1, 2], [2, 6]):
+            query = FilterQuery(
+                query_id=1, indexes=np.array(indexes, dtype=np.int64), z=np.zeros(2)
+            )
+            with pytest.raises(ProtocolError, match="bad index set"):
+                responder.handle(query)
+            responder.handle(good)
+            with pytest.raises(ProtocolError, match="bad index set"):
+                responder.handle(query)
 
     def test_wrong_masked_width(self):
         responder, config = self.make()
@@ -1061,9 +1064,9 @@ class TestResponderMatchesRespond:
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
         for j, doc in enumerate(docs):
-            values = doc.dense()[0][index_set.indexes]
+            values = doc.dense()[0][index_set]
             nz = np.flatnonzero(values)
-            sparse = PackedDocs(index_set.f, np.array([0, nz.size]), nz, values[nz])
+            sparse = PackedDocs(index_set.size, np.array([0, nz.size]), nz, values[nz])
             s, t = respond(z, sparse, fs_matrix)
             assert reply.s[j] == pytest.approx(s, abs=1e-12)
             assert reply.norm_v2[j] == pytest.approx(values @ values, abs=1e-12)
@@ -1102,7 +1105,7 @@ class TestResponderMatchesRespond:
         def refuse(*args):
             raise AssertionError("the responder selected an index set")
 
-        for name in ("select_rp", "select_lf", "select_gf", "select_hf"):
+        for name in ("select_rp", "top_f", "select_hf"):
             monkeypatch.setattr(session_module, name, refuse)
         self.check_filter_replies(method)
 
@@ -1117,7 +1120,7 @@ class TestResponderMatchesRespond:
         projected = []
 
         def counting(packed, index_set):
-            projected.append(index_set.indexes.tolist())
+            projected.append(index_set.tolist())
             return project(packed, index_set)
 
         monkeypatch.setattr(session_module, "project", counting)
@@ -1131,8 +1134,7 @@ class TestResponderMatchesRespond:
             reply = responder.handle(
                 FilterQuery(query_id=query_id, indexes=indexes.copy(), z=z)
             )
-            index_set = FeatureIndexSet(N_EQ, indexes)
-            self.assert_filter_reply(reply, docs, index_set, config, z)
+            self.assert_filter_reply(reply, docs, indexes, config, z)
             nnz = sum(int(np.count_nonzero(d.dense()[0][indexes])) for d in docs)
             expected_count += nnz * (2 + (F_EQ + 1) // 2)
         assert projected == [first.tolist(), second.tolist(), first.tolist()]
@@ -1143,8 +1145,8 @@ class TestResponderMatchesRespond:
         if method is SelectionMethod.RP:
             index_set = select_rp(config.seed + 2, N_EQ, F_EQ)
         else:
-            index_set = FeatureIndexSet(N_EQ, np.arange(F_EQ))
-        docs = _equivalence_corpus(index_set.indexes)
+            index_set = np.arange(F_EQ)
+        docs = _equivalence_corpus(index_set)
         responder = BobResponder(pack(docs, N_EQ), dims=N_EQ)
         ack = responder.handle(config.hello())
         if method.needs_whole_vector:
@@ -1153,15 +1155,15 @@ class TestResponderMatchesRespond:
             if method is SelectionMethod.GF:
                 alice_counts = np.zeros(N_EQ, dtype=np.int64)
                 alice_counts[:F_EQ] = 1000  # makes the GF set the first F_EQ dims
-                chosen = select_gf(alice_counts + ack.df, F_EQ).indexes
-                np.testing.assert_array_equal(chosen, index_set.indexes)
+                chosen = top_f(alice_counts + ack.df, F_EQ)
+                np.testing.assert_array_equal(chosen, index_set)
         else:
             assert ack.df.size == 0
         rng = np.random.default_rng(5)
         for query_id in range(3):
             z = rng.uniform(-3, 3, F_EQ)
             reply = responder.handle(
-                FilterQuery(query_id=query_id, indexes=index_set.indexes, z=z)
+                FilterQuery(query_id=query_id, indexes=index_set, z=z)
             )
             self.assert_filter_reply(reply, docs, index_set, config, z)
 
@@ -1241,7 +1243,7 @@ class TestMultiplicationCount:
             for query in queries:
                 index_set = select_hf(query.dense()[0], whole, config.f)
                 for target in targets:
-                    nnz = int(np.count_nonzero(target.dense()[0][index_set.indexes]))
+                    nnz = int(np.count_nonzero(target.dense()[0][index_set]))
                     expected += nnz * (2 + fs_cols)
         assert type(report.metrics.scalar_mult_count) is int
         assert report.metrics.scalar_mult_count == expected
@@ -1679,7 +1681,7 @@ class TestMaskDerivation:
         a_fs = fs_matrix.rows_for(np.arange(fs_matrix.rows))
         index_set = select_rp(config.seed + 2, config.n, config.f)
         for msg in filters:
-            np.testing.assert_array_equal(msg.indexes, index_set.indexes)
+            np.testing.assert_array_equal(msg.indexes, index_set)
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
-            u_fs = queries[msg.query_id].dense()[0][index_set.indexes]
+            u_fs = queries[msg.query_id].dense()[0][index_set]
             np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)

@@ -42,7 +42,6 @@ from .protocol.session import (
     SessionMetrics,
     SimilarityDecision,
     evaluate_filter,
-    run_detection,
     run_local_detection,
 )
 from .selection import (

@@ -1,5 +1,8 @@
 """Benchmark grid runs and CSV reporting.
 
+``run_bench`` runs one in-process session per grid cell over the query and
+target sets it is given.
+
 A report row has a fixed 11-column schema::
 
     method, f, epsilon, pairs_total, pairs_filtered, filter_ratio,
@@ -16,7 +19,6 @@ import csv
 from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
-from .corpus import Corpus, split_queries
 from .errors import RangeError
 from .protocol.session import (
     DetectionReport,
@@ -24,6 +26,7 @@ from .protocol.session import (
     run_local_detection,
 )
 from .selection import SelectionMethod
+from .vectors import PackedDocs
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -72,28 +75,24 @@ def row_from_report(report: DetectionReport) -> BenchRow:
 
 
 def run_bench(
-    corpus: Corpus,
+    queries: PackedDocs,
+    targets: PackedDocs,
     methods: Sequence[SelectionMethod],
     f_values: Sequence[int],
     tolerances: Sequence[float],
-    queries: int = 10,
     seed: int = 0,
-    overlap: bool = False,
 ) -> list[BenchRow]:
-    """One detection run per grid cell, in deterministic order.
+    """One detection run of ``queries`` against ``targets`` per grid cell,
+    in deterministic order, each session seeded by ``seed``.
 
     BASE ignores the dimension budget, so it contributes one row per
-    tolerance with f recorded as 0.  The same seeded query split serves
-    every cell.
+    tolerance with f recorded as 0.  Every cell shares the one packed
+    target set, and so one term-major view of it.
     """
     if not methods:
         raise RangeError("no methods to run")
     if not tolerances:
         raise RangeError("no tolerances to run")
-    query_ids, target_ids = split_queries(corpus, k=queries, seed=seed, overlap=overlap)
-    query_vecs = corpus.vectors.take(query_ids)
-    # one packed target set, and one term-major view of it, for every cell
-    target_vecs = corpus.vectors.take(target_ids)
     rows: list[BenchRow] = []
     for method in sorted(set(methods)):
         per_method_f = [0] if method is SelectionMethod.BASE else sorted(set(f_values))
@@ -102,9 +101,9 @@ def run_bench(
         for f in per_method_f:
             for epsilon in sorted(set(tolerances)):
                 config = SessionConfig(
-                    n=corpus.dims, epsilon=epsilon, method=method, f=f, seed=seed
+                    n=targets.dims, epsilon=epsilon, method=method, f=f, seed=seed
                 )
-                report = run_local_detection(query_vecs, config, target_vecs)
+                report = run_local_detection(queries, config, targets)
                 rows.append(row_from_report(report))
     return rows
 

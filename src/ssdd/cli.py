@@ -6,10 +6,13 @@ Subcommands:
   binary corpus cache.
 - serve: host a corpus as the responding side on a TCP port.
 - detect: run the detection protocol for seeded query documents of a
-  corpus: against its other documents in-process, or, with --connect,
-  against a remote server.
-- oracle: plaintext exhaustive ground truth for the same split.
-- bench: grid of detection runs written as a CSV report.
+  corpus against its other documents in-process, or, with --connect, for
+  every document of the corpus against a remote server's.
+- oracle: plaintext exhaustive ground truth for the in-process split.
+- bench: grid of in-process detection runs written as a CSV report.
+
+A party's corpus file is its documents, all of them unless --limit: only
+a run that holds both parties splits one file into queries and targets.
 
 A filter budget (--dims) is a count, such as 69, or a percentage of the
 vocabulary width n, such as 1%.
@@ -39,9 +42,9 @@ from .corpus import (
 from .errors import RangeError, SsddError
 from .oracle import oracle_detect
 from .protocol.session import (
+    AliceSession,
     BobResponder,
     SessionConfig,
-    run_detection,
     run_local_detection,
 )
 from .protocol.transport import TcpServer, connect_tcp
@@ -176,8 +179,9 @@ def cmd_serve(args) -> int:
 
 
 def _split(args, corpus: Corpus):
-    """The seeded query/target split, as document ids and as vectors."""
-    ids = split_queries(corpus, k=args.queries, seed=args.seed, overlap=args.overlap)
+    """The seeded query/target split of a local run, as document ids and
+    as vectors."""
+    ids = split_queries(corpus, k=args.queries, seed=args.seed)
     return ids, [corpus.vectors.take(i) for i in ids]
 
 
@@ -193,18 +197,23 @@ def _print_summary(row, queries: int) -> None:
 
 
 def cmd_detect(args) -> int:
+    if args.method.uses_filter != (args.dims is not None):
+        need = "needs" if args.method.uses_filter else "takes no"
+        print(f"error: --method {args.method.name.lower()} {need} --dims", file=sys.stderr)
+        return USAGE_ERROR
     corpus = load_corpus(args.corpus, args.limit)
     f = args.dims(corpus.dims) if args.dims else 0
     config = SessionConfig(
         n=corpus.dims, epsilon=args.tolerance, method=args.method, f=f, seed=args.seed
     )
-    _, (queries, targets) = _split(args, corpus)
     if args.connect is None:
+        _, (queries, targets) = _split(args, corpus)
         report = run_local_detection(queries, config, targets)
     else:
+        queries = corpus.vectors
         transport = connect_tcp(*args.connect)
         try:
-            report = run_detection(queries, config, transport)
+            report = AliceSession(config, queries, transport).run()
         finally:
             transport.close()
 
@@ -240,14 +249,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus, args.limit)
+    _, (queries, targets) = _split(args, corpus)
     rows = run_bench(
-        corpus,
+        queries,
+        targets,
         args.methods,
         [budget(corpus.dims) for budget in args.dims or ()],
         args.tolerances,
-        queries=args.queries,
         seed=args.seed,
-        overlap=args.overlap,
     )
     with open(args.report, "w", newline="", encoding="utf-8") as fh:
         write_report_csv(rows, fh)
@@ -255,15 +264,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_split_options(p, limits=None) -> None:
+def _add_split_options(p, group=None) -> None:
     """The options of the seeded query/target split, shared by detect,
-    oracle and bench; --limit goes into ``limits``, else into ``p``."""
-    p.add_argument("--queries", type=_integer(1), default=10)
+    oracle and bench; --queries goes into ``group``, else into ``p``."""
+    # a str default: argparse tells a given value from the default by
+    # identity, and an int default of 10 is the very object `--queries 10`
+    # parses to, which would slip past a mutually exclusive group
+    (group or p).add_argument("--queries", type=_integer(1), default="10")
     p.add_argument("--seed", type=_integer(0, 2**64), default=0)
-    p.add_argument("--overlap", action="store_true", help="targets keep query docs")
-    (limits or p).add_argument(
-        "--limit", type=_integer(0), help="keep only the first N documents"
-    )
+    p.add_argument("--limit", type=_integer(0), help="keep only the first N documents")
 
 
 def build_parser() -> _Parser:
@@ -286,11 +295,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="run the detection protocol")
     p.add_argument("corpus", help="queries and targets, or only queries with --connect")
-    p.add_argument("--connect", type=_host_port, help="remote responder HOST:PORT")
+    remote = p.add_mutually_exclusive_group()
+    remote.add_argument("--connect", type=_host_port, help="remote responder HOST:PORT")
     p.add_argument("--method", type=_method, default="base", help="base|rp|lf|gf|hf")
     p.add_argument("--tolerance", type=float, default=0.8)
     p.add_argument("--dims", type=_budget, help="filter budget f: N, or P%% of n")
-    _add_split_options(p)
+    _add_split_options(p, remote)
     p.add_argument("--report", help="write the run's CSV row here")
     p.set_defaults(func=cmd_detect)
 
@@ -308,14 +318,9 @@ def build_parser() -> _Parser:
         "--tolerances", type=_comma_list(float), default="0.75,0.8,0.85,0.9,0.95"
     )
     p.add_argument("--dims", type=_comma_list(_budget), help="comma list of filter budgets")
-    limits = p.add_mutually_exclusive_group()
-    _add_split_options(p, limits)
-    limits.add_argument(
-        "--full", action="store_const", dest="limit", const=None,
-        help="run the whole corpus, not the first 200 documents",
-    )
+    _add_split_options(p)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_bench, limit=200)
+    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -235,17 +235,13 @@ def write_docword(corpus: Corpus, out: IO[str]) -> None:
     out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)
 
 
-def split_queries(
-    corpus: Corpus, k: int = 10, seed: int = 0, overlap: bool = False
-) -> tuple[list[int], list[int]]:
-    """Pick k query doc ids; the rest (or all, with overlap) are targets."""
+def split_queries(corpus: Corpus, k: int = 10, seed: int = 0) -> tuple[list[int], list[int]]:
+    """Pick k query doc ids, seeded; the rest are targets."""
     if not 1 <= k <= len(corpus):
         raise RangeError(f"k={k} outside [1, {len(corpus)}]")
     rng = np.random.default_rng(seed)
     queries = np.sort(rng.choice(len(corpus), size=k, replace=False))
-    targets = np.arange(len(corpus))
-    if not overlap:
-        targets = np.delete(targets, queries)
+    targets = np.delete(np.arange(len(corpus)), queries)
     return queries.tolist(), targets.tolist()
 
 

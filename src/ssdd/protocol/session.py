@@ -95,7 +95,6 @@ __all__ = [
     "evaluate_filter",
     "AliceSession",
     "BobResponder",
-    "run_detection",
     "run_local_detection",
 ]
 
@@ -651,25 +650,21 @@ class AliceSession:
         )
 
 
-def run_detection(
-    queries: PackedDocs, config: SessionConfig, transport
-) -> DetectionReport:
-    """Drive a full session over an already-connected transport.  The
-    responder keeps its own multiplication count; ``run_local_detection``,
-    which holds it, copies it into the report."""
-    return AliceSession(config, queries, transport).run()
-
-
 def run_local_detection(
     queries: PackedDocs, config: SessionConfig, bob_vectors: PackedDocs
 ) -> DetectionReport:
-    """Run both parties in this process over the queue transport."""
+    """Run both parties in this process over the queue transport.
+
+    A remote run is ``AliceSession(config, queries, transport).run()`` over
+    a connected transport.  Its responder keeps its own multiplication
+    count; this function, which holds its responder, copies the count into
+    the report."""
     alice_end, bob_end = make_local_pair()
     responder = BobResponder(bob_vectors, dims=config.n)
     server = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
     server.start()
     try:
-        report = run_detection(queries, config, alice_end)
+        report = AliceSession(config, queries, alice_end).run()
     finally:
         alice_end.close()
         server.join(timeout=5.0)

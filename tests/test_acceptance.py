@@ -32,7 +32,6 @@ from ssdd.protocol.session import (
     BobResponder,
     SessionConfig,
     evaluate_filter,
-    run_detection,
     run_local_detection,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
@@ -320,7 +319,7 @@ def test_08_transports_agree():
     with server:
         transport = connect_tcp(server.host, server.port)
         try:
-            remote = run_detection(queries, config, transport)
+            remote = AliceSession(config, queries, transport).run()
         finally:
             transport.close()
     assert not remote.aborted

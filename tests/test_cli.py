@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via main()."""
 
+import argparse
 import csv
 import socket
 import threading
@@ -9,12 +10,17 @@ import numpy as np
 import pytest
 
 from ssdd.bench import REPORT_COLUMNS
-from ssdd.cli import main
-from ssdd.corpus import load_cache, split_queries, write_docword
+from ssdd.cli import build_parser, main
+from ssdd.corpus import Corpus, RawDocument, load_cache, save_cache, split_queries, write_docword
 from ssdd.errors import SessionError
 from ssdd.oracle import oracle_detect
-from ssdd.protocol.session import SessionConfig, run_detection, run_local_detection
-from ssdd.protocol.transport import connect_tcp
+from ssdd.protocol.session import (
+    AliceSession,
+    BobResponder,
+    SessionConfig,
+    run_local_detection,
+)
+from ssdd.protocol.transport import TcpServer, connect_tcp
 
 from conftest import synth_corpus
 
@@ -139,8 +145,17 @@ class TestDetect:
     def test_missing_file(self, tmp_path):
         assert main(["detect", str(tmp_path / "absent.bin")]) == 2
 
-    def test_filter_method_without_budget(self, cache_path):
-        assert main(["detect", str(cache_path), "--method", "rp"]) == 2
+    def test_filter_method_without_budget(self, cache_path, capsys):
+        assert main(["detect", str(cache_path), "--method", "rp"]) == 1
+        assert "--method rp needs --dims" in capsys.readouterr().err
+
+    def test_base_with_budget_is_usage_error(self, capsys):
+        # BASE uses no budget, so a given one is refused, before the absent
+        # corpus is opened, rather than run and printed as its f
+        assert main(["detect", "absent.bin", "--method", "base", "--dims", "5"]) == 1
+        refused = capsys.readouterr()
+        assert "--method base takes no --dims" in refused.err
+        assert refused.out == ""
 
     def test_budget_count_and_percentage_is_usage_error(self, cache_path, capsys):
         # one option sets f, so a count and a percentage cannot both be given
@@ -183,6 +198,19 @@ class TestParser:
     def test_bench_requires_report(self, cache_path, capsys):
         assert main(["bench", str(cache_path)]) == 1
         capsys.readouterr()
+
+    def test_option_count(self):
+        """Each settable option is one more setting for tests to cover, so
+        a new one has to raise this bound on purpose."""
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = [
+            (name, action.dest)
+            for name, command in commands.choices.items()
+            for action in command._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        assert len(options) <= 26, options
 
     def test_bad_host_port(self, capsys):
         # refused while parsing, before the absent corpus is opened or a
@@ -357,14 +385,16 @@ class TestBenchCommand:
             rows = list(csv.DictReader(fh))
         assert [row["f"] for row in rows] == ["5", "12"]
 
-    def test_full_and_limit_is_usage_error(self, cache_path, tmp_path, capsys):
-        report = tmp_path / "never.csv"
-        code = main(
-            ["bench", str(cache_path), "--full", "--limit", "5", "--report", str(report)]
-        )
-        assert code == 1
-        assert not report.exists()
-        assert "not allowed with" in capsys.readouterr().err
+    def test_reads_the_whole_corpus_without_limit(self, tmp_path, capsys):
+        path = tmp_path / "large.bin"
+        save_cache(synth_corpus(n_docs=210, dims=60, seed=5, mean_terms=20), path)
+        report = tmp_path / "large.csv"
+        argv = ["bench", str(path), "--methods", "base", "--tolerances", "0.8"]
+        assert main(argv + ["--queries", "2", "--report", str(report)]) == 0
+        assert "1 rows over 210 documents" in capsys.readouterr().out
+        with report.open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["pairs_total"] == str(2 * 208)
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -382,29 +412,71 @@ class TestBenchCommand:
         assert message in capsys.readouterr().err
 
 
-class TestRemote:
-    def test_detect_against_library_server(self, corpus, cache_path, capsys):
-        from ssdd.protocol.session import BobResponder
-        from ssdd.protocol.transport import TcpServer
+@pytest.fixture(scope="module")
+def two_parties(tmp_path_factory):
+    """Alice's file of 6 documents and Bob's file of 20, three of Bob's
+    near-copies of Alice's documents 0, 2 and 5."""
+    rng = np.random.default_rng(58)
 
-        _, target_ids = split_queries(corpus, k=5, seed=3)
-        targets = corpus.vectors.take(target_ids)
-        server = TcpServer(lambda: BobResponder(targets, dims=corpus.dims))
+    def document(i):
+        terms = rng.choice(120, size=18, replace=False)
+        return RawDocument(i, dict(zip(terms.tolist(), rng.integers(1, 6, 18).tolist())))
+
+    alice = [document(i) for i in range(6)]
+    bob = [document(i) for i in range(17)]
+    for q in (0, 2, 5):
+        counts = dict(alice[q].counts)
+        counts[next(iter(counts))] += 1
+        bob.append(RawDocument(len(bob), counts))
+    paths = []
+    for name, documents in (("alice.bin", alice), ("bob.bin", bob)):
+        paths.append(tmp_path_factory.mktemp("parties") / name)
+        save_cache(Corpus(120, documents), paths[-1])
+    return paths
+
+
+class TestRemote:
+    def test_detect_against_library_server(self, two_parties, capsys):
+        """Bob serves all of his file and every document of Alice's file is
+        a query: the run reports the oracle's similar pairs over the two."""
+        alice_path, bob_path = two_parties
+        queries = load_cache(alice_path).vectors
+        targets = load_cache(bob_path).vectors
+        expected = int(oracle_detect(queries, targets, 0.8).similar.sum())
+        assert expected >= 3
+        server = TcpServer(lambda: BobResponder(targets, dims=targets.dims))
         with server:
-            code = main(
-                [
-                    "detect",
-                    str(cache_path),
-                    "--connect",
-                    f"{server.host}:{server.port}",
-                    "--queries",
-                    "5",
-                    "--seed",
-                    "3",
-                ]
-            )
-        assert code == 0
-        assert "pairs=125" in capsys.readouterr().out
+            for method in (["--method", "base"], ["--method", "hf", "--dims", "20%"]):
+                argv = ["detect", str(alice_path), "--connect", f"{server.host}:{server.port}"]
+                assert main(argv + method) == 0
+                out = capsys.readouterr().out
+                assert f"pairs={len(queries) * len(targets)} " in out
+                assert f" similar={expected} " in out
+
+    def test_serving_the_queried_file_pairs_each_query_with_itself(
+        self, cache_path, capsys
+    ):
+        # a query meets itself only when Bob's file holds it, and then the
+        # oracle over the same two files counts that pair too
+        vectors = load_cache(cache_path).vectors
+        oracle = oracle_detect(vectors, vectors, 0.8)
+        assert oracle.similar.diagonal().all()
+        server = TcpServer(lambda: BobResponder(vectors, dims=vectors.dims))
+        with server:
+            argv = ["detect", str(cache_path), "--connect", f"{server.host}:{server.port}"]
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"pairs={len(vectors) ** 2} " in out
+        assert f" similar={int(oracle.similar.sum())} " in out
+
+    @pytest.mark.parametrize("count", ["3", "10"])
+    def test_queries_with_connect_is_usage_error(self, cache_path, capsys, count):
+        # refused while parsing, so no socket is made; 10 is the default
+        argv = ["detect", str(cache_path), "--connect", "127.0.0.1:1", "--queries", count]
+        assert main(argv) == 1
+        refused = capsys.readouterr()
+        assert "argument --queries: not allowed with argument --connect" in refused.err
+        assert refused.out == ""
 
     def test_serve_once_round_trip(self, corpus, cache_path, capsys):
         with socket.socket() as probe:
@@ -430,7 +502,7 @@ class TestRemote:
         queries = corpus.vectors.take([0, 1, 2])
         config = SessionConfig(n=corpus.dims, epsilon=0.8)
         try:
-            report = run_detection(queries, config, transport)
+            report = AliceSession(config, queries, transport).run()
         finally:
             transport.close()
         worker.join(timeout=10.0)

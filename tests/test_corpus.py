@@ -464,12 +464,6 @@ class TestSplitQueries:
         assert sorted(q1 + t1) == list(range(40))
         assert not set(q1) & set(t1)
 
-    def test_overlap_keeps_all_targets(self):
-        corpus = synth_corpus(n_docs=20, dims=100, seed=3, mean_terms=8)
-        queries, targets = split_queries(corpus, k=5, seed=1, overlap=True)
-        assert targets == list(range(20))
-        assert len(queries) == 5
-
     def test_k_out_of_range(self):
         corpus = synth_corpus(n_docs=10, dims=50, seed=3, mean_terms=8)
         with pytest.raises(RangeError):
@@ -477,16 +471,14 @@ class TestSplitQueries:
         with pytest.raises(RangeError):
             split_queries(corpus, k=11)
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_matches_per_document_reference(self, overlap):
+    def test_matches_per_document_reference(self):
         corpus = synth_corpus(n_docs=30, dims=60, seed=3, mean_terms=6)
         for seed in range(5):
-            queries, targets = split_queries(corpus, k=7, seed=seed, overlap=overlap)
+            queries, targets = split_queries(corpus, k=7, seed=seed)
             rng = np.random.default_rng(seed)
             expected = sorted(int(i) for i in rng.choice(30, size=7, replace=False))
-            chosen = set() if overlap else set(expected)
             assert queries == expected
-            assert targets == [i for i in range(30) if i not in chosen]
+            assert targets == [i for i in range(30) if i not in set(expected)]
             assert all(type(i) is int for i in queries + targets)
 
     def test_different_seeds_differ(self):

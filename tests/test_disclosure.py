@@ -11,7 +11,7 @@ import numpy as np
 
 from ssdd.masking import SharedRandomMatrix
 from ssdd.protocol.messages import Bye, FilterQuery, FullQuery, Hello, decode_message
-from ssdd.protocol.session import BobResponder, SessionConfig, run_detection
+from ssdd.protocol.session import AliceSession, BobResponder, SessionConfig
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
 from ssdd.vectors import pack
@@ -46,7 +46,7 @@ def bob_view(queries, targets, config):
     worker = threading.Thread(target=bob.serve, args=(bob_end,), daemon=True)
     worker.start()
     try:
-        report = run_detection(pack(queries, config.n), config, alice_end)
+        report = AliceSession(config, pack(queries, config.n), alice_end).run()
     finally:
         alice_end.close()
         worker.join(timeout=5.0)

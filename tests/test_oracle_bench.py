@@ -100,14 +100,18 @@ def bench_corpus():
     return synth_corpus(n_docs=40, dims=300, seed=77, mean_terms=30)
 
 
+def split(corpus, k, seed):
+    """The query and target vectors of the seeded split."""
+    return [corpus.vectors.take(ids) for ids in split_queries(corpus, k=k, seed=seed)]
+
+
 class TestBench:
     def test_grid_shape_and_order(self, bench_corpus):
         rows = run_bench(
-            bench_corpus,
+            *split(bench_corpus, k=5, seed=2),
             methods=[SelectionMethod.LF, SelectionMethod.BASE],
             f_values=[30, 20],
             tolerances=[0.9, 0.8],
-            queries=5,
             seed=2,
         )
         heads = [(r.method, r.f, r.epsilon) for r in rows]
@@ -122,11 +126,10 @@ class TestBench:
 
     def test_row_invariants(self, bench_corpus):
         rows = run_bench(
-            bench_corpus,
+            *split(bench_corpus, k=5, seed=2),
             methods=[SelectionMethod.BASE, SelectionMethod.RP],
             f_values=[25],
             tolerances=[0.85],
-            queries=5,
             seed=2,
         )
         for row in rows:
@@ -142,11 +145,10 @@ class TestBench:
             methods=[SelectionMethod.HF],
             f_values=[25],
             tolerances=[0.8],
-            queries=4,
             seed=6,
         )
-        first = run_bench(bench_corpus, **kwargs)
-        second = run_bench(bench_corpus, **kwargs)
+        first = run_bench(*split(bench_corpus, k=4, seed=6), **kwargs)
+        second = run_bench(*split(bench_corpus, k=4, seed=6), **kwargs)
         wall_at = REPORT_COLUMNS.index("wall_ms")
         for a, b in zip(first, second):
             a_t, b_t = a.as_tuple(), b.as_tuple()
@@ -154,20 +156,20 @@ class TestBench:
             assert a_t[wall_at + 1 :] == b_t[wall_at + 1 :]
 
     def test_empty_grid_rejected(self, bench_corpus):
+        queries, targets = split(bench_corpus, k=10, seed=0)
         with pytest.raises(RangeError):
-            run_bench(bench_corpus, methods=[], f_values=[5], tolerances=[0.8])
+            run_bench(queries, targets, methods=[], f_values=[5], tolerances=[0.8])
         with pytest.raises(RangeError):
             run_bench(
-                bench_corpus,
+                queries,
+                targets,
                 methods=[SelectionMethod.BASE],
                 f_values=[5],
                 tolerances=[],
             )
 
     def test_row_from_report(self, bench_corpus):
-        query_ids, target_ids = split_queries(bench_corpus, k=4, seed=3)
-        queries = bench_corpus.vectors.take(query_ids)
-        targets = bench_corpus.vectors.take(target_ids)
+        queries, targets = split(bench_corpus, k=4, seed=3)
         config = SessionConfig(
             n=bench_corpus.dims, epsilon=0.8, method=SelectionMethod.GF, f=30
         )
@@ -183,11 +185,10 @@ class TestBench:
 class TestReportCsv:
     def test_header_and_parse_back(self, bench_corpus):
         rows = run_bench(
-            bench_corpus,
+            *split(bench_corpus, k=4, seed=2),
             methods=[SelectionMethod.BASE, SelectionMethod.LF],
             f_values=[20],
             tolerances=[0.8, 0.9],
-            queries=4,
             seed=2,
         )
         out = io.StringIO()

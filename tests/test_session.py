@@ -44,7 +44,6 @@ from ssdd.protocol.session import (
     SessionConfig,
     SessionMetrics,
     evaluate_filter,
-    run_detection,
     run_local_detection,
 )
 from ssdd.protocol import transport as transport_module
@@ -532,7 +531,7 @@ class TestTraffic:
         worker = threading.Thread(target=responder.serve, args=(bob_end,))
         worker.start()
         config = config_for(method, n=400, f=20)
-        report = run_detection(self.u, config, alice_end)
+        report = AliceSession(config, self.u, alice_end).run()
         worker.join(timeout=5.0)
         assert not worker.is_alive()
         assert not report.aborted
@@ -566,7 +565,7 @@ class TestTcpAgreement:
         with server:
             transport = connect_tcp(server.host, server.port)
             try:
-                over_tcp = run_detection(queries, config, transport)
+                over_tcp = AliceSession(config, queries, transport).run()
             finally:
                 transport.close()
         assert not over_tcp.aborted
@@ -602,7 +601,7 @@ class TestSharedCorpus:
             for _ in range(2):
                 transport = connect_tcp(server.host, server.port)
                 try:
-                    report = run_detection(queries, config, transport)
+                    report = AliceSession(config, queries, transport).run()
                 finally:
                     transport.close()
                 assert not report.aborted
@@ -629,7 +628,7 @@ class TestSharedCorpus:
             start.wait(timeout=10.0)
             transport = connect_tcp(server.host, server.port)
             try:
-                reports[k] = run_detection(queries, configs[k], transport)
+                reports[k] = AliceSession(configs[k], queries, transport).run()
             finally:
                 transport.close()
 
@@ -677,7 +676,7 @@ class TestFinishedResponders:
             for _ in range(2):
                 transport = connect_tcp(server.host, server.port)
                 try:
-                    report = run_detection(queries, config, transport)
+                    report = AliceSession(config, queries, transport).run()
                 finally:
                     transport.close()
                 assert not report.aborted
@@ -701,7 +700,7 @@ class TestFinishedResponders:
             for _ in range(3):
                 transport = connect_tcp(server.host, server.port)
                 try:
-                    report = run_detection(queries, config, transport)
+                    report = AliceSession(config, queries, transport).run()
                 finally:
                     transport.close()
                 assert not report.aborted
@@ -835,12 +834,12 @@ class TestTcpServer:
                 first = connect_tcp(server.host, server.port, timeout=5.0)
                 try:
                     wait_for_sessions(server)
-                    assert run_detection(doc, config, first).aborted
+                    assert AliceSession(config, doc, first).run().aborted
                 finally:
                     first.close()
                 second = connect_tcp(server.host, server.port, timeout=5.0)
                 try:
-                    report = run_detection(doc, config, second)
+                    report = AliceSession(config, doc, second).run()
                 finally:
                     second.close()
                 wait_for_sessions(server)
@@ -858,7 +857,7 @@ class TestAbort:
         a_end, b_end = make_local_pair(timeout=1.0)
         b_end.close()
         doc = pack([build_document_vector({0: 1}, 4)], 4)
-        report = run_detection(doc, SessionConfig(n=4, epsilon=0.5), a_end)
+        report = AliceSession(SessionConfig(n=4, epsilon=0.5), doc, a_end).run()
         assert report.aborted
         assert report.decisions == []
         assert report.target_count == 0
@@ -876,7 +875,7 @@ class TestAbort:
         worker = threading.Thread(target=serve_quietly, daemon=True)
         worker.start()
         doc = pack([build_document_vector({0: 1}, 500)], 500)
-        report = run_detection(doc, SessionConfig(n=500, epsilon=0.5), a_end)
+        report = AliceSession(SessionConfig(n=500, epsilon=0.5), doc, a_end).run()
         worker.join(timeout=5.0)
         assert report.aborted
         assert report.target_count == 0
@@ -998,7 +997,7 @@ class TestResponderValidation:
         worker = threading.Thread(target=BobResponder(pack([], 4)).serve, args=(bob_end,))
         worker.start()
         try:
-            report = run_detection(queries, config, alice_end)
+            report = AliceSession(config, queries, alice_end).run()
         finally:
             alice_end.close()
             worker.join(timeout=5.0)
@@ -1295,7 +1294,7 @@ def run_against(responder, queries, config):
     worker = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
     worker.start()
     try:
-        report = run_detection(queries, config, alice_end)
+        report = AliceSession(config, queries, alice_end).run()
     finally:
         alice_end.close()
         worker.join(timeout=5.0)

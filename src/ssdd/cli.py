@@ -2,8 +2,9 @@
 
 Subcommands:
 
-- ingest: parse a docword file (optionally checking a vocabulary) into the
-  binary corpus cache.
+- ingest: parse a docword file (optionally checking a vocabulary), or
+  read a cache, into the binary corpus cache; --limit N keeps its first N
+  documents.
 - serve: host a corpus as the responding side on a TCP port.
 - detect: run the detection protocol for seeded query documents of a
   corpus against its other documents in-process, or, with --connect, for
@@ -11,8 +12,10 @@ Subcommands:
 - oracle: plaintext exhaustive ground truth for the in-process split.
 - bench: grid of in-process detection runs written as a CSV report.
 
-A party's corpus file is its documents, all of them unless --limit: only
-a run that holds both parties splits one file into queries and targets.
+A party's corpus file is its documents: every other command reads its
+file whole, and only a run that holds both parties splits one file into
+queries and targets.  To run on part of a corpus, ingest that part first
+(``ssdd ingest kos.bin --limit 200 --out kos200.bin``).
 
 A filter budget (--dims) is a count, such as 69, or a percentage of the
 vocabulary width n, such as 1%.
@@ -60,19 +63,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def load_corpus(path: str, limit: int | None = None) -> Corpus:
+def load_corpus(path: str) -> Corpus:
     """Load a cache or docword file, sniffing the format from the header."""
     p = Path(path)
     with open(p, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
     if magic == CACHE_MAGIC:
-        corpus = load_cache(p)
-    else:
-        with open(p, "r", encoding="utf-8") as fh:
-            corpus = parse_bag_of_words(fh)
-    if limit is not None and limit < len(corpus):
-        corpus = corpus.subset(range(limit))
-    return corpus
+        return load_cache(p)
+    with open(p, "r", encoding="utf-8") as fh:
+        return parse_bag_of_words(fh)
 
 
 def _comma_list(kind):
@@ -129,7 +128,9 @@ def _host_port(text: str) -> tuple[str, int]:
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_corpus(args.docword, args.limit)
+    corpus = load_corpus(args.docword)
+    if args.limit is not None and args.limit < len(corpus):
+        corpus = corpus.subset(range(args.limit))
     if args.vocab:
         with open(args.vocab, "r", encoding="utf-8") as fh:
             vocab = load_vocabulary(fh)
@@ -150,13 +151,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_serve(args) -> int:
     # the vectors only: a served corpus keeps no counts
-    targets = load_corpus(args.corpus, args.limit).vectors
+    targets = load_corpus(args.corpus).vectors
     host, port = args.listen
-
-    def factory():
-        return BobResponder(targets, dims=targets.dims)
-
-    server = TcpServer(factory, host=host, port=port)
+    server = TcpServer(lambda: BobResponder(targets), host=host, port=port)
     server.start()
     print(f"serving {len(targets)} documents on {server.host}:{server.port}")
     try:
@@ -201,7 +198,7 @@ def cmd_detect(args) -> int:
         need = "needs" if args.method.uses_filter else "takes no"
         print(f"error: --method {args.method.name.lower()} {need} --dims", file=sys.stderr)
         return USAGE_ERROR
-    corpus = load_corpus(args.corpus, args.limit)
+    corpus = load_corpus(args.corpus)
     f = args.dims(corpus.dims) if args.dims else 0
     config = SessionConfig(
         n=corpus.dims, epsilon=args.tolerance, method=args.method, f=f, seed=args.seed
@@ -229,7 +226,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    corpus = load_corpus(args.corpus, args.limit)
+    corpus = load_corpus(args.corpus)
     (query_ids, target_ids), (queries, targets) = _split(args, corpus)
     result = oracle_detect(queries, targets, args.tolerance)
     pairs = np.argwhere(result.similar).tolist()
@@ -248,7 +245,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = load_corpus(args.corpus, args.limit)
+    corpus = load_corpus(args.corpus)
     _, (queries, targets) = _split(args, corpus)
     rows = run_bench(
         queries,
@@ -272,14 +269,13 @@ def _add_split_options(p, group=None) -> None:
     # parses to, which would slip past a mutually exclusive group
     (group or p).add_argument("--queries", type=_integer(1), default="10")
     p.add_argument("--seed", type=_integer(0, 2**64), default=0)
-    p.add_argument("--limit", type=_integer(0), help="keep only the first N documents")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ssdd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="docword file to binary corpus cache")
+    p = sub.add_parser("ingest", help="docword file or cache to binary corpus cache")
     p.add_argument("docword")
     p.add_argument("--vocab", help="vocabulary file to validate against")
     p.add_argument("--out", required=True)
@@ -289,7 +285,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="host a corpus for remote detection")
     p.add_argument("corpus")
     p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 7643))
-    p.add_argument("--limit", type=_integer(0))
     p.add_argument("--once", action="store_true", help="exit after one session")
     p.set_defaults(func=cmd_serve)
 

@@ -608,8 +608,6 @@ class AliceSession:
             survivors = self._filter_step(query_id)
         else:
             survivors = np.arange(self.target_count)
-        self.metrics.pairs_total += self.target_count
-        self.metrics.pairs_filtered += self.target_count - survivors.size
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
             self.metrics.full_products += survivors.size
@@ -626,6 +624,10 @@ class AliceSession:
                 self.similar[query_id, survivors] = (
                     recovered >= self.config.epsilon
                 ) & ~empty
+        # counted once the full round has returned, so an aborted session's
+        # counters cover its decided queries only
+        self.metrics.pairs_total += self.target_count
+        self.metrics.pairs_filtered += self.target_count - survivors.size
         self.metrics.wall_time += time.perf_counter() - started
 
     def run(self) -> DetectionReport:

@@ -92,6 +92,14 @@ class TestIngest:
         assert len(load_cache(out)) == 0
         capsys.readouterr()
 
+    def test_limit_cuts_a_cache(self, corpus, cache_path, tmp_path, capsys):
+        out = tmp_path / "five-of-cache.bin"
+        assert main(["ingest", str(cache_path), "--out", str(out), "--limit", "5"]) == 0
+        five, cut = corpus.subset(range(5)).counts, load_cache(out).counts
+        for array in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(getattr(cut, array), getattr(five, array))
+        assert capsys.readouterr().out.startswith(f"{out}: 5 documents, ")
+
     def test_negative_limit_is_usage_error(self, docword_path, tmp_path, capsys):
         out = tmp_path / "negative.bin"
         assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "-1"]) == 1
@@ -158,12 +166,13 @@ class TestDetect:
         assert refused.out == ""
 
     def test_budget_count_and_percentage_is_usage_error(self, cache_path, capsys):
-        # one option sets f, so a count and a percentage cannot both be given
-        code = main(
-            ["detect", str(cache_path), "--method", "rp", "--dims", "10", "--dims-pct", "50"]
-        )
-        assert code == 1
-        assert "--dims-pct" in capsys.readouterr().err
+        # detect takes one budget, so a list of a count and a percentage is
+        # refused while parsing
+        argv = ["detect", str(cache_path), "--method", "rp", "--dims", "10,50%"]
+        assert main(argv) == 1
+        refused = capsys.readouterr()
+        assert "argument --dims" in refused.err and "10,50%" in refused.err
+        assert refused.out == ""
 
     def test_local_corpus_and_connect_run_remote(self, cache_path, capsys):
         # the corpus is the query side of a remote run, not a local run
@@ -210,7 +219,7 @@ class TestParser:
             for action in command._actions
             if action.option_strings and action.dest != "help"
         ]
-        assert len(options) <= 26, options
+        assert len(options) <= 22, options
 
     def test_bad_host_port(self, capsys):
         # refused while parsing, before the absent corpus is opened or a
@@ -229,10 +238,11 @@ class TestParser:
             ["bench", "absent.bin", "--report", "absent.csv"],
         ],
     )
-    def test_negative_limit_is_usage_error(self, command, capsys):
-        # refused while parsing, before the absent corpus is opened
-        assert main(command + ["--limit", "-3"]) == 1
-        assert "--limit" in capsys.readouterr().err
+    def test_limit_is_ingest_only(self, command, capsys):
+        # every other command reads its file whole: refused while parsing,
+        # before the absent corpus is opened
+        assert main(command + ["--limit", "5"]) == 1
+        assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option",
@@ -444,7 +454,7 @@ class TestRemote:
         targets = load_cache(bob_path).vectors
         expected = int(oracle_detect(queries, targets, 0.8).similar.sum())
         assert expected >= 3
-        server = TcpServer(lambda: BobResponder(targets, dims=targets.dims))
+        server = TcpServer(lambda: BobResponder(targets))
         with server:
             for method in (["--method", "base"], ["--method", "hf", "--dims", "20%"]):
                 argv = ["detect", str(alice_path), "--connect", f"{server.host}:{server.port}"]
@@ -461,7 +471,7 @@ class TestRemote:
         vectors = load_cache(cache_path).vectors
         oracle = oracle_detect(vectors, vectors, 0.8)
         assert oracle.similar.diagonal().all()
-        server = TcpServer(lambda: BobResponder(vectors, dims=vectors.dims))
+        server = TcpServer(lambda: BobResponder(vectors))
         with server:
             argv = ["detect", str(cache_path), "--connect", f"{server.host}:{server.port}"]
             assert main(argv) == 0

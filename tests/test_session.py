@@ -1387,6 +1387,22 @@ class TestReportArrays:
         assert not report.similar[1:].any()
         assert np.argwhere(report.similar).tolist() == [[0, 0]]
 
+    @pytest.mark.parametrize("query_id", [0, 1])
+    @pytest.mark.parametrize(
+        "method", [SelectionMethod.BASE, SelectionMethod.LF], ids=lambda m: m.name
+    )
+    def test_abort_counts_the_decided_queries_only(self, method, query_id):
+        """The query whose full reply aborts the session adds to no counter;
+        under LF each query keeps one of the six targets."""
+        docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
+        bob = PoisonedBob(docs, 40, FullReply, "s", np.nan, query_id=query_id)
+        report = run_against(bob, docs.take([0, 4, 0]), config_for(method, n=40, f=8))
+        assert report.aborted and report.decided == query_id
+        metrics = report.metrics
+        assert metrics.pairs_total == 6 * query_id
+        assert metrics.pairs_filtered + metrics.full_products == metrics.pairs_total
+        assert metrics.full_products == (6 if method is SelectionMethod.BASE else 1) * query_id
+
     def test_filtered_is_nan_is_no_cosine(self, small_corpus):
         query_ids, target_ids = split_queries(small_corpus, k=6, seed=5)
         queries = pack(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +136,7 @@ def cmd_ingest(args) -> int:
         if len(vocab) != corpus.dims:
             print(
                 f"error: vocabulary has {len(vocab)} terms, "
-                f"docword header says {corpus.dims}",
+                f"corpus has {corpus.dims} terms",
                 file=sys.stderr,
             )
             return RUNTIME_ERROR
@@ -154,18 +153,16 @@ def cmd_serve(args) -> int:
     targets = load_corpus(args.corpus).vectors
     host, port = args.listen
     server = TcpServer(lambda: BobResponder(targets), host=host, port=port)
-    server.start()
     print(f"serving {len(targets)} documents on {server.host}:{server.port}")
     try:
         if args.once:
-            server.wait()
+            server.handle_request()
         else:
-            while True:
-                time.sleep(0.5)
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.stop()
+        server.server_close()  # waits for running sessions
         first = server.sessions - len(server.responders)
         for i, responder in enumerate(server.responders, start=first):
             print(
@@ -328,9 +325,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
     except (SsddError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

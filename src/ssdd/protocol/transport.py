@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import queue
 import socket
+import socketserver
 import struct
 import threading
 from collections import deque
@@ -126,8 +127,9 @@ def connect_tcp(host: str, port: int, timeout: float = 30.0) -> TcpTransport:
     return TcpTransport(sock)
 
 
-class TcpServer:
-    """Accept loop that runs one responder per incoming connection.
+class TcpServer(socketserver.ThreadingTCPServer):
+    """The standard library's threading TCP server, running one responder
+    per incoming connection.
 
     ``responder_factory`` builds a fresh object with a ``serve(transport)``
     method for every connection.  ``responders`` holds the most recent
@@ -135,69 +137,46 @@ class TcpServer:
     counters (a BobResponder keeps no arrays once its session ends);
     ``sessions`` counts every responder built, so the first one kept is
     session ``sessions - len(responders)``.  A session that raises is
-    logged with its traceback and does not stop the accept loop.
+    logged with its traceback and does not stop the server.
+
+    ``start()`` serves from a background thread; ``stop()``, or leaving
+    ``with``, closes the listener and waits for running sessions.  Each
+    session ends at Bye, when the peer closes, or at the 60 s socket
+    timeout.
     """
 
+    allow_reuse_address = True
+    request_queue_size = min(socket.SOMAXCONN, 128)  # listen()'s default, not 5
+
     def __init__(self, responder_factory, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), None)  # finish_request serves, no handler class
         self._factory = responder_factory
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
+        self.host, self.port = self.server_address[:2]
         self.responders: deque = deque(maxlen=KEPT_RESPONDERS)
         self.sessions = 0
         self._count_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._workers: list[threading.Thread] = []
-        self._accepted = threading.Event()
+        self._serving = False
 
-    def _handle(self, conn: socket.socket, peer) -> None:
-        transport = TcpTransport(conn)
-        try:
-            responder = self._factory()
-            with self._count_lock:
-                self.responders.append(responder)
-                self.sessions += 1
-            responder.serve(transport)
-        except Exception:
-            logger.exception("session from %s:%s failed", *peer[:2])
-        finally:
-            transport.close()
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        request.settimeout(60.0)
+        responder = self._factory()
+        with self._count_lock:
+            self.responders.append(responder)
+            self.sessions += 1
+        responder.serve(TcpTransport(request))
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(60.0)
-            worker = threading.Thread(
-                target=self._handle, args=(conn, peer), daemon=True
-            )
-            self._workers = [w for w in self._workers if w.is_alive()] + [worker]
-            worker.start()
-            self._accepted.set()
+    def handle_error(self, request, client_address) -> None:
+        logger.exception("session from %s:%s failed", *client_address[:2])
 
     def start(self) -> "TcpServer":
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
+        self._serving = True
+        threading.Thread(target=self.serve_forever, args=(0.2,), daemon=True).start()
         return self
 
-    def wait(self) -> None:
-        """Block until a session has been accepted and none is running."""
-        self._accepted.wait()
-        for worker in list(self._workers):
-            worker.join()
-
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        for worker in list(self._workers):
-            worker.join(timeout=5.0)
-        self._listener.close()
+        if self._serving:  # shutdown() waits for a serve_forever that runs
+            self.shutdown()
+        self.server_close()
 
     def __enter__(self) -> "TcpServer":
         return self.start()

@@ -2,9 +2,14 @@
 
 import argparse
 import csv
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,21 +65,27 @@ class TestIngest:
                 corpus.vectors, array
             ).tobytes()
 
-    def test_vocabulary_width_is_checked(self, corpus, docword_path, tmp_path):
+    def test_vocabulary_width_is_checked(
+        self, corpus, docword_path, cache_path, tmp_path, capsys
+    ):
+        """A docword input and a cache input are both checked against the
+        corpus width, which a cache holds without a docword header."""
         good = tmp_path / "vocab.txt"
         good.write_text("".join(f"w{i:03d}\n" for i in range(corpus.dims)))
-        out = tmp_path / "ok.bin"
-        code = main(
-            ["ingest", str(docword_path), "--vocab", str(good), "--out", str(out)]
-        )
-        assert code == 0
-
         short = tmp_path / "short.txt"
         short.write_text("".join(f"w{i:03d}\n" for i in range(corpus.dims - 1)))
-        code = main(
-            ["ingest", str(docword_path), "--vocab", str(short), "--out", str(out)]
-        )
-        assert code == 2
+        for source in (docword_path, cache_path):
+            out = tmp_path / "ok.bin"
+            argv = ["ingest", str(source), "--out", str(out), "--vocab"]
+            assert main(argv + [str(good)]) == 0
+            assert capsys.readouterr().out.startswith(f"{out}: ")
+            out.unlink()
+            assert main(argv + [str(short)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == (
+                f"error: vocabulary has {corpus.dims - 1} terms, "
+                f"corpus has {corpus.dims} terms\n"
+            )
 
     def test_limit_truncates(self, corpus, docword_path, tmp_path, capsys):
         out = tmp_path / "five.bin"
@@ -489,9 +500,7 @@ class TestRemote:
         assert refused.out == ""
 
     def test_serve_once_round_trip(self, corpus, cache_path, capsys):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = free_port()
         outcome = {}
 
         def run_server():
@@ -501,27 +510,63 @@ class TestRemote:
 
         worker = threading.Thread(target=run_server, daemon=True)
         worker.start()
-        transport = None
-        for _ in range(100):
-            try:
-                transport = connect_tcp("127.0.0.1", port, timeout=5.0)
-                break
-            except SessionError:
-                time.sleep(0.05)
-        assert transport is not None, "server never started listening"
-        queries = corpus.vectors.take([0, 1, 2])
-        config = SessionConfig(n=corpus.dims, epsilon=0.8)
-        try:
-            report = AliceSession(config, queries, transport).run()
-        finally:
-            transport.close()
+        base_session(corpus, port)
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert outcome["code"] == 0
-        assert not report.aborted
-        assert report.metrics.pairs_total == 3 * len(corpus)
         out = capsys.readouterr().out
         assert f"serving {len(corpus)} documents" in out
-        # BASE: every query gets a full response from every document
-        mults = 3 * sum(v.nnz[0] for v in corpus.vectors) * (1 + (corpus.dims + 1) // 2)
-        assert f"session 0: {mults} response multiplications" in out
+        assert f"session 0: {base_mults(corpus)} response multiplications" in out
+
+    def test_serve_runs_until_interrupted(self, corpus, cache_path):
+        """Without --once, `ssdd serve` serves until SIGINT, then exits 0
+        and reports each session it served."""
+        port = free_port()
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        argv = [sys.executable, "-m", "ssdd.cli", "serve", str(cache_path)]
+        argv += ["--listen", f"127.0.0.1:{port}"]
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as server:
+            try:
+                base_session(corpus, port)
+                server.send_signal(signal.SIGINT)
+                out, err = server.communicate(timeout=30.0)
+            finally:
+                server.kill()
+        assert server.returncode == 0, err
+        assert f"serving {len(corpus)} documents" in out
+        assert f"session 0: {base_mults(corpus)} response multiplications\n" in out
+
+
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def base_session(corpus, port: int) -> None:
+    """One BASE session of the corpus's first three documents against the
+    server on ``port``, once it listens."""
+    transport = None
+    for _ in range(200):
+        try:
+            transport = connect_tcp("127.0.0.1", port, timeout=5.0)
+            break
+        except SessionError:
+            time.sleep(0.05)
+    assert transport is not None, "server never started listening"
+    queries = corpus.vectors.take([0, 1, 2])
+    config = SessionConfig(n=corpus.dims, epsilon=0.8)
+    try:
+        report = AliceSession(config, queries, transport).run()
+    finally:
+        transport.close()
+    assert not report.aborted
+    assert report.metrics.pairs_total == 3 * len(corpus)
+
+
+def base_mults(corpus) -> int:
+    """Bob's response multiplications for base_session: every query gets a
+    full response from every document."""
+    return 3 * sum(v.nnz[0] for v in corpus.vectors) * (1 + (corpus.dims + 1) // 2)

@@ -605,7 +605,6 @@ class TestSharedCorpus:
                 finally:
                     transport.close()
                 assert not report.aborted
-                wait_for_sessions(server)
         assert server.sessions == 2 and len(seen) == 10
         assert all(docs is loaded.vectors for docs, _ in seen)
         assert all(view is seen[0][1] for _, view in seen)
@@ -705,7 +704,6 @@ class TestFinishedResponders:
                     transport.close()
                 assert not report.aborted
                 assert server.responders[-1] is made[-1]
-            wait_for_sessions(server)
         assert server.sessions == 3
         assert list(server.responders) == made[1:]
         assert server.responders[0] is made[1]
@@ -736,13 +734,6 @@ class TestFinishedResponders:
         assert memo_held == [True, True, True]
         assert bob._session_filter is None
         assert [k for k, v in vars(bob).items() if holds_array(v)] == []
-
-
-def wait_for_sessions(server: TcpServer) -> None:
-    waiter = threading.Thread(target=server.wait, daemon=True)
-    waiter.start()
-    waiter.join(timeout=10.0)
-    assert not waiter.is_alive(), "sessions did not end"
 
 
 @pytest.fixture
@@ -833,7 +824,6 @@ class TestTcpServer:
             with TcpServer(factory) as server:
                 first = connect_tcp(server.host, server.port, timeout=5.0)
                 try:
-                    wait_for_sessions(server)
                     assert AliceSession(config, doc, first).run().aborted
                 finally:
                     first.close()
@@ -842,14 +832,35 @@ class TestTcpServer:
                     report = AliceSession(config, doc, second).run()
                 finally:
                     second.close()
-                wait_for_sessions(server)
-                # the first worker finished before the second was accepted
-                assert len(server._workers) == 1
         assert "responder exploded" in caplog.text
         assert "Traceback" in caplog.text
         assert not report.aborted
         assert report.decisions[0].similar
         assert len(made) == 2
+
+    def test_leaving_with_waits_for_a_running_session(self):
+        started, finished = threading.Event(), threading.Event()
+
+        class Slow:
+            def serve(self, transport):
+                started.set()
+                time.sleep(0.5)  # longer than the server's 0.2 s poll
+                finished.set()
+
+        with TcpServer(Slow) as server:
+            client = connect_tcp(server.host, server.port, timeout=5.0)
+            try:
+                assert started.wait(timeout=5.0)
+            finally:
+                client.close()
+        assert finished.is_set()
+
+    def test_stop_without_start_returns(self):
+        server = TcpServer(lambda: None)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() on a server never started hung"
 
 
 class TestAbort:

@@ -242,6 +242,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    filtering = [m.name.lower() for m in args.methods if m.uses_filter]
+    if filtering and not args.dims:
+        print(f"error: --methods {','.join(filtering)} need --dims", file=sys.stderr)
+        return USAGE_ERROR
     corpus = load_corpus(args.corpus)
     _, (queries, targets) = _split(args, corpus)
     rows = run_bench(

@@ -50,7 +50,7 @@ survives, and s_j = z . v_j per query.  Alice's queries come packed too,
 and she reads their document frequencies from them.  She also holds them as one dense
 block, from which she selects and projects, and masks the full-width
 vectors of all her queries with one transform (A R, R stacking the
-per-query masks), made the first time a query reaches the full round.
+per-query masks), made at the handshake.
 For each t_j that arrives she keeps only t_j R, one float per query, and
 recovers pair (q, j) as s_j - (t_j R)_q; she bounds and recovers all
 pairs of a query at once.  A session's outcome is two
@@ -187,6 +187,10 @@ class SimilarityDecision:
 
 @dataclass
 class SessionMetrics:
+    """Counters of a session, which ends by counting the pairs of its
+    decided queries: a cosine is a full product, NaN a filtered pair.
+    ``wall_time`` is the whole session, handshake and Bye included."""
+
     pairs_total: int = 0
     pairs_filtered: int = 0
     full_products: int = 0
@@ -260,6 +264,12 @@ def _secret_mask(
         entropy=[config.seed, _subseed(config, 1), query_id, step]
     )
     return np.random.default_rng(seq).uniform(-1.0, 1.0, size=cols)
+
+
+def _describe(msg) -> str:
+    """A message's type, with the query id it carries, if any."""
+    query_id = getattr(msg, "query_id", None)
+    return type(msg).__name__ + ("" if query_id is None else f" of query {query_id}")
 
 
 class BobResponder:
@@ -429,7 +439,9 @@ class BobResponder:
 
 
 class AliceSession:
-    """Query side of a session; drives the transport and scores pairs."""
+    """Query side of a session; drives the transport and scores pairs into
+    ``report``, the one ``DetectionReport`` of the session, which ``run``
+    returns."""
 
     def __init__(self, config: SessionConfig, queries: PackedDocs, transport):
         if queries.dims != config.n:
@@ -443,24 +455,13 @@ class AliceSession:
         # row q is query q
         self._dense = queries.dense()
         self.transport = transport
-        self.metrics = SessionMetrics()
-        self.target_count = 0
-        # row q belongs to query q; sized once the handshake names the targets
-        self.cosines = np.empty((len(queries), 0))
-        self.similar = np.empty((len(queries), 0), dtype=bool)
-        self.decided = 0
+        # the handshake names the targets, and sizes the arrays for them
+        shape = (len(queries), 0)
+        self.report = DetectionReport(config, 0, np.empty(shape), np.empty(shape, bool))
         self._matrix = SharedRandomMatrix(config.seed, config.n)
         self._a_fs = _filter_matrix(config) if config.method.uses_filter else None
         self._whole: np.ndarray | None = None
         self._session_set: np.ndarray | None = None
-        # full-round masked vectors and secret masks, one column per query
-        self._full_z: np.ndarray | None = None
-        self._full_r: np.ndarray | None = None
-        # row j holds t_j R once t_j has arrived (known[j]); zero_t[j] marks
-        # a t_j that arrived all-zero
-        self._tr = np.empty((0, len(queries)))
-        self._known = np.zeros(0, dtype=bool)
-        self._zero_t = np.zeros(0, dtype=bool)
         if config.method.per_query:
             logger.warning(
                 "method %s sends each query's chosen dimension indexes to the "
@@ -470,22 +471,31 @@ class AliceSession:
 
     def _send(self, msg) -> None:
         frame = encode_message(msg)
-        self.metrics.bytes_sent_alice += len(frame)
+        self.report.metrics.bytes_sent_alice += len(frame)
         self.transport.send_frame(frame)
 
-    def _recv(self):
+    def _exchange(self, msg, kind):
+        """Send ``msg`` and return Bob's reply, which must be a ``kind``
+        carrying the query id of ``msg`` (Hello and HelloAck carry none)."""
+        self._send(msg)
         frame = self.transport.recv_frame()
-        self.metrics.bytes_sent_bob += len(frame)
-        return decode_message(frame)
+        self.report.metrics.bytes_sent_bob += len(frame)
+        reply = decode_message(frame)
+        query_id = getattr(msg, "query_id", None)
+        if not isinstance(reply, kind) or getattr(reply, "query_id", None) != query_id:
+            raise ProtocolError(
+                f"expected {kind.__name__} to {_describe(msg)}, got {_describe(reply)}"
+            )
+        return reply
 
     def handshake(self) -> None:
         """Hello, then HelloAck: Bob's document count and, under GF and HF,
-        his document frequencies, which Alice adds to her own."""
+        his document frequencies, which Alice adds to her own.  Once the
+        ack is checked, everything the session needs once is made: the
+        report's arrays, the per-target state of the full round and its
+        masked vectors."""
         config = self.config
-        self._send(config.hello())
-        ack = self._recv()
-        if not isinstance(ack, HelloAck):
-            raise ProtocolError(f"expected HelloAck, got {type(ack).__name__}")
+        ack = self._exchange(config.hello(), HelloAck)
         method = config.method
         width = config.n if method.needs_whole_vector else 0
         if ack.df.size != width:
@@ -498,13 +508,23 @@ class AliceSession:
             self._session_set = select_rp(_subseed(config, 2), config.n, config.f)
         elif method is SelectionMethod.GF:
             self._session_set = top_f(self._whole, config.f)
-        self.target_count = ack.bob_doc_count
-        shape = (len(self.queries), self.target_count)
-        self.cosines = np.full(shape, np.nan)
-        self.similar = np.zeros(shape, dtype=bool)
-        self._tr = np.empty((self.target_count, len(self.queries)))
-        self._known = np.zeros(self.target_count, dtype=bool)
-        self._zero_t = np.zeros(self.target_count, dtype=bool)
+        report, queries, targets = self.report, len(self.queries), ack.bob_doc_count
+        report.target_count = targets
+        report.cosines = np.full((queries, targets), np.nan)
+        report.similar = np.zeros((queries, targets), dtype=bool)
+        # row j holds t_j R once t_j has arrived (known[j]); zero_t[j] marks
+        # a t_j that arrived all-zero
+        self._tr = np.empty((targets, queries))
+        self._known = np.zeros(targets, dtype=bool)
+        self._zero_t = np.zeros(targets, dtype=bool)
+        # the full round's secret masks R and masked vectors, column q for
+        # query q, whose mask comes from its own generator; A R for all
+        # queries takes one pass over A; R is filled column by column, which
+        # holds for a session of no queries too
+        self._full_r = np.empty((self._matrix.cols, queries))
+        for q in range(queries):
+            self._full_r[:, q] = _secret_mask(config, q, 2, self._matrix.cols)
+        self._full_z = mask(self._dense.T, self._matrix, self._full_r)
 
     def _query_index_set(self, query_id: int) -> np.ndarray:
         """The index set of query ``query_id``."""
@@ -523,14 +543,12 @@ class AliceSession:
         cols = self._a_fs.shape[1]
         r = _secret_mask(self.config, query_id, 1, cols)
         z = u_fs + self._a_fs @ r
-        self._send(FilterQuery(query_id=query_id, indexes=indexes, z=z))
-        reply = self._recv()
-        if not isinstance(reply, FilterReply) or reply.query_id != query_id:
-            raise ProtocolError("filter reply does not match the query")
-        if len(reply.s) != self.target_count:
+        msg = FilterQuery(query_id=query_id, indexes=indexes, z=z)
+        reply = self._exchange(msg, FilterReply)
+        if len(reply.s) != self.report.target_count:
             raise ProtocolError(
                 f"filter reply covers {len(reply.s)} documents, "
-                f"expected {self.target_count}"
+                f"expected {self.report.target_count}"
             )
         if reply.t.shape[1:] != (cols,):
             raise ProtocolError(
@@ -543,30 +561,11 @@ class AliceSession:
         bound = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2)
         return np.flatnonzero(bound >= self.config.epsilon)
 
-    def _full_round_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masked full-width vectors and secret masks of all queries.
-
-        Column q belongs to query q, whose mask is drawn from its own
-        generator; A R for all queries takes one pass over A.
-        """
-        if self._full_z is None:
-            cols = self._matrix.cols
-            r = np.column_stack(
-                [_secret_mask(self.config, q, 2, cols) for q in range(len(self.queries))]
-            )
-            self._full_z = mask(self._dense.T, self._matrix, r)
-            self._full_r = r
-        return self._full_z, self._full_r
-
     def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:
         """Recovered cosines of the query with each survivor, in survivor order."""
-        z, r = self._full_round_masks()
-        self._send(
-            FullQuery(query_id=query_id, survivor_ids=survivors, z=z[:, query_id])
-        )
-        reply = self._recv()
-        if not isinstance(reply, FullReply) or reply.query_id != query_id:
-            raise ProtocolError("full reply does not match the query")
+        r, z = self._full_r, self._full_z[:, query_id]
+        msg = FullQuery(query_id=query_id, survivor_ids=survivors, z=z)
+        reply = self._exchange(msg, FullReply)
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
         new = survivors[~self._known[survivors]]
@@ -593,26 +592,25 @@ class AliceSession:
 
     def run_query(self, query_id: int, query: PackedDocs) -> None:
         """Decide every pair of query ``query_id`` into row ``query_id`` of
-        the cosine and similar arrays.  ``query`` is ``self.queries[query_id]``,
-        a one-document ``PackedDocs`` passed on for callers that wrap this
+        the report's arrays.  ``query`` is ``self.queries[query_id]``, a
+        one-document ``PackedDocs`` passed on for callers that wrap this
         method; the packed queries are what the session reads.
 
         Survivors get their recovered cosine, or 0 and never similar for a
         degenerate query; an empty target is never similar either.  Filtered
         pairs keep NaN.
         """
-        if self.target_count == 0:
+        report = self.report
+        if report.target_count == 0:
             return
-        started = time.perf_counter()
         if self.config.method.uses_filter:
             survivors = self._filter_step(query_id)
         else:
-            survivors = np.arange(self.target_count)
+            survivors = np.arange(report.target_count)
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
-            self.metrics.full_products += survivors.size
             if self.queries.nnz[query_id] == 0:
-                self.cosines[query_id, survivors] = 0.0
+                report.cosines[query_id, survivors] = 0.0
             else:
                 # An empty v_j gives t_j = 0 and s = 0 exactly.  With +-1
                 # entries a nonempty v_j can also cancel to t_j = 0, but its
@@ -620,36 +618,30 @@ class AliceSession:
                 # pair is taken for empty only when that product is 0:
                 # never similar at a positive tolerance anyway.
                 empty = self._zero_t[survivors] & (recovered == 0.0)
-                self.cosines[query_id, survivors] = recovered
-                self.similar[query_id, survivors] = (
+                report.cosines[query_id, survivors] = recovered
+                report.similar[query_id, survivors] = (
                     recovered >= self.config.epsilon
                 ) & ~empty
-        # counted once the full round has returned, so an aborted session's
-        # counters cover its decided queries only
-        self.metrics.pairs_total += self.target_count
-        self.metrics.pairs_filtered += self.target_count - survivors.size
-        self.metrics.wall_time += time.perf_counter() - started
 
     def run(self) -> DetectionReport:
-        aborted = False
+        report = self.report
+        started = time.perf_counter()
         try:
             self.handshake()
             for query_id in range(len(self.queries)):
                 self.run_query(query_id, self.queries[query_id])
-                self.decided = query_id + 1
+                report.decided = query_id + 1
             self._send(Bye())
         except (SsddError, OSError) as exc:
             logger.warning("session aborted: %s", exc)
-            aborted = True
-        return DetectionReport(
-            config=self.config,
-            target_count=self.target_count,
-            cosines=self.cosines,
-            similar=self.similar,
-            decided=self.decided,
-            metrics=self.metrics,
-            aborted=aborted,
-        )
+            report.aborted = True
+        done = report.cosines[: report.decided]
+        metrics = report.metrics
+        metrics.pairs_total = done.size
+        metrics.full_products = int(np.count_nonzero(~np.isnan(done)))
+        metrics.pairs_filtered = metrics.pairs_total - metrics.full_products
+        metrics.wall_time = time.perf_counter() - started
+        return report
 
 
 def run_local_detection(

@@ -418,6 +418,20 @@ class TestBenchCommand:
         assert row["pairs_total"] == str(2 * 208)
 
     @pytest.mark.parametrize(
+        "methods, named",
+        [([], "rp,lf,gf,hf"), (["--methods", "base,hf"], "hf")],
+        ids=["default", "base-and-hf"],
+    )
+    def test_filter_method_without_budget(self, tmp_path, capsys, methods, named):
+        # refused as detect refuses it, before the absent corpus is opened
+        report = tmp_path / "never.csv"
+        assert main(["bench", "absent.bin", "--report", str(report), *methods]) == 1
+        refused = capsys.readouterr()
+        assert f"--methods {named} need --dims" in refused.err
+        assert refused.out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "option, value, message",
         [
             ("--methods", "base,bogus", "unknown method 'bogus'"),
@@ -489,6 +503,22 @@ class TestRemote:
         out = capsys.readouterr().out
         assert f"pairs={len(vectors) ** 2} " in out
         assert f" similar={int(oracle.similar.sum())} " in out
+
+    def test_bob_ending_the_session_exits_2(self, tmp_path, capsys, caplog):
+        """Bob refuses a Hello for 200 dims over his 300-dim corpus and
+        closes the connection: detect prints the aborted run's summary,
+        then the error, and exits 2."""
+        queries = tmp_path / "queries.bin"
+        save_cache(synth_corpus(n_docs=4, dims=200, seed=3, mean_terms=10), queries)
+        targets = synth_corpus(n_docs=5, dims=300, seed=4, mean_terms=10).vectors
+        with caplog.at_level("ERROR", logger="ssdd.protocol.transport"):
+            with TcpServer(lambda: BobResponder(targets)) as server:
+                argv = ["detect", str(queries), "--connect", f"{server.host}:{server.port}"]
+                assert main(argv) == 2
+        assert "query side expects 200 dims, corpus has 300" in caplog.text
+        out, err = capsys.readouterr()
+        assert out.startswith("method=base f=0 tolerance=0.8 pairs=0 ")
+        assert err.endswith("error: session aborted before completion\n")
 
     @pytest.mark.parametrize("count", ["3", "10"])
     def test_queries_with_connect_is_usage_error(self, cache_path, capsys, count):

@@ -53,9 +53,26 @@ class TestParseBagOfWords:
         assert corpus.counts.weights.sum() == 6
         assert corpus.vectors.indices.size == 2
 
+    def test_blank_lines_before_headers_are_skipped(self):
+        corpus = parse_bag_of_words(io.StringIO("\n \n3\n\n4\n\n2\n1 2 5\n3 4 1\n"))
+        assert (len(corpus), corpus.dims) == (3, 4)
+        assert corpus.counts.weights.tolist() == [5, 1]
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_bag_of_words(io.StringIO("x\n4\n0\n"))
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("3\n-4\n0\n", RangeError, "line 2: vocabulary size cannot be negative"),
+            ("3\n4\n\n", ParseError, "end of input before entry count header"),
+        ],
+        ids=["negative", "ends-early"],
+    )
+    def test_header_out_of_range_or_missing(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_bag_of_words(io.StringIO(text))
 
     def test_non_integer_entry(self):
         with pytest.raises(ParseError):

@@ -8,6 +8,7 @@ import pytest
 
 from ssdd.errors import FrameError, ProtocolError, SsddError
 from ssdd.protocol.messages import (
+    MAX_FRAME_SIZE,
     MSG_BYE,
     MSG_FILTER_QUERY,
     MSG_FILTER_REPLY,
@@ -426,6 +427,18 @@ class TestRejection:
             decode_message(b"")
         with pytest.raises(FrameError):
             decode_message(struct.pack("<I", 0))
+
+    def test_over_limit_declared_length_before_any_length_check(self):
+        """A header that declares more than MAX_FRAME_SIZE is refused for
+        that, although its five bytes hold no payload."""
+        frame = struct.pack("<IB", MAX_FRAME_SIZE + 1, MSG_HELLO)
+        with pytest.raises(FrameError, match="exceeds the limit"):
+            decode_message(frame)
+
+    @pytest.mark.parametrize("value", [object(), "Hello", None], ids=["object", "str", "none"])
+    def test_non_message_is_not_encoded(self, value):
+        with pytest.raises(ProtocolError, match=f"cannot encode {type(value).__name__}"):
+            encode_message(value)
 
 
 class TestUnrepresentableValues:

@@ -167,6 +167,15 @@ class TestBench:
                 f_values=[5],
                 tolerances=[],
             )
+        # a filtering method needs a budget; BASE needs none
+        with pytest.raises(RangeError, match="HF needs at least one dimension budget"):
+            run_bench(
+                queries,
+                targets,
+                methods=[SelectionMethod.BASE, SelectionMethod.HF],
+                f_values=[],
+                tolerances=[0.8],
+            )
 
     def test_row_from_report(self, bench_corpus):
         queries, targets = split(bench_corpus, k=4, seed=3)

@@ -422,6 +422,8 @@ class TestDetectionAgainstOracle:
         m = report.metrics
         assert m.pairs_total == len(queries) * len(targets)
         assert m.pairs_filtered + m.full_products == m.pairs_total
+        # plain ints, which json and csv write as numbers
+        assert {type(m.pairs_total), type(m.pairs_filtered), type(m.full_products)} == {int}
         if method is SelectionMethod.BASE:
             assert m.pairs_filtered == 0
         assert m.bytes_sent_alice > 0 and m.bytes_sent_bob > 0
@@ -966,6 +968,26 @@ class TestResponderValidation:
         with pytest.raises(ProtocolError, match="masked width"):
             responder.handle(query)
 
+    def test_wrong_full_width(self):
+        responder, config = self.make()
+        responder.handle(config.hello())
+        query = FullQuery(query_id=0, survivor_ids=np.array([0]), z=np.zeros(5))
+        with pytest.raises(ProtocolError, match="masked width 5, expected 6"):
+            responder.handle(query)
+
+    @pytest.mark.parametrize(
+        "msg",
+        [Bye(), HelloAck(bob_doc_count=2, df=np.empty(0, np.int64))],
+        ids=["bye", "hello-ack"],
+    )
+    def test_unexpected_message(self, msg):
+        """After the handshake Bob answers only queries; ``serve`` ends the
+        session at Bye before asking ``handle``."""
+        responder, config = self.make()
+        responder.handle(config.hello())
+        with pytest.raises(ProtocolError, match=f"unexpected {type(msg).__name__}"):
+            responder.handle(msg)
+
     def test_filter_step_under_base(self):
         responder, config = self.make(method=SelectionMethod.BASE)
         responder.handle(config.hello())
@@ -1441,6 +1463,15 @@ class TestReportArrays:
         assert (last[~np.isnan(last)] == 0.0).all()
         assert not report.similar[-1].any()
 
+    def test_no_queries(self):
+        """A session of no queries shakes hands, says Bye and reports a
+        (0 x targets) outcome."""
+        targets = pack([build_document_vector({i: 1}, 6) for i in range(2)], 6)
+        report = run_local_detection(pack([], 6), SessionConfig(n=6, epsilon=0.8), targets)
+        assert not report.aborted and report.decided == 0
+        assert report.cosines.shape == report.similar.shape == (0, 2)
+        assert report.metrics.pairs_total == 0
+
     def test_similar_pairs_are_query_major(self):
         similar = np.array(
             [[False, True, True], [True, False, False], [False, False, True]]
@@ -1558,7 +1589,87 @@ class TestWrongWidthHelloAck:
             alice_end.close()
             worker.join(timeout=5.0)
         assert not worker.is_alive()
-        assert alice.target_count == 0
+        assert alice.report.target_count == 0
+
+
+class MisreplyingBob(BobResponder):
+    """An honest responder that then replaces each reply of type ``kind`` by
+    ``change(reply)``."""
+
+    def __init__(self, vectors, dims, kind, change):
+        super().__init__(vectors, dims=dims)
+        self.kind, self.change = kind, change
+
+    def handle(self, msg):
+        reply = super().handle(msg)
+        return self.change(reply) if isinstance(reply, self.kind) else reply
+
+
+def shift_query_id(reply):
+    return dataclasses.replace(reply, query_id=reply.query_id + 1)
+
+
+def drop_last_document(reply):
+    return dataclasses.replace(
+        reply, s=reply.s[:-1], norm_v2=reply.norm_v2[:-1], t=reply.t[:-1]
+    )
+
+
+def reverse_doc_ids(reply):
+    return dataclasses.replace(reply, doc_ids=reply.doc_ids[::-1].copy())
+
+
+class TestReplyChecks:
+    """Each check Alice makes of a reply's type, query id and documents
+    aborts the session before it decides a pair, and the logged warning
+    names the check."""
+
+    @pytest.mark.parametrize(
+        "method, kind, change, message",
+        [
+            (
+                SelectionMethod.BASE,
+                HelloAck,
+                lambda ack: Bye(),
+                "expected HelloAck to Hello, got Bye",
+            ),
+            (
+                SelectionMethod.RP,
+                FilterReply,
+                shift_query_id,
+                "expected FilterReply to FilterQuery of query 0, "
+                "got FilterReply of query 1",
+            ),
+            (
+                SelectionMethod.RP,
+                FilterReply,
+                drop_last_document,
+                "filter reply covers 5 documents, expected 6",
+            ),
+            (
+                SelectionMethod.BASE,
+                FullReply,
+                shift_query_id,
+                "expected FullReply to FullQuery of query 0, got FullReply of query 1",
+            ),
+            (
+                SelectionMethod.BASE,
+                FullReply,
+                reverse_doc_ids,
+                "full reply covers the wrong documents",
+            ),
+        ],
+        ids=["hello-bye", "filter-id", "filter-short", "full-id", "full-reversed"],
+    )
+    def test_reply_is_refused(self, caplog, method, kind, change, message):
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        bob = MisreplyingBob(pack(docs, 40), 40, kind, change)
+        with caplog.at_level(logging.WARNING, logger="ssdd.protocol.session"):
+            report = run_against(bob, pack(docs[:2], 40), config_for(method, n=40, f=8))
+        assert report.aborted
+        assert report.decided == 0 and report.decisions == []
+        assert report.metrics.pairs_total == 0
+        assert f"session aborted: {message}" in caplog.text
 
 
 class RecordingBob(BobResponder):

@@ -1,16 +1,14 @@
-"""Benchmark grid runs and CSV reporting.
+"""Benchmark report rows and their CSV.
 
-``run_bench`` runs one in-process session per grid cell over the query and
-target sets it is given.
-
-A report row has a fixed 11-column schema::
+``row_from_report`` makes one row of a session's report.  A row has a
+fixed 11-column schema::
 
     method, f, epsilon, pairs_total, pairs_filtered, filter_ratio,
     full_products, bytes_sent_alice, bytes_sent_bob, wall_ms, similar_pairs
 
-Rows are emitted in deterministic order (method, then f, then tolerance) so
-re-running an identical configuration reproduces the file byte for byte
-except the wall_ms column.
+``ssdd detect`` writes one row per cell of its method x f x tolerance
+grid, in that order, so re-running an identical command reproduces the
+file byte for byte except the wall_ms column.
 """
 
 from __future__ import annotations
@@ -19,20 +17,12 @@ import csv
 from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
-from .errors import RangeError
-from .protocol.session import (
-    DetectionReport,
-    SessionConfig,
-    run_local_detection,
-)
-from .selection import SelectionMethod
-from .vectors import PackedDocs
+from .protocol.session import DetectionReport
 
 __all__ = [
     "REPORT_COLUMNS",
     "BenchRow",
     "row_from_report",
-    "run_bench",
     "write_report_csv",
 ]
 
@@ -72,40 +62,6 @@ def row_from_report(report: DetectionReport) -> BenchRow:
         wall_ms=m.wall_time * 1000.0,
         similar_pairs=int(report.similar.sum()),
     )
-
-
-def run_bench(
-    queries: PackedDocs,
-    targets: PackedDocs,
-    methods: Sequence[SelectionMethod],
-    f_values: Sequence[int],
-    tolerances: Sequence[float],
-    seed: int = 0,
-) -> list[BenchRow]:
-    """One detection run of ``queries`` against ``targets`` per grid cell,
-    in deterministic order, each session seeded by ``seed``.
-
-    BASE ignores the dimension budget, so it contributes one row per
-    tolerance with f recorded as 0.  Every cell shares the one packed
-    target set, and so one term-major view of it.
-    """
-    if not methods:
-        raise RangeError("no methods to run")
-    if not tolerances:
-        raise RangeError("no tolerances to run")
-    rows: list[BenchRow] = []
-    for method in sorted(set(methods)):
-        per_method_f = [0] if method is SelectionMethod.BASE else sorted(set(f_values))
-        if method.uses_filter and not per_method_f:
-            raise RangeError(f"{method.name} needs at least one dimension budget")
-        for f in per_method_f:
-            for epsilon in sorted(set(tolerances)):
-                config = SessionConfig(
-                    n=targets.dims, epsilon=epsilon, method=method, f=f, seed=seed
-                )
-                report = run_local_detection(queries, config, targets)
-                rows.append(row_from_report(report))
-    return rows
 
 
 def write_report_csv(rows: Sequence[BenchRow], out: IO[str]) -> None:

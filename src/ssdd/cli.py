@@ -8,9 +8,10 @@ Subcommands:
 - serve: host a corpus as the responding side on a TCP port.
 - detect: run the detection protocol for seeded query documents of a
   corpus against its other documents in-process, or, with --connect, for
-  every document of the corpus against a remote server's.
+  every document of the corpus against a remote server's.  --method,
+  --dims and --tolerance take comma lists, and detect runs one session
+  per cell of their grid; --report writes one CSV row per session.
 - oracle: plaintext exhaustive ground truth for the in-process split.
-- bench: grid of in-process detection runs written as a CSV report.
 
 A party's corpus file is its documents: every other command reads its
 file whole, and only a run that holds both parties splits one file into
@@ -18,7 +19,8 @@ queries and targets.  To run on part of a corpus, ingest that part first
 (``ssdd ingest kos.bin --limit 200 --out kos200.bin``).
 
 A filter budget (--dims) is a count, such as 69, or a percentage of the
-vocabulary width n, such as 1%.
+vocabulary width n, such as 1%.  It is given exactly when some listed
+method filters.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or protocol error.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import row_from_report, run_bench, write_report_csv
+from .bench import row_from_report, write_report_csv
 from .corpus import (
     CACHE_MAGIC,
     Corpus,
@@ -74,10 +76,14 @@ def load_corpus(path: str) -> Corpus:
 
 
 def _comma_list(kind):
-    """An argument type: a comma-separated list of ``kind`` values."""
+    """An argument type: a comma-separated list of one or more ``kind``
+    values."""
 
     def comma_list(text: str) -> list:
-        return [kind(item) for item in text.split(",") if item]
+        items = [kind(item) for item in text.split(",") if item]
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected one or more values, got {text!r}")
+        return items
 
     return comma_list
 
@@ -191,32 +197,42 @@ def _print_summary(row, queries: int) -> None:
 
 
 def cmd_detect(args) -> int:
-    if args.method.uses_filter != (args.dims is not None):
-        need = "needs" if args.method.uses_filter else "takes no"
-        print(f"error: --method {args.method.name.lower()} {need} --dims", file=sys.stderr)
+    methods = sorted(set(args.method))  # wire-code order
+    filtering = [m.name.lower() for m in methods if m.uses_filter]
+    if bool(filtering) != (args.dims is not None):
+        named, need = (",".join(filtering), "needs") if filtering else ("base", "takes no")
+        print(f"error: --method {named} {need} --dims", file=sys.stderr)
         return USAGE_ERROR
     corpus = load_corpus(args.corpus)
-    f = args.dims(corpus.dims) if args.dims else 0
-    config = SessionConfig(
-        n=corpus.dims, epsilon=args.tolerance, method=args.method, f=f, seed=args.seed
-    )
+    budgets = sorted({budget(corpus.dims) for budget in args.dims or ()})
+    configs = [
+        SessionConfig(n=corpus.dims, epsilon=epsilon, method=method, f=f, seed=args.seed)
+        for method in methods
+        for f in (budgets if method.uses_filter else [0])
+        for epsilon in sorted(set(args.tolerance))
+    ]
     if args.connect is None:
         _, (queries, targets) = _split(args, corpus)
-        report = run_local_detection(queries, config, targets)
     else:
         queries = corpus.vectors
-        transport = connect_tcp(*args.connect)
-        try:
-            report = AliceSession(config, queries, transport).run()
-        finally:
-            transport.close()
 
-    row = row_from_report(report)
-    _print_summary(row, len(queries))
+    rows, aborted = [], False
+    for config in configs:
+        if args.connect is None:
+            report = run_local_detection(queries, config, targets)
+        else:
+            transport = connect_tcp(*args.connect)
+            try:
+                report = AliceSession(config, queries, transport).run()
+            finally:
+                transport.close()
+        rows.append(row_from_report(report))
+        _print_summary(rows[-1], len(queries))
+        aborted |= report.aborted
     if args.report:
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
-            write_report_csv([row], fh)
-    if report.aborted:
+            write_report_csv(rows, fh)
+    if aborted:
         print("error: session aborted before completion", file=sys.stderr)
         return RUNTIME_ERROR
     return 0
@@ -241,30 +257,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    filtering = [m.name.lower() for m in args.methods if m.uses_filter]
-    if filtering and not args.dims:
-        print(f"error: --methods {','.join(filtering)} need --dims", file=sys.stderr)
-        return USAGE_ERROR
-    corpus = load_corpus(args.corpus)
-    _, (queries, targets) = _split(args, corpus)
-    rows = run_bench(
-        queries,
-        targets,
-        args.methods,
-        [budget(corpus.dims) for budget in args.dims or ()],
-        args.tolerances,
-        seed=args.seed,
-    )
-    with open(args.report, "w", newline="", encoding="utf-8") as fh:
-        write_report_csv(rows, fh)
-    print(f"{args.report}: {len(rows)} rows over {len(corpus)} documents")
-    return 0
-
-
 def _add_split_options(p, group=None) -> None:
-    """The options of the seeded query/target split, shared by detect,
-    oracle and bench; --queries goes into ``group``, else into ``p``."""
+    """The options of the seeded query/target split, shared by detect and
+    oracle; --queries goes into ``group``, else into ``p``."""
     # a str default: argparse tells a given value from the default by
     # identity, and an int default of 10 is the very object `--queries 10`
     # parses to, which would slip past a mutually exclusive group
@@ -289,15 +284,15 @@ def build_parser() -> _Parser:
     p.add_argument("--once", action="store_true", help="exit after one session")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("detect", help="run the detection protocol")
+    p = sub.add_parser("detect", help="run the detection protocol, comma lists as a grid")
     p.add_argument("corpus", help="queries and targets, or only queries with --connect")
     remote = p.add_mutually_exclusive_group()
     remote.add_argument("--connect", type=_host_port, help="remote responder HOST:PORT")
-    p.add_argument("--method", type=_method, default="base", help="base|rp|lf|gf|hf")
-    p.add_argument("--tolerance", type=float, default=0.8)
-    p.add_argument("--dims", type=_budget, help="filter budget f: N, or P%% of n")
+    p.add_argument("--method", type=_comma_list(_method), default="base", help="base|rp|lf|gf|hf")
+    p.add_argument("--tolerance", type=_comma_list(float), default="0.8")
+    p.add_argument("--dims", type=_comma_list(_budget), help="filter budgets f: N, or P%% of n")
     _add_split_options(p, remote)
-    p.add_argument("--report", help="write the run's CSV row here")
+    p.add_argument("--report", help="write one CSV row per session here")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("oracle", help="plaintext ground truth")
@@ -306,17 +301,6 @@ def build_parser() -> _Parser:
     _add_split_options(p)
     p.add_argument("--report", help="write similar pairs as CSV here")
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="grid of runs to a CSV report")
-    p.add_argument("corpus")
-    p.add_argument("--methods", type=_comma_list(_method), default="base,rp,lf,gf,hf")
-    p.add_argument(
-        "--tolerances", type=_comma_list(float), default="0.75,0.8,0.85,0.9,0.95"
-    )
-    p.add_argument("--dims", type=_comma_list(_budget), help="comma list of filter budgets")
-    _add_split_options(p)
-    p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

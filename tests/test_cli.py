@@ -170,20 +170,36 @@ class TestDetect:
 
     def test_base_with_budget_is_usage_error(self, capsys):
         # BASE uses no budget, so a given one is refused, before the absent
-        # corpus is opened, rather than run and printed as its f
-        assert main(["detect", "absent.bin", "--method", "base", "--dims", "5"]) == 1
-        refused = capsys.readouterr()
-        assert "--method base takes no --dims" in refused.err
-        assert refused.out == ""
+        # corpus is opened, rather than run and printed as its f; in a grid
+        # of tolerances too
+        argv = ["detect", "absent.bin", "--method", "base", "--dims", "5"]
+        for tolerances in ([], ["--tolerance", "0.8,0.9"]):
+            assert main(argv + tolerances) == 1
+            refused = capsys.readouterr()
+            assert "--method base takes no --dims" in refused.err
+            assert refused.out == ""
 
-    def test_budget_count_and_percentage_is_usage_error(self, cache_path, capsys):
-        # detect takes one budget, so a list of a count and a percentage is
-        # refused while parsing
-        argv = ["detect", str(cache_path), "--method", "rp", "--dims", "10,50%"]
+    @pytest.mark.parametrize(
+        "option, value", [("--method", ""), ("--tolerance", ","), ("--dims", ",")]
+    )
+    def test_empty_list_is_usage_error(self, option, value, capsys):
+        # a grid of no cells is refused while parsing, before the absent
+        # corpus is opened, rather than run as no session and exit 0
+        argv = ["detect", "absent.bin", "--method", "rp", "--dims", "5", option, value]
         assert main(argv) == 1
         refused = capsys.readouterr()
-        assert "argument --dims" in refused.err and "10,50%" in refused.err
+        assert f"argument {option}: expected one or more values" in refused.err
         assert refused.out == ""
+
+    def test_budget_count_and_percentage_run_two_sessions(self, cache_path, capsys):
+        # 50% of n = 120 is 60
+        argv = ["detect", str(cache_path), "--method", "rp", "--dims", "10,50%"]
+        assert main(argv + ["--queries", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["method=rp", "f=10"],
+            ["method=rp", "f=60"],
+        ]
 
     def test_local_corpus_and_connect_run_remote(self, cache_path, capsys):
         # the corpus is the query side of a remote run, not a local run
@@ -194,9 +210,14 @@ class TestDetect:
         assert main(["detect", str(cache_path), "--connect", f"127.0.0.1:{port}"]) == 2
         assert "method=" not in capsys.readouterr().out
 
-    def test_two_budgets_is_usage_error(self, cache_path, capsys):
-        assert main(["detect", str(cache_path), "--method", "rp", "--dims", "1,2"]) == 1
-        assert "--dims" in capsys.readouterr().err
+    def test_two_budgets_run_two_sessions(self, cache_path, capsys):
+        argv = ["detect", str(cache_path), "--method", "rp", "--dims", "1,2"]
+        assert main(argv + ["--queries", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["method=rp", "f=1"],
+            ["method=rp", "f=2"],
+        ]
 
     def test_unknown_method_is_usage_error(self, cache_path, capsys):
         assert main(["detect", str(cache_path), "--method", "bogus"]) == 1
@@ -215,10 +236,6 @@ class TestParser:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_bench_requires_report(self, cache_path, capsys):
-        assert main(["bench", str(cache_path)]) == 1
-        capsys.readouterr()
-
     def test_option_count(self):
         """Each settable option is one more setting for tests to cover, so
         a new one has to raise this bound on purpose."""
@@ -230,7 +247,7 @@ class TestParser:
             for action in command._actions
             if action.option_strings and action.dest != "help"
         ]
-        assert len(options) <= 22, options
+        assert len(options) <= 16, options
 
     def test_bad_host_port(self, capsys):
         # refused while parsing, before the absent corpus is opened or a
@@ -246,7 +263,6 @@ class TestParser:
             ["serve", "absent.bin"],
             ["detect", "absent.bin"],
             ["oracle", "absent.bin"],
-            ["bench", "absent.bin", "--report", "absent.csv"],
         ],
     )
     def test_limit_is_ingest_only(self, command, capsys):
@@ -260,18 +276,15 @@ class TestParser:
         [["--queries", "0"], ["--queries", "-2"], ["--seed", "-1"], ["--seed", str(2**64)]],
         ids=["queries=0", "queries=-2", "seed=-1", "seed=2**64"],
     )
-    @pytest.mark.parametrize("command", ["detect", "oracle", "bench"])
+    @pytest.mark.parametrize("command", ["detect", "oracle"])
     def test_split_option_outside_its_range_is_usage_error(self, command, option, capsys):
         # refused while parsing, before the absent corpus is opened
-        argv = [command, "absent.bin", *option]
-        if command == "bench":
-            argv += ["--report", "absent.csv"]
-        assert main(argv) == 1
+        assert main([command, "absent.bin", *option]) == 1
         refused = capsys.readouterr()
         assert f"argument {option[0]}" in refused.err and option[1] in refused.err
 
     @pytest.mark.parametrize("value", ["inf%", "-inf%", "nan%", "-5%", "101%", "0", "-5"])
-    @pytest.mark.parametrize("command", ["detect", "bench"])
+    @pytest.mark.parametrize("command", ["detect"])
     def test_budget_outside_its_range_is_usage_error(
         self, cache_path, tmp_path, capsys, command, value
     ):
@@ -279,8 +292,7 @@ class TestParser:
         are refused while parsing: no run starts and no report is written."""
         report = tmp_path / "never.csv"
         argv = [command, str(cache_path), f"--dims={value}", "--report", str(report)]
-        extra = ["--method", "hf"] if command == "detect" else ["--methods", "hf"]
-        assert main(argv + extra) == 1
+        assert main(argv + ["--method", "hf"]) == 1
         refused = capsys.readouterr()
         assert "argument --dims" in refused.err and value in refused.err
         assert refused.out == ""
@@ -355,18 +367,26 @@ class TestOracleCommand:
         assert "similar_pairs=" in capsys.readouterr().out
 
 
-class TestBenchCommand:
+def read_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestDetectGrid:
+    """detect over comma lists: one session per method x f x tolerance
+    cell, one summary line and one report row each."""
+
     def test_grid_to_csv(self, cache_path, tmp_path, capsys):
-        report = tmp_path / "bench.csv"
+        report = tmp_path / "grid.csv"
         code = main(
             [
-                "bench",
+                "detect",
                 str(cache_path),
-                "--methods",
+                "--method",
                 "base,lf",
                 "--dims",
                 "15",
-                "--tolerances",
+                "--tolerance",
                 "0.8,0.9",
                 "--queries",
                 "4",
@@ -375,7 +395,7 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
-        assert "4 rows" in capsys.readouterr().out
+        assert len(capsys.readouterr().out.splitlines()) == 4
         with report.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(REPORT_COLUMNS)
@@ -386,13 +406,13 @@ class TestBenchCommand:
         report = tmp_path / "budgets.csv"
         code = main(
             [
-                "bench",
+                "detect",
                 str(cache_path),
-                "--methods",
+                "--method",
                 "lf",
                 "--dims",
                 "5,10%,12",
-                "--tolerances",
+                "--tolerance",
                 "0.8",
                 "--queries",
                 "4",
@@ -401,50 +421,70 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
-        assert "2 rows" in capsys.readouterr().out
-        with report.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["f"] for row in rows] == ["5", "12"]
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert [row["f"] for row in read_rows(report)] == ["5", "12"]
 
     def test_reads_the_whole_corpus_without_limit(self, tmp_path, capsys):
         path = tmp_path / "large.bin"
         save_cache(synth_corpus(n_docs=210, dims=60, seed=5, mean_terms=20), path)
         report = tmp_path / "large.csv"
-        argv = ["bench", str(path), "--methods", "base", "--tolerances", "0.8"]
+        argv = ["detect", str(path), "--method", "base", "--tolerance", "0.8"]
         assert main(argv + ["--queries", "2", "--report", str(report)]) == 0
-        assert "1 rows over 210 documents" in capsys.readouterr().out
-        with report.open() as fh:
-            (row,) = csv.DictReader(fh)
+        assert f" pairs={2 * 208} " in capsys.readouterr().out
+        (row,) = read_rows(report)
         assert row["pairs_total"] == str(2 * 208)
 
     @pytest.mark.parametrize(
         "methods, named",
-        [([], "rp,lf,gf,hf"), (["--methods", "base,hf"], "hf")],
-        ids=["default", "base-and-hf"],
+        [("rp,lf,gf,hf", "rp,lf,gf,hf"), ("base,hf", "hf")],
+        ids=["all-filtering", "base-and-hf"],
     )
     def test_filter_method_without_budget(self, tmp_path, capsys, methods, named):
-        # refused as detect refuses it, before the absent corpus is opened
+        # refused before the absent corpus is opened
         report = tmp_path / "never.csv"
-        assert main(["bench", "absent.bin", "--report", str(report), *methods]) == 1
+        argv = ["detect", "absent.bin", "--report", str(report), "--method", methods]
+        assert main(argv) == 1
         refused = capsys.readouterr()
-        assert f"--methods {named} need --dims" in refused.err
+        assert f"--method {named} needs --dims" in refused.err
         assert refused.out == ""
         assert not report.exists()
 
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("--methods", "base,bogus", "unknown method 'bogus'"),
-            ("--tolerances", "0.8,x", "--tolerances"),
+            ("--method", "base,bogus", "unknown method 'bogus'"),
+            ("--tolerance", "0.8,x", "--tolerance"),
         ],
+        ids=["method", "tolerance"],
     )
     def test_bad_grid_value_is_usage_error(
         self, cache_path, tmp_path, capsys, option, value, message
     ):
         report = tmp_path / "never.csv"
-        assert main(["bench", str(cache_path), option, value, "--report", str(report)]) == 1
+        assert main(["detect", str(cache_path), option, value, "--report", str(report)]) == 1
         assert not report.exists()
         assert message in capsys.readouterr().err
+
+    def test_grid_equals_single_cell_runs(self, cache_path, tmp_path):
+        """A grid's report holds, cell by cell, the rows that one run per
+        cell writes, apart from the wall time."""
+        split = ["--queries", "5", "--seed", "4"]
+        grid = tmp_path / "grid.csv"
+        argv = ["detect", str(cache_path), *split, "--method", "gf,base", "--dims", "8"]
+        assert main(argv + ["--tolerance", "0.9,0.5", "--report", str(grid)]) == 0
+        cells = [("base", "0.5"), ("base", "0.9"), ("gf", "0.5"), ("gf", "0.9")]
+        single = []
+        for method, tolerance in cells:
+            one = tmp_path / f"{method}-{tolerance}.csv"
+            argv = ["detect", str(cache_path), *split, "--method", method]
+            argv += ["--dims", "8"] if method == "gf" else []
+            assert main(argv + ["--tolerance", tolerance, "--report", str(one)]) == 0
+            single += read_rows(one)
+        rows = read_rows(grid)
+        assert [(row["method"], row["epsilon"]) for row in rows] == cells
+        for row in rows + single:
+            del row["wall_ms"]
+        assert rows == single
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +559,48 @@ class TestRemote:
         out, err = capsys.readouterr()
         assert out.startswith("method=base f=0 tolerance=0.8 pairs=0 ")
         assert err.endswith("error: session aborted before completion\n")
+
+    def test_grid_against_library_server(self, two_parties, capsys):
+        """Each cell of a remote grid is a session of its own, in cell
+        order, and each reports the oracle's similar pairs."""
+        alice_path, bob_path = two_parties
+        queries = load_cache(alice_path).vectors
+        targets = load_cache(bob_path).vectors
+        expected = int(oracle_detect(queries, targets, 0.8).similar.sum())
+        with TcpServer(lambda: BobResponder(targets)) as server:
+            argv = ["detect", str(alice_path), "--connect", f"{server.host}:{server.port}"]
+            assert main(argv + ["--method", "gf,base", "--dims", "20%"]) == 0
+            sessions = server.sessions
+        lines = capsys.readouterr().out.splitlines()
+        assert sessions == 2
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["method=base", "f=0"],
+            ["method=gf", "f=24"],
+        ]
+        for line in lines:
+            assert f" similar={expected} " in line
+
+    def test_grid_with_refused_hello_exits_2(self, tmp_path, capsys, caplog):
+        """Bob refuses every session's Hello: detect runs every cell, prints
+        every summary line, writes every row, then the error, and exits 2."""
+        queries = tmp_path / "queries.bin"
+        save_cache(synth_corpus(n_docs=4, dims=200, seed=3, mean_terms=10), queries)
+        targets = synth_corpus(n_docs=5, dims=300, seed=4, mean_terms=10).vectors
+        report = tmp_path / "aborted.csv"
+        with caplog.at_level("ERROR", logger="ssdd.protocol.transport"):
+            with TcpServer(lambda: BobResponder(targets)) as server:
+                argv = ["detect", str(queries), "--connect", f"{server.host}:{server.port}"]
+                argv += ["--tolerance", "0.8,0.9", "--report", str(report)]
+                assert main(argv) == 2
+                sessions = server.sessions
+        assert sessions == 2
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("method=base f=0 tolerance=0.8 pairs=0 ")
+        assert lines[1].startswith("method=base f=0 tolerance=0.9 pairs=0 ")
+        assert err == "error: session aborted before completion\n"
+        assert [row["pairs_total"] for row in read_rows(report)] == ["0", "0"]
 
     @pytest.mark.parametrize("count", ["3", "10"])
     def test_queries_with_connect_is_usage_error(self, cache_path, capsys, count):

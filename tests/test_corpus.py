@@ -193,6 +193,10 @@ class TestCounts:
         with pytest.raises(RangeError):
             Corpus(5, [RawDocument(0, {0: 1}), RawDocument(1, {term: 2})])
 
+    def test_negative_width_is_refused(self):
+        with pytest.raises(RangeError, match="vocabulary width cannot be negative"):
+            Corpus(-1, [])
+
     def test_zero_count_is_refused(self):
         # normalizing it would divide 0 by 0
         with pytest.raises(RangeError):

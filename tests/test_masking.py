@@ -64,6 +64,11 @@ class TestSharedRandomMatrix:
         with pytest.raises(RangeError):
             SharedRandomMatrix(1, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(RangeError, match="seed must fit in 64 bits"):
+            SharedRandomMatrix(seed, 4)
+
     def test_entries_are_signs_and_seed_determined(self):
         a = SharedRandomMatrix(99, 40)
         b = SharedRandomMatrix(99, 40)

@@ -6,8 +6,9 @@ import io
 import numpy as np
 import pytest
 
-from ssdd.bench import REPORT_COLUMNS, row_from_report, run_bench, write_report_csv
-from ssdd.corpus import build_document_vector, split_queries
+from ssdd.bench import REPORT_COLUMNS, row_from_report, write_report_csv
+from ssdd.cli import main
+from ssdd.corpus import build_document_vector, save_cache, split_queries
 from ssdd.errors import DimensionError, RangeError
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
@@ -100,21 +101,38 @@ def bench_corpus():
     return synth_corpus(n_docs=40, dims=300, seed=77, mean_terms=30)
 
 
+@pytest.fixture(scope="module")
+def bench_cache(bench_corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "corpus.bin"
+    save_cache(bench_corpus, path)
+    return path
+
+
 def split(corpus, k, seed):
     """The query and target vectors of the seeded split."""
     return [corpus.vectors.take(ids) for ids in split_queries(corpus, k=k, seed=seed)]
 
 
+def detect_rows(cache, tmp_path, *options) -> list[dict]:
+    """The report rows that ``ssdd detect`` over ``cache`` writes with
+    ``options``."""
+    report = tmp_path / "grid.csv"
+    assert main(["detect", str(cache), *options, "--report", str(report)]) == 0
+    with report.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestBench:
-    def test_grid_shape_and_order(self, bench_corpus):
-        rows = run_bench(
-            *split(bench_corpus, k=5, seed=2),
-            methods=[SelectionMethod.LF, SelectionMethod.BASE],
-            f_values=[30, 20],
-            tolerances=[0.9, 0.8],
-            seed=2,
+    def test_grid_shape_and_order(self, bench_cache, tmp_path):
+        # methods in wire-code order, then f, then tolerance; each
+        # distinct once, and BASE once per tolerance, at f = 0
+        rows = detect_rows(
+            bench_cache,
+            tmp_path,
+            *("--queries", "5", "--seed", "2"),
+            *("--method", "lf,base,lf", "--dims", "30,20,30", "--tolerance", "0.9,0.8,0.9"),
         )
-        heads = [(r.method, r.f, r.epsilon) for r in rows]
+        heads = [(r["method"], int(r["f"]), float(r["epsilon"])) for r in rows]
         assert heads == [
             ("base", 0, 0.8),
             ("base", 0, 0.9),
@@ -124,58 +142,48 @@ class TestBench:
             ("lf", 30, 0.9),
         ]
 
-    def test_row_invariants(self, bench_corpus):
-        rows = run_bench(
-            *split(bench_corpus, k=5, seed=2),
-            methods=[SelectionMethod.BASE, SelectionMethod.RP],
-            f_values=[25],
-            tolerances=[0.85],
-            seed=2,
+    def test_row_invariants(self, bench_cache, tmp_path):
+        rows = detect_rows(
+            bench_cache,
+            tmp_path,
+            *("--queries", "5", "--seed", "2"),
+            *("--method", "base,rp", "--dims", "25", "--tolerance", "0.85"),
         )
+        assert len(rows) == 2
         for row in rows:
-            assert row.pairs_total == 5 * 35
-            assert row.pairs_filtered + row.full_products == row.pairs_total
-            assert row.wall_ms > 0.0
-            if row.method == "base":
-                assert row.pairs_filtered == 0
-                assert row.filter_ratio == 0.0
-
-    def test_rerun_matches_except_wall_time(self, bench_corpus):
-        kwargs = dict(
-            methods=[SelectionMethod.HF],
-            f_values=[25],
-            tolerances=[0.8],
-            seed=6,
-        )
-        first = run_bench(*split(bench_corpus, k=4, seed=6), **kwargs)
-        second = run_bench(*split(bench_corpus, k=4, seed=6), **kwargs)
-        wall_at = REPORT_COLUMNS.index("wall_ms")
-        for a, b in zip(first, second):
-            a_t, b_t = a.as_tuple(), b.as_tuple()
-            assert a_t[:wall_at] == b_t[:wall_at]
-            assert a_t[wall_at + 1 :] == b_t[wall_at + 1 :]
-
-    def test_empty_grid_rejected(self, bench_corpus):
-        queries, targets = split(bench_corpus, k=10, seed=0)
-        with pytest.raises(RangeError):
-            run_bench(queries, targets, methods=[], f_values=[5], tolerances=[0.8])
-        with pytest.raises(RangeError):
-            run_bench(
-                queries,
-                targets,
-                methods=[SelectionMethod.BASE],
-                f_values=[5],
-                tolerances=[],
+            pairs_total, pairs_filtered, full_products = (
+                int(row[column]) for column in ("pairs_total", "pairs_filtered", "full_products")
             )
-        # a filtering method needs a budget; BASE needs none
-        with pytest.raises(RangeError, match="HF needs at least one dimension budget"):
-            run_bench(
-                queries,
-                targets,
-                methods=[SelectionMethod.BASE, SelectionMethod.HF],
-                f_values=[],
-                tolerances=[0.8],
-            )
+            assert pairs_total == 5 * 35
+            assert pairs_filtered + full_products == pairs_total
+            assert float(row["wall_ms"]) > 0.0
+            if row["method"] == "base":
+                assert pairs_filtered == 0
+                assert float(row["filter_ratio"]) == 0.0
+
+    def test_rerun_matches_except_wall_time(self, bench_cache, tmp_path):
+        options = ("--queries", "4", "--seed", "6", "--method", "hf", "--dims", "25")
+        first = detect_rows(bench_cache, tmp_path, *options)
+        second = detect_rows(bench_cache, tmp_path, *options)
+        assert len(first) == 1
+        for row in first + second:
+            del row["wall_ms"]
+        assert first == second
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        # a grid without methods, without tolerances, or without a budget
+        # for a filtering method, refused before the absent corpus is opened
+        report = tmp_path / "never.csv"
+        for options, message in [
+            (["--method", ""], "argument --method: expected one or more values"),
+            (["--tolerance", ","], "argument --tolerance: expected one or more values"),
+            (["--method", "base,hf"], "--method hf needs --dims"),
+        ]:
+            assert main(["detect", "absent.bin", *options, "--report", str(report)]) == 1
+            refused = capsys.readouterr()
+            assert message in refused.err
+            assert refused.out == ""
+        assert not report.exists()
 
     def test_row_from_report(self, bench_corpus):
         queries, targets = split(bench_corpus, k=4, seed=3)
@@ -193,13 +201,15 @@ class TestBench:
 
 class TestReportCsv:
     def test_header_and_parse_back(self, bench_corpus):
-        rows = run_bench(
-            *split(bench_corpus, k=4, seed=2),
-            methods=[SelectionMethod.BASE, SelectionMethod.LF],
-            f_values=[20],
-            tolerances=[0.8, 0.9],
-            seed=2,
-        )
+        queries, targets = split(bench_corpus, k=4, seed=2)
+        configs = [
+            SessionConfig(n=bench_corpus.dims, epsilon=epsilon, method=method, f=f, seed=2)
+            for method, f in ((SelectionMethod.BASE, 0), (SelectionMethod.LF, 20))
+            for epsilon in (0.8, 0.9)
+        ]
+        rows = [
+            row_from_report(run_local_detection(queries, config, targets)) for config in configs
+        ]
         out = io.StringIO()
         write_report_csv(rows, out)
         parsed = list(csv.reader(io.StringIO(out.getvalue())))

@@ -806,6 +806,40 @@ class TestTcpTransport:
         with pytest.raises(SessionError, match="mid-frame"):
             transport.recv_frame()
 
+    def test_silent_peer_times_out(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            transport = connect_tcp(*listener.getsockname()[:2], timeout=0.05)
+            far, _ = listener.accept()
+        try:
+            with pytest.raises(SessionError, match="socket error: timed out"):
+                transport.recv_frame()
+        finally:
+            transport.close()
+            far.close()
+
+    def test_sending_to_a_closed_peer_aborts(self, tcp_pair):
+        # the first frames can still fill the socket buffer; a later one
+        # meets the peer's reset
+        transport, far = tcp_pair
+        far.close()
+        with pytest.raises(SessionError, match="socket error: "):
+            for _ in range(100):
+                transport.send_frame(b"x" * 65536)
+                time.sleep(0.01)
+
+
+class TestLocalTransport:
+    def test_send_after_close_is_refused(self):
+        alice_end, _ = make_local_pair()
+        alice_end.close()
+        with pytest.raises(SessionError, match="transport is closed"):
+            alice_end.send_frame(b"frame")
+
+    def test_silent_peer_times_out(self):
+        alice_end, _ = make_local_pair(timeout=0.05)
+        with pytest.raises(SessionError, match="timed out waiting for the peer"):
+            alice_end.recv_frame()
+
 
 class TestTcpServer:
     def test_failed_session_is_logged_and_the_next_is_served(self, caplog):

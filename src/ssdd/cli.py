@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or protocol error.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .corpus import (
 from .errors import RangeError, SsddError
 from .oracle import oracle_detect
 from .protocol.session import (
+    DISCLOSURE_WARNING,
     AliceSession,
     BobResponder,
     SessionConfig,
@@ -196,6 +198,21 @@ def _print_summary(row, queries: int) -> None:
     )
 
 
+def _first_only(message: str):
+    """A logging filter that passes the first record of ``message`` and
+    drops the records that repeat it."""
+    seen = False
+
+    def first_only(record: logging.LogRecord) -> bool:
+        nonlocal seen
+        if record.msg != message:
+            return True
+        passed, seen = not seen, True
+        return passed
+
+    return first_only
+
+
 def cmd_detect(args) -> int:
     methods = sorted(set(args.method))  # wire-code order
     filtering = [m.name.lower() for m in methods if m.uses_filter]
@@ -217,21 +234,29 @@ def cmd_detect(args) -> int:
         queries = corpus.vectors
 
     rows, aborted = [], False
-    for config in configs:
-        if args.connect is None:
-            report = run_local_detection(queries, config, targets)
-        else:
-            transport = connect_tcp(*args.connect)
-            try:
-                report = AliceSession(config, queries, transport).run()
-            finally:
-                transport.close()
-        rows.append(row_from_report(report))
-        _print_summary(rows[-1], len(queries))
-        aborted |= report.aborted
-    if args.report:
-        with open(args.report, "w", newline="", encoding="utf-8") as fh:
-            write_report_csv(rows, fh)
+    # every LF or HF session logs the disclosure warning; say it once
+    session_log = logging.getLogger(AliceSession.__module__)
+    once = _first_only(DISCLOSURE_WARNING)
+    session_log.addFilter(once)
+    try:
+        for config in configs:
+            if args.connect is None:
+                report = run_local_detection(queries, config, targets)
+            else:
+                transport = connect_tcp(*args.connect)
+                try:
+                    report = AliceSession(config, queries, transport).run()
+                finally:
+                    transport.close()
+            rows.append(row_from_report(report))
+            _print_summary(rows[-1], len(queries))
+            aborted |= report.aborted
+    finally:
+        session_log.removeFilter(once)
+        # the rows run so far, also when a later cell cannot connect
+        if args.report:
+            with open(args.report, "w", newline="", encoding="utf-8") as fh:
+                write_report_csv(rows, fh)
     if aborted:
         print("error: session aborted before completion", file=sys.stderr)
         return RUNTIME_ERROR

@@ -5,9 +5,9 @@ Every frame is length-prefixed::
     [length: u32 LE] [tag: u8] [body ...]
 
 where length counts the tag byte plus the body.  All integers are
-little-endian, all reals are IEEE-754 binary64 little-endian.  A body is a
-header of scalar fields and counts, then its arrays end to end, each one
-contiguous and row-major.
+little-endian, and so are all reals: IEEE-754 binary32 (f32) in FilterReply,
+binary64 (f64) everywhere else.  A body is a header of scalar fields and
+counts, then its arrays end to end, each one contiguous and row-major.
 
 Tag   Message      Body layout
 ----  -----------  -----------------------------------------------------------
@@ -15,8 +15,8 @@ Tag   Message      Body layout
 0x02  HelloAck     bob_doc_count u32, n u32, df u32[n]
 0x10  FilterQuery  query_id u32, index_count u32, indexes u32[index_count],
                    z f64[f]
-0x11  FilterReply  query_id u32, m u32, s f64[m], norm_v2 f64[m],
-                   t f64[m][ceil(f/2)]
+0x11  FilterReply  query_id u32, m u32, s f32[m], norm_v2 f32[m],
+                   t f32[m][ceil(f/2)]
 0x20  FullQuery    query_id u32, survivor_count u32,
                    survivor_ids u32[survivor_count], z f64[n]
 0x22  FullReply    query_id u32, k u32, k_new u32, doc_ids u32[k], s f64[k],
@@ -24,13 +24,16 @@ Tag   Message      Body layout
 0xFF  Bye          (empty)
 
 ``_SPECS`` holds this table.  Reply arrays follow the order of the
-documents they answer for; decoding recovers the trailing f64 width from
-the body length, and every width on this wire is at least 1.  Encoding
-raises FrameError for what the layout cannot carry (an integer outside its
-field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
-inconsistency; an unknown tag raises ProtocolError.
+documents they answer for; decoding recovers the trailing width from the
+body length, and every width on this wire is at least 1.  Encoding rounds
+each real to its field's width, and raises FrameError for what the layout
+cannot carry (an integer outside its field, a finite real past f32's range
+in an f32 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding
+for any inconsistency; an unknown tag raises ProtocolError.  NaN and the
+infinities cross unchanged.  Decoding widens every real to float64 and
+every integer to int64.
 
-This is protocol version 7.  The handshake is one round trip: Hello
+This is protocol version 8.  The handshake is one round trip: Hello
 carries the one seed that both sides derive the masking matrices from,
 and HelloAck carries the responder's document frequencies (n = the
 dimensionality) when the method selects from them (GF, HF), and none
@@ -42,7 +45,12 @@ yet sent in this session, in survivor order: t_j does not depend on the
 query, so the querying side keeps what it received.  Version 6 frames are
 laid out as these are, but its peers derive a different A from the seed
 (one Philox bit per entry), so their products would not recover: the
-responder refuses its Hello.
+responder refuses its Hello.  Version 7 frames are laid out as these are
+but for FilterReply, whose three arrays were f64: a filter round needs only
+an upper bound on each cosine, and the querying side widens that bound by
+what the rounding to f32 may have moved it (``session.widen_filter_pieces``),
+so the reply takes half the bytes and dismisses no pair that f64 pieces
+would keep.  The responder refuses a version 7 Hello too.
 """
 
 from __future__ import annotations
@@ -141,11 +149,25 @@ class Bye(_Message):
     pass
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
 def _fits(a: np.ndarray, dtype: np.dtype) -> bool:
-    """Whether every value of ``a`` is representable as ``dtype``."""
-    return dtype != "<u4" or a.size == 0 or (
-        a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF
-    )
+    """Whether every value of ``a`` is representable as ``dtype``, reals up
+    to rounding: NaN and the infinities are, a finite real beyond f32's
+    largest is not (the cast would make it infinite)."""
+    if a.size == 0:
+        return True
+    if dtype == "<u4":
+        return a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF
+    if dtype == "<f4" and a.dtype.kind == "f" and a.dtype.itemsize > 4:
+        # fmax and fmin skip NaN and allocate nothing; only an array that
+        # holds an infinity or an overflow is looked at entry by entry
+        low, high = np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None)
+        if -_F32_MAX <= low and high <= _F32_MAX:
+            return True
+        return not np.any(np.isfinite(a) & (np.abs(a) > _F32_MAX))
+    return True
 
 
 class _Spec:
@@ -187,7 +209,7 @@ _SPECS = {
         _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",
               [("indexes", "<u4", "c"), ("z", "<f8", "w")]),
         _Spec(MSG_FILTER_REPLY, FilterReply, "<I",
-              [("s", "<f8", "m"), ("norm_v2", "<f8", "m"), ("t", "<f8", "m w")]),
+              [("s", "<f4", "m"), ("norm_v2", "<f4", "m"), ("t", "<f4", "m w")]),
         _Spec(MSG_FULL_QUERY, FullQuery, "<I",
               [("survivor_ids", "<u4", "k"), ("z", "<f8", "w")]),
         _Spec(MSG_FULL_REPLY, FullReply, "<I",
@@ -227,9 +249,10 @@ def encode_message(msg: _Message) -> bytearray:
         raise FrameError(f"{name} header cannot carry its fields: {exc}") from None
     for field, dtype, shape, offset in arrays:
         value = values[field]
-        if value.shape != shape or not _fits(value, dtype):
-            want = f"{dtype.str} of shape {shape}"
-            raise FrameError(f"{name}.{field} of shape {value.shape} is not {want}")
+        if value.shape != shape:
+            raise FrameError(f"{name}.{field} of shape {value.shape} is not of shape {shape}")
+        if not _fits(value, dtype):
+            raise FrameError(f"{name}.{field} holds a value that {dtype.str} cannot carry")
         np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)[...] = value
     return frame
 

@@ -33,9 +33,18 @@ GF or HF index sets chosen from the sum.  For RP the set discloses nothing
 new either: Bob can derive it from the seed in Hello.  Hello does not
 carry the tolerance, which Alice alone uses.
 
-This is protocol version 7 (``PROTOCOL_VERSION``, see ``messages`` for the
+This is protocol version 8 (``PROTOCOL_VERSION``, see ``messages`` for the
 layout), whose A is the subsampled Hadamard matrix of ``masking``.  Bob
-refuses a Hello of any other version at the handshake.
+refuses a Hello of any other version at the handshake.  Version 8 sends the
+filter reply's s, t and ||v||^2 as float32, rounded from the float64 values
+Bob computes; the full round stays float64.  The filter needs only an upper
+bound on each cosine, and Alice keeps it one: ``widen_filter_pieces`` raises
+each recovered product by what the rounding may have lowered it, and lowers
+each ||v||^2 by what it may have raised it.  The bound grows with the
+product and shrinks with ||v||^2, so the rounding can only add survivors:
+every pair whose bound from Bob's unrounded float64 pieces reaches the
+tolerance reaches it from the float32 ones (``widen_filter_pieces`` says
+how far that holds for the float64 arithmetic of the recovery).
 
 Both rounds are computed with array operations.  Bob's corpus is packed
 (``PackedDocs``) once per corpus, not once per session, and shared
@@ -93,6 +102,8 @@ __all__ = [
     "SessionMetrics",
     "DetectionReport",
     "evaluate_filter",
+    "widen_filter_pieces",
+    "DISCLOSURE_WARNING",
     "AliceSession",
     "BobResponder",
     "run_local_detection",
@@ -100,7 +111,16 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
+
+# logged by every LF or HF session
+DISCLOSURE_WARNING = (
+    "methods LF and HF send each query's chosen dimension indexes to the "
+    "responder; which terms dominate a query is disclosed"
+)
+
+# float32's unit roundoff and its smallest subnormal
+_U32, _TINY32 = 2.0**-24, 2.0**-149
 
 
 @dataclass(frozen=True)
@@ -167,6 +187,41 @@ def evaluate_filter(delta_fs, norm_u2, norm_v2):
     each other) give every pair's bound elementwise.
     """
     return 1.0 - np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0) / 2.0
+
+
+def widen_filter_pieces(reply: FilterReply, r: np.ndarray) -> tuple:
+    """Each document's recovered product delta = s - t . r, raised, and its
+    projected squared norm, lowered, by what rounding Bob's float64 pieces
+    to float32 may have moved them the other way.  ``evaluate_filter``
+    grows with the product and shrinks with the norm, so it bounds the
+    cosine from above from these wherever it does from the unrounded
+    pieces.
+
+    Rounding x to the nearest float32 x~ moves it by at most u|x~| + 2^-150
+    (u = 2^-24, the second term for values below float32's normal range,
+    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2).  So
+    the exact products of the rounded and the unrounded pieces differ by
+    less than
+
+        err = (|s~| + |t~| . |r|) * u/(1 - u) + (1 + sum |r|) * 2^-149,
+
+    and ||v||^2 >= ||v~||^2 * (1 - 2u) - 2^-149.  The product's bound
+    leaves room, u^2 (|s~| + |t~| . |r|), about 32 float64 roundings of
+    |s~| + |t~| . |r|, for the float64 arithmetic of this recovery and of
+    one from the unrounded pieces.  That covers their worst case (Higham,
+    ch. 3) up to about 15 mask entries, and at any width a filter round
+    uses covers their typical error, which grows as the square root of the
+    width.  A NaN or infinite s or t entry makes its product non-finite,
+    and a non-finite product or norm is a ``ProtocolError``.
+    """
+    delta = recover(reply.s, reply.t, r)
+    if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
+        raise ProtocolError("filter reply carries a non-finite value")
+    abs_r = np.abs(r)
+    err = np.abs(reply.t) @ abs_r
+    err += np.abs(reply.s)
+    delta += err * (_U32 / (1.0 - _U32)) + (1.0 + abs_r.sum()) * _TINY32
+    return delta, reply.norm_v2 * (1.0 - 2.0 * _U32) - _TINY32
 
 
 # kept for perfbench, which reads ``DetectionReport.decisions``
@@ -463,11 +518,7 @@ class AliceSession:
         self._whole: np.ndarray | None = None
         self._session_set: np.ndarray | None = None
         if config.method.per_query:
-            logger.warning(
-                "method %s sends each query's chosen dimension indexes to the "
-                "responder; which terms dominate a query is disclosed",
-                config.method.name,
-            )
+            logger.warning(DISCLOSURE_WARNING)
 
     def _send(self, msg) -> None:
         frame = encode_message(msg)
@@ -554,11 +605,8 @@ class AliceSession:
             raise ProtocolError(
                 f"filter reply t has shape {reply.t.shape}, expected width {cols}"
             )
-        # a NaN or infinite s or t entry makes its pair's product non-finite
-        delta = recover(reply.s, reply.t, r)
-        if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
-            raise ProtocolError("filter reply carries a non-finite value")
-        bound = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2)
+        delta, norm_v2 = widen_filter_pieces(reply, r)
+        bound = evaluate_filter(delta, u_fs @ u_fs, norm_v2)
         return np.flatnonzero(bound >= self.config.epsilon)
 
     def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:

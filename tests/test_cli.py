@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import logging
 import os
 import signal
 import socket
@@ -15,17 +16,20 @@ import numpy as np
 import pytest
 
 from ssdd.bench import REPORT_COLUMNS
+from ssdd import cli
 from ssdd.cli import build_parser, main
 from ssdd.corpus import Corpus, RawDocument, load_cache, save_cache, split_queries, write_docword
 from ssdd.errors import SessionError
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
+    DISCLOSURE_WARNING,
     AliceSession,
     BobResponder,
     SessionConfig,
     run_local_detection,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp
+from ssdd.selection import SelectionMethod
 
 from conftest import synth_corpus
 
@@ -465,6 +469,18 @@ class TestDetectGrid:
         assert not report.exists()
         assert message in capsys.readouterr().err
 
+    def test_disclosure_warning_once_per_detect(self, cache_path, caplog, capsys):
+        """Each LF or HF session logs the disclosure warning; a grid of an
+        LF and an HF cell says it once, and a session after the grid again."""
+        argv = ["detect", str(cache_path), "--method", "lf,hf", "--dims", "5"]
+        with caplog.at_level(logging.WARNING, logger="ssdd.protocol.session"):
+            assert main(argv) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 2
+            assert [r.getMessage() for r in caplog.records] == [DISCLOSURE_WARNING]
+            config = SessionConfig(n=120, epsilon=0.8, method=SelectionMethod.HF, f=5)
+            AliceSession(config, load_cache(cache_path).vectors, transport=None)
+        assert [r.getMessage() for r in caplog.records] == [DISCLOSURE_WARNING] * 2
+
     def test_grid_equals_single_cell_runs(self, cache_path, tmp_path):
         """A grid's report holds, cell by cell, the rows that one run per
         cell writes, apart from the wall time."""
@@ -601,6 +617,34 @@ class TestRemote:
         assert lines[1].startswith("method=base f=0 tolerance=0.9 pairs=0 ")
         assert err == "error: session aborted before completion\n"
         assert [row["pairs_total"] for row in read_rows(report)] == ["0", "0"]
+
+    def test_unreachable_cell_keeps_the_rows_run(
+        self, two_parties, tmp_path, monkeypatch, capsys
+    ):
+        """The second cell of a remote grid meets a closed port: detect
+        writes the first cell's row, then reports the error and exits 2."""
+        alice_path, bob_path = two_parties
+        targets = load_cache(bob_path).vectors
+        closed = free_port()
+        ports = []
+
+        def connect(host, port, *args, **kwargs):
+            ports.append(closed if ports else port)
+            return connect_tcp(host, ports[-1], *args, **kwargs)
+
+        monkeypatch.setattr(cli, "connect_tcp", connect)
+        report = tmp_path / "partial.csv"
+        with TcpServer(lambda: BobResponder(targets)) as server:
+            argv = ["detect", str(alice_path), "--connect", f"{server.host}:{server.port}"]
+            argv += ["--tolerance", "0.8,0.9", "--report", str(report)]
+            assert main(argv) == 2
+        assert ports == [server.port, closed]
+        out, err = capsys.readouterr()
+        assert out.startswith("method=base f=0 tolerance=0.8 pairs=120 ")
+        assert len(out.splitlines()) == 1
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{closed}: ")
+        rows = read_rows(report)
+        assert [(row["epsilon"], row["pairs_total"]) for row in rows] == [("0.8", "120")]
 
     @pytest.mark.parametrize("count", ["3", "10"])
     def test_queries_with_connect_is_usage_error(self, cache_path, capsys, count):

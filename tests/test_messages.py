@@ -126,15 +126,18 @@ class TestRoundTrip:
 
     def test_strided_and_mixed_dtype_arrays_round_trip(self):
         """Encoding copies through views: a transposed or Fortran-ordered t,
-        a float32 s and 32-bit ids each arrive as the same values."""
+        a float32 s and 32-bit ids each arrive as the same values.  The
+        FilterReply's t holds float32-exact values, since its fields are
+        f32; FullReply and FullQuery carry float64 ones."""
         rng = np.random.default_rng(52)
         t = rng.standard_normal((5, 3))
+        t32 = t.astype(np.float32).astype(np.float64)
         s = rng.standard_normal(3).astype(np.float32)
-        for t_in in (t.T, np.asfortranarray(t.T)):
+        for t_in in (t32.T, np.asfortranarray(t32.T)):
             assert not t_in.flags.c_contiguous
             reply = FilterReply(query_id=1, s=s, norm_v2=np.arange(3), t=t_in)
             again = decode_message(encode_message(reply))
-            np.testing.assert_array_equal(again.t, t.T)
+            np.testing.assert_array_equal(again.t, t32.T)
             np.testing.assert_array_equal(again.s, s.astype(np.float64))
             np.testing.assert_array_equal(again.norm_v2, [0.0, 1.0, 2.0])
         for ids in (np.array([4, 0, 9], np.uint32), np.array([4, 0, 9], np.int32)):
@@ -303,7 +306,7 @@ class TestFrozenLayouts:
             t=np.array([[1.0, -1.0]]),
         )
         expected_body = struct.pack("<II", 1, 1) + struct.pack(
-            "<dddd", 2.5, 0.5, 1.0, -1.0
+            "<ffff", 2.5, 0.5, 1.0, -1.0
         )
         assert encode_message(msg) == (
             struct.pack("<I", 1 + len(expected_body))
@@ -322,9 +325,9 @@ class TestFrozenLayouts:
         )
         body = (
             struct.pack("<II", 6, 3)
-            + struct.pack("<ddd", 2.5, -0.5, 1.0)
-            + struct.pack("<ddd", 0.5, 0.25, 4.0)
-            + struct.pack("<dddddd", 1.0, -1.0, 3.0, 0.0, -2.0, 8.0)
+            + struct.pack("<fff", 2.5, -0.5, 1.0)
+            + struct.pack("<fff", 0.5, 0.25, 4.0)
+            + struct.pack("<ffffff", 1.0, -1.0, 3.0, 0.0, -2.0, 8.0)
         )
         frame = encode_message(msg)
         assert frame == (
@@ -485,6 +488,29 @@ class TestUnrepresentableValues:
     def test_header_field_out_of_range(self, msg):
         with pytest.raises(FrameError, match="header"):
             encode_message(msg)
+
+    @pytest.mark.parametrize("piece", ["s", "norm_v2", "t"])
+    @pytest.mark.parametrize(
+        "values", [[0.5, 1e39], [-1e39, 0.5], [np.inf, 1e39]],
+        ids=["1e39", "-1e39", "inf-and-1e39"],
+    )
+    def test_filter_reply_real_past_f32(self, piece, values):
+        """A finite real beyond f32's largest would be cast to infinity; it
+        is refused instead, also beside an infinity."""
+        pieces = {"s": np.zeros(2), "norm_v2": np.zeros(2), "t": np.zeros((2, 1))}
+        pieces[piece] = np.reshape(values, pieces[piece].shape)
+        with pytest.raises(FrameError, match=f"FilterReply.{piece} holds a value that <f4 cannot"):
+            encode_message(FilterReply(query_id=0, **pieces))
+
+    def test_filter_reply_f32_extremes_cross(self):
+        """f32's largest and smallest values, the infinities and values that
+        round to them cross as f32 holds them."""
+        top = float(np.finfo(np.float32).max)
+        s = np.array([top, -top, np.inf, -np.inf, 1e-46, -2.0**-149])
+        reply = FilterReply(query_id=0, s=s, norm_v2=np.zeros(6), t=np.zeros((6, 1)))
+        again = decode_message(encode_message(reply))
+        np.testing.assert_array_equal(again.s, s.astype(np.float32))
+        np.testing.assert_array_equal(again.s, [top, -top, np.inf, -np.inf, 0.0, -2.0**-149])
 
     def test_reply_arrays_of_mismatched_length(self):
         bad = [

@@ -100,8 +100,8 @@ class TestSessionConfig:
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, seed=2**64)
         hello = SessionConfig(n=4, epsilon=0.8).hello()
-        assert hello.version == PROTOCOL_VERSION == 7
-        for version in (1, 2, 3, 4, 5, 6, 8):
+        assert hello.version == PROTOCOL_VERSION == 8
+        for version in (1, 2, 3, 4, 5, 6, 7, 9):
             with pytest.raises(ProtocolError, match="version"):
                 SessionConfig.from_hello(dataclasses.replace(hello, version=version))
         assert SessionConfig.from_hello(hello) == SessionConfig(n=4, epsilon=None)

@@ -26,11 +26,15 @@ Tag   Message      Body layout
 ``_SPECS`` holds this table.  Reply arrays follow the order of the
 documents they answer for; decoding recovers the trailing width from the
 body length, and every width on this wire is at least 1.  Encoding rounds
-each real to its field's width, and raises FrameError for what the layout
-cannot carry (an integer outside its field, a finite real past f32's range
-in an f32 field, mismatched shapes, a frame over MAX_FRAME_SIZE), decoding
-for any inconsistency; an unknown tag raises ProtocolError.  NaN and the
-infinities cross unchanged.  Decoding widens every real to float64 and
+each real to its field's width, to nearest, and raises FrameError for what
+the layout cannot carry (an integer outside its field, mismatched shapes, a
+frame over MAX_FRAME_SIZE), decoding for any inconsistency; an unknown tag
+raises ProtocolError.  A real field refuses exactly the finite reals that
+the rounding would make infinite: in an f32 field, those of magnitude at
+least (2 - 2^-24) * 2^127, halfway from f32's largest to 2^128.  A finite
+real below that crosses as f32's largest, and NaN and the infinities cross
+unchanged.  Encoding writes each array into the frame in one cast, in
+whatever layout the array has.  Decoding widens every real to float64 and
 every integer to int64.
 
 This is protocol version 8.  The handshake is one round trip: Hello
@@ -149,25 +153,29 @@ class Bye(_Message):
     pass
 
 
-_F32_MAX = float(np.finfo(np.float32).max)
+def _fits_u4(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is an integer in [0, 2**32)."""
+    return a.size == 0 or (a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF)
 
 
-def _fits(a: np.ndarray, dtype: np.dtype) -> bool:
-    """Whether every value of ``a`` is representable as ``dtype``, reals up
-    to rounding: NaN and the infinities are, a finite real beyond f32's
-    largest is not (the cast would make it infinite)."""
-    if a.size == 0:
+def _cast_into(target: np.ndarray, value: np.ndarray) -> bool:
+    """Write ``value`` into ``target``, each real rounded to target's width;
+    False when the cast made a finite real infinite, which leaves ``target``
+    written but not as the value says.  Only a real narrowed to fewer bytes
+    can overflow.  Such a cast reports overflow under ``errstate`` (numpy
+    1.24 on), and only then are the entries looked at, one by one, so a
+    frame that can carry its values costs one pass."""
+    if value.dtype.kind != "f" or value.dtype.itemsize <= target.itemsize:
+        target[...] = value
         return True
-    if dtype == "<u4":
-        return a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF
-    if dtype == "<f4" and a.dtype.kind == "f" and a.dtype.itemsize > 4:
-        # fmax and fmin skip NaN and allocate nothing; only an array that
-        # holds an infinity or an overflow is looked at entry by entry
-        low, high = np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None)
-        if -_F32_MAX <= low and high <= _F32_MAX:
-            return True
-        return not np.any(np.isfinite(a) & (np.abs(a) > _F32_MAX))
-    return True
+    try:
+        with np.errstate(all="ignore", over="raise"):
+            target[...] = value
+        return True
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            target[...] = value
+        return not np.any(np.isinf(target) & np.isfinite(value))
 
 
 class _Spec:
@@ -251,9 +259,9 @@ def encode_message(msg: _Message) -> bytearray:
         value = values[field]
         if value.shape != shape:
             raise FrameError(f"{name}.{field} of shape {value.shape} is not of shape {shape}")
-        if not _fits(value, dtype):
+        target = np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)
+        if (dtype == "<u4" and not _fits_u4(value)) or not _cast_into(target, value):
             raise FrameError(f"{name}.{field} holds a value that {dtype.str} cannot carry")
-        np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)[...] = value
     return frame
 
 

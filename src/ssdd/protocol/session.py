@@ -52,8 +52,9 @@ read-only by every session over it.  He answers a filter query with one
 projection of the whole corpus, read from its term-major view: built once
 per corpus, on the first filter query any session makes, and shared
 read-only too, it lets each projection touch only the entries on the f
-chosen dimensions, written term by term into an (f, m) array whose
-transpose is the projection.  In the full round Bob keeps one flag per
+chosen dimensions, one slice assignment per chosen term into an (f, m)
+array whose transpose is the projection; every filter-round product reads
+that array as it is laid out.  In the full round Bob keeps one flag per
 document for "t sent", computes t_j only the first time document j
 survives, and s_j = z . v_j per query.  Alice's queries come packed too,
 and she reads their document frequencies from them.  She also holds them as one dense
@@ -213,13 +214,16 @@ def widen_filter_pieces(reply: FilterReply, r: np.ndarray) -> tuple:
     uses covers their typical error, which grows as the square root of the
     width.  A NaN or infinite s or t entry makes its product non-finite,
     and a non-finite product or norm is a ``ProtocolError``.
+
+    Consumes the reply: its s and t are overwritten with their absolute
+    values, so that no array of t's size is allocated.
     """
     delta = recover(reply.s, reply.t, r)
     if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
         raise ProtocolError("filter reply carries a non-finite value")
     abs_r = np.abs(r)
-    err = np.abs(reply.t) @ abs_r
-    err += np.abs(reply.s)
+    err = np.abs(reply.t, out=reply.t) @ abs_r
+    err += np.abs(reply.s, out=reply.s)
     delta += err * (_U32 / (1.0 - _U32)) + (1.0 + abs_r.sum()) * _TINY32
     return delta, reply.norm_v2 * (1.0 - 2.0 * _U32) - _TINY32
 
@@ -343,10 +347,13 @@ class BobResponder:
     check then, so its pieces are reused without it.  P is read
     from the corpus's term-major view, built once per corpus and shared
     read-only, so it costs the entries on the f chosen dimensions, not a
-    scan of the corpus; it is the transpose of an (f, m) array filled one
-    term at a time.  P, t and the norms of the last set are kept,
-    read-only, and reused while queries name the same set: under RP and
-    GF, whose set is fixed, they are computed once per session.
+    scan of the corpus: it is the transpose of an (f, m) array P^T, each
+    of whose rows takes one chosen term's weights in one slice assignment.
+    The products read P^T in that layout: t = (A_fs^T P^T)^T, the norms
+    summed over P^T's rows, s = z P^T.  P^T, t and the norms of the last
+    set are kept, read-only, and reused while queries name the same set:
+    under RP and GF, whose set is fixed, they are computed once per
+    session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.
@@ -367,7 +374,7 @@ class BobResponder:
         self.scalar_mult_count = 0
         self._matrix: SharedRandomMatrix | None = None
         self._a_fs: np.ndarray | None = None
-        # (indexes, P, t, norms, nnz) of the last index set answered
+        # (indexes, P^T, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
 
@@ -426,16 +433,17 @@ class BobResponder:
     def _project(self, indexes: np.ndarray) -> tuple:
         """Filter-round pieces of every document for one index set.
 
-        Returns the projection P (m x f, the transpose of a term-major
-        array), t = P A_fs, the squared row norms of P, and the number of
-        corpus entries on the set's dimensions: P's stored entries, each of
-        which the products multiply.
+        Returns P^T (f x m, C-ordered, as ``project`` fills it), t = P A_fs,
+        the squared row norms of P, and the number of corpus entries on the
+        set's dimensions: P's stored entries, each of which the products
+        multiply.  t is the transpose of the GEMM A_fs^T P^T, so it is
+        F-ordered; the encoder casts it into the frame's row-major layout.
         """
-        projected = project(self._docs, indexes)
-        t = projected @ self._a_fs
-        norm_v2 = np.einsum("ij,ij->i", projected, projected)
+        rows = project(self._docs, indexes).T
+        t = (self._a_fs.T @ rows).T
+        norm_v2 = np.einsum("ij,ij->j", rows, rows)
         nnz = int(self._docs.document_frequency[indexes].sum())
-        return projected, t, norm_v2, nnz
+        return rows, t, norm_v2, nnz
 
     def _filter_pieces(self, msg: FilterQuery) -> tuple:
         """``_project`` of the query's index set, reused from the last query
@@ -470,11 +478,9 @@ class BobResponder:
             raise ProtocolError("filter step under BASE")
         if msg.z.size != config.f:
             raise ProtocolError(f"masked width {msg.z.size}, expected {config.f}")
-        projected, t, norm_v2, nnz = self._filter_pieces(msg)
+        rows, t, norm_v2, nnz = self._filter_pieces(msg)
         self.scalar_mult_count += nnz * (2 + self._a_fs.shape[1])
-        return FilterReply(
-            query_id=msg.query_id, s=projected @ msg.z, norm_v2=norm_v2, t=t
-        )
+        return FilterReply(query_id=msg.query_id, s=msg.z @ rows, norm_v2=norm_v2, t=t)
 
     def _on_full_query(self, msg: FullQuery) -> FullReply:
         config = self.config

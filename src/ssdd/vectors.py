@@ -8,7 +8,9 @@ and the masking matrix take, and the form a corpus holds its documents in;
 is shared by every session that reads it; ``project`` restricts it to an
 index set, a sorted ``int64`` array of dimensions that ``selection``
 chooses, and reads a term-major (CSC) view of it that is built on first
-use, once per corpus.  Everything is float64.
+use, once per corpus: each chosen term's weights are one slice of that
+view, written into one row of an (f, m) array whose transpose is the
+projection.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -150,17 +152,12 @@ def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
 def project(docs: PackedDocs, indexes: np.ndarray) -> np.ndarray:
     """Dense restriction of every document to ``indexes``, a sorted index
     set in [0, dims), as an (m, f) array; absent dims are 0.  Reads only the
-    entries on those indexes, through the term-major view, and fills an
-    (f, m) array one term at a time, in document order; the result is its
-    transpose."""
+    entries on those indexes, through the term-major view: row j of an
+    (f, m) array of zeros takes term ``indexes[j]``'s weights with one slice
+    assignment at the documents that hold it.  The result is that array's
+    transpose, so the (f, m) array is ``project(...).T``, C-ordered."""
     termptr, owner, weights = docs._by_term
-    first = termptr[indexes]
-    counts = termptr[indexes + 1] - first
-    # the view's entries on term indexes[j] are first[j], ..., first[j] + counts[j] - 1
-    entries = np.repeat(first - np.cumsum(counts) + counts, counts)
-    entries += np.arange(entries.size)
-    flat = owner.take(entries)
-    flat += np.repeat(np.arange(indexes.size) * len(docs), counts)
     out = np.zeros((indexes.size, len(docs)))
-    out.reshape(-1)[flat] = weights.take(entries)
+    for row, a, b in zip(out, termptr[indexes].tolist(), termptr[indexes + 1].tolist()):
+        row[owner[a:b]] = weights[a:b]
     return out.T

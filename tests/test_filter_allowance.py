@@ -3,6 +3,7 @@ bound an upper bound, so the rounding dismisses no pair that Bob's float64
 pieces would keep."""
 
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
     SessionConfig,
+    _TINY32,
+    _U32,
     _filter_matrix,
     _secret_mask,
     evaluate_filter,
@@ -118,6 +121,33 @@ class TestAllowance:
             s, t, norm_v2 = array(real, m), array(real, m * cols).reshape(m, cols), array(size, m)
             r = array(st.floats(-1.0, 1.0, width=64), cols)
             check_allowance(s, t, norm_v2, r, data.draw(size))
+
+    def test_widening_holds_no_matrix(self):
+        """At kos-hf's shape, 3,420 documents and 35 mask entries, widening
+        allocates nothing of t's size: it takes |t| in place, in the reply
+        it consumes, and gives the bits of the allocating formula."""
+        rng = np.random.default_rng(88)
+        m, cols = 3420, 35
+        sent = FilterReply(
+            query_id=0, s=rng.standard_normal(m), norm_v2=rng.random(m),
+            t=rng.standard_normal((m, cols)),
+        )
+        frame = encode_message(sent)
+        r = rng.uniform(-1.0, 1.0, cols)
+        reply = decode_message(frame)
+        tracemalloc.start()
+        try:
+            delta, norm = widen_filter_pieces(reply, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * cols * 8, peak / (m * cols * 8)
+        rounded = decode_message(frame)
+        err = np.abs(rounded.t) @ np.abs(r) + np.abs(rounded.s)
+        expected = recover(rounded.s, rounded.t, r)
+        expected += err * (_U32 / (1.0 - _U32)) + (1.0 + np.abs(r).sum()) * _TINY32
+        np.testing.assert_array_equal(delta, expected)
+        np.testing.assert_array_equal(norm, rounded.norm_v2 * (1.0 - 2.0 * _U32) - _TINY32)
 
 
 class RecordingBob(BobResponder):

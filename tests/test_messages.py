@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,28 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * len(frame), peak / len(frame)
+
+    def test_layout_of_t_does_not_change_the_frame(self):
+        """The responder hands over an F-ordered t, the transpose of its own
+        product: it, and a strided view, encode to the bytes of the
+        C-ordered copy, each rounded to f32 in one cast into the frame."""
+        rng = np.random.default_rng(53)
+        s, norm_v2 = rng.standard_normal(500), rng.random(500)
+        t = rng.standard_normal((500, 35))
+        expected = encode_message(FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t))
+        layouts = (np.empty((35, 500)).T, np.empty((500, 35))[::-1], np.empty((1000, 70))[::2, ::2])
+        for t_in in layouts:
+            t_in[...] = t
+            assert not t_in.flags.c_contiguous
+            reply = FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t_in)
+            tracemalloc.start()
+            try:
+                frame = encode_message(reply)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert frame == expected
+            assert peak <= 1.1 * len(frame), peak / len(frame)
 
 
 class TestFrozenLayouts:
@@ -557,3 +580,40 @@ class TestUnrepresentableValues:
         """Sessions abort cleanly on SsddError; a bare struct.error would escape."""
         with pytest.raises(SsddError):
             encode_message(HelloAck(bob_doc_count=2**40, df=np.empty(0, np.int64)))
+
+
+class TestF32Boundary:
+    """An f32 field refuses exactly the finite reals that rounding to nearest
+    makes infinite: from (2 - 2^-24) * 2^127, halfway from f32's largest to
+    2^128, outwards."""
+
+    TOP = float(np.finfo(np.float32).max)
+    HALFWAY = (2.0 - 2.0**-24) * 2.0**127
+
+    def encode(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        reply = FilterReply(query_id=0, s=s, norm_v2=np.zeros(s.size), t=np.zeros((s.size, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return encode_message(reply)
+
+    def test_below_halfway_crosses_as_the_largest(self):
+        below = [self.TOP * (1 + 2.0**-25), np.nextafter(self.HALFWAY, 0.0)]
+        assert self.TOP < below[0] < below[1] < self.HALFWAY
+        s = np.array(below + [-x for x in below])
+        again = decode_message(self.encode(s))
+        np.testing.assert_array_equal(again.s, [self.TOP] * 2 + [-self.TOP] * 2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("where", [0, 1, 999])
+    def test_first_overflowing_value_is_refused(self, sign, where):
+        s = np.zeros(1000)
+        s[where] = sign * self.HALFWAY
+        with pytest.raises(FrameError, match="FilterReply.s holds a value that <f4 cannot"):
+            self.encode(s)
+
+    def test_nan_and_infinities_cross_without_a_warning(self):
+        s = np.array([np.nan, np.inf, -np.inf, self.TOP, 0.0])
+        again = decode_message(self.encode(s))
+        assert np.isnan(again.s[0])
+        np.testing.assert_array_equal(again.s[1:], [np.inf, -np.inf, self.TOP, 0.0])

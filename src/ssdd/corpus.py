@@ -133,12 +133,11 @@ def _pack_counts(
 def _normalize(counts: PackedDocs) -> PackedDocs:
     """Each document's counts over their L2 norm, sharing ``indptr`` and
     ``indices`` with ``counts``.  A squared norm is a sum of integer squares,
-    exact in float64 below 2**53, so a document's weights do not depend on
-    the documents packed with it."""
+    exact in float64 below 2**53 in any order, so a document's weights do not
+    depend on the documents packed with it or on how ``sums`` adds them."""
     values = counts.weights.astype(np.float64)
-    owner = counts.owner
-    norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=len(counts)))
-    values /= norms[owner]
+    norms = np.sqrt(counts.sums(values * values))
+    values /= np.repeat(norms, counts.nnz)
     return PackedDocs(counts.dims, counts.indptr, counts.indices, values)
 
 

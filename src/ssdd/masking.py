@@ -114,6 +114,18 @@ def _fwht(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return x
 
 
+def _ranking(words: np.ndarray) -> np.ndarray:
+    """The indexes of ``words`` from the smallest word to the largest, equal
+    words in index order: a stable ranking.  Distinct words have one
+    ranking, which numpy's default sort finds about five times faster than
+    a stable one on 8,192 words, so the stable sort runs only on a tie."""
+    order = np.argsort(words)
+    ranked = words[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(words, kind="stable")
+    return order
+
+
 class SharedRandomMatrix:
     """Handle to the deterministic masking matrix for one seed and size."""
 
@@ -130,9 +142,8 @@ class SharedRandomMatrix:
         words = Philox(key=seed).random_raw(2 * size + rows + cols)
         # R and C, as the smallest unsigned type that holds an index of H
         index = np.min_scalar_type(size - 1)
-        self._row_of = np.argsort(words[:size], kind="stable")[:rows].astype(index)
-        self._col_of = np.argsort(words[size : 2 * size], kind="stable")[:cols]
-        self._col_of = self._col_of.astype(index)
+        self._row_of = _ranking(words[:size])[:rows].astype(index)
+        self._col_of = _ranking(words[size : 2 * size])[:cols].astype(index)
         # d_r and d_c
         signs = 1 - 2 * (words[2 * size :] & np.uint64(1)).astype(np.int8)
         self._row_sign, self._col_sign = signs[:rows], signs[rows:]

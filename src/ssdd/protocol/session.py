@@ -489,11 +489,15 @@ class BobResponder:
         ids = msg.survivor_ids
         if ids.size and (ids.min() < 0 or ids.max() >= self.doc_count):
             raise ProtocolError("survivor id outside the corpus")
-        if np.unique(ids).size != ids.size:
+        if ids.size and np.bincount(ids).max() > 1:
             raise ProtocolError("duplicate survivor id")
         survivors = self._docs.take(ids)
-        t = self._matrix.transpose_apply_packed(self._docs.take(ids[~self._sent[ids]]))
-        self._sent[ids] = True
+        new = ids[~self._sent[ids]]
+        if new.size:
+            t = self._matrix.transpose_apply_packed(self._docs.take(new))
+            self._sent[new] = True
+        else:
+            t = np.empty((0, self._matrix.cols))
         s = survivors.dot(msg.z)
         self.scalar_mult_count += survivors.indices.size * (1 + self._matrix.cols)
         return FullReply(query_id=msg.query_id, doc_ids=ids.copy(), s=s, t=t)

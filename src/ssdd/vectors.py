@@ -4,7 +4,10 @@ Documents are unit-normalized term-weight vectors stored sparsely (sorted
 indices + positive weights).  A set of them, a single document included, is
 one CSR ``PackedDocs``: the one document type that the protocol, the oracle
 and the masking matrix take, and the form a corpus holds its documents in;
-``pack`` concatenates sets.  A ``PackedDocs`` is read-only, so one corpus
+``pack`` concatenates sets.  Per-document sums, ``dot``'s and a corpus's
+squared norms, are segmented sums: one ``np.add.reduceat`` over the
+documents that hold entries, each document summed on its own in the order
+``PackedDocs.sums`` states.  A ``PackedDocs`` is read-only, so one corpus
 is shared by every session that reads it; ``project`` restricts it to an
 index set, a sorted ``int64`` array of dimensions that ``selection``
 chooses, and reads a term-major (CSC) view of it that is built on first
@@ -92,20 +95,31 @@ class PackedDocs:
         entries = np.arange(indptr[-1]) + np.repeat(self.indptr[ids] - indptr[:-1], counts)
         return PackedDocs(self.dims, indptr, self.indices[entries], self.weights[entries])
 
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Each document's sum of ``values``, one value per packed entry, as
+        (m,) float64; an empty document's sum is 0.  One ``np.add.reduceat``
+        over the documents that hold entries: a document's sum is its first
+        value plus numpy's pairwise sum of the rest (in numpy 2.4: sequential
+        below eight values, eight interleaved partial sums up to 128, then
+        halves), so it depends on that document's values alone."""
+        out = np.zeros(len(self))
+        full = np.flatnonzero(self.nnz)
+        out[full] = np.add.reduceat(values, self.indptr[full])
+        return out
+
     def dot(self, z: np.ndarray) -> np.ndarray:
         """z . v_i for every document i, as (m,) for z of shape (dims,) and
-        (k, m) for z of shape (k, dims); a segmented sum in packed-entry order,
-        one row of z at a time so that temporaries stay at one row's entries."""
+        (k, m) for z of shape (k, dims): for each row of z, ``sums`` of the
+        products of document i's weights with that row's entries at its
+        indices, so a document's sum is its first product plus numpy's
+        pairwise sum of the rest, in packed-entry order.  One row of z at a
+        time, so that a block gives the bits of its rows one by one and
+        temporaries stay at one row's entries."""
         rows = np.atleast_2d(z)
-        m = len(self)
-        owner = self.owner
-        # float64 even when bincount, given no entries, returns integers
-        out = np.empty((rows.shape[0], m))
+        out = np.empty((rows.shape[0], len(self)))
         for row, sums in zip(rows, out):
-            sums[...] = np.bincount(
-                owner, weights=row[self.indices] * self.weights, minlength=m
-            )
-        return out.reshape(z.shape[:-1] + (m,))
+            sums[...] = self.sums(row[self.indices] * self.weights)
+        return out.reshape(z.shape[:-1] + (len(self),))
 
     @cached_property
     def document_frequency(self) -> np.ndarray:

@@ -188,6 +188,26 @@ class TestCounts:
         assert corpus.vectors.indptr is corpus.counts.indptr
         assert corpus.vectors.indices is corpus.counts.indices
 
+    def test_weights_are_the_bincount_formulas(self):
+        """A squared norm is a sum of integer squares, exact in any order,
+        so the per-document sums give the bits of the weighted bincount over
+        each entry's document, with empty documents first, in the middle and
+        last."""
+        seeded = synth_corpus(n_docs=40, dims=500, seed=9, mean_terms=30).counts
+        documents = [
+            RawDocument(i, dict(zip(doc.indices.tolist(), doc.weights.tolist())))
+            for i, doc in enumerate(seeded)
+        ]
+        for at in (0, 20, 20, 43):
+            documents.insert(at, RawDocument(-1, {}))
+        corpus = Corpus(500, documents)
+        assert corpus.counts.nnz[[0, 20, 21, 43]].tolist() == [0, 0, 0, 0]
+        values = corpus.counts.weights.astype(np.float64)
+        owner = corpus.counts.owner
+        norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=44))
+        expected = values / norms[owner]
+        assert corpus.vectors.weights.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("term", [-1, 5])
     def test_index_outside_width(self, term):
         with pytest.raises(RangeError):

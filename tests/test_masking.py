@@ -128,6 +128,22 @@ class TestSharedRandomMatrix:
                 expected = signs[:rows, None] * h * signs[rows:]
                 np.testing.assert_array_equal(dense(matrix), expected)
 
+    @pytest.mark.parametrize("size", [2, 9, 100, 8192])
+    def test_ranking_of_tied_words_is_stable(self, size):
+        """Equal words rank in index order, as a stable sort ranks them, and
+        distinct words rank as any sort ranks them.  numpy's default sort
+        need not keep tied words in index order (at 8,192 words of 8 values
+        numpy 2.4's does not)."""
+        rng = np.random.default_rng(size)
+        tied = rng.integers(0, 8, size).astype(np.uint64)
+        tied[:2] = 3  # a tie even at size 2
+        stable = np.argsort(tied, kind="stable")
+        np.testing.assert_array_equal(masking._ranking(tied), stable)
+        distinct = rng.permutation(size).astype(np.uint64) << np.uint64(40)
+        np.testing.assert_array_equal(
+            masking._ranking(distinct), np.argsort(distinct, kind="stable")
+        )
+
     @pytest.mark.parametrize("rows", SIZES)
     def test_transform_matches_rows_for(self, rows):
         """The fast transforms compute the products of the closed-form

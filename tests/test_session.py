@@ -1030,13 +1030,16 @@ class TestResponderValidation:
             responder.handle(query)
 
     def test_duplicate_survivor_id(self):
-        responder, config = self.make(docs=2)
-        responder.handle(config.hello())
-        query = FullQuery(
-            query_id=0, survivor_ids=np.array([1, 1], dtype=np.int64), z=np.zeros(6)
-        )
-        with pytest.raises(ProtocolError, match="duplicate survivor"):
-            responder.handle(query)
+        """Refused wherever the repeat stands, before any t is marked sent."""
+        for ids in ([1, 1], [3, 0, 3], [0, 2, 1, 3, 2]):
+            responder, config = self.make(docs=4)
+            responder.handle(config.hello())
+            query = FullQuery(
+                query_id=0, survivor_ids=np.array(ids, dtype=np.int64), z=np.zeros(6)
+            )
+            with pytest.raises(ProtocolError, match="duplicate survivor"):
+                responder.handle(query)
+            assert not responder._sent.any()
 
     def test_survivor_id_out_of_range(self):
         responder, config = self.make(docs=2)
@@ -1264,6 +1267,36 @@ class TestResponderMatchesRespond:
         computed, sent = self.full_replies(monkeypatch)
         assert sent == {0, 3, 4, 10, 11}
         assert len(computed) == len(sent)
+
+    def test_base_session_transforms_on_query_zero_alone(self, small_corpus, monkeypatch):
+        """Under BASE every target survives every query, so Bob computes
+        every t in one transform, for query 0, and each later FullReply
+        carries none (k_new = 0); the decisions are the oracle's."""
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
+        transformed, replies = [], []
+        transpose_apply_packed = SharedRandomMatrix.transpose_apply_packed
+        on_full_query = BobResponder._on_full_query
+
+        def counting(matrix, docs):
+            transformed.append(len(docs))
+            return transpose_apply_packed(matrix, docs)
+
+        def recording(responder, msg):
+            replies.append(on_full_query(responder, msg))
+            return replies[-1]
+
+        monkeypatch.setattr(SharedRandomMatrix, "transpose_apply_packed", counting)
+        monkeypatch.setattr(BobResponder, "_on_full_query", recording)
+        config = config_for(SelectionMethod.BASE)
+        report = run_detection_locally(queries, config, targets)
+        assert transformed == [len(targets)]
+        assert [reply.query_id for reply in replies] == [0, 1, 2, 3]
+        assert [reply.t.shape[0] for reply in replies] == [len(targets), 0, 0, 0]
+        assert all(reply.t.shape[1] == (config.n + 1) // 2 for reply in replies)
+        oracle = oracle_detect(queries, targets, config.epsilon)
+        assert missed_and_extra(report.similar, oracle.similar) == ([], [])
 
     @pytest.mark.parametrize(
         "method", [SelectionMethod.RP, SelectionMethod.LF], ids=lambda m: m.name

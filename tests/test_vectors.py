@@ -1,5 +1,6 @@
 """Sparse vector kernels against dense oracles and hand-worked values."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -248,7 +249,11 @@ class TestPackedDocs:
         assert len(self.packed.take(ids[:0])) == 0
 
     def test_dot_matches_dense_and_rows_are_one_sum(self):
-        """A block of k vectors gives, row by row, the same bits as k calls."""
+        """A block of k vectors gives, row by row, the same bits as k calls.
+        Each sum is within n u sum|x| of the exact sum (math.fsum) of its n
+        products x, for documents short and long (the pairwise branches of
+        the sum), and an empty document's is 0 wherever it stands, in an
+        all-empty set too."""
         z = np.random.default_rng(20).uniform(-1.0, 1.0, (3, 50))
         block = self.packed.dot(z)
         assert block.shape == (3, 9)
@@ -258,6 +263,28 @@ class TestPackedDocs:
         assert block[:, 3].tolist() == [0.0, 0.0, 0.0]
         empty = pack([build_document_vector({}, 50)] * 2, 50)
         assert empty.dot(z).dtype == empty.dot(z[0]).dtype == np.float64
+
+        rng = np.random.default_rng(23)
+        z = rng.uniform(-1.0, 1.0, (2, 400))
+        void = build_document_vector({}, 400)
+        docs = [random_document(rng, 400, nnz) for nnz in (1, 8, 9, 17, 129, 130, 400)]
+        for layout in (
+            [void, *docs],
+            [*docs[:3], void, *docs[3:]],
+            [*docs, void],
+            [void, *docs[:2], void, void, *docs[2:], void],
+            [void],
+            [void] * 3,
+        ):
+            sums = pack(layout, 400).dot(z)
+            assert sums.shape == (2, len(layout))
+            for doc, column in zip(layout, sums.T):
+                for row, got in zip(z, column):
+                    products = row[doc.indices] * doc.weights
+                    bound = products.size * np.finfo(float).eps * np.abs(products).sum()
+                    assert abs(got - math.fsum(products)) <= bound
+                    if not products.size:
+                        assert got == 0.0
 
     def test_dot_temporaries_do_not_grow_with_the_rows(self):
         """k rows of z allocate the (k, m) result plus what one row needs,

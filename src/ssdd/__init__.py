@@ -10,7 +10,6 @@ before the exact full-width check.
 from .corpus import (
     Corpus,
     RawDocument,
-    build_document_vector,
     load_cache,
     load_vocabulary,
     parse_bag_of_words,

@@ -10,8 +10,12 @@ Subcommands:
   corpus against its other documents in-process, or, with --connect, for
   every document of the corpus against a remote server's.  --method,
   --dims and --tolerance take comma lists, and detect runs one session
-  per cell of their grid; --report writes one CSV row per session.
-- oracle: plaintext exhaustive ground truth for the in-process split.
+  per cell of their grid, printing a summary line for each.  --report
+  writes the sessions as CSV, one row each, read off the session's report:
+  method, f, epsilon, its pair counts and filter_ratio, the bytes each
+  side sent, wall_ms and similar_pairs.
+- oracle: plaintext exhaustive ground truth for the in-process split;
+  --report writes its similar pairs as CSV.
 
 A party's corpus file is its documents: every other command reads its
 file whole, and only a run that holds both parties splits one file into
@@ -28,13 +32,13 @@ Exit codes: 0 success, 1 usage error, 2 runtime or protocol error.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .bench import row_from_report, write_report_csv
 from .corpus import (
     CACHE_MAGIC,
     Corpus,
@@ -50,6 +54,7 @@ from .protocol.session import (
     DISCLOSURE_WARNING,
     AliceSession,
     BobResponder,
+    DetectionReport,
     SessionConfig,
     run_local_detection,
 )
@@ -187,15 +192,37 @@ def _split(args, corpus: Corpus):
     return ids, [corpus.vectors.take(i) for i in ids]
 
 
-def _print_summary(row, queries: int) -> None:
-    mean_ms = row.wall_ms / queries if queries else 0.0
-    print(
-        f"method={row.method} f={row.f} tolerance={row.epsilon} "
-        f"pairs={row.pairs_total} filtered={row.pairs_filtered} "
-        f"ratio={row.filter_ratio:.4f} full={row.full_products} "
-        f"similar={row.similar_pairs} wall_ms={row.wall_ms:.1f} "
-        f"per_query_ms={mean_ms:.1f}"
+# detect --report's columns, one row per session; re-running an identical
+# command reproduces the file byte for byte except the wall_ms column
+REPORT_COLUMNS = (
+    "method", "f", "epsilon", "pairs_total", "pairs_filtered", "filter_ratio",
+    "full_products", "bytes_sent_alice", "bytes_sent_bob", "wall_ms", "similar_pairs",
+)
+
+_SUMMARY = (
+    "method={method} f={f} tolerance={epsilon} pairs={pairs_total} "
+    "filtered={pairs_filtered} ratio={filter_ratio:.4f} full={full_products} "
+    "similar={similar_pairs} wall_ms={wall_ms:.1f} per_query_ms={per_query_ms:.1f}"
+)
+
+
+def _report_row(report: DetectionReport) -> dict:
+    """A session's values under REPORT_COLUMNS, read off its report."""
+    config, m = report.config, report.metrics
+    values = (
+        config.method.name.lower(), config.f, config.epsilon,
+        m.pairs_total, m.pairs_filtered, m.filter_ratio, m.full_products,
+        m.bytes_sent_alice, m.bytes_sent_bob, m.wall_time * 1000.0,
+        int(report.similar.sum()),
     )
+    return dict(zip(REPORT_COLUMNS, values))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _first_only(message: str):
@@ -248,15 +275,15 @@ def cmd_detect(args) -> int:
                     report = AliceSession(config, queries, transport).run()
                 finally:
                     transport.close()
-            rows.append(row_from_report(report))
-            _print_summary(rows[-1], len(queries))
+            rows.append(_report_row(report))
+            per_query_ms = rows[-1]["wall_ms"] / len(queries) if len(queries) else 0.0
+            print(_SUMMARY.format(**rows[-1], per_query_ms=per_query_ms))
             aborted |= report.aborted
     finally:
         session_log.removeFilter(once)
         # the rows run so far, also when a later cell cannot connect
         if args.report:
-            with open(args.report, "w", newline="", encoding="utf-8") as fh:
-                write_report_csv(rows, fh)
+            _write_csv(args.report, REPORT_COLUMNS, (row.values() for row in rows))
     if aborted:
         print("error: session aborted before completion", file=sys.stderr)
         return RUNTIME_ERROR
@@ -269,15 +296,11 @@ def cmd_oracle(args) -> int:
     result = oracle_detect(queries, targets, args.tolerance)
     pairs = np.argwhere(result.similar).tolist()
     if args.report:
-        import csv
-
-        with open(args.report, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("query_doc", "target_doc", "cosine"))
-            for qi, ti in pairs:
-                writer.writerow(
-                    (query_ids[qi], target_ids[ti], result.cosines[(qi, ti)])
-                )
+        _write_csv(
+            args.report,
+            ("query_doc", "target_doc", "cosine"),
+            ((query_ids[qi], target_ids[ti], result.cosines[(qi, ti)]) for qi, ti in pairs),
+        )
     print(f"tolerance={args.tolerance} similar_pairs={len(pairs)}")
     return 0
 

@@ -46,7 +46,6 @@ __all__ = [
     "Corpus",
     "parse_bag_of_words",
     "load_vocabulary",
-    "build_document_vector",
     "split_queries",
     "write_docword",
     "save_cache",
@@ -139,14 +138,6 @@ def _normalize(counts: PackedDocs) -> PackedDocs:
     norms = np.sqrt(counts.sums(values * values))
     values /= np.repeat(norms, counts.nnz)
     return PackedDocs(counts.dims, counts.indptr, counts.indices, values)
-
-
-def build_document_vector(counts: dict[int, int], dims: int) -> PackedDocs:
-    """Unit L2-normalized weight vector from raw term counts, as a
-    one-document ``PackedDocs``: the vectors of a one-document corpus.  An
-    empty count map yields the zero vector, which is degenerate.
-    """
-    return Corpus(dims, [RawDocument(0, counts)]).vectors
 
 
 def _header_int(lines: Iterator[tuple[int, str]], what: str) -> int:

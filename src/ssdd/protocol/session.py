@@ -277,12 +277,16 @@ class DetectionReport:
     """
 
     config: SessionConfig
-    target_count: int
     cosines: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     similar: np.ndarray = field(default_factory=lambda: np.empty((0, 0), bool))
     decided: int = 0
     metrics: SessionMetrics = field(default_factory=SessionMetrics)
     aborted: bool = False
+
+    @property
+    def target_count(self) -> int:
+        """Bob's document count, the width of the arrays."""
+        return self.cosines.shape[1]
 
     # kept for perfbench, which judges a run by its decisions
     @property
@@ -522,7 +526,7 @@ class AliceSession:
         self.transport = transport
         # the handshake names the targets, and sizes the arrays for them
         shape = (len(queries), 0)
-        self.report = DetectionReport(config, 0, np.empty(shape), np.empty(shape, bool))
+        self.report = DetectionReport(config, np.empty(shape), np.empty(shape, bool))
         self._matrix = SharedRandomMatrix(config.seed, config.n)
         self._a_fs = _filter_matrix(config) if config.method.uses_filter else None
         self._whole: np.ndarray | None = None
@@ -570,7 +574,6 @@ class AliceSession:
         elif method is SelectionMethod.GF:
             self._session_set = top_f(self._whole, config.f)
         report, queries, targets = self.report, len(self.queries), ack.bob_doc_count
-        report.target_count = targets
         report.cosines = np.full((queries, targets), np.nan)
         report.similar = np.zeros((queries, targets), dtype=bool)
         # row j holds t_j R once t_j has arrived (known[j]); zero_t[j] marks

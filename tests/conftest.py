@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdd.corpus import Corpus, RawDocument, build_document_vector
+from ssdd.corpus import Corpus, RawDocument
 from ssdd.errors import DimensionError
 from ssdd.masking import SharedRandomMatrix
 from ssdd.vectors import PackedDocs
@@ -78,6 +78,14 @@ def fwht(x: np.ndarray) -> None:
         a += b
         b[...] = diff
         h *= 2
+
+
+def build_document_vector(counts: dict[int, int], dims: int) -> PackedDocs:
+    """Unit L2-normalized weight vector from raw term counts, as a
+    one-document ``PackedDocs``: the vectors of a one-document corpus.  An
+    empty count map yields the zero vector, which is degenerate.
+    """
+    return Corpus(dims, [RawDocument(0, counts)]).vectors
 
 
 def random_document(

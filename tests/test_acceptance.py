@@ -14,11 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ssdd.corpus import (
-    build_document_vector,
-    parse_bag_of_words,
-    split_queries,
-)
+from ssdd.corpus import parse_bag_of_words, split_queries
 from ssdd.errors import FrameError, ProtocolError
 from ssdd.masking import (
     SharedRandomMatrix,
@@ -39,6 +35,7 @@ from ssdd.selection import SelectionMethod
 from ssdd.vectors import pack
 
 from conftest import (
+    build_document_vector,
     data_file,
     dot,
     missed_and_extra,

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdd.bench import REPORT_COLUMNS
 from ssdd import cli
 from ssdd.cli import build_parser, main
 from ssdd.corpus import Corpus, RawDocument, load_cache, save_cache, split_queries, write_docword
@@ -32,6 +31,22 @@ from ssdd.protocol.transport import TcpServer, connect_tcp
 from ssdd.selection import SelectionMethod
 
 from conftest import synth_corpus
+
+# detect --report's header, written out so that a reordered or renamed
+# column fails the tests that read it
+REPORT_HEADER = [
+    "method",
+    "f",
+    "epsilon",
+    "pairs_total",
+    "pairs_filtered",
+    "filter_ratio",
+    "full_products",
+    "bytes_sent_alice",
+    "bytes_sent_bob",
+    "wall_ms",
+    "similar_pairs",
+]
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +167,7 @@ class TestDetect:
         assert "method=hf f=12" in capsys.readouterr().out
         with report.open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(REPORT_COLUMNS)
+        assert rows[0] == REPORT_HEADER
         assert len(rows) == 2
 
     def test_reads_docword_directly(self, docword_path):
@@ -402,7 +417,7 @@ class TestDetectGrid:
         assert len(capsys.readouterr().out.splitlines()) == 4
         with report.open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(REPORT_COLUMNS)
+        assert rows[0] == REPORT_HEADER
         assert len(rows) == 5
 
     def test_budget_counts_and_percentages(self, cache_path, tmp_path, capsys):
@@ -676,13 +691,21 @@ class TestRemote:
 
     def test_serve_runs_until_interrupted(self, corpus, cache_path):
         """Without --once, `ssdd serve` serves until SIGINT, then exits 0
-        and reports each session it served."""
+        and reports each session it served.  The server starts with SIGINT
+        at its default action: a shell that runs the suite as a background
+        job ignores SIGINT, a child would inherit that, and Python installs
+        no KeyboardInterrupt handler for a signal ignored at startup."""
         port = free_port()
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         argv = [sys.executable, "-m", "ssdd.cli", "serve", str(cache_path)]
         argv += ["--listen", f"127.0.0.1:{port}"]
         with subprocess.Popen(
-            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            argv,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         ) as server:
             try:
                 base_session(corpus, port)

@@ -31,7 +31,7 @@ from conftest import missed_and_extra, synth_corpus
 
 try:
     from hypothesis import given, settings, strategies as st
-except ImportError:  # not a declared dependency
+except ImportError:  # declared only by the test extra
     given = None
 
 

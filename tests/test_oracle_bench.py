@@ -1,14 +1,13 @@
 """Ground-truth oracle and benchmark reporting."""
 
 import csv
-import io
 
 import numpy as np
 import pytest
 
-from ssdd.bench import REPORT_COLUMNS, row_from_report, write_report_csv
+from ssdd import cli
 from ssdd.cli import main
-from ssdd.corpus import build_document_vector, save_cache, split_queries
+from ssdd.corpus import save_cache
 from ssdd.errors import DimensionError, RangeError
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
@@ -17,9 +16,8 @@ from ssdd.protocol.session import (
     SimilarityDecision,
     run_local_detection,
 )
-from ssdd.selection import SelectionMethod
 from ssdd.vectors import pack
-from conftest import dot, missed_and_extra, synth_corpus
+from conftest import build_document_vector, dot, missed_and_extra, synth_corpus
 
 
 class TestOracle:
@@ -85,7 +83,6 @@ class TestOracle:
         config = SessionConfig(n=2, epsilon=0.9)
         report = DetectionReport(
             config=config,
-            target_count=1,
             cosines=np.array([[1.0]]),
             similar=np.array([[True]]),
             decided=1,
@@ -108,11 +105,6 @@ def bench_cache(bench_corpus, tmp_path_factory):
     return path
 
 
-def split(corpus, k, seed):
-    """The query and target vectors of the seeded split."""
-    return [corpus.vectors.take(ids) for ids in split_queries(corpus, k=k, seed=seed)]
-
-
 def detect_rows(cache, tmp_path, *options) -> list[dict]:
     """The report rows that ``ssdd detect`` over ``cache`` writes with
     ``options``."""
@@ -120,6 +112,19 @@ def detect_rows(cache, tmp_path, *options) -> list[dict]:
     assert main(["detect", str(cache), *options, "--report", str(report)]) == 0
     with report.open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def recorded_reports(monkeypatch) -> list:
+    """The reports of the sessions that ``ssdd detect`` runs in-process,
+    appended as each session ends."""
+    reports = []
+
+    def run_and_record(*args):
+        reports.append(run_local_detection(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_local_detection", run_and_record)
+    return reports
 
 
 class TestBench:
@@ -185,40 +190,50 @@ class TestBench:
             assert refused.out == ""
         assert not report.exists()
 
-    def test_row_from_report(self, bench_corpus):
-        queries, targets = split(bench_corpus, k=4, seed=3)
-        config = SessionConfig(
-            n=bench_corpus.dims, epsilon=0.8, method=SelectionMethod.GF, f=30
+    def test_row_from_report(self, bench_cache, tmp_path, monkeypatch):
+        reports = recorded_reports(monkeypatch)
+        (row,) = detect_rows(
+            bench_cache,
+            tmp_path,
+            *("--queries", "4", "--seed", "3", "--method", "gf", "--dims", "30"),
         )
-        report = run_local_detection(queries, config, targets)
-        row = row_from_report(report)
-        assert row.method == "gf"
-        assert row.f == 30
-        assert row.similar_pairs == sum(d.similar for d in report.decisions)
-        assert row.wall_ms == pytest.approx(report.metrics.wall_time * 1000.0)
-        assert row.bytes_sent_alice == report.metrics.bytes_sent_alice
+        (report,) = reports
+        assert row["method"] == "gf"
+        assert int(row["f"]) == 30
+        assert int(row["similar_pairs"]) == sum(d.similar for d in report.decisions)
+        assert float(row["wall_ms"]) == pytest.approx(report.metrics.wall_time * 1000.0)
+        assert int(row["bytes_sent_alice"]) == report.metrics.bytes_sent_alice
 
 
 class TestReportCsv:
-    def test_header_and_parse_back(self, bench_corpus):
-        queries, targets = split(bench_corpus, k=4, seed=2)
-        configs = [
-            SessionConfig(n=bench_corpus.dims, epsilon=epsilon, method=method, f=f, seed=2)
-            for method, f in ((SelectionMethod.BASE, 0), (SelectionMethod.LF, 20))
-            for epsilon in (0.8, 0.9)
+    def test_header_and_parse_back(self, bench_cache, tmp_path, monkeypatch):
+        reports = recorded_reports(monkeypatch)
+        out = tmp_path / "grid.csv"
+        argv = ["detect", str(bench_cache), "--queries", "4", "--seed", "2"]
+        argv += ["--method", "base,lf", "--dims", "20", "--tolerance", "0.8,0.9"]
+        assert main([*argv, "--report", str(out)]) == 0
+        with out.open(newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[0] == [
+            "method",
+            "f",
+            "epsilon",
+            "pairs_total",
+            "pairs_filtered",
+            "filter_ratio",
+            "full_products",
+            "bytes_sent_alice",
+            "bytes_sent_bob",
+            "wall_ms",
+            "similar_pairs",
         ]
-        rows = [
-            row_from_report(run_local_detection(queries, config, targets)) for config in configs
-        ]
-        out = io.StringIO()
-        write_report_csv(rows, out)
-        parsed = list(csv.reader(io.StringIO(out.getvalue())))
-        assert parsed[0] == list(REPORT_COLUMNS)
-        assert len(parsed) == 1 + len(rows)
-        for line, row in zip(parsed[1:], rows):
-            assert len(line) == len(REPORT_COLUMNS)
-            assert line[0] == row.method
-            assert int(line[1]) == row.f
-            assert float(line[2]) == row.epsilon
-            assert int(line[3]) == row.pairs_total
-            assert int(line[10]) == row.similar_pairs
+        assert len(reports) == 4
+        assert len(parsed) == 1 + len(reports)
+        heads = [("base", 0, 0.8), ("base", 0, 0.9), ("lf", 20, 0.8), ("lf", 20, 0.9)]
+        for line, report, (method, f, epsilon) in zip(parsed[1:], reports, heads):
+            assert len(line) == 11
+            assert line[0] == method
+            assert int(line[1]) == f == report.config.f
+            assert float(line[2]) == epsilon == report.config.epsilon
+            assert int(line[3]) == report.metrics.pairs_total
+            assert int(line[10]) == report.similar.sum()

@@ -5,12 +5,12 @@ LF and GF select with ``top_f``, whose own tests are in test_vectors.py."""
 import numpy as np
 import pytest
 
-from ssdd.corpus import Corpus, RawDocument, build_document_vector
+from ssdd.corpus import Corpus, RawDocument
 from ssdd.errors import DimensionError, RangeError
 from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
 from ssdd.vectors import pack
 
-from conftest import synth_corpus
+from conftest import build_document_vector, synth_corpus
 
 
 class TestSelectionMethod:

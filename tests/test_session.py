@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdd.corpus import build_document_vector, load_cache, save_cache, split_queries
+from ssdd.corpus import load_cache, save_cache, split_queries
 from ssdd.errors import (
     DimensionError,
     FrameError,
@@ -57,6 +57,7 @@ from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
 from ssdd.vectors import PackedDocs, pack, project
 
 from conftest import (
+    build_document_vector,
     missed_and_extra,
     random_document,
     random_unit_dense,
@@ -1545,7 +1546,6 @@ class TestReportArrays:
         )
         report = DetectionReport(
             config=SessionConfig(n=4, epsilon=0.5),
-            target_count=3,
             cosines=np.where(similar, 0.9, 0.1),
             similar=similar,
             decided=3,

@@ -6,14 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdd.corpus import build_document_vector
 from ssdd.errors import DimensionError, RangeError
 from ssdd.protocol.messages import FilterQuery
 from ssdd.protocol.session import BobResponder, SessionConfig
 from ssdd.selection import SelectionMethod, top_f, zscore
 from ssdd.vectors import PackedDocs, pack, project
 
-from conftest import dot, random_document
+from conftest import build_document_vector, dot, random_document
 
 
 class TestOneDocument:

@@ -34,8 +34,12 @@ the rounding would make infinite: in an f32 field, those of magnitude at
 least (2 - 2^-24) * 2^127, halfway from f32's largest to 2^128.  A finite
 real below that crosses as f32's largest, and NaN and the infinities cross
 unchanged.  Encoding writes each array into the frame in one cast, in
-whatever layout the array has.  Decoding widens every real to float64 and
-every integer to int64.
+whatever layout the array has.  ``encode_parts`` gives the same bytes as
+parts to send back to back, and lends the last array's own memory instead
+of a cast when it is already laid out as on the wire; the responder sends
+its replies so, which spares the copy of a FullReply's t.  Receivers see
+whole frames either way.  Decoding widens every real to float64 and every
+integer to int64.
 
 This is protocol version 8.  The handshake is one round trip: Hello
 carries the one seed that both sides derive the masking matrices from,
@@ -83,6 +87,7 @@ __all__ = [
     "FullReply",
     "Bye",
     "encode_message",
+    "encode_parts",
     "decode_message",
 ]
 
@@ -231,6 +236,23 @@ _SPEC_OF = {spec.cls: spec for spec in _SPECS.values()}
 def encode_message(msg: _Message) -> bytearray:
     """Full frame (length prefix included) for one message, written into
     one new buffer."""
+    (frame,) = _encode(msg, lend=False)
+    return frame
+
+
+def encode_parts(msg: _Message) -> list:
+    """The frame of ``encode_message``, as buffers to send back to back.
+
+    The first is one new buffer holding the prefix, the header and every
+    array that needs a cast.  When the last array is already laid out as
+    on the wire (C-contiguous, exactly its field's dtype) and is not empty,
+    a second part is that array's own memory, not a copy; of the
+    responder's replies, only a FullReply's new t rows qualify.  The sender
+    must not change the array before the frame has gone."""
+    return _encode(msg, lend=True)
+
+
+def _encode(msg: _Message, lend: bool) -> list:
     spec = _SPEC_OF.get(type(msg))
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
@@ -244,7 +266,14 @@ def encode_message(msg: _Message) -> bytearray:
     arrays, size = spec.layout(sizes)
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
-    frame = bytearray(HEADER_SIZE + size)
+    lent, written = None, size
+    if lend and arrays:
+        field, dtype, shape, offset = arrays[-1]
+        value = values[field]
+        wire_ready = value.dtype == dtype and value.flags.c_contiguous
+        if value.size and value.shape == shape and wire_ready:
+            lent, arrays, written = value, arrays[:-1], offset
+    frame = bytearray(HEADER_SIZE + written)
     struct.pack_into("<IB", frame, 0, size, spec.tag)
     try:
         spec.head.pack_into(
@@ -262,7 +291,7 @@ def encode_message(msg: _Message) -> bytearray:
         target = np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)
         if (dtype == "<u4" and not _fits_u4(value)) or not _cast_into(target, value):
             raise FrameError(f"{name}.{field} holds a value that {dtype.str} cannot carry")
-    return frame
+    return [frame] if lent is None else [frame, memoryview(lent).cast("B")]
 
 
 def decode_message(frame: bytes) -> _Message:

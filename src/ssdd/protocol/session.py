@@ -93,6 +93,7 @@ from .messages import (
     HelloAck,
     decode_message,
     encode_message,
+    encode_parts,
 )
 from .transport import make_local_pair
 
@@ -360,7 +361,9 @@ class BobResponder:
     session.
 
     In the full round, t_j = A^T v_j is computed and sent the first time
-    document j survives; ``_sent`` marks those documents.
+    document j survives; ``_sent`` marks those documents.  ``serve`` sends
+    each reply as ``encode_parts`` gives it, so a FullReply's t goes out
+    from the array itself, not from a copy in the frame.
 
     ``scalar_mult_count`` tallies the multiplications of the
     paper's cost model: nnz * (1 + cols) per document response, plus nnz
@@ -396,7 +399,7 @@ class BobResponder:
                     break
                 reply = self.handle(msg)
                 if reply is not None:
-                    transport.send_frame(encode_message(reply))
+                    transport.send_frame(encode_parts(reply))
         finally:
             transport.close()
             self._docs = self._sent = self._session_filter = None

@@ -1,7 +1,9 @@
 """Frame transports: an in-process queue pair and a TCP socket wrapper.
 
 Both move whole frames (length prefix included), so the session layer sees
-identical bytes either way.
+identical bytes either way.  ``send_frame`` takes a frame, or a frame as a
+list of parts to send back to back (``messages.encode_parts``); the
+receiver gets the whole frame as one buffer.
 """
 
 from __future__ import annotations
@@ -42,9 +44,13 @@ class LocalTransport:
         self._timeout = timeout
         self._closed = False
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame: bytes | list) -> None:
+        """Enqueue ``frame``: a lone buffer or part as it is, no copy, and
+        more parts joined into one."""
         if self._closed:
             raise SessionError("transport is closed")
+        if isinstance(frame, list):
+            frame = frame[0] if len(frame) == 1 else b"".join(frame)
         self._outbox.put(frame)
 
     def recv_frame(self) -> bytes:
@@ -94,9 +100,11 @@ class TcpTransport:
             remaining -= len(chunk)
         return chunks
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame: bytes | list) -> None:
+        """Write ``frame``, or each of its parts in turn."""
         try:
-            self._sock.sendall(frame)
+            for part in frame if isinstance(frame, list) else (frame,):
+                self._sock.sendall(part)
         except OSError as exc:
             raise SessionError(f"socket error: {exc}") from exc
 

@@ -26,6 +26,7 @@ from ssdd.protocol.messages import (
     HelloAck,
     decode_message,
     encode_message,
+    encode_parts,
 )
 
 
@@ -199,6 +200,79 @@ class TestRoundTrip:
                 tracemalloc.stop()
             assert frame == expected
             assert peak <= 1.1 * len(frame), peak / len(frame)
+
+
+def full_reply_with(t):
+    k = t.shape[0] + 2
+    rng = np.random.default_rng(k)
+    return FullReply(
+        query_id=7, doc_ids=np.arange(k) * 3, s=rng.standard_normal(k), t=t
+    )
+
+
+class TestEncodeParts:
+    """``encode_parts`` is ``encode_message`` cut into buffers to send back
+    to back, the last array lent as itself where the wire takes it as is."""
+
+    def test_every_message_type_joins_to_the_frame(self):
+        rng = np.random.default_rng(61)
+        kinds = set()
+        for _ in range(400):
+            msg = random_message(rng)
+            kinds.add(type(msg))
+            parts = encode_parts(msg)
+            assert b"".join(parts) == encode_message(msg)
+            assert isinstance(parts[0], bytearray)
+        assert len(kinds) == 7
+
+    def test_layouts_of_t_join_to_the_frame(self):
+        rng = np.random.default_rng(62)
+        t = rng.standard_normal((6, 9))
+        layouts = {
+            "C": t.copy(),
+            "F": np.asfortranarray(t),
+            "strided": np.repeat(t, 2, axis=1)[:, ::2],
+            ">f8": t.astype(">f8"),
+            "k_new = 0": np.empty((0, 9)),
+        }
+        for name, t_in in layouts.items():
+            reply = full_reply_with(t_in)
+            parts = encode_parts(reply)
+            assert b"".join(parts) == encode_message(reply), name
+            lent = name == "C"
+            assert len(parts) == 1 + lent, name
+            assert np.shares_memory(parts[-1], t_in) == lent, name
+            assert not np.shares_memory(parts[0], t_in), name
+
+    def test_only_a_wire_ready_last_array_is_lent(self):
+        """A C-contiguous <f8 array that is not last, or a last one of
+        another dtype, is cast into the head like any other."""
+        rng = np.random.default_rng(63)
+        query = FullQuery(query_id=1, survivor_ids=np.arange(3), z=rng.standard_normal(40))
+        parts = encode_parts(query)
+        assert len(parts) == 2 and np.shares_memory(parts[1], query.z)
+        reply = FilterReply(
+            query_id=1, s=rng.random(4), norm_v2=rng.random(4), t=rng.random((4, 3))
+        )
+        assert len(encode_parts(reply)) == 1  # f4 on the wire
+        t = rng.standard_normal((3, 5))
+        reply = full_reply_with(t)
+        assert reply.s.flags.c_contiguous and reply.s.dtype == "<f8"
+        head, lent = encode_parts(reply)
+        assert not np.shares_memory(head, reply.s)
+        assert np.shares_memory(lent, t) and len(lent) == t.nbytes
+
+    def test_a_full_reply_allocates_only_its_head(self):
+        t = np.random.default_rng(64).standard_normal((190, 3453))
+        reply = full_reply_with(t)
+        tracemalloc.start()
+        try:
+            parts = encode_parts(reply)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+        assert len(parts[0]) + len(parts[1]) == len(encode_message(reply))
 
 
 class TestFrozenLayouts:
@@ -569,8 +643,9 @@ class TestUnrepresentableValues:
         tracemalloc.start()
         try:
             for msg in (reply, query):
-                with pytest.raises(FrameError, match="exceeds the limit"):
-                    encode_message(msg)
+                for encode in (encode_message, encode_parts):
+                    with pytest.raises(FrameError, match="exceeds the limit"):
+                        encode(msg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

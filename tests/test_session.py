@@ -34,6 +34,7 @@ from ssdd.protocol.messages import (
     HelloAck,
     decode_message,
     encode_message,
+    encode_parts,
 )
 from ssdd.protocol import session as session_module
 from ssdd.protocol.session import (
@@ -578,6 +579,74 @@ class TestTcpAgreement:
         assert len(server.responders) == 1
         assert server.responders[0].scalar_mult_count == local.metrics.scalar_mult_count
 
+    def test_base_session_over_tcp_sends_the_local_frames(self, small_corpus):
+        """BASE's first FullReply carries every target's t, which Bob sends
+        from the array itself: Alice receives the frames of a local run."""
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
+        config = config_for(SelectionMethod.BASE, f=0)
+        runs = []
+        for over_tcp in (False, True):
+            sent_parts = []
+
+            class PartsBob(BobResponder):
+                def handle(self, msg):
+                    reply = super().handle(msg)
+                    if reply is not None:
+                        sent_parts.append(len(encode_parts(reply)))
+                    return reply
+
+            if over_tcp:
+                server = TcpServer(lambda: PartsBob(targets, dims=config.n)).start()
+                alice_end = connect_tcp(server.host, server.port, timeout=5.0)
+            else:
+                alice_end, bob_end = make_local_pair(timeout=5.0)
+                worker = threading.Thread(
+                    target=PartsBob(targets, dims=config.n).serve, args=(bob_end,)
+                )
+                worker.start()
+            recorder = FrameRecorder(alice_end)
+            try:
+                report = AliceSession(config, queries, recorder).run()
+            finally:
+                recorder.close()
+                if over_tcp:
+                    server.stop()
+                else:
+                    worker.join(timeout=5.0)
+            assert not report.aborted
+            assert sent_parts[1] == 2  # query 0's reply: a head, then t
+            runs.append((report, recorder))
+        (local, local_frames), (tcp, tcp_frames) = runs
+        assert tcp.decisions == local.decisions
+        assert len(tcp_frames.received) == 1 + len(queries)
+        assert tcp_frames.sent == local_frames.sent
+        assert tcp_frames.received == local_frames.received
+        t = decode_message(tcp_frames.received[1]).t
+        assert t.shape == (len(targets), (config.n + 1) // 2)
+
+
+class FrameRecorder:
+    """A transport end that keeps, as bytes, every frame it sends and
+    receives."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.sent, self.received = [], []
+
+    def send_frame(self, frame) -> None:
+        self.sent.append(bytes(frame))
+        self.transport.send_frame(frame)
+
+    def recv_frame(self) -> bytes:
+        frame = self.transport.recv_frame()
+        self.received.append(bytes(frame))
+        return frame
+
+    def close(self) -> None:
+        self.transport.close()
+
 
 class TestSharedCorpus:
     """Sessions over one loaded corpus share its packed arrays and view."""
@@ -775,6 +844,34 @@ class TestTcpTransport:
         finally:
             sender.join()
 
+    def test_parts_arrive_as_one_frame(self, tcp_pair):
+        transport, far = tcp_pair
+        t = np.random.default_rng(2).standard_normal((40, 3000))
+        reply = FullReply(query_id=1, doc_ids=np.arange(40), s=np.ones(40), t=t)
+        parts = encode_parts(reply)
+        assert len(parts) == 2
+        receiver = TcpTransport(far)
+        sender = threading.Thread(target=transport.send_frame, args=(parts,))
+        sender.start()
+        try:
+            assert receiver.recv_frame() == b"".join(parts) == encode_message(reply)
+        finally:
+            sender.join()
+
+    def test_over_limit_reply_sends_no_byte(self, tcp_pair):
+        transport, far = tcp_pair
+        k, cols = 1 << 10, 1 << 17  # k * cols * 8 bytes = 1 GiB of t alone
+        reply = FullReply(
+            query_id=0,
+            doc_ids=np.broadcast_to(np.int64(0), (k,)),
+            s=np.broadcast_to(0.0, (k,)),
+            t=np.broadcast_to(0.0, (k, cols)),
+        )
+        with pytest.raises(FrameError, match="exceeds the limit"):
+            transport.send_frame(encode_parts(reply))
+        transport.close()
+        assert far.recv(1) == b""
+
     def test_oversized_declared_length_rejected_before_allocating(self, tcp_pair):
         transport, far = tcp_pair
         far.sendall(struct.pack("<I", MAX_FRAME_SIZE + 1))
@@ -830,6 +927,23 @@ class TestTcpTransport:
 
 
 class TestLocalTransport:
+    def test_a_one_part_frame_is_enqueued_as_itself(self):
+        alice_end, bob_end = make_local_pair(timeout=1.0)
+        frame = encode_message(Bye())
+        alice_end.send_frame([frame])
+        assert bob_end.recv_frame() is frame
+
+    def test_parts_arrive_as_one_frame(self):
+        alice_end, bob_end = make_local_pair(timeout=1.0)
+        t = np.arange(12.0).reshape(3, 4)
+        reply = FullReply(query_id=2, doc_ids=np.arange(3), s=np.ones(3), t=t)
+        parts = encode_parts(reply)
+        assert len(parts) == 2
+        alice_end.send_frame(parts)
+        frame = bob_end.recv_frame()
+        assert frame == encode_message(reply)
+        assert not np.shares_memory(np.frombuffer(frame, np.uint8), t)
+
     def test_send_after_close_is_refused(self):
         alice_end, _ = make_local_pair()
         alice_end.close()

@@ -16,6 +16,7 @@ from .corpus import (
     save_cache,
     split_queries,
 )
+from .decide import evaluate_filter, recover
 from .errors import (
     DimensionError,
     DuplicateEntryError,
@@ -30,7 +31,6 @@ from .errors import (
 from .masking import (
     SharedRandomMatrix,
     mask,
-    recover,
 )
 from .oracle import OracleResult, oracle_detect
 from .protocol.session import (
@@ -40,7 +40,6 @@ from .protocol.session import (
     SessionConfig,
     SessionMetrics,
     SimilarityDecision,
-    evaluate_filter,
     run_local_detection,
 )
 from .selection import (

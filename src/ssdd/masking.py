@@ -63,7 +63,6 @@ from .vectors import PackedDocs
 __all__ = [
     "SharedRandomMatrix",
     "mask",
-    "recover",
 ]
 
 # Sylvester's Hadamard matrix of order 32; for a power of two a <= 32, H_a
@@ -211,11 +210,3 @@ def mask(u: np.ndarray, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray
             f"and mask shape {r.shape}"
         )
     return u + matrix.matvec(r)
-
-
-def recover(s: float | np.ndarray, t: np.ndarray, r: np.ndarray) -> float | np.ndarray:
-    """delta = s - t . r, the scalar product of the hidden vectors; with t of
-    shape (k, cols) and s of shape (k,), the k products at once.  Each row is
-    reduced on its own, so a batch gives the same bits as its rows one at a
-    time (``t @ r`` as a matrix-vector product need not)."""
-    return s - np.einsum("...j,j->...", t, r)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
+from .decide import check_tolerance, is_similar
+from .errors import DimensionError
 from .vectors import PackedDocs
 
 __all__ = ["OracleResult", "oracle_detect"]
@@ -17,9 +18,8 @@ class OracleResult:
     """Exhaustive pairwise answer over two packed document sets.
 
     ``cosines`` covers every (query index, target index) pair; ``similar``
-    is the (queries x targets) verdict, true where the cosine is at or above
-    the tolerance, as a ``DetectionReport``'s.  Pairs with a degenerate
-    document have cosine 0 and are never similar, whatever the tolerance.
+    is the (queries x targets) verdict of ``decide.is_similar``, as a
+    ``DetectionReport``'s.  A pair with a degenerate document has cosine 0.
     """
 
     epsilon: float
@@ -31,16 +31,15 @@ class OracleResult:
 def oracle_detect(queries: PackedDocs, targets: PackedDocs, epsilon: float) -> OracleResult:
     """Every pair's cosine and verdict at ``epsilon``, a tolerance in
     [0, 1] as the protocol's ``SessionConfig`` takes it."""
-    if not 0.0 <= epsilon <= 1.0:  # NaN included
-        raise RangeError(f"tolerance {epsilon} outside [0, 1]")
+    check_tolerance(epsilon)
     if queries.dims != targets.dims:
         raise DimensionError(f"dims mismatch: {queries.dims} != {targets.dims}")
     # a degenerate document has no entries, so its products are exactly 0
     cosines = targets.dot(queries.dense())
-    live = (queries.nnz > 0)[:, None] & (targets.nnz > 0)
+    degenerate = (queries.nnz == 0)[:, None] | (targets.nnz == 0)
     return OracleResult(
         epsilon=epsilon,
-        similar=live & (cosines >= epsilon),
+        similar=is_similar(cosines, epsilon, degenerate),
         cosines={
             (qi, ti): c for qi, row in enumerate(cosines.tolist()) for ti, c in enumerate(row)
         },

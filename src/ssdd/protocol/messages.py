@@ -56,7 +56,7 @@ laid out as these are, but its peers derive a different A from the seed
 responder refuses its Hello.  Version 7 frames are laid out as these are
 but for FilterReply, whose three arrays were f64: a filter round needs only
 an upper bound on each cosine, and the querying side widens that bound by
-what the rounding to f32 may have moved it (``session.widen_filter_pieces``),
+what the rounding to f32 may have moved it (``decide.widen_filter_pieces``),
 so the reply takes half the bytes and dismisses no pair that f64 pieces
 would keep.  The responder refuses a version 7 Hello too.
 """

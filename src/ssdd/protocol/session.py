@@ -35,16 +35,8 @@ carry the tolerance, which Alice alone uses.
 
 This is protocol version 8 (``PROTOCOL_VERSION``, see ``messages`` for the
 layout), whose A is the subsampled Hadamard matrix of ``masking``.  Bob
-refuses a Hello of any other version at the handshake.  Version 8 sends the
-filter reply's s, t and ||v||^2 as float32, rounded from the float64 values
-Bob computes; the full round stays float64.  The filter needs only an upper
-bound on each cosine, and Alice keeps it one: ``widen_filter_pieces`` raises
-each recovered product by what the rounding may have lowered it, and lowers
-each ||v||^2 by what it may have raised it.  The bound grows with the
-product and shrinks with ||v||^2, so the rounding can only add survivors:
-every pair whose bound from Bob's unrounded float64 pieces reaches the
-tolerance reaches it from the float32 ones (``widen_filter_pieces`` says
-how far that holds for the float64 arithmetic of the recovery).
+refuses a Hello of any other version at the handshake.  ``decide`` holds
+the verdict rules and the float32 allowance of the filter reply.
 
 Both rounds are computed with array operations.  Bob's corpus is packed
 (``PackedDocs``) once per corpus, not once per session, and shared
@@ -79,8 +71,9 @@ from math import isnan
 
 import numpy as np
 
+from ..decide import check_tolerance, evaluate_filter, is_similar, widen_filter_pieces
 from ..errors import ProtocolError, RangeError, SessionError, SsddError
-from ..masking import SharedRandomMatrix, mask, recover
+from ..masking import SharedRandomMatrix, mask
 from ..selection import SelectionMethod, select_hf, select_rp, top_f
 from ..vectors import PackedDocs, project
 from .messages import (
@@ -103,8 +96,6 @@ __all__ = [
     "SimilarityDecision",
     "SessionMetrics",
     "DetectionReport",
-    "evaluate_filter",
-    "widen_filter_pieces",
     "DISCLOSURE_WARNING",
     "AliceSession",
     "BobResponder",
@@ -120,9 +111,6 @@ DISCLOSURE_WARNING = (
     "methods LF and HF send each query's chosen dimension indexes to the "
     "responder; which terms dominate a query is disclosed"
 )
-
-# float32's unit roundoff and its smallest subnormal
-_U32, _TINY32 = 2.0**-24, 2.0**-149
 
 
 @dataclass(frozen=True)
@@ -147,8 +135,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise RangeError(f"n must be positive, got {self.n}")
-        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
-            raise RangeError(f"tolerance {self.epsilon} outside [0, 1]")
+        if self.epsilon is not None:
+            check_tolerance(self.epsilon)
         low = 1 if self.method.uses_filter else 0
         if not low <= self.f <= self.n:
             raise RangeError(f"f={self.f} outside [{low}, {self.n}]")
@@ -176,57 +164,6 @@ class SessionConfig:
             return cls(n=msg.n, epsilon=None, method=method, f=msg.f, seed=msg.seed)
         except RangeError as exc:
             raise ProtocolError(f"bad handshake: {exc}") from exc
-
-
-def evaluate_filter(delta_fs, norm_u2, norm_v2):
-    """Upper bound on the cosine from the f-dimensional pieces.
-
-    The projected squared distance ``norm_u2 - 2*delta_fs + norm_v2`` never
-    exceeds the full squared distance, so ``1 - distance/2`` bounds the true
-    cosine from above for unit vectors; a pair whose bound misses the
-    tolerance cannot be similar.  The distance is clamped at zero against
-    rounding.  Scalars give one pair's bound; arrays (broadcast against
-    each other) give every pair's bound elementwise.
-    """
-    return 1.0 - np.maximum(norm_u2 - 2.0 * delta_fs + norm_v2, 0.0) / 2.0
-
-
-def widen_filter_pieces(reply: FilterReply, r: np.ndarray) -> tuple:
-    """Each document's recovered product delta = s - t . r, raised, and its
-    projected squared norm, lowered, by what rounding Bob's float64 pieces
-    to float32 may have moved them the other way.  ``evaluate_filter``
-    grows with the product and shrinks with the norm, so it bounds the
-    cosine from above from these wherever it does from the unrounded
-    pieces.
-
-    Rounding x to the nearest float32 x~ moves it by at most u|x~| + 2^-150
-    (u = 2^-24, the second term for values below float32's normal range,
-    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2).  So
-    the exact products of the rounded and the unrounded pieces differ by
-    less than
-
-        err = (|s~| + |t~| . |r|) * u/(1 - u) + (1 + sum |r|) * 2^-149,
-
-    and ||v||^2 >= ||v~||^2 * (1 - 2u) - 2^-149.  The product's bound
-    leaves room, u^2 (|s~| + |t~| . |r|), about 32 float64 roundings of
-    |s~| + |t~| . |r|, for the float64 arithmetic of this recovery and of
-    one from the unrounded pieces.  That covers their worst case (Higham,
-    ch. 3) up to about 15 mask entries, and at any width a filter round
-    uses covers their typical error, which grows as the square root of the
-    width.  A NaN or infinite s or t entry makes its product non-finite,
-    and a non-finite product or norm is a ``ProtocolError``.
-
-    Consumes the reply: its s and t are overwritten with their absolute
-    values, so that no array of t's size is allocated.
-    """
-    delta = recover(reply.s, reply.t, r)
-    if not (np.isfinite(delta).all() and np.isfinite(reply.norm_v2).all()):
-        raise ProtocolError("filter reply carries a non-finite value")
-    abs_r = np.abs(r)
-    err = np.abs(reply.t, out=reply.t) @ abs_r
-    err += np.abs(reply.s, out=reply.s)
-    delta += err * (_U32 / (1.0 - _U32)) + (1.0 + abs_r.sum()) * _TINY32
-    return delta, reply.norm_v2 * (1.0 - 2.0 * _U32) - _TINY32
 
 
 # kept for perfbench, which reads ``DetectionReport.decisions``
@@ -621,9 +558,12 @@ class AliceSession:
             raise ProtocolError(
                 f"filter reply t has shape {reply.t.shape}, expected width {cols}"
             )
-        delta, norm_v2 = widen_filter_pieces(reply, r)
+        delta, norm_v2 = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
+        # a NaN or infinite s, t or norm entry leaves its widened piece non-finite
+        if not (np.isfinite(delta).all() and np.isfinite(norm_v2).all()):
+            raise ProtocolError("filter reply carries a non-finite value")
         bound = evaluate_filter(delta, u_fs @ u_fs, norm_v2)
-        return np.flatnonzero(bound >= self.config.epsilon)
+        return np.flatnonzero(is_similar(bound, self.config.epsilon))
 
     def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:
         """Recovered cosines of the query with each survivor, in survivor order."""
@@ -674,18 +614,18 @@ class AliceSession:
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
             if self.queries.nnz[query_id] == 0:
-                report.cosines[query_id, survivors] = 0.0
+                recovered, degenerate = np.zeros(survivors.size), True
             else:
                 # An empty v_j gives t_j = 0 and s = 0 exactly.  With +-1
                 # entries a nonempty v_j can also cancel to t_j = 0, but its
                 # s = z . v_j is then the pair's product itself, so such a
                 # pair is taken for empty only when that product is 0:
                 # never similar at a positive tolerance anyway.
-                empty = self._zero_t[survivors] & (recovered == 0.0)
-                report.cosines[query_id, survivors] = recovered
-                report.similar[query_id, survivors] = (
-                    recovered >= self.config.epsilon
-                ) & ~empty
+                degenerate = self._zero_t[survivors] & (recovered == 0.0)
+            report.cosines[query_id, survivors] = recovered
+            report.similar[query_id, survivors] = is_similar(
+                recovered, self.config.epsilon, degenerate
+            )
 
     def run(self) -> DetectionReport:
         report = self.report

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from ssdd.corpus import parse_bag_of_words, split_queries
+from ssdd.decide import evaluate_filter, recover
 from ssdd.errors import FrameError, ProtocolError
 from ssdd.masking import (
     SharedRandomMatrix,
     mask,
-    recover,
 )
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.messages import decode_message, encode_message
@@ -27,7 +27,6 @@ from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
     SessionConfig,
-    evaluate_filter,
     run_local_detection,
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair

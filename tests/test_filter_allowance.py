@@ -10,19 +10,15 @@ import numpy as np
 import pytest
 
 from ssdd.corpus import split_queries
-from ssdd.masking import recover
+from ssdd.decide import _TINY32, _U32, evaluate_filter, recover, widen_filter_pieces
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.messages import FilterReply, decode_message, encode_message
 from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
     SessionConfig,
-    _TINY32,
-    _U32,
     _filter_matrix,
     _secret_mask,
-    evaluate_filter,
-    widen_filter_pieces,
 )
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
@@ -47,7 +43,8 @@ def check_allowance(s, t, norm_v2, r, norm_u2) -> None:
     theirs, and so her bound never below theirs; in float64 too, her bound
     is never below ``evaluate_filter`` of the unrounded float64 recovery."""
     sent = FilterReply(query_id=0, s=s, norm_v2=norm_v2, t=t)
-    delta, norm = widen_filter_pieces(decode_message(encode_message(sent)), r)
+    reply = decode_message(encode_message(sent))
+    delta, norm = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
     u2 = Fraction(norm_u2)
     exact_r = [Fraction(x) for x in r]
     for j in range(len(s)):
@@ -137,7 +134,7 @@ class TestAllowance:
         reply = decode_message(frame)
         tracemalloc.start()
         try:
-            delta, norm = widen_filter_pieces(reply, r)
+            delta, norm = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,8 +7,9 @@ import pytest
 from numpy.random import Philox
 
 from ssdd import masking
+from ssdd.decide import recover
 from ssdd.errors import DimensionError, RangeError
-from ssdd.masking import SharedRandomMatrix, mask, recover
+from ssdd.masking import SharedRandomMatrix, mask
 from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod

@@ -76,6 +76,24 @@ class TestOracle:
         with pytest.raises(RangeError, match="outside"):
             oracle_detect(docs, docs, epsilon)
 
+    @pytest.mark.parametrize(
+        "epsilon, accepted",
+        [(0.0, True), (0.5, True), (1.0, True), (np.nan, False), (-1e-300, False),
+         (np.nextafter(1.0, 2.0), False), (np.inf, False), (-np.inf, False)],
+        ids=["0", "0.5", "1", "nan", "-1e-300", "above-1", "inf", "-inf"],
+    )
+    def test_session_and_oracle_share_the_tolerance_range(self, epsilon, accepted):
+        """A session and the oracle accept and refuse the same tolerances."""
+        docs = pack([build_document_vector({0: 1}, 2)], 2)
+        if accepted:
+            SessionConfig(n=2, epsilon=epsilon)
+            oracle_detect(docs, docs, epsilon)
+            return
+        with pytest.raises(RangeError, match="tolerance"):
+            SessionConfig(n=2, epsilon=epsilon)
+        with pytest.raises(RangeError, match="tolerance"):
+            oracle_detect(docs, docs, epsilon)
+
     def test_agreeing_report_is_ok(self):
         alice = pack([build_document_vector({0: 1}, 2)], 2)
         bob = pack([build_document_vector({0: 2}, 2)], 2)

@@ -47,11 +47,9 @@ from .selection import (
     select_hf,
     select_rp,
     top_f,
-    zscore,
 )
 from .vectors import (
     PackedDocs,
-    pack,
     project,
 )
 

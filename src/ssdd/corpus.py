@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "parse_bag_of_words",
     "load_vocabulary",
     "split_queries",
-    "write_docword",
     "save_cache",
     "load_cache",
 ]
@@ -214,15 +213,6 @@ def load_vocabulary(lines: Iterable[str]) -> tuple[str, ...]:
         seen.add(term)
         terms.append(term)
     return tuple(terms)
-
-
-def write_docword(corpus: Corpus, out: IO[str]) -> None:
-    """Inverse of parse_bag_of_words.  Documents are numbered by their
-    position in the corpus, from 1."""
-    counts = corpus.counts
-    rows = np.column_stack((counts.owner + 1, counts.indices + 1, counts.weights)).tolist()
-    out.write(f"{len(counts)}\n{counts.dims}\n{len(rows)}\n")
-    out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)
 
 
 def split_queries(corpus: Corpus, k: int = 10, seed: int = 0) -> tuple[list[int], list[int]]:

@@ -33,13 +33,12 @@ raises ProtocolError.  A real field refuses exactly the finite reals that
 the rounding would make infinite: in an f32 field, those of magnitude at
 least (2 - 2^-24) * 2^127, halfway from f32's largest to 2^128.  A finite
 real below that crosses as f32's largest, and NaN and the infinities cross
-unchanged.  Encoding writes each array into the frame in one cast, in
-whatever layout the array has.  ``encode_parts`` gives the same bytes as
-parts to send back to back, and lends the last array's own memory instead
-of a cast when it is already laid out as on the wire; the responder sends
-its replies so, which spares the copy of a FullReply's t.  Receivers see
-whole frames either way.  Decoding widens every real to float64 and every
-integer to int64.
+unchanged.  Encoding gives a frame as parts to send back to back: one new
+buffer, into which each array is written in one cast, in whatever layout
+it has, and then the last array's own memory instead of a cast when it is
+already laid out as on the wire, such as a query's z or a FullReply's t.
+Receivers see whole frames.  Decoding widens every real to float64 and
+every integer to int64.
 
 This is protocol version 8.  The handshake is one round trip: Hello
 carries the one seed that both sides derive the masking matrices from,
@@ -87,7 +86,6 @@ __all__ = [
     "FullReply",
     "Bye",
     "encode_message",
-    "encode_parts",
     "decode_message",
 ]
 
@@ -233,26 +231,15 @@ _SPECS = {
 _SPEC_OF = {spec.cls: spec for spec in _SPECS.values()}
 
 
-def encode_message(msg: _Message) -> bytearray:
-    """Full frame (length prefix included) for one message, written into
-    one new buffer."""
-    (frame,) = _encode(msg, lend=False)
-    return frame
-
-
-def encode_parts(msg: _Message) -> list:
-    """The frame of ``encode_message``, as buffers to send back to back.
+def encode_message(msg: _Message) -> list:
+    """Full frame (length prefix included) for one message, as buffers to
+    send back to back.
 
     The first is one new buffer holding the prefix, the header and every
     array that needs a cast.  When the last array is already laid out as
     on the wire (C-contiguous, exactly its field's dtype) and is not empty,
-    a second part is that array's own memory, not a copy; of the
-    responder's replies, only a FullReply's new t rows qualify.  The sender
-    must not change the array before the frame has gone."""
-    return _encode(msg, lend=True)
-
-
-def _encode(msg: _Message, lend: bool) -> list:
+    a second part is that array's own memory, not a copy.  The sender must
+    not change the array before the frame has gone."""
     spec = _SPEC_OF.get(type(msg))
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
@@ -267,7 +254,7 @@ def _encode(msg: _Message, lend: bool) -> list:
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
     lent, written = None, size
-    if lend and arrays:
+    if arrays:
         field, dtype, shape, offset = arrays[-1]
         value = values[field]
         wire_ready = value.dtype == dtype and value.flags.c_contiguous

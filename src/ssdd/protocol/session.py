@@ -86,7 +86,6 @@ from .messages import (
     HelloAck,
     decode_message,
     encode_message,
-    encode_parts,
 )
 from .transport import make_local_pair
 
@@ -299,8 +298,9 @@ class BobResponder:
 
     In the full round, t_j = A^T v_j is computed and sent the first time
     document j survives; ``_sent`` marks those documents.  ``serve`` sends
-    each reply as ``encode_parts`` gives it, so a FullReply's t goes out
-    from the array itself, not from a copy in the frame.
+    each reply in the parts ``encode_message`` gives, as Alice sends her
+    queries, so a FullReply's t goes out from the array itself, not from
+    a copy in the frame.
 
     ``scalar_mult_count`` tallies the multiplications of the
     paper's cost model: nnz * (1 + cols) per document response, plus nnz
@@ -336,7 +336,7 @@ class BobResponder:
                     break
                 reply = self.handle(msg)
                 if reply is not None:
-                    transport.send_frame(encode_parts(reply))
+                    transport.send_frame(encode_message(reply))
         finally:
             transport.close()
             self._docs = self._sent = self._session_filter = None
@@ -475,9 +475,9 @@ class AliceSession:
             logger.warning(DISCLOSURE_WARNING)
 
     def _send(self, msg) -> None:
-        frame = encode_message(msg)
-        self.report.metrics.bytes_sent_alice += len(frame)
-        self.transport.send_frame(frame)
+        parts = encode_message(msg)
+        self.report.metrics.bytes_sent_alice += sum(map(len, parts))
+        self.transport.send_frame(parts)
 
     def _exchange(self, msg, kind):
         """Send ``msg`` and return Bob's reply, which must be a ``kind``

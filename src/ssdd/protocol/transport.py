@@ -1,8 +1,8 @@
 """Frame transports: an in-process queue pair and a TCP socket wrapper.
 
 Both move whole frames (length prefix included), so the session layer sees
-identical bytes either way.  ``send_frame`` takes a frame, or a frame as a
-list of parts to send back to back (``messages.encode_parts``); the
+identical bytes either way.  ``send_frame`` takes a frame as the list of
+parts that ``messages.encode_message`` gives, to send back to back; the
 receiver gets the whole frame as one buffer.
 """
 
@@ -44,14 +44,12 @@ class LocalTransport:
         self._timeout = timeout
         self._closed = False
 
-    def send_frame(self, frame: bytes | list) -> None:
-        """Enqueue ``frame``: a lone buffer or part as it is, no copy, and
-        more parts joined into one."""
+    def send_frame(self, parts: list) -> None:
+        """Enqueue the frame of ``parts``: a lone part as it is, no copy,
+        and more parts joined into one."""
         if self._closed:
             raise SessionError("transport is closed")
-        if isinstance(frame, list):
-            frame = frame[0] if len(frame) == 1 else b"".join(frame)
-        self._outbox.put(frame)
+        self._outbox.put(parts[0] if len(parts) == 1 else b"".join(parts))
 
     def recv_frame(self) -> bytes:
         try:
@@ -100,10 +98,10 @@ class TcpTransport:
             remaining -= len(chunk)
         return chunks
 
-    def send_frame(self, frame: bytes | list) -> None:
-        """Write ``frame``, or each of its parts in turn."""
+    def send_frame(self, parts: list) -> None:
+        """Write each part of a frame in turn."""
         try:
-            for part in frame if isinstance(frame, list) else (frame,):
+            for part in parts:
                 self._sock.sendall(part)
         except OSError as exc:
             raise SessionError(f"socket error: {exc}") from exc

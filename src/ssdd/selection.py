@@ -37,7 +37,6 @@ __all__ = [
     "select_rp",
     "select_hf",
     "top_f",
-    "zscore",
 ]
 
 

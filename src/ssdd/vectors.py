@@ -3,33 +3,30 @@
 Documents are unit-normalized term-weight vectors stored sparsely (sorted
 indices + positive weights).  A set of them, a single document included, is
 one CSR ``PackedDocs``: the one document type that the protocol, the oracle
-and the masking matrix take, and the form a corpus holds its documents in;
-``pack`` concatenates sets.  Per-document sums, ``dot``'s and a corpus's
-squared norms, are segmented sums: one ``np.add.reduceat`` over the
-documents that hold entries, each document summed on its own in the order
-``PackedDocs.sums`` states.  A ``PackedDocs`` is read-only, so one corpus
-is shared by every session that reads it; ``project`` restricts it to an
-index set, a sorted ``int64`` array of dimensions that ``selection``
-chooses, and reads a term-major (CSC) view of it that is built on first
-use, once per corpus: each chosen term's weights are one slice of that
-view, written into one row of an (f, m) array whose transpose is the
-projection.  Everything is float64.
+and the masking matrix take, and the form a corpus holds its documents in.
+Per-document sums, ``dot``'s and a corpus's squared norms, are segmented
+sums: one ``np.add.reduceat`` over the documents that hold entries, each
+document summed on its own in the order ``PackedDocs.sums`` states.  A
+``PackedDocs`` is read-only, so one corpus is shared by every session that
+reads it; ``project`` restricts it to an index set, a sorted ``int64``
+array of dimensions that ``selection`` chooses, and reads a term-major
+(CSC) view of it that is built on first use, once per corpus: each chosen
+term's weights are one slice of that view, written into one row of an
+(f, m) array whose transpose is the projection.  Everything is float64.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
+from .errors import RangeError
 
 __all__ = [
     "PackedDocs",
-    "pack",
     "project",
 ]
 
@@ -148,19 +145,6 @@ class PackedDocs:
         for array in view:
             array.flags.writeable = False
         return view
-
-
-def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
-    """The documents of ``sets``, in order, as one PackedDocs over ``dims``
-    dimensions."""
-    if any(docs.dims != dims for docs in sets):
-        raise DimensionError(f"documents disagree with dims={dims}")
-    return PackedDocs(
-        dims,
-        np.cumsum(np.concatenate([[0], *(docs.nnz for docs in sets)]), dtype=np.int64),
-        np.concatenate([docs.indices for docs in sets] + [np.empty(0, np.int64)]),
-        np.concatenate([docs.weights for docs in sets] + [np.empty(0)]),
-    )
 
 
 def project(docs: PackedDocs, indexes: np.ndarray) -> np.ndarray:

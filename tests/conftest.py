@@ -1,10 +1,12 @@
-"""Shared corpus builders, reference functions and data-file discovery for
-the test suite."""
+"""Shared corpus builders, writers of frames and docword files, reference
+functions and data-file discovery for the test suite."""
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from ssdd.corpus import Corpus, RawDocument
 from ssdd.errors import DimensionError
 from ssdd.masking import SharedRandomMatrix
+from ssdd.protocol.messages import encode_message
 from ssdd.vectors import PackedDocs
 
 
@@ -27,6 +30,34 @@ def data_file(name: str) -> Path | None:
         if candidate.is_file():
             return candidate
     return None
+
+
+def frame_of(msg) -> bytearray:
+    """The frame of one message: the parts of ``encode_message`` joined
+    into one new buffer, as a receiver sees it."""
+    return bytearray().join(encode_message(msg))
+
+
+def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
+    """The documents of ``sets``, in order, as one PackedDocs over ``dims``
+    dimensions."""
+    if any(docs.dims != dims for docs in sets):
+        raise DimensionError(f"documents disagree with dims={dims}")
+    return PackedDocs(
+        dims,
+        np.cumsum(np.concatenate([[0], *(docs.nnz for docs in sets)]), dtype=np.int64),
+        np.concatenate([docs.indices for docs in sets] + [np.empty(0, np.int64)]),
+        np.concatenate([docs.weights for docs in sets] + [np.empty(0)]),
+    )
+
+
+def write_docword(corpus: Corpus, out: IO[str]) -> None:
+    """Inverse of ``parse_bag_of_words``.  Documents are numbered by their
+    position in the corpus, from 1."""
+    counts = corpus.counts
+    rows = np.column_stack((counts.owner + 1, counts.indices + 1, counts.weights)).tolist()
+    out.write(f"{len(counts)}\n{counts.dims}\n{len(rows)}\n")
+    out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)
 
 
 def dot(u: PackedDocs, v: PackedDocs) -> float:

@@ -22,7 +22,7 @@ from ssdd.masking import (
     mask,
 )
 from ssdd.oracle import oracle_detect
-from ssdd.protocol.messages import decode_message, encode_message
+from ssdd.protocol.messages import decode_message
 from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
@@ -31,13 +31,14 @@ from ssdd.protocol.session import (
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
 from ssdd.selection import SelectionMethod
-from ssdd.vectors import pack
 
 from conftest import (
     build_document_vector,
     data_file,
     dot,
+    frame_of,
     missed_and_extra,
+    pack,
     random_document,
     random_unit_dense,
     record_acceptance,
@@ -338,8 +339,8 @@ def test_09_wire_round_trip_and_rejection():
     rng = np.random.default_rng(409)
     for i in range(1000):
         msg = random_message(rng)
-        frame = encode_message(msg)
-        assert encode_message(decode_message(frame)) == frame
+        frame = frame_of(msg)
+        assert frame_of(decode_message(frame)) == frame
         if i % 5 == 0:
             with pytest.raises(FrameError):
                 decode_message(frame[:-1])

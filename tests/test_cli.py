@@ -17,7 +17,7 @@ import pytest
 
 from ssdd import cli
 from ssdd.cli import build_parser, main
-from ssdd.corpus import Corpus, RawDocument, load_cache, save_cache, split_queries, write_docword
+from ssdd.corpus import Corpus, RawDocument, load_cache, save_cache, split_queries
 from ssdd.errors import SessionError
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
@@ -30,7 +30,7 @@ from ssdd.protocol.session import (
 from ssdd.protocol.transport import TcpServer, connect_tcp
 from ssdd.selection import SelectionMethod
 
-from conftest import synth_corpus
+from conftest import synth_corpus, write_docword
 
 # detect --report's header, written out so that a reordered or renamed
 # column fails the tests that read it

@@ -16,7 +16,6 @@ from ssdd.corpus import (
     parse_bag_of_words,
     save_cache,
     split_queries,
-    write_docword,
 )
 from ssdd.errors import (
     DimensionError,
@@ -30,7 +29,7 @@ from ssdd.protocol.session import SessionConfig, run_local_detection
 from ssdd.selection import SelectionMethod
 from ssdd.vectors import PackedDocs
 
-from conftest import synth_corpus
+from conftest import synth_corpus, write_docword
 
 EXAMPLE = "3\n4\n2\n1 2 5\n3 4 1\n"
 

@@ -14,9 +14,8 @@ from ssdd.protocol.messages import Bye, FilterQuery, FullQuery, Hello, decode_me
 from ssdd.protocol.session import AliceSession, BobResponder, SessionConfig
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
-from ssdd.vectors import pack
 
-from conftest import random_document
+from conftest import pack, random_document
 
 
 class Eavesdropper:
@@ -31,8 +30,8 @@ class Eavesdropper:
         self.frames.append(frame)
         return frame
 
-    def send_frame(self, frame: bytes) -> None:
-        self.transport.send_frame(frame)
+    def send_frame(self, parts: list) -> None:
+        self.transport.send_frame(parts)
 
     def close(self) -> None:
         self.transport.close()

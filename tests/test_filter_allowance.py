@@ -12,7 +12,7 @@ import pytest
 from ssdd.corpus import split_queries
 from ssdd.decide import _TINY32, _U32, evaluate_filter, recover, widen_filter_pieces
 from ssdd.oracle import oracle_detect
-from ssdd.protocol.messages import FilterReply, decode_message, encode_message
+from ssdd.protocol.messages import FilterReply, decode_message
 from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
@@ -23,7 +23,7 @@ from ssdd.protocol.session import (
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
 
-from conftest import missed_and_extra, synth_corpus
+from conftest import frame_of, missed_and_extra, synth_corpus
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -43,7 +43,7 @@ def check_allowance(s, t, norm_v2, r, norm_u2) -> None:
     theirs, and so her bound never below theirs; in float64 too, her bound
     is never below ``evaluate_filter`` of the unrounded float64 recovery."""
     sent = FilterReply(query_id=0, s=s, norm_v2=norm_v2, t=t)
-    reply = decode_message(encode_message(sent))
+    reply = decode_message(frame_of(sent))
     delta, norm = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
     u2 = Fraction(norm_u2)
     exact_r = [Fraction(x) for x in r]
@@ -129,7 +129,7 @@ class TestAllowance:
             query_id=0, s=rng.standard_normal(m), norm_v2=rng.random(m),
             t=rng.standard_normal((m, cols)),
         )
-        frame = encode_message(sent)
+        frame = frame_of(sent)
         r = rng.uniform(-1.0, 1.0, cols)
         reply = decode_message(frame)
         tracemalloc.start()

@@ -13,9 +13,8 @@ from ssdd.masking import SharedRandomMatrix, mask
 from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
-from ssdd.vectors import pack
 
-from conftest import build_document_vector, fwht, random_document, respond
+from conftest import build_document_vector, fwht, pack, random_document, respond
 
 
 def sylvester(size: int) -> np.ndarray:

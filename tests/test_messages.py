@@ -26,8 +26,9 @@ from ssdd.protocol.messages import (
     HelloAck,
     decode_message,
     encode_message,
-    encode_parts,
 )
+
+from conftest import frame_of
 
 
 def random_message(rng: np.random.Generator):
@@ -90,17 +91,17 @@ class TestRoundTrip:
         rng = np.random.default_rng(50)
         for _ in range(500):
             msg = random_message(rng)
-            frame = encode_message(msg)
+            frame = frame_of(msg)
             again = decode_message(frame)
             assert type(again) is type(msg)
-            assert encode_message(again) == frame, f"round trip changed {type(msg).__name__}"
+            assert frame_of(again) == frame, f"round trip changed {type(msg).__name__}"
 
     def test_empty_reply_round_trips(self):
         reply = FilterReply(
             query_id=3, s=np.empty(0), norm_v2=np.empty(0), t=np.empty((0, 5))
         )
-        frame = encode_message(reply)
-        assert encode_message(decode_message(frame)) == frame
+        frame = frame_of(reply)
+        assert frame_of(decode_message(frame)) == frame
 
 
     def test_nan_round_trips(self):
@@ -112,18 +113,18 @@ class TestRoundTrip:
             query_id=2, doc_ids=np.array([0, 3], dtype=np.int64), s=np.zeros(2), t=t
         )
         for reply in (filter_reply, full_reply):
-            frame = encode_message(reply)
+            frame = frame_of(reply)
             again = decode_message(frame)
-            assert encode_message(again) == frame
+            assert frame_of(again) == frame
             assert np.isnan(again.t[0, 0]) and again.t[0, 1] == 1.0
 
     def test_empty_full_reply_round_trips(self):
         reply = FullReply(
             query_id=8, doc_ids=np.empty(0, np.int64), s=np.empty(0), t=np.empty((0, 4))
         )
-        frame = encode_message(reply)
+        frame = frame_of(reply)
         again = decode_message(frame)
-        assert encode_message(again) == frame
+        assert frame_of(again) == frame
         assert again.doc_ids.size == 0 and again.t.size == 0
 
     def test_strided_and_mixed_dtype_arrays_round_trip(self):
@@ -138,19 +139,19 @@ class TestRoundTrip:
         for t_in in (t32.T, np.asfortranarray(t32.T)):
             assert not t_in.flags.c_contiguous
             reply = FilterReply(query_id=1, s=s, norm_v2=np.arange(3), t=t_in)
-            again = decode_message(encode_message(reply))
+            again = decode_message(frame_of(reply))
             np.testing.assert_array_equal(again.t, t32.T)
             np.testing.assert_array_equal(again.s, s.astype(np.float64))
             np.testing.assert_array_equal(again.norm_v2, [0.0, 1.0, 2.0])
         for ids in (np.array([4, 0, 9], np.uint32), np.array([4, 0, 9], np.int32)):
             reply = FullReply(query_id=2, doc_ids=ids, s=s, t=t[1:3, ::-1])
-            again = decode_message(encode_message(reply))
+            again = decode_message(frame_of(reply))
             assert again.doc_ids.dtype == np.int64
             np.testing.assert_array_equal(again.doc_ids, [4, 0, 9])
             np.testing.assert_array_equal(again.s, s.astype(np.float64))
             np.testing.assert_array_equal(again.t, t[1:3, ::-1])
             query = FullQuery(query_id=3, survivor_ids=ids[::2], z=t[:, 0])
-            again = decode_message(encode_message(query))
+            again = decode_message(frame_of(query))
             np.testing.assert_array_equal(again.survivor_ids, [4, 9])
             np.testing.assert_array_equal(again.z, t[:, 0])
 
@@ -161,10 +162,10 @@ class TestRoundTrip:
             norm_v2=np.array([1.0, 2.0]),
             t=np.arange(6.0).reshape(2, 3),
         )
-        frame = encode_message(reply)
+        frame = frame_of(reply)
         again = decode_message(frame)
         frame[5:] = bytes(len(frame) - 5)
-        assert encode_message(again) == encode_message(reply)
+        assert frame_of(again) == frame_of(reply)
 
     def test_encoding_allocates_one_frame(self):
         rng = np.random.default_rng(51)
@@ -173,10 +174,11 @@ class TestRoundTrip:
         )
         tracemalloc.start()
         try:
-            frame = encode_message(reply)
+            parts = encode_message(reply)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        (frame,) = parts  # f4 on the wire: every array is cast
         assert peak <= 1.1 * len(frame), peak / len(frame)
 
     def test_layout_of_t_does_not_change_the_frame(self):
@@ -186,7 +188,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(53)
         s, norm_v2 = rng.standard_normal(500), rng.random(500)
         t = rng.standard_normal((500, 35))
-        expected = encode_message(FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t))
+        expected = frame_of(FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t))
         layouts = (np.empty((35, 500)).T, np.empty((500, 35))[::-1], np.empty((1000, 70))[::2, ::2])
         for t_in in layouts:
             t_in[...] = t
@@ -194,10 +196,11 @@ class TestRoundTrip:
             reply = FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t_in)
             tracemalloc.start()
             try:
-                frame = encode_message(reply)
+                parts = encode_message(reply)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            (frame,) = parts
             assert frame == expected
             assert peak <= 1.1 * len(frame), peak / len(frame)
 
@@ -210,19 +213,45 @@ def full_reply_with(t):
     )
 
 
+def full_reply_bytes(reply):
+    """A FullReply's frame written field by field, without the encoder."""
+    body = (
+        struct.pack("<III", reply.query_id, len(reply.doc_ids), len(reply.t))
+        + np.asarray(reply.doc_ids, "<u4").tobytes()
+        + np.asarray(reply.s, "<f8").tobytes()
+        + np.asarray(reply.t, "<f8").tobytes()
+    )
+    return struct.pack("<IB", 1 + len(body), MSG_FULL_REPLY) + body
+
+
 class TestEncodeParts:
-    """``encode_parts`` is ``encode_message`` cut into buffers to send back
-    to back, the last array lent as itself where the wire takes it as is."""
+    """``encode_message`` gives a frame as buffers to send back to back: a
+    new head, then the last array lent as itself where the wire takes it
+    as is."""
 
     def test_every_message_type_joins_to_the_frame(self):
+        """Each random message's parts join to a frame that declares its
+        own length and encodes again, once decoded, to the same bytes.  A
+        query's z and a FullReply's non-empty t are lent; HelloAck's int64
+        df and FilterReply's f4 arrays are cast."""
         rng = np.random.default_rng(61)
         kinds = set()
         for _ in range(400):
             msg = random_message(rng)
             kinds.add(type(msg))
-            parts = encode_parts(msg)
-            assert b"".join(parts) == encode_message(msg)
+            parts = encode_message(msg)
             assert isinstance(parts[0], bytearray)
+            arrays = [v for v in vars(msg).values() if isinstance(v, np.ndarray)]
+            assert not any(np.shares_memory(parts[0], a) for a in arrays)
+            lent = isinstance(msg, (FilterQuery, FullQuery)) or (
+                isinstance(msg, FullReply) and msg.t.size > 0
+            )
+            assert len(parts) == 1 + lent, type(msg).__name__
+            if lent:
+                assert np.shares_memory(parts[1], arrays[-1])
+            frame = b"".join(parts)
+            assert struct.unpack_from("<I", frame)[0] == len(frame) - 4
+            assert frame_of(decode_message(frame)) == frame
         assert len(kinds) == 7
 
     def test_layouts_of_t_join_to_the_frame(self):
@@ -237,8 +266,8 @@ class TestEncodeParts:
         }
         for name, t_in in layouts.items():
             reply = full_reply_with(t_in)
-            parts = encode_parts(reply)
-            assert b"".join(parts) == encode_message(reply), name
+            parts = encode_message(reply)
+            assert b"".join(parts) == full_reply_bytes(reply), name
             lent = name == "C"
             assert len(parts) == 1 + lent, name
             assert np.shares_memory(parts[-1], t_in) == lent, name
@@ -249,16 +278,16 @@ class TestEncodeParts:
         another dtype, is cast into the head like any other."""
         rng = np.random.default_rng(63)
         query = FullQuery(query_id=1, survivor_ids=np.arange(3), z=rng.standard_normal(40))
-        parts = encode_parts(query)
+        parts = encode_message(query)
         assert len(parts) == 2 and np.shares_memory(parts[1], query.z)
         reply = FilterReply(
             query_id=1, s=rng.random(4), norm_v2=rng.random(4), t=rng.random((4, 3))
         )
-        assert len(encode_parts(reply)) == 1  # f4 on the wire
+        assert len(encode_message(reply)) == 1  # f4 on the wire
         t = rng.standard_normal((3, 5))
         reply = full_reply_with(t)
         assert reply.s.flags.c_contiguous and reply.s.dtype == "<f8"
-        head, lent = encode_parts(reply)
+        head, lent = encode_message(reply)
         assert not np.shares_memory(head, reply.s)
         assert np.shares_memory(lent, t) and len(lent) == t.nbytes
 
@@ -267,12 +296,13 @@ class TestEncodeParts:
         reply = full_reply_with(t)
         tracemalloc.start()
         try:
-            parts = encode_parts(reply)
+            parts = encode_message(reply)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10, peak
-        assert len(parts[0]) + len(parts[1]) == len(encode_message(reply))
+        head, lent = parts
+        assert head + lent == full_reply_bytes(reply)
 
 
 class TestFrozenLayouts:
@@ -284,7 +314,7 @@ class TestFrozenLayouts:
             method=4,
             seed=2**64 - 1,
         )
-        frame = encode_message(msg)
+        frame = frame_of(msg)
         body = struct.pack("<HIIBQ", 1, 6906, 70, 4, 2**64 - 1)
         assert frame == struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO]) + body
         assert len(body) == 19
@@ -293,8 +323,8 @@ class TestFrozenLayouts:
         """Under BASE, RP and LF the document count and an empty df."""
         msg = HelloAck(bob_doc_count=190, df=np.empty(0, np.int64))
         expected = struct.pack("<I", 9) + bytes([MSG_HELLO_ACK]) + struct.pack("<II", 190, 0)
-        assert encode_message(msg) == expected
-        assert encode_message(decode_message(expected)) == expected
+        assert frame_of(msg) == expected
+        assert frame_of(decode_message(expected)) == expected
 
     def test_hello_ack_layout_with_df(self):
         """Under GF and HF the document count, then n and the n counts."""
@@ -305,18 +335,18 @@ class TestFrozenLayouts:
             + struct.pack("<II", 190, 3)
             + struct.pack("<III", 7, 0, 2)
         )
-        assert encode_message(msg) == expected
-        assert encode_message(decode_message(expected)) == expected
+        assert frame_of(msg) == expected
+        assert frame_of(decode_message(expected)) == expected
 
     def test_bye_layout(self):
-        assert encode_message(Bye()) == struct.pack("<I", 1) + bytes([MSG_BYE])
+        assert frame_of(Bye()) == struct.pack("<I", 1) + bytes([MSG_BYE])
 
     def test_filter_query_layout_with_indexes(self):
         msg = FilterQuery(
             query_id=4, indexes=np.array([9, 2], dtype=np.int64), z=np.array([0.5, -2.0])
         )
         body = struct.pack("<IIII", 4, 2, 9, 2) + struct.pack("<dd", 0.5, -2.0)
-        assert encode_message(msg) == (
+        assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
         )
 
@@ -325,7 +355,7 @@ class TestFrozenLayouts:
             query_id=7, indexes=np.empty(0, np.int64), z=np.array([1.0, 0.25, 3.0])
         )
         body = struct.pack("<II", 7, 0) + struct.pack("<ddd", 1.0, 0.25, 3.0)
-        assert encode_message(msg) == (
+        assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
         )
 
@@ -336,7 +366,7 @@ class TestFrozenLayouts:
             z=np.array([1.5, -0.5]),
         )
         body = struct.pack("<IIIII", 3, 3, 0, 5, 6) + struct.pack("<dd", 1.5, -0.5)
-        assert encode_message(msg) == (
+        assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_QUERY]) + body
         )
 
@@ -357,11 +387,11 @@ class TestFrozenLayouts:
             + struct.pack("<ddd", -4.0, 0.0, 0.5)
         )
         assert MSG_FULL_REPLY == 0x22
-        frame = encode_message(msg)
+        frame = frame_of(msg)
         assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
         )
-        assert encode_message(decode_message(frame)) == frame
+        assert frame_of(decode_message(frame)) == frame
 
     def test_full_reply_layout_without_t(self):
         """Every survivor's t already crossed: k_new is 0 and no t follows."""
@@ -372,12 +402,12 @@ class TestFrozenLayouts:
             t=np.empty((0, 3)),
         )
         body = struct.pack("<III", 2, 2, 0) + struct.pack("<IIdd", 0, 7, 0.5, -0.5)
-        frame = encode_message(msg)
+        frame = frame_of(msg)
         assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
         )
         again = decode_message(frame)
-        assert encode_message(again) == frame and again.t.shape[0] == 0
+        assert frame_of(again) == frame and again.t.shape[0] == 0
         np.testing.assert_array_equal(again.doc_ids, [0, 7])
 
     def test_full_reply_entry_size(self):
@@ -390,7 +420,7 @@ class TestFrozenLayouts:
             s=np.zeros(k),
             t=np.zeros((k_new, cols)),
         )
-        frame = encode_message(msg)
+        frame = frame_of(msg)
         body_len = 12 + k * (4 + 8) + k_new * cols * 8
         assert len(frame) == 4 + 1 + body_len
         assert struct.unpack_from("<I", frame)[0] == 1 + body_len
@@ -405,7 +435,7 @@ class TestFrozenLayouts:
         expected_body = struct.pack("<II", 1, 1) + struct.pack(
             "<ffff", 2.5, 0.5, 1.0, -1.0
         )
-        assert encode_message(msg) == (
+        assert frame_of(msg) == (
             struct.pack("<I", 1 + len(expected_body))
             + bytes([MSG_FILTER_REPLY])
             + expected_body
@@ -426,23 +456,23 @@ class TestFrozenLayouts:
             + struct.pack("<fff", 0.5, 0.25, 4.0)
             + struct.pack("<ffffff", 1.0, -1.0, 3.0, 0.0, -2.0, 8.0)
         )
-        frame = encode_message(msg)
+        frame = frame_of(msg)
         assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_REPLY]) + body
         )
-        assert encode_message(decode_message(frame)) == frame
+        assert frame_of(decode_message(frame)) == frame
 
 
 class TestRejection:
     def test_truncated_frames(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
-            frame = encode_message(random_message(rng))
+            frame = frame_of(random_message(rng))
             with pytest.raises(FrameError):
                 decode_message(frame[: len(frame) - 1])
 
     def test_declared_length_mismatch(self):
-        frame = bytearray(encode_message(HelloAck(5, np.empty(0, np.int64))))
+        frame = bytearray(frame_of(HelloAck(5, np.empty(0, np.int64))))
         frame[0:4] = struct.pack("<I", 99)
         with pytest.raises(FrameError):
             decode_message(bytes(frame))
@@ -517,7 +547,7 @@ class TestRejection:
         msg = FullReply(
             query_id=1, doc_ids=np.array([0, 1]), s=np.zeros(2), t=np.ones((2, 3))
         )
-        frame = bytearray(encode_message(msg)[:-8])
+        frame = bytearray(frame_of(msg)[:-8])
         frame[0:4] = struct.pack("<I", len(frame) - 4)
         with pytest.raises(FrameError):
             decode_message(bytes(frame))
@@ -605,7 +635,7 @@ class TestUnrepresentableValues:
         top = float(np.finfo(np.float32).max)
         s = np.array([top, -top, np.inf, -np.inf, 1e-46, -2.0**-149])
         reply = FilterReply(query_id=0, s=s, norm_v2=np.zeros(6), t=np.zeros((6, 1)))
-        again = decode_message(encode_message(reply))
+        again = decode_message(frame_of(reply))
         np.testing.assert_array_equal(again.s, s.astype(np.float32))
         np.testing.assert_array_equal(again.s, [top, -top, np.inf, -np.inf, 0.0, -2.0**-149])
 
@@ -643,9 +673,8 @@ class TestUnrepresentableValues:
         tracemalloc.start()
         try:
             for msg in (reply, query):
-                for encode in (encode_message, encode_parts):
-                    with pytest.raises(FrameError, match="exceeds the limit"):
-                        encode(msg)
+                with pytest.raises(FrameError, match="exceeds the limit"):
+                    encode_message(msg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -670,7 +699,7 @@ class TestF32Boundary:
         reply = FilterReply(query_id=0, s=s, norm_v2=np.zeros(s.size), t=np.zeros((s.size, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return encode_message(reply)
+            return frame_of(reply)
 
     def test_below_halfway_crosses_as_the_largest(self):
         below = [self.TOP * (1 + 2.0**-25), np.nextafter(self.HALFWAY, 0.0)]

@@ -16,8 +16,7 @@ from ssdd.protocol.session import (
     SimilarityDecision,
     run_local_detection,
 )
-from ssdd.vectors import pack
-from conftest import build_document_vector, dot, missed_and_extra, synth_corpus
+from conftest import build_document_vector, dot, missed_and_extra, pack, synth_corpus
 
 
 class TestOracle:

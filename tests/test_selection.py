@@ -8,9 +8,8 @@ import pytest
 from ssdd.corpus import Corpus, RawDocument
 from ssdd.errors import DimensionError, RangeError
 from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
-from ssdd.vectors import pack
 
-from conftest import build_document_vector, synth_corpus
+from conftest import build_document_vector, pack, synth_corpus
 
 
 class TestSelectionMethod:

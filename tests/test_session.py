@@ -35,7 +35,6 @@ from ssdd.protocol.messages import (
     HelloAck,
     decode_message,
     encode_message,
-    encode_parts,
 )
 from ssdd.protocol import session as session_module
 from ssdd.protocol.session import (
@@ -55,11 +54,13 @@ from ssdd.protocol.transport import (
     make_local_pair,
 )
 from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
-from ssdd.vectors import PackedDocs, pack, project
+from ssdd.vectors import PackedDocs, project
 
 from conftest import (
     build_document_vector,
+    frame_of,
     missed_and_extra,
+    pack,
     random_document,
     random_unit_dense,
     respond,
@@ -121,7 +122,7 @@ class TestSessionConfig:
                 SessionConfig(n=4, epsilon=0.5, method=method, f=f)
         for f in range(1, 5):
             config = SessionConfig(n=4, epsilon=0.5, method=method, f=f)
-            hello = decode_message(encode_message(config.hello()))
+            hello = decode_message(frame_of(config.hello()))
             assert SessionConfig.from_hello(hello) == dataclasses.replace(config, epsilon=None)
 
     def test_from_hello_rejects_a_budget_outside_n(self):
@@ -220,7 +221,7 @@ class TestSessionConfig:
         side could recover the other's products: the responder refuses it
         at the handshake."""
         hello = dataclasses.replace(config_for(SelectionMethod.HF).hello(), version=6)
-        assert decode_message(encode_message(hello)) == hello
+        assert decode_message(frame_of(hello)) == hello
         responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
         with pytest.raises(ProtocolError, match="version"):
             responder.handle(hello)
@@ -521,9 +522,9 @@ class TestTraffic:
         moved = {"sent": 0, "received": 0}
         send, recv = alice_end.send_frame, alice_end.recv_frame
 
-        def counted_send(frame):
-            moved["sent"] += len(frame)
-            send(frame)
+        def counted_send(parts):
+            moved["sent"] += sum(map(len, parts))
+            send(parts)
 
         def counted_recv():
             frame = recv()
@@ -556,6 +557,34 @@ class TestTraffic:
         filter_query = 4 + 1 + 8 + 4 * f + 8 * f
         full_query = 4 + 1 + 8 + 4 * k + 8 * n
         assert report.metrics.bytes_sent_alice == hello + filter_query + full_query + bye
+
+    @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
+    def test_both_parties_encode_through_the_session_module(
+        self, small_corpus, method, monkeypatch
+    ):
+        """Alice's frames and Bob's replies are all encoded by the name
+        that session.py calls, which a tracer wraps to time every encode:
+        Hello, each query message and Bye, and HelloAck and one reply per
+        query message."""
+        encoded = []
+
+        def counting_encode(msg):
+            encoded.append(type(msg))
+            return encode_message(msg)
+
+        monkeypatch.setattr(session_module, "encode_message", counting_encode)
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
+        run_detection_locally(
+            small_corpus.vectors.take(query_ids),
+            config_for(method, f=40),
+            small_corpus.vectors.take(target_ids),
+        )
+        query_messages = encoded.count(FilterQuery) + encoded.count(FullQuery)
+        assert query_messages > 0
+        assert encoded.count(FilterReply) == encoded.count(FilterQuery)
+        assert encoded.count(FullReply) == encoded.count(FullQuery)
+        assert len(encoded) == (2 + query_messages) + (1 + query_messages)
+        assert encoded.count(HelloAck) == encoded.count(Hello) == encoded.count(Bye) == 1
 
 
 class TestTcpAgreement:
@@ -594,7 +623,7 @@ class TestTcpAgreement:
                 def handle(self, msg):
                     reply = super().handle(msg)
                     if reply is not None:
-                        sent_parts.append(len(encode_parts(reply)))
+                        sent_parts.append(len(encode_message(reply)))
                     return reply
 
             if over_tcp:
@@ -635,9 +664,9 @@ class FrameRecorder:
         self.transport = transport
         self.sent, self.received = [], []
 
-    def send_frame(self, frame) -> None:
-        self.sent.append(bytes(frame))
-        self.transport.send_frame(frame)
+    def send_frame(self, parts) -> None:
+        self.sent.append(b"".join(parts))
+        self.transport.send_frame(parts)
 
     def recv_frame(self) -> bytes:
         frame = self.transport.recv_frame()
@@ -848,13 +877,13 @@ class TestTcpTransport:
         transport, far = tcp_pair
         t = np.random.default_rng(2).standard_normal((40, 3000))
         reply = FullReply(query_id=1, doc_ids=np.arange(40), s=np.ones(40), t=t)
-        parts = encode_parts(reply)
+        parts = encode_message(reply)
         assert len(parts) == 2
         receiver = TcpTransport(far)
         sender = threading.Thread(target=transport.send_frame, args=(parts,))
         sender.start()
         try:
-            assert receiver.recv_frame() == b"".join(parts) == encode_message(reply)
+            assert receiver.recv_frame() == parts[0] + t.tobytes()
         finally:
             sender.join()
 
@@ -868,7 +897,7 @@ class TestTcpTransport:
             t=np.broadcast_to(0.0, (k, cols)),
         )
         with pytest.raises(FrameError, match="exceeds the limit"):
-            transport.send_frame(encode_parts(reply))
+            transport.send_frame(encode_message(reply))
         transport.close()
         assert far.recv(1) == b""
 
@@ -922,14 +951,14 @@ class TestTcpTransport:
         far.close()
         with pytest.raises(SessionError, match="socket error: "):
             for _ in range(100):
-                transport.send_frame(b"x" * 65536)
+                transport.send_frame([b"x" * 65536])
                 time.sleep(0.01)
 
 
 class TestLocalTransport:
     def test_a_one_part_frame_is_enqueued_as_itself(self):
         alice_end, bob_end = make_local_pair(timeout=1.0)
-        frame = encode_message(Bye())
+        (frame,) = encode_message(Bye())
         alice_end.send_frame([frame])
         assert bob_end.recv_frame() is frame
 
@@ -937,18 +966,18 @@ class TestLocalTransport:
         alice_end, bob_end = make_local_pair(timeout=1.0)
         t = np.arange(12.0).reshape(3, 4)
         reply = FullReply(query_id=2, doc_ids=np.arange(3), s=np.ones(3), t=t)
-        parts = encode_parts(reply)
+        parts = encode_message(reply)
         assert len(parts) == 2
         alice_end.send_frame(parts)
         frame = bob_end.recv_frame()
-        assert frame == encode_message(reply)
+        assert frame == parts[0] + t.tobytes()
         assert not np.shares_memory(np.frombuffer(frame, np.uint8), t)
 
     def test_send_after_close_is_refused(self):
         alice_end, _ = make_local_pair()
         alice_end.close()
         with pytest.raises(SessionError, match="transport is closed"):
-            alice_end.send_frame(b"frame")
+            alice_end.send_frame([b"frame"])
 
     def test_silent_peer_times_out(self):
         alice_end, _ = make_local_pair(timeout=0.05)

@@ -10,9 +10,9 @@ from ssdd.errors import DimensionError, RangeError
 from ssdd.protocol.messages import FilterQuery
 from ssdd.protocol.session import BobResponder, SessionConfig
 from ssdd.selection import SelectionMethod, top_f, zscore
-from ssdd.vectors import PackedDocs, pack, project
+from ssdd.vectors import PackedDocs, project
 
-from conftest import build_document_vector, dot, random_document
+from conftest import build_document_vector, dot, pack, random_document
 
 
 class TestOneDocument:

@@ -29,9 +29,10 @@ and the lowest bits of the next n + ceil(n/2) words are d_r, then d_c
 
 No party holds A.  ``matvec`` computes A R by scattering D_c R into N
 columns, applying H and gathering columns R; ``transpose_apply_packed``
-computes A^T v for a batch of documents the same way in reverse.  Both
-hold a batch as rows, one vector per row, and H is applied to it through
-the Kronecker factorisation
+computes A^T v for a batch of documents the same way in reverse, and
+``mask`` adds each packed document's entries into its column of A r, so no
+document is made dense.  Both transforms hold a batch as rows, one vector
+per row, and H is applied to it through the Kronecker factorisation
 
     H_N = H_a1 (x) H_a2 (x) ... (x) H_am,   m = ceil(log2 N / 5), a_i <= 32,
 
@@ -201,12 +202,14 @@ class SharedRandomMatrix:
         return t
 
 
-def mask(u: np.ndarray, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray:
-    """z = u + A r; with u of shape (rows, k) and r of shape (cols, k),
-    column j of the result masks column j of u."""
-    if u.shape != (matrix.rows,) + r.shape[1:]:
+def mask(docs: PackedDocs, matrix: SharedRandomMatrix, r: np.ndarray) -> np.ndarray:
+    """z = u + A r for each document u of ``docs``, r of shape (cols,
+    len(docs)): A r, whose columns are contiguous, with document j's
+    entries added into column j in place."""
+    if docs.dims != matrix.rows or r.shape != (matrix.cols, len(docs)):
         raise DimensionError(
-            f"vector shape {u.shape} does not match {matrix.rows} rows "
-            f"and mask shape {r.shape}"
+            f"dims {docs.dims}, mask {r.shape}; want {matrix.rows}, ({matrix.cols}, {len(docs)})"
         )
-    return u + matrix.matvec(r)
+    z = matrix.matvec(r)
+    z[docs.indices, docs.owner] += docs.weights
+    return z

@@ -48,11 +48,11 @@ chosen dimensions, one slice assignment per chosen term into an (f, m)
 array whose transpose is the projection; every filter-round product reads
 that array as it is laid out.  In the full round Bob keeps one flag per
 document for "t sent", computes t_j only the first time document j
-survives, and s_j = z . v_j per query.  Alice's queries come packed too,
-and she reads their document frequencies from them.  She also holds them as one dense
-block, from which she selects and projects, and masks the full-width
-vectors of all her queries with one transform (A R, R stacking the
-per-query masks), made at the handshake.
+survives, and s_j = z . v_j per query.  Alice holds her queries packed
+too, reads their document frequencies from them, and at the handshake
+masks all of them with one transform (A R, R stacking the per-query
+masks) into which each adds its entries; a filtering method makes a
+query's one dense row when it runs, to select and project from.
 For each t_j that arrives she keeps only t_j R, one float per query, and
 recovers pair (q, j) as s_j - (t_j R)_q; she bounds and recovers all
 pairs of a query at once.  A session's outcome is two
@@ -461,8 +461,6 @@ class AliceSession:
             raise RangeError("the querying side needs its tolerance")
         self.config = config
         self.queries = queries
-        # row q is query q
-        self._dense = queries.dense()
         self.transport = transport
         # the handshake names the targets, and sizes the arrays for them
         shape = (len(queries), 0)
@@ -528,22 +526,21 @@ class AliceSession:
         self._full_r = np.empty((self._matrix.cols, queries))
         for q in range(queries):
             self._full_r[:, q] = _secret_mask(config, q, 2, self._matrix.cols)
-        self._full_z = mask(self._dense.T, self._matrix, self._full_r)
+        self._full_z = mask(self.queries, self._matrix, self._full_r)
 
-    def _query_index_set(self, query_id: int) -> np.ndarray:
-        """The index set of query ``query_id``."""
+    def _query_index_set(self, row: np.ndarray) -> np.ndarray:
+        """The index set of the query whose dense row is ``row``."""
         method = self.config.method
-        row = self._dense[query_id]
         if method is SelectionMethod.LF:
             return top_f(row, self.config.f)
         if method is SelectionMethod.HF:
             return select_hf(row, self._whole, self.config.f)
         return self._session_set
 
-    def _filter_step(self, query_id: int) -> np.ndarray:
+    def _filter_step(self, query_id: int, row: np.ndarray) -> np.ndarray:
         """Ids of the targets whose filter bound reaches the tolerance."""
-        indexes = self._query_index_set(query_id)
-        u_fs = self._dense[query_id, indexes]
+        indexes = self._query_index_set(row)
+        u_fs = row[indexes]
         cols = self._a_fs.shape[1]
         r = _secret_mask(self.config, query_id, 1, cols)
         z = u_fs + self._a_fs @ r
@@ -597,8 +594,8 @@ class AliceSession:
     def run_query(self, query_id: int, query: PackedDocs) -> None:
         """Decide every pair of query ``query_id`` into row ``query_id`` of
         the report's arrays.  ``query`` is ``self.queries[query_id]``, a
-        one-document ``PackedDocs`` passed on for callers that wrap this
-        method; the packed queries are what the session reads.
+        one-document ``PackedDocs``: a filtering method makes its dense row
+        to select and project from, and an empty query is degenerate.
 
         Survivors get their recovered cosine, or 0 and never similar for a
         degenerate query; an empty target is never similar either.  Filtered
@@ -608,12 +605,12 @@ class AliceSession:
         if report.target_count == 0:
             return
         if self.config.method.uses_filter:
-            survivors = self._filter_step(query_id)
+            survivors = self._filter_step(query_id, query.dense()[0])
         else:
             survivors = np.arange(report.target_count)
         if survivors.size:
             recovered = self._full_step(query_id, survivors)
-            if self.queries.nnz[query_id] == 0:
+            if not query.indices.size:
                 recovered, degenerate = np.zeros(survivors.size), True
             else:
                 # An empty v_j gives t_j = 0 and s = 0 exactly.  With +-1

@@ -94,7 +94,7 @@ def test_01_masked_products_are_exact():
             u = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
             v = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
             r = rng.uniform(-1.0, 1.0, matrix.cols)
-            z = mask(u.dense()[0], matrix, r)
+            z = mask(u, matrix, r[:, None])[:, 0]
             got = recover(*respond(z, v, matrix), r)
             want = dot(u, v)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))

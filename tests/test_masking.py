@@ -13,6 +13,7 @@ from ssdd.masking import SharedRandomMatrix, mask
 from ssdd.protocol.messages import FilterQuery, FullQuery
 from ssdd.protocol.session import BobResponder, SessionConfig, _secret_mask
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import PackedDocs
 
 from conftest import build_document_vector, fwht, pack, random_document, respond
 
@@ -23,6 +24,14 @@ def sylvester(size: int) -> np.ndarray:
     while len(h) < size:
         h = np.block([[h, h], [h, -h]])
     return h
+
+
+def packed(*rows) -> PackedDocs:
+    """Dense rows of one width as a PackedDocs of their nonzero entries."""
+    rows = np.array(rows, dtype=np.float64)
+    owner, indices = np.nonzero(rows)
+    indptr = np.searchsorted(owner, np.arange(len(rows) + 1)).astype(np.int64)
+    return PackedDocs(rows.shape[1], indptr, indices, rows[owner, indices])
 
 
 def dense(matrix: SharedRandomMatrix) -> np.ndarray:
@@ -325,16 +334,16 @@ class TestHandExample:
         assert self.matrix.cols == 1
         self.a0, self.a1 = self.matrix.rows_for(np.arange(2))[:, 0]
         self.r = np.array([2.0])
-        self.u = np.array([0.6, 0.8])
+        self.u = packed([0.6, 0.8])
 
     def test_mask(self):
-        z = mask(self.u, self.matrix, self.r)
+        z = mask(self.u, self.matrix, self.r[:, None])[:, 0]
         np.testing.assert_allclose(
             z, [0.6 + 2.0 * self.a0, 0.8 + 2.0 * self.a1], atol=1e-15
         )
 
     def test_mask_block_masks_each_column(self):
-        u = np.column_stack([self.u, [1.0, 0.0]])
+        u = packed([0.6, 0.8], [1.0, 0.0])
         z = mask(u, self.matrix, np.array([[2.0, -1.0]]))
         np.testing.assert_allclose(
             z,
@@ -343,12 +352,33 @@ class TestHandExample:
         )
 
     def test_respond_and_recover(self):
-        z = mask(self.u, self.matrix, self.r)
+        z = mask(self.u, self.matrix, self.r[:, None])[:, 0]
         v = build_document_vector({0: 1}, 2)
         s, t = respond(z, v, self.matrix)
         assert s == pytest.approx(0.6 + 2.0 * self.a0, abs=1e-15)
         np.testing.assert_allclose(t, [self.a0], atol=1e-15)
         assert recover(s, t, self.r) == pytest.approx(0.6, abs=1e-12)
+
+
+class TestPackedMask:
+    @pytest.mark.parametrize("k", [1, 16, 17, 40])
+    def test_has_the_bits_of_the_dense_sum(self, k):
+        """mask(docs, A, R) has the bits of docs.dense().T + A R for batches
+        on both sides of ``BATCH``, an empty document among them, and each
+        column of z is contiguous, so a FullQuery's z goes out as a lent
+        part of its frame.  CI runs this with one BLAS thread too."""
+        assert masking.BATCH < 17
+        rows = 300
+        rng = np.random.default_rng(k)
+        matrix = SharedRandomMatrix(5, rows)
+        docs = [random_document(rng, rows, int(rng.integers(1, 60))) for _ in range(k)]
+        if k > 1:
+            docs[k // 2] = build_document_vector({}, rows)
+        docs = pack(docs, rows)
+        r = rng.uniform(-1.0, 1.0, (matrix.cols, k))
+        z = mask(docs, matrix, r)
+        assert z.tobytes() == (docs.dense().T + matrix.matvec(r)).tobytes()
+        assert all(z[:, j].flags.c_contiguous for j in range(k))
 
 
 class TestExactRecovery:
@@ -360,7 +390,7 @@ class TestExactRecovery:
             u = random_document(rng, 120, int(rng.integers(1, 60)))
             v = random_document(rng, 120, int(rng.integers(1, 60)))
             r = rng.uniform(-1.0, 1.0, matrix.cols)
-            z = mask(u.dense()[0], matrix, r)
+            z = mask(u, matrix, r[:, None])[:, 0]
             delta = recover(*respond(z, v, matrix), r)
             expected = float(u.dense()[0] @ v.dense()[0])
             assert abs(delta - expected) <= 1e-9 * (1.0 + abs(expected))
@@ -370,7 +400,7 @@ class TestExactRecovery:
         rng = np.random.default_rng(2)
         r = rng.uniform(-1.0, 1.0, matrix.cols)
         u = random_document(rng, 8, 4)
-        z = mask(u.dense()[0], matrix, r)
+        z = mask(u, matrix, r[:, None])[:, 0]
         empty = build_document_vector({}, 8)
         s, t = respond(z, empty, matrix)
         assert (s, t.tolist()) == (0.0, [0.0] * matrix.cols)
@@ -394,7 +424,7 @@ class TestExactRecovery:
         matrix = SharedRandomMatrix(6, 40)
         rng = np.random.default_rng(6)
         r = rng.uniform(-1.0, 1.0, matrix.cols)
-        z = mask(random_document(rng, 40, 9).dense()[0], matrix, r)
+        z = mask(random_document(rng, 40, 9), matrix, r[:, None])[:, 0]
         replies = [respond(z, random_document(rng, 40, 5), matrix) for _ in range(4)]
         s = np.array([s for s, _ in replies])
         t = np.array([t for _, t in replies])
@@ -443,18 +473,19 @@ class TestCostAccounting:
     def test_mask_dimension_mismatch(self):
         matrix = SharedRandomMatrix(1, 4)
         with pytest.raises(DimensionError):
-            mask(np.zeros(5), matrix, np.zeros(matrix.cols))
+            mask(packed(np.zeros(5)), matrix, np.zeros((matrix.cols, 1)))
         with pytest.raises(DimensionError):
-            mask(np.zeros(4), matrix, np.zeros(3))
+            mask(packed(np.zeros(4)), matrix, np.zeros((3, 1)))
         with pytest.raises(DimensionError):
-            mask(np.zeros((4, 3)), matrix, np.zeros((matrix.cols, 2)))
+            mask(packed(*np.zeros((3, 4))), matrix, np.zeros((matrix.cols, 2)))
         with pytest.raises(DimensionError):
-            mask(np.zeros(4), matrix, np.zeros((matrix.cols, 1)))
+            mask(packed(np.zeros(4)), matrix, np.zeros(matrix.cols))
 
     def test_respond_dimension_mismatch(self):
         matrix = SharedRandomMatrix(1, 4)
         rng = np.random.default_rng(5)
-        z = mask(np.zeros(4), matrix, rng.uniform(-1.0, 1.0, matrix.cols))
+        r = rng.uniform(-1.0, 1.0, (matrix.cols, 1))
+        z = mask(packed(np.zeros(4)), matrix, r)[:, 0]
         v = random_document(rng, 6, 2)
         with pytest.raises(DimensionError):
             respond(z, v, matrix)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ssdd import masking
 from ssdd.corpus import load_cache, save_cache, split_queries
 from ssdd.decide import evaluate_filter, recover
 from ssdd.errors import (
@@ -44,6 +45,7 @@ from ssdd.protocol.session import (
     DetectionReport,
     SessionConfig,
     SessionMetrics,
+    _secret_mask,
     run_local_detection,
 )
 from ssdd.protocol import transport as transport_module
@@ -318,12 +320,12 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     u_fs = u.dense()[0][indexes]
     r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
     reply = responder.handle(
-        FilterQuery(query_id=0, indexes=indexes, z=mask(u_fs, fs_matrix, r))
+        FilterQuery(query_id=0, indexes=indexes, z=u_fs + fs_matrix.matvec(r))
     )
     bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
     matrix = SharedRandomMatrix(config.seed, config.n)
     r = rng.uniform(-1.0, 1.0, matrix.cols)
-    z = mask(u.dense()[0], matrix, r)
+    z = mask(u, matrix, r[:, None])[:, 0]
     reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
     return bound >= config.epsilon, float(recover(reply.s, reply.t, r)[0])
 
@@ -2064,3 +2066,80 @@ class TestMaskDerivation:
             r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
             u_fs = queries[msg.query_id].dense()[0][index_set]
             np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
+    def test_full_vectors_have_the_bits_of_u_plus_a_r(self, small_corpus, method):
+        """Every FullQuery z is u + A r to the bit, with A r from ``matvec``
+        alone: scattering the packed queries into A R for 20 queries, more
+        than ``masking.BATCH``, gives each query the bits of its own dense
+        sum.  CI runs this with one BLAS thread too."""
+        query_ids, target_ids = split_queries(small_corpus, k=20, seed=5)
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(np.concatenate((query_ids, target_ids[:10])))
+        config = config_for(method)
+        bob = RecordingBob(targets, config.n)
+        report = run_against(bob, queries, config)
+        assert not report.aborted and report.decided == len(queries)
+        matrix = SharedRandomMatrix(config.seed, config.n)
+        full = [m for m in bob.received if isinstance(m, FullQuery)]
+        assert [m.query_id for m in full] == list(range(len(queries)))
+        for msg in full:
+            q = msg.query_id
+            r = _secret_mask(config, q, 2, matrix.cols)
+            expected = queries[q].dense()[0] + matrix.matvec(r)
+            assert msg.z.tobytes() == expected.tobytes()
+
+
+class AckOnly:
+    """A transport that drops what it is sent and answers with one frame."""
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def send_frame(self, parts):
+        pass
+
+    def recv_frame(self):
+        return self.frame
+
+    def close(self):
+        pass
+
+
+class TestAliceMemory:
+    def test_handshake_grows_by_what_one_more_query_holds(self):
+        """Alice's traced peak, over her construction and handshake against
+        m targets, grows with each added query by no more than that query
+        holds, plus slack.  Per query she holds
+        - its masked vector z, n float64: 8n B;
+        - its column of R, ceil(n / 2) float64: 4n B;
+        - its column of t R, m float64: 8m B;
+        - its report row, m float64 cosines and m bool verdicts: 9m B;
+        so 12n + 17m B.  Scattering a query's entries into A R makes
+        temporaries of its entries, an owner index and the gathered values
+        among them: 64 B per entry is slack for them.  Both sessions hold at
+        least ``masking.BATCH`` queries, so ``matvec``'s (2, BATCH, N)
+        buffer pair has its full size in both; 256 KiB once covers numpy's
+        own buffers, such as a ufunc's 64 KiB casting buffer.  A dense row
+        per query, 8n B held from construction on, adds 1 MB over 64
+        queries at n = 2000: more than the slack, 64 * 64 nnz B + 256 KiB
+        (456 KiB), can take."""
+        n, m, nnz = 2000, 300, 50
+        small, large = masking.BATCH, masking.BATCH + 64
+        rng = np.random.default_rng(38)
+        queries = pack([random_document(rng, n, nnz) for _ in range(large)], n)
+        config = SessionConfig(n=n, epsilon=0.8, method=SelectionMethod.HF, f=20)
+        ack = frame_of(HelloAck(bob_doc_count=m, df=np.ones(n, np.int64)))
+
+        def peak(k):
+            docs = queries.take(np.arange(k))
+            docs.document_frequency  # held with the documents, not by Alice
+            tracemalloc.start()
+            try:
+                AliceSession(config, docs, AckOnly(ack)).handshake()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = (large - small) * (12 * n + 17 * m + 64 * nnz) + (256 << 10)
+        assert peak(large) - peak(small) <= bound

@@ -16,7 +16,6 @@ from .corpus import (
     save_cache,
     split_queries,
 )
-from .decide import evaluate_filter, recover
 from .errors import (
     DimensionError,
     DuplicateEntryError,
@@ -28,29 +27,16 @@ from .errors import (
     SessionError,
     SsddError,
 )
-from .masking import (
-    SharedRandomMatrix,
-    mask,
-)
 from .oracle import OracleResult, oracle_detect
 from .protocol.session import (
     AliceSession,
     BobResponder,
     DetectionReport,
     SessionConfig,
-    SessionMetrics,
     SimilarityDecision,
     run_local_detection,
 )
-from .selection import (
-    SelectionMethod,
-    select_hf,
-    select_rp,
-    top_f,
-)
-from .vectors import (
-    PackedDocs,
-    project,
-)
+from .selection import SelectionMethod
+from .vectors import PackedDocs
 
 __version__ = "0.1.0"

@@ -49,15 +49,12 @@ dimensionality) when the method selects from them (GF, HF), and none
 selects them.  A FullReply carries s = z . v_j for every survivor j, but
 t_j = A^T v_j only for the k_new survivors whose t the responder has not
 yet sent in this session, in survivor order: t_j does not depend on the
-query, so the querying side keeps what it received.  Version 6 frames are
-laid out as these are, but its peers derive a different A from the seed
-(one Philox bit per entry), so their products would not recover: the
-responder refuses its Hello.  Version 7 frames are laid out as these are
-but for FilterReply, whose three arrays were f64: a filter round needs only
-an upper bound on each cosine, and the querying side widens that bound by
-what the rounding to f32 may have moved it (``decide.widen_filter_pieces``),
-so the reply takes half the bytes and dismisses no pair that f64 pieces
-would keep.  The responder refuses a version 7 Hello too.
+query, so the querying side keeps what it received.  FilterReply's three
+arrays are f32: a filter round needs only an upper bound on each cosine,
+and the querying side widens that bound by what the rounding to f32 may
+have moved it (``decide.widen_filter_pieces``), so the reply takes half
+the bytes and dismisses no pair that f64 pieces would keep.  The responder
+refuses a Hello of any other version.
 """
 
 from __future__ import annotations

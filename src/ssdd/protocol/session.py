@@ -374,8 +374,9 @@ class BobResponder:
             df = np.zeros(0, dtype=np.int64)
         return HelloAck(bob_doc_count=self.doc_count, df=df)
 
-    def _project(self, indexes: np.ndarray) -> tuple:
-        """Filter-round pieces of every document for one index set.
+    def _filter_pieces(self, msg: FilterQuery) -> tuple:
+        """Filter-round pieces of every document for the query's index set,
+        reused from the last query when it names the same set.
 
         Returns P^T (f x m, C-ordered, as ``project`` fills it), t = P A_fs,
         the squared row norms of P, and the number of corpus entries on the
@@ -383,15 +384,6 @@ class BobResponder:
         multiply.  t is the transpose of the GEMM A_fs^T P^T, so it is
         F-ordered; the encoder casts it into the frame's row-major layout.
         """
-        rows = project(self._docs, indexes).T
-        t = (self._a_fs.T @ rows).T
-        norm_v2 = np.einsum("ij,ij->j", rows, rows)
-        nnz = int(self._docs.document_frequency[indexes].sum())
-        return rows, t, norm_v2, nnz
-
-    def _filter_pieces(self, msg: FilterQuery) -> tuple:
-        """``_project`` of the query's index set, reused from the last query
-        when it names the same set."""
         config = self.config
         indexes = msg.indexes
         if indexes.size != config.f:
@@ -409,12 +401,15 @@ class BobResponder:
                 f"bad index set: indexes must strictly increase within [0, {config.n})"
             )
         self._session_filter = None  # the old pieces go before the new are built
-        pieces = self._project(indexes)
+        rows = project(self._docs, indexes).T
+        t = (self._a_fs.T @ rows).T
+        norm_v2 = np.einsum("ij,ij->j", rows, rows)
+        nnz = int(self._docs.document_frequency[indexes].sum())
         # later replies for the same set share these arrays
-        for piece in pieces[:3]:
+        for piece in (rows, t, norm_v2):
             piece.flags.writeable = False
-        self._session_filter = (indexes.copy(), *pieces)
-        return pieces
+        self._session_filter = (indexes.copy(), rows, t, norm_v2, nnz)
+        return rows, t, norm_v2, nnz
 
     def _on_filter_query(self, msg: FilterQuery) -> FilterReply:
         config = self.config
@@ -468,7 +463,6 @@ class AliceSession:
         self._matrix = SharedRandomMatrix(config.seed, config.n)
         self._a_fs = _filter_matrix(config) if config.method.uses_filter else None
         self._whole: np.ndarray | None = None
-        self._session_set: np.ndarray | None = None
         if config.method.per_query:
             logger.warning(DISCLOSURE_WARNING)
 
@@ -507,10 +501,6 @@ class AliceSession:
             )
         if method.needs_whole_vector:
             self._whole = self.queries.document_frequency + ack.df
-        if method is SelectionMethod.RP:
-            self._session_set = select_rp(_subseed(config, 2), config.n, config.f)
-        elif method is SelectionMethod.GF:
-            self._session_set = top_f(self._whole, config.f)
         report, queries, targets = self.report, len(self.queries), ack.bob_doc_count
         report.cosines = np.full((queries, targets), np.nan)
         report.similar = np.zeros((queries, targets), dtype=bool)
@@ -521,28 +511,28 @@ class AliceSession:
         self._zero_t = np.zeros(targets, dtype=bool)
         # the full round's secret masks R and masked vectors, column q for
         # query q, whose mask comes from its own generator; A R for all
-        # queries takes one pass over A; R is filled column by column, which
-        # holds for a session of no queries too
+        # queries is one batched transform; R is filled column by column,
+        # which holds for a session of no queries too
         self._full_r = np.empty((self._matrix.cols, queries))
         for q in range(queries):
             self._full_r[:, q] = _secret_mask(config, q, 2, self._matrix.cols)
         self._full_z = mask(self.queries, self._matrix, self._full_r)
 
-    def _query_index_set(self, row: np.ndarray) -> np.ndarray:
-        """The index set of the query whose dense row is ``row``."""
-        method = self.config.method
-        if method is SelectionMethod.LF:
-            return top_f(row, self.config.f)
-        if method is SelectionMethod.HF:
-            return select_hf(row, self._whole, self.config.f)
-        return self._session_set
-
     def _filter_step(self, query_id: int, row: np.ndarray) -> np.ndarray:
-        """Ids of the targets whose filter bound reaches the tolerance."""
-        indexes = self._query_index_set(row)
+        """Ids of the targets whose filter bound reaches the tolerance, for
+        the query with dense row ``row``; only the index set differs by method."""
+        config = self.config
+        if config.method is SelectionMethod.LF:
+            indexes = top_f(row, config.f)
+        elif config.method is SelectionMethod.HF:
+            indexes = select_hf(row, self._whole, config.f)
+        elif config.method is SelectionMethod.GF:
+            indexes = top_f(self._whole, config.f)
+        else:
+            indexes = select_rp(_subseed(config, 2), config.n, config.f)
         u_fs = row[indexes]
         cols = self._a_fs.shape[1]
-        r = _secret_mask(self.config, query_id, 1, cols)
+        r = _secret_mask(config, query_id, 1, cols)
         z = u_fs + self._a_fs @ r
         msg = FilterQuery(query_id=query_id, indexes=indexes, z=z)
         reply = self._exchange(msg, FilterReply)
@@ -560,7 +550,7 @@ class AliceSession:
         if not (np.isfinite(delta).all() and np.isfinite(norm_v2).all()):
             raise ProtocolError("filter reply carries a non-finite value")
         bound = evaluate_filter(delta, u_fs @ u_fs, norm_v2)
-        return np.flatnonzero(is_similar(bound, self.config.epsilon))
+        return np.flatnonzero(is_similar(bound, config.epsilon))
 
     def _full_step(self, query_id: int, survivors: np.ndarray) -> np.ndarray:
         """Recovered cosines of the query with each survivor, in survivor order."""

@@ -2028,6 +2028,47 @@ def expected_mask(config, query_id, step, cols):
     return np.random.default_rng(seq).uniform(-1, 1, cols)
 
 
+class TestProjectionsPerSession:
+    """Every filter query names the fixed RP or GF set, so Bob, who keeps
+    the pieces of the last set, projects once per session; under HF each
+    query names its own set and is projected anew."""
+
+    @pytest.mark.parametrize(
+        "method",
+        [SelectionMethod.RP, SelectionMethod.GF, SelectionMethod.HF],
+        ids=lambda m: m.name,
+    )
+    def test_projections_per_session(self, small_corpus, method, monkeypatch):
+        query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
+        queries = small_corpus.vectors.take(query_ids)
+        targets = small_corpus.vectors.take(target_ids)
+        config = config_for(method)
+        projected = []
+
+        def counting(packed, index_set):
+            projected.append(index_set.tolist())
+            return project(packed, index_set)
+
+        monkeypatch.setattr(session_module, "project", counting)
+        bob = RecordingBob(targets, config.n)
+        report = run_against(bob, queries, config)
+        assert not report.aborted and report.decided == len(queries)
+        sets = [m.indexes.tolist() for m in bob.received if isinstance(m, FilterQuery)]
+        assert len(sets) == len(queries) >= 3
+        if method is SelectionMethod.HF:
+            # consecutive queries name different sets, none reused
+            assert all(a != b for a, b in zip(sets, sets[1:]))
+            assert projected == sets
+            return
+        if method is SelectionMethod.RP:
+            fixed = select_rp(config.seed + 2, config.n, config.f)
+        else:
+            whole = queries.document_frequency + targets.document_frequency
+            fixed = top_f(whole, config.f)
+        assert sets == [fixed.tolist()] * len(queries)
+        assert projected == [fixed.tolist()]
+
+
 class TestMaskDerivation:
     """Alice's masked vectors are z = u + A r, with r drawn from a generator
     seeded by (seed, seed + 1, query id, step)."""

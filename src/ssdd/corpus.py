@@ -5,20 +5,19 @@ size W, entry count NNZ), then NNZ lines of ``docID wordID count`` with
 1-based ids.
 
 A corpus is CSR arrays from the point where it is built: ``counts``, one
-read-only ``PackedDocs`` of raw term counts, and ``vectors``, the same
-documents unit L2-normalized (empty ones as degenerate zero vectors),
-sharing ``indptr`` and ``indices`` with ``counts``.  Every session over a
-corpus shares its vectors.  A corpus can be cached in a little-endian
-binary file, version 3::
+read-only ``PackedDocs`` of raw term counts, which ``vectors`` names too:
+the protocol and the oracle run on the counts themselves, since the cosine
+does not change when a vector is scaled.  Every session over a corpus
+shares its vectors.  A corpus can be cached in a little-endian binary
+file, version 3::
 
     magic "SSDDCORP" | version u32 | D u32 | W u32
     | nnz u32[D] | index u32[NNZ] | count u64[NNZ]
 
 Whether from documents, a docword file or a cache, every corpus is built
-from its counts by ``Corpus``, which checks them and normalizes them.  A
-version 1 cache (each document's nnz, then its entries) or a version 2
-cache (normalized weights in place of the counts) is refused: ingest its
-docword file again.
+from its counts by ``Corpus``, which checks them.  A version 1 cache (each
+document's nnz, then its entries) or a version 2 cache (normalized weights
+in place of the counts) is refused: ingest its docword file again.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ class Corpus:
     Built from ``documents`` (in order; their ``doc_id`` is not kept) or
     from ``counts``, a ``PackedDocs`` of raw counts over ``dims`` terms,
     a corpus checks its counts (every term an integer in [0, dims), every
-    count an integer in [1, 2**63)), holds them as ``counts`` and derives
-    ``vectors`` from them.
+    count an integer in [1, 2**63)) and holds them as ``counts``, which
+    ``vectors`` is too.
     """
 
     def __init__(
@@ -106,8 +105,7 @@ class Corpus:
             raise RangeError("counts must be integers in [1, 2**63)")
         counts.check()
         self.dims = dims
-        self.counts = counts
-        self.vectors = _normalize(counts)
+        self.counts = self.vectors = counts
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -126,17 +124,6 @@ def _pack_counts(
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n_docs), out=indptr[1:])
     return PackedDocs(dims, indptr, terms[order], values[order])
-
-
-def _normalize(counts: PackedDocs) -> PackedDocs:
-    """Each document's counts over their L2 norm, sharing ``indptr`` and
-    ``indices`` with ``counts``.  A squared norm is a sum of integer squares,
-    exact in float64 below 2**53 in any order, so a document's weights do not
-    depend on the documents packed with it or on how ``sums`` adds them."""
-    values = counts.weights.astype(np.float64)
-    norms = np.sqrt(counts.sums(values * values))
-    values /= np.repeat(norms, counts.nnz)
-    return PackedDocs(counts.dims, counts.indptr, counts.indices, values)
 
 
 def _header_int(lines: Iterator[tuple[int, str]], what: str) -> int:

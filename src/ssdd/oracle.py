@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decide import check_tolerance, is_similar
+from .decide import check_tolerance, cosines, is_similar, squared_norms
 from .errors import DimensionError
 from .vectors import PackedDocs
 
@@ -18,8 +18,9 @@ class OracleResult:
     """Exhaustive pairwise answer over two packed document sets.
 
     ``cosines`` covers every (query index, target index) pair; ``similar``
-    is the (queries x targets) verdict of ``decide.is_similar``, as a
-    ``DetectionReport``'s.  A pair with a degenerate document has cosine 0.
+    is the (queries x targets) verdict of ``decide.is_similar`` on the
+    exact products of the counts, as a ``DetectionReport``'s.  A pair with
+    an empty document has cosine 0 and is never similar.
     """
 
     epsilon: float
@@ -30,17 +31,21 @@ class OracleResult:
 
 def oracle_detect(queries: PackedDocs, targets: PackedDocs, epsilon: float) -> OracleResult:
     """Every pair's cosine and verdict at ``epsilon``, a tolerance in
-    [0, 1] as the protocol's ``SessionConfig`` takes it."""
+    [0, 1] as the protocol's ``SessionConfig`` takes it.  The documents
+    are counts within the limits that ``decide.squared_norms`` checks, so
+    every product is an exact integer in float64."""
     check_tolerance(epsilon)
     if queries.dims != targets.dims:
         raise DimensionError(f"dims mismatch: {queries.dims} != {targets.dims}")
-    # a degenerate document has no entries, so its products are exactly 0
-    cosines = targets.dot(queries.dense())
-    degenerate = (queries.nnz == 0)[:, None] | (targets.nnz == 0)
+    norm_u2 = squared_norms(queries, "query documents")[:, None]
+    norm_v2 = squared_norms(targets, "target documents")
+    delta = targets.dot(queries.dense())
     return OracleResult(
         epsilon=epsilon,
-        similar=is_similar(cosines, epsilon, degenerate),
+        similar=is_similar(delta, norm_u2, norm_v2, epsilon),
         cosines={
-            (qi, ti): c for qi, row in enumerate(cosines.tolist()) for ti, c in enumerate(row)
+            (qi, ti): c
+            for qi, row in enumerate(cosines(delta, norm_u2, norm_v2).tolist())
+            for ti, c in enumerate(row)
         },
     )

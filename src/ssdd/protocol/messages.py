@@ -5,56 +5,54 @@ Every frame is length-prefixed::
     [length: u32 LE] [tag: u8] [body ...]
 
 where length counts the tag byte plus the body.  All integers are
-little-endian, and so are all reals: IEEE-754 binary32 (f32) in FilterReply,
-binary64 (f64) everywhere else.  A body is a header of scalar fields and
-counts, then its arrays end to end, each one contiguous and row-major.
+little-endian, and every value on the wire is an integer: signed (i2, i4,
+i8) for the masked pieces, unsigned (u4, u8) for ids, indexes and counts.
+A body is a header of scalar fields and counts, then its arrays end to end,
+each one contiguous and row-major.
 
 Tag   Message      Body layout
 ----  -----------  -----------------------------------------------------------
 0x01  Hello        version u16, n u32, f u32, method u8, seed u64
-0x02  HelloAck     bob_doc_count u32, n u32, df u32[n]
+0x02  HelloAck     n u32, m u32, df u32[n], norm2 u8[m]
 0x10  FilterQuery  query_id u32, index_count u32, indexes u32[index_count],
-                   z f64[f]
-0x11  FilterReply  query_id u32, m u32, s f32[m], norm_v2 f32[m],
-                   t f32[m][ceil(f/2)]
+                   z i4[f]
+0x11  FilterReply  query_id u32, m u32, s i8[m], norm_v2 u4[m],
+                   t i2[m][ceil(f/2)]
 0x20  FullQuery    query_id u32, survivor_count u32,
-                   survivor_ids u32[survivor_count], z f64[n]
-0x22  FullReply    query_id u32, k u32, k_new u32, doc_ids u32[k], s f64[k],
-                   t f64[k_new][ceil(n/2)]
+                   survivor_ids u32[survivor_count], z i4[n]
+0x22  FullReply    query_id u32, t_bytes u8, k u32, k_new u32, doc_ids u32[k],
+                   s i8[k], t i(t_bytes)[k_new][ceil(n/2)]
 0xFF  Bye          (empty)
 
-``_SPECS`` holds this table.  Reply arrays follow the order of the
-documents they answer for; decoding recovers the trailing width from the
-body length, and every width on this wire is at least 1.  Encoding rounds
-each real to its field's width, to nearest, and raises FrameError for what
-the layout cannot carry (an integer outside its field, mismatched shapes, a
-frame over MAX_FRAME_SIZE), decoding for any inconsistency; an unknown tag
-raises ProtocolError.  A real field refuses exactly the finite reals that
-the rounding would make infinite: in an f32 field, those of magnitude at
-least (2 - 2^-24) * 2^127, halfway from f32's largest to 2^128.  A finite
-real below that crosses as f32's largest, and NaN and the infinities cross
-unchanged.  Encoding gives a frame as parts to send back to back: one new
-buffer, into which each array is written in one cast, in whatever layout
-it has, and then the last array's own memory instead of a cast when it is
-already laid out as on the wire, such as a query's z or a FullReply's t.
-Receivers see whole frames.  Decoding widens every real to float64 and
-every integer to int64.
+``_SPECS`` holds this table.  FullReply's ``t_bytes`` is a width code,
+which the sender sets: 2 when every entry of its t fits i2, else 4; no
+other code is decoded.  Reply arrays follow the order of the documents
+they answer for; decoding recovers the trailing width from the body
+length, and every width on this wire is at least 1.  Encoding raises
+FrameError for what the layout cannot carry (a value that is not an
+integer or lies outside its field, NaN and the infinities included,
+mismatched shapes, a frame over MAX_FRAME_SIZE), decoding for any
+inconsistency; an unknown tag raises ProtocolError.  Encoding gives a
+frame as parts to send back to back: one new buffer, into which each array
+is written in one cast, in whatever layout it has, and checked
+(``_cast_into``), and then the last array's own memory instead of a cast
+when it is already laid out as on the wire, such as a reply's t.  Receivers see whole frames.  Decoding gives
+each u32 array (ids, indexes, document frequencies) as int64 and every
+other array as float64, which holds each of its integers exactly below
+2^53.
 
-This is protocol version 8.  The handshake is one round trip: Hello
-carries the one seed that both sides derive the masking matrices from,
-and HelloAck carries the responder's document frequencies (n = the
-dimensionality) when the method selects from them (GF, HF), and none
-(n = 0) otherwise.  A FilterQuery always names its f dimension indexes
-(index_count = f), whatever the selection method: the querying side alone
-selects them.  A FullReply carries s = z . v_j for every survivor j, but
-t_j = A^T v_j only for the k_new survivors whose t the responder has not
-yet sent in this session, in survivor order: t_j does not depend on the
-query, so the querying side keeps what it received.  FilterReply's three
-arrays are f32: a filter round needs only an upper bound on each cosine,
-and the querying side widens that bound by what the rounding to f32 may
-have moved it (``decide.widen_filter_pieces``), so the reply takes half
-the bytes and dismisses no pair that f64 pieces would keep.  The responder
-refuses a Hello of any other version.
+This is protocol version 9, which runs on raw term counts with integer
+masks (see ``decide``).  The handshake is one round trip: Hello carries the
+one seed that both sides derive the masking matrices from, and HelloAck
+carries the responder's m squared document norms ||c_j||^2 and, when the
+method selects from them (GF, HF), his document frequencies (n = the
+dimensionality), and none (n = 0) otherwise.  A FilterQuery always names
+its f dimension indexes (index_count = f), whatever the selection method:
+the querying side alone selects them.  A FullReply carries s = z . c_j for
+every survivor j, but t_j = A^T c_j only for the k_new survivors whose t
+the responder has not yet sent in this session, in survivor order: t_j
+does not depend on the query, so the querying side keeps what it
+received.  The responder refuses a Hello of any other version.
 """
 
 from __future__ import annotations
@@ -114,8 +112,8 @@ class Hello(_Message):
 
 @dataclass(eq=False)
 class HelloAck(_Message):
-    bob_doc_count: int
     df: np.ndarray  # (n,) under GF and HF, else empty
+    norm2: np.ndarray  # (m,): ||c_j||^2 of each of the responder's documents
 
 
 @dataclass(eq=False)
@@ -146,6 +144,7 @@ class FullReply(_Message):
     doc_ids: np.ndarray  # (k,)
     s: np.ndarray  # (k,)
     t: np.ndarray  # (k_new, ceil(n/2)): the survivors whose t is new
+    t_bytes: int = 2  # the width code of t's entries: 2 or 4
 
 
 @dataclass(frozen=True)
@@ -153,29 +152,32 @@ class Bye(_Message):
     pass
 
 
-def _fits_u4(a: np.ndarray) -> bool:
-    """Whether every value of ``a`` is an integer in [0, 2**32)."""
-    return a.size == 0 or (a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 0xFFFFFFFF)
-
-
 def _cast_into(target: np.ndarray, value: np.ndarray) -> bool:
-    """Write ``value`` into ``target``, each real rounded to target's width;
-    False when the cast made a finite real infinite, which leaves ``target``
-    written but not as the value says.  Only a real narrowed to fewer bytes
-    can overflow.  Such a cast reports overflow under ``errstate`` (numpy
-    1.24 on), and only then are the entries looked at, one by one, so a
-    frame that can carry its values costs one pass."""
-    if value.dtype.kind != "f" or value.dtype.itemsize <= target.itemsize:
+    """Write ``value`` into ``target``; False unless every value arrived
+    unchanged, which refuses a value that is not an integer (NaN and the
+    infinities included) or lies outside target's range, and leaves
+    ``target`` written but not as the value says.  A value whose dtype
+    casts safely to target's is written with no look at its entries, and
+    integers of a wider type are range-checked by their extremes.  Reals are
+    compared with what was written a block of rows at a time, each block
+    about 1/256 of the array, so that the check allocates a small fraction
+    of the frame."""
+    if np.can_cast(value.dtype, target.dtype):
         target[...] = value
         return True
-    try:
-        with np.errstate(all="ignore", over="raise"):
+    if value.dtype.kind in "iu":
+        info = np.iinfo(target.dtype)
+        fits = value.size == 0 or info.min <= int(value.min()) <= int(value.max()) <= info.max
+        if fits:
             target[...] = value
-        return True
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            target[...] = value
-        return not np.any(np.isinf(target) & np.isfinite(value))
+        return bool(fits)
+    with np.errstate(invalid="ignore"):
+        target[...] = value
+    step = max(1, max(64, target.size >> 8) // max(1, math.prod(target.shape[1:])))
+    return all(
+        (target[lo : lo + step] == value[lo : lo + step]).all()
+        for lo in range(0, len(target), step)
+    )
 
 
 class _Spec:
@@ -184,12 +186,17 @@ class _Spec:
     ``head`` packs the class's scalar fields in declaration order, then one
     u32 per count that the tail names, in order of first use.  The tail
     lists the arrays as ``(field, dtype, axes)``, axes being space-separated
-    names of those counts and of "w", the trailing width.
+    names of those counts and of "w", the trailing width.  A dtype given as
+    a dict is chosen by the value of the scalar field ``code``.
     """
 
-    def __init__(self, tag, cls, head, tail=()):
-        self.tag, self.cls = tag, cls
-        self.tail = [(field, np.dtype(dt), axes.split()) for field, dt, axes in tail]
+    def __init__(self, tag, cls, head, tail=(), code=None):
+        self.tag, self.cls, self.code = tag, cls, code
+        self.tail = [
+            (field, {k: np.dtype(v) for k, v in dt.items()} if isinstance(dt, dict)
+             else np.dtype(dt), axes.split())
+            for field, dt, axes in tail
+        ]
         tail_fields = {field for field, _, _ in self.tail}
         self.names = [f.name for f in fields(cls) if f.name not in tail_fields]
         self.counts = list(
@@ -197,12 +204,28 @@ class _Spec:
         )
         self.head = struct.Struct(head + "I" * len(self.counts))
 
-    def layout(self, sizes: dict) -> tuple[list, int]:
+    def dtypes(self, scalars: dict) -> list:
+        """Each array's dtype for a message with these scalar fields; a
+        code with no dtype is a FrameError."""
+        out = []
+        for field, dtype, _ in self.tail:
+            if isinstance(dtype, dict):
+                value = scalars[self.code]
+                if value not in dtype:
+                    raise FrameError(
+                        f"{self.cls.__name__} header field {self.code} {value} "
+                        f"is not one of {sorted(dtype)}"
+                    )
+                dtype = dtype[value]
+            out.append(dtype)
+        return out
+
+    def layout(self, sizes: dict, dtypes: list) -> tuple[list, int]:
         """Each array's ``(field, dtype, shape, offset)`` for the given axis
-        extents (0 where absent), offsets counted from the tag, and the
-        payload size."""
+        extents (0 where absent) and dtypes, offsets counted from the tag,
+        and the payload size."""
         arrays, offset = [], 1 + self.head.size
-        for field, dtype, axes in self.tail:
+        for (field, _, axes), dtype in zip(self.tail, dtypes):
             shape = tuple(sizes.get(a, 0) for a in axes)
             arrays.append((field, dtype, shape, offset))
             offset += dtype.itemsize * math.prod(shape)
@@ -213,15 +236,16 @@ _SPECS = {
     spec.tag: spec
     for spec in (
         _Spec(MSG_HELLO, Hello, "<HIIBQ"),
-        _Spec(MSG_HELLO_ACK, HelloAck, "<I", [("df", "<u4", "n")]),
+        _Spec(MSG_HELLO_ACK, HelloAck, "<", [("df", "<u4", "n"), ("norm2", "<u8", "m")]),
         _Spec(MSG_FILTER_QUERY, FilterQuery, "<I",
-              [("indexes", "<u4", "c"), ("z", "<f8", "w")]),
+              [("indexes", "<u4", "c"), ("z", "<i4", "w")]),
         _Spec(MSG_FILTER_REPLY, FilterReply, "<I",
-              [("s", "<f4", "m"), ("norm_v2", "<f4", "m"), ("t", "<f4", "m w")]),
+              [("s", "<i8", "m"), ("norm_v2", "<u4", "m"), ("t", "<i2", "m w")]),
         _Spec(MSG_FULL_QUERY, FullQuery, "<I",
-              [("survivor_ids", "<u4", "k"), ("z", "<f8", "w")]),
-        _Spec(MSG_FULL_REPLY, FullReply, "<I",
-              [("doc_ids", "<u4", "k"), ("s", "<f8", "k"), ("t", "<f8", "k_new w")]),
+              [("survivor_ids", "<u4", "k"), ("z", "<i4", "w")]),
+        _Spec(MSG_FULL_REPLY, FullReply, "<IB",
+              [("doc_ids", "<u4", "k"), ("s", "<i8", "k"),
+               ("t", {2: "<i2", 4: "<i4"}, "k_new w")], code="t_bytes"),
         _Spec(MSG_BYE, Bye, "<"),
     )
 }
@@ -241,13 +265,14 @@ def encode_message(msg: _Message) -> list:
     if spec is None:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
     name = spec.cls.__name__
+    scalars = {field: getattr(msg, field) for field in spec.names}
     values = {field: np.asarray(getattr(msg, field)) for field, _, _ in spec.tail}
     # each axis takes its extent from the first array that has it
     sizes = {}
     for field, _, axes in spec.tail:
         for axis, extent in zip(axes, values[field].shape):
             sizes.setdefault(axis, extent)
-    arrays, size = spec.layout(sizes)
+    arrays, size = spec.layout(sizes, spec.dtypes(scalars))
     if size > MAX_FRAME_SIZE:
         raise FrameError(f"{name} frame of {size} bytes exceeds the limit")
     lent, written = None, size
@@ -263,7 +288,7 @@ def encode_message(msg: _Message) -> list:
         spec.head.pack_into(
             frame,
             HEADER_SIZE + 1,
-            *(getattr(msg, field) for field in spec.names),
+            *scalars.values(),
             *(sizes.get(count, 0) for count in spec.counts),
         )
     except struct.error as exc:
@@ -273,7 +298,7 @@ def encode_message(msg: _Message) -> list:
         if value.shape != shape:
             raise FrameError(f"{name}.{field} of shape {value.shape} is not of shape {shape}")
         target = np.ndarray(shape, dtype, buffer=frame, offset=HEADER_SIZE + offset)
-        if (dtype == "<u4" and not _fits_u4(value)) or not _cast_into(target, value):
+        if not _cast_into(target, value):
             raise FrameError(f"{name}.{field} holds a value that {dtype.str} cannot carry")
     return [frame] if lent is None else [frame, memoryview(lent).cast("B")]
 
@@ -295,19 +320,21 @@ def decode_message(frame: bytes) -> _Message:
     name = spec.cls.__name__
     if declared < 1 + spec.head.size:
         raise FrameError(f"{name}: body of {declared - 1} bytes is too short")
-    scalars = spec.head.unpack_from(frame, HEADER_SIZE + 1)
-    sizes = dict(zip(spec.counts, scalars[len(spec.names) :]))
+    head = spec.head.unpack_from(frame, HEADER_SIZE + 1)
+    scalars = dict(zip(spec.names, head))
+    sizes = dict(zip(spec.counts, head[len(spec.names) :]))
+    dtypes = spec.dtypes(scalars)
     # the payload takes base + width * step bytes; solve for the width
-    base = spec.layout({**sizes, "w": 0})[1]
-    step = spec.layout({**sizes, "w": 1})[1] - base
+    base = spec.layout({**sizes, "w": 0}, dtypes)[1]
+    step = spec.layout({**sizes, "w": 1}, dtypes)[1] - base
     width, odd = divmod(declared - base, step) if step else (0, declared - base)
     if width < 0 or odd or (step and not width):
         raise FrameError(f"{name}: {declared} payload bytes do not fit counts {sizes}")
-    arrays, _ = spec.layout({**sizes, "w": width})
+    arrays, _ = spec.layout({**sizes, "w": width}, dtypes)
     values = {
         field: np.frombuffer(frame, dtype, math.prod(shape), HEADER_SIZE + offset)
         .reshape(shape)
         .astype(np.int64 if dtype == "<u4" else np.float64)
         for field, dtype, shape, offset in arrays
     }
-    return spec.cls(**dict(zip(spec.names, scalars)), **values)
+    return spec.cls(**scalars, **values)

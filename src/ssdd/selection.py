@@ -9,8 +9,9 @@ to it.  Four strategies pick it:
   (``top_f``).
 - GF: top-f of the aggregated document-frequency vector over both corpora
   (``top_f``).
-- HF: z-score the current document against the aggregated whole vector and
-  take the f largest absolute differences (``select_hf``).
+- HF: z-score the current document against the aggregated whole vector,
+  z-scored once per session, and take the f largest absolute differences
+  (``select_hf``).
 
 The querying side alone selects, and every filter query carries the chosen
 indexes.  LF and HF depend on the query document, so their indexes disclose
@@ -20,8 +21,8 @@ aggregated document-frequency vector first: the responder sends its counts
 once per session, in the handshake, and the querying side adds its own,
 which it keeps to itself.
 
-Rankings are invariant under positive scaling of the input, so normalized
-weights select the same dimensions as the raw counts they came from.
+Rankings are invariant under positive scaling of the input, so a
+document's counts select the same dimensions as any multiple of them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "select_rp",
     "select_hf",
     "top_f",
+    "zscore",
 ]
 
 
@@ -107,17 +109,18 @@ def select_rp(seed: int, n: int, f: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=f, replace=False)).astype(np.int64)
 
 
-def select_hf(current: np.ndarray, whole: np.ndarray, f: int) -> np.ndarray:
+def select_hf(current: np.ndarray, whole_z: np.ndarray, f: int) -> np.ndarray:
     """Top-f absolute differences between standardized current and whole.
 
     Dimensions where the current document deviates most from the corpus-wide
-    document frequencies, in z-score units.  A constant input standardizes to
-    the zero vector, which degrades gracefully to index-order ties.
+    document frequencies, in z-score units.  ``whole_z`` is the whole vector
+    already standardized, ``zscore(whole)``, which a session computes once
+    for all its queries.  A constant input standardizes to the zero vector,
+    which degrades gracefully to index-order ties.
     """
     cur = np.asarray(current, dtype=np.float64)
-    agg = np.asarray(whole, dtype=np.float64)
-    if cur.shape != agg.shape:
+    if cur.shape != np.shape(whole_z):
         raise DimensionError(
-            f"current and whole disagree on dims: {cur.shape} != {agg.shape}"
+            f"current and whole disagree on dims: {cur.shape} != {np.shape(whole_z)}"
         )
-    return top_f(np.abs(zscore(cur) - zscore(agg)), f)
+    return top_f(np.abs(zscore(cur) - whole_z), f)

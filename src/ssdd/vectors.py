@@ -1,18 +1,20 @@
 """Sparse document vectors and the packed kernels built on them.
 
-Documents are unit-normalized term-weight vectors stored sparsely (sorted
-indices + positive weights).  A set of them, a single document included, is
+Documents are vectors of integer term counts stored sparsely (sorted
+indices + positive counts).  A set of them, a single document included, is
 one CSR ``PackedDocs``: the one document type that the protocol, the oracle
 and the masking matrix take, and the form a corpus holds its documents in.
 Per-document sums, ``dot``'s and a corpus's squared norms, are segmented
 sums: one ``np.add.reduceat`` over the documents that hold entries, each
-document summed on its own in the order ``PackedDocs.sums`` states.  A
-``PackedDocs`` is read-only, so one corpus is shared by every session that
-reads it; ``project`` restricts it to an index set, a sorted ``int64``
-array of dimensions that ``selection`` chooses, and reads a term-major
-(CSC) view of it that is built on first use, once per corpus: each chosen
-term's weights are one slice of that view, written into one row of an
-(f, m) array whose transpose is the projection.  Everything is float64.
+document summed on its own in the order ``PackedDocs.sums`` states.  Sums
+of integers below 2^53 are exact in float64, so on counts every order gives
+the same value.  A ``PackedDocs`` is read-only, so one corpus is shared by
+every session that reads it; ``project`` restricts it to an index set, a
+sorted ``int64`` array of dimensions that ``selection`` chooses, and reads
+a term-major (CSC) view of it that is built on first use, once per corpus:
+each chosen term's weights are one slice of that view, written into one
+row of an (f, m) array whose transpose is the projection.  Products and
+sums are float64.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ class PackedDocs:
 
     Read-only: the arrays reject writes, and ``docs[i]`` is document i as a
     one-document ``PackedDocs`` over views of them.  The document
-    frequencies and the same entries in term-major (CSC) order are built on
-    first use and kept, read-only, with the documents, so every session over
-    one ``PackedDocs`` shares them.  Sessions that race to build either can
-    at worst build it twice."""
+    frequencies, the squared norms, the sums of absolute weights and the
+    same entries in term-major (CSC) order are built on first use and kept,
+    read-only, with the documents, so every session over one ``PackedDocs``
+    shares them.  Sessions that race to build one can at worst build it
+    twice."""
 
     dims: int
     indptr: np.ndarray
@@ -125,6 +128,23 @@ class PackedDocs:
         df.flags.writeable = False
         return df
 
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """Each document's sum of squared weights, ``sums`` of them, as
+        read-only (m,) float64: exact for counts whose squares sum below
+        2^53, and at least as large as 2^53 otherwise."""
+        weights = self.weights.astype(np.float64)
+        norm2 = self.sums(weights * weights)
+        norm2.flags.writeable = False
+        return norm2
+
+    @cached_property
+    def l1_norms(self) -> np.ndarray:
+        """Each document's sum of absolute weights, as ``squared_norms``."""
+        l1 = self.sums(np.abs(self.weights.astype(np.float64)))
+        l1.flags.writeable = False
+        return l1
+
     def dense(self) -> np.ndarray:
         """The documents as the rows of an (m, dims) array."""
         out = np.zeros((len(self), self.dims))
@@ -135,13 +155,16 @@ class PackedDocs:
     def _by_term(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(termptr, owner, weights): term d's entries are
         ``termptr[d]:termptr[d + 1]`` of ``owner`` (the document of each
-        entry) and ``weights``, in document order within a term."""
+        entry) and ``weights``, in document order within a term.  The
+        weights are float64, as ``project`` writes them, so that a
+        projection casts nothing."""
         # a stable sort on keys of at most 16 bits is a radix sort
         keys = self.indices.astype(np.min_scalar_type(max(self.dims - 1, 0)))
         order = np.argsort(keys, kind="stable")
         termptr = np.zeros(self.dims + 1, dtype=np.int64)
         np.cumsum(self.document_frequency, out=termptr[1:])
-        view = termptr, self.owner.take(order), self.weights.take(order)
+        weights = self.weights.take(order).astype(np.float64, copy=False)
+        view = termptr, self.owner.take(order), weights
         for array in view:
             array.flags.writeable = False
         return view
@@ -159,3 +182,4 @@ def project(docs: PackedDocs, indexes: np.ndarray) -> np.ndarray:
     for row, a, b in zip(out, termptr[indexes].tolist(), termptr[indexes + 1].tolist()):
         row[owner[a:b]] = weights[a:b]
     return out.T
+

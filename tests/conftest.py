@@ -112,9 +112,9 @@ def fwht(x: np.ndarray) -> None:
 
 
 def build_document_vector(counts: dict[int, int], dims: int) -> PackedDocs:
-    """Unit L2-normalized weight vector from raw term counts, as a
-    one-document ``PackedDocs``: the vectors of a one-document corpus.  An
-    empty count map yields the zero vector, which is degenerate.
+    """Raw term counts as a one-document ``PackedDocs``: the vectors of a
+    one-document corpus.  An empty count map yields the zero vector, which
+    is degenerate.
     """
     return Corpus(dims, [RawDocument(0, counts)]).vectors
 

@@ -31,6 +31,7 @@ from ssdd.protocol.session import (
 )
 from ssdd.protocol.transport import TcpServer, connect_tcp, make_local_pair
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import PackedDocs
 
 from conftest import (
     build_document_vector,
@@ -84,24 +85,27 @@ def eval_corpus():
 
 @criterion("masked products are exact")
 def test_01_masked_products_are_exact():
+    """On counts with integer masks as wide as a session draws them, every
+    recovered product is the exact integer u . v."""
     started = time.perf_counter()
     rng = np.random.default_rng(401)
     worst = 0.0
     for n, trials in ((3, 400), (100, 400), (5000, 200)):
         matrix = SharedRandomMatrix(900 + n, n)
+        bits = ((2**31 - 1 - 12) // matrix.cols).bit_length() - 1
         for _ in range(trials):
             nnz_cap = min(n, 40)
             u = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
             v = random_document(rng, n, int(rng.integers(1, nnz_cap + 1)))
-            r = rng.uniform(-1.0, 1.0, matrix.cols)
+            r = rng.integers(-(2**bits), 2**bits, matrix.cols, endpoint=True).astype(np.float64)
             z = mask(u, matrix, r[:, None])[:, 0]
             got = recover(*respond(z, v, matrix), r)
             want = dot(u, v)
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+            worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - started
-    assert worst <= 1e-9, f"worst relative error {worst:.3e}"
+    assert worst == 0.0, f"worst error {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    return f"1000 trials, worst relative error {worst:.1e}, {elapsed:.1f}s"
+    return f"1000 trials, every product exact, {elapsed:.1f}s"
 
 
 @criterion("filter bound never dismisses a similar pair")
@@ -111,17 +115,17 @@ def test_02_filter_bound_never_dismisses():
     n = 60
     worst_slack = np.inf
     for _ in range(10_000):
-        u = random_unit_dense(rng, n)
-        v = random_unit_dense(rng, n)
+        u = rng.integers(0, 20, n) * (rng.random(n) < 0.4)
+        v = rng.integers(0, 20, n) * (rng.random(n) < 0.4)
         f = int(rng.integers(1, n + 1))
         idx = np.sort(rng.choice(n, f, replace=False))
         u_fs, v_fs = u[idx], v[idx]
-        bound = evaluate_filter(
-            float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs)
-        )
-        worst_slack = min(worst_slack, bound - float(u @ v))
+        bound = evaluate_filter(u_fs @ v_fs, u_fs @ u_fs, v_fs @ v_fs, u @ u, v @ v)
+        cosine = (u @ v) / np.sqrt(max(float(u @ u) * float(v @ v), 1.0))
+        worst_slack = min(worst_slack, bound - cosine)
     elapsed = time.perf_counter() - started
-    assert worst_slack >= -1e-9, f"bound fell {-worst_slack:.3e} below a cosine"
+    # the cosine itself is rounded, by at most an ulp of 1
+    assert worst_slack >= -(2.0**-50), f"bound fell {-worst_slack:.3e} below a cosine"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     return f"10000 pairs, minimum slack {worst_slack:+.1e}, {elapsed:.1f}s"
 
@@ -382,3 +386,50 @@ def test_10_real_dataset_shapes():
             )
         checked.append(name)
     return f"checked {', '.join(sorted(checked))}"
+
+
+@criterion("every method's verdicts equal the oracle's exactly")
+def test_11_exact_verdicts_at_every_tolerance(small_corpus):
+    """Every method at tolerances 0, 1e-300, 0.5, 0.8 and 1 decides every
+    pair as the plaintext oracle does, and its filter round dismisses no
+    pair the oracle calls similar.  The targets hold each query itself, a
+    multiple of one (cosine exactly 1), an empty document and pairs of
+    product exactly 0; a second, n = 4 corpus holds a nonempty target whose
+    t_j cancels to 0 under seeds 0 and 1."""
+    started = time.perf_counter()
+    dims = small_corpus.dims
+    queries = small_corpus.vectors.take(np.arange(8))
+    first = queries[0]
+    double = PackedDocs(dims, first.indptr, first.indices, 2 * first.weights)
+    unused = np.setdiff1d(np.arange(dims), queries.indices)[:5]
+    disjoint = build_document_vector({int(i): 2 for i in unused}, dims)
+    targets = pack(
+        [queries, small_corpus.vectors.take(np.arange(30, 50)), double, disjoint,
+         build_document_vector({}, dims)],
+        dims,
+    )
+    products = targets.dot(queries.dense())
+    nonempty = (queries.nnz > 0)[:, None] & (targets.nnz > 0)
+    assert ((products == 0) & nonempty).any(), "no pair of product exactly 0"
+    cancelling = pack([build_document_vector({0: 1, 1: 1}, 4)], 4)
+    orthogonal = pack([build_document_vector({2: 1}, 4), build_document_vector({0: 3, 1: 3}, 4)], 4)
+    cases = [(queries, targets, 3, 25)] + [(orthogonal, cancelling, seed, 2) for seed in (0, 1)]
+    runs = 0
+    for query_docs, target_docs, seed, f in cases:
+        for epsilon in (0.0, 1e-300, 0.5, 0.8, 1.0):
+            oracle = oracle_detect(query_docs, target_docs, epsilon)
+            for method in SelectionMethod:
+                config = SessionConfig(
+                    n=query_docs.dims, epsilon=epsilon, method=method,
+                    f=f if method.uses_filter else 0, seed=seed,
+                )
+                report = run_local_detection(query_docs, config, target_docs)
+                assert not report.aborted
+                where = f"{method.name} at {epsilon}, seed {seed}"
+                assert missed_and_extra(report.similar, oracle.similar) == ([], []), where
+                assert not (oracle.similar & np.isnan(report.cosines)).any(), where
+                runs += 1
+    assert oracle_detect(queries, targets, 1.0).similar[0, [0, 28]].all()
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0, f"took {elapsed:.1f}s"
+    return f"{runs} runs, every verdict the oracle's, {elapsed:.1f}s"

@@ -43,7 +43,8 @@ class TestParseBagOfWords:
         assert corpus.counts.indices.tolist() == [1, 3]
         assert corpus.counts.weights.tolist() == [5, 1]
         assert corpus.vectors[1].nnz[0] == 0
-        np.testing.assert_allclose(corpus.vectors[0].weights, [1.0])
+        assert corpus.vectors is corpus.counts
+        assert corpus.vectors.squared_norms.tolist() == [25.0, 0.0, 1.0]
 
     def test_stats(self):
         corpus = parse_bag_of_words(io.StringIO(EXAMPLE))
@@ -158,13 +159,13 @@ class TestParseBagOfWords:
         assert corpus.counts.indptr.tolist() == [0, 2, 3]
         assert corpus.counts.indices.tolist() == [1, 4, 0]
         assert corpus.counts.weights.tolist() == [4, 3, 2]
-        np.testing.assert_array_equal(corpus.vectors.weights, [0.8, 0.6, 1.0])
+        assert corpus.vectors.squared_norms.tolist() == [25.0, 4.0]
 
 
 class TestCounts:
     def test_matches_per_document_reference(self):
-        """Packing all documents at once gives each document the counts and
-        the bits that normalizing it alone gives."""
+        """Packing all documents at once gives each document its counts, and
+        the squared norm, exactly, that its counts alone give."""
         rng = np.random.default_rng(4)
         documents = []
         for i in range(25):
@@ -181,17 +182,14 @@ class TestCounts:
             lo, hi = corpus.counts.indptr[i : i + 2]
             assert corpus.counts.indices[lo:hi].tolist() == terms
             assert corpus.counts.weights[lo:hi].tolist() == values.tolist()
-            if terms:
-                expected = values / float(np.sqrt(values @ values))
-                np.testing.assert_array_equal(corpus.vectors.weights[lo:hi], expected)
-        assert corpus.vectors.indptr is corpus.counts.indptr
-        assert corpus.vectors.indices is corpus.counts.indices
+            assert corpus.vectors.squared_norms[i] == values @ values
+        assert corpus.vectors is corpus.counts
 
     def test_weights_are_the_bincount_formulas(self):
         """A squared norm is a sum of integer squares, exact in any order,
         so the per-document sums give the bits of the weighted bincount over
         each entry's document, with empty documents first, in the middle and
-        last."""
+        last; so do the sums of the counts."""
         seeded = synth_corpus(n_docs=40, dims=500, seed=9, mean_terms=30).counts
         documents = [
             RawDocument(i, dict(zip(doc.indices.tolist(), doc.weights.tolist())))
@@ -203,9 +201,10 @@ class TestCounts:
         assert corpus.counts.nnz[[0, 20, 21, 43]].tolist() == [0, 0, 0, 0]
         values = corpus.counts.weights.astype(np.float64)
         owner = corpus.counts.owner
-        norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=44))
-        expected = values / norms[owner]
-        assert corpus.vectors.weights.tobytes() == expected.tobytes()
+        norm2 = np.bincount(owner, weights=values * values, minlength=44)
+        assert corpus.vectors.squared_norms.tobytes() == norm2.tobytes()
+        l1 = np.bincount(owner, weights=values, minlength=44)
+        assert corpus.vectors.l1_norms.tobytes() == l1.tobytes()
 
     @pytest.mark.parametrize("term", [-1, 5])
     def test_index_outside_width(self, term):
@@ -333,33 +332,36 @@ class TestCache:
         """Only steps within a document must increase: the next document,
         after empty ones or not, may start lower."""
         docs = [[(3, 3), (4, 4)], [(1, 7)], [], [], [(0, 6), (4, 8)], []]
-        weights = [[0.6, 0.8], [1.0], [], [], [0.6, 0.8], []]
+        norms = [25, 49, 0, 0, 100, 0]
         path = tmp_path / "restart.bin"
         write_v3_cache(path, 5, docs)
         corpus = load_cache(path)
         assert len(corpus) == 6
         for vec, counts, entries, expected in zip(
-            corpus.vectors, corpus.counts, docs, weights, strict=True
+            corpus.vectors, corpus.counts, docs, norms, strict=True
         ):
             assert vec.indices.tolist() == [i for i, _ in entries]
             assert counts.weights.tolist() == [c for _, c in entries]
-            assert vec.weights.tolist() == expected
+            assert vec.squared_norms.tolist() == [expected]
 
     def test_unnormalized_documents_are_normalized(self, tmp_path):
         """A version 2 cache held weights that nothing checked: with the
         first document normalized and the second stored as weight 2.0, LF
         and GF with f = 1 dismissed this pair, which the plaintext cosine
-        calls similar.  A version 3 cache holds counts, so both documents
-        load as unit vectors and every method agrees with the oracle."""
+        calls similar.  A version 3 cache holds counts, which every party
+        normalizes by the squared norms, exactly: both documents load as
+        their counts, the oracle's cosine is 4 / sqrt(5 * 4), and every
+        method agrees with the oracle."""
         path = tmp_path / "counts.bin"
         write_v3_cache(path, 4, [[(0, 2), (1, 1)], [(0, 2)]])
         corpus = load_cache(path)
-        np.testing.assert_allclose(
-            np.linalg.norm(corpus.vectors.dense(), axis=1), [1.0, 1.0], rtol=1e-15
-        )
+        assert corpus.vectors.weights.tolist() == [2, 1, 2]
+        assert corpus.vectors.squared_norms.tolist() == [5.0, 4.0]
         queries, targets = corpus.vectors.take([0]), corpus.vectors.take([1])
-        expected = oracle_detect(queries, targets, 0.8).similar
+        oracle = oracle_detect(queries, targets, 0.8)
+        expected = oracle.similar
         assert expected.tolist() == [[True]]  # cosine 2 / sqrt(5)
+        assert oracle.cosines[(0, 0)] == 4 / np.sqrt(20.0)
         for method in SelectionMethod:
             f = 0 if method is SelectionMethod.BASE else 1
             config = SessionConfig(n=4, epsilon=0.8, method=method, f=f)

@@ -11,7 +11,13 @@ import numpy as np
 
 from ssdd.masking import SharedRandomMatrix
 from ssdd.protocol.messages import Bye, FilterQuery, FullQuery, Hello, decode_message
-from ssdd.protocol.session import AliceSession, BobResponder, SessionConfig
+from ssdd.protocol.session import (
+    AliceSession,
+    BobResponder,
+    SessionConfig,
+    _mask_bits,
+    _secret_mask,
+)
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
 
@@ -55,32 +61,42 @@ def bob_view(queries, targets, config):
 
 
 class TestFullQueryMask:
-    def test_bob_regenerates_r_and_reads_every_query(self):
-        """The full-round mask r is seeded from the seed, seed + 1, query_id
-        and the step, and all of them cross the wire: Bob regenerates r and
-        reads u = z - A r to rounding error."""
+    def test_bob_cannot_regenerate_r_from_the_wire(self):
+        """The full-round mask r is drawn from Alice's mask seed, which no
+        message carries.  Regenerated from what crosses the wire (the
+        seed in Hello, the query id, the step), by the recipe of protocol
+        version 8 or by today's with the Hello seed in place of the mask
+        seed at every mask width, r does not unmask any query: z - A r is
+        never the query's counts.  With the mask seed, the same
+        computation reads each query exactly, so the check can tell."""
         rng = np.random.default_rng(41)
         n = 300
         queries = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(3)]
         targets = [random_document(rng, n, int(rng.integers(5, 40))) for _ in range(4)]
-        config = SessionConfig(n=n, epsilon=0.8, seed=77)
+        config = SessionConfig(n=n, epsilon=0.8, seed=77, mask_seed=2**80 + 5)
         received = bob_view(queries, targets, config)
 
         hello = received[0]
         assert isinstance(hello, Hello)
+        assert config.mask_seed not in vars(hello).values()
         matrix = SharedRandomMatrix(hello.seed, hello.n)
         a = matrix.rows_for(np.arange(matrix.rows))
         full = [m for m in received if isinstance(m, FullQuery)]
         assert [m.query_id for m in full] == [0, 1, 2]
+        bits = _mask_bits(int(pack(queries, n).weights.max()), matrix.cols)
+
+        def unmasks(msg, r):
+            return np.array_equal(msg.z - a @ r, queries[msg.query_id].dense()[0])
+
         for msg in full:
-            seq = np.random.SeedSequence(
-                [hello.seed, hello.seed + 1, msg.query_id, 2]
-            )
-            r = np.random.default_rng(seq).uniform(-1.0, 1.0, matrix.cols)
-            u = msg.z - a @ r
-            query = queries[msg.query_id]
-            np.testing.assert_allclose(u, query.dense()[0], rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(np.flatnonzero(np.abs(u) > 1e-9), query.indices)
+            old = np.random.SeedSequence([hello.seed, hello.seed + 1, msg.query_id, 2])
+            guesses = [np.random.default_rng(old).uniform(-1.0, 1.0, matrix.cols)]
+            guesses += [
+                _secret_mask(hello.seed, msg.query_id, 2, matrix.cols, b) for b in range(31)
+            ]
+            assert not any(unmasks(msg, r) for r in guesses)
+            secret = _secret_mask(config.mask_seed, msg.query_id, 2, matrix.cols, bits)
+            assert unmasks(msg, secret)
 
 
 class TestDocumentFrequencies:

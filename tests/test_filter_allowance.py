@@ -1,6 +1,7 @@
-"""The filter round over float32 pieces: the allowance Alice adds keeps the
-bound an upper bound, so the rounding dismisses no pair that Bob's float64
-pieces would keep."""
+"""The filter round over exact integer pieces: the bound that Alice computes
+in float64 carries a declared slack that covers its roundings, so it is
+never below the exact bound, and the round dismisses no pair that the exact
+bound keeps."""
 
 import threading
 import tracemalloc
@@ -10,20 +11,22 @@ import numpy as np
 import pytest
 
 from ssdd.corpus import split_queries
-from ssdd.decide import _TINY32, _U32, evaluate_filter, recover, widen_filter_pieces
+from ssdd.decide import evaluate_filter, recover
 from ssdd.oracle import oracle_detect
-from ssdd.protocol.messages import FilterReply, decode_message
+from ssdd.protocol.messages import FilterQuery, FilterReply, decode_message
 from ssdd.protocol.session import (
     AliceSession,
     BobResponder,
     SessionConfig,
     _filter_matrix,
+    _mask_bits,
     _secret_mask,
 )
 from ssdd.protocol.transport import make_local_pair
 from ssdd.selection import SelectionMethod
+from ssdd.vectors import PackedDocs
 
-from conftest import frame_of, missed_and_extra, synth_corpus
+from conftest import frame_of, missed_and_extra, pack, synth_corpus
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -31,125 +34,150 @@ except ImportError:  # declared only by the test extra
     given = None
 
 
-def exact_bound(delta, norm_u2, norm_v2) -> Fraction:
-    """``evaluate_filter`` of one pair in exact arithmetic."""
-    return 1 - max(norm_u2 - 2 * delta + norm_v2, Fraction(0)) / 2
+def reaches_exact_bound(bound, delta, proj_u2, proj_v2, norm_u2, norm_v2) -> bool:
+    """Whether the float ``bound`` reaches every float tolerance that the
+    exact bound of one pair reaches,
+
+        E = 1 - (proj_u2 / norm_u2 - 2 delta / sqrt(norm_u2 norm_v2) + proj_v2 / norm_v2) / 2,
+
+    clamped at 1, a zero norm read as 1: the float after ``bound`` lies
+    above E, or ``bound`` is 1.  Decided in rational arithmetic: with X the
+    exact proj_u2 / norm_u2 + proj_v2 / norm_v2 - 2 (1 - that next float),
+    it lies above E iff X > 2 delta / sqrt(P), P = norm_u2 norm_v2, which
+    compares signs and then X^2 P with 4 delta^2."""
+    if bound == 1.0:
+        return True
+    norm_u2, norm_v2 = max(int(norm_u2), 1), max(int(norm_v2), 1)
+    above = Fraction(float(np.nextafter(bound, np.inf)))
+    x = Fraction(int(proj_u2), norm_u2) + Fraction(int(proj_v2), norm_v2) - 2 * (1 - above)
+    delta, product = int(delta), norm_u2 * norm_v2
+    if delta < 0:
+        return x >= 0 or x * x * product < 4 * delta * delta
+    return x > 0 and x * x * product > 4 * delta * delta
 
 
-def check_allowance(s, t, norm_v2, r, norm_u2) -> None:
-    """Bob's float64 pieces ``s``, ``t`` and ``norm_v2`` cross the wire as
-    float32.  Computed exactly with Fractions, Alice's widened product is
-    never below the unrounded pieces' product, her lowered norm never above
-    theirs, and so her bound never below theirs; in float64 too, her bound
-    is never below ``evaluate_filter`` of the unrounded float64 recovery."""
-    sent = FilterReply(query_id=0, s=s, norm_v2=norm_v2, t=t)
-    reply = decode_message(frame_of(sent))
-    delta, norm = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
-    u2 = Fraction(norm_u2)
-    exact_r = [Fraction(x) for x in r]
-    for j in range(len(s)):
-        exact = Fraction(s[j]) - sum(Fraction(x) * y for x, y in zip(t[j], exact_r))
-        assert Fraction(delta[j]) >= exact and Fraction(norm[j]) <= Fraction(norm_v2[j]), j
-        widened = exact_bound(Fraction(delta[j]), u2, Fraction(norm[j]))
-        assert widened >= exact_bound(exact, u2, Fraction(norm_v2[j])), j
-    float64 = evaluate_filter(recover(s, t, r), norm_u2, norm_v2)
-    assert (evaluate_filter(delta, norm_u2, norm) >= float64).all()
-
-
-def random_case(rng: np.random.Generator):
-    """Pieces for 1-5 documents over 1-47 mask entries, and a mask as Alice
-    draws it.  Each case has a scale, from below float32's subnormals
-    (which round to zero) to 2**90, and a spread of magnitudes around it,
-    up to 2**100; a fifth of the entries are zero."""
-    m, cols = int(rng.integers(1, 6)), int(rng.integers(1, 48))
-    scale, spread = rng.uniform(-160.0, 90.0), rng.uniform(0.0, 100.0)
-
-    def reals(shape):
-        exponent = np.minimum(scale + rng.uniform(-spread, spread, shape), 100.0)
-        x = rng.standard_normal(shape) * 2.0**exponent
-        return np.where(rng.random(shape) < 0.2, 0.0, x)
-
-    return (
-        reals(m),
-        reals((m, cols)),
-        np.abs(reals(m)),
-        rng.uniform(-1.0, 1.0, cols),
-        float(np.abs(reals(()))),
+def check_bounds(u, v, idx) -> None:
+    """``evaluate_filter`` on the pieces of the count vectors ``u`` (rows)
+    and ``v`` projected onto ``idx``, for every pair, against the exact
+    bound: it reaches every float tolerance that the exact bound does."""
+    u_fs, v_fs = u[:, idx], v[:, idx]
+    delta = u_fs @ v_fs.T
+    pu, pv = (u_fs * u_fs).sum(1), (v_fs * v_fs).sum(1)
+    nu, nv = (u * u).sum(1), (v * v).sum(1)
+    bound = evaluate_filter(
+        delta.astype(np.float64), pu[:, None].astype(np.float64), pv.astype(np.float64),
+        nu[:, None].astype(np.float64), nv.astype(np.float64),
     )
+    for i, j in np.ndindex(bound.shape):
+        assert reaches_exact_bound(bound[i, j], delta[i, j], pu[i], pv[j], nu[i], nv[j]), (i, j)
+
+
+def random_counts(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """Count vectors of a scale drawn per call, from 1 to 2**15, with a
+    fifth to all of their entries zero; the squared norms stay below
+    2**32, as a session requires."""
+    top = int(2 ** rng.uniform(0, 15))
+    counts = rng.integers(0, top + 1, (rows, n)) * (rng.random((rows, n)) < rng.uniform(0.0, 0.8))
+    while (counts * counts).sum(1).max() >= 2**32:
+        counts //= 2
+    return counts
 
 
 class TestAllowance:
     def test_random_small_cases(self):
+        """Pairs of 1-5 by 1-5 count vectors of up to 47 terms, each
+        projected onto a random set; empty vectors included."""
         rng = np.random.default_rng(83)
         for _ in range(300):
-            check_allowance(*random_case(rng))
+            n = int(rng.integers(1, 48))
+            u = random_counts(rng, int(rng.integers(1, 6)), n)
+            v = random_counts(rng, int(rng.integers(1, 6)), n)
+            idx = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            check_bounds(u, v, idx)
 
     def test_pieces_of_one_document(self):
-        """A unit document's pieces, s and norm_v2 consistent with t, at
-        the scale a session sends them; a document of no projection."""
+        """A responder's pieces, recovered by Alice from an integer mask as
+        wide as a session draws it, are the exact projected products, and
+        their bound is never below the exact one."""
         rng = np.random.default_rng(84)
-        for _ in range(100):
-            cols = int(rng.integers(1, 48))
-            p = rng.random((3, 2 * cols)) * (rng.random((3, 2 * cols)) < 0.3)
-            p[2] = 0.0
-            p /= np.maximum(np.linalg.norm(p, axis=1, keepdims=True), 1.0)
-            a_fs = rng.choice([-1.0, 1.0], (2 * cols, cols))
-            u_fs = rng.random(2 * cols) / np.sqrt(2 * cols)
-            r = rng.uniform(-1.0, 1.0, cols)
+        n, f = 60, 12
+        config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.RP, f=f, seed=9)
+        a_fs = _filter_matrix(config)
+        for _ in range(40):
+            u, v = random_counts(rng, 1, n), random_counts(rng, 3, n)
+            v[2] = 0  # a document of no projection
+            # a filter round's targets sum their counts below 2**15
+            while v.sum(1).max() >= 2**15:
+                v //= 2
+            targets = pack([doc_of(row) for row in v], n)
+            responder = BobResponder(targets, dims=n)
+            ack = responder.handle(config.hello())
+            idx = np.sort(rng.choice(n, f, replace=False))
+            bits = _mask_bits(int(u.max()), (n + 1) // 2)
+            r = _secret_mask(int(rng.integers(2**32)), 0, 1, a_fs.shape[1], bits)
+            u_fs = u[0, idx].astype(np.float64)
             z = u_fs + a_fs @ r
-            pieces = (p @ z, p @ a_fs, np.einsum("ij,ij->i", p, p))
-            check_allowance(*pieces, r, float(u_fs @ u_fs))
+            reply = decode_message(frame_of(responder.handle(FilterQuery(0, idx, z))))
+            delta = recover(reply.s, reply.t, r)
+            np.testing.assert_array_equal(delta, v[:, idx] @ u[0, idx])
+            bound = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2, (u * u).sum(), ack.norm2)
+            for j in range(3):
+                assert reaches_exact_bound(
+                    bound[j], delta[j], u_fs @ u_fs, reply.norm_v2[j], (u * u).sum(), ack.norm2[j]
+                ), j
 
     if given is not None:
 
         @settings(max_examples=150, deadline=None)
         @given(st.data())
         def test_drawn_cases(self, data):
-            """hypothesis draws the pieces, subnormal and zero entries
-            included."""
-            m = data.draw(st.integers(1, 4))
-            cols = data.draw(st.integers(1, 40))
-            real = st.floats(-1e30, 1e30, width=64)
-            size = st.floats(0.0, 1e30, width=64)
+            """hypothesis draws the count vectors and the index set, zero
+            and largest counts included."""
+            n = data.draw(st.integers(1, 30))
+            count = st.integers(0, 2**15)
 
-            def array(element, count):
-                return np.array(data.draw(st.lists(element, min_size=count, max_size=count)))
+            def vector():
+                return np.array(data.draw(st.lists(count, min_size=n, max_size=n)), np.int64)
 
-            s, t, norm_v2 = array(real, m), array(real, m * cols).reshape(m, cols), array(size, m)
-            r = array(st.floats(-1.0, 1.0, width=64), cols)
-            check_allowance(s, t, norm_v2, r, data.draw(size))
+            u, v = vector(), vector()
+            if (u * u).sum() >= 2**32 or (v * v).sum() >= 2**32:
+                return
+            idx = np.flatnonzero(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+            if idx.size:
+                check_bounds(u[None], v[None], idx)
 
-    def test_widening_holds_no_matrix(self):
-        """At kos-hf's shape, 3,420 documents and 35 mask entries, widening
-        allocates nothing of t's size: it takes |t| in place, in the reply
-        it consumes, and gives the bits of the allocating formula."""
+    def test_bounding_holds_no_matrix(self):
+        """At kos-hf's shape, 3,420 documents and 35 mask entries, Alice's
+        recovery and bound allocate nothing of t's size, and the recovered
+        products are exact."""
         rng = np.random.default_rng(88)
         m, cols = 3420, 35
-        sent = FilterReply(
-            query_id=0, s=rng.standard_normal(m), norm_v2=rng.random(m),
-            t=rng.standard_normal((m, cols)),
-        )
-        frame = frame_of(sent)
-        r = rng.uniform(-1.0, 1.0, cols)
-        reply = decode_message(frame)
+        r = rng.integers(-(2**17), 2**17, cols, endpoint=True).astype(np.float64)
+        t = rng.integers(-(2**10), 2**10, (m, cols)).astype(np.int16)
+        product = rng.integers(-(2**20), 2**20, m)
+        s = product + t.astype(np.int64) @ r.astype(np.int64)
+        sent = FilterReply(query_id=0, s=s, norm_v2=rng.integers(0, 2**20, m), t=t)
+        reply = decode_message(frame_of(sent))
         tracemalloc.start()
         try:
-            delta, norm = widen_filter_pieces(reply.s, reply.t, reply.norm_v2, r)
+            delta = recover(reply.s, reply.t, r)
+            evaluate_filter(delta, 400.0, reply.norm_v2, 900.0, reply.norm_v2 + 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < m * cols * 8, peak / (m * cols * 8)
-        rounded = decode_message(frame)
-        err = np.abs(rounded.t) @ np.abs(r) + np.abs(rounded.s)
-        expected = recover(rounded.s, rounded.t, r)
-        expected += err * (_U32 / (1.0 - _U32)) + (1.0 + np.abs(r).sum()) * _TINY32
-        np.testing.assert_array_equal(delta, expected)
-        np.testing.assert_array_equal(norm, rounded.norm_v2 * (1.0 - 2.0 * _U32) - _TINY32)
+        assert peak < m * cols * 2, peak / (m * cols * 2)
+        np.testing.assert_array_equal(delta, product)
+
+
+def doc_of(row: np.ndarray) -> PackedDocs:
+    """One count vector as a one-document ``PackedDocs``."""
+    nz = np.flatnonzero(row)
+    return PackedDocs(row.size, np.array([0, nz.size]), nz, row[nz])
 
 
 class RecordingBob(BobResponder):
     """An honest responder that keeps each filter query and its reply as
-    computed, before the wire rounds it to float32."""
+    computed."""
 
     def __init__(self, vectors):
         super().__init__(vectors)
@@ -167,14 +195,18 @@ class RecordingBob(BobResponder):
     ids=lambda m: m.name,
 )
 def test_survivors_contain_those_of_the_float64_pieces(method):
-    """One session per filtering method on a seeded corpus: every pair whose
-    bound from Bob's unrounded pieces reaches the tolerance survives, and
-    the verdicts equal the plaintext oracle's away from the tolerance."""
+    """One session per filtering method on a seeded corpus.  Bob computes
+    his pieces as float64 integers, and the wire carries them unchanged:
+    the pairs that survive are exactly those whose bound from Bob's pieces
+    reaches the tolerance, every such bound is at least the exact one, and
+    so the survivors contain every pair whose exact bound reaches the
+    tolerance.  The verdicts equal the plaintext oracle's for every
+    pair."""
     corpus = synth_corpus(n_docs=150, dims=800, seed=86, mean_terms=50)
     query_ids, target_ids = split_queries(corpus, k=8, seed=2)
     queries = corpus.vectors.take(query_ids)
     targets = corpus.vectors.take(target_ids)
-    config = SessionConfig(n=800, epsilon=0.7, method=method, f=40, seed=5)
+    config = SessionConfig(n=800, epsilon=0.7, method=method, f=40, seed=5, mask_seed=12)
     bob = RecordingBob(targets)
     alice_end, bob_end = make_local_pair(timeout=5.0)
     worker = threading.Thread(target=bob.serve, args=(bob_end,), daemon=True)
@@ -189,22 +221,28 @@ def test_survivors_contain_those_of_the_float64_pieces(method):
 
     dense = queries.dense()
     cols = _filter_matrix(config).shape[1]
+    bits = _mask_bits(int(queries.weights.max()), (config.n + 1) // 2)
+    norm_u2, norm_v2 = queries.squared_norms, targets.squared_norms
     assert len(bob.filter_rounds) == len(queries)
     kept = 0
     for msg, reply in bob.filter_rounds:
         q = msg.query_id
-        r = _secret_mask(config, q, 1, cols)
+        r = _secret_mask(config.mask_seed, q, 1, cols, bits)
         u_fs = dense[q, msg.indexes]
-        bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
+        projected = np.zeros(config.n)
+        projected[msg.indexes] = u_fs
+        delta = recover(reply.s, reply.t, r)
+        np.testing.assert_array_equal(delta, targets.dot(projected))
+        bound = evaluate_filter(delta, u_fs @ u_fs, reply.norm_v2, norm_u2[q], norm_v2)
         float64 = bound >= config.epsilon
-        survived = ~np.isnan(report.cosines[q])
-        assert not (float64 & ~survived).any(), q
+        np.testing.assert_array_equal(float64, ~np.isnan(report.cosines[q]))
+        for j, b in enumerate(bound):
+            assert reaches_exact_bound(
+                b, delta[j], u_fs @ u_fs, reply.norm_v2[j], norm_u2[q], norm_v2[j]
+            ), (q, j)
         kept += int(float64.sum())
     assert 0 < kept < report.cosines.size
 
     oracle = oracle_detect(queries, targets, config.epsilon)
-    cosines = np.array(list(oracle.cosines.values())).reshape(oracle.similar.shape)
-    clear = np.abs(cosines - config.epsilon) > 1e-9
-    assert clear.mean() > 0.99
-    assert missed_and_extra(report.similar & clear, oracle.similar & clear) == ([], [])
+    assert missed_and_extra(report.similar, oracle.similar) == ([], [])
     assert oracle.similar.any()

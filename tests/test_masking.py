@@ -495,15 +495,23 @@ class TestCostAccounting:
 
 class TestSecretMask:
     def test_draw_is_deterministic_per_generator_state(self):
-        """Alice's mask r is a pure function of (seed, seed + 1, query id,
-        step): uniform(-1, 1) from a generator seeded with them."""
-        config = SessionConfig(n=20, epsilon=0.5, seed=5)
-        a = _secret_mask(config, 3, 1, 10)
-        np.testing.assert_array_equal(a, _secret_mask(config, 3, 1, 10))
-        seq = np.random.SeedSequence([5, 6, 3, 1])
-        np.testing.assert_array_equal(
-            a, np.random.default_rng(seq).uniform(-1.0, 1.0, 10)
+        """Alice's mask r is a pure function of her mask seed, the query id,
+        the step, the width and the bit count b: integers uniform on
+        [-2^b, 2^b], as float64, from a generator keyed by the mask seed
+        with (query id, step) as its spawn key."""
+        a = _secret_mask(5, 3, 1, 10, 17)
+        np.testing.assert_array_equal(a, _secret_mask(5, 3, 1, 10, 17))
+        seq = np.random.SeedSequence(5, spawn_key=(3, 1))
+        expected = np.random.default_rng(seq).integers(-(2**17), 2**17, 10, endpoint=True)
+        np.testing.assert_array_equal(a, expected)
+        assert a.dtype == np.float64 and a.shape == (10,)
+        assert np.all(np.abs(a) <= 2**17) and np.all(a == np.round(a))
+        others = (
+            _secret_mask(5, 3, 2, 10, 17),
+            _secret_mask(5, 4, 1, 10, 17),
+            _secret_mask(6, 3, 1, 10, 17),
         )
-        assert a.shape == (10,) and np.all(np.abs(a) <= 1.0)
-        for other in (_secret_mask(config, 3, 2, 10), _secret_mask(config, 4, 1, 10)):
+        for other in others:
             assert not np.array_equal(a, other)
+        wide = _secret_mask(5, 3, 1, 10_000, 2)
+        assert set(np.unique(wide)) == {-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0}

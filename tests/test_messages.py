@@ -1,5 +1,6 @@
 """Wire-format round trips, frozen layouts, and corrupted-frame rejection."""
 
+import dataclasses
 import struct
 import tracemalloc
 import warnings
@@ -30,6 +31,17 @@ from ssdd.protocol.messages import (
 
 from conftest import frame_of
 
+# where a body starts in a frame: after the length prefix and the tag
+HEADER_AT = 5
+
+
+def ints(rng: np.random.Generator, dtype: str, shape) -> np.ndarray:
+    """Integers uniform over the whole range of ``dtype`` (below 2**53 for
+    a 64-bit one, which decoding widens to float64), as that dtype."""
+    info = np.iinfo(dtype)
+    low, high = max(int(info.min), -(2**53)), min(int(info.max), 2**53)
+    return rng.integers(low, high, shape, endpoint=True).astype(dtype)
+
 
 def random_message(rng: np.random.Generator):
     kind = int(rng.integers(0, 8))
@@ -43,8 +55,8 @@ def random_message(rng: np.random.Generator):
         )
     if kind in (1, 2):  # without df, then with a df of 0 to 49 counts
         return HelloAck(
-            bob_doc_count=int(rng.integers(0, 1 << 24)),
             df=rng.integers(0, 1000, 0 if kind == 1 else int(rng.integers(0, 50))),
+            norm2=ints(rng, "<u8", int(rng.integers(0, 20))),
         )
     if kind == 3:
         f = int(rng.integers(1, 40))
@@ -54,16 +66,16 @@ def random_message(rng: np.random.Generator):
             indexes=np.sort(rng.choice(1000, f, replace=False)).astype(np.int64)
             if explicit
             else np.empty(0, np.int64),
-            z=rng.standard_normal(f),
+            z=ints(rng, "<i4", f),
         )
     if kind == 4:
         m = int(rng.integers(0, 20))
         cols = int(rng.integers(1, 30))
         return FilterReply(
             query_id=int(rng.integers(0, 1000)),
-            s=rng.standard_normal(m),
-            norm_v2=rng.random(m),
-            t=rng.standard_normal((m, cols)),
+            s=ints(rng, "<i8", m),
+            norm_v2=ints(rng, "<u4", m),
+            t=ints(rng, "<i2", (m, cols)),
         )
     if kind == 5:
         n = int(rng.integers(1, 60))
@@ -71,17 +83,19 @@ def random_message(rng: np.random.Generator):
         return FullQuery(
             query_id=int(rng.integers(0, 1000)),
             survivor_ids=np.sort(rng.choice(100, k, replace=False)).astype(np.int64),
-            z=rng.standard_normal(n),
+            z=ints(rng, "<i4", n),
         )
     if kind == 6:
         k = int(rng.integers(0, 15))
         k_new = int(rng.integers(0, k + 1))
         cols = int(rng.integers(1, 40))
+        t_bytes = int(rng.choice([2, 4]))
         return FullReply(
             query_id=int(rng.integers(0, 1000)),
             doc_ids=np.sort(rng.choice(100, k, replace=False)).astype(np.int64),
-            s=rng.standard_normal(k),
-            t=rng.standard_normal((k_new, cols)),
+            s=ints(rng, "<i8", k),
+            t=ints(rng, f"<i{t_bytes}", (k_new, cols)),
+            t_bytes=t_bytes,
         )
     return Bye()
 
@@ -103,20 +117,50 @@ class TestRoundTrip:
         frame = frame_of(reply)
         assert frame_of(decode_message(frame)) == frame
 
+    def test_decoded_integers_are_exact(self):
+        """Decoding gives each u4 array as int64 and every other array as
+        float64, which holds each value of every field exactly: the
+        extremes of i2, i4 and u4, and i8 and u8 values up to 2**53."""
+        t2 = np.array([[-(2**15), 2**15 - 1]], np.int16)
+        t4 = np.array([[-(2**31), 2**31 - 1]], np.int32)
+        big = np.array([-(2**53), 2**53 - 1])
+        for t, t_bytes in ((t2, 2), (t4, 4)):
+            reply = FullReply(query_id=1, doc_ids=np.array([0, 2**32 - 1]), s=big, t=t,
+                              t_bytes=t_bytes)
+            again = decode_message(frame_of(reply))
+            assert again.doc_ids.dtype == np.int64 and again.t.dtype == np.float64
+            assert again.t_bytes == t_bytes
+            assert again.doc_ids.tolist() == [0, 2**32 - 1]
+            assert again.s.tolist() == big.tolist() and again.t.tolist() == t.tolist()
+        ack = decode_message(frame_of(HelloAck(df=np.array([2**32 - 1]), norm2=np.array([2**53]))))
+        assert ack.df.tolist() == [2**32 - 1] and ack.norm2.tolist() == [2.0**53]
 
-    def test_nan_round_trips(self):
-        t = np.array([[np.nan, 1.0], [2.0, np.nan]])
-        filter_reply = FilterReply(
-            query_id=1, s=np.array([np.nan, 0.5]), norm_v2=np.array([0.1, 0.2]), t=t
+    def test_nan_and_fractions_do_not_round_trip(self):
+        """No field carries a value that is not an integer: NaN, the
+        infinities and a fraction are each refused, in every query and
+        reply array and in HelloAck's norms, with no warning from the
+        cast.  (Version 8's real fields carried NaN.)"""
+        replies = (
+            FilterReply(query_id=1, s=np.zeros(2), norm_v2=np.zeros(2), t=np.zeros((2, 2))),
+            FullReply(query_id=2, doc_ids=np.array([0, 3]), s=np.zeros(2), t=np.zeros((2, 2))),
         )
-        full_reply = FullReply(
-            query_id=2, doc_ids=np.array([0, 3], dtype=np.int64), s=np.zeros(2), t=t
-        )
-        for reply in (filter_reply, full_reply):
-            frame = frame_of(reply)
-            again = decode_message(frame)
-            assert frame_of(again) == frame
-            assert np.isnan(again.t[0, 0]) and again.t[0, 1] == 1.0
+        for value in (np.nan, np.inf, -np.inf, 0.5, -2.5):
+            for reply, field in ((r, f) for r in replies for f in ("s", "t")):
+                array = getattr(reply, field).copy()
+                array.flat[-1] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(FrameError, match=f"{field} holds a value"):
+                        encode_message(dataclasses.replace(reply, **{field: array}))
+            for query in (
+                FilterQuery(query_id=0, indexes=np.arange(2), z=np.array([1.0, value])),
+                FullQuery(query_id=0, survivor_ids=np.arange(2), z=np.array([value, 1.0])),
+            ):
+                with pytest.raises(FrameError, match="z holds a value"):
+                    encode_message(query)
+            ack = HelloAck(df=np.zeros(0), norm2=np.array([1.0, value]))
+            with pytest.raises(FrameError, match="norm2 holds a value"):
+                encode_message(ack)
 
     def test_empty_full_reply_round_trips(self):
         reply = FullReply(
@@ -129,20 +173,18 @@ class TestRoundTrip:
 
     def test_strided_and_mixed_dtype_arrays_round_trip(self):
         """Encoding copies through views: a transposed or Fortran-ordered t,
-        a float32 s and 32-bit ids each arrive as the same values.  The
-        FilterReply's t holds float32-exact values, since its fields are
-        f32; FullReply and FullQuery carry float64 ones."""
+        an int32 or integral float64 s and 32-bit ids each arrive as the
+        same values."""
         rng = np.random.default_rng(52)
-        t = rng.standard_normal((5, 3))
-        t32 = t.astype(np.float32).astype(np.float64)
-        s = rng.standard_normal(3).astype(np.float32)
-        for t_in in (t32.T, np.asfortranarray(t32.T)):
-            assert not t_in.flags.c_contiguous
-            reply = FilterReply(query_id=1, s=s, norm_v2=np.arange(3), t=t_in)
-            again = decode_message(frame_of(reply))
-            np.testing.assert_array_equal(again.t, t32.T)
-            np.testing.assert_array_equal(again.s, s.astype(np.float64))
-            np.testing.assert_array_equal(again.norm_v2, [0.0, 1.0, 2.0])
+        t = rng.integers(-(2**15), 2**15, (5, 3)).astype(np.float64)
+        for s in (rng.integers(-(2**31), 2**31, 3).astype(np.int32), t[:3, 0].copy()):
+            for t_in in (t.T, np.asfortranarray(t.T), t.astype(np.int16).T):
+                assert not t_in.flags.c_contiguous
+                reply = FilterReply(query_id=1, s=s, norm_v2=np.arange(3), t=t_in)
+                again = decode_message(frame_of(reply))
+                np.testing.assert_array_equal(again.t, t.T)
+                np.testing.assert_array_equal(again.s, s.astype(np.float64))
+                np.testing.assert_array_equal(again.norm_v2, [0.0, 1.0, 2.0])
         for ids in (np.array([4, 0, 9], np.uint32), np.array([4, 0, 9], np.int32)):
             reply = FullReply(query_id=2, doc_ids=ids, s=s, t=t[1:3, ::-1])
             again = decode_message(frame_of(reply))
@@ -158,7 +200,7 @@ class TestRoundTrip:
     def test_decoded_message_does_not_alias_its_frame(self):
         reply = FilterReply(
             query_id=4,
-            s=np.array([0.5, -1.0]),
+            s=np.array([5.0, -1.0]),
             norm_v2=np.array([1.0, 2.0]),
             t=np.arange(6.0).reshape(2, 3),
         )
@@ -168,9 +210,16 @@ class TestRoundTrip:
         assert frame_of(again) == frame_of(reply)
 
     def test_encoding_allocates_one_frame(self):
+        """A reply whose arrays all need a cast, float64 pieces into i8, u4
+        and i2, is one frame, and encoding it allocates about that frame
+        and no more: the check that each value arrived unchanged costs no
+        array of the values' size."""
         rng = np.random.default_rng(51)
         reply = FilterReply(
-            query_id=1, s=rng.random(500), norm_v2=rng.random(500), t=rng.random((500, 35))
+            query_id=1,
+            s=rng.integers(-(2**40), 2**40, 500).astype(np.float64),
+            norm_v2=rng.integers(0, 2**32, 500).astype(np.float64),
+            t=rng.integers(-(2**15), 2**15, (500, 35)).astype(np.float64),
         )
         tracemalloc.start()
         try:
@@ -178,16 +227,16 @@ class TestRoundTrip:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        (frame,) = parts  # f4 on the wire: every array is cast
+        (frame,) = parts  # every array is cast
         assert peak <= 1.1 * len(frame), peak / len(frame)
 
     def test_layout_of_t_does_not_change_the_frame(self):
-        """The responder hands over an F-ordered t, the transpose of its own
-        product: it, and a strided view, encode to the bytes of the
-        C-ordered copy, each rounded to f32 in one cast into the frame."""
+        """An F-ordered t and strided views encode to the bytes of the
+        C-ordered copy, each cast to i2 in one pass into the frame."""
         rng = np.random.default_rng(53)
-        s, norm_v2 = rng.standard_normal(500), rng.random(500)
-        t = rng.standard_normal((500, 35))
+        s = rng.integers(-(2**40), 2**40, 500).astype(np.float64)
+        norm_v2 = rng.integers(0, 2**32, 500).astype(np.float64)
+        t = rng.integers(-(2**15), 2**15, (500, 35)).astype(np.float64)
         expected = frame_of(FilterReply(query_id=1, s=s, norm_v2=norm_v2, t=t))
         layouts = (np.empty((35, 500)).T, np.empty((500, 35))[::-1], np.empty((1000, 70))[::2, ::2])
         for t_in in layouts:
@@ -205,21 +254,20 @@ class TestRoundTrip:
             assert peak <= 1.1 * len(frame), peak / len(frame)
 
 
-def full_reply_with(t):
+def full_reply_with(t, t_bytes=2):
     k = t.shape[0] + 2
     rng = np.random.default_rng(k)
-    return FullReply(
-        query_id=7, doc_ids=np.arange(k) * 3, s=rng.standard_normal(k), t=t
-    )
+    s = rng.integers(-(2**53), 2**53, k).astype(np.float64)
+    return FullReply(query_id=7, doc_ids=np.arange(k) * 3, s=s, t=t, t_bytes=t_bytes)
 
 
 def full_reply_bytes(reply):
     """A FullReply's frame written field by field, without the encoder."""
     body = (
-        struct.pack("<III", reply.query_id, len(reply.doc_ids), len(reply.t))
+        struct.pack("<IBII", reply.query_id, reply.t_bytes, len(reply.doc_ids), len(reply.t))
         + np.asarray(reply.doc_ids, "<u4").tobytes()
-        + np.asarray(reply.s, "<f8").tobytes()
-        + np.asarray(reply.t, "<f8").tobytes()
+        + np.asarray(reply.s, "<i8").tobytes()
+        + np.asarray(reply.t, f"<i{reply.t_bytes}").tobytes()
     )
     return struct.pack("<IB", 1 + len(body), MSG_FULL_REPLY) + body
 
@@ -232,8 +280,9 @@ class TestEncodeParts:
     def test_every_message_type_joins_to_the_frame(self):
         """Each random message's parts join to a frame that declares its
         own length and encodes again, once decoded, to the same bytes.  A
-        query's z and a FullReply's non-empty t are lent; HelloAck's int64
-        df and FilterReply's f4 arrays are cast."""
+        random message's arrays have their fields' dtypes, so the last one
+        is lent unless it is empty: a query's z, a reply's t, HelloAck's
+        norms."""
         rng = np.random.default_rng(61)
         kinds = set()
         for _ in range(400):
@@ -243,9 +292,7 @@ class TestEncodeParts:
             assert isinstance(parts[0], bytearray)
             arrays = [v for v in vars(msg).values() if isinstance(v, np.ndarray)]
             assert not any(np.shares_memory(parts[0], a) for a in arrays)
-            lent = isinstance(msg, (FilterQuery, FullQuery)) or (
-                isinstance(msg, FullReply) and msg.t.size > 0
-            )
+            lent = bool(arrays) and arrays[-1].size > 0
             assert len(parts) == 1 + lent, type(msg).__name__
             if lent:
                 assert np.shares_memory(parts[1], arrays[-1])
@@ -256,13 +303,15 @@ class TestEncodeParts:
 
     def test_layouts_of_t_join_to_the_frame(self):
         rng = np.random.default_rng(62)
-        t = rng.standard_normal((6, 9))
+        t = rng.integers(-(2**15), 2**15, (6, 9)).astype(np.int16)
         layouts = {
             "C": t.copy(),
             "F": np.asfortranarray(t),
             "strided": np.repeat(t, 2, axis=1)[:, ::2],
-            ">f8": t.astype(">f8"),
-            "k_new = 0": np.empty((0, 9)),
+            ">i2": t.astype(">i2"),
+            "<f8": t.astype("<f8"),
+            "<i4": t.astype("<i4"),
+            "k_new = 0": np.empty((0, 9), np.int16),
         }
         for name, t_in in layouts.items():
             reply = full_reply_with(t_in)
@@ -274,25 +323,31 @@ class TestEncodeParts:
             assert not np.shares_memory(parts[0], t_in), name
 
     def test_only_a_wire_ready_last_array_is_lent(self):
-        """A C-contiguous <f8 array that is not last, or a last one of
-        another dtype, is cast into the head like any other."""
+        """A C-contiguous array of its field's dtype that is not last, or a
+        last one of another dtype, is cast into the head like any other."""
         rng = np.random.default_rng(63)
-        query = FullQuery(query_id=1, survivor_ids=np.arange(3), z=rng.standard_normal(40))
+        z = rng.integers(-(2**31), 2**31, 40).astype("<i4")
+        query = FullQuery(query_id=1, survivor_ids=np.arange(3), z=z)
         parts = encode_message(query)
         assert len(parts) == 2 and np.shares_memory(parts[1], query.z)
+        query = FullQuery(query_id=1, survivor_ids=np.arange(3), z=z.astype(np.float64))
+        assert len(encode_message(query)) == 1
         reply = FilterReply(
-            query_id=1, s=rng.random(4), norm_v2=rng.random(4), t=rng.random((4, 3))
+            query_id=1, s=np.arange(4), norm_v2=np.arange(4), t=np.ones((4, 3))
         )
-        assert len(encode_message(reply)) == 1  # f4 on the wire
-        t = rng.standard_normal((3, 5))
-        reply = full_reply_with(t)
-        assert reply.s.flags.c_contiguous and reply.s.dtype == "<f8"
-        head, lent = encode_message(reply)
+        assert len(encode_message(reply)) == 1  # a float64 t is cast to i2
+        t = rng.integers(-(2**15), 2**15, (3, 5)).astype(np.int16)
+        reply = full_reply_with(t.astype(np.int64))
+        reply.s = reply.s.astype("<i8")
+        assert reply.s.flags.c_contiguous and reply.s.dtype == "<i8"
+        (head,) = encode_message(reply)
         assert not np.shares_memory(head, reply.s)
+        reply = full_reply_with(t)
+        head, lent = encode_message(reply)
         assert np.shares_memory(lent, t) and len(lent) == t.nbytes
 
     def test_a_full_reply_allocates_only_its_head(self):
-        t = np.random.default_rng(64).standard_normal((190, 3453))
+        t = np.random.default_rng(64).integers(-(2**15), 2**15, (190, 3453)).astype(np.int16)
         reply = full_reply_with(t)
         tracemalloc.start()
         try:
@@ -320,20 +375,23 @@ class TestFrozenLayouts:
         assert len(body) == 19
 
     def test_hello_ack_layout(self):
-        """Under BASE, RP and LF the document count and an empty df."""
-        msg = HelloAck(bob_doc_count=190, df=np.empty(0, np.int64))
-        expected = struct.pack("<I", 9) + bytes([MSG_HELLO_ACK]) + struct.pack("<II", 190, 0)
+        """Under BASE, RP and LF: n = 0, the document count m, no df, and
+        each document's squared norm."""
+        msg = HelloAck(df=np.empty(0, np.int64), norm2=np.array([14, 2**40 + 1]))
+        body = struct.pack("<II", 0, 2) + struct.pack("<QQ", 14, 2**40 + 1)
+        expected = struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO_ACK]) + body
         assert frame_of(msg) == expected
         assert frame_of(decode_message(expected)) == expected
 
     def test_hello_ack_layout_with_df(self):
-        """Under GF and HF the document count, then n and the n counts."""
-        msg = HelloAck(bob_doc_count=190, df=np.array([7, 0, 2], dtype=np.int64))
+        """Under GF and HF: n and m, the n counts, then the m norms."""
+        msg = HelloAck(df=np.array([7, 0, 2], dtype=np.int64), norm2=np.array([9.0]))
         expected = (
-            struct.pack("<I", 1 + 4 + 4 + 12)
+            struct.pack("<I", 1 + 4 + 4 + 12 + 8)
             + bytes([MSG_HELLO_ACK])
-            + struct.pack("<II", 190, 3)
+            + struct.pack("<II", 3, 1)
             + struct.pack("<III", 7, 0, 2)
+            + struct.pack("<Q", 9)
         )
         assert frame_of(msg) == expected
         assert frame_of(decode_message(expected)) == expected
@@ -343,18 +401,18 @@ class TestFrozenLayouts:
 
     def test_filter_query_layout_with_indexes(self):
         msg = FilterQuery(
-            query_id=4, indexes=np.array([9, 2], dtype=np.int64), z=np.array([0.5, -2.0])
+            query_id=4, indexes=np.array([9, 2], dtype=np.int64), z=np.array([5.0, -2.0])
         )
-        body = struct.pack("<IIII", 4, 2, 9, 2) + struct.pack("<dd", 0.5, -2.0)
+        body = struct.pack("<IIII", 4, 2, 9, 2) + struct.pack("<ii", 5, -2)
         assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
         )
 
     def test_filter_query_layout_without_indexes(self):
         msg = FilterQuery(
-            query_id=7, indexes=np.empty(0, np.int64), z=np.array([1.0, 0.25, 3.0])
+            query_id=7, indexes=np.empty(0, np.int64), z=np.array([1, -(2**31), 2**31 - 1])
         )
-        body = struct.pack("<II", 7, 0) + struct.pack("<ddd", 1.0, 0.25, 3.0)
+        body = struct.pack("<II", 7, 0) + struct.pack("<iii", 1, -(2**31), 2**31 - 1)
         assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_QUERY]) + body
         )
@@ -363,45 +421,48 @@ class TestFrozenLayouts:
         msg = FullQuery(
             query_id=3,
             survivor_ids=np.array([0, 5, 6], dtype=np.int64),
-            z=np.array([1.5, -0.5]),
+            z=np.array([15.0, -5.0]),
         )
-        body = struct.pack("<IIIII", 3, 3, 0, 5, 6) + struct.pack("<dd", 1.5, -0.5)
+        body = struct.pack("<IIIII", 3, 3, 0, 5, 6) + struct.pack("<ii", 15, -5)
         assert frame_of(msg) == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_QUERY]) + body
         )
 
     def test_full_reply_layout(self):
-        """Header, the survivors' doc_ids, their s, then the new survivors'
-        t rows."""
-        msg = FullReply(
-            query_id=9,
-            doc_ids=np.array([4, 11, 12], dtype=np.int64),
-            s=np.array([0.75, -1.25, 2.0]),
-            t=np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 0.5]]),
-        )
-        body = (
-            struct.pack("<III", 9, 3, 2)
-            + struct.pack("<III", 4, 11, 12)
-            + struct.pack("<ddd", 0.75, -1.25, 2.0)
-            + struct.pack("<ddd", 1.0, 2.0, 3.0)
-            + struct.pack("<ddd", -4.0, 0.0, 0.5)
-        )
-        assert MSG_FULL_REPLY == 0x22
-        frame = frame_of(msg)
-        assert frame == (
-            struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
-        )
-        assert frame_of(decode_message(frame)) == frame
+        """Header with the width code, the survivors' doc_ids, their s,
+        then the new survivors' t rows, as i2 under code 2 and as i4 under
+        code 4."""
+        for code, fmt in ((2, "h"), (4, "i")):
+            msg = FullReply(
+                query_id=9,
+                doc_ids=np.array([4, 11, 12], dtype=np.int64),
+                s=np.array([75.0, -2.0**53, 2.0]),
+                t=np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 5.0]]),
+                t_bytes=code,
+            )
+            body = (
+                struct.pack("<IBII", 9, code, 3, 2)
+                + struct.pack("<III", 4, 11, 12)
+                + struct.pack("<qqq", 75, -(2**53), 2)
+                + struct.pack(f"<3{fmt}", 1, 2, 3)
+                + struct.pack(f"<3{fmt}", -4, 0, 5)
+            )
+            assert MSG_FULL_REPLY == 0x22
+            frame = frame_of(msg)
+            assert frame == (
+                struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
+            )
+            assert frame_of(decode_message(frame)) == frame
 
     def test_full_reply_layout_without_t(self):
         """Every survivor's t already crossed: k_new is 0 and no t follows."""
         msg = FullReply(
             query_id=2,
             doc_ids=np.array([0, 7], dtype=np.int64),
-            s=np.array([0.5, -0.5]),
+            s=np.array([5.0, -5.0]),
             t=np.empty((0, 3)),
         )
-        body = struct.pack("<III", 2, 2, 0) + struct.pack("<IIdd", 0, 7, 0.5, -0.5)
+        body = struct.pack("<IBII", 2, 2, 2, 0) + struct.pack("<IIqq", 0, 7, 5, -5)
         frame = frame_of(msg)
         assert frame == (
             struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
@@ -412,29 +473,29 @@ class TestFrozenLayouts:
 
     def test_full_reply_entry_size(self):
         """For 4-dimensional vectors each survivor takes 4 + 8 bytes and each
-        new t row ceil(4/2)*8 bytes."""
+        new t row ceil(4/2) entries of t_bytes each."""
         k, k_new, cols = 3, 2, 2
-        msg = FullReply(
-            query_id=9,
-            doc_ids=np.arange(k, dtype=np.int64),
-            s=np.zeros(k),
-            t=np.zeros((k_new, cols)),
-        )
-        frame = frame_of(msg)
-        body_len = 12 + k * (4 + 8) + k_new * cols * 8
-        assert len(frame) == 4 + 1 + body_len
-        assert struct.unpack_from("<I", frame)[0] == 1 + body_len
+        for code in (2, 4):
+            msg = FullReply(
+                query_id=9,
+                doc_ids=np.arange(k, dtype=np.int64),
+                s=np.zeros(k),
+                t=np.zeros((k_new, cols)),
+                t_bytes=code,
+            )
+            frame = frame_of(msg)
+            body_len = 13 + k * (4 + 8) + k_new * cols * code
+            assert len(frame) == 4 + 1 + body_len
+            assert struct.unpack_from("<I", frame)[0] == 1 + body_len
 
     def test_filter_reply_layout(self):
         msg = FilterReply(
             query_id=1,
-            s=np.array([2.5]),
-            norm_v2=np.array([0.5]),
+            s=np.array([25.0]),
+            norm_v2=np.array([5.0]),
             t=np.array([[1.0, -1.0]]),
         )
-        expected_body = struct.pack("<II", 1, 1) + struct.pack(
-            "<ffff", 2.5, 0.5, 1.0, -1.0
-        )
+        expected_body = struct.pack("<II", 1, 1) + struct.pack("<qIhh", 25, 5, 1, -1)
         assert frame_of(msg) == (
             struct.pack("<I", 1 + len(expected_body))
             + bytes([MSG_FILTER_REPLY])
@@ -446,15 +507,15 @@ class TestFrozenLayouts:
         more than one document this differs from entries side by side."""
         msg = FilterReply(
             query_id=6,
-            s=np.array([2.5, -0.5, 1.0]),
-            norm_v2=np.array([0.5, 0.25, 4.0]),
-            t=np.array([[1.0, -1.0], [3.0, 0.0], [-2.0, 8.0]]),
+            s=np.array([25.0, -5.0, 2.0**62]),
+            norm_v2=np.array([5.0, 25.0, 2.0**32 - 1]),
+            t=np.array([[1.0, -1.0], [3.0, 0.0], [-(2.0**15), 2.0**15 - 1]]),
         )
         body = (
             struct.pack("<II", 6, 3)
-            + struct.pack("<fff", 2.5, -0.5, 1.0)
-            + struct.pack("<fff", 0.5, 0.25, 4.0)
-            + struct.pack("<ffffff", 1.0, -1.0, 3.0, 0.0, -2.0, 8.0)
+            + struct.pack("<qqq", 25, -5, 2**62)
+            + struct.pack("<III", 5, 25, 2**32 - 1)
+            + struct.pack("<hhhhhh", 1, -1, 3, 0, -(2**15), 2**15 - 1)
         )
         frame = frame_of(msg)
         assert frame == (
@@ -472,7 +533,7 @@ class TestRejection:
                 decode_message(frame[: len(frame) - 1])
 
     def test_declared_length_mismatch(self):
-        frame = bytearray(frame_of(HelloAck(5, np.empty(0, np.int64))))
+        frame = bytearray(frame_of(HelloAck(np.empty(0, np.int64), np.arange(5))))
         frame[0:4] = struct.pack("<I", 99)
         with pytest.raises(FrameError):
             decode_message(bytes(frame))
@@ -499,7 +560,7 @@ class TestRejection:
             decode_message(frame)
 
     def test_filter_reply_bad_entry_size(self):
-        body = struct.pack("<II", 1, 2) + b"\x00" * 20  # entry of 10 bytes
+        body = struct.pack("<II", 1, 2) + b"\x00" * 20  # two s and norm_v2 take 24
         frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_FILTER_REPLY]) + body
         with pytest.raises(FrameError):
             decode_message(frame)
@@ -514,7 +575,7 @@ class TestRejection:
 
     def test_hello_ack_df_disagrees_with_its_count(self):
         """The count announces three entries; the body holds two."""
-        body = struct.pack("<II", 190, 3) + struct.pack("<II", 7, 0)
+        body = struct.pack("<II", 3, 0) + struct.pack("<II", 7, 0)
         frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_HELLO_ACK]) + body
         with pytest.raises(FrameError):
             decode_message(frame)
@@ -534,9 +595,9 @@ class TestRejection:
         """The header announces two t rows; the body holds none, or nine
         values that two equal rows cannot hold."""
         body = (
-            struct.pack("<III", 1, 2, 2)
-            + struct.pack("<IIdd", 0, 1, 0.5, 0.25)
-            + struct.pack(f"<{t_values}d", *range(t_values))
+            struct.pack("<IBII", 1, 2, 2, 2)
+            + struct.pack("<IIqq", 0, 1, 5, 25)
+            + struct.pack(f"<{t_values}h", *range(t_values))
         )
         frame = struct.pack("<I", 1 + len(body)) + bytes([MSG_FULL_REPLY]) + body
         with pytest.raises(FrameError):
@@ -547,7 +608,7 @@ class TestRejection:
         msg = FullReply(
             query_id=1, doc_ids=np.array([0, 1]), s=np.zeros(2), t=np.ones((2, 3))
         )
-        frame = bytearray(frame_of(msg)[:-8])
+        frame = bytearray(frame_of(msg)[:-2])
         frame[0:4] = struct.pack("<I", len(frame) - 4)
         with pytest.raises(FrameError):
             decode_message(bytes(frame))
@@ -581,10 +642,10 @@ class TestUnrepresentableValues:
 
     def test_df_count_past_u32(self):
         with pytest.raises(FrameError, match="df"):
-            encode_message(HelloAck(bob_doc_count=2, df=np.array([1, 2**32 + 7])))
+            encode_message(HelloAck(df=np.array([1, 2**32 + 7]), norm2=np.zeros(2)))
 
     def test_index_past_u32_and_non_integer_indexes(self):
-        for indexes in (np.array([2**32]), np.array([1.0, 2.0])):
+        for indexes in (np.array([2**32]), np.array([1.5, 2.0])):
             msg = FilterQuery(query_id=0, indexes=indexes, z=np.zeros(2))
             with pytest.raises(FrameError, match="indexes"):
                 encode_message(msg)
@@ -604,17 +665,28 @@ class TestUnrepresentableValues:
                 query_id=2**32, doc_ids=np.empty(0, np.int64), s=np.empty(0),
                 t=np.empty((0, 1)),
             ),
-            HelloAck(bob_doc_count=-3, df=np.empty(0, np.int64)),
             Hello(1, 2**32, 1, 0, 0),
             Hello(1, 4, 1, 256, 0),
             Hello(1, 4, 1, 0, 2**64),
+            FullReply(query_id=0, doc_ids=np.empty(0), s=np.empty(0), t=np.empty((0, 1)),
+                      t_bytes=3),
+            FullReply(query_id=0, doc_ids=np.empty(0), s=np.empty(0), t=np.empty((0, 1)),
+                      t_bytes=256),
         ],
-        ids=["query_id=-1", "query_id=2**32", "doc_count=-3", "n=2**32",
-             "method=256", "seed=2**64"],
+        ids=["query_id=-1", "query_id=2**32", "n=2**32", "method=256", "seed=2**64",
+             "t_bytes=3", "t_bytes=256"],
     )
     def test_header_field_out_of_range(self, msg):
         with pytest.raises(FrameError, match="header"):
             encode_message(msg)
+
+    def test_unknown_width_code_is_refused_in_decoding(self):
+        """A FullReply whose width code is neither 2 nor 4 does not decode."""
+        frame = bytearray(frame_of(full_reply_with(np.ones((2, 3), np.int16))))
+        for code in (0, 1, 3, 8):
+            frame[HEADER_AT + 4] = code
+            with pytest.raises(FrameError, match="t_bytes"):
+                decode_message(bytes(frame))
 
     @pytest.mark.parametrize("piece", ["s", "norm_v2", "t"])
     @pytest.mark.parametrize(
@@ -622,22 +694,36 @@ class TestUnrepresentableValues:
         ids=["1e39", "-1e39", "inf-and-1e39"],
     )
     def test_filter_reply_real_past_f32(self, piece, values):
-        """A finite real beyond f32's largest would be cast to infinity; it
-        is refused instead, also beside an infinity."""
+        """A real past f32's largest, version 8's field, is past every
+        integer field of version 9 too: refused, also beside an infinity."""
         pieces = {"s": np.zeros(2), "norm_v2": np.zeros(2), "t": np.zeros((2, 1))}
         pieces[piece] = np.reshape(values, pieces[piece].shape)
-        with pytest.raises(FrameError, match=f"FilterReply.{piece} holds a value that <f4 cannot"):
+        dtype = {"s": "<i8", "norm_v2": "<u4", "t": "<i2"}[piece]
+        with pytest.raises(FrameError, match=f"FilterReply.{piece} holds a value that {dtype} cannot"):
             encode_message(FilterReply(query_id=0, **pieces))
 
-    def test_filter_reply_f32_extremes_cross(self):
-        """f32's largest and smallest values, the infinities and values that
-        round to them cross as f32 holds them."""
-        top = float(np.finfo(np.float32).max)
-        s = np.array([top, -top, np.inf, -np.inf, 1e-46, -2.0**-149])
-        reply = FilterReply(query_id=0, s=s, norm_v2=np.zeros(6), t=np.zeros((6, 1)))
+    def test_field_extremes_cross(self):
+        """Each integer field's extremes cross, given as integers or as
+        float64; one past them is refused."""
+        s, t = np.array([-(2**63), 2**63 - 1024]), np.array([[-(2**15)], [2**15 - 1]])
+        norm_v2 = np.array([0, 2**32 - 1])
+        reply = FilterReply(query_id=0, s=s, norm_v2=norm_v2, t=t)
+        body = struct.pack("<II", 0, 2) + struct.pack("<qqIIhh", *s, *norm_v2, *t.ravel())
+        assert frame_of(reply)[HEADER_AT:] == body
         again = decode_message(frame_of(reply))
-        np.testing.assert_array_equal(again.s, s.astype(np.float32))
-        np.testing.assert_array_equal(again.s, [top, -top, np.inf, -np.inf, 0.0, -2.0**-149])
+        np.testing.assert_array_equal(again.norm_v2, norm_v2)
+        np.testing.assert_array_equal(again.t, t)
+        floats = FilterReply(query_id=0, s=s.astype(float), norm_v2=norm_v2.astype(float),
+                             t=t.astype(float))
+        assert frame_of(floats) == frame_of(reply)
+        for piece, past in (("norm_v2", [-1, 0]), ("norm_v2", [0, 2**32]),
+                            ("t", [[-(2**15) - 1], [0]]), ("t", [[0], [2**15]])):
+            bad = dataclasses.replace(reply, **{piece: np.array(past)})
+            with pytest.raises(FrameError, match=f"FilterReply.{piece}"):
+                encode_message(bad)
+        for past in ([-(2**63) - 2048.0, 0.0], [0.0, 2.0**63]):
+            with pytest.raises(FrameError, match="FilterReply.s"):
+                encode_message(dataclasses.replace(floats, s=np.array(past)))
 
     def test_reply_arrays_of_mismatched_length(self):
         bad = [
@@ -658,7 +744,7 @@ class TestUnrepresentableValues:
 
     def test_oversized_frames_rejected_before_allocating(self):
         """Broadcast views stand for over-limit payloads without memory."""
-        k, cols = 1 << 10, 1 << 17  # k * cols * 8 bytes = 1 GiB of t alone
+        k, cols = 1 << 10, 1 << 19  # k * cols * 2 bytes = 1 GiB of t alone
         reply = FullReply(
             query_id=0,
             doc_ids=np.broadcast_to(np.int64(0), (k,)),
@@ -668,7 +754,7 @@ class TestUnrepresentableValues:
         query = FullQuery(
             query_id=0,
             survivor_ids=np.empty(0, np.int64),
-            z=np.broadcast_to(0.0, (1 << 27,)),
+            z=np.broadcast_to(0.0, (1 << 28,)),  # 1 GiB of i4
         )
         tracemalloc.start()
         try:
@@ -683,15 +769,14 @@ class TestUnrepresentableValues:
     def test_errors_are_package_errors(self):
         """Sessions abort cleanly on SsddError; a bare struct.error would escape."""
         with pytest.raises(SsddError):
-            encode_message(HelloAck(bob_doc_count=2**40, df=np.empty(0, np.int64)))
+            encode_message(Hello(1, 2**40, 1, 0, 0))
 
 
 class TestF32Boundary:
-    """An f32 field refuses exactly the finite reals that rounding to nearest
-    makes infinite: from (2 - 2^-24) * 2^127, halfway from f32's largest to
-    2^128, outwards."""
+    """Version 8 sent FilterReply's s as f32, which refused the finite reals
+    from (2 - 2^-24) * 2^127, halfway from f32's largest to 2^128, outwards.
+    Version 9's i8 field refuses them too, and every real past i8."""
 
-    TOP = float(np.finfo(np.float32).max)
     HALFWAY = (2.0 - 2.0**-24) * 2.0**127
 
     def encode(self, s):
@@ -701,23 +786,28 @@ class TestF32Boundary:
             warnings.simplefilter("error")
             return frame_of(reply)
 
-    def test_below_halfway_crosses_as_the_largest(self):
-        below = [self.TOP * (1 + 2.0**-25), np.nextafter(self.HALFWAY, 0.0)]
-        assert self.TOP < below[0] < below[1] < self.HALFWAY
-        s = np.array(below + [-x for x in below])
+    def test_largest_i8_values_cross(self):
+        """The float64 values nearest i8's ends, -2^63 and 2^63 - 1024,
+        cross as those integers."""
+        s = np.array([-(2.0**63), np.nextafter(2.0**63, 0.0), 0.0])
         again = decode_message(self.encode(s))
-        np.testing.assert_array_equal(again.s, [self.TOP] * 2 + [-self.TOP] * 2)
+        np.testing.assert_array_equal(again.s, s)
+        frame = self.encode(s)
+        assert frame[HEADER_AT + 8 : HEADER_AT + 32] == struct.pack("<qqq", -(2**63), 2**63 - 1024, 0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("where", [0, 1, 999])
     def test_first_overflowing_value_is_refused(self, sign, where):
-        s = np.zeros(1000)
-        s[where] = sign * self.HALFWAY
-        with pytest.raises(FrameError, match="FilterReply.s holds a value that <f4 cannot"):
-            self.encode(s)
+        """f32's first overflowing value and i8's: 2^63, and the float64
+        below -2^63."""
+        first = 2.0**63 if sign > 0 else np.nextafter(-(2.0**63), -np.inf)
+        for value in (sign * self.HALFWAY, first):
+            s = np.zeros(1000)
+            s[where] = value
+            with pytest.raises(FrameError, match="FilterReply.s holds a value that <i8 cannot"):
+                self.encode(s)
 
-    def test_nan_and_infinities_cross_without_a_warning(self):
-        s = np.array([np.nan, np.inf, -np.inf, self.TOP, 0.0])
-        again = decode_message(self.encode(s))
-        assert np.isnan(again.s[0])
-        np.testing.assert_array_equal(again.s[1:], [np.inf, -np.inf, self.TOP, 0.0])
+    def test_nan_and_infinities_are_refused_without_a_warning(self):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FrameError, match="FilterReply.s holds a value that <i8 cannot"):
+                self.encode([0.0, value, 1.0])

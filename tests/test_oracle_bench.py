@@ -1,6 +1,7 @@
 """Ground-truth oracle and benchmark reporting."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ssdd import cli
 from ssdd.cli import main
 from ssdd.corpus import save_cache
+from ssdd.decide import is_similar
 from ssdd.errors import DimensionError, RangeError
 from ssdd.oracle import oracle_detect
 from ssdd.protocol.session import (
@@ -16,6 +18,7 @@ from ssdd.protocol.session import (
     SimilarityDecision,
     run_local_detection,
 )
+from ssdd.selection import SelectionMethod
 from conftest import build_document_vector, dot, missed_and_extra, pack, synth_corpus
 
 
@@ -27,6 +30,36 @@ class TestOracle:
         assert result.similar.tolist() == [[True, False]]
         assert result.cosines == {(0, 0): pytest.approx(1.0), (0, 1): pytest.approx(0.0)}
 
+    def test_tolerance_is_the_float_it_is(self):
+        """u = (3, 1, 0) and v = (3, 0, 1) have cosine 9/10 exactly.  The
+        float nearest 0.9 lies above 9/10, so at epsilon = 0.9 the pair is
+        not similar, and at the float below it is; float64 arithmetic alone
+        rounds 0.9^2 * 100 down to 81 and would call it similar at 0.9.
+        Every method decides as the oracle, and ``is_similar`` agrees with
+        Fractions on random near ties."""
+        u, v = build_document_vector({0: 3, 1: 1}, 3), build_document_vector({0: 3, 2: 1}, 3)
+        queries, targets = pack([u], 3), pack([v], 3)
+        below = float(np.nextafter(0.9, 0.0))
+        assert Fraction(0.9) > Fraction(9, 10) > Fraction(below)
+        assert 0.9 * 0.9 * 100 <= 81.0
+        for epsilon, expected in ((0.9, False), (below, True)):
+            assert oracle_detect(queries, targets, epsilon).similar.tolist() == [[expected]]
+            for method in SelectionMethod:
+                config = SessionConfig(n=3, epsilon=epsilon, method=method,
+                                       f=2 if method.uses_filter else 0)
+                report = run_local_detection(queries, config, targets)
+                assert report.similar.tolist() == [[expected]], method
+        rng = np.random.default_rng(12)
+        for epsilon in (0.9, 0.8, 0.7, 0.3, 1 / 3, 0.95):
+            norm_u2 = rng.integers(1, 2**20, 2000).astype(np.float64)
+            norm_v2 = norm_u2 * rng.integers(1, 4, 2000)
+            delta = np.floor(epsilon * np.sqrt(norm_u2 * norm_v2)) + rng.integers(-1, 2, 2000)
+            got = is_similar(delta, norm_u2, norm_v2, epsilon)
+            e2 = Fraction(epsilon) ** 2
+            want = [d >= 0 and Fraction(int(d)) ** 2 >= e2 * int(a) * int(b)
+                    for d, a, b in zip(delta, norm_u2, norm_v2)]
+            assert got.tolist() == want, epsilon
+
     def test_empty_document_never_matches(self):
         alice = pack([build_document_vector({}, 3)], 3)
         bob = pack([build_document_vector({0: 1}, 3)], 3)
@@ -35,28 +68,29 @@ class TestOracle:
         assert result.cosines[(0, 0)] == 0.0
 
     def test_matches_per_pair_dot_reference(self):
-        """The array oracle equals one dot per pair within 1e-15; away from
-        the tolerance it finds the same pairs."""
+        """The array oracle's cosine is one exact dot per pair over the root
+        of the squared norms, to the bit; its verdicts are the exact rule's
+        for every pair, decided here with Fractions."""
         corpus = synth_corpus(n_docs=80, dims=700, seed=9, mean_terms=60)
         empty = build_document_vector({}, 700)
         alice = [corpus.vectors[i] for i in range(12)] + [empty]
         bob = [corpus.vectors[i] for i in range(4, len(corpus))] + [empty]
         epsilon = 0.2
-        reference = {}
+        reference, similar = {}, set()
         for qi, u in enumerate(alice):
             for ti, v in enumerate(bob):
-                degenerate = u.nnz[0] == 0 or v.nnz[0] == 0
-                reference[(qi, ti)] = 0.0 if degenerate else dot(u, v)
+                nu, nv = int(u.squared_norms[0]), int(v.squared_norms[0])
+                product = dot(u, v)
+                reference[(qi, ti)] = product / np.sqrt(max(float(nu) * float(nv), 1.0))
+                if nu and nv and product >= 0 and Fraction(int(product)) ** 2 >= Fraction(epsilon) ** 2 * nu * nv:
+                    similar.add((qi, ti))
         alice, bob = pack(alice, 700), pack(bob, 700)
         result = oracle_detect(alice, bob, epsilon)
         assert result.cosines.keys() == reference.keys()
         assert result.similar.shape == (len(alice), len(bob))
-        gap = max(abs(result.cosines[p] - c) for p, c in reference.items())
-        assert gap <= 1e-15
-        clear = {p for p, c in reference.items() if abs(c - epsilon) > 1e-12}
-        expected = {p for p in clear if reference[p] >= epsilon}
-        assert {p for p in clear if result.similar[p]} == expected
-        assert 8 < len(expected) < len(clear) / 2
+        assert result.cosines == reference
+        assert set(map(tuple, np.argwhere(result.similar).tolist())) == similar
+        assert 8 < len(similar) < len(reference) / 2
         with pytest.raises(DimensionError):
             oracle_detect(alice, pack([build_document_vector({0: 1}, 701)], 701), epsilon)
 

@@ -7,7 +7,7 @@ import pytest
 
 from ssdd.corpus import Corpus, RawDocument
 from ssdd.errors import DimensionError, RangeError
-from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
+from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f, zscore
 
 from conftest import build_document_vector, pack, synth_corpus
 
@@ -120,7 +120,7 @@ class TestSelectHf:
         Standardizing gives z-differences (2.12132, 0, 2.12132); the tie
         between dims 0 and 2 goes to the lower index.
         """
-        chosen = select_hf(np.array([4.0, 0.0, 0.0]), np.array([1.0, 1.0, 4.0]), 1)
+        chosen = select_hf(np.array([4.0, 0.0, 0.0]), zscore(np.array([1.0, 1.0, 4.0])), 1)
         np.testing.assert_array_equal(chosen, [0])
 
     def test_hand_difference_values(self):
@@ -133,13 +133,13 @@ class TestSelectHf:
         )
 
     def test_constant_whole_vector_degrades_gracefully(self):
-        chosen = select_hf(np.array([3.0, 1.0, 2.0]), np.array([7.0, 7.0, 7.0]), 2)
+        chosen = select_hf(np.array([3.0, 1.0, 2.0]), zscore(np.array([7.0, 7.0, 7.0])), 2)
         # whole standardizes to zeros; ranking falls back to |z(current)|
         np.testing.assert_array_equal(chosen, [0, 1])
 
     def test_scale_invariance_counts_vs_weights(self):
         rng = np.random.default_rng(14)
-        whole = rng.integers(1, 40, size=120).astype(float)
+        whole = zscore(rng.integers(1, 40, size=120).astype(float))
         for _ in range(30):
             counts = rng.integers(0, 25, size=120).astype(float)
             if counts.std() == 0:
@@ -152,3 +152,16 @@ class TestSelectHf:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             select_hf(np.zeros(3), np.zeros(4), 1)
+
+    def test_kos_queries_keep_their_index_sets(self):
+        """A session z-scores the whole vector once and passes each query's
+        counts; 10 KOS-shaped queries get the index sets that z-scoring
+        the whole vector with every query, and each query's unit vector,
+        gave (protocol version 8)."""
+        corpus = synth_corpus(n_docs=200, dims=6906, seed=101, mean_terms=90)
+        queries, whole = corpus.vectors.take(np.arange(10)), corpus.vectors.document_frequency
+        f = 69
+        once = zscore(whole)
+        for row in queries.dense():
+            before = top_f(np.abs(zscore(row / np.linalg.norm(row)) - zscore(whole)), f)
+            np.testing.assert_array_equal(select_hf(row, once, f), before)

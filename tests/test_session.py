@@ -14,7 +14,7 @@ import pytest
 
 from ssdd import masking
 from ssdd.corpus import load_cache, save_cache, split_queries
-from ssdd.decide import evaluate_filter, recover
+from ssdd.decide import cosines, evaluate_filter, recover
 from ssdd.errors import (
     DimensionError,
     FrameError,
@@ -55,7 +55,7 @@ from ssdd.protocol.transport import (
     connect_tcp,
     make_local_pair,
 )
-from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f
+from ssdd.selection import SelectionMethod, select_hf, select_rp, top_f, zscore
 from ssdd.vectors import PackedDocs, project
 
 from conftest import (
@@ -82,12 +82,13 @@ def config_for(method, n=500, f=50, epsilon=0.8):
 
 class TestSessionConfig:
     def test_valid_round_trip_through_hello(self):
-        """Hello carries every field but the tolerance, which the
-        responder's copy leaves None; the querying side needs it."""
-        config = config_for(SelectionMethod.GF)
+        """Hello carries every field but the tolerance and the mask seed,
+        which the responder's copy leaves None; the querying side needs the
+        tolerance."""
+        config = dataclasses.replace(config_for(SelectionMethod.GF), mask_seed=99)
         bob_side = SessionConfig.from_hello(config.hello())
-        assert bob_side == dataclasses.replace(config, epsilon=None)
-        assert len(dataclasses.fields(SessionConfig)) == 5
+        assert bob_side == dataclasses.replace(config, epsilon=None, mask_seed=None)
+        assert len(dataclasses.fields(SessionConfig)) == 6
         with pytest.raises(RangeError, match="tolerance"):
             AliceSession(bob_side, pack([], config.n), transport=None)
 
@@ -104,9 +105,11 @@ class TestSessionConfig:
             SessionConfig(n=4, epsilon=0.8, seed=-1)
         with pytest.raises(RangeError):
             SessionConfig(n=4, epsilon=0.8, seed=2**64)
+        with pytest.raises(RangeError, match="mask seed"):
+            SessionConfig(n=4, epsilon=0.8, mask_seed=-1)
         hello = SessionConfig(n=4, epsilon=0.8).hello()
-        assert hello.version == PROTOCOL_VERSION == 8
-        for version in (1, 2, 3, 4, 5, 6, 7, 9):
+        assert hello.version == PROTOCOL_VERSION == 9
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 10):
             with pytest.raises(ProtocolError, match="version"):
                 SessionConfig.from_hello(dataclasses.replace(hello, version=version))
         assert SessionConfig.from_hello(hello) == SessionConfig(n=4, epsilon=None)
@@ -229,6 +232,17 @@ class TestSessionConfig:
             responder.handle(hello)
         assert responder.config is None
 
+    def test_version_8_hello_is_refused(self):
+        """A version-8 peer sends unit vectors and float masks, and takes
+        float32 filter pieces: its Hello has today's layout, and the
+        responder refuses it by its version at the handshake."""
+        hello = dataclasses.replace(config_for(SelectionMethod.HF).hello(), version=8)
+        assert decode_message(frame_of(hello)) == hello
+        responder = BobResponder(pack([build_document_vector({0: 1}, 500)], 500), dims=500)
+        with pytest.raises(ProtocolError, match="unsupported protocol version 8"):
+            responder.handle(hello)
+        assert responder.config is None
+
     def test_from_hello_rejects_bad_version(self):
         hello = config_for(SelectionMethod.RP).hello()
         bad = type(hello)(**{**hello.__dict__, "version": PROTOCOL_VERSION + 1})
@@ -237,57 +251,84 @@ class TestSessionConfig:
 
 
 class TestEvaluateFilter:
+    """The bound from the f-dimensional pieces: with unit norms the pieces
+    are those of unit vectors, and counts give the bound of their unit
+    vectors."""
+
     def test_reference_values(self):
         # squared distance 1 - 2 * 0.5 + 0.5 = 0.5
-        bound = evaluate_filter(0.5, 1.0, 0.5)
+        bound = evaluate_filter(0.5, 1.0, 0.5, 1.0, 1.0)
         assert bound == pytest.approx(0.75, abs=1e-12)
         assert not bound >= 0.8
+        # u = (2, 1, 2), v = (2, 0, 1) projected onto the first two
+        # dimensions: 1 - (5/9 - 2 * 4 / sqrt(45) + 4/5) / 2 = 0.9185...
+        bound = evaluate_filter(4, 5, 4, 9, 5)
+        assert bound == pytest.approx(1 - (5 / 9 - 8 / 45**0.5 + 4 / 5) / 2, abs=1e-13)
+        assert bound >= 6 / 45**0.5  # the cosine
 
     def test_passing_pair(self):
-        bound = evaluate_filter(0.9, 1.0, 0.9)
+        bound = evaluate_filter(0.9, 1.0, 0.9, 1.0, 1.0)
         assert bound == pytest.approx(0.95, abs=1e-12)
         assert bound >= 0.8
 
     def test_boundary_counts_as_pass(self):
-        bound = evaluate_filter(0.5, 1.0, 0.4)
-        assert bound == pytest.approx(0.8, abs=1e-12)
+        """An exact bound at the tolerance passes: the slack only raises it.
+        u = (2, 1), v = (1, 2) on both dimensions: 1 - (1 - 2 * 4/5 + 1) / 2
+        = 4/5 exactly, and cos = 4/5."""
+        bound = evaluate_filter(4, 5, 5, 5, 5)
         assert bound >= 0.8
+        assert bound == pytest.approx(0.8, abs=1e-14)
+        assert evaluate_filter(0.5, 1.0, 0.4, 1.0, 1.0) >= 0.8
 
     def test_negative_distance_clamps_to_perfect_bound(self):
         # squared distance 1 - 2.4 + 1 < 0, clamped to 0
-        bound = evaluate_filter(1.2, 1.0, 1.0)
+        bound = evaluate_filter(1.2, 1.0, 1.0, 1.0, 1.0)
         assert bound == 1.0
         assert bound >= 0.5
+        # an identical pair's distance is 0, or within the slack of it
+        assert evaluate_filter(25, 25, 25, 50, 50) == 1.0
+
+    def test_empty_documents_read_as_norm_one(self):
+        """An empty document has pieces and norm 0, and its norm is read as
+        1: the bound is 1 - (the other's projected share) / 2, finite, and
+        1 when both are empty.  The full round decides such a pair."""
+        assert evaluate_filter(0, 0, 0, 0, 0) == 1.0
+        assert evaluate_filter(0, 0, 0, 0, 7) == 1.0
+        assert evaluate_filter(0, 3, 0, 3, 0) == pytest.approx(0.5, abs=1e-14)
+        assert evaluate_filter(0, 3, 0, 3, 0) >= 0.5
 
     def test_bound_dominates_true_cosine(self):
-        """The projected bound can never sit below the full cosine for
-        non-negative unit vectors, whatever index set is chosen."""
+        """The projected bound never sits below the full cosine of two count
+        vectors, whatever index set is chosen, by more than the cosine's own
+        rounding."""
         rng = np.random.default_rng(7)
         n = 40
         for _ in range(300):
-            u = random_unit_dense(rng, n)
-            v = random_unit_dense(rng, n)
+            u = rng.integers(0, 8, n) * (rng.random(n) < 0.5)
+            v = rng.integers(0, 8, n) * (rng.random(n) < 0.5)
             f = int(rng.integers(1, n + 1))
             idx = np.sort(rng.choice(n, f, replace=False))
             u_fs, v_fs = u[idx], v[idx]
             bound = evaluate_filter(
-                float(u_fs @ v_fs), float(u_fs @ u_fs), float(v_fs @ v_fs)
+                u_fs @ v_fs, u_fs @ u_fs, v_fs @ v_fs, u @ u, v @ v
             )
-            assert bound >= float(u @ v) - 1e-9
+            cosine = (u @ v) / np.sqrt(max(float(u @ u) * float(v @ v), 1.0))
+            assert bound >= cosine - 2.0**-50
 
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(8)
-        delta = rng.uniform(-0.2, 1.0, 300)
-        norm_v2 = rng.uniform(0.0, 1.0, 300)
-        delta[:10] = 1.5  # negative distances, clamped
-        norm_u2, epsilon = 0.7, 0.6
-        bound = evaluate_filter(delta, norm_u2, norm_v2)
+        norm_v2 = rng.integers(1, 1000, 300).astype(np.float64)
+        proj_v2 = np.floor(norm_v2 * rng.random(300))
+        delta = rng.integers(-50, 400, 300).astype(np.float64)
+        delta[:10] = 2000.0  # negative distances, clamped
+        norm_u2, proj_u2, epsilon = 900.0, 500.0, 0.6
+        bound = evaluate_filter(delta, proj_u2, proj_v2, norm_u2, norm_v2)
         passed = bound >= epsilon
         assert passed.shape == (300,)
         assert passed.any() and not passed.all()
         assert (bound[:10] == 1.0).all()
         for i in range(300):
-            one = evaluate_filter(float(delta[i]), norm_u2, float(norm_v2[i]))
+            one = evaluate_filter(float(delta[i]), proj_u2, proj_v2[i], norm_u2, norm_v2[i])
             assert bound[i] == one
             assert passed[i] == (one >= epsilon)
 
@@ -313,21 +354,25 @@ def pair_with_explicit_indexes(u, v, indexes, config):
     recovered full-width cosine.
     """
     responder = BobResponder(pack([v], config.n), dims=config.n)
-    responder.handle(config.hello())
+    ack = responder.handle(config.hello())
     indexes = np.asarray(indexes, dtype=np.int64)
     rng = np.random.default_rng(7)
     fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
     u_fs = u.dense()[0][indexes]
-    r = rng.uniform(-1.0, 1.0, fs_matrix.cols)
+    norm_u2, (norm_v2,) = u.squared_norms[0], ack.norm2
+    r = rng.integers(-(2**17), 2**17, fs_matrix.cols, endpoint=True).astype(np.float64)
     reply = responder.handle(
         FilterQuery(query_id=0, indexes=indexes, z=u_fs + fs_matrix.matvec(r))
     )
-    bound = evaluate_filter(recover(reply.s, reply.t, r), u_fs @ u_fs, reply.norm_v2)
+    delta_fs = recover(reply.s, reply.t, r)
+    bound = evaluate_filter(delta_fs, u_fs @ u_fs, reply.norm_v2, norm_u2, norm_v2)
     matrix = SharedRandomMatrix(config.seed, config.n)
-    r = rng.uniform(-1.0, 1.0, matrix.cols)
+    r = rng.integers(-(2**17), 2**17, matrix.cols, endpoint=True).astype(np.float64)
     z = mask(u, matrix, r[:, None])[:, 0]
     reply = responder.handle(FullQuery(query_id=0, survivor_ids=np.array([0]), z=z))
-    return bound >= config.epsilon, float(recover(reply.s, reply.t, r)[0])
+    delta = recover(reply.s, reply.t, r)[0]
+    assert delta == u.dot(v.dense())[0, 0]  # exact
+    return bool(bound[0] >= config.epsilon), float(cosines(delta, norm_u2, norm_v2))
 
 
 class TestBasePair:
@@ -336,14 +381,14 @@ class TestBasePair:
         decision = decide_pair(doc, doc, SessionConfig(n=6, epsilon=0.8))
         assert decision.similar
         assert not decision.filtered
-        assert decision.cosine == pytest.approx(1.0, abs=1e-12)
+        assert decision.cosine == 1.0
 
     def test_orthogonal_documents_are_not(self):
         u = build_document_vector({0: 1}, 4)
         v = build_document_vector({1: 1}, 4)
         decision = decide_pair(u, v, SessionConfig(n=4, epsilon=0.8))
         assert not decision.similar
-        assert abs(decision.cosine) < 1e-9
+        assert decision.cosine == 0.0
 
     def test_empty_query_scores_zero(self):
         u = build_document_vector({}, 4)
@@ -357,7 +402,7 @@ class TestBasePair:
         v = build_document_vector({}, 4)
         decision = decide_pair(u, v, SessionConfig(n=4, epsilon=0.8))
         assert not decision.similar
-        assert abs(decision.cosine) < 1e-12
+        assert decision.cosine == 0.0
 
     def test_filter_method_is_forced_down(self):
         """An identical pair survives the RP filter and decides as under BASE."""
@@ -367,7 +412,7 @@ class TestBasePair:
         base = decide_pair(doc, doc, SessionConfig(n=6, epsilon=0.8))
         assert filtered.similar and not filtered.filtered
         assert base.similar and not base.filtered
-        assert filtered.cosine == pytest.approx(base.cosine, abs=1e-12)
+        assert filtered.cosine == base.cosine == 1.0
 
 
 class TestFsPair:
@@ -377,21 +422,21 @@ class TestFsPair:
         config = SessionConfig(n=6, epsilon=0.6, method=SelectionMethod.RP, f=2)
         passed, cosine = pair_with_explicit_indexes(u, v, [0, 1], config)
         assert not passed
-        assert abs(cosine) < 1e-9
+        assert cosine == 0.0
 
     def test_similar_pair_survives_and_scores(self):
         doc = build_document_vector({0: 1, 1: 1}, 6)
         config = SessionConfig(n=6, epsilon=0.8, method=SelectionMethod.RP, f=2)
         passed, cosine = pair_with_explicit_indexes(doc, doc, [0, 1], config)
         assert passed
-        assert cosine == pytest.approx(1.0, abs=1e-12)
+        assert cosine == 1.0
 
     def test_index_set_defaults_to_the_method(self):
         u = build_document_vector({0: 3, 1: 1, 2: 2}, 4)
         config = SessionConfig(n=4, epsilon=0.5, method=SelectionMethod.LF, f=2)
         decision = decide_pair(u, u, config)
         assert decision.similar
-        assert decision.cosine == pytest.approx(1.0, abs=1e-12)
+        assert decision.cosine == 1.0
 
     def test_rejects_base(self):
         responder = BobResponder(pack([build_document_vector({0: 1}, 4)], 4), dims=4)
@@ -409,14 +454,11 @@ class TestDetectionAgainstOracle:
         targets = small_corpus.vectors.take(target_ids)
         config = config_for(method)
         oracle = oracle_detect(queries, targets, config.epsilon)
-        margin = min(abs(c - config.epsilon) for c in oracle.cosines.values())
-        assert margin > 1e-6, "fixture produced a borderline pair"
         report = run_detection_locally(queries, config, targets)
         assert missed_and_extra(report.similar, oracle.similar) == ([], [])
         for d in report.decisions:
             if not d.filtered:
-                expected = oracle.cosines[(d.query_id, d.target_id)]
-                assert d.cosine == pytest.approx(expected, abs=1e-9)
+                assert d.cosine == oracle.cosines[(d.query_id, d.target_id)]
 
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_metrics_invariants(self, small_corpus, method):
@@ -542,7 +584,7 @@ class TestTraffic:
         worker.join(timeout=5.0)
         assert not worker.is_alive()
         assert not report.aborted
-        df_frame = 4 + 1 + 4 + 4 * 400
+        df_frame = 4 + 1 + 8 + 4 * 400 + 8 * 2
         assert report.metrics.bytes_sent_alice == moved["sent"] > df_frame
         assert report.metrics.bytes_sent_bob == moved["received"] > df_frame
 
@@ -556,8 +598,8 @@ class TestTraffic:
         assert [type(m) for m in bob.received] == [Hello, FilterQuery, FullQuery]
         k = report.metrics.full_products
         hello, bye = 4 + 1 + 19, 4 + 1
-        filter_query = 4 + 1 + 8 + 4 * f + 8 * f
-        full_query = 4 + 1 + 8 + 4 * k + 8 * n
+        filter_query = 4 + 1 + 8 + 4 * f + 4 * f
+        full_query = 4 + 1 + 8 + 4 * k + 4 * n
         assert report.metrics.bytes_sent_alice == hello + filter_query + full_query + bye
 
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
@@ -616,7 +658,8 @@ class TestTcpAgreement:
         query_ids, target_ids = split_queries(small_corpus, k=4, seed=5)
         queries = small_corpus.vectors.take(query_ids)
         targets = small_corpus.vectors.take(target_ids)
-        config = config_for(SelectionMethod.BASE, f=0)
+        # a fixed mask seed, so that both runs send the same masked vectors
+        config = dataclasses.replace(config_for(SelectionMethod.BASE, f=0), mask_seed=4)
         runs = []
         for over_tcp in (False, True):
             sent_parts = []
@@ -877,7 +920,7 @@ class TestTcpTransport:
 
     def test_parts_arrive_as_one_frame(self, tcp_pair):
         transport, far = tcp_pair
-        t = np.random.default_rng(2).standard_normal((40, 3000))
+        t = np.random.default_rng(2).integers(-(2**15), 2**15, (40, 3000)).astype(np.int16)
         reply = FullReply(query_id=1, doc_ids=np.arange(40), s=np.ones(40), t=t)
         parts = encode_message(reply)
         assert len(parts) == 2
@@ -891,7 +934,7 @@ class TestTcpTransport:
 
     def test_over_limit_reply_sends_no_byte(self, tcp_pair):
         transport, far = tcp_pair
-        k, cols = 1 << 10, 1 << 17  # k * cols * 8 bytes = 1 GiB of t alone
+        k, cols = 1 << 10, 1 << 19  # k * cols * 2 bytes = 1 GiB of t alone
         reply = FullReply(
             query_id=0,
             doc_ids=np.broadcast_to(np.int64(0), (k,)),
@@ -966,7 +1009,7 @@ class TestLocalTransport:
 
     def test_parts_arrive_as_one_frame(self):
         alice_end, bob_end = make_local_pair(timeout=1.0)
-        t = np.arange(12.0).reshape(3, 4)
+        t = np.arange(12, dtype=np.int16).reshape(3, 4)
         reply = FullReply(query_id=2, doc_ids=np.arange(3), s=np.ones(3), t=t)
         parts = encode_message(reply)
         assert len(parts) == 2
@@ -1157,7 +1200,7 @@ class TestResponderValidation:
 
     @pytest.mark.parametrize(
         "msg",
-        [Bye(), HelloAck(bob_doc_count=2, df=np.empty(0, np.int64))],
+        [Bye(), HelloAck(df=np.empty(0, np.int64), norm2=np.zeros(2))],
         ids=["bye", "hello-ack"],
     )
     def test_unexpected_message(self, msg):
@@ -1275,17 +1318,22 @@ class TestResponderMatchesRespond:
         )
 
     def assert_filter_reply(self, reply, docs, index_set, config, z):
+        """Bob's pieces equal the per-document reference exactly, in the
+        frame's layout and dtypes: s as int64, the norms as uint32 and t as
+        C-ordered int16, lent to the frame as it is."""
         fs_matrix = SharedRandomMatrix(config.seed + 1, config.f)
         assert reply.s.shape == (len(docs),)
         assert reply.t.shape == (len(docs), fs_matrix.cols)
+        assert (reply.s.dtype, reply.norm_v2.dtype, reply.t.dtype) == (np.int64, np.uint32, np.int16)
+        assert reply.t.flags.c_contiguous
         for j, doc in enumerate(docs):
             values = doc.dense()[0][index_set]
             nz = np.flatnonzero(values)
             sparse = PackedDocs(index_set.size, np.array([0, nz.size]), nz, values[nz])
             s, t = respond(z, sparse, fs_matrix)
-            assert reply.s[j] == pytest.approx(s, abs=1e-12)
-            assert reply.norm_v2[j] == pytest.approx(values @ values, abs=1e-12)
-            np.testing.assert_allclose(reply.t[j], t, rtol=0, atol=1e-12)
+            assert reply.s[j] == s
+            assert reply.norm_v2[j] == values @ values
+            np.testing.assert_array_equal(reply.t[j], t)
 
     def assert_full_reply(self, reply, docs, ids, config, z, sent):
         """s for every survivor; t, in survivor order, only for the survivors
@@ -1296,10 +1344,11 @@ class TestResponderMatchesRespond:
         assert reply.t.shape == (len(new), matrix.cols)
         for i, doc_id in enumerate(ids):
             s, _ = respond(z, docs[doc_id], matrix)
-            assert reply.s[i] == pytest.approx(s, abs=1e-12)
+            assert reply.s[i] == s
+        assert reply.t.dtype == np.int16 and reply.t_bytes == 2
         for row, doc_id in enumerate(new):
             _, t = respond(z, docs[doc_id], matrix)
-            np.testing.assert_allclose(reply.t[row], t, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(reply.t[row], t)
         sent.update(new)
 
     @pytest.mark.parametrize(
@@ -1344,7 +1393,7 @@ class TestResponderMatchesRespond:
         rng = np.random.default_rng(8)
         expected_count = 0
         for query_id, indexes in enumerate(sets):
-            z = rng.uniform(-3, 3, F_EQ)
+            z = rng.integers(-(2**20), 2**20, F_EQ).astype(np.float64)
             # a fresh array each time, as decoding gives
             reply = responder.handle(
                 FilterQuery(query_id=query_id, indexes=indexes.copy(), z=z)
@@ -1376,7 +1425,7 @@ class TestResponderMatchesRespond:
             assert ack.df.size == 0
         rng = np.random.default_rng(5)
         for query_id in range(3):
-            z = rng.uniform(-3, 3, F_EQ)
+            z = rng.integers(-(2**20), 2**20, F_EQ).astype(np.float64)
             reply = responder.handle(
                 FilterQuery(query_id=query_id, indexes=index_set, z=z)
             )
@@ -1403,7 +1452,7 @@ class TestResponderMatchesRespond:
         sent = set()
         for query_id, ids in enumerate(survivor_sets):
             ids = np.array(ids, dtype=np.int64)
-            z = rng.uniform(-3, 3, N_EQ)
+            z = rng.integers(-(2**20), 2**20, N_EQ).astype(np.float64)
             reply = responder.handle(FullQuery(query_id=query_id, survivor_ids=ids, z=z))
             self.assert_full_reply(reply, docs, ids, config, z, sent)
         return computed, sent
@@ -1450,7 +1499,7 @@ class TestResponderMatchesRespond:
     def test_empty_corpus(self, method):
         config = self.config(method)
         responder = BobResponder(pack([], N_EQ), dims=N_EQ)
-        assert responder.handle(config.hello()).bob_doc_count == 0
+        assert responder.handle(config.hello()).norm2.size == 0
         reply = responder.handle(
             FilterQuery(query_id=0, indexes=np.arange(F_EQ), z=np.ones(F_EQ))
         )
@@ -1484,7 +1533,7 @@ class TestMultiplicationCount:
         )
         if method.uses_filter:
             assert 0 < report.metrics.pairs_filtered < report.metrics.pairs_total
-            whole = queries.document_frequency + targets.document_frequency
+            whole = zscore(queries.document_frequency + targets.document_frequency)
             for query in queries:
                 index_set = select_hf(query.dense()[0], whole, config.f)
                 for target in targets:
@@ -1519,7 +1568,8 @@ class TestSharedMatrices:
 
 class PoisonedBob(BobResponder):
     """An honest responder that then writes ``value`` into the last entry of
-    ``piece`` in its reply of type ``kind`` to query ``query_id``."""
+    ``piece``, as float64, in its reply of type ``kind`` to query
+    ``query_id``."""
 
     def __init__(self, vectors, dims, kind, piece, value, query_id=0):
         super().__init__(vectors, dims=dims)
@@ -1529,21 +1579,32 @@ class PoisonedBob(BobResponder):
         reply = super().handle(msg)
         kind, piece, value, query_id = self.poison
         if isinstance(reply, kind) and reply.query_id == query_id:
-            poisoned = getattr(reply, piece).copy()
+            poisoned = getattr(reply, piece).astype(np.float64)
             poisoned.flat[-1] = value
             reply = dataclasses.replace(reply, **{piece: poisoned})
         return reply
 
 
-def run_against(responder, queries, config):
+def run_against(responder, queries, config, refused=()):
+    """Alice's session against ``responder``; ``serve`` may end on one of
+    the exceptions ``refused`` names, which must then have been raised."""
     alice_end, bob_end = make_local_pair(timeout=5.0)
-    worker = threading.Thread(target=responder.serve, args=(bob_end,), daemon=True)
+    raised = []
+
+    def serve():
+        try:
+            responder.serve(bob_end)
+        except refused as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=serve, daemon=True)
     worker.start()
     try:
         report = AliceSession(config, queries, alice_end).run()
     finally:
         alice_end.close()
         worker.join(timeout=5.0)
+    assert bool(raised) == bool(refused), raised
     return report
 
 
@@ -1553,7 +1614,8 @@ NON_FINITE = pytest.mark.parametrize(
 
 
 class TestNonFiniteReplies:
-    """Alice aborts on a NaN or infinite number from Bob instead of deciding
+    """A NaN or infinite number cannot leave Bob: his encoder refuses the
+    reply, which ends his session, and Alice aborts instead of deciding
     the pair with it."""
 
     def setup_method(self):
@@ -1565,7 +1627,7 @@ class TestNonFiniteReplies:
     def test_filter_reply(self, piece, value):
         config = config_for(SelectionMethod.RP, n=40, f=8)
         bob = PoisonedBob(self.targets, 40, FilterReply, piece, value)
-        report = run_against(bob, self.queries, config)
+        report = run_against(bob, self.queries, config, refused=FrameError)
         assert report.aborted
         assert report.decided == 0 and report.decisions == []
 
@@ -1574,9 +1636,52 @@ class TestNonFiniteReplies:
     def test_full_reply(self, piece, value):
         config = config_for(SelectionMethod.BASE, n=40)
         bob = PoisonedBob(self.targets, 40, FullReply, piece, value)
-        report = run_against(bob, self.queries, config)
+        report = run_against(bob, self.queries, config, refused=FrameError)
         assert report.aborted
         assert report.decided == 0 and report.decisions == []
+
+
+class TestInexactReplies:
+    """Alice aborts on a value that the wire carries but exact arithmetic
+    cannot hold, logging which, before she decides a pair with it: an s of
+    2^53 or more in magnitude, an i4 t entry above ``decide.L1_LIMIT``, a
+    squared norm of 2^32 or more."""
+
+    def setup_method(self):
+        docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
+        self.targets, self.queries = pack(docs, 40), pack(docs[:2], 40)
+
+    def run(self, caplog, bob, method, message):
+        with caplog.at_level(logging.WARNING, logger="ssdd.protocol.session"):
+            report = run_against(bob, self.queries, config_for(method, n=40, f=8))
+        assert report.aborted
+        assert report.decided == 0 and report.decisions == []
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 2.0**62])
+    @pytest.mark.parametrize(
+        "method, kind", [(SelectionMethod.RP, FilterReply), (SelectionMethod.BASE, FullReply)],
+        ids=["filter", "full"],
+    )
+    def test_s_past_2_53(self, caplog, method, kind, value):
+        bob = PoisonedBob(self.targets, 40, kind, "s", value)
+        self.run(caplog, bob, method, f"{kind.__name__} s holds a value of 2**53 or more")
+
+    def test_wide_t_past_the_count_limit(self, caplog):
+        def widen(reply):
+            t = reply.t.astype(np.int32)
+            t[0, 0] = 2**22 + 1
+            return dataclasses.replace(reply, t=t, t_bytes=4)
+
+        bob = MisreplyingBob(self.targets, 40, FullReply, widen)
+        self.run(caplog, bob, SelectionMethod.BASE, "full reply t holds an entry above 4194304")
+
+    def test_norm_past_2_32(self, caplog):
+        def inflate(ack):
+            return dataclasses.replace(ack, norm2=ack.norm2 + 2.0**32)
+
+        bob = MisreplyingBob(self.targets, 40, HelloAck, inflate)
+        self.run(caplog, bob, SelectionMethod.BASE, "squared norm of 2**32 or more")
 
 
 EMPTY_CELLS = [(method, epsilon) for epsilon in (0.0, 0.5) for method in SelectionMethod]
@@ -1620,18 +1725,14 @@ class TestEmptyTargets:
         oracle = oracle_detect(queries, targets, 0.8)
         assert missed_and_extra(report.similar, oracle.similar) == ([], [])
         assert report.similar.tolist() == [[True], [True]]
-        assert report.cosines == pytest.approx(np.ones((2, 1)), abs=1e-12)
+        assert report.cosines.tolist() == [[1.0], [1.0]]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 10: at tolerance 0 a nonempty target whose t_j "
-        "cancels to 0 is taken for empty when its recovered product is 0",
-    )
     def test_cancelling_target_at_zero_tolerance(self):
         """The cancelling target above with an orthogonal query: the pair's
-        cosine is 0, so the oracle calls it similar at tolerance 0, but its
-        t_j = 0 and s_j = 0 look to Alice like an empty target's, under
-        every method."""
+        cosine is 0, so the oracle calls it similar at tolerance 0.  Its
+        t_j = 0 and s_j = 0 look like an empty target's, but Alice tells
+        them apart by the squared norm HelloAck carries, under every
+        method."""
         queries = pack([build_document_vector({2: 1}, 4)], 4)
         targets = pack([build_document_vector({0: 1, 1: 1}, 4)], 4)
         oracle = oracle_detect(queries, targets, 0.0)
@@ -1650,7 +1751,7 @@ class TestReportArrays:
     def test_abort_keeps_the_finished_rows(self):
         docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]
         config = config_for(SelectionMethod.BASE, n=40)
-        bob = PoisonedBob(pack(docs, 40), 40, FullReply, "s", np.nan, query_id=1)
+        bob = PoisonedBob(pack(docs, 40), 40, FullReply, "s", 2.0**53, query_id=1)
         report = run_against(bob, pack(docs[:3], 40), config)
         assert report.aborted
         assert report.decided == 1
@@ -1673,7 +1774,7 @@ class TestReportArrays:
         """The query whose full reply aborts the session adds to no counter;
         under LF each query keeps one of the six targets."""
         docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
-        bob = PoisonedBob(docs, 40, FullReply, "s", np.nan, query_id=query_id)
+        bob = PoisonedBob(docs, 40, FullReply, "s", 2.0**53, query_id=query_id)
         report = run_against(bob, docs.take([0, 4, 0]), config_for(method, n=40, f=8))
         assert report.aborted and report.decided == query_id
         metrics = report.metrics
@@ -1941,9 +2042,9 @@ class ForgetfulBob(BobResponder):
 
 
 class TestTransposeOncePerSession:
-    """Each t_j = A^T v_j crosses the wire once per session; Alice aborts,
-    keeping the rows she finished, on a reply that resends a t she holds,
-    omits a new one, or carries a non-finite one."""
+    """Each t_j = A^T c_j crosses the wire once per session; Alice aborts,
+    keeping the rows she finished, on a reply that resends a t she holds or
+    omits a new one, and when Bob's encoder refuses a non-finite one."""
 
     def setup_method(self):
         self.docs = pack([build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)], 40)
@@ -1982,7 +2083,8 @@ class TestTransposeOncePerSession:
     @NON_FINITE
     def test_non_finite_t_on_first_sight(self, value):
         bob = PoisonedBob(self.docs, 40, FullReply, "t", value, query_id=1)
-        self.assert_aborted_after(run_against(bob, self.queries, self.lf), 1)
+        report = run_against(bob, self.queries, self.lf, refused=FrameError)
+        self.assert_aborted_after(report, 1)
 
     @pytest.mark.parametrize(
         "method", [SelectionMethod.LF, SelectionMethod.HF], ids=lambda m: m.name
@@ -2008,24 +2110,30 @@ class TestTransposeOncePerSession:
         assert survivors > len(seen) > 0
 
     def test_base_traffic_formula(self, small_corpus):
-        """HelloAck with an empty df, then per query a header and {doc_id, s}
-        per target, plus one t per target per session."""
+        """HelloAck with an empty df and a u8 norm per target, then per query
+        a header and {doc_id, s} per target, plus one i2 t per target per
+        session."""
         query_ids, target_ids = split_queries(small_corpus, k=3, seed=5)
         queries = small_corpus.vectors.take(query_ids)
         targets = small_corpus.vectors.take(target_ids[:7])
         config = config_for(SelectionMethod.BASE)
         report = run_detection_locally(queries, config, targets)
         q, m, cols = len(queries), len(targets), (config.n + 1) // 2
-        hello_ack = 4 + 1 + 8
-        reply_head = 4 + 1 + 12
-        expected = hello_ack + q * (reply_head + m * (4 + 8)) + m * cols * 8
+        hello_ack = 4 + 1 + 8 + 8 * m
+        reply_head = 4 + 1 + 13
+        expected = hello_ack + q * (reply_head + m * (4 + 8)) + m * cols * 2
         assert report.metrics.bytes_sent_bob == expected
 
 
-def expected_mask(config, query_id, step, cols):
-    """The secret mask of one query and step (1 filter, 2 full)."""
-    seq = np.random.SeedSequence([config.seed, config.seed + 1, query_id, step])
-    return np.random.default_rng(seq).uniform(-1, 1, cols)
+def expected_mask(config, queries, query_id, step, cols):
+    """The secret mask of one query and step (1 filter, 2 full): integers
+    uniform on [-2^b, 2^b] from the session's mask seed, b the widest that
+    keeps every masked entry of the queries below 2^31."""
+    room = (2**31 - 1 - int(queries.weights.max())) // ((config.n + 1) // 2)
+    bits = room.bit_length() - 1
+    seq = np.random.SeedSequence(config.mask_seed, spawn_key=(query_id, step))
+    draw = np.random.default_rng(seq).integers(-(2**bits), 2**bits, cols, endpoint=True)
+    return draw.astype(np.float64)
 
 
 class TestProjectionsPerSession:
@@ -2071,7 +2179,8 @@ class TestProjectionsPerSession:
 
 class TestMaskDerivation:
     """Alice's masked vectors are z = u + A r, with r drawn from a generator
-    seeded by (seed, seed + 1, query id, step)."""
+    keyed by her mask seed, which no message carries, with the query id and
+    the step."""
 
     @pytest.mark.parametrize(
         "method", [SelectionMethod.BASE, SelectionMethod.RP], ids=lambda m: m.name
@@ -2082,7 +2191,7 @@ class TestMaskDerivation:
         # each query's own document among the targets, so every query
         # reaches the full round
         targets = small_corpus.vectors.take(np.concatenate((query_ids, target_ids[:20])))
-        config = config_for(method)
+        config = dataclasses.replace(config_for(method), mask_seed=2**70 + 3)
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)
         assert not report.aborted and report.decided == len(queries)
@@ -2091,9 +2200,9 @@ class TestMaskDerivation:
         full = [m for m in bob.received if isinstance(m, FullQuery)]
         assert [m.query_id for m in full] == list(range(len(queries)))
         for msg in full:
-            r = expected_mask(config, msg.query_id, 2, matrix.cols)
+            r = expected_mask(config, queries, msg.query_id, 2, matrix.cols)
             u = queries[msg.query_id].dense()[0]
-            np.testing.assert_allclose(msg.z, u + a @ r, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(msg.z, u + a @ r)
         filters = [m for m in bob.received if isinstance(m, FilterQuery)]
         if method is SelectionMethod.BASE:
             assert filters == []
@@ -2104,20 +2213,20 @@ class TestMaskDerivation:
         index_set = select_rp(config.seed + 2, config.n, config.f)
         for msg in filters:
             np.testing.assert_array_equal(msg.indexes, index_set)
-            r = expected_mask(config, msg.query_id, 1, fs_matrix.cols)
+            r = expected_mask(config, queries, msg.query_id, 1, fs_matrix.cols)
             u_fs = queries[msg.query_id].dense()[0][index_set]
-            np.testing.assert_allclose(msg.z, u_fs + a_fs @ r, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(msg.z, u_fs + a_fs @ r)
 
     @pytest.mark.parametrize("method", list(SelectionMethod), ids=lambda m: m.name)
     def test_full_vectors_have_the_bits_of_u_plus_a_r(self, small_corpus, method):
         """Every FullQuery z is u + A r to the bit, with A r from ``matvec``
-        alone: scattering the packed queries into A R for 20 queries, more
-        than ``masking.BATCH``, gives each query the bits of its own dense
+        alone: scattering the packed queries into A R, ``masking.BATCH`` of
+        20 queries at a time, gives each query the bits of its own dense
         sum.  CI runs this with one BLAS thread too."""
         query_ids, target_ids = split_queries(small_corpus, k=20, seed=5)
         queries = small_corpus.vectors.take(query_ids)
         targets = small_corpus.vectors.take(np.concatenate((query_ids, target_ids[:10])))
-        config = config_for(method)
+        config = dataclasses.replace(config_for(method), mask_seed=8)
         bob = RecordingBob(targets, config.n)
         report = run_against(bob, queries, config)
         assert not report.aborted and report.decided == len(queries)
@@ -2126,7 +2235,7 @@ class TestMaskDerivation:
         assert [m.query_id for m in full] == list(range(len(queries)))
         for msg in full:
             q = msg.query_id
-            r = _secret_mask(config, q, 2, matrix.cols)
+            r = expected_mask(config, queries, q, 2, matrix.cols)
             expected = queries[q].dense()[0] + matrix.matvec(r)
             assert msg.z.tobytes() == expected.tobytes()
 
@@ -2152,25 +2261,26 @@ class TestAliceMemory:
         """Alice's traced peak, over her construction and handshake against
         m targets, grows with each added query by no more than that query
         holds, plus slack.  Per query she holds
-        - its masked vector z, n float64: 8n B;
+        - its masked vector z, n int32, as the wire takes it: 4n B;
         - its column of R, ceil(n / 2) float64: 4n B;
         - its column of t R, m float64: 8m B;
         - its report row, m float64 cosines and m bool verdicts: 9m B;
-        so 12n + 17m B.  Scattering a query's entries into A R makes
-        temporaries of its entries, an owner index and the gathered values
-        among them: 64 B per entry is slack for them.  Both sessions hold at
-        least ``masking.BATCH`` queries, so ``matvec``'s (2, BATCH, N)
-        buffer pair has its full size in both; 256 KiB once covers numpy's
-        own buffers, such as a ufunc's 64 KiB casting buffer.  A dense row
-        per query, 8n B held from construction on, adds 1 MB over 64
-        queries at n = 2000: more than the slack, 64 * 64 nnz B + 256 KiB
-        (456 KiB), can take."""
+        so 8n + 17m B: she masks ``masking.BATCH`` queries at a time and
+        holds no float64 z of every query.  Scattering a query's entries
+        into A R makes temporaries of its entries, an owner index and the
+        gathered values among them: 64 B per entry is slack for them.  Both
+        sessions hold at least ``masking.BATCH`` queries, so ``matvec``'s
+        (2, BATCH, N) buffer pair has its full size in both; 256 KiB once
+        covers numpy's own buffers, such as a ufunc's 64 KiB casting buffer.
+        A dense row per query, 8n B held from construction on, adds 1 MB
+        over 64 queries at n = 2000: more than the slack, 64 * 64 nnz B +
+        256 KiB (456 KiB), can take."""
         n, m, nnz = 2000, 300, 50
         small, large = masking.BATCH, masking.BATCH + 64
         rng = np.random.default_rng(38)
         queries = pack([random_document(rng, n, nnz) for _ in range(large)], n)
         config = SessionConfig(n=n, epsilon=0.8, method=SelectionMethod.HF, f=20)
-        ack = frame_of(HelloAck(bob_doc_count=m, df=np.ones(n, np.int64)))
+        ack = frame_of(HelloAck(df=np.ones(n, np.int64), norm2=np.ones(m)))
 
         def peak(k):
             docs = queries.take(np.arange(k))
@@ -2182,5 +2292,132 @@ class TestAliceMemory:
             finally:
                 tracemalloc.stop()
 
-        bound = (large - small) * (12 * n + 17 * m + 64 * nnz) + (256 << 10)
+        bound = (large - small) * (8 * n + 17 * m + 64 * nnz) + (256 << 10)
         assert peak(large) - peak(small) <= bound
+
+
+class TestExactLimits:
+    """Counts past the limits of exact arithmetic (``decide``) are refused
+    by name, with the limit in the message: by Bob at the Hello, by Alice
+    when her session is made, and by the oracle.  Small crafted counts
+    reach each limit."""
+
+    def responder(self, counts, n):
+        return BobResponder(pack([build_document_vector(counts, n)], n), dims=n)
+
+    def test_a_squared_norm_of_2_32(self):
+        """A single count of 65,536 gives ||c||^2 = 2^32; 65,535 passes
+        under BASE (a filter round refuses it for its sum)."""
+        n = 8
+        for method in SelectionMethod:
+            config = config_for(method, n=n, f=2)
+            bob = self.responder({3: 65_536}, n)
+            with pytest.raises(RangeError, match=r"target documents .*\|\|c\|\|\^2 >= 2\*\*32"):
+                bob.handle(config.hello())
+            assert bob.config is None
+            if not method.uses_filter:
+                ack = self.responder({3: 65_535}, n).handle(config.hello())
+                assert ack.norm2.tolist() == [65_535.0**2]
+            with pytest.raises(RangeError, match=r"query documents .*\|\|c\|\|\^2 >= 2\*\*32"):
+                AliceSession(config, pack([build_document_vector({1: 65_536}, n)], n), None)
+        too_big = pack([build_document_vector({0: 50_000, 1: 50_000}, n)], n)
+        with pytest.raises(RangeError, match=r"2\*\*32"):
+            oracle_detect(too_big, pack([build_document_vector({0: 1}, n)], n), 0.5)
+        with pytest.raises(RangeError, match=r"2\*\*32"):
+            oracle_detect(pack([build_document_vector({0: 1}, n)], n), too_big, 0.5)
+
+    def test_a_filter_round_target_summing_to_2_15(self):
+        """A filtering method sends t as i2, so its targets' counts must sum
+        below 2^15; BASE, whose t widens to i4, takes them."""
+        n = 8
+        counts = {0: 2**14, 5: 2**14}
+        for method in SelectionMethod:
+            config = config_for(method, n=n, f=2)
+            if method.uses_filter:
+                with pytest.raises(RangeError, match="sum to more than 32767"):
+                    self.responder(counts, n).handle(config.hello())
+                self.responder({0: 2**14, 5: 2**14 - 1}, n).handle(config.hello())
+            else:
+                self.responder(counts, n).handle(config.hello())
+
+    def test_a_target_summing_past_2_22(self):
+        """Under BASE every |s| and |t . r| stays below 2^53 while a
+        target's counts sum to at most 2^22: 8,193 counts of 512 sum past
+        it with ||c||^2 below 2^32."""
+        n = 8_200
+        counts = {i: 512 for i in range(8_193)}
+        assert sum(counts.values()) > 2**22 and 8_193 * 512**2 < 2**32
+        with pytest.raises(RangeError, match="sum to more than 4194304"):
+            self.responder(counts, n).handle(SessionConfig(n=n, epsilon=0.5).hello())
+        fewer = {i: 512 for i in range(8_192)}
+        self.responder(fewer, n).handle(SessionConfig(n=n, epsilon=0.5).hello())
+
+    def test_a_weight_that_is_not_an_integer(self):
+        n = 6
+        half = PackedDocs(n, np.array([0, 1]), np.array([2]), np.array([0.5]))
+        whole = pack([build_document_vector({2: 3}, n)], n)
+        with pytest.raises(RangeError, match="target documents hold a weight that is not an integer"):
+            BobResponder(half, dims=n).handle(SessionConfig(n=n, epsilon=0.5).hello())
+        with pytest.raises(RangeError, match="query documents hold a weight that is not an integer"):
+            AliceSession(SessionConfig(n=n, epsilon=0.5), half, None)
+        with pytest.raises(RangeError, match="not an integer"):
+            oracle_detect(whole, half, 0.5)
+        # integral floats are counts
+        floats = PackedDocs(n, np.array([0, 1]), np.array([2]), np.array([3.0]))
+        assert oracle_detect(whole, floats, 1.0).similar.tolist() == [[True]]
+
+    def test_the_largest_counts_stay_exact(self):
+        """At the limits every product recovers exactly, and each method
+        decides as the oracle does at tolerance 1, where only a cosine of
+        exactly 1 counts, and just below it: counts of 65,535 under BASE,
+        targets summing to 2^15 - 1 under the filtering methods."""
+        n = 40
+        near = [{0: 65_535, 3: 1}, {0: 65_535, 3: 2}]
+        cases = {
+            False: (near, near + [{0: 65_535}]),
+            True: ([{3: 2**14, 7: 2**14 - 1}], [{3: 2**14, 7: 2**14 - 1}, {3: 2**14 - 1, 7: 2**14}]),
+        }
+        for filtering, (query_counts, target_counts) in cases.items():
+            queries = pack([build_document_vector(c, n) for c in query_counts], n)
+            targets = pack([build_document_vector(c, n) for c in target_counts], n)
+            # the near pairs' cosines lie within 2e-9 of 1
+            for epsilon in (1.0, 1 - 1e-10):
+                oracle = oracle_detect(queries, targets, epsilon)
+                assert oracle.similar.any() and not oracle.similar.all()
+                for method in SelectionMethod:
+                    if method.uses_filter != filtering:
+                        continue
+                    config = config_for(method, n=n, f=4, epsilon=epsilon)
+                    report = run_local_detection(queries, config, targets)
+                    assert not report.aborted
+                    assert missed_and_extra(report.similar, oracle.similar) == ([], []), method
+
+
+class TestFilterPiecesExact:
+    def test_filter_pieces_equal_an_int64_reference(self):
+        """Bob's filter pieces on a KOS-wide corpus with counts up to a
+        filter round's limit equal an int64 reference exactly, whatever
+        order BLAS and numpy sum them in: t = P A_fs, C-ordered int16, and
+        the projected squared norms, uint32."""
+        rng = np.random.default_rng(17)
+        n, f, m = 6906, 69, 300
+        docs = []
+        for _ in range(m):
+            terms = rng.choice(n, int(rng.integers(1, 200)), replace=False)
+            counts = rng.integers(1, 2**15 // terms.size, terms.size)
+            docs.append(build_document_vector(dict(zip(terms.tolist(), counts.tolist())), n))
+        config = SessionConfig(n=n, epsilon=0.5, method=SelectionMethod.HF, f=f, seed=4)
+        responder = BobResponder(pack(docs, n), dims=n)
+        responder.handle(config.hello())
+        a_fs = SharedRandomMatrix(config.seed + 1, f).rows_for(np.arange(f)).astype(np.int64)
+        dense = pack(docs, n).dense().astype(np.int64)
+        for query_id in range(3):
+            indexes = np.sort(rng.choice(n, f, replace=False))
+            z = rng.integers(-(2**30), 2**30, f)
+            reply = responder.handle(FilterQuery(query_id, indexes, z.astype(np.float64)))
+            p = dense[:, indexes]
+            assert reply.t.dtype == np.int16 and reply.t.flags.c_contiguous
+            np.testing.assert_array_equal(reply.t, p @ a_fs)
+            assert reply.norm_v2.dtype == np.uint32
+            np.testing.assert_array_equal(reply.norm_v2, (p * p).sum(1))
+            np.testing.assert_array_equal(reply.s, p @ z)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ssdd.decide import cosines
 from ssdd.errors import DimensionError, RangeError
 from ssdd.protocol.messages import FilterQuery
 from ssdd.protocol.session import BobResponder, SessionConfig
@@ -17,16 +18,24 @@ from conftest import build_document_vector, dot, pack, random_document
 
 class TestOneDocument:
     def test_three_four_five_normalization(self):
+        """A document holds its counts; its squared norm, 25, normalizes
+        them to (0.6, 0.8)."""
         vec = build_document_vector({0: 3, 1: 4}, dims=2)
-        np.testing.assert_allclose(vec.weights, [0.6, 0.8], atol=1e-15)
+        assert vec.weights.tolist() == [3, 4]
+        assert vec.squared_norms.tolist() == [25.0]
+        np.testing.assert_allclose(vec.weights / np.sqrt(vec.squared_norms), [0.6, 0.8], atol=1e-15)
         assert vec.nnz[0] != 0
 
     def test_unit_norm_within_tolerance(self):
+        """The squared norm is the exact sum of squared counts, and the
+        counts over its root have unit norm within rounding."""
         rng = np.random.default_rng(42)
         for _ in range(200):
             vec = random_document(rng, dims=300, nnz=int(rng.integers(1, 60)))
-            norm = float(vec.weights @ vec.weights)
-            assert abs(norm - 1.0) <= 1e-12
+            counts = vec.weights.astype(np.int64)
+            assert vec.squared_norms[0] == int(counts @ counts)
+            unit = vec.weights / np.sqrt(vec.squared_norms[0])
+            assert abs(float(unit @ unit) - 1.0) <= 1e-12
 
     def test_empty_document_is_degenerate_zero(self):
         vec = build_document_vector({}, dims=5)
@@ -71,8 +80,8 @@ class TestProject:
         u = build_document_vector({0: 3, 1: 4}, dims=4)
         s = np.array([0, 2])
         (fv,) = project(pack([u], 4), s)
-        np.testing.assert_allclose(fv, [0.6, 0.0], atol=1e-15)
-        assert fv @ fv == pytest.approx(0.36)
+        assert fv.tolist() == [3.0, 0.0]
+        assert fv @ fv == 9.0
 
     def test_monotone_projection_bound(self):
         """Projected squared distance never exceeds the full one."""
@@ -158,10 +167,10 @@ class TestProject:
         views = []
         for query_id in range(4):
             indexes = np.sort(rng.choice(n, f, replace=False))
-            z = rng.standard_normal(f)
+            z = rng.integers(-(2**30), 2**30, f).astype(np.float64)
             reply = responder.handle(FilterQuery(query_id=query_id, indexes=indexes, z=z))
             views.append(vars(responder._docs)["_by_term"])
-            np.testing.assert_allclose(reply.s, dense[:, indexes] @ z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(reply.s, dense[:, indexes] @ z)
         assert all(view is views[0] for view in views)
 
 
@@ -322,14 +331,19 @@ class TestPackedDocs:
 
 class TestCosineDistanceIdentity:
     def test_identity_for_unit_vectors(self):
-        """cos(U, V) = 1 - D^2/2 when both vectors have unit norm."""
+        """cos(U, V) = 1 - D^2/2 for U and V the counts over their norms,
+        and the cosine of the counts, their exact product over the root of
+        the squared norms, is the unit vectors' product."""
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(2, 400))
             u = random_document(rng, n, int(rng.integers(1, min(n, 50) + 1)))
             v = random_document(rng, n, int(rng.integers(1, min(n, 50) + 1)))
-            cosine = dot(u, v)
-            d2 = float(np.sum((u.dense()[0] - v.dense()[0]) ** 2))
+            unit_u = u.dense()[0] / np.sqrt(u.squared_norms[0])
+            unit_v = v.dense()[0] / np.sqrt(v.squared_norms[0])
+            cosine = cosines(dot(u, v), u.squared_norms[0], v.squared_norms[0])
+            assert abs(cosine - float(unit_u @ unit_v)) <= 1e-15
+            d2 = float(np.sum((unit_u - unit_v) ** 2))
             assert abs(cosine - (1.0 - d2 / 2.0)) <= 1e-9
 
 
@@ -400,3 +414,4 @@ class TestTopF:
             top_f(np.array([1.0, 2.0]), 0)
         with pytest.raises(RangeError):
             top_f(np.array([1.0, 2.0]), 3)
+

@@ -156,13 +156,13 @@ def cmd_ingest(args) -> int:
     save_cache(corpus, args.out)
     print(
         f"{args.out}: {len(corpus)} documents, {corpus.dims} dims, "
-        f"{corpus.counts.indices.size} entries, {corpus.counts.weights.sum()} tokens"
+        f"{corpus.vectors.indices.size} entries, {corpus.vectors.weights.sum()} tokens"
     )
     return 0
 
 
 def cmd_serve(args) -> int:
-    # the vectors only: a served corpus keeps no counts
+    # the raw counts, which the responder answers from
     targets = load_corpus(args.corpus).vectors
     host, port = args.listen
     server = TcpServer(lambda: BobResponder(targets), host=host, port=port)

@@ -4,12 +4,11 @@ Input is the UCI docword layout: three header lines (document count D, vocab
 size W, entry count NNZ), then NNZ lines of ``docID wordID count`` with
 1-based ids.
 
-A corpus is CSR arrays from the point where it is built: ``counts``, one
-read-only ``PackedDocs`` of raw term counts, which ``vectors`` names too:
-the protocol and the oracle run on the counts themselves, since the cosine
-does not change when a vector is scaled.  Every session over a corpus
-shares its vectors.  A corpus can be cached in a little-endian binary
-file, version 3::
+A corpus is CSR arrays from the point where it is built: ``vectors``, one
+read-only ``PackedDocs`` of raw term counts.  The protocol and the oracle
+run on the counts themselves, since the cosine does not change when a
+vector is scaled.  Every session over a corpus shares its vectors.  A
+corpus can be cached in a little-endian binary file, version 3::
 
     magic "SSDDCORP" | version u32 | D u32 | W u32
     | nnz u32[D] | index u32[NNZ] | count u64[NNZ]
@@ -68,8 +67,7 @@ class Corpus:
     Built from ``documents`` (in order; their ``doc_id`` is not kept) or
     from ``counts``, a ``PackedDocs`` of raw counts over ``dims`` terms,
     a corpus checks its counts (every term an integer in [0, dims), every
-    count an integer in [1, 2**63)) and holds them as ``counts``, which
-    ``vectors`` is too.
+    count an integer in [1, 2**63)) and holds them as ``vectors``.
     """
 
     def __init__(
@@ -105,14 +103,14 @@ class Corpus:
             raise RangeError("counts must be integers in [1, 2**63)")
         counts.check()
         self.dims = dims
-        self.counts = self.vectors = counts
+        self.vectors = counts
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def subset(self, doc_ids: Iterable[int]) -> "Corpus":
         ids = np.fromiter(doc_ids, dtype=np.int64)
-        return Corpus(self.dims, counts=self.counts.take(ids))
+        return Corpus(self.dims, counts=self.vectors.take(ids))
 
 
 def _pack_counts(
@@ -213,7 +211,7 @@ def split_queries(corpus: Corpus, k: int = 10, seed: int = 0) -> tuple[list[int]
 
 
 def save_cache(corpus: Corpus, path: str | Path) -> None:
-    counts = corpus.counts
+    counts = corpus.vectors
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC + struct.pack("<III", CACHE_VERSION, len(counts), corpus.dims))
         fh.write(counts.nnz.astype("<u4"))

@@ -9,9 +9,9 @@ querying side hides its vector u behind a private column vector r:
     delta = s - r . t      (recovered)
 
 In exact arithmetic delta equals u . v, since z . v = u . v + r . (A^T v).
-In floating point it carries rounding error, so a pair whose cosine lies
-within that error of a tolerance (an identical pair at tolerance 1, say)
-can be decided either way.
+The sessions keep it exact: u, v and r are integers, and ``decide``'s
+limits keep every quantity an integer that float64 holds exactly, so
+delta is u . v whatever the order of the sums.
 
 Any A makes the recovery exact; A is a subsampled randomized Hadamard
 transform (Ailon & Chazelle 2006; Tropp 2011).  With N the smallest power

@@ -36,10 +36,11 @@ inconsistency; an unknown tag raises ProtocolError.  Encoding gives a
 frame as parts to send back to back: one new buffer, into which each array
 is written in one cast, in whatever layout it has, and checked
 (``_cast_into``), and then the last array's own memory instead of a cast
-when it is already laid out as on the wire, such as a reply's t.  Receivers see whole frames.  Decoding gives
-each u32 array (ids, indexes, document frequencies) as int64 and every
-other array as float64, which holds each of its integers exactly below
-2^53.
+when it is already laid out as on the wire, such as a reply's t.
+Receivers see whole frames.  Decoding gives each u32 array (ids, indexes,
+document frequencies) as int64 and every other array as float64, which
+holds each of its integers exactly below 2^53; a receiver's ``expect``
+(``decode_message``) is checked before any array is widened.
 
 This is protocol version 9, which runs on raw term counts with integer
 masks (see ``decide``).  The handshake is one round trip: Hello carries the
@@ -303,8 +304,16 @@ def encode_message(msg: _Message) -> list:
     return [frame] if lent is None else [frame, memoryview(lent).cast("B")]
 
 
-def decode_message(frame: bytes) -> _Message:
-    """Decode one full frame (length prefix included)."""
+def decode_message(frame: bytes, expect: dict | None = None) -> _Message:
+    """Decode one full frame (length prefix included).
+
+    ``expect`` maps a message class to the extents its receiver knows, by
+    axis name (a count of ``_SPECS`` or "w"), such as ``{FilterReply:
+    {"m": m, "w": cols}}``.  A frame of a class it lists must have those
+    extents, "w" excepted where it sizes only empty arrays, and no i8 or u8
+    entry of 2**53 or more in magnitude, which its float64 array could not
+    hold exactly; both are checked before any array is widened.  A frame
+    of any other class is checked for its own consistency alone."""
     if len(frame) < HEADER_SIZE + 1:
         raise FrameError(f"frame of {len(frame)} bytes is too short")
     declared, tag = struct.unpack_from("<IB", frame)
@@ -330,11 +339,19 @@ def decode_message(frame: bytes) -> _Message:
     width, odd = divmod(declared - base, step) if step else (0, declared - base)
     if width < 0 or odd or (step and not width):
         raise FrameError(f"{name}: {declared} payload bytes do not fit counts {sizes}")
-    arrays, _ = spec.layout({**sizes, "w": width}, dtypes)
-    values = {
-        field: np.frombuffer(frame, dtype, math.prod(shape), HEADER_SIZE + offset)
-        .reshape(shape)
-        .astype(np.int64 if dtype == "<u4" else np.float64)
+    sizes["w"] = width
+    known = (expect or {}).get(spec.cls)
+    for axis, extent in (known or {}).items():
+        if sizes[axis] != extent and (step or axis != "w"):
+            raise FrameError(f"{name}: {axis} is {sizes[axis]}, expected {extent}")
+    arrays, _ = spec.layout(sizes, dtypes)
+    raw = {
+        field: np.frombuffer(frame, dtype, math.prod(shape), HEADER_SIZE + offset).reshape(shape)
         for field, dtype, shape, offset in arrays
     }
+    for field, value in raw.items():
+        wide = known is not None and value.itemsize == 8 and value.size
+        if wide and not -(2**53) < int(value.min()) <= int(value.max()) < 2**53:
+            raise FrameError(f"{name} {field} holds a value of 2**53 or more in magnitude")
+    values = {f: v.astype(np.int64 if v.dtype == "<u4" else np.float64) for f, v in raw.items()}
     return spec.cls(**scalars, **values)

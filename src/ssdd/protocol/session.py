@@ -296,13 +296,6 @@ def _secret_mask(mask_seed: int, query_id: int, step: int, cols: int, bits: int)
     return draw.astype(np.float64)
 
 
-def _check_s(reply) -> None:
-    """Refuse a reply whose s float64 cannot hold exactly: Bob's exact
-    products lie below 2**53 (``decide``)."""
-    if reply.s.size and np.abs(reply.s).max() >= 2.0**53:
-        raise ProtocolError(f"{type(reply).__name__} s holds a value of 2**53 or more")
-
-
 def _describe(msg) -> str:
     """A message's type, with the query id it carries, if any."""
     query_id = getattr(msg, "query_id", None)
@@ -320,11 +313,14 @@ class BobResponder:
     arithmetic (``decide``), and answers with every document's ||c_j||^2.
     A filter query names its index set, whatever the method, and
     is answered from the projection P (m x f) of the packed corpus onto
-    that set: s = P z, t = P A_fs and the squared row norms.  The set is
-    checked in one place, ``_filter_pieces``, as it comes off the wire:
-    f indexes, strictly increasing, within [0, n); anything else is a
-    ``ProtocolError``.  A set equal to the last one answered passed the
-    check then, so its pieces are reused without it.  P is read
+    that set: s = P z, t = P A_fs and the squared row norms.  ``answer``
+    decodes each query against the widths the Hello fixed (f indexes and
+    f masked entries, or n in the full round), so a frame of other widths
+    is a ``FrameError`` before any of its arrays is read.  The set's order
+    and range are checked in one place, ``_filter_pieces``: strictly
+    increasing, within [0, n); anything else is a ``ProtocolError``.  A set
+    equal to the last one answered passed the check then, so its pieces
+    are reused without it.  P is read
     from the corpus's term-major view, built once per corpus and shared
     read-only, so it costs the entries on the f chosen dimensions, not a
     scan of the corpus: it is the transpose of an (f, m) array P^T, each
@@ -346,7 +342,7 @@ class BobResponder:
     is int16 unless some entry reaches 2^15 in magnitude, then int32, with
     the width code set to match; no entry of t_j exceeds the sum of c_j's
     counts, so only a reply with such a sum of 2^15 or more is scanned.
-    ``serve`` sends each reply in the parts ``encode_message`` gives, as
+    ``answer`` gives each reply in the parts ``encode_message`` gives, as
     Alice sends her queries, so a reply's t goes out from the array itself,
     not from a copy in the frame.
 
@@ -369,6 +365,8 @@ class BobResponder:
         # (indexes, P^T, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
+        # the query extents the Hello fixes, by message class
+        self._expect: dict = {}
 
     def serve(self, transport) -> None:
         """Answer frames until Bye or transport loss, then drop the corpus
@@ -379,16 +377,24 @@ class BobResponder:
                     frame = transport.recv_frame()
                 except SessionError:
                     break
-                msg = decode_message(frame)
-                if isinstance(msg, Bye):
+                reply = self.answer(frame)
+                if reply is None:
                     break
-                reply = self.handle(msg)
-                if reply is not None:
-                    transport.send_frame(encode_message(reply))
+                transport.send_frame(reply)
         finally:
             transport.close()
             self._docs = self._sent = self._session_filter = None
             self._matrix = self._a_fs = None
+
+    def answer(self, frame):
+        """The reply to one frame, as the parts ``encode_message`` gives, or
+        None at Bye.  After the Hello the frame is decoded against the
+        query extents it fixed, so ``handle`` sees only queries of the
+        session's widths."""
+        msg = decode_message(frame, self._expect)
+        if isinstance(msg, Bye):
+            return None
+        return encode_message(self.handle(msg))
 
     def handle(self, msg):
         if isinstance(msg, Hello):
@@ -415,8 +421,10 @@ class BobResponder:
         norm2 = squared_norms(self._docs, "target documents", l1_limit)
         self.config = config
         self._matrix = SharedRandomMatrix(config.seed, config.n)
+        self._expect = {FullQuery: {"w": config.n}}
         if config.method.uses_filter:
             self._a_fs = _filter_matrix(config).astype(np.float32)
+            self._expect[FilterQuery] = {"c": config.f, "w": config.f}
         # Bob's document counts, for Alice to select with under GF and HF
         if config.method.needs_whole_vector:
             df = self._docs.document_frequency
@@ -437,15 +445,11 @@ class BobResponder:
         """
         config = self.config
         indexes = msg.indexes
-        if indexes.size != config.f:
-            raise ProtocolError(
-                f"query carries {indexes.size} indexes, expected {config.f}"
-            )
         memo = self._session_filter
         if memo is not None and np.array_equal(memo[0], indexes):
             return memo[1:]
-        # the one check of a set off the wire; f >= 1, so it has a first
-        # and a last index
+        # the one check of a set's order and range; ``answer`` let through
+        # f >= 1 indexes, so it has a first and a last one
         increasing = np.all(indexes[1:] > indexes[:-1])
         if not (increasing and indexes[0] >= 0 and indexes[-1] < config.n):
             raise ProtocolError(
@@ -466,8 +470,6 @@ class BobResponder:
         config = self.config
         if not config.method.uses_filter:
             raise ProtocolError("filter step under BASE")
-        if msg.z.size != config.f:
-            raise ProtocolError(f"masked width {msg.z.size}, expected {config.f}")
         rows, t, norm_v2, nnz = self._filter_pieces(msg)
         self.scalar_mult_count += nnz * (2 + self._a_fs.shape[1])
         # exact integers below 2^53 by the Hello's limits, as the wire's i8
@@ -475,9 +477,6 @@ class BobResponder:
         return FilterReply(query_id=msg.query_id, s=s, norm_v2=norm_v2, t=t)
 
     def _on_full_query(self, msg: FullQuery) -> FullReply:
-        config = self.config
-        if msg.z.size != config.n:
-            raise ProtocolError(f"masked width {msg.z.size}, expected {config.n}")
         ids = msg.survivor_ids
         if ids.size and (ids.min() < 0 or ids.max() >= self.doc_count):
             raise ProtocolError("survivor id outside the corpus")
@@ -538,13 +537,14 @@ class AliceSession:
         self.report.metrics.bytes_sent_alice += sum(map(len, parts))
         self.transport.send_frame(parts)
 
-    def _exchange(self, msg, kind):
-        """Send ``msg`` and return Bob's reply, which must be a ``kind``
-        carrying the query id of ``msg`` (Hello and HelloAck carry none)."""
+    def _exchange(self, msg, kind, **extents):
+        """Send ``msg`` and return Bob's reply, which must be a ``kind`` of
+        the given ``extents`` (see ``decode_message``) carrying the query id
+        of ``msg`` (Hello and HelloAck carry none)."""
         self._send(msg)
         frame = self.transport.recv_frame()
         self.report.metrics.bytes_sent_bob += len(frame)
-        reply = decode_message(frame)
+        reply = decode_message(frame, {kind: extents})
         query_id = getattr(msg, "query_id", None)
         if not isinstance(reply, kind) or getattr(reply, "query_id", None) != query_id:
             raise ProtocolError(
@@ -559,13 +559,9 @@ class AliceSession:
         session needs once is made: the report's arrays, the per-target
         state of the full round and its masked vectors."""
         config = self.config
-        ack = self._exchange(config.hello(), HelloAck)
         method = config.method
         width = config.n if method.needs_whole_vector else 0
-        if ack.df.size != width:
-            raise ProtocolError(
-                f"HelloAck carries {ack.df.size} document counts, expected {width}"
-            )
+        ack = self._exchange(config.hello(), HelloAck, n=width)
         if ack.norm2.size and ack.norm2.max() >= NORM2_LIMIT:
             raise ProtocolError("HelloAck carries a squared norm of 2**32 or more")
         self._target_norm2 = ack.norm2
@@ -616,17 +612,7 @@ class AliceSession:
         r = self._secret_mask(query_id, 1, cols)
         z = u_fs + self._a_fs @ r
         msg = FilterQuery(query_id=query_id, indexes=indexes, z=z)
-        reply = self._exchange(msg, FilterReply)
-        if len(reply.s) != self.report.target_count:
-            raise ProtocolError(
-                f"filter reply covers {len(reply.s)} documents, "
-                f"expected {self.report.target_count}"
-            )
-        if reply.t.shape[1:] != (cols,):
-            raise ProtocolError(
-                f"filter reply t has shape {reply.t.shape}, expected width {cols}"
-            )
-        _check_s(reply)
+        reply = self._exchange(msg, FilterReply, m=self.report.target_count, w=cols)
         bound = evaluate_filter(
             recover(reply.s, reply.t, r),
             u_fs @ u_fs,
@@ -641,21 +627,13 @@ class AliceSession:
         survivor order."""
         r, z = self._full_r, self._full_z[query_id]
         msg = FullQuery(query_id=query_id, survivor_ids=survivors, z=z)
-        reply = self._exchange(msg, FullReply)
+        new = survivors[~self._known[survivors]]
+        reply = self._exchange(
+            msg, FullReply, k=survivors.size, k_new=new.size, w=r.shape[0]
+        )
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")
-        new = survivors[~self._known[survivors]]
-        if len(reply.t) != new.size:
-            raise ProtocolError(
-                f"full reply carries {len(reply.t)} t rows for {new.size} new survivors"
-            )
-        _check_s(reply)
         if new.size:
-            if reply.t.shape[1:] != (r.shape[0],):
-                raise ProtocolError(
-                    f"full reply t has shape {reply.t.shape}, "
-                    f"expected width {r.shape[0]}"
-                )
             # an entry of t_j is at most ||c_j||_1, so |t_j R| < 2**53
             if reply.t_bytes > 2 and np.abs(reply.t).max() > L1_LIMIT:
                 raise ProtocolError(f"full reply t holds an entry above {L1_LIMIT}")

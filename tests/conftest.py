@@ -54,7 +54,7 @@ def pack(sets: Sequence[PackedDocs], dims: int) -> PackedDocs:
 def write_docword(corpus: Corpus, out: IO[str]) -> None:
     """Inverse of ``parse_bag_of_words``.  Documents are numbered by their
     position in the corpus, from 1."""
-    counts = corpus.counts
+    counts = corpus.vectors
     rows = np.column_stack((counts.owner + 1, counts.indices + 1, counts.weights)).tolist()
     out.write(f"{len(counts)}\n{counts.dims}\n{len(rows)}\n")
     out.writelines(f"{doc} {word} {count}\n" for doc, word, count in rows)

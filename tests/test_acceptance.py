@@ -378,7 +378,7 @@ def test_10_real_dataset_shapes():
         stats = dict(
             documents=len(corpus),
             dims=corpus.dims,
-            total_tokens=int(corpus.counts.weights.sum()),
+            total_tokens=int(corpus.vectors.weights.sum()),
         )
         for field, value in expectations[name].items():
             assert stats[field] == value, (

@@ -78,7 +78,7 @@ class TestIngest:
             assert mine.nnz[0] == theirs.nnz[0]
         for array in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(
-                getattr(cached.counts, array), getattr(corpus.counts, array)
+                getattr(cached.vectors, array), getattr(corpus.vectors, array)
             )
             assert getattr(cached.vectors, array).tobytes() == getattr(
                 corpus.vectors, array
@@ -110,7 +110,7 @@ class TestIngest:
         out = tmp_path / "five.bin"
         assert main(["ingest", str(docword_path), "--out", str(out), "--limit", "5"]) == 0
         assert len(load_cache(out)) == 5
-        five = corpus.subset(range(5)).counts
+        five = corpus.subset(range(5)).vectors
         assert capsys.readouterr().out == (
             f"{out}: 5 documents, {corpus.dims} dims, "
             f"{five.indices.size} entries, {five.weights.sum()} tokens\n"
@@ -125,7 +125,7 @@ class TestIngest:
     def test_limit_cuts_a_cache(self, corpus, cache_path, tmp_path, capsys):
         out = tmp_path / "five-of-cache.bin"
         assert main(["ingest", str(cache_path), "--out", str(out), "--limit", "5"]) == 0
-        five, cut = corpus.subset(range(5)).counts, load_cache(out).counts
+        five, cut = corpus.subset(range(5)).vectors, load_cache(out).vectors
         for array in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(getattr(cut, array), getattr(five, array))
         assert capsys.readouterr().out.startswith(f"{out}: 5 documents, ")

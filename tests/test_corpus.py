@@ -39,24 +39,26 @@ class TestParseBagOfWords:
         corpus = parse_bag_of_words(io.StringIO(EXAMPLE))
         assert len(corpus) == 3
         assert corpus.dims == 4
-        assert corpus.counts.indptr.tolist() == [0, 1, 1, 2]
-        assert corpus.counts.indices.tolist() == [1, 3]
-        assert corpus.counts.weights.tolist() == [5, 1]
+        assert corpus.vectors.indptr.tolist() == [0, 1, 1, 2]
+        assert corpus.vectors.indices.tolist() == [1, 3]
+        assert corpus.vectors.weights.tolist() == [5, 1]
         assert corpus.vectors[1].nnz[0] == 0
-        assert corpus.vectors is corpus.counts
+        # the raw counts, not normalized weights, and under no other name
+        assert corpus.vectors.weights.dtype.kind == "i"
+        assert not hasattr(corpus, "counts")
         assert corpus.vectors.squared_norms.tolist() == [25.0, 0.0, 1.0]
 
     def test_stats(self):
         corpus = parse_bag_of_words(io.StringIO(EXAMPLE))
         assert len(corpus) == 3
         assert corpus.dims == 4
-        assert corpus.counts.weights.sum() == 6
+        assert corpus.vectors.weights.sum() == 6
         assert corpus.vectors.indices.size == 2
 
     def test_blank_lines_before_headers_are_skipped(self):
         corpus = parse_bag_of_words(io.StringIO("\n \n3\n\n4\n\n2\n1 2 5\n3 4 1\n"))
         assert (len(corpus), corpus.dims) == (3, 4)
-        assert corpus.counts.weights.tolist() == [5, 1]
+        assert corpus.vectors.weights.tolist() == [5, 1]
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -127,7 +129,7 @@ class TestParseBagOfWords:
         assert again.dims == corpus.dims
         for array in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(
-                getattr(again.counts, array), getattr(corpus.counts, array)
+                getattr(again.vectors, array), getattr(corpus.vectors, array)
             )
             np.testing.assert_array_equal(
                 getattr(again.vectors, array), getattr(corpus.vectors, array)
@@ -150,15 +152,15 @@ class TestParseBagOfWords:
         doc_ids = {int(line.split()[0]) for line in buf.getvalue().splitlines()[3:]}
         assert doc_ids <= set(range(1, len(corpus) + 1))
         again = parse_bag_of_words(io.StringIO(buf.getvalue()))
-        np.testing.assert_array_equal(again.counts.indptr, corpus.counts.indptr)
-        np.testing.assert_array_equal(again.counts.indices, corpus.counts.indices)
-        np.testing.assert_array_equal(again.counts.weights, corpus.counts.weights)
+        np.testing.assert_array_equal(again.vectors.indptr, corpus.vectors.indptr)
+        np.testing.assert_array_equal(again.vectors.indices, corpus.vectors.indices)
+        np.testing.assert_array_equal(again.vectors.weights, corpus.vectors.weights)
 
     def test_entries_in_any_order(self):
         corpus = parse_bag_of_words(io.StringIO("2\n5\n3\n2 1 2\n1 5 3\n1 2 4\n"))
-        assert corpus.counts.indptr.tolist() == [0, 2, 3]
-        assert corpus.counts.indices.tolist() == [1, 4, 0]
-        assert corpus.counts.weights.tolist() == [4, 3, 2]
+        assert corpus.vectors.indptr.tolist() == [0, 2, 3]
+        assert corpus.vectors.indices.tolist() == [1, 4, 0]
+        assert corpus.vectors.weights.tolist() == [4, 3, 2]
         assert corpus.vectors.squared_norms.tolist() == [25.0, 4.0]
 
 
@@ -179,18 +181,19 @@ class TestCounts:
         for i, doc in enumerate(documents):
             terms = sorted(doc.counts)
             values = np.array([doc.counts[t] for t in terms], dtype=np.float64)
-            lo, hi = corpus.counts.indptr[i : i + 2]
-            assert corpus.counts.indices[lo:hi].tolist() == terms
-            assert corpus.counts.weights[lo:hi].tolist() == values.tolist()
+            lo, hi = corpus.vectors.indptr[i : i + 2]
+            assert corpus.vectors.indices[lo:hi].tolist() == terms
+            assert corpus.vectors.weights[lo:hi].tolist() == values.tolist()
             assert corpus.vectors.squared_norms[i] == values @ values
-        assert corpus.vectors is corpus.counts
+        assert corpus.vectors.weights.dtype.kind == "i"
+        assert corpus.vectors.weights.sum() == sum(sum(d.counts.values()) for d in documents)
 
     def test_weights_are_the_bincount_formulas(self):
         """A squared norm is a sum of integer squares, exact in any order,
         so the per-document sums give the bits of the weighted bincount over
         each entry's document, with empty documents first, in the middle and
         last; so do the sums of the counts."""
-        seeded = synth_corpus(n_docs=40, dims=500, seed=9, mean_terms=30).counts
+        seeded = synth_corpus(n_docs=40, dims=500, seed=9, mean_terms=30).vectors
         documents = [
             RawDocument(i, dict(zip(doc.indices.tolist(), doc.weights.tolist())))
             for i, doc in enumerate(seeded)
@@ -198,9 +201,9 @@ class TestCounts:
         for at in (0, 20, 20, 43):
             documents.insert(at, RawDocument(-1, {}))
         corpus = Corpus(500, documents)
-        assert corpus.counts.nnz[[0, 20, 21, 43]].tolist() == [0, 0, 0, 0]
-        values = corpus.counts.weights.astype(np.float64)
-        owner = corpus.counts.owner
+        assert corpus.vectors.nnz[[0, 20, 21, 43]].tolist() == [0, 0, 0, 0]
+        values = corpus.vectors.weights.astype(np.float64)
+        owner = corpus.vectors.owner
         norm2 = np.bincount(owner, weights=values * values, minlength=44)
         assert corpus.vectors.squared_norms.tobytes() == norm2.tobytes()
         l1 = np.bincount(owner, weights=values, minlength=44)
@@ -265,8 +268,8 @@ class TestCounts:
         part = corpus.subset([7, 1, 1])
         for a, i in zip(part.vectors, [7, 1, 1]):
             np.testing.assert_array_equal(a.weights, corpus.vectors[i].weights)
-        assert part.counts.weights.sum() == sum(
-            int(corpus.counts[i].weights.sum()) for i in [7, 1, 1]
+        assert part.vectors.weights.sum() == sum(
+            int(corpus.vectors[i].weights.sum()) for i in [7, 1, 1]
         )
 
 
@@ -337,11 +340,9 @@ class TestCache:
         write_v3_cache(path, 5, docs)
         corpus = load_cache(path)
         assert len(corpus) == 6
-        for vec, counts, entries, expected in zip(
-            corpus.vectors, corpus.counts, docs, norms, strict=True
-        ):
+        for vec, entries, expected in zip(corpus.vectors, docs, norms, strict=True):
             assert vec.indices.tolist() == [i for i, _ in entries]
-            assert counts.weights.tolist() == [c for _, c in entries]
+            assert vec.weights.tolist() == [c for _, c in entries]
             assert vec.squared_norms.tolist() == [expected]
 
     def test_unnormalized_documents_are_normalized(self, tmp_path):
@@ -385,7 +386,7 @@ class TestCache:
         assert len(again) == len(corpus)
         assert again.dims == corpus.dims
         for array in ("indptr", "indices", "weights"):
-            mine, theirs = getattr(corpus.counts, array), getattr(again.counts, array)
+            mine, theirs = getattr(corpus.vectors, array), getattr(again.vectors, array)
             assert theirs.dtype == mine.dtype
             np.testing.assert_array_equal(theirs, mine)
             # bit-equal: normalization reads one document at a time

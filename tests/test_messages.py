@@ -632,6 +632,90 @@ class TestRejection:
             encode_message(value)
 
 
+# one message of each type that carries arrays, with every extent nonzero,
+# and those extents by axis name
+WITH_EXTENTS = [
+    (HelloAck(df=np.arange(5), norm2=np.arange(3)), {"n": 5, "m": 3}),
+    (FilterQuery(query_id=2, indexes=np.array([1, 4, 6]), z=np.arange(3)), {"c": 3, "w": 3}),
+    (
+        FilterReply(query_id=2, s=np.arange(4), norm_v2=np.arange(4), t=np.ones((4, 2))),
+        {"m": 4, "w": 2},
+    ),
+    (FullQuery(query_id=2, survivor_ids=np.array([0, 3]), z=np.arange(7)), {"k": 2, "w": 7}),
+    (
+        FullReply(query_id=2, doc_ids=np.array([0, 3, 5]), s=np.arange(3), t=np.ones((2, 4))),
+        {"k": 3, "k_new": 2, "w": 4},
+    ),
+]
+
+
+class TestExpectedExtents:
+    """A receiver's known extents are checked from the header, before any
+    array is read, and so is the 2^53 rule for i8 and u8 entries; a frame
+    of a class the receiver names no extents for decodes as before."""
+
+    @pytest.mark.parametrize(
+        "msg, extents", WITH_EXTENTS, ids=[type(m).__name__ for m, _ in WITH_EXTENTS]
+    )
+    def test_true_extents_decode_as_without(self, msg, extents):
+        frame = frame_of(msg)
+        checked = decode_message(frame, {type(msg): extents})
+        assert frame_of(checked) == frame_of(decode_message(frame)) == frame
+
+    @pytest.mark.parametrize(
+        "msg, extents", WITH_EXTENTS, ids=[type(m).__name__ for m, _ in WITH_EXTENTS]
+    )
+    def test_each_extent_off_by_one_is_refused(self, msg, extents):
+        name = type(msg).__name__
+        for axis, extent in extents.items():
+            for wrong in (extent - 1, extent + 1):
+                expect = {type(msg): {**extents, axis: wrong}}
+                with pytest.raises(
+                    FrameError, match=f"^{name}: {axis} is {extent}, expected {wrong}$"
+                ):
+                    decode_message(frame_of(msg), expect)
+
+    def test_full_reply_without_t_decodes_under_any_width(self):
+        """With k_new = 0 the width sizes only an empty t, which decodes as
+        (0, 0) whatever width is expected."""
+        msg = FullReply(query_id=1, doc_ids=np.array([4]), s=np.array([7]), t=np.empty((0, 3)))
+        frame = frame_of(msg)
+        again = decode_message(frame, {FullReply: {"k": 1, "k_new": 0, "w": 3}})
+        assert again.t.shape == (0, 0)
+        assert frame_of(again) == frame
+        with pytest.raises(FrameError, match="FullReply: k_new is 0, expected 1"):
+            decode_message(frame, {FullReply: {"k": 1, "k_new": 1, "w": 3}})
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(FilterReply, "s"), (FullReply, "s"), (HelloAck, "norm2")],
+        ids=["filter-s", "full-s", "ack-norm2"],
+    )
+    def test_values_of_2_53_or_more_are_refused_when_expected(self, kind, field):
+        """i8 and u8 entries pass below 2^53 in magnitude, at either end
+        for i8, and are refused from there, -2^63 included, whose absolute
+        value int64 cannot hold; without expected extents they decode as
+        float64 as before."""
+        msg = next(m for m, _ in WITH_EXTENTS if type(m) is kind)
+        signed = field == "s"
+        fits = [2**53 - 1, -(2**53) + 1] if signed else [2**53 - 1]
+        past = [2**53, -(2**53), 2**63 - 1, -(2**63)] if signed else [2**53, 2**64 - 1]
+        dtype = np.int64 if signed else np.uint64
+        for value in fits + past:
+            values = np.zeros(getattr(msg, field).shape, dtype)
+            values[-1] = value
+            frame = frame_of(dataclasses.replace(msg, **{field: values}))
+            decode_message(frame)
+            if value in fits:
+                again = decode_message(frame, {kind: {}})
+                assert getattr(again, field)[-1] == value
+            else:
+                with pytest.raises(
+                    FrameError, match=rf"^{kind.__name__} {field} holds a value of 2\*\*53 or more"
+                ):
+                    decode_message(frame, {kind: {}})
+
+
 class TestUnrepresentableValues:
     """Encoding refuses what the layout cannot carry, with FrameError."""
 

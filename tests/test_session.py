@@ -1153,19 +1153,19 @@ class TestResponderValidation:
         """Every filter query names its f indexes, whatever the method;
         the responder derives no set of its own."""
         responder, config = self.make(method=method)
-        responder.handle(config.hello())
+        responder.answer(frame_of(config.hello()))
         query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(2))
-        with pytest.raises(ProtocolError, match="0 indexes, expected 2"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="FilterQuery: c is 0, expected 2"):
+            responder.answer(frame_of(query))
 
     def test_wrong_index_count(self):
         responder, config = self.make(method=SelectionMethod.LF)
-        responder.handle(config.hello())
+        responder.answer(frame_of(config.hello()))
         query = FilterQuery(
             query_id=0, indexes=np.array([1], dtype=np.int64), z=np.zeros(2)
         )
-        with pytest.raises(ProtocolError, match="indexes"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="FilterQuery: c is 1, expected 2"):
+            responder.answer(frame_of(query))
 
     def test_duplicate_indexes(self):
         """Bob's one check of a set off the wire refuses a repeated index,
@@ -1186,17 +1186,34 @@ class TestResponderValidation:
 
     def test_wrong_masked_width(self):
         responder, config = self.make()
-        responder.handle(config.hello())
-        query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(3))
-        with pytest.raises(ProtocolError, match="masked width"):
-            responder.handle(query)
+        responder.answer(frame_of(config.hello()))
+        query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.zeros(3))
+        with pytest.raises(ProtocolError, match="FilterQuery: w is 3, expected 2"):
+            responder.answer(frame_of(query))
 
     def test_wrong_full_width(self):
         responder, config = self.make()
-        responder.handle(config.hello())
+        responder.answer(frame_of(config.hello()))
         query = FullQuery(query_id=0, survivor_ids=np.array([0]), z=np.zeros(5))
-        with pytest.raises(ProtocolError, match="masked width 5, expected 6"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="FullQuery: w is 5, expected 6"):
+            responder.answer(frame_of(query))
+
+    def test_wide_full_query_is_refused_before_its_arrays(self):
+        """A FullQuery whose z is n + 1 wide, 4 MB at n = 2^20, is refused
+        from its header: answering it allocates nothing of its size."""
+        n = 2**20
+        responder = BobResponder(pack([], n))
+        responder.answer(frame_of(SessionConfig(n=n, epsilon=0.5).hello()))
+        query = FullQuery(query_id=0, survivor_ids=np.empty(0, np.int64), z=np.zeros(n + 1, np.int32))
+        frame = frame_of(query)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match=f"FullQuery: w is {n + 1}, expected {n}"):
+                responder.answer(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize(
         "msg",
@@ -1658,7 +1675,7 @@ class TestInexactReplies:
         assert report.decided == 0 and report.decisions == []
         assert message in caplog.text
 
-    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 2.0**62])
+    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 2.0**62, -(2.0**63)])
     @pytest.mark.parametrize(
         "method, kind", [(SelectionMethod.RP, FilterReply), (SelectionMethod.BASE, FullReply)],
         ids=["filter", "full"],
@@ -1928,7 +1945,8 @@ class TestWrongWidthHelloAck:
         worker.start()
         alice = AliceSession(config_for(method, n=40, f=8), pack(docs[:2], 40), alice_end)
         try:
-            with pytest.raises(ProtocolError, match=f"{width} document counts"):
+            expected = 40 if method.needs_whole_vector else 0
+            with pytest.raises(ProtocolError, match=f"HelloAck: n is {width}, expected {expected}$"):
                 alice.handshake()
         finally:
             alice_end.close()
@@ -1964,6 +1982,15 @@ def reverse_doc_ids(reply):
     return dataclasses.replace(reply, doc_ids=reply.doc_ids[::-1].copy())
 
 
+def full_reply_instead(reply):
+    """A FullReply to the filter query, which decodes unchecked: Alice
+    names extents for the FilterReply she waits for alone."""
+    return FullReply(
+        query_id=reply.query_id, doc_ids=np.arange(reply.s.size), s=reply.s,
+        t=np.empty((0, 1), np.int16),
+    )
+
+
 class TestReplyChecks:
     """Each check Alice makes of a reply's type, query id and documents
     aborts the session before it decides a pair, and the logged warning
@@ -1988,8 +2015,15 @@ class TestReplyChecks:
             (
                 SelectionMethod.RP,
                 FilterReply,
+                full_reply_instead,
+                "expected FilterReply to FilterQuery of query 0, "
+                "got FullReply of query 0",
+            ),
+            (
+                SelectionMethod.RP,
+                FilterReply,
                 drop_last_document,
-                "filter reply covers 5 documents, expected 6",
+                "FilterReply: m is 5, expected 6",
             ),
             (
                 SelectionMethod.BASE,
@@ -2004,7 +2038,10 @@ class TestReplyChecks:
                 "full reply covers the wrong documents",
             ),
         ],
-        ids=["hello-bye", "filter-id", "filter-short", "full-id", "full-reversed"],
+        ids=[
+            "hello-bye", "filter-id", "filter-as-full", "filter-short", "full-id",
+            "full-reversed",
+        ],
     )
     def test_reply_is_refused(self, caplog, method, kind, change, message):
         docs = [build_document_vector({i: 2, i + 1: 1}, 40) for i in range(6)]

@@ -49,7 +49,8 @@ class ProtocolError(SsddError):
 
 
 class FrameError(ProtocolError):
-    """A byte frame is truncated, oversized, or internally inconsistent."""
+    """A byte frame is truncated, oversized, internally inconsistent, or
+    not of the header values its receiver expects."""
 
 
 class SessionError(SsddError):

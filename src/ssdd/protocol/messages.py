@@ -39,8 +39,13 @@ is written in one cast, in whatever layout it has, and checked
 when it is already laid out as on the wire, such as a reply's t.
 Receivers see whole frames.  Decoding gives each u32 array (ids, indexes,
 document frequencies) as int64 and every other array as float64, which
-holds each of its integers exactly below 2^53; a receiver's ``expect``
-(``decode_message``) is checked before any array is widened.
+holds each of its integers exactly below 2^53.  A session is a fixed
+sequence (Hello, HelloAck; per query FilterQuery and FilterReply under a
+filtering method, FullQuery and FullReply; Bye), so a receiver's state
+machine is one table, its ``expect`` (``decode_message``): the classes it
+admits next, with the header values it knows.  A frame of any other class
+is refused from its tag, and a listed one checked before any array is
+widened.
 
 This is protocol version 9, which runs on raw term counts with integer
 masks (see ``decide``).  The handshake is one round trip: Hello carries the
@@ -307,13 +312,14 @@ def encode_message(msg: _Message) -> list:
 def decode_message(frame: bytes, expect: dict | None = None) -> _Message:
     """Decode one full frame (length prefix included).
 
-    ``expect`` maps a message class to the extents its receiver knows, by
-    axis name (a count of ``_SPECS`` or "w"), such as ``{FilterReply:
-    {"m": m, "w": cols}}``.  A frame of a class it lists must have those
-    extents, "w" excepted where it sizes only empty arrays, and no i8 or u8
-    entry of 2**53 or more in magnitude, which its float64 array could not
-    hold exactly; both are checked before any array is widened.  A frame
-    of any other class is checked for its own consistency alone."""
+    ``expect`` maps each class that may arrive next to the header values
+    its receiver knows, by field or axis name (a count of ``_SPECS`` or
+    "w"), such as ``{FilterReply: {"query_id": q, "m": m, "w": cols}}``; a
+    frame of another class is a ProtocolError.  A listed one must carry
+    those values, "w" excepted where it sizes only empty arrays, and no i8
+    or u8 entry of 2**53 or more in magnitude, which float64 could not hold
+    exactly, or it is a FrameError before any array is widened.  With no
+    ``expect`` any frame is checked for its own consistency alone."""
     if len(frame) < HEADER_SIZE + 1:
         raise FrameError(f"frame of {len(frame)} bytes is too short")
     declared, tag = struct.unpack_from("<IB", frame)
@@ -327,6 +333,9 @@ def decode_message(frame: bytes, expect: dict | None = None) -> _Message:
     if spec is None:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}")
     name = spec.cls.__name__
+    if expect is not None and spec.cls not in expect:
+        wanted = " or ".join(cls.__name__ for cls in expect)
+        raise ProtocolError(f"unexpected {name}, expected {wanted}")
     if declared < 1 + spec.head.size:
         raise FrameError(f"{name}: body of {declared - 1} bytes is too short")
     head = spec.head.unpack_from(frame, HEADER_SIZE + 1)
@@ -340,17 +349,17 @@ def decode_message(frame: bytes, expect: dict | None = None) -> _Message:
     if width < 0 or odd or (step and not width):
         raise FrameError(f"{name}: {declared} payload bytes do not fit counts {sizes}")
     sizes["w"] = width
-    known = (expect or {}).get(spec.cls)
-    for axis, extent in (known or {}).items():
-        if sizes[axis] != extent and (step or axis != "w"):
-            raise FrameError(f"{name}: {axis} is {sizes[axis]}, expected {extent}")
+    header = {**scalars, **sizes}
+    for key, value in ({} if expect is None else expect[spec.cls]).items():
+        if header[key] != value and (step or key != "w"):
+            raise FrameError(f"{name}: {key} is {header[key]}, expected {value}")
     arrays, _ = spec.layout(sizes, dtypes)
     raw = {
         field: np.frombuffer(frame, dtype, math.prod(shape), HEADER_SIZE + offset).reshape(shape)
         for field, dtype, shape, offset in arrays
     }
     for field, value in raw.items():
-        wide = known is not None and value.itemsize == 8 and value.size
+        wide = expect is not None and value.itemsize == 8 and value.size
         if wide and not -(2**53) < int(value.min()) <= int(value.max()) < 2**53:
             raise FrameError(f"{name} {field} holds a value of 2**53 or more in magnitude")
     values = {f: v.astype(np.int64 if v.dtype == "<u4" else np.float64) for f, v in raw.items()}

@@ -32,8 +32,7 @@ needs to normalise.  Survivor ids necessarily reveal to Bob which of his
 documents passed the filter; LF and HF additionally reveal the chosen
 dimension indexes of each query.  Sending t_j once per session rather
 than with every reply discloses nothing new: t_j does not depend on the
-query, and protocol version 1 sent the same values on every query that j
-survived.
+query, so each later reply would repeat the same values.
 
 Alice alone selects the f dimensions, for every method, and each filter
 query names them; Bob answers the set he is given.  GF and HF select from
@@ -296,12 +295,6 @@ def _secret_mask(mask_seed: int, query_id: int, step: int, cols: int, bits: int)
     return draw.astype(np.float64)
 
 
-def _describe(msg) -> str:
-    """A message's type, with the query id it carries, if any."""
-    query_id = getattr(msg, "query_id", None)
-    return type(msg).__name__ + ("" if query_id is None else f" of query {query_id}")
-
-
 class BobResponder:
     """Target-corpus side of a session: answers masked queries.
 
@@ -313,15 +306,21 @@ class BobResponder:
     arithmetic (``decide``), and answers with every document's ||c_j||^2.
     A filter query names its index set, whatever the method, and
     is answered from the projection P (m x f) of the packed corpus onto
-    that set: s = P z, t = P A_fs and the squared row norms.  ``answer``
-    decodes each query against the widths the Hello fixed (f indexes and
-    f masked entries, or n in the full round), so a frame of other widths
-    is a ``FrameError`` before any of its arrays is read.  The set's order
-    and range are checked in one place, ``_filter_pieces``: strictly
-    increasing, within [0, n); anything else is a ``ProtocolError``.  A set
-    equal to the last one answered passed the check then, so its pieces
-    are reused without it.  P is read
-    from the corpus's term-major view, built once per corpus and shared
+    that set: s = P z, t = P A_fs and the squared row norms.
+
+    ``answer`` decodes each frame against ``_expect``, the table of what
+    may arrive next, which is Bob's state machine: before the Hello, a
+    Hello or a Bye; from the Hello on, a FullQuery of n masked entries,
+    under a filtering method a FilterQuery of f indexes and f masked
+    entries, or a Bye.  A frame of any other class is a ``ProtocolError``
+    from its tag, and one of other widths a ``FrameError``, before any of
+    its arrays is read.
+
+    A set's order and range are checked in one place, ``_filter_pieces``:
+    strictly increasing, within [0, n); anything else is a
+    ``ProtocolError``.  A set equal to the last one answered passed the
+    check then, so its pieces are reused without it.  P is read from the
+    corpus's term-major view, built once per corpus and shared
     read-only, so it costs the entries on the f chosen dimensions, not a
     scan of the corpus: it is the transpose of an (f, m) array P^T, each
     of whose rows takes one chosen term's weights in one slice assignment.
@@ -365,8 +364,8 @@ class BobResponder:
         # (indexes, P^T, t, norms, nnz) of the last index set answered
         self._session_filter: tuple | None = None
         self._sent = np.zeros(self.doc_count, dtype=bool)
-        # the query extents the Hello fixes, by message class
-        self._expect: dict = {}
+        # what may arrive next, with the header values Bob knows for it
+        self._expect: dict = {Hello: {}, Bye: {}}
 
     def serve(self, transport) -> None:
         """Answer frames until Bye or transport loss, then drop the corpus
@@ -388,30 +387,23 @@ class BobResponder:
 
     def answer(self, frame):
         """The reply to one frame, as the parts ``encode_message`` gives, or
-        None at Bye.  After the Hello the frame is decoded against the
-        query extents it fixed, so ``handle`` sees only queries of the
-        session's widths."""
+        None at Bye.  The frame is decoded against ``_expect``, so
+        ``handle`` sees only a message that Bob's state admits."""
         msg = decode_message(frame, self._expect)
         if isinstance(msg, Bye):
             return None
         return encode_message(self.handle(msg))
 
     def handle(self, msg):
+        """The reply to a message that ``_expect`` admitted, Bye aside: the
+        first Hello, or a query of the session's method and widths."""
         if isinstance(msg, Hello):
             return self._on_hello(msg)
-        if self.config is None:
-            raise ProtocolError(
-                f"{type(msg).__name__} before handshake"
-            )
         if isinstance(msg, FilterQuery):
             return self._on_filter_query(msg)
-        if isinstance(msg, FullQuery):
-            return self._on_full_query(msg)
-        raise ProtocolError(f"unexpected {type(msg).__name__}")
+        return self._on_full_query(msg)
 
     def _on_hello(self, msg: Hello) -> HelloAck:
-        if self.config is not None:
-            raise ProtocolError("duplicate handshake")
         config = SessionConfig.from_hello(msg)
         if config.n != self.dims:
             raise ProtocolError(
@@ -421,7 +413,7 @@ class BobResponder:
         norm2 = squared_norms(self._docs, "target documents", l1_limit)
         self.config = config
         self._matrix = SharedRandomMatrix(config.seed, config.n)
-        self._expect = {FullQuery: {"w": config.n}}
+        self._expect = {FullQuery: {"w": config.n}, Bye: {}}
         if config.method.uses_filter:
             self._a_fs = _filter_matrix(config).astype(np.float32)
             self._expect[FilterQuery] = {"c": config.f, "w": config.f}
@@ -467,9 +459,6 @@ class BobResponder:
         return rows, t, norm_v2, nnz
 
     def _on_filter_query(self, msg: FilterQuery) -> FilterReply:
-        config = self.config
-        if not config.method.uses_filter:
-            raise ProtocolError("filter step under BASE")
         rows, t, norm_v2, nnz = self._filter_pieces(msg)
         self.scalar_mult_count += nnz * (2 + self._a_fs.shape[1])
         # exact integers below 2^53 by the Hello's limits, as the wire's i8
@@ -537,20 +526,15 @@ class AliceSession:
         self.report.metrics.bytes_sent_alice += sum(map(len, parts))
         self.transport.send_frame(parts)
 
-    def _exchange(self, msg, kind, **extents):
-        """Send ``msg`` and return Bob's reply, which must be a ``kind`` of
-        the given ``extents`` (see ``decode_message``) carrying the query id
-        of ``msg`` (Hello and HelloAck carry none)."""
+    def _exchange(self, msg, kind, **known):
+        """Send ``msg`` and return Bob's reply.  Alice's table of what may
+        arrive next (``decode_message``) holds the one reply she waits for:
+        a ``kind`` with the header values ``known``, the query id of ``msg``
+        among them (Hello and HelloAck carry none)."""
         self._send(msg)
         frame = self.transport.recv_frame()
         self.report.metrics.bytes_sent_bob += len(frame)
-        reply = decode_message(frame, {kind: extents})
-        query_id = getattr(msg, "query_id", None)
-        if not isinstance(reply, kind) or getattr(reply, "query_id", None) != query_id:
-            raise ProtocolError(
-                f"expected {kind.__name__} to {_describe(msg)}, got {_describe(reply)}"
-            )
-        return reply
+        return decode_message(frame, {kind: known})
 
     def handshake(self) -> None:
         """Hello, then HelloAck: the squared norms of Bob's documents, which
@@ -612,7 +596,9 @@ class AliceSession:
         r = self._secret_mask(query_id, 1, cols)
         z = u_fs + self._a_fs @ r
         msg = FilterQuery(query_id=query_id, indexes=indexes, z=z)
-        reply = self._exchange(msg, FilterReply, m=self.report.target_count, w=cols)
+        reply = self._exchange(
+            msg, FilterReply, query_id=query_id, m=self.report.target_count, w=cols
+        )
         bound = evaluate_filter(
             recover(reply.s, reply.t, r),
             u_fs @ u_fs,
@@ -629,7 +615,7 @@ class AliceSession:
         msg = FullQuery(query_id=query_id, survivor_ids=survivors, z=z)
         new = survivors[~self._known[survivors]]
         reply = self._exchange(
-            msg, FullReply, k=survivors.size, k_new=new.size, w=r.shape[0]
+            msg, FullReply, query_id=query_id, k=survivors.size, k_new=new.size, w=r.shape[0]
         )
         if not np.array_equal(reply.doc_ids, survivors):
             raise ProtocolError("full reply covers the wrong documents")

@@ -633,26 +633,45 @@ class TestRejection:
 
 
 # one message of each type that carries arrays, with every extent nonzero,
-# and those extents by axis name
+# and those extents by axis name, with the query id by field name
 WITH_EXTENTS = [
     (HelloAck(df=np.arange(5), norm2=np.arange(3)), {"n": 5, "m": 3}),
-    (FilterQuery(query_id=2, indexes=np.array([1, 4, 6]), z=np.arange(3)), {"c": 3, "w": 3}),
+    (
+        FilterQuery(query_id=2, indexes=np.array([1, 4, 6]), z=np.arange(3)),
+        {"query_id": 2, "c": 3, "w": 3},
+    ),
     (
         FilterReply(query_id=2, s=np.arange(4), norm_v2=np.arange(4), t=np.ones((4, 2))),
-        {"m": 4, "w": 2},
+        {"query_id": 2, "m": 4, "w": 2},
     ),
-    (FullQuery(query_id=2, survivor_ids=np.array([0, 3]), z=np.arange(7)), {"k": 2, "w": 7}),
+    (
+        FullQuery(query_id=2, survivor_ids=np.array([0, 3]), z=np.arange(7)),
+        {"query_id": 2, "k": 2, "w": 7},
+    ),
     (
         FullReply(query_id=2, doc_ids=np.array([0, 3, 5]), s=np.arange(3), t=np.ones((2, 4))),
-        {"k": 3, "k_new": 2, "w": 4},
+        {"query_id": 2, "k": 3, "k_new": 2, "w": 4},
     ),
 ]
 
 
 class TestExpectedExtents:
-    """A receiver's known extents are checked from the header, before any
-    array is read, and so is the 2^53 rule for i8 and u8 entries; a frame
-    of a class the receiver names no extents for decodes as before."""
+    """A receiver's known header values are checked from the header, before
+    any array is read, and so is the 2^53 rule for i8 and u8 entries; a
+    frame of a class the receiver does not expect is refused from its tag,
+    and with no ``expect`` every frame decodes as before."""
+
+    @pytest.mark.parametrize(
+        "msg", [Hello(9, 4, 1, 0, 0), Bye()] + [m for m, _ in WITH_EXTENTS],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_a_class_not_expected_is_refused_from_its_tag(self, msg):
+        name = type(msg).__name__
+        others = [cls for cls in (Hello, FullQuery, Bye) if cls is not type(msg)][:2]
+        wanted = " or ".join(cls.__name__ for cls in others)
+        with pytest.raises(ProtocolError, match=f"^unexpected {name}, expected {wanted}$") as info:
+            decode_message(frame_of(msg), {cls: {} for cls in others})
+        assert not isinstance(info.value, FrameError)
 
     @pytest.mark.parametrize(
         "msg, extents", WITH_EXTENTS, ids=[type(m).__name__ for m, _ in WITH_EXTENTS]

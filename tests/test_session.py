@@ -439,11 +439,12 @@ class TestFsPair:
         assert decision.cosine == 1.0
 
     def test_rejects_base(self):
+        """Under BASE a filter query is out of turn, refused from its tag."""
         responder = BobResponder(pack([build_document_vector({0: 1}, 4)], 4), dims=4)
-        responder.handle(SessionConfig(n=4, epsilon=0.5).hello())
+        responder.answer(frame_of(SessionConfig(n=4, epsilon=0.5).hello()))
         query = FilterQuery(query_id=0, indexes=np.array([0, 1]), z=np.zeros(1))
-        with pytest.raises(ProtocolError, match="BASE"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="unexpected FilterQuery, expected FullQuery or Bye$"):
+            responder.answer(frame_of(query))
 
 
 class TestDetectionAgainstOracle:
@@ -1129,8 +1130,8 @@ class TestResponderValidation:
     def test_query_before_handshake(self):
         responder, _ = self.make()
         query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(2))
-        with pytest.raises(ProtocolError, match="before handshake"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="unexpected FilterQuery, expected Hello or Bye$"):
+            responder.answer(frame_of(query))
 
     def test_dims_mismatch(self):
         responder, _ = self.make(n=6)
@@ -1140,9 +1141,9 @@ class TestResponderValidation:
 
     def test_duplicate_handshake(self):
         responder, config = self.make()
-        responder.handle(config.hello())
-        with pytest.raises(ProtocolError, match="duplicate"):
-            responder.handle(config.hello())
+        responder.answer(frame_of(config.hello()))
+        with pytest.raises(ProtocolError, match="unexpected Hello, expected FullQuery or Bye or FilterQuery$"):
+            responder.answer(frame_of(config.hello()))
 
     @pytest.mark.parametrize(
         "method",
@@ -1221,19 +1222,34 @@ class TestResponderValidation:
         ids=["bye", "hello-ack"],
     )
     def test_unexpected_message(self, msg):
-        """After the handshake Bob answers only queries; ``serve`` ends the
-        session at Bye before asking ``handle``."""
+        """After the handshake Bob admits queries and Bye alone: a Bye ends
+        the session, before ``handle`` is asked, and a HelloAck is refused
+        from its tag."""
         responder, config = self.make()
-        responder.handle(config.hello())
-        with pytest.raises(ProtocolError, match=f"unexpected {type(msg).__name__}"):
-            responder.handle(msg)
+        responder.answer(frame_of(config.hello()))
+        if isinstance(msg, Bye):
+            assert responder.answer(frame_of(msg)) is None
+        else:
+            with pytest.raises(ProtocolError, match=f"unexpected {type(msg).__name__}"):
+                responder.answer(frame_of(msg))
 
     def test_filter_step_under_base(self):
         responder, config = self.make(method=SelectionMethod.BASE)
-        responder.handle(config.hello())
+        responder.answer(frame_of(config.hello()))
         query = FilterQuery(query_id=0, indexes=np.empty(0, np.int64), z=np.zeros(2))
-        with pytest.raises(ProtocolError, match="BASE"):
-            responder.handle(query)
+        with pytest.raises(ProtocolError, match="unexpected FilterQuery, expected FullQuery or Bye$"):
+            responder.answer(frame_of(query))
+
+    def test_bye_before_hello_ends_serve_quietly(self):
+        """A Bye is admitted before the Hello too: ``serve`` returns, with no
+        reply and no error, and closes the transport."""
+        responder, _ = self.make()
+        assert responder.answer(frame_of(Bye())) is None
+        alice_end, bob_end = make_local_pair(timeout=5.0)
+        alice_end.send_frame(encode_message(Bye()))
+        responder.serve(bob_end)
+        with pytest.raises(SessionError, match="peer closed"):
+            alice_end.recv_frame()
 
     def test_duplicate_survivor_id(self):
         """Refused wherever the repeat stands, before any t is marked sent."""
@@ -1983,8 +1999,8 @@ def reverse_doc_ids(reply):
 
 
 def full_reply_instead(reply):
-    """A FullReply to the filter query, which decodes unchecked: Alice
-    names extents for the FilterReply she waits for alone."""
+    """A FullReply to the filter query, which Alice refuses from its tag:
+    her table admits the FilterReply she waits for alone."""
     return FullReply(
         query_id=reply.query_id, doc_ids=np.arange(reply.s.size), s=reply.s,
         t=np.empty((0, 1), np.int16),
@@ -2003,21 +2019,19 @@ class TestReplyChecks:
                 SelectionMethod.BASE,
                 HelloAck,
                 lambda ack: Bye(),
-                "expected HelloAck to Hello, got Bye",
+                "unexpected Bye, expected HelloAck",
             ),
             (
                 SelectionMethod.RP,
                 FilterReply,
                 shift_query_id,
-                "expected FilterReply to FilterQuery of query 0, "
-                "got FilterReply of query 1",
+                "FilterReply: query_id is 1, expected 0",
             ),
             (
                 SelectionMethod.RP,
                 FilterReply,
                 full_reply_instead,
-                "expected FilterReply to FilterQuery of query 0, "
-                "got FullReply of query 0",
+                "unexpected FullReply, expected FilterReply",
             ),
             (
                 SelectionMethod.RP,
@@ -2029,7 +2043,7 @@ class TestReplyChecks:
                 SelectionMethod.BASE,
                 FullReply,
                 shift_query_id,
-                "expected FullReply to FullQuery of query 0, got FullReply of query 1",
+                "FullReply: query_id is 1, expected 0",
             ),
             (
                 SelectionMethod.BASE,
@@ -2052,6 +2066,90 @@ class TestReplyChecks:
         assert report.decided == 0 and report.decisions == []
         assert report.metrics.pairs_total == 0
         assert f"session aborted: {message}" in caplog.text
+
+
+BIG_N = 2**20
+
+
+def big_frame(kind):
+    """A consistent frame of ``kind`` at n = 2^20 whose payload is at least
+    4 MB; a Hello carries no array, so its 4 MB are trailing bytes."""
+    n, m = BIG_N, BIG_N // 2
+    if kind is Hello:
+        body = bytes(frame_of(SessionConfig(n=n, epsilon=0.5).hello())[4:]) + bytes(4 << 20)
+        return struct.pack("<I", len(body)) + body
+    msg = {
+        HelloAck: lambda: HelloAck(df=np.ones(n, np.uint32), norm2=np.zeros(0, np.uint64)),
+        FilterQuery: lambda: FilterQuery(0, np.arange(8), np.zeros(n, np.int32)),
+        FilterReply: lambda: FilterReply(
+            0, np.zeros(m, np.int64), np.zeros(m, np.uint32), np.zeros((m, 4), np.int16)
+        ),
+        FullQuery: lambda: FullQuery(0, np.empty(0, np.int64), np.zeros(n, np.int32)),
+        FullReply: lambda: FullReply(
+            0, np.arange(m), np.zeros(m, np.int64), np.empty((0, 1), np.int16)
+        ),
+    }[kind]()
+    return frame_of(msg)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestOutOfTurnFrames:
+    """A frame that the receiver's table does not admit now is refused from
+    its tag: a multi-MB payload costs the receiver no allocation of its
+    size."""
+
+    REFUSED = {
+        "before-hello": (HelloAck, FilterQuery, FilterReply, FullQuery, FullReply),
+        "after-base-hello": (Hello, HelloAck, FilterQuery, FilterReply, FullReply),
+        "after-filtering-hello": (Hello, HelloAck, FilterReply, FullReply),
+    }
+
+    @pytest.mark.parametrize(
+        "state, kind",
+        [(state, kind) for state, kinds in REFUSED.items() for kind in kinds],
+        ids=lambda value: value if isinstance(value, str) else value.__name__,
+    )
+    def test_bob_refuses_from_the_tag(self, state, kind):
+        responder = BobResponder(pack([], BIG_N))
+        if state != "before-hello":
+            method = SelectionMethod.BASE if state == "after-base-hello" else SelectionMethod.RP
+            config = SessionConfig(n=BIG_N, epsilon=0.5, method=method, f=8 if method.uses_filter else 0)
+            responder.answer(frame_of(config.hello()))
+        frame = big_frame(kind)
+        assert len(frame) >= 4 << 20
+
+        def refused():
+            with pytest.raises(ProtocolError, match=f"^unexpected {kind.__name__}, expected "):
+                responder.answer(frame)
+
+        assert traced_peak(refused) < 64 << 10
+
+    def test_alice_refuses_a_full_reply_to_a_filter_query(self):
+        """Alice waits for the FilterReply alone; a Bob that sends a FullReply
+        of 6 MB instead is refused before she reads any of its arrays."""
+        config = SessionConfig(n=BIG_N, epsilon=0.5, method=SelectionMethod.RP, f=8, mask_seed=0)
+        alice_end, bob_end = make_local_pair(timeout=5.0)
+        alice = AliceSession(config, build_document_vector({0: 1}, BIG_N), alice_end)
+        frame = big_frame(FullReply)
+        bob_end.send_frame([frame])
+        query = FilterQuery(query_id=0, indexes=np.arange(8), z=np.zeros(8, np.int32))
+
+        def refused():
+            with pytest.raises(ProtocolError, match="^unexpected FullReply, expected FilterReply$"):
+                alice._exchange(query, FilterReply, query_id=0, m=3, w=4)
+
+        assert traced_peak(refused) < 64 << 10
+        assert alice.report.metrics.bytes_sent_bob == len(frame)
 
 
 class RecordingBob(BobResponder):
